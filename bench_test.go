@@ -19,6 +19,7 @@ import (
 	"liveupdate/internal/emt"
 	"liveupdate/internal/experiments"
 	"liveupdate/internal/lora"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/numasim"
 	"liveupdate/internal/obs"
 	"liveupdate/internal/simnet"
@@ -174,8 +175,12 @@ func BenchmarkServeRequestTracedNoAlloc(b *testing.B) {
 		sys.Node.Predict(samples[i%len(samples)])
 	}
 	b.StopTimer()
-	if ServerTelemetry(srv).Tracer().StageTotals()[obs.StageForward].Count == 0 {
+	totals := ServerTelemetry(srv).Tracer().StageTotals()
+	if totals[obs.StageForward].Count == 0 {
 		b.Fatal("tracer recorded no forward spans — telemetry was not live in the measured region")
+	}
+	if totals[obs.StageTrainTick].Count == 0 || totals[obs.StageCommit].Count == 0 {
+		b.Fatal("warm-up serves recorded no commit/train_tick spans — the tick is not traced as its own stage")
 	}
 }
 
@@ -441,23 +446,59 @@ func BenchmarkLoRATrainStep(b *testing.B) {
 		var cache dlrm.ForwardCache
 		logit := model.Forward(set, s.Dense, s.Sparse, &cache)
 		dLogit := dlrm.Sigmoid(logit) - float64(s.Label)
-		dEmb := model.Backward(dLogit, &cache)
-		model.Bottom.ZeroGrad()
-		model.Top.ZeroGrad()
+		dEmb := model.BackwardInput(dLogit, &cache)
 		for t, g := range dEmb {
 			set.ApplyGrad(t, s.Sparse[t], g, 0.05)
 		}
 	}
 }
 
-// BenchmarkSVD measures the one-sided Jacobi SVD on a gradient-window-sized
-// matrix (256×16), the kernel behind rank adaptation.
-func BenchmarkSVD(b *testing.B) {
+// BenchmarkGradientPCA measures the spectrum kernel behind rank adaptation on
+// a gradient-window-sized matrix (256×16): centre, d×d covariance, symmetric
+// Jacobi eigen-solve.
+func BenchmarkGradientPCA(b *testing.B) {
 	rng := tensor.NewRNG(5)
 	m := tensor.RandomMatrix(rng, 256, 16, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.ComputeSVD(m)
+		tensor.ComputePCA(m)
+	}
+}
+
+// BenchmarkRankAdapt measures one Algorithm 1 pass (rank adaptation over a
+// full 256×16 gradient window, then pruning) as the train tick pays it:
+// AdaptInterval 1 makes every Train end in adapt(). Steady state allocates
+// nothing; the rare pass that changes the rank does.
+func BenchmarkRankAdapt(b *testing.B) {
+	cfg := lora.DefaultConfig(10000, 16)
+	cfg.AdaptInterval = 1
+	a := lora.MustNewAdapter(cfg)
+	grads := tensor.RandomMatrix(tensor.NewRNG(5), 4*cfg.GradWindow, cfg.Dim, 1)
+	ids := []int32{1, 77, 4096}
+	for i := 0; i < grads.Rows; i++ { // fill the window, let the rank settle
+		a.Train(ids, grads.Row(i), 0.01)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Train(ids, grads.Row(i%grads.Rows), 0.01)
+	}
+}
+
+// BenchmarkP99Window measures the controller's tail-latency read: P99 over a
+// full 4096-sample latency window (one scan keeping the 42 largest samples
+// in a heap held in the tracker's scratch).
+func BenchmarkP99Window(b *testing.B) {
+	rng := tensor.NewRNG(6)
+	lt := metrics.NewLatencyTracker(4096)
+	for i := 0; i < 4096; i++ {
+		lt.Observe(rng.Float64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lt.P99()
 	}
 }
 

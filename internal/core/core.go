@@ -366,9 +366,11 @@ func (s *System) Serve(sample trace.Sample) (Response, error) {
 	t0 := s.tracer.StageStart(obs.StageCommit) // includes mutex wait: contention is the signal
 	s.mu.Lock()
 	latency := s.Node.Commit(sample)
-	s.afterCommitLocked()
-	s.mu.Unlock()
 	s.tracer.StageEnd(obs.StageCommit, t0)
+	if s.tickDueLocked() {
+		s.tickLocked()
+	}
+	s.mu.Unlock()
 	s.observeServe(latency)
 	return Response{Prob: prob, Latency: latency}, nil
 }
@@ -426,11 +428,17 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 	}
 	*pb = probs[:0]
 	batchProbsPool.Put(pb)
-	t0 := s.tracer.StageStart(obs.StageCommit) // one commit span per batch
+	// One commit span per batch, interrupted (closed and reopened) around
+	// each training tick so the tick's cost is reported as its own stage.
+	t0 := s.tracer.StageStart(obs.StageCommit)
 	s.mu.Lock()
 	for i := range samples {
 		resps[i].Latency = s.Node.Commit(samples[i])
-		s.afterCommitLocked()
+		if s.tickDueLocked() {
+			s.tracer.StageEnd(obs.StageCommit, t0)
+			s.tickLocked()
+			t0 = s.tracer.StageStart(obs.StageCommit)
+		}
 	}
 	s.mu.Unlock()
 	s.tracer.StageEnd(obs.StageCommit, t0)
@@ -447,19 +455,32 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 // check out their own buffer.
 var batchProbsPool = sync.Pool{New: func() any { b := make([]float64, 0, 64); return &b }}
 
-// afterCommitLocked runs the post-request training trigger; callers hold s.mu.
-func (s *System) afterCommitLocked() {
+// tickDueLocked advances the post-request training cadence and reports
+// whether this request fires a tick; callers hold s.mu.
+func (s *System) tickDueLocked() bool {
 	if !s.Opts.EnableTraining {
-		return
+		return false
 	}
 	s.sinceTrain++
-	if s.sinceTrain >= s.Opts.TrainInterval {
-		s.sinceTrain = 0
-		s.trainTick()
-		if s.Controller != nil {
-			s.Controller.Observe(s.Node.P99())
-		}
+	if s.sinceTrain < s.Opts.TrainInterval {
+		return false
 	}
+	s.sinceTrain = 0
+	return true
+}
+
+// tickLocked runs the training tick a request fired, then lets the CCD
+// controller look at the tail latency, all under one train_tick span;
+// callers hold s.mu. The window's P99 is taken only when the controller is
+// due to act on one (numasim.Controller.Due) — Observe would discard it
+// otherwise, so the controller's decisions are unchanged.
+func (s *System) tickLocked() {
+	t0 := s.tracer.StageStart(obs.StageTrainTick)
+	s.trainTick()
+	if s.Controller != nil && s.Controller.Due() {
+		s.Controller.Observe(s.Node.P99())
+	}
+	s.tracer.StageEnd(obs.StageTrainTick, t0)
 }
 
 // Stats snapshots the node's serving, training, and memory statistics.
@@ -618,13 +639,12 @@ func (s *System) trainTick() {
 			}
 		}
 		s.Clock.Advance(memTime)
-		// LoRA-only learning: base and dense weights frozen. The cache is
-		// reused across samples: Forward overwrites every field it reads.
+		// LoRA-only learning: base and dense weights frozen, so the backward
+		// pass computes embedding gradients only. The cache is reused across
+		// samples: Forward overwrites every field it reads.
 		logit := s.Model.Forward(s.LoRA, sample.Dense, sample.Sparse, cache)
 		dLogit := dlrm.Sigmoid(logit) - float64(sample.Label)
-		dEmb := s.Model.Backward(dLogit, cache)
-		s.Model.Bottom.ZeroGrad()
-		s.Model.Top.ZeroGrad()
+		dEmb := s.Model.BackwardInput(dLogit, cache)
 		for t, g := range dEmb {
 			s.LoRA.ApplyGrad(t, sample.Sparse[t], g, s.Opts.EmbLR)
 		}

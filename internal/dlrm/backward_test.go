@@ -1,0 +1,161 @@
+package dlrm
+
+import (
+	"math"
+	"testing"
+
+	"liveupdate/internal/emt"
+	"liveupdate/internal/tensor"
+	"liveupdate/internal/trace"
+)
+
+// frozenFixture returns a model, an embedding source and a stream of samples
+// on a small profile.
+func frozenFixture(seed uint64) (*Model, *BaseEmbeddings, []trace.Sample) {
+	p := trace.Profiles()["criteo"]
+	p.NumTables = 3
+	p.TableSize = 50
+	p.NumDense = 4
+	p.MultiHot = []int{1, 1, 2}
+	rng := tensor.NewRNG(seed)
+	cfg := smallConfig()
+	m := MustNewModel(cfg, rng)
+	src := &BaseEmbeddings{Group: emt.NewGroup(cfg.NumTables, p.TableSize, cfg.EmbeddingDim, rng)}
+	return m, src, trace.MustNewGenerator(p, seed).Batch(64, 60)
+}
+
+// poisonGrads fills every gradient accumulator with a sentinel and returns a
+// check that they still hold it.
+func poisonGrads(m *Model) (untouched func() bool) {
+	const sentinel = 0.125
+	layers := append(append([]*Layer(nil), m.Bottom.Layers...), m.Top.Layers...)
+	for _, l := range layers {
+		for i := range l.gradW.Data {
+			l.gradW.Data[i] = sentinel
+		}
+		for i := range l.gradB {
+			l.gradB[i] = sentinel
+		}
+	}
+	return func() bool {
+		for _, l := range layers {
+			for _, v := range l.gradW.Data {
+				if v != sentinel {
+					return false
+				}
+			}
+			for _, v := range l.gradB {
+				if v != sentinel {
+					return false
+				}
+			}
+		}
+		return true
+	}
+}
+
+// The input-only backward returns bit-identical embedding gradients to the
+// full backward and never touches a weight or bias gradient.
+func TestBackwardInputMatchesBackward(t *testing.T) {
+	full, src, samples := frozenFixture(21)
+	frozen := full.Clone()
+	untouched := poisonGrads(frozen)
+	var fc, zc ForwardCache // reused across samples, like the train tick's
+	for si, s := range samples {
+		logit := full.Forward(src, s.Dense, s.Sparse, &fc)
+		if got := frozen.Forward(src, s.Dense, s.Sparse, &zc); got != logit {
+			t.Fatalf("sample %d: clone forward %v vs %v", si, got, logit)
+		}
+		dLogit := Sigmoid(logit) - float64(s.Label)
+		want := full.Backward(dLogit, &fc)
+		got := frozen.BackwardInput(dLogit, &zc)
+		if len(got) != len(want) {
+			t.Fatalf("sample %d: %d gradient rows vs %d", si, len(got), len(want))
+		}
+		nonzero := false
+		for ti := range want {
+			for j := range want[ti] {
+				if math.Float64bits(got[ti][j]) != math.Float64bits(want[ti][j]) {
+					t.Fatalf("sample %d table %d coord %d: %v vs %v", si, ti, j, got[ti][j], want[ti][j])
+				}
+				nonzero = nonzero || want[ti][j] != 0
+			}
+		}
+		if !nonzero {
+			t.Fatalf("sample %d: all-zero embedding gradient — fixture proves nothing", si)
+		}
+		full.Bottom.ZeroGrad()
+		full.Top.ZeroGrad()
+	}
+	if !untouched() {
+		t.Fatal("BackwardInput wrote to a dense gradient accumulator")
+	}
+}
+
+// MLP.BackwardInput alone: same input gradient as MLP.Backward, including
+// through ReLU masks, accumulators untouched.
+func TestMLPBackwardInputMatchesBackward(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	a := NewMLP(rng, []int{6, 9, 5, 2})
+	b := a.Clone()
+	untouched := poisonGrads(&Model{Bottom: b, Top: &MLP{}})
+	var ca, cb MLPCache
+	for trial := 0; trial < 20; trial++ {
+		x := make([]float64, 6)
+		dOut := make([]float64, 2)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		for i := range dOut {
+			dOut[i] = rng.NormFloat64()
+		}
+		a.Forward(x, &ca)
+		b.Forward(x, &cb)
+		want := a.Backward(dOut, &ca)
+		got := b.BackwardInput(dOut, &cb)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d input %d: %v vs %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	if !untouched() {
+		t.Fatal("MLP.BackwardInput wrote to a gradient accumulator")
+	}
+}
+
+// zeroingOpt is what the harness's frozen-dense optimizer used to be: it
+// discards the accumulated dense gradients.
+type zeroingOpt struct{}
+
+func (zeroingOpt) Step(m *MLP, _ int) { m.ZeroGrad() }
+
+// A Trainer without an optimizer trains embeddings exactly as one that
+// computes dense gradients and throws them away, and leaves dense weights put.
+func TestTrainerNilOptFreezesDense(t *testing.T) {
+	ma, sa, samples := frozenFixture(33)
+	mb, sb, _ := frozenFixture(33)
+	before := ma.Clone()
+	la := (&Trainer{Model: ma, Emb: sa, EmbLR: 0.05}).TrainEpochs(samples, 16, 2)
+	lb := (&Trainer{Model: mb, Emb: sb, Opt: zeroingOpt{}, EmbLR: 0.05}).TrainEpochs(samples, 16, 2)
+	if la != lb {
+		t.Fatalf("loss %v vs %v", la, lb)
+	}
+	for ti, tab := range sa.Group.Tables {
+		for id := int32(0); int(id) < tab.Rows(); id++ {
+			ra, rb := tab.PeekRow(id), sb.Group.Tables[ti].PeekRow(id)
+			for j := range ra {
+				if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
+					t.Fatalf("table %d row %d coord %d: %v vs %v", ti, id, j, ra[j], rb[j])
+				}
+			}
+		}
+	}
+	for li, l := range ma.Top.Layers {
+		for i, w := range l.W.Data {
+			if w != before.Top.Layers[li].W.Data[i] {
+				t.Fatalf("top layer %d weight %d moved under a nil optimizer", li, i)
+			}
+		}
+	}
+}

@@ -104,19 +104,39 @@ type LayerCache struct {
 // and returns the gradient w.r.t. the layer input. The returned slice aliases
 // the cache's scratch and is valid until the cache's next Backward.
 func (l *Layer) Backward(dOut []float64, cache *LayerCache) []float64 {
-	dPre := dOut
-	if l.ReLU {
-		cache.dPre = growFloats(cache.dPre, len(dOut))
-		dPre = cache.dPre
-		for i, v := range dOut {
-			if cache.Pre[i] > 0 {
-				dPre[i] = v
-			} else {
-				dPre[i] = 0
-			}
+	dPre := l.preGrad(dOut, cache)
+	l.accumulate(dPre, cache.Input)
+	return l.inputGrad(dPre, cache)
+}
+
+// BackwardInput is Backward for a frozen layer: it returns the same gradient
+// w.r.t. the layer input, bit for bit, and leaves the weight and bias
+// gradient accumulators untouched.
+func (l *Layer) BackwardInput(dOut []float64, cache *LayerCache) []float64 {
+	return l.inputGrad(l.preGrad(dOut, cache), cache)
+}
+
+// preGrad returns the gradient w.r.t. the pre-activation: dOut masked by the
+// ReLU (in the cache's scratch), or dOut itself for a linear layer.
+func (l *Layer) preGrad(dOut []float64, cache *LayerCache) []float64 {
+	if !l.ReLU {
+		return dOut
+	}
+	cache.dPre = growFloats(cache.dPre, len(dOut))
+	dPre := cache.dPre
+	for i, v := range dOut {
+		if cache.Pre[i] > 0 {
+			dPre[i] = v
+		} else {
+			dPre[i] = 0
 		}
 	}
-	in := cache.Input
+	return dPre
+}
+
+// accumulate adds the parameter half of the backward pass — the outer
+// product dPre·inᵀ and dPre itself — to the layer's gradient accumulators.
+func (l *Layer) accumulate(dPre, in []float64) {
 	for o, dp := range dPre {
 		if dp == 0 {
 			continue
@@ -127,7 +147,12 @@ func (l *Layer) Backward(dOut []float64, cache *LayerCache) []float64 {
 		}
 		l.gradB[o] += dp
 	}
-	cache.dIn = growFloats(cache.dIn, len(in))
+}
+
+// inputGrad returns the input half of the backward pass, Wᵀ·dPre, in the
+// cache's scratch.
+func (l *Layer) inputGrad(dPre []float64, cache *LayerCache) []float64 {
+	cache.dIn = growFloats(cache.dIn, l.In())
 	dIn := cache.dIn
 	for i := range dIn {
 		dIn[i] = 0
@@ -306,6 +331,16 @@ func (m *MLP) Backward(dOut []float64, cache *MLPCache) []float64 {
 	d := dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		d = m.Layers[i].Backward(d, &cache.layers[i])
+	}
+	return d
+}
+
+// BackwardInput is Backward through a frozen stack: the same gradient w.r.t.
+// the MLP input, no gradient accumulated on any layer.
+func (m *MLP) BackwardInput(dOut []float64, cache *MLPCache) []float64 {
+	d := dOut
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		d = m.Layers[i].BackwardInput(d, &cache.layers[i])
 	}
 	return d
 }

@@ -509,13 +509,27 @@ func (m *Model) predictBatchInto(src EmbeddingSource, dense [][]float64, sparse 
 // The returned rows alias the cache's scratch and are valid until its next
 // Backward.
 func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
+	return m.backward(dLogit, cache, false)
+}
+
+// BackwardInput is Backward with the dense layers frozen — the co-located
+// LoRA trainer's case (paper Fig 7: only A and B receive gradients). It
+// returns bit-identical embedding gradients while skipping every weight
+// gradient: no outer products in the top MLP, no bottom-MLP pass at all
+// (nothing upstream of it is trainable), and so nothing to ZeroGrad after.
+func (m *Model) BackwardInput(dLogit float64, cache *ForwardCache) [][]float64 {
+	return m.backward(dLogit, cache, true)
+}
+
+func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]float64 {
 	cfg := m.Cfg
 	cache.dLogit[0] = dLogit
-	dTopIn := m.Top.Backward(cache.dLogit[:], &cache.top)
-
-	cache.dZ = growFloats(cache.dZ, cfg.EmbeddingDim)
-	dZ := cache.dZ
-	copy(dZ, dTopIn[:cfg.EmbeddingDim])
+	var dTopIn []float64
+	if frozen {
+		dTopIn = m.Top.BackwardInput(cache.dLogit[:], &cache.top)
+	} else {
+		dTopIn = m.Top.Backward(cache.dLogit[:], &cache.top)
+	}
 	dInter := dTopIn[cfg.EmbeddingDim:]
 
 	features := cache.features
@@ -527,12 +541,7 @@ func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
 		}
 	}
 	dFeatures := cache.dFeats
-	for i := range dFeatures {
-		row := dFeatures[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
+	clear(cache.dFeatBuf)
 	k := 0
 	for i := 0; i < len(features); i++ {
 		for j := i + 1; j < len(features); j++ {
@@ -545,12 +554,16 @@ func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
 			tensor.Axpy(g, features[i], dFeatures[j])
 		}
 	}
-	// f_0 is the bottom output: its gradient combines the direct top-input
-	// path and the interaction path.
-	for i := range dZ {
-		dZ[i] += dFeatures[0][i]
+	if !frozen {
+		// f_0 is the bottom output: its gradient combines the direct
+		// top-input path and the interaction path.
+		cache.dZ = growFloats(cache.dZ, cfg.EmbeddingDim)
+		dZ := cache.dZ
+		for i := range dZ {
+			dZ[i] = dTopIn[i] + dFeatures[0][i]
+		}
+		m.Bottom.Backward(dZ, &cache.bottom)
 	}
-	m.Bottom.Backward(dZ, &cache.bottom)
 	return dFeatures[1:]
 }
 
@@ -566,10 +579,16 @@ func (m *Model) TrainStep(src EmbeddingSource, dense []float64, sparse [][]int32
 // one cache across a mini-batch amortizes the per-sample cache allocations
 // (Forward overwrites every field it reads, so reuse is safe).
 func (m *Model) TrainStepWith(src EmbeddingSource, dense []float64, sparse [][]int32, label int, embLR float64, cache *ForwardCache) float64 {
+	return m.trainStep(src, dense, sparse, label, embLR, cache, false)
+}
+
+// trainStep is TrainStepWith; frozen selects the input-only backward, which
+// applies the same embedding gradients and accumulates no dense ones.
+func (m *Model) trainStep(src EmbeddingSource, dense []float64, sparse [][]int32, label int, embLR float64, cache *ForwardCache, frozen bool) float64 {
 	logit := m.Forward(src, dense, sparse, cache)
 	loss := BCELossWithLogit(logit, label)
 	dLogit := Sigmoid(logit) - float64(label)
-	dEmb := m.Backward(dLogit, cache)
+	dEmb := m.backward(dLogit, cache, frozen)
 	for t, g := range dEmb {
 		src.ApplyGrad(t, sparse[t], g, embLR)
 	}

@@ -6,7 +6,9 @@ import (
 )
 
 // Trainer couples a Model, an EmbeddingSource, and an optimizer into the
-// mini-batch training loop of paper §II-A.
+// mini-batch training loop of paper §II-A. A nil Opt freezes the dense
+// layers: only embedding gradients are computed and applied (the paper's
+// online path trains nothing but the low-rank embedding factors).
 type Trainer struct {
 	Model *Model
 	Emb   EmbeddingSource
@@ -15,18 +17,22 @@ type Trainer struct {
 }
 
 // TrainBatch runs one mini-batch (forward + backward per sample, one dense
-// optimizer step at the end) and returns the mean BCE loss.
+// optimizer step at the end unless the dense layers are frozen) and returns
+// the mean BCE loss.
 func (tr *Trainer) TrainBatch(batch []trace.Sample) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
 	total := 0.0
 	var cache ForwardCache // reused across the batch (Forward overwrites it)
+	frozen := tr.Opt == nil
 	for _, s := range batch {
-		total += tr.Model.TrainStepWith(tr.Emb, s.Dense, s.Sparse, s.Label, tr.EmbLR, &cache)
+		total += tr.Model.trainStep(tr.Emb, s.Dense, s.Sparse, s.Label, tr.EmbLR, &cache, frozen)
 	}
-	tr.Opt.Step(tr.Model.Bottom, len(batch))
-	tr.Opt.Step(tr.Model.Top, len(batch))
+	if !frozen {
+		tr.Opt.Step(tr.Model.Bottom, len(batch))
+		tr.Opt.Step(tr.Model.Top, len(batch))
+	}
 	return total / float64(len(batch))
 }
 

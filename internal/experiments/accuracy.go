@@ -312,9 +312,7 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 			var cache dlrm.ForwardCache
 			logit := model.Forward(rep, s.Dense, s.Sparse, &cache)
 			dLogit := dlrm.Sigmoid(logit) - float64(s.Label)
-			dEmb := model.Backward(dLogit, &cache)
-			model.Bottom.ZeroGrad()
-			model.Top.ZeroGrad()
+			dEmb := model.BackwardInput(dLogit, &cache)
 			for t, g := range dEmb {
 				rep.ApplyGrad(t, s.Sparse[t], g, 0.05)
 			}

@@ -24,6 +24,7 @@ package lora
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -125,6 +126,12 @@ type Adapter struct {
 
 	adaptations int // completed rank/prune passes
 	pruned      int // total rows evicted
+
+	// adapt's reusable buffers (covariance spectrum of the gradient window,
+	// candidate ids of the prune step): a pass that neither changes the rank
+	// nor evicts past capacity allocates nothing.
+	spectrum tensor.SpectrumScratch
+	active   []int32
 
 	// daScratch and coefScratch are Train's per-rank scratches (the hoisted
 	// A-gradient step and the summed pre-update A coefficients), reused
@@ -316,10 +323,15 @@ func (a *Adapter) adapt() {
 
 	// --- Rank adaptation (Alg. 1 line 3-4) ---
 	if !a.cfg.DisableRankAdapt && a.gradCount >= 2 {
-		snapshot := tensor.NewMatrix(a.gradCount, a.cfg.Dim)
-		copy(snapshot.Data, a.gradBuf.Data[:a.gradCount*a.cfg.Dim])
-		pca := tensor.ComputePCA(snapshot)
-		rt := pca.MinRankForVariance(a.cfg.Alpha)
+		// r_t is read off the eigenvalues of the gradient window's d×d
+		// covariance, computed straight from the ring (row order does not
+		// matter to a covariance). The covariance is recomputed each pass,
+		// not maintained by a rank-1 update and downdate per Train: at
+		// GradWindow 256 / AdaptInterval 128 that costs the same d²
+		// multiply-adds per step as recomputing, and its running sums would
+		// accumulate rounding drift that a fresh sum does not have.
+		window := tensor.Matrix{Rows: a.gradCount, Cols: a.cfg.Dim, Data: a.gradBuf.Data[:a.gradCount*a.cfg.Dim]}
+		rt := tensor.MinRankForVariance(tensor.CovarianceSpectrum(&window, &a.spectrum), a.cfg.Alpha)
 		a.rankObsSum += rt
 		a.rankObsCount++
 		// New rank = ceil of the interval-averaged observation, clamped.
@@ -334,48 +346,40 @@ func (a *Adapter) adapt() {
 	}
 
 	// --- Usage-based pruning (Alg. 1 line 5-10) ---
+	// Rows updated fewer than τ_prune times this window are evicted; of the
+	// rest at most CMax stay, the most frequently updated. (The C_min floor
+	// never binds: it cannot bring an evicted row back.)
 	st := a.cur.Load()
-	active := make([]int32, 0, len(st.rows))
+	active := a.active[:0]
 	for id := range st.rows {
 		if a.freq[id] >= a.cfg.PruneThresh {
 			active = append(active, id)
-		}
-	}
-	target := len(active)
-	if target < a.cfg.CMin {
-		target = a.cfg.CMin
-	}
-	if target > a.cfg.CMax {
-		target = a.cfg.CMax
-	}
-	if len(active) > target {
-		// Keep the most frequently updated ids.
-		sort.Slice(active, func(i, j int) bool {
-			if a.freq[active[i]] != a.freq[active[j]] {
-				return a.freq[active[i]] > a.freq[active[j]]
-			}
-			return active[i] < active[j]
-		})
-		active = active[:target]
-	}
-	keep := make(map[int32]struct{}, len(active))
-	for _, id := range active {
-		keep[id] = struct{}{}
-	}
-	for id := range st.rows {
-		if _, ok := keep[id]; !ok {
+		} else {
 			delete(st.rows, id)
 			a.pruned++
 		}
 	}
-	// New frequency window.
-	a.freq = make(map[int32]int)
+	if len(active) > a.cfg.CMax {
+		slices.SortFunc(active, func(x, y int32) int {
+			if fx, fy := a.freq[x], a.freq[y]; fx != fy {
+				return fy - fx
+			}
+			return int(x) - int(y)
+		})
+		for _, id := range active[a.cfg.CMax:] {
+			delete(st.rows, id)
+			a.pruned++
+		}
+	}
+	a.active = active
+	clear(a.freq) // new frequency window
 }
 
 // Resize changes the LoRA rank to r. Shrinking re-projects the current ∆W
-// onto the best rank-r subspace via truncated SVD (Eckart–Young), so learned
-// information is preserved as well as any rank-r factorization can; growing
-// zero-pads, leaving ∆W bit-identical. The resized factors are installed by
+// onto the best rank-r subspace (Eckart–Young, through the d×d Gram matrix of
+// the active rows' deltas — tensor.TruncatedSVD), so learned information is
+// preserved as well as any rank-r factorization can; growing zero-pads,
+// leaving ∆W bit-identical. The resized factors are installed by
 // one atomic swap (publish-path operation).
 func (a *Adapter) Resize(r int) {
 	st := a.cur.Load()
@@ -396,9 +400,13 @@ func (a *Adapter) Resize(r int) {
 		// randomly initialized so gradients flow into the added capacity.
 		newB := tensor.NewMatrix(r, a.cfg.Dim)
 		copy(newB.Data, st.b.Data)
+		// Ids are visited in sorted order: the draws come from one RNG
+		// stream, so map order would make the factors — and everything
+		// trained on them — differ between two runs of the same seed.
 		scale := 1 / math.Sqrt(float64(r))
 		rows := make(map[int32][]float64, len(st.rows))
-		for id, row := range st.rows {
+		for _, id := range sortedIDs(st.rows) {
+			row := st.rows[id]
 			nr := make([]float64, r)
 			copy(nr, row)
 			for k := len(row); k < r; k++ {
@@ -418,11 +426,7 @@ func (a *Adapter) Resize(r int) {
 		})
 		return
 	}
-	ids := make([]int32, 0, len(st.rows))
-	for id := range st.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedIDs(st.rows)
 	delta := tensor.NewMatrix(len(ids), a.cfg.Dim)
 	for i, id := range ids {
 		a.Delta(id, delta.Row(i))
@@ -433,6 +437,16 @@ func (a *Adapter) Resize(r int) {
 		rows[id] = append([]float64(nil), left.Row(i)...)
 	}
 	a.cur.Store(&adapterState{rank: r, b: right, rows: rows})
+}
+
+// sortedIDs returns the ids holding a row, ascending.
+func sortedIDs(rows map[int32][]float64) []int32 {
+	ids := make([]int32, 0, len(rows))
+	for id := range rows {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // SizeBytes returns the adapter's parameter footprint: active A rows plus B.

@@ -82,26 +82,75 @@ func LogLoss(scores []float64, labels []int) float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
-// interpolation between closest ranks. It copies and sorts the input.
+// interpolation between closest ranks — bit for bit the value a full sort
+// would give, without sorting or modifying the input (see quantileOf).
 func Quantile(values []float64, q float64) float64 {
-	if len(values) == 0 {
-		return 0
+	v, _ := quantileOf(values, q, nil)
+	return v
+}
+
+// quantileOf is Quantile through a caller-owned scratch, returned (possibly
+// regrown) for reuse. The interpolation needs the order statistics at ranks
+// lo = ⌊q(n−1)⌋ and lo+1, i.e. the two smallest of the n−lo largest values:
+// those are kept in a min-heap held in buf while values is scanned once. For
+// a tail quantile the heap is tiny (42 of 4096 for P99), almost every sample
+// fails the one well-predicted comparison against its root, and the whole
+// read is one sequential pass: O(n + m·log(n/m)·log m) for heap size m on
+// unordered input, against O(n log n) for the copy-and-sort it replaces.
+func quantileOf(values []float64, q float64, buf []float64) (float64, []float64) {
+	n := len(values)
+	if n == 0 {
+		return 0, buf
 	}
 	if q < 0 {
 		q = 0
 	} else if q > 1 {
 		q = 1
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	m := n - lo
+	top := append(buf[:0], values[:m]...)
+	for i := m/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
+	}
+	root := top[0]
+	for _, x := range values[m:] {
+		if x > root {
+			top[0] = x
+			siftDown(top, 0)
+			root = top[0]
+		}
+	}
+	if float64(lo) == pos {
+		return top[0], top
+	}
+	next := top[1] // rank lo+1: the smaller child of the root
+	if m > 2 && top[2] < next {
+		next = top[2]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return top[0]*(1-frac) + next*frac, top
+}
+
+// siftDown restores the min-heap property of h below index i.
+func siftDown(h []float64, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if !(h[c] < x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // LatencyTracker accumulates latency samples over a sliding window and
@@ -112,6 +161,7 @@ type LatencyTracker struct {
 	next    int
 	count   uint64
 	sum     float64
+	scratch []float64 // quantile reads build their heap here and allocate nothing
 }
 
 // NewLatencyTracker returns a tracker keeping the last window samples.
@@ -146,13 +196,19 @@ func (t *LatencyTracker) Mean() float64 {
 }
 
 // P99 returns the 99th-percentile latency over the retained window.
-func (t *LatencyTracker) P99() float64 { return Quantile(t.samples, 0.99) }
+func (t *LatencyTracker) P99() float64 { return t.QuantileOf(0.99) }
 
 // P50 returns the median latency over the retained window.
-func (t *LatencyTracker) P50() float64 { return Quantile(t.samples, 0.50) }
+func (t *LatencyTracker) P50() float64 { return t.QuantileOf(0.50) }
 
-// QuantileOf returns an arbitrary quantile over the retained window.
-func (t *LatencyTracker) QuantileOf(q float64) float64 { return Quantile(t.samples, q) }
+// QuantileOf returns an arbitrary quantile over the retained window. It
+// selects through the tracker's scratch, so like Observe it mutates the
+// tracker and needs the same serialization.
+func (t *LatencyTracker) QuantileOf(q float64) float64 {
+	v, buf := quantileOf(t.samples, q, t.scratch)
+	t.scratch = buf
+	return v
+}
 
 // Samples returns a copy of the retained window (unordered with respect to
 // observation time once the window has wrapped). It lets callers pool raw

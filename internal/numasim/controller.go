@@ -115,13 +115,22 @@ func (ctl *Controller) Moves() (toInference, toTraining int) {
 	return ctl.movesToInf, ctl.movesToTr
 }
 
+// Due reports whether Observe would act on a measurement now, i.e. whether
+// the cycle period has elapsed since the last adjustment. Until it has,
+// Observe ignores its argument, so a caller whose measurement costs something
+// (a quantile over the latency window) checks Due first and skips taking it;
+// the decision sequence is the same either way. The period restarts only
+// when a CCD moves: a controller sitting at its bounds stays due.
+func (ctl *Controller) Due() bool {
+	return ctl.clock.Now()-ctl.lastAdjust >= ctl.cfg.CyclePeriod
+}
+
 // Observe feeds one P99 measurement (seconds). Following Algorithm 2: above
 // THigh a CCD moves from training to inference; below TLow one moves back,
 // subject to MinInfCCDs / MaxTrainCCDs and the cycle period. It returns true
 // when the partition changed.
 func (ctl *Controller) Observe(p99 float64) bool {
-	now := ctl.clock.Now()
-	if now-ctl.lastAdjust < ctl.cfg.CyclePeriod {
+	if !ctl.Due() {
 		return false
 	}
 	n := ctl.machine.Config().NumCCDs
@@ -136,7 +145,7 @@ func (ctl *Controller) Observe(p99 float64) bool {
 	default:
 		return false
 	}
-	ctl.lastAdjust = now
+	ctl.lastAdjust = ctl.clock.Now()
 	if err := ctl.machine.Partition(ctl.infCCDs); err != nil {
 		// Revert bookkeeping on the (unreachable in practice) failure.
 		panic(err)

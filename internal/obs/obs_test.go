@@ -16,7 +16,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestStageString(t *testing.T) {
-	want := []string{"route", "queue_wait", "forward", "commit", "sync_publish"}
+	want := []string{"route", "queue_wait", "forward", "commit", "train_tick", "sync_publish"}
 	if len(want) != NumStages {
 		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}

@@ -7,7 +7,8 @@ import (
 )
 
 // Stage identifies one timed segment of a request's life. The enum order is
-// the pipeline order: route → queue wait → forward → commit → sync publish.
+// the pipeline order: route → queue wait → forward → commit → train tick →
+// sync publish.
 type Stage uint8
 
 const (
@@ -17,8 +18,13 @@ const (
 	StageQueueWait
 	// StageForward is the model forward pass (embedding lookup + MLP).
 	StageForward
-	// StageCommit is the post-forward bookkeeping under the node mutex.
+	// StageCommit is the post-forward bookkeeping under the node mutex,
+	// including the wait for it.
 	StageCommit
+	// StageTrainTick is a co-located training tick (mini-batch LoRA SGD plus
+	// any rank adaptation it triggers) and the CCD controller's observation
+	// after it; it runs under the node mutex on the request that fires it.
+	StageTrainTick
 	// StageSyncPublish is the publish stall of a fleet sync epoch: merged
 	// adapter state being stamped and installed on the members.
 	StageSyncPublish
@@ -27,7 +33,7 @@ const (
 	NumStages = int(StageSyncPublish) + 1
 )
 
-var stageNames = [NumStages]string{"route", "queue_wait", "forward", "commit", "sync_publish"}
+var stageNames = [NumStages]string{"route", "queue_wait", "forward", "commit", "train_tick", "sync_publish"}
 
 // String returns the stage's snake_case name.
 func (s Stage) String() string {

@@ -1,7 +1,7 @@
 // Package tensor provides the dense linear-algebra substrate for LiveUpdate:
-// row-major matrices, matrix products, a one-sided Jacobi SVD, truncated
-// (Eckart–Young) low-rank approximation, PCA, and deterministic random
-// number generation. Everything is stdlib-only and deterministic.
+// row-major matrices, matrix products, a symmetric Jacobi eigen-solver with
+// the PCA spectrum and truncated (Eckart–Young) low-rank approximation built
+// on it, and deterministic random number generation. Everything is stdlib-only and deterministic.
 package tensor
 
 import (

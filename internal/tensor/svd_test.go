@@ -6,134 +6,6 @@ import (
 	"testing/quick"
 )
 
-// reconstruct computes U·diag(S)·Vᵀ.
-func reconstruct(s *SVD) *Matrix {
-	n := len(s.S)
-	us := s.U.Clone()
-	for i := 0; i < us.Rows; i++ {
-		row := us.Row(i)
-		for j := 0; j < n; j++ {
-			row[j] *= s.S[j]
-		}
-	}
-	return MatMul(us, s.V.T())
-}
-
-func TestSVDReconstructionSmall(t *testing.T) {
-	a := NewMatrixFrom(3, 2, []float64{1, 2, 3, 4, 5, 6})
-	s := ComputeSVD(a)
-	r := reconstruct(s)
-	for i := range a.Data {
-		if !almostEqual(r.Data[i], a.Data[i], 1e-9) {
-			t.Fatalf("reconstruction mismatch at %d: %v vs %v", i, r.Data[i], a.Data[i])
-		}
-	}
-}
-
-func TestSVDSingularValuesSorted(t *testing.T) {
-	rng := NewRNG(21)
-	a := RandomMatrix(rng, 20, 8, 1)
-	s := ComputeSVD(a)
-	for i := 1; i < len(s.S); i++ {
-		if s.S[i] > s.S[i-1]+1e-12 {
-			t.Fatalf("singular values not sorted: %v", s.S)
-		}
-	}
-	for _, v := range s.S {
-		if v < 0 {
-			t.Fatalf("negative singular value %v", v)
-		}
-	}
-}
-
-func TestSVDOrthonormalV(t *testing.T) {
-	rng := NewRNG(22)
-	a := RandomMatrix(rng, 10, 6, 1)
-	s := ComputeSVD(a)
-	vtv := MatMul(s.V.T(), s.V)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almostEqual(vtv.At(i, j), want, 1e-8) {
-				t.Fatalf("VᵀV[%d][%d] = %v, want %v", i, j, vtv.At(i, j), want)
-			}
-		}
-	}
-}
-
-func TestSVDWideMatrix(t *testing.T) {
-	rng := NewRNG(23)
-	a := RandomMatrix(rng, 4, 9, 1) // m < n path
-	s := ComputeSVD(a)
-	r := reconstruct(s)
-	if r.Rows != 4 || r.Cols != 9 {
-		t.Fatalf("wide reconstruction shape %dx%d", r.Rows, r.Cols)
-	}
-	for i := range a.Data {
-		if !almostEqual(r.Data[i], a.Data[i], 1e-8) {
-			t.Fatal("wide-matrix reconstruction mismatch")
-		}
-	}
-}
-
-func TestSVDKnownDiagonal(t *testing.T) {
-	a := NewMatrixFrom(3, 3, []float64{3, 0, 0, 0, 2, 0, 0, 0, 1})
-	s := ComputeSVD(a)
-	want := []float64{3, 2, 1}
-	for i, w := range want {
-		if !almostEqual(s.S[i], w, 1e-10) {
-			t.Fatalf("S[%d] = %v, want %v", i, s.S[i], w)
-		}
-	}
-}
-
-func TestSVDRankDeficient(t *testing.T) {
-	// Rank-1 matrix: outer product.
-	a := NewMatrix(4, 3)
-	u := []float64{1, 2, 3, 4}
-	v := []float64{1, 1, 2}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			a.Set(i, j, u[i]*v[j])
-		}
-	}
-	s := ComputeSVD(a)
-	if got := s.Rank(1e-9); got != 1 {
-		t.Fatalf("rank = %d, want 1 (S=%v)", got, s.S)
-	}
-}
-
-func TestSVDZeroMatrix(t *testing.T) {
-	s := ComputeSVD(NewMatrix(3, 3))
-	for _, v := range s.S {
-		if v != 0 {
-			t.Fatalf("zero matrix should have zero spectrum: %v", s.S)
-		}
-	}
-	if s.Rank(1e-9) != 0 {
-		t.Fatal("zero matrix rank must be 0")
-	}
-}
-
-// Property: SVD reconstruction error is tiny relative to the matrix norm.
-func TestPropertySVDReconstruction(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
-		m, n := 2+rng.Intn(12), 2+rng.Intn(8)
-		a := RandomMatrix(rng, m, n, 2)
-		s := ComputeSVD(a)
-		r := reconstruct(s)
-		r.Sub(a)
-		return r.FrobeniusNorm() <= 1e-7*(1+a.FrobeniusNorm())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property (Eckart–Young): the rank-k truncation error equals
 // sqrt(sum of squared discarded singular values).
 func TestPropertyEckartYoung(t *testing.T) {
@@ -141,15 +13,15 @@ func TestPropertyEckartYoung(t *testing.T) {
 		rng := NewRNG(seed)
 		m, n := 3+rng.Intn(10), 3+rng.Intn(6)
 		a := RandomMatrix(rng, m, n, 1)
-		s := ComputeSVD(a)
+		sigma := refSingularValues(a)
 		k := 1 + rng.Intn(minInt(m, n))
 		left, right := TruncatedSVD(a, k)
 		approx := MatMul(left, right)
 		approx.Sub(a)
 		got := approx.FrobeniusNorm()
 		want := 0.0
-		for i := k; i < len(s.S); i++ {
-			want += s.S[i] * s.S[i]
+		for _, s := range sigma[k:] {
+			want += s * s
 		}
 		want = math.Sqrt(want)
 		return almostEqual(got, want, 1e-6*(1+a.FrobeniusNorm()))
@@ -182,25 +54,6 @@ func TestTruncatedSVDShapes(t *testing.T) {
 	left, right = TruncatedSVD(a, 0)
 	if left.Cols != 0 || right.Rows != 0 {
 		t.Fatal("k=0 should yield empty factors")
-	}
-}
-
-func TestVarianceRank(t *testing.T) {
-	s := []float64{3, 2, 1}                    // squared: 9, 4, 1; total 14
-	if got := VarianceRank(s, 0.5); got != 1 { // 9/14 = 0.64 >= 0.5
-		t.Fatalf("VarianceRank(0.5) = %d, want 1", got)
-	}
-	if got := VarianceRank(s, 0.9); got != 2 { // 13/14 = 0.93
-		t.Fatalf("VarianceRank(0.9) = %d, want 2", got)
-	}
-	if got := VarianceRank(s, 0.99); got != 3 {
-		t.Fatalf("VarianceRank(0.99) = %d, want 3", got)
-	}
-	if got := VarianceRank(nil, 0.8); got != 1 {
-		t.Fatalf("VarianceRank(nil) = %d, want 1", got)
-	}
-	if got := VarianceRank([]float64{0, 0}, 0.8); got != 1 {
-		t.Fatalf("VarianceRank(zeros) = %d, want 1", got)
 	}
 }
 

@@ -251,7 +251,8 @@ func (h *Harness) Step() float64 {
 		if epochs == 0 {
 			epochs = 2
 		}
-		lt := &dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, Opt: noDenseOpt{}, EmbLR: lr}
+		// Local LoRA training: no optimizer, so the dense layers stay frozen.
+		lt := &dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, EmbLR: lr}
 		lt.TrainEpochs(samples, cfg.Batch, epochs)
 	}
 
@@ -271,12 +272,6 @@ func (h *Harness) Run(n int) Result {
 	}
 	return h.Result()
 }
-
-// noDenseOpt freezes dense layers during local LoRA training: the paper's
-// online update path trains only the low-rank embedding factors.
-type noDenseOpt struct{}
-
-func (noDenseOpt) Step(m *dlrm.MLP, batchSize int) { m.ZeroGrad() }
 
 // sync applies the strategy's periodic update.
 func (h *Harness) sync() {

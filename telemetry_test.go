@@ -126,7 +126,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 				t.Fatalf("%s workers=%d: WithTelemetry(SampleEvery:1) must expose a tracer", mode, workers)
 			}
 			totals := tel.Tracer().StageTotals()
-			for _, stage := range []obs.Stage{obs.StageRoute, obs.StageForward, obs.StageCommit, obs.StageSyncPublish} {
+			for _, stage := range []obs.Stage{obs.StageRoute, obs.StageForward, obs.StageCommit, obs.StageTrainTick, obs.StageSyncPublish} {
 				if totals[stage].Count == 0 {
 					t.Fatalf("%s workers=%d: stage %q recorded no spans", mode, workers, stage)
 				}
@@ -141,7 +141,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 				}
 				seen[s.Stage] = true
 			}
-			for _, name := range []string{"route", "forward", "commit", "sync_publish"} {
+			for _, name := range []string{"route", "forward", "commit", "train_tick", "sync_publish"} {
 				if !seen[name] {
 					t.Fatalf("%s workers=%d: stage %q missing from report breakdown %+v",
 						mode, workers, name, rep.Stages)
