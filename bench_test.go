@@ -453,6 +453,45 @@ func BenchmarkLoRATrainStep(b *testing.B) {
 	}
 }
 
+// BenchmarkLoRASnapshotPublish measures one replica's share of a sync on warm
+// adapters — Snapshot (export the modified rows, clear the supports) and
+// Publish (clone each store, install the rows, swap) — with 2 000 modified
+// rows in each of 8 tables. allocs/op is the number to watch: it is a small
+// constant per table, not a function of the row count.
+func BenchmarkLoRASnapshotPublish(b *testing.B) {
+	const tables, rows, dim = 8, 2000, 16
+	base := emt.NewGroup(tables, 10000, dim, tensor.NewRNG(9))
+	cfg := lora.DefaultConfig(10000, dim)
+	cfg.AdaptInterval = 1 << 30 // no pruning: the rows stay
+	set := lora.MustNewSet(base, cfg)
+	grad := make([]float64, dim)
+	grad[3] = 0.1
+	touch := func() { // every row (re-)enters the support
+		for t := 0; t < tables; t++ {
+			for id := int32(0); id < rows; id++ {
+				set.ApplyGrad(t, []int32{id}, grad, 0.01)
+			}
+		}
+	}
+	touch()
+	state := set.Snapshot()
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			touch()
+			b.StartTimer()
+			set.Snapshot()
+		}
+	})
+	b.Run("publish", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			set.Publish(state, int64(i))
+		}
+	})
+}
+
 // BenchmarkGradientPCA measures the spectrum kernel behind rank adaptation on
 // a gradient-window-sized matrix (256×16): centre, d×d covariance, symmetric
 // Jacobi eigen-solve.

@@ -281,11 +281,22 @@ func DecodePayload(data []byte) ([]lora.TableState, error) {
 		if rowCount > maxPayloadRows {
 			return nil, fmt.Errorf("collective: payload row count %d exceeds cap %d", rowCount, maxPayloadRows)
 		}
-		rows := make([]lora.RowUpdate, rowCount)
-		for i := range rows {
+		// A row is at least its two header words, so the bytes left bound
+		// the count; a first pass over the headers then sizes the one array
+		// that backs every row of the table.
+		if int64(rowCount)*8 > int64(r.remaining()) {
+			return nil, fmt.Errorf("collective: truncated payload")
+		}
+		rowsAt, coefs := r.off, 0
+		for i := uint32(0); i < rowCount; i++ {
 			id, err := r.u32()
 			if err != nil {
 				return nil, err
+			}
+			// The adapters keep ids as int32 and use a negative one as "no
+			// row": a u32 past MaxInt32 must not wrap into one.
+			if id > math.MaxInt32 {
+				return nil, fmt.Errorf("collective: payload row id %d exceeds %d", id, math.MaxInt32)
 			}
 			width, err := r.u32()
 			if err != nil {
@@ -297,10 +308,20 @@ func DecodePayload(data []byte) ([]lora.TableState, error) {
 			if err := budget(int64(width)); err != nil {
 				return nil, err
 			}
-			rows[i] = lora.RowUpdate{ID: int32(id), Row: make([]float64, width)}
-			if err := r.f64s(rows[i].Row); err != nil {
-				return nil, err
+			if r.remaining() < int(width)*8 {
+				return nil, fmt.Errorf("collective: truncated payload")
 			}
+			r.off += int(width) * 8
+			coefs += int(width)
+		}
+		r.off = rowsAt
+		rows, buf := make([]lora.RowUpdate, rowCount), make([]float64, coefs)
+		for i := range rows { // every read below was bounds-checked by the first pass
+			id, _ := r.u32()
+			width, _ := r.u32()
+			rows[i] = lora.RowUpdate{ID: int32(id), Row: buf[:width:width]}
+			buf = buf[width:]
+			r.f64s(rows[i].Row)
 		}
 		tables[t].Rows = rows
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -77,6 +78,43 @@ func TestPayloadCompressionShrinksRepetitiveTables(t *testing.T) {
 	}
 	if len(z) >= len(raw) {
 		t.Fatalf("deflate payload %d bytes >= raw %d", len(z), len(raw))
+	}
+}
+
+// One table's decoded rows share a single backing array: the decoder's
+// allocations do not grow with the row count, and an append to one decoded
+// row cannot reach the next.
+func TestPayloadDecodeAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) (float64, []lora.TableState) {
+		rows := make([]lora.RowUpdate, n)
+		for i := range rows {
+			rows[i] = lora.RowUpdate{ID: int32(i), Row: []float64{float64(i), 1, 2, 3}[:1+i%4]} // mixed widths
+		}
+		tables := []lora.TableState{{Rank: 4, Rows: rows}, {Rank: 4, Rows: rows[:n/2]}}
+		enc, err := EncodePayload(tables, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dec []lora.TableState
+		got := testing.AllocsPerRun(10, func() {
+			if dec, err = DecodePayload(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !tablesEqual(dec, tables) {
+			t.Fatalf("%d rows: round trip changed the payload", n)
+		}
+		return got, dec
+	}
+	small, _ := allocs(8)
+	large, dec := allocs(4000)
+	if large != small || large > 8 {
+		t.Fatalf("decode allocates %v times for 8 rows and %v for 4000; want the same small number", small, large)
+	}
+	next := append([]float64(nil), dec[0].Rows[1].Row...)
+	dec[0].Rows[0].Row = append(dec[0].Rows[0].Row, 42)
+	if dec[0].Rows[1].Row[0] != next[0] {
+		t.Fatal("append to one decoded row overwrote its neighbour")
 	}
 }
 
@@ -168,6 +206,16 @@ func TestPayloadHostileInputs(t *testing.T) {
 			frame   []byte
 			wantErr string
 		}{"row count over cap", put(valid, rowOff, maxPayloadRows+1), "row count"},
+		struct {
+			name    string
+			frame   []byte
+			wantErr string
+		}{"row count beyond data", put(valid, rowOff, maxPayloadRows), "truncated"},
+		struct {
+			name    string
+			frame   []byte
+			wantErr string
+		}{"row id past int32", put(valid, rowOff+4, math.MaxInt32+1), "row id"},
 		struct {
 			name    string
 			frame   []byte

@@ -616,6 +616,7 @@ func (s *System) trainTick() {
 	defer s.paramMu.Unlock()
 	numTables := int32(s.Opts.Profile.NumTables)
 	cache := &s.trainCache
+	cache.Frozen = true // only BackwardInput below
 	for _, sample := range batch {
 		// Charge the trainer's embedding traffic to the memory model. With
 		// reuse, reads go through the prefetched shadow table. Without it,

@@ -60,7 +60,10 @@ func TestBackwardInputMatchesBackward(t *testing.T) {
 	full, src, samples := frozenFixture(21)
 	frozen := full.Clone()
 	untouched := poisonGrads(frozen)
-	var fc, zc ForwardCache // reused across samples, like the train tick's
+	// Reused across samples, like the train tick's — and the frozen side
+	// declares itself, so its Forward keeps no layer inputs.
+	var fc ForwardCache
+	zc := ForwardCache{Frozen: true}
 	for si, s := range samples {
 		logit := full.Forward(src, s.Dense, s.Sparse, &fc)
 		if got := frozen.Forward(src, s.Dense, s.Sparse, &zc); got != logit {
@@ -90,6 +93,17 @@ func TestBackwardInputMatchesBackward(t *testing.T) {
 	if !untouched() {
 		t.Fatal("BackwardInput wrote to a dense gradient accumulator")
 	}
+	for _, lc := range append(zc.bottom.layers, zc.top.layers...) {
+		if lc.Input != nil {
+			t.Fatal("a frozen cache's Forward copied a layer input")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Backward on a frozen cache must panic: it has no layer inputs to take weight gradients from")
+		}
+	}()
+	frozen.Backward(0.5, &zc)
 }
 
 // MLP.BackwardInput alone: same input gradient as MLP.Backward, including

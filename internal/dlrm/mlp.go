@@ -44,6 +44,12 @@ func NewLayer(rng *tensor.RNG, in, out int, relu bool) *Layer {
 // serving loop reusing one scratch buffer — between Forward and Backward
 // without corrupting backpropagation.
 func (l *Layer) Forward(x []float64, cache *LayerCache) []float64 {
+	return l.forward(x, cache, true)
+}
+
+// forward is Forward with the input copy optional: only the weight gradient
+// reads it, so a frozen stack (MLPCache.frozen) forwards without.
+func (l *Layer) forward(x []float64, cache *LayerCache, keepInput bool) []float64 {
 	var pre []float64
 	if cache != nil {
 		cache.Pre = growFloats(cache.Pre, l.Out())
@@ -63,15 +69,9 @@ func (l *Layer) Forward(x []float64, cache *LayerCache) []float64 {
 		} else {
 			out = make([]float64, len(pre))
 		}
-		for i, v := range pre {
-			if v > 0 {
-				out[i] = v
-			} else {
-				out[i] = 0
-			}
-		}
+		tensor.ReLUInto(out, pre)
 	}
-	if cache != nil {
+	if cache != nil && keepInput {
 		cache.Input = append(cache.Input[:0], x...)
 	}
 	return out
@@ -123,15 +123,8 @@ func (l *Layer) preGrad(dOut []float64, cache *LayerCache) []float64 {
 		return dOut
 	}
 	cache.dPre = growFloats(cache.dPre, len(dOut))
-	dPre := cache.dPre
-	for i, v := range dOut {
-		if cache.Pre[i] > 0 {
-			dPre[i] = v
-		} else {
-			dPre[i] = 0
-		}
-	}
-	return dPre
+	tensor.ReLUMaskInto(cache.dPre, dOut, cache.Pre)
+	return cache.dPre
 }
 
 // accumulate adds the parameter half of the backward pass — the outer
@@ -203,6 +196,7 @@ func NewMLP(rng *tensor.RNG, widths []int) *MLP {
 // MLPCache holds per-layer forward state for one sample.
 type MLPCache struct {
 	layers []LayerCache
+	frozen bool // Forward keeps no layer inputs: only BackwardInput may follow
 }
 
 // Forward runs the stack, filling cache when non-nil.
@@ -216,7 +210,7 @@ func (m *MLP) Forward(x []float64, cache *MLPCache) []float64 {
 		if cache != nil {
 			lc = &cache.layers[i]
 		}
-		out = l.Forward(out, lc)
+		out = l.forward(out, lc, cache == nil || !cache.frozen)
 	}
 	return out
 }
@@ -328,6 +322,9 @@ func (m *MLP) InferInto(x []float64, s *MLPScratch) []float64 {
 // Backward backpropagates dOut through the stack, accumulating gradients,
 // and returns the gradient w.r.t. the MLP input.
 func (m *MLP) Backward(dOut []float64, cache *MLPCache) []float64 {
+	if cache.frozen {
+		panic("dlrm: Backward on a frozen cache: its Forward kept no layer inputs")
+	}
 	d := dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		d = m.Layers[i].Backward(d, &cache.layers[i])

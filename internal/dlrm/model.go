@@ -204,6 +204,12 @@ func MustNewModel(cfg Config, rng *tensor.RNG) *Model {
 // (TrainStepWith, the core train tick) makes Forward/Backward allocation-free
 // after the first sample.
 type ForwardCache struct {
+	// Frozen declares that this cache's forward passes will be followed by
+	// BackwardInput only (dense layers frozen, the co-located trainer's
+	// case). Forward then skips the per-layer input copies that nothing but
+	// the weight gradients reads; Backward on such a cache panics.
+	Frozen bool
+
 	bottom   MLPCache
 	top      MLPCache
 	features [][]float64 // f_0 = bottom output, f_1.. = pooled embeddings
@@ -230,6 +236,7 @@ func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, 
 	var bc *MLPCache
 	if cache != nil {
 		bc = &cache.bottom
+		cache.bottom.frozen, cache.top.frozen = cache.Frozen, cache.Frozen
 	}
 	z := m.Bottom.Forward(dense, bc)
 

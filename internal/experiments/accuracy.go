@@ -309,7 +309,7 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 		// Round-robin request sharding: each replica trains on its half.
 		for i, s := range samples {
 			rep := replicas[i%2]
-			var cache dlrm.ForwardCache
+			cache := dlrm.ForwardCache{Frozen: true}
 			logit := model.Forward(rep, s.Dense, s.Sparse, &cache)
 			dLogit := dlrm.Sigmoid(logit) - float64(s.Label)
 			dEmb := model.BackwardInput(dLogit, &cache)

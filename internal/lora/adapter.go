@@ -4,28 +4,44 @@
 // usage-based table pruning (Algorithm 1) — plus merge/export primitives for
 // the cross-node sync protocol (Algorithm 3).
 //
-// # Concurrency model
+// # Storage and concurrency model
 //
-// An Adapter keeps its published factors (rank, A rows, shared B) behind one
-// atomic pointer to an immutable-by-readers state record. Two classes of
-// callers exist:
+// An Adapter keeps its published factors behind one atomic pointer to a state
+// record: the shared dense B and a row store for the sparse A. The store is
+// flat — one slab of slots×rank coefficients, one per-slot array of ids and
+// bookkeeping, one open-addressed id → slot index — so a lookup is one probe,
+// a new row takes the next slab slot instead of a heap object, and a copy is
+// three memmoves whatever the row count. Three classes of callers exist:
 //
-//   - The owner (the training/serving loop, serialized by core.System's
-//     mutex) may call anything. Train mutates the current state in place —
-//     it is NOT safe concurrently with readers.
-//   - The publish path — ApplyRows, SetB, Resize, Reset, and Set.Publish —
-//     builds a fresh state copy and swaps the pointer in one atomic store.
-//     Lock-free readers (Lookup, Accumulate, Delta, Has, EffectiveRow,
-//     ExportSupport's row reads) therefore observe either the old or the new
-//     state, never a torn mix, and never block on an in-flight merge. This is
-//     the copy-on-write half of the asynchronous update pipeline.
+//   - Lock-free readers (Lookup, Accumulate, Delta, Has, EffectiveRow, Rank)
+//     load the pointer once and touch only that state's index, slab and B.
+//   - The publish path — ApplyRows, SetB, Resize, Reset, Set.ApplyState and
+//     Set.Publish — never writes a published store. It clones it (index,
+//     per-slot array and slab, bookkeeping included), edits the clone and
+//     swaps the pointer in one atomic store, so a concurrent reader sees the
+//     old state or the new one, never a torn mix, and never blocks on an
+//     in-flight merge. SetB shares the store with the state it replaces:
+//     nothing in it changes. Publish-path calls must be serialized with each
+//     other and with the owner (core.System's mutex does that).
+//   - The owner (the training loop, which additionally excludes readers)
+//     may call anything. Train writes the current store in place: A
+//     coefficients, new rows — which may move the slab and the index to
+//     larger arrays — and, every AdaptInterval steps, adapt's pruning. The
+//     per-slot update counts and support bits, and the Adapter's fields
+//     outside the state record, are owner-only as well (Snapshot and
+//     ResetSupport clear the support bits of the current store in place;
+//     readers never look at them).
+//
+// The index has no tombstones because nothing deletes one row: rows leave
+// only inside adapt, which walks every row once per window anyway and, when
+// it evicted any, compacts the slab and rebuilds the index in that pass; Reset
+// starts from an empty store.
 package lora
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"liveupdate/internal/tensor"
@@ -95,14 +111,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// adapterState is the published factor state: the LoRA rank, the shared
-// dense factor B (rank×dim), and the sparse A rows for active ids. Publish
-// operations replace the whole record behind the Adapter's atomic pointer;
-// readers load it once per call and see a consistent snapshot.
+// adapterState is the published factor state: the shared dense factor B
+// (rank×dim) and the sparse A rows of the active ids, at the same rank.
+// Publish operations replace the whole record behind the Adapter's atomic
+// pointer; readers load it once per call and see a consistent snapshot.
 type adapterState struct {
-	rank int
-	b    *tensor.Matrix      // rank×dim
-	rows map[int32][]float64 // A rows for active ids
+	b    *tensor.Matrix // rank×dim
+	rows *rowStore      // A rows for active ids; rows.rank is the LoRA rank
+}
+
+// accumulate adds alpha times the delta of the row in slot into dst.
+func (st *adapterState) accumulate(slot int32, alpha float64, dst []float64) {
+	for k, av := range st.rows.row(slot) {
+		if av == 0 {
+			continue
+		}
+		tensor.Axpy(alpha*av, st.b.Row(k), dst)
+	}
 }
 
 // Adapter is the LoRA table for one embedding table: sparse rows A[i] ∈ R^k
@@ -112,9 +137,13 @@ type Adapter struct {
 	cfg Config
 	cur atomic.Pointer[adapterState]
 
-	// Owner-only bookkeeping (training statistics, adaptation windows).
-	freq map[int32]int      // per-id update count in the current window
-	supp map[int32]struct{} // ids updated since last ResetSupport (Alg. 3)
+	// Owner-only bookkeeping (training statistics, adaptation windows). The
+	// per-row part — update counts, support bits — lives in the row store.
+	//
+	// ghosts holds the ids that were in the support set when adapt evicted
+	// their row: Algorithm 3's support is a set of ids, not of rows, so an id
+	// a later sync re-installs is exported as modified again.
+	ghosts idIndex
 
 	iter      int
 	gradBuf   *tensor.Matrix // ring of recent pooled gradients (GradWindow×dim)
@@ -128,8 +157,8 @@ type Adapter struct {
 	pruned      int // total rows evicted
 
 	// adapt's reusable buffers (covariance spectrum of the gradient window,
-	// candidate ids of the prune step): a pass that neither changes the rank
-	// nor evicts past capacity allocates nothing.
+	// candidate slots of the prune step): a pass that does not change the
+	// rank allocates nothing.
 	spectrum tensor.SpectrumScratch
 	active   []int32
 
@@ -154,15 +183,12 @@ func NewAdapter(cfg Config) (*Adapter, error) {
 	}
 	a := &Adapter{
 		cfg:     cfg,
-		freq:    make(map[int32]int),
-		supp:    make(map[int32]struct{}),
 		gradBuf: tensor.NewMatrix(cfg.GradWindow, cfg.Dim),
 		rng:     tensor.NewRNG(cfg.Seed ^ 0x10ad0ada),
 	}
 	a.cur.Store(&adapterState{
-		rank: cfg.InitialRank,
 		b:    tensor.NewMatrix(cfg.InitialRank, cfg.Dim),
-		rows: make(map[int32][]float64),
+		rows: newRowStore(cfg.InitialRank),
 	})
 	return a, nil
 }
@@ -177,17 +203,14 @@ func MustNewAdapter(cfg Config) *Adapter {
 }
 
 // Rank returns the current LoRA rank k.
-func (a *Adapter) Rank() int { return a.cur.Load().rank }
+func (a *Adapter) Rank() int { return a.cur.Load().rows.rank }
 
 // ActiveCount returns the number of ids holding a LoRA row.
-func (a *Adapter) ActiveCount() int { return len(a.cur.Load().rows) }
+func (a *Adapter) ActiveCount() int { return len(a.cur.Load().rows.meta) }
 
 // Has reports whether id has a LoRA row — the serving path's Hot Index
 // Filter check (paper Fig 7 step 2).
-func (a *Adapter) Has(id int32) bool {
-	_, ok := a.cur.Load().rows[id]
-	return ok
-}
+func (a *Adapter) Has(id int32) bool { return a.cur.Load().rows.find(id) >= 0 }
 
 // Adaptations returns how many rank/prune passes have run.
 func (a *Adapter) Adaptations() int { return a.adaptations }
@@ -201,31 +224,14 @@ func (a *Adapter) Delta(id int32, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	st := a.cur.Load()
-	row, ok := st.rows[id]
-	if !ok {
-		return
-	}
-	for k, av := range row {
-		if av == 0 {
-			continue
-		}
-		tensor.Axpy(av, st.b.Row(k), dst)
-	}
+	a.Accumulate(id, 1, dst)
 }
 
 // Accumulate adds the id's LoRA delta scaled by alpha into dst.
 func (a *Adapter) Accumulate(id int32, alpha float64, dst []float64) {
 	st := a.cur.Load()
-	row, ok := st.rows[id]
-	if !ok {
-		return
-	}
-	for k, av := range row {
-		if av == 0 {
-			continue
-		}
-		tensor.Axpy(alpha*av, st.b.Row(k), dst)
+	if slot := st.rows.find(id); slot >= 0 {
+		st.accumulate(slot, alpha, dst)
 	}
 }
 
@@ -244,6 +250,7 @@ func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 	}
 	a.recordGrad(grad)
 	st := a.cur.Load()
+	rs, rank := st.rows, st.rows.rank
 	invPool := 1 / float64(len(ids))
 
 	// The A-row gradient dA[i] = (grad/pool)·Bᵀ does not depend on i (B only
@@ -252,29 +259,32 @@ func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 	// pre-update A coefficients Σ_i A[i][k], which folds the dense dB matrix
 	// into one Axpy per rank — the B update touches only the mini-batch's
 	// contribution, SPMM-style, with no rank×dim accumulator to zero.
-	if len(a.daScratch) < st.rank {
-		a.daScratch = make([]float64, st.rank)
-		a.coefScratch = make([]float64, st.rank)
+	if len(a.daScratch) < rank {
+		a.daScratch = make([]float64, rank)
+		a.coefScratch = make([]float64, rank)
 	}
-	da := a.daScratch[:st.rank]
-	coef := a.coefScratch[:st.rank]
-	for k := 0; k < st.rank; k++ {
+	da := a.daScratch[:rank]
+	coef := a.coefScratch[:rank]
+	for k := 0; k < rank; k++ {
 		da[k] = lr * invPool * tensor.Dot(grad, st.b.Row(k))
 		coef[k] = 0
 	}
 	for _, id := range ids {
-		row := a.ensureRow(st, id)
-		if row == nil {
-			continue // table at capacity; skip cold id
+		slot := rs.find(id)
+		if slot < 0 {
+			if slot = a.newRow(rs, id); slot < 0 {
+				continue // table at capacity; skip cold id
+			}
 		}
-		a.freq[id]++
-		a.supp[id] = struct{}{}
-		for k := 0; k < st.rank; k++ {
+		rs.meta[slot].freq++
+		rs.markDirty(slot)
+		row := rs.row(slot)
+		for k := range da {
 			coef[k] += row[k] // pre-update value, as dB sees it
 			row[k] -= da[k]
 		}
 	}
-	for k := 0; k < st.rank; k++ {
+	for k := 0; k < rank; k++ {
 		// dB[k] = coef[k] · grad/pool; apply the SGD step directly.
 		if coef[k] != 0 {
 			tensor.Axpy(-lr*coef[k]*invPool, grad, st.b.Row(k))
@@ -287,23 +297,20 @@ func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 	}
 }
 
-// ensureRow returns the A row for id in st, allocating a randomly initialized
-// row when capacity allows; it returns nil when the table is full and id is
-// not resident. Random A with zero B keeps ∆W = 0 until training moves B.
-func (a *Adapter) ensureRow(st *adapterState, id int32) []float64 {
-	if row, ok := st.rows[id]; ok {
-		return row
+// newRow gives id, which has no row in rs, a randomly initialized one and
+// returns its slot, or -1 when the table is full. Random A with zero B keeps
+// ∆W = 0 until training moves B.
+func (a *Adapter) newRow(rs *rowStore, id int32) int32 {
+	if len(rs.meta) >= a.cfg.CMax {
+		return -1
 	}
-	if len(st.rows) >= a.cfg.CMax {
-		return nil
-	}
-	row := make([]float64, st.rank)
-	scale := 1 / math.Sqrt(float64(st.rank))
+	slot := rs.add(id)
+	scale := 1 / math.Sqrt(float64(rs.rank))
+	row := rs.row(slot)
 	for k := range row {
 		row[k] = a.rng.NormFloat64() * scale
 	}
-	st.rows[id] = row
-	return row
+	return slot
 }
 
 // recordGrad appends a gradient snapshot to the PCA ring buffer and updates
@@ -349,30 +356,46 @@ func (a *Adapter) adapt() {
 	// Rows updated fewer than τ_prune times this window are evicted; of the
 	// rest at most CMax stay, the most frequently updated. (The C_min floor
 	// never binds: it cannot bring an evicted row back.)
-	st := a.cur.Load()
+	rs := a.cur.Load().rows
+	prunedBefore := a.pruned
 	active := a.active[:0]
-	for id := range st.rows {
-		if a.freq[id] >= a.cfg.PruneThresh {
-			active = append(active, id)
+	for s := range rs.meta {
+		if int(rs.meta[s].freq) >= a.cfg.PruneThresh {
+			active = append(active, int32(s))
 		} else {
-			delete(st.rows, id)
-			a.pruned++
+			a.evict(rs, int32(s))
 		}
 	}
 	if len(active) > a.cfg.CMax {
 		slices.SortFunc(active, func(x, y int32) int {
-			if fx, fy := a.freq[x], a.freq[y]; fx != fy {
-				return fy - fx
+			mx, my := rs.meta[x], rs.meta[y]
+			if mx.freq != my.freq {
+				return int(my.freq) - int(mx.freq)
 			}
-			return int(x) - int(y)
+			return int(mx.id) - int(my.id)
 		})
-		for _, id := range active[a.cfg.CMax:] {
-			delete(st.rows, id)
-			a.pruned++
+		for _, s := range active[a.cfg.CMax:] {
+			a.evict(rs, s)
 		}
 	}
 	a.active = active
-	clear(a.freq) // new frequency window
+	if a.pruned != prunedBefore {
+		rs.compact()
+	}
+	for s := range rs.meta {
+		rs.meta[s].freq = 0 // new frequency window
+	}
+}
+
+// evict marks slot for removal by the compaction that ends adapt's pass,
+// remembering the id as a ghost if it was in the support set.
+func (a *Adapter) evict(rs *rowStore, slot int32) {
+	m := &rs.meta[slot]
+	if m.dirty && a.ghosts.find(m.id) < 0 {
+		a.ghosts.insert(m.id, 0)
+	}
+	m.id = -1
+	a.pruned++
 }
 
 // Resize changes the LoRA rank to r. Shrinking re-projects the current ∆W
@@ -383,76 +406,57 @@ func (a *Adapter) adapt() {
 // one atomic swap (publish-path operation).
 func (a *Adapter) Resize(r int) {
 	st := a.cur.Load()
-	if r == st.rank {
+	r = min(max(r, a.cfg.MinRank), a.cfg.MaxRank)
+	if r == st.rows.rank {
 		return
 	}
-	if r < a.cfg.MinRank {
-		r = a.cfg.MinRank
-	}
-	if r > a.cfg.MaxRank {
-		r = a.cfg.MaxRank
-	}
-	if r == st.rank {
-		return
-	}
-	if r > st.rank {
+	// Either way every row keeps its slot, its update count and its support
+	// bit; only the coefficients are re-made.
+	rows := st.rows.clone(r, 0)
+	if r > st.rows.rank {
 		// Grow: zero B rows keep ∆W identical; the new A coordinates are
 		// randomly initialized so gradients flow into the added capacity.
-		newB := tensor.NewMatrix(r, a.cfg.Dim)
-		copy(newB.Data, st.b.Data)
 		// Ids are visited in sorted order: the draws come from one RNG
-		// stream, so map order would make the factors — and everything
-		// trained on them — differ between two runs of the same seed.
+		// stream, so slot order — the order rows happened to be created in —
+		// would tie the factors to the history of evictions.
 		scale := 1 / math.Sqrt(float64(r))
-		rows := make(map[int32][]float64, len(st.rows))
-		for _, id := range sortedIDs(st.rows) {
-			row := st.rows[id]
-			nr := make([]float64, r)
-			copy(nr, row)
-			for k := len(row); k < r; k++ {
-				nr[k] = a.rng.NormFloat64() * scale
+		for _, s := range rows.slotsByID() {
+			row := rows.row(s)
+			for k := st.rows.rank; k < r; k++ {
+				row[k] = a.rng.NormFloat64() * scale
 			}
-			rows[id] = nr
 		}
-		a.cur.Store(&adapterState{rank: r, b: newB, rows: rows})
+		a.cur.Store(&adapterState{b: adaptedB(r, a.cfg.Dim, st.b), rows: rows})
 		return
 	}
-	// Shrink: factor the realized ∆W of the active rows.
-	if len(st.rows) == 0 {
-		a.cur.Store(&adapterState{
-			rank: r,
-			b:    tensor.NewMatrix(r, a.cfg.Dim),
-			rows: make(map[int32][]float64),
-		})
-		return
+	// Shrink: factor the realized ∆W of the active rows, taken in id order so
+	// the Gram sums do not depend on slot order. TruncatedSVD returns fewer
+	// than r components when fewer than r rows are active; the factors are
+	// zero-padded to r then.
+	right := tensor.NewMatrix(0, a.cfg.Dim)
+	if len(rows.meta) > 0 {
+		slots := rows.slotsByID()
+		delta := tensor.NewMatrix(len(slots), a.cfg.Dim)
+		for i, s := range slots {
+			st.accumulate(s, 1, delta.Row(i))
+		}
+		var left *tensor.Matrix
+		left, right = tensor.TruncatedSVD(delta, r)
+		for i, s := range slots {
+			row := rows.row(s)
+			clear(row[copy(row, left.Row(i)):])
+		}
 	}
-	ids := sortedIDs(st.rows)
-	delta := tensor.NewMatrix(len(ids), a.cfg.Dim)
-	for i, id := range ids {
-		a.Delta(id, delta.Row(i))
+	if right.Rows != r {
+		right = adaptedB(r, a.cfg.Dim, right)
 	}
-	left, right := tensor.TruncatedSVD(delta, r)
-	rows := make(map[int32][]float64, len(ids))
-	for i, id := range ids {
-		rows[id] = append([]float64(nil), left.Row(i)...)
-	}
-	a.cur.Store(&adapterState{rank: r, b: right, rows: rows})
-}
-
-// sortedIDs returns the ids holding a row, ascending.
-func sortedIDs(rows map[int32][]float64) []int32 {
-	ids := make([]int32, 0, len(rows))
-	for id := range rows {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
+	a.cur.Store(&adapterState{b: right, rows: rows})
 }
 
 // SizeBytes returns the adapter's parameter footprint: active A rows plus B.
 func (a *Adapter) SizeBytes() int64 {
-	st := a.cur.Load()
-	return int64(len(st.rows))*int64(st.rank)*8 + int64(st.rank)*int64(a.cfg.Dim)*8
+	rs := a.cur.Load().rows
+	return int64(len(rs.meta))*int64(rs.rank)*8 + int64(rs.rank)*int64(a.cfg.Dim)*8
 }
 
 // RowUpdate carries one modified A row for synchronization (Algorithm 3).
@@ -464,64 +468,57 @@ type RowUpdate struct {
 // ExportSupport snapshots the A rows modified since the last ResetSupport —
 // supp(∆θ) in Algorithm 3 — without clearing the support set. The returned
 // rows are deep copies, so the export stays valid (and immutable) while the
-// adapter keeps training.
-func (a *Adapter) ExportSupport() []RowUpdate {
-	st := a.cur.Load()
-	out := make([]RowUpdate, 0, len(a.supp))
-	for id := range a.supp {
-		row, ok := st.rows[id]
-		if !ok {
-			continue // pruned since modification
-		}
-		out = append(out, RowUpdate{ID: id, Row: append([]float64(nil), row...)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// adapter keeps training; they share one backing array. Rows pruned since
+// their modification are not exported.
+func (a *Adapter) ExportSupport() []RowUpdate { return a.cur.Load().rows.export(true) }
 
 // ExportAllRows snapshots every active A row — not just the modified
 // support — as deep copies in id order: the full-state payload a joining
 // replica restores during fleet catch-up. The support set is untouched.
-func (a *Adapter) ExportAllRows() []RowUpdate {
-	st := a.cur.Load()
-	out := make([]RowUpdate, 0, len(st.rows))
-	for id, row := range st.rows {
-		out = append(out, RowUpdate{ID: id, Row: append([]float64(nil), row...)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (a *Adapter) ExportAllRows() []RowUpdate { return a.cur.Load().rows.export(false) }
 
-// SupportSize returns |S_r|, the number of ids modified since ResetSupport.
-func (a *Adapter) SupportSize() int { return len(a.supp) }
+// SupportSize returns |S_r|, the number of resident rows modified since
+// ResetSupport — the length of ExportSupport's result.
+func (a *Adapter) SupportSize() int { return a.cur.Load().rows.dirty }
 
 // ResetSupport clears the modification tracker (end of a sync cycle).
-func (a *Adapter) ResetSupport() { a.supp = make(map[int32]struct{}) }
+func (a *Adapter) ResetSupport() {
+	rs := a.cur.Load().rows
+	if rs.dirty > 0 {
+		for s := range rs.meta {
+			rs.meta[s].dirty = false
+		}
+		rs.dirty = 0
+	}
+	a.ghosts.reset()
+}
 
 // ApplyRows installs remote A rows (receiving side of a sync). Rows whose
 // length differs from the current rank are adapted: truncated or zero-padded.
 // Applied rows do not enter the local support set (they are foreign state).
-// The update is copy-on-write: a fresh row map is built and swapped in one
-// atomic store, so concurrent lock-free readers never see a torn state.
+// The update is copy-on-write: the rows go into a clone of the store, swapped
+// in by one atomic store, so concurrent lock-free readers never see a torn
+// state.
 func (a *Adapter) ApplyRows(updates []RowUpdate) {
 	st := a.cur.Load()
-	a.cur.Store(&adapterState{
-		rank: st.rank,
-		b:    st.b,
-		rows: rowsWithUpdates(st, updates),
-	})
+	a.cur.Store(&adapterState{b: st.b, rows: a.rowsWithUpdates(st.rows, updates)})
 }
 
-// rowsWithUpdates clones st's row map and installs updates at st's rank.
-func rowsWithUpdates(st *adapterState, updates []RowUpdate) map[int32][]float64 {
-	rows := make(map[int32][]float64, len(st.rows)+len(updates))
-	for id, row := range st.rows {
-		rows[id] = row
-	}
+// rowsWithUpdates clones rs and installs updates at its rank. A new row
+// starts with no updates this window and outside the support set, unless its
+// id is a ghost.
+func (a *Adapter) rowsWithUpdates(rs *rowStore, updates []RowUpdate) *rowStore {
+	rows := rs.clone(rs.rank, len(updates))
 	for _, u := range updates {
-		row := make([]float64, st.rank)
-		copy(row, u.Row) // copies min(len) — truncation/padding implicit
-		rows[u.ID] = row
+		slot := rows.find(u.ID)
+		if slot < 0 {
+			slot = rows.add(u.ID)
+			if a.ghosts.find(u.ID) >= 0 {
+				rows.markDirty(slot)
+			}
+		}
+		row := rows.row(slot)
+		clear(row[copy(row, u.Row):]) // copies min(len): truncates or zero-pads
 	}
 	return rows
 }
@@ -531,11 +528,7 @@ func rowsWithUpdates(st *adapterState, updates []RowUpdate) map[int32][]float64 
 // Copy-on-write: the new B is installed by one atomic swap.
 func (a *Adapter) SetB(b *tensor.Matrix) {
 	st := a.cur.Load()
-	a.cur.Store(&adapterState{
-		rank: st.rank,
-		b:    adaptedB(st.rank, a.cfg.Dim, b),
-		rows: st.rows,
-	})
+	a.cur.Store(&adapterState{b: adaptedB(st.rows.rank, a.cfg.Dim, b), rows: st.rows})
 }
 
 // adaptedB copies b into a rank×dim matrix, truncating or zero-padding rows.
@@ -559,13 +552,9 @@ func (a *Adapter) applyState(ts TableState) {
 	st := a.cur.Load()
 	b := st.b
 	if ts.B != nil {
-		b = adaptedB(st.rank, a.cfg.Dim, ts.B)
+		b = adaptedB(st.rows.rank, a.cfg.Dim, ts.B)
 	}
-	a.cur.Store(&adapterState{
-		rank: st.rank,
-		b:    b,
-		rows: rowsWithUpdates(st, ts.Rows),
-	})
+	a.cur.Store(&adapterState{b: b, rows: a.rowsWithUpdates(st.rows, ts.Rows)})
 }
 
 // B returns a copy of the shared factor for synchronization.
@@ -575,14 +564,12 @@ func (a *Adapter) B() *tensor.Matrix { return a.cur.Load().b.Clone() }
 // weights in, the adapter starts from ∆W = 0 again — paper Fig 8's hourly
 // full-update starting points).
 func (a *Adapter) Reset() {
-	rank := a.cur.Load().rank
+	rank := a.cur.Load().rows.rank
 	a.cur.Store(&adapterState{
-		rank: rank,
 		b:    tensor.NewMatrix(rank, a.cfg.Dim),
-		rows: make(map[int32][]float64),
+		rows: newRowStore(rank),
 	})
-	a.freq = make(map[int32]int)
-	a.supp = make(map[int32]struct{})
+	a.ghosts.reset()
 	a.gradCount = 0
 	a.gradNext = 0
 	a.rankObsSum = 0

@@ -76,7 +76,7 @@ func TestTrainAllocatesAndMoves(t *testing.T) {
 	// Prime: with both factors zero the product stays zero (standard LoRA
 	// cold start when both are zero-initialized). Kick A manually as the
 	// paper's trainer does via its initializer, then train.
-	a.cur.Load().rows[3][0] = 0.5
+	liveRow(a, 3)[0] = 0.5
 	before := make([]float64, 8)
 	a.Delta(3, before)
 	a.Train([]int32{3}, grad, 0.1)
@@ -296,7 +296,7 @@ func TestApplyRowsRankMismatch(t *testing.T) {
 	a := MustNewAdapter(testConfig())                                // rank 4
 	a.ApplyRows([]RowUpdate{{ID: 1, Row: []float64{1, 2}}})          // shorter
 	a.ApplyRows([]RowUpdate{{ID: 2, Row: []float64{1, 2, 3, 4, 5}}}) // longer
-	if len(a.cur.Load().rows[1]) != 4 || len(a.cur.Load().rows[2]) != 4 {
+	if len(liveRow(a, 1)) != 4 || len(liveRow(a, 2)) != 4 {
 		t.Fatal("applied rows must be adapted to local rank")
 	}
 }
@@ -367,7 +367,7 @@ func TestSetLookupColdEqualsBase(t *testing.T) {
 func TestSetLookupHotAddsDelta(t *testing.T) {
 	s := newTestSet(t)
 	a := s.Adapters[0]
-	a.cur.Load().rows[5] = []float64{1, 0, 0, 0}
+	a.ApplyRows([]RowUpdate{{ID: 5, Row: []float64{1, 0, 0, 0}}})
 	b := tensor.NewMatrix(4, 8)
 	b.Set(0, 0, 0.5)
 	a.SetB(b)
@@ -407,7 +407,7 @@ func TestSetApplyGradFreezesBase(t *testing.T) {
 func TestSetMergeIntoBase(t *testing.T) {
 	s := newTestSet(t)
 	a := s.Adapters[0]
-	a.cur.Load().rows[7] = []float64{2, 0, 0, 0}
+	a.ApplyRows([]RowUpdate{{ID: 7, Row: []float64{2, 0, 0, 0}}})
 	b := tensor.NewMatrix(4, 8)
 	b.Set(0, 3, 1.5)
 	a.SetB(b)
@@ -450,7 +450,7 @@ func TestSetStateRoundTrip(t *testing.T) {
 	s1.ApplyGrad(0, []int32{1, 2}, grad, 0.05)
 	s1.ApplyGrad(2, []int32{9}, grad, 0.05)
 	// Make deltas non-zero (B starts zero → kick a row and retrain).
-	s1.Adapters[0].cur.Load().rows[1][0] = 0.3
+	liveRow(s1.Adapters[0], 1)[0] = 0.3
 	s1.ApplyGrad(0, []int32{1}, grad, 0.05)
 
 	states := s1.ExportState()
@@ -584,7 +584,7 @@ func TestSetHasHot(t *testing.T) {
 	if s.HasHot(0, []int32{1, 2, 3}) {
 		t.Fatal("empty set must report cold")
 	}
-	s.Adapters[0].cur.Load().rows[2] = make([]float64, 4)
+	s.Adapters[0].ApplyRows([]RowUpdate{{ID: 2, Row: make([]float64, 4)}})
 	if !s.HasHot(0, []int32{1, 2, 3}) {
 		t.Fatal("resident id must report hot")
 	}
@@ -628,6 +628,13 @@ func TestPropertyAdapterInvariants(t *testing.T) {
 	}
 }
 
+// liveRow returns id's A row in the current store (not a copy); id must be
+// resident.
+func liveRow(a *Adapter, id int32) []float64 {
+	rs := a.cur.Load().rows
+	return rs.row(rs.find(id))
+}
+
 // seedAdapter populates n rows with non-trivial factors by direct injection
 // plus training steps, giving a realistic non-zero ∆W.
 func seedAdapter(a *Adapter, n int) {
@@ -637,8 +644,9 @@ func seedAdapter(a *Adapter, n int) {
 		for k := range row {
 			row[k] = rng.NormFloat64() * 0.2
 		}
-		a.cur.Load().rows[id] = row
-		a.supp[id] = struct{}{}
+		a.ApplyRows([]RowUpdate{{ID: id, Row: row}})
+		rs := a.cur.Load().rows
+		rs.markDirty(rs.find(id))
 	}
 	b := tensor.NewMatrix(a.Rank(), a.cfg.Dim)
 	for i := range b.Data {

@@ -128,9 +128,9 @@ func (s *Set) MergeIntoBase() {
 	delta := make([]float64, s.Dim())
 	for ti, a := range s.Adapters {
 		t := s.Base.Tables[ti]
-		for id := range a.cur.Load().rows {
-			a.Delta(id, delta)
-			t.ApplyRowDelta(id, delta)
+		for _, m := range a.cur.Load().rows.meta {
+			a.Delta(m.id, delta)
+			t.ApplyRowDelta(m.id, delta)
 		}
 		a.Reset()
 	}
@@ -197,10 +197,21 @@ func (s *Set) ExportFull() []TableState {
 // ApplyState installs a synced snapshot (winner of the priority merge). Each
 // adapter swaps in its new rows and B factor with one atomic store, so
 // concurrent lock-free readers see either the pre- or post-sync state of a
-// table, never a torn mix.
+// table, never a torn mix. A state that does not fit the Set — the wrong
+// number of tables, a row id outside its base table — is refused by a panic
+// before any adapter is touched: such a row would count as active, be
+// re-exported, and index out of range in EffectiveRow and MergeIntoBase.
 func (s *Set) ApplyState(states []TableState) {
 	if len(states) != len(s.Adapters) {
 		panic(fmt.Sprintf("lora: ApplyState %d states for %d adapters", len(states), len(s.Adapters)))
+	}
+	for i, st := range states {
+		rows := s.Base.Tables[i].Rows()
+		for _, u := range st.Rows {
+			if u.ID < 0 || int(u.ID) >= rows {
+				panic(fmt.Sprintf("lora: ApplyState table %d: row id %d outside [0,%d)", i, u.ID, rows))
+			}
+		}
 	}
 	for i, st := range states {
 		s.Adapters[i].applyState(st)

@@ -11,20 +11,32 @@
 // it, misses contend for DRAM bandwidth — is the paper's.
 package numasim
 
-import "container/list"
-
 // BlockKey identifies one cacheable block (an embedding row).
 type BlockKey struct {
 	Space int32 // block namespace (e.g. table id)
 	Row   int32
 }
 
+// packed is the key as the index stores it: one word, so the map hashes it
+// on its integer fast path.
+func (k BlockKey) packed() uint64 { return uint64(uint32(k.Space))<<32 | uint64(uint32(k.Row)) }
+
+// lruNode is one resident block, linked into the recency list by slot number.
+type lruNode struct {
+	key        BlockKey
+	prev, next int32 // towards the most / least recently used; -1 at the ends
+}
+
 // L3Cache is an LRU cache over fixed-size blocks, modelling one CCD's
-// private L3 at embedding-row granularity.
+// private L3 at embedding-row granularity. The recency list is intrusive,
+// over one preallocated array of capacity nodes: a miss reuses the evicted
+// block's node (or takes the next unused one), so Access never allocates once
+// the index map has seen capacity keys.
 type L3Cache struct {
-	capacity int // max resident blocks
-	ll       *list.List
-	index    map[BlockKey]*list.Element
+	capacity   int // max resident blocks
+	nodes      []lruNode
+	head, tail int32            // most / least recently used node; -1 when empty
+	index      map[uint64]int32 // packed key → node
 
 	hits   uint64
 	misses uint64
@@ -37,39 +49,75 @@ func NewL3Cache(capacity int) *L3Cache {
 	}
 	return &L3Cache{
 		capacity: capacity,
-		ll:       list.New(),
-		index:    make(map[BlockKey]*list.Element),
+		nodes:    make([]lruNode, 0, capacity),
+		head:     -1,
+		tail:     -1,
+		index:    make(map[uint64]int32, capacity),
 	}
+}
+
+// unlink takes node n out of the recency list.
+func (c *L3Cache) unlink(n int32) {
+	prev, next := c.nodes[n].prev, c.nodes[n].next
+	if prev >= 0 {
+		c.nodes[prev].next = next
+	} else {
+		c.head = next
+	}
+	if next >= 0 {
+		c.nodes[next].prev = prev
+	} else {
+		c.tail = prev
+	}
+}
+
+// pushFront makes node n the most recently used.
+func (c *L3Cache) pushFront(n int32) {
+	c.nodes[n].prev, c.nodes[n].next = -1, c.head
+	if c.head >= 0 {
+		c.nodes[c.head].prev = n
+	} else {
+		c.tail = n
+	}
+	c.head = n
 }
 
 // Access touches key, returning true on a hit. Misses install the block,
 // evicting the least recently used one if full.
 func (c *L3Cache) Access(key BlockKey) bool {
-	if el, ok := c.index[key]; ok {
-		c.ll.MoveToFront(el)
+	k := key.packed()
+	if n, ok := c.index[k]; ok {
+		if n != c.head {
+			c.unlink(n)
+			c.pushFront(n)
+		}
 		c.hits++
 		return true
 	}
 	c.misses++
-	if c.ll.Len() >= c.capacity {
-		back := c.ll.Back()
-		if back != nil {
-			delete(c.index, back.Value.(BlockKey))
-			c.ll.Remove(back)
-		}
+	var n int32
+	if len(c.nodes) < c.capacity {
+		n = int32(len(c.nodes))
+		c.nodes = c.nodes[:n+1]
+	} else {
+		n = c.tail
+		delete(c.index, c.nodes[n].key.packed())
+		c.unlink(n)
 	}
-	c.index[key] = c.ll.PushFront(key)
+	c.nodes[n].key = key
+	c.pushFront(n)
+	c.index[k] = n
 	return false
 }
 
 // Contains reports residency without touching LRU order or counters.
 func (c *L3Cache) Contains(key BlockKey) bool {
-	_, ok := c.index[key]
+	_, ok := c.index[key.packed()]
 	return ok
 }
 
 // Len returns the number of resident blocks.
-func (c *L3Cache) Len() int { return c.ll.Len() }
+func (c *L3Cache) Len() int { return len(c.nodes) }
 
 // Capacity returns the maximum resident blocks.
 func (c *L3Cache) Capacity() int { return c.capacity }
@@ -89,8 +137,9 @@ func (c *L3Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 // Flush empties the cache (e.g. when a CCD is reassigned to a different
 // workload, its working set is effectively cold).
 func (c *L3Cache) Flush() {
-	c.ll.Init()
-	c.index = make(map[BlockKey]*list.Element)
+	c.nodes = c.nodes[:0]
+	c.head, c.tail = -1, -1
+	clear(c.index)
 }
 
 // Stats returns raw hit/miss counts.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -320,5 +321,78 @@ func BenchmarkMatMulTransBatch16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulTransInto(dst, x, w)
+	}
+}
+
+// TestKernelReLUMatchesBranchy: the branch-free activation kernels against
+// the branching loops they replaced, bit for bit, on random, all-negative,
+// all-positive and edge inputs (±0, ±Inf, the smallest subnormals). The one
+// deliberate difference: ReLUInPlace used to leave -0.0 alone (its test was
+// v < 0) while Layer.Forward wrote +0.0 (its test was v > 0); both now go
+// through ReLUInto and give +0.0, so a served and a trained forward pass see
+// the same activations.
+func TestKernelReLUMatchesBranchy(t *testing.T) {
+	forwardOld := func(v float64) float64 { // Layer.Forward
+		if v > 0 {
+			return v
+		}
+		return 0
+	}
+	inPlaceOld := func(v float64) float64 { // ReLUInPlace
+		if v < 0 {
+			return 0
+		}
+		return v
+	}
+	maskOld := func(g, pre float64) float64 { // Layer.preGrad
+		if pre > 0 {
+			return g
+		}
+		return 0
+	}
+	rng := NewRNG(11)
+	edge := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	inputs := map[string][]float64{"edge": edge}
+	for _, n := range []int{0, 1, 7, 64, 257} {
+		random, negative, positive := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range random {
+			random[i] = rng.NormFloat64()
+			negative[i] = -math.Abs(rng.NormFloat64())
+			positive[i] = math.Abs(rng.NormFloat64())
+		}
+		inputs[fmt.Sprintf("random/%d", n)] = random
+		inputs[fmt.Sprintf("negative/%d", n)] = negative
+		inputs[fmt.Sprintf("positive/%d", n)] = positive
+	}
+	for name, pre := range inputs {
+		out := make([]float64, len(pre))
+		ReLUInto(out, pre)
+		inPlace := append([]float64(nil), pre...)
+		ReLUInPlace(inPlace)
+		grad := make([]float64, len(pre))
+		for i := range grad {
+			grad[i] = edge[i%len(edge)] // every gradient edge value meets both mask outcomes
+			if i >= len(edge) {
+				grad[i] = rng.NormFloat64()
+			}
+		}
+		masked := make([]float64, len(pre))
+		ReLUMaskInto(masked, grad, pre)
+		for i, v := range pre {
+			if want := forwardOld(v); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("%s[%d]: ReLUInto(%v) = %v, branching Forward gave %v", name, i, v, out[i], want)
+			}
+			want := inPlaceOld(v)
+			if inPlace[i] != want || (math.Float64bits(inPlace[i]) != math.Float64bits(want) && math.Float64bits(v) != 1<<63) {
+				t.Fatalf("%s[%d]: ReLUInPlace(%v) = %v, branching loop gave %v", name, i, v, inPlace[i], want)
+			}
+			if math.Float64bits(inPlace[i]) != math.Float64bits(out[i]) {
+				t.Fatalf("%s[%d]: ReLUInPlace(%v) = %v but ReLUInto gives %v", name, i, v, inPlace[i], out[i])
+			}
+			if want := maskOld(grad[i], v); math.Float64bits(masked[i]) != math.Float64bits(want) {
+				t.Fatalf("%s[%d]: ReLUMaskInto(grad %v, pre %v) = %v, branching preGrad gave %v", name, i, grad[i], v, masked[i], want)
+			}
+		}
 	}
 }

@@ -299,12 +299,38 @@ func MatMulTransInto(dst, a, b *Matrix) {
 	}
 }
 
-// ReLUInPlace clamps negative elements of x to zero in place.
-func ReLUInPlace(x []float64) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
+// ReLUInto writes max(src, 0) into dst (same length; dst may be src). A
+// neuron's sign is a coin flip, so the kernel does not branch on it: it tests
+// the float's bits as a signed integer — positive exactly when the value is
+// greater than zero — which compiles to a conditional move. Every value that
+// is not greater than zero becomes +0.0, -0.0 included; a NaN passes through
+// or becomes +0.0 with its sign bit.
+func ReLUInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b := math.Float64bits(v)
+		if int64(b) <= 0 {
+			b = 0
 		}
+		dst[i] = math.Float64frombits(b)
+	}
+}
+
+// ReLUInPlace clamps the elements of x that are not greater than zero to
+// +0.0 in place.
+func ReLUInPlace(x []float64) { ReLUInto(x, x) }
+
+// ReLUMaskInto writes ReLU's backward pass into dst: grad where pre is
+// greater than zero, +0.0 elsewhere (same lengths; dst may be grad).
+// Branch-free on pre's sign, like ReLUInto.
+func ReLUMaskInto(dst, grad, pre []float64) {
+	dst, pre = dst[:len(grad)], pre[:len(grad)]
+	for i, g := range grad {
+		b := math.Float64bits(g)
+		if int64(math.Float64bits(pre[i])) <= 0 {
+			b = 0
+		}
+		dst[i] = math.Float64frombits(b)
 	}
 }
 
