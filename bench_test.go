@@ -440,10 +440,10 @@ func BenchmarkLoRATrainStep(b *testing.B) {
 	for i := range samples {
 		samples[i] = gen.Next()
 	}
+	var cache dlrm.ForwardCache // lives across steps, as the trainers' does
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := samples[i%len(samples)]
-		var cache dlrm.ForwardCache
 		logit := model.Forward(set, s.Dense, s.Sparse, &cache)
 		dLogit := dlrm.Sigmoid(logit) - float64(s.Label)
 		dEmb := model.BackwardInput(dLogit, &cache)

@@ -9,11 +9,17 @@ import (
 // mini-batch training loop of paper §II-A. A nil Opt freezes the dense
 // layers: only embedding gradients are computed and applied (the paper's
 // online path trains nothing but the low-rank embedding factors).
+//
+// A Trainer keeps its forward/backward buffers across batches, so a
+// long-lived one trains allocation-free after its first sample; it serves
+// one TrainBatch at a time.
 type Trainer struct {
 	Model *Model
 	Emb   EmbeddingSource
 	Opt   Optimizer
 	EmbLR float64
+
+	cache ForwardCache
 }
 
 // TrainBatch runs one mini-batch (forward + backward per sample, one dense
@@ -24,10 +30,10 @@ func (tr *Trainer) TrainBatch(batch []trace.Sample) float64 {
 		return 0
 	}
 	total := 0.0
-	var cache ForwardCache // reused across the batch (Forward overwrites it)
 	frozen := tr.Opt == nil
+	tr.cache.Frozen = frozen // no weight gradient will read the layer inputs
 	for _, s := range batch {
-		total += tr.Model.trainStep(tr.Emb, s.Dense, s.Sparse, s.Label, tr.EmbLR, &cache, frozen)
+		total += tr.Model.trainStep(tr.Emb, s.Dense, s.Sparse, s.Label, tr.EmbLR, &tr.cache, frozen)
 	}
 	if !frozen {
 		tr.Opt.Step(tr.Model.Bottom, len(batch))

@@ -136,7 +136,7 @@ func ReadCheckpoint(r io.Reader) (*Group, error) {
 			Dim:      int(dim),
 			weights:  tensor.NewMatrix(int(rows), int(dim)),
 			version:  version,
-			dirty:    make(map[int32]struct{}),
+			dirty:    newDirty(int(rows)),
 			accesses: make([]uint64, rows),
 		}
 		buf := make([]byte, 8)

@@ -8,6 +8,7 @@ package emt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"liveupdate/internal/tensor"
@@ -21,9 +22,11 @@ type Table struct {
 	weights *tensor.Matrix
 	version uint64
 
-	// dirty tracks rows modified since the last ResetDirty; it backs the
-	// update-ratio accounting of paper Fig 3a and delta-update extraction.
-	dirty map[int32]struct{}
+	// dirty is a bitset (one bit per row) of the rows modified since the last
+	// ResetDirty, dirtyCount its population; they back the update-ratio
+	// accounting of paper Fig 3a and delta-update extraction.
+	dirty      []uint64
+	dirtyCount int
 
 	// accesses counts lookups per row for hot/cold classification (Fig 12).
 	// Incremented atomically: Row/Lookup run on the serving fast path, which
@@ -43,8 +46,20 @@ func NewTable(name string, rows, dim int, rng *tensor.RNG) *Table {
 		Name:     name,
 		Dim:      dim,
 		weights:  tensor.RandomMatrix(rng, rows, dim, 1/math.Sqrt(float64(dim))),
-		dirty:    make(map[int32]struct{}),
+		dirty:    newDirty(rows),
 		accesses: make([]uint64, rows),
+	}
+}
+
+// newDirty returns an empty dirty set for a table of the given row count.
+func newDirty(rows int) []uint64 { return make([]uint64, (rows+63)/64) }
+
+// markDirty adds row id to the dirty set.
+func (t *Table) markDirty(id int32) {
+	w, b := id>>6, uint64(1)<<(id&63)
+	if t.dirty[w]&b == 0 {
+		t.dirty[w] |= b
+		t.dirtyCount++
 	}
 }
 
@@ -93,7 +108,7 @@ func (t *Table) ApplyRowDelta(id int32, delta []float64) {
 	for i, d := range delta {
 		row[i] += d
 	}
-	t.dirty[id] = struct{}{}
+	t.markDirty(id)
 	t.version++
 }
 
@@ -113,7 +128,7 @@ func (t *Table) ScatterAdd(ids []int32, delta []float64) {
 		for i, d := range delta {
 			row[i] += d
 		}
-		t.dirty[id] = struct{}{}
+		t.markDirty(id)
 	}
 	t.version++
 }
@@ -125,27 +140,32 @@ func (t *Table) SetRow(id int32, values []float64) {
 		panic(fmt.Sprintf("emt: values len %d != dim %d", len(values), len(row)))
 	}
 	copy(row, values)
-	t.dirty[id] = struct{}{}
+	t.markDirty(id)
 	t.version++
 }
 
 // DirtyCount returns the number of rows modified since the last ResetDirty.
-func (t *Table) DirtyCount() int { return len(t.dirty) }
+func (t *Table) DirtyCount() int { return t.dirtyCount }
 
 // DirtyRatio returns DirtyCount / |V| — the per-window update ratio of Fig 3a.
-func (t *Table) DirtyRatio() float64 { return float64(len(t.dirty)) / float64(t.Rows()) }
+func (t *Table) DirtyRatio() float64 { return float64(t.dirtyCount) / float64(t.Rows()) }
 
-// DirtyIDs returns the modified row ids in unspecified order.
+// DirtyIDs returns the modified row ids in ascending order.
 func (t *Table) DirtyIDs() []int32 {
-	out := make([]int32, 0, len(t.dirty))
-	for id := range t.dirty {
-		out = append(out, id)
+	out := make([]int32, 0, t.dirtyCount)
+	for w, word := range t.dirty {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
+		}
 	}
 	return out
 }
 
-// ResetDirty clears the dirty set, starting a new tracking window.
-func (t *Table) ResetDirty() { t.dirty = make(map[int32]struct{}) }
+// ResetDirty clears the dirty set in place, starting a new tracking window.
+func (t *Table) ResetDirty() {
+	clear(t.dirty)
+	t.dirtyCount = 0
+}
 
 // AccessCounts returns per-row lookup counts (aliases internal state). Call
 // it only while no request is in flight on the owning node; the counters are
@@ -170,7 +190,7 @@ func (t *Table) Clone() *Table {
 		Dim:      t.Dim,
 		weights:  t.weights.Clone(),
 		version:  t.version,
-		dirty:    make(map[int32]struct{}),
+		dirty:    newDirty(t.Rows()),
 		accesses: make([]uint64, t.Rows()),
 	}
 }
@@ -193,15 +213,14 @@ type RowDelta struct {
 	Values []float64
 }
 
-// ExportDeltas snapshots the dirty rows as full row values (the payload a
-// DeltaUpdate strategy ships) without clearing the dirty set.
+// ExportDeltas snapshots the dirty rows, in ascending id order, as full row
+// values (the payload a DeltaUpdate strategy ships) without clearing the
+// dirty set.
 func (t *Table) ExportDeltas() []RowDelta {
-	out := make([]RowDelta, 0, len(t.dirty))
-	for id := range t.dirty {
-		out = append(out, RowDelta{
-			ID:     id,
-			Values: append([]float64(nil), t.weights.Row(int(id))...),
-		})
+	ids := t.DirtyIDs()
+	out := make([]RowDelta, len(ids))
+	for i, id := range ids {
+		out[i] = RowDelta{ID: id, Values: append([]float64(nil), t.weights.Row(int(id))...)}
 	}
 	return out
 }

@@ -260,24 +260,60 @@ func TestPartitionUneven(t *testing.T) {
 	}
 }
 
-// Property: after arbitrary update sequences, DirtyCount equals the number of
-// distinct updated ids and DirtyRatio is within [0,1].
+// Property: after arbitrary update sequences through every writer, a row
+// updated twice counts once, DirtyIDs and ExportDeltas list exactly the
+// updated ids in ascending order, and DirtyRatio is within [0,1].
 func TestPropertyDirtyTracking(t *testing.T) {
+	const rows = 130 // three bitset words, the last one partial
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		tab := NewTable("p", 50, 4, rng)
+		tab := NewTable("p", rows, 4, rng)
 		distinct := make(map[int32]bool)
 		n := rng.Intn(100)
 		for i := 0; i < n; i++ {
-			id := int32(rng.Intn(50))
+			id := int32(rng.Intn(rows))
 			distinct[id] = true
-			tab.ApplyRowDelta(id, []float64{0.1, 0, 0, 0})
+			switch i % 3 {
+			case 0:
+				tab.ApplyRowDelta(id, []float64{0.1, 0, 0, 0})
+			case 1:
+				tab.ScatterAdd([]int32{id, id}, []float64{0, 0.1, 0, 0})
+			default:
+				tab.SetRow(id, []float64{1, 2, 3, 4})
+			}
+		}
+		ids, deltas := tab.DirtyIDs(), tab.ExportDeltas()
+		if len(ids) != len(distinct) || len(deltas) != len(ids) {
+			return false
+		}
+		for i, id := range ids {
+			if !distinct[id] || deltas[i].ID != id || (i > 0 && ids[i-1] >= id) {
+				return false
+			}
 		}
 		return tab.DirtyCount() == len(distinct) &&
 			tab.DirtyRatio() >= 0 && tab.DirtyRatio() <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A full sync into a dirty replica (the harness's snapshot ring does one per
+// table per window) clears the dirty set in place.
+func TestCopyWeightsFromAllocatesNothing(t *testing.T) {
+	src := NewGroup(2, 130, 4, tensor.NewRNG(5))
+	dst := src.Clone()
+	allocs := testing.AllocsPerRun(10, func() {
+		dst.Tables[0].ApplyRowDelta(129, []float64{1, 0, 0, 0})
+		dst.CopyWeightsFrom(src)
+		dst.ResetDirty()
+	})
+	if allocs != 0 {
+		t.Fatalf("CopyWeightsFrom + ResetDirty allocate %v times, want 0", allocs)
+	}
+	if dst.DirtyRatio() != 0 || len(dst.Tables[0].DirtyIDs()) != 0 {
+		t.Fatal("full sync must leave the replica clean")
 	}
 }
 

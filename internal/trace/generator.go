@@ -8,6 +8,13 @@ import (
 )
 
 // Sample is one labeled user-item interaction from the synthetic stream.
+//
+// Ownership: Dense, Sparse and every Sparse[t] of a generated sample are
+// capacity-limited views into chunks the Generator carves for many
+// neighbouring samples at once. A sample stays valid (and unchanged) across
+// later Next/Batch calls, and appending to any of its slices reallocates
+// instead of running into the next sample; retaining one sample retains the
+// chunks it was carved from.
 type Sample struct {
 	Time   float64   // virtual time in seconds since stream start
 	Dense  []float64 // continuous features
@@ -40,7 +47,19 @@ type Generator struct {
 	now          float64 // virtual seconds
 	accessCounts [][]uint64
 	emitted      uint64
+
+	pooled []float64 // per-table pooled ground-truth vector (len hidden)
+
+	// Sample storage (see Sample): the unused tails of the current chunks,
+	// carved in lockstep, one sample's worth per next().
+	dense  []float64 // NumDense per sample
+	heads  [][]int32 // NumTables Sparse headers per sample
+	ids    []int32   // perIDs per sample
+	perIDs int       // Σ MultiHot
 }
+
+// chunkSamples is how many samples' storage Next allocates at a time.
+const chunkSamples = 256
 
 // NewGenerator builds a generator for profile p seeded from seed.
 func NewGenerator(p Profile, seed uint64) (*Generator, error) {
@@ -55,6 +74,10 @@ func NewGenerator(p Profile, seed uint64) (*Generator, error) {
 		hidden:  hidden,
 		denseW:  make([]float64, p.NumDense),
 		context: make([]float64, hidden),
+		pooled:  make([]float64, hidden),
+	}
+	for _, hot := range p.MultiHot {
+		g.perIDs += hot
 	}
 	for i := 0; i < p.NumTables; i++ {
 		g.gTables = append(g.gTables, tensor.RandomMatrix(rng, p.TableSize, hidden, 1))
@@ -121,22 +144,41 @@ func (g *Generator) Advance(dt float64) {
 	}
 }
 
+// reserve makes sure the chunks hold storage for need more samples, replacing
+// them with fresh ones sized for size samples when they do not (what is left
+// of the old chunks is dropped).
+func (g *Generator) reserve(need, size int) {
+	p := g.Profile
+	if len(g.heads) >= need*p.NumTables {
+		return
+	}
+	g.dense = make([]float64, size*p.NumDense)
+	g.heads = make([][]int32, size*p.NumTables)
+	g.ids = make([]int32, size*g.perIDs)
+}
+
 // Next generates the next sample at the current virtual time.
 func (g *Generator) Next() Sample {
+	g.reserve(1, chunkSamples)
+	return g.next()
+}
+
+// next carves one sample out of the reserved chunks and fills it.
+func (g *Generator) next() Sample {
 	p := g.Profile
-	s := Sample{
-		Time:   g.now,
-		Dense:  make([]float64, p.NumDense),
-		Sparse: make([][]int32, p.NumTables),
-	}
+	nd, nt := p.NumDense, p.NumTables
+	s := Sample{Time: g.now, Dense: g.dense[:nd:nd], Sparse: g.heads[:nt:nt]}
+	g.dense, g.heads = g.dense[nd:], g.heads[nt:]
 	for i := range s.Dense {
 		s.Dense[i] = g.rng.NormFloat64()
 	}
 	logit := g.bias
-	for t := 0; t < p.NumTables; t++ {
+	pooled := g.pooled
+	for t := 0; t < nt; t++ {
 		hot := p.MultiHot[t]
-		ids := make([]int32, hot)
-		pooled := make([]float64, g.hidden)
+		ids := g.ids[:hot:hot]
+		g.ids = g.ids[hot:]
+		clear(pooled)
 		for h := 0; h < hot; h++ {
 			rank := g.zipfs[t].Next()
 			id := g.rankMap[t][rank]
@@ -167,10 +209,11 @@ func (g *Generator) Batch(n int, dt float64) []Sample {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Sample, 0, n)
+	g.reserve(n, n)
+	out := make([]Sample, n)
 	per := dt / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, g.Next())
+	for i := range out {
+		out[i] = g.next()
 		g.Advance(per)
 	}
 	return out

@@ -7,6 +7,9 @@
 // NVIDIA's DLRM synthesis scripts: the generator's ground-truth preference
 // vector evolves over virtual time, so a stale model measurably loses AUC and
 // a freshly updated one recovers it — the exact dynamic the paper studies.
+//
+// Generated samples are views into chunks of storage shared by neighbouring
+// samples, not one heap object per slice; the ownership rule is on Sample.
 package trace
 
 import (

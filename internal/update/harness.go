@@ -111,17 +111,19 @@ type Harness struct {
 
 	gen *trace.Generator
 
-	// Training cluster: always trains on the freshest data.
+	// Training cluster: always trains on the freshest data. trainer.Opt is
+	// the dense optimizer (SetDenseOpt replaces it).
 	trainModel *dlrm.Model
 	trainEmb   *dlrm.BaseEmbeddings
-	trainOpt   dlrm.Optimizer
+	trainer    dlrm.Trainer
+	share      []trace.Sample // trainerShare's buffer, reused every window
 
 	// Inference replica.
-	infModel *dlrm.Model
-	infGroup *emt.Group
-	infBase  *dlrm.BaseEmbeddings
-	loraSet  *lora.Set // LiveUpdate only
-	infOpt   dlrm.Optimizer
+	infModel    *dlrm.Model
+	infGroup    *emt.Group
+	infBase     *dlrm.BaseEmbeddings
+	loraSet     *lora.Set    // LiveUpdate only
+	liveTrainer dlrm.Trainer // LiveUpdate's co-located trainer: no optimizer, dense layers frozen
 
 	window        int
 	bytes         int64
@@ -130,9 +132,13 @@ type Harness struct {
 	aucSeries     []float64
 	updateMarkers []int // window indices where a sync landed
 
-	// history holds per-window snapshots of the training cluster, newest
-	// last, for the transfer-delay pipeline (SyncDelayWindows).
+	// history is the transfer-delay pipeline (SyncDelayWindows): a ring of
+	// the training cluster's last SyncDelayWindows+1 window-boundary states,
+	// newest at head. Once full, its snapshots are overwritten in place.
 	history []clusterSnapshot
+	head    int
+
+	deltaBuf []emt.RowDelta // one table's sync payload, reused across tables and syncs
 }
 
 // clusterSnapshot is the training cluster's state at one window boundary.
@@ -165,11 +171,10 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		gen:        gen,
 		trainModel: trainModel,
 		trainEmb:   &dlrm.BaseEmbeddings{Group: trainGroup},
-		trainOpt:   dlrm.SGD{LR: cfg.DenseLR},
 		infModel:   trainModel.Clone(),
 		infGroup:   trainGroup.Clone(),
-		infOpt:     dlrm.SGD{LR: cfg.DenseLR},
 	}
+	h.trainer = dlrm.Trainer{Model: h.trainModel, Emb: h.trainEmb, Opt: dlrm.SGD{LR: cfg.DenseLR}, EmbLR: cfg.EmbLR}
 	h.infBase = &dlrm.BaseEmbeddings{Group: h.infGroup}
 	if cfg.Kind == LiveUpdate {
 		lcfg := lora.DefaultConfig(cfg.Profile.TableSize, cfg.Profile.EmbeddingDim)
@@ -189,6 +194,11 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		if err != nil {
 			return nil, err
 		}
+		lr := cfg.LiveEmbLR
+		if lr == 0 {
+			lr = 2 * cfg.EmbLR
+		}
+		h.liveTrainer = dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, EmbLR: lr}
 	}
 	return h, nil
 }
@@ -213,10 +223,9 @@ func (h *Harness) infSource() dlrm.EmbeddingSource {
 // Pretrain warms both clusters on `windows` windows of pre-stream data so
 // evaluation starts from a trained Day-1 checkpoint (paper §V-C).
 func (h *Harness) Pretrain(windows int) {
-	tr := &dlrm.Trainer{Model: h.trainModel, Emb: h.trainEmb, Opt: h.trainOpt, EmbLR: h.Cfg.EmbLR}
 	for w := 0; w < windows; w++ {
 		samples := h.gen.Batch(h.Cfg.SamplesPerWindow, h.Cfg.WindowSec)
-		tr.TrainEpochs(samples, h.Cfg.Batch, 1)
+		h.trainer.TrainEpochs(samples, h.Cfg.Batch, 1)
 	}
 	// Checkpoint: inference starts identical to the trainer, and the
 	// transfer pipeline's history starts from this checkpoint.
@@ -236,24 +245,17 @@ func (h *Harness) Step() float64 {
 	h.aucSeries = append(h.aucSeries, auc)
 
 	// Training cluster learns from its sampled share of the fresh window.
-	tr := &dlrm.Trainer{Model: h.trainModel, Emb: h.trainEmb, Opt: h.trainOpt, EmbLR: cfg.EmbLR}
-	tr.TrainEpochs(h.trainerShare(samples), cfg.Batch, 1)
+	h.trainer.TrainEpochs(h.trainerShare(samples), cfg.Batch, 1)
 	h.pushSnapshot()
 
 	// LiveUpdate's co-located trainer learns locally from the same window
 	// (its ring buffer holds exactly the requests it served).
 	if cfg.Kind == LiveUpdate {
-		lr := cfg.LiveEmbLR
-		if lr == 0 {
-			lr = 2 * cfg.EmbLR
-		}
 		epochs := cfg.LiveEpochs
 		if epochs == 0 {
 			epochs = 2
 		}
-		// Local LoRA training: no optimizer, so the dense layers stay frozen.
-		lt := &dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, EmbLR: lr}
-		lt.TrainEpochs(samples, cfg.Batch, epochs)
+		h.liveTrainer.TrainEpochs(samples, cfg.Batch, epochs)
 	}
 
 	h.window++
@@ -304,55 +306,63 @@ func (h *Harness) trainerShare(samples []trace.Sample) []trace.Sample {
 	if stride < 1 {
 		stride = 1
 	}
-	out := make([]trace.Sample, 0, len(samples)/stride+1)
+	h.share = h.share[:0]
 	for i := 0; i < len(samples); i += stride {
-		out = append(out, samples[i])
+		h.share = append(h.share, samples[i])
 	}
-	return out
+	return h.share
+}
+
+// pipelined reports whether syncs install a delayed snapshot rather than the
+// training cluster's live state; only then is the history kept.
+func (h *Harness) pipelined() bool {
+	return h.Cfg.SyncDelayWindows > 0 && (h.Cfg.Kind == DeltaUpdate || h.Cfg.Kind == QuickUpdate)
 }
 
 // pushSnapshot records the training cluster's state for the transfer-delay
-// pipeline, retaining only what the configured delay needs.
+// pipeline: a clone while the ring is still filling, afterwards a copy over
+// the oldest snapshot.
 func (h *Harness) pushSnapshot() {
-	keep := h.Cfg.SyncDelayWindows + 1
-	if keep < 1 {
-		keep = 1
+	if !h.pipelined() {
+		return
 	}
-	h.history = append(h.history, clusterSnapshot{
-		model: h.trainModel.Clone(),
-		group: h.trainEmb.Group.Clone(),
-	})
-	if len(h.history) > keep {
-		h.history = h.history[len(h.history)-keep:]
+	if len(h.history) <= h.Cfg.SyncDelayWindows {
+		h.history = append(h.history, clusterSnapshot{
+			model: h.trainModel.Clone(),
+			group: h.trainEmb.Group.Clone(),
+		})
+		h.head = len(h.history) - 1
+		return
 	}
+	h.head = (h.head + 1) % len(h.history)
+	snap := h.history[h.head]
+	snap.model.CopyWeightsFrom(h.trainModel)
+	snap.group.CopyWeightsFrom(h.trainEmb.Group)
 }
 
 // syncSource returns the training-cluster state a sync installs: the
 // snapshot from SyncDelayWindows ago (what has finished transferring by
-// now), or the oldest available during warmup.
+// now), which is the ring's oldest, also while it is filling — or the live
+// state when there is no pipeline.
 func (h *Harness) syncSource() clusterSnapshot {
-	if h.Cfg.SyncDelayWindows <= 0 || len(h.history) == 0 {
+	if !h.pipelined() || len(h.history) == 0 {
 		return clusterSnapshot{model: h.trainModel, group: h.trainEmb.Group}
 	}
-	idx := len(h.history) - 1 - h.Cfg.SyncDelayWindows
-	if idx < 0 {
-		idx = 0
-	}
-	return h.history[idx]
+	return h.history[(h.head+1)%len(h.history)]
 }
 
-// changedRows lists the rows of table ti whose source values differ from
-// the inference replica (the delta payload).
-func (h *Harness) changedRows(src clusterSnapshot, ti int) []emt.RowDelta {
+// changedRows appends to out the rows of table ti whose source values differ
+// from the inference replica (the delta payload). Values alias src's rows:
+// nothing writes a sync source while the sync that reads it runs.
+func (h *Harness) changedRows(out []emt.RowDelta, src clusterSnapshot, ti int) []emt.RowDelta {
 	inf := h.infGroup.Tables[ti]
 	st := src.group.Tables[ti]
-	var out []emt.RowDelta
 	for id := int32(0); int(id) < st.Rows(); id++ {
 		srow := st.PeekRow(id)
 		irow := inf.PeekRow(id)
 		for i := range srow {
 			if srow[i] != irow[i] {
-				out = append(out, emt.RowDelta{ID: id, Values: append([]float64(nil), srow...)})
+				out = append(out, emt.RowDelta{ID: id, Values: srow})
 				break
 			}
 		}
@@ -366,9 +376,9 @@ func (h *Harness) changedRows(src clusterSnapshot, ti int) []emt.RowDelta {
 func (h *Harness) syncDelta() {
 	src := h.syncSource()
 	for ti, tt := range h.infGroup.Tables {
-		deltas := h.changedRows(src, ti)
-		tt.ApplyDeltas(deltas)
-		h.bytes += int64(len(deltas)) * int64(tt.Dim) * 8
+		h.deltaBuf = h.changedRows(h.deltaBuf[:0], src, ti)
+		tt.ApplyDeltas(h.deltaBuf)
+		h.bytes += int64(len(h.deltaBuf)) * int64(tt.Dim) * 8
 	}
 	h.infModel.CopyWeightsFrom(src.model)
 	h.bytes += int64(src.model.DenseParamCount()) * 8
@@ -386,9 +396,9 @@ func (h *Harness) syncQuick() {
 		mag   float64
 	}
 	var all []scored
-	for ti := range h.infGroup.Tables {
-		inf := h.infGroup.Tables[ti]
-		for _, d := range h.changedRows(src, ti) {
+	for ti, inf := range h.infGroup.Tables {
+		h.deltaBuf = h.changedRows(h.deltaBuf[:0], src, ti)
+		for _, d := range h.deltaBuf {
 			infRow := inf.PeekRow(d.ID)
 			mag := 0.0
 			for i, v := range d.Values {
@@ -403,10 +413,20 @@ func (h *Harness) syncQuick() {
 	if keep > len(all) {
 		keep = len(all)
 	}
-	for i := 0; i < keep; i++ {
-		s := all[i]
-		h.infGroup.Tables[s.table].ApplyDeltas([]emt.RowDelta{s.delta})
-		h.bytes += int64(len(s.delta.Values)) * 8
+	// Install the kept rows table by table: one ApplyDeltas (and one version
+	// bump) per table that received any.
+	for ti, tt := range h.infGroup.Tables {
+		kept := h.deltaBuf[:0]
+		for _, s := range all[:keep] {
+			if s.table == ti {
+				kept = append(kept, s.delta)
+			}
+		}
+		if len(kept) > 0 {
+			tt.ApplyDeltas(kept)
+			h.bytes += int64(len(kept)) * int64(tt.Dim) * 8
+		}
+		h.deltaBuf = kept
 	}
 	h.infModel.CopyWeightsFrom(src.model)
 	h.bytes += int64(src.model.DenseParamCount()) * 8
@@ -490,9 +510,7 @@ func (h *Harness) Generator() *trace.Generator { return h.gen }
 // TrainerGroup exposes the training cluster's tables (Fig 3a measurements).
 func (h *Harness) TrainerGroup() *emt.Group { return h.trainEmb.Group }
 
-// SetDenseOpt overrides the dense-layer optimizer on both clusters (e.g.
-// Adagrad, the production choice, which stabilizes long streaming runs).
-func (h *Harness) SetDenseOpt(opt dlrm.Optimizer) {
-	h.trainOpt = opt
-	h.infOpt = opt
-}
+// SetDenseOpt overrides the training cluster's dense-layer optimizer from the
+// next Pretrain or Step on (e.g. Adagrad, the production choice, which
+// stabilizes long streaming runs).
+func (h *Harness) SetDenseOpt(opt dlrm.Optimizer) { h.trainer.Opt = opt }

@@ -386,3 +386,25 @@ func TestSetDenseOpt(t *testing.T) {
 }
 
 func dlrmAdagrad() dlrm.Optimizer { return dlrm.Adagrad{LR: 0.05} }
+
+// The trainers live on the Harness across windows, so an optimizer set
+// mid-run must still be the one the next Step trains with.
+func TestSetDenseOptAppliesToNextStep(t *testing.T) {
+	run := func(swap bool) []float64 {
+		h := MustNewHarness(quickHarnessConfig(DeltaUpdate))
+		h.Pretrain(1)
+		h.Step()
+		if swap {
+			h.SetDenseOpt(dlrmAdagrad())
+		}
+		h.Step()
+		return h.trainModel.Top.Layers[0].W.Data
+	}
+	sgd, adagrad := run(false), run(true)
+	for i := range sgd {
+		if sgd[i] != adagrad[i] {
+			return
+		}
+	}
+	t.Fatal("SetDenseOpt between Steps changed nothing: the long-lived trainer kept its old optimizer")
+}
