@@ -493,8 +493,8 @@ func BenchmarkLoRASnapshotPublish(b *testing.B) {
 }
 
 // BenchmarkGradientPCA measures the spectrum kernel behind rank adaptation on
-// a gradient-window-sized matrix (256×16): centre, d×d covariance, symmetric
-// Jacobi eigen-solve.
+// a gradient-window-sized matrix (256×16): centre, d×d covariance,
+// tridiagonal QL eigenvalues.
 func BenchmarkGradientPCA(b *testing.B) {
 	rng := tensor.NewRNG(5)
 	m := tensor.RandomMatrix(rng, 256, 16, 1)

@@ -138,6 +138,98 @@ func TestMLPBackwardInputMatchesBackward(t *testing.T) {
 	}
 }
 
+// refMLPBackward is MLP.Backward (BackwardInput when frozen) with the input
+// gradient taken the way it was before tensor.AxpyRows: one Axpy per row of
+// W whose output the ReLU let through.
+func refMLPBackward(m *MLP, dOut []float64, c *MLPCache, frozen bool) []float64 {
+	d := dOut
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		l, lc := m.Layers[i], &c.layers[i]
+		dPre := append([]float64(nil), l.preGrad(d, lc)...)
+		if !frozen {
+			l.accumulate(dPre, lc.Input)
+		}
+		d = make([]float64, l.In())
+		for o, dp := range dPre {
+			if dp != 0 {
+				tensor.Axpy(dp, l.W.Row(o), d)
+			}
+		}
+	}
+	return d
+}
+
+// refBackward is Model.backward with the interaction gradient as the pair
+// walk it replaced: two Axpys per interaction, in pair order.
+func refBackward(m *Model, dLogit float64, c *ForwardCache, frozen bool) [][]float64 {
+	dTopIn := refMLPBackward(m.Top, []float64{dLogit}, &c.top, frozen)
+	dInter := dTopIn[m.Cfg.EmbeddingDim:]
+	f := c.features
+	dF := make([][]float64, len(f))
+	for i := range dF {
+		dF[i] = make([]float64, m.Cfg.EmbeddingDim)
+	}
+	k := 0
+	for i := range f {
+		for j := i + 1; j < len(f); j++ {
+			g := dInter[k]
+			k++
+			if g == 0 {
+				continue
+			}
+			tensor.Axpy(g, f[j], dF[i])
+			tensor.Axpy(g, f[i], dF[j])
+		}
+	}
+	if !frozen {
+		dZ := make([]float64, m.Cfg.EmbeddingDim)
+		for i := range dZ {
+			dZ[i] = dTopIn[i] + dF[0][i]
+		}
+		refMLPBackward(m.Bottom, dZ, &c.bottom, false)
+	}
+	return dF[1:]
+}
+
+// Backward and BackwardInput — the input gradients through tensor.AxpyRows,
+// the interaction gradient summed per feature — give the bits of the
+// Axpy-per-row, pair-by-pair walk, embedding and dense gradients alike.
+func TestBackwardMatchesAxpyWalk(t *testing.T) {
+	for _, frozen := range []bool{false, true} {
+		m, src, samples := frozenFixture(45)
+		ref := m.Clone()
+		c, rc := ForwardCache{Frozen: frozen}, ForwardCache{Frozen: frozen}
+		for si, s := range samples {
+			logit := m.Forward(src, s.Dense, s.Sparse, &c)
+			ref.Forward(src, s.Dense, s.Sparse, &rc)
+			dLogit := Sigmoid(logit) - float64(s.Label)
+			want := refBackward(ref, dLogit, &rc, frozen)
+			got := m.backward(dLogit, &c, frozen)
+			for ti := range want {
+				for j := range want[ti] {
+					if math.Float64bits(got[ti][j]) != math.Float64bits(want[ti][j]) {
+						t.Fatalf("frozen %v sample %d table %d coord %d: %v, pair walk %v", frozen, si, ti, j, got[ti][j], want[ti][j])
+					}
+				}
+			}
+		}
+		layers := append(append([]*Layer(nil), m.Bottom.Layers...), m.Top.Layers...)
+		refLayers := append(append([]*Layer(nil), ref.Bottom.Layers...), ref.Top.Layers...)
+		for li, l := range layers {
+			for i, g := range l.gradW.Data {
+				if math.Float64bits(g) != math.Float64bits(refLayers[li].gradW.Data[i]) {
+					t.Fatalf("frozen %v layer %d weight gradient %d: %v, pair walk %v", frozen, li, i, g, refLayers[li].gradW.Data[i])
+				}
+			}
+			for i, g := range l.gradB {
+				if math.Float64bits(g) != math.Float64bits(refLayers[li].gradB[i]) {
+					t.Fatalf("frozen %v layer %d bias gradient %d: %v, pair walk %v", frozen, li, i, g, refLayers[li].gradB[i])
+				}
+			}
+		}
+	}
+}
+
 // zeroingOpt is what the harness's frozen-dense optimizer used to be: it
 // discards the accumulated dense gradients.
 type zeroingOpt struct{}

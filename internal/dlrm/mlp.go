@@ -143,23 +143,13 @@ func (l *Layer) accumulate(dPre, in []float64) {
 }
 
 // inputGrad returns the input half of the backward pass, Wᵀ·dPre, in the
-// cache's scratch.
+// cache's scratch: the rows of W whose output the ReLU let through, summed
+// in row order.
 func (l *Layer) inputGrad(dPre []float64, cache *LayerCache) []float64 {
 	cache.dIn = growFloats(cache.dIn, l.In())
-	dIn := cache.dIn
-	for i := range dIn {
-		dIn[i] = 0
-	}
-	for o, dp := range dPre {
-		if dp == 0 {
-			continue
-		}
-		row := l.W.Row(o)
-		for i, w := range row {
-			dIn[i] += dp * w
-		}
-	}
-	return dIn
+	clear(cache.dIn)
+	tensor.AxpyRows(cache.dIn, 1, dPre, l.W)
+	return cache.dIn
 }
 
 // In returns the input width, Out the output width.

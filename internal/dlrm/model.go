@@ -215,12 +215,13 @@ type ForwardCache struct {
 	features [][]float64 // f_0 = bottom output, f_1.. = pooled embeddings
 	sparse   [][]int32
 
-	embBuf   []float64 // backing store for features[1..T]
+	featM    tensor.Matrix // (T+1)×d backing store for features, one per row
 	topIn    []float64
 	dLogit   [1]float64
 	dZ       []float64
 	dFeatBuf []float64   // backing store for dFeatures
 	dFeats   [][]float64 // per-feature gradient rows, reused across Backwards
+	dInterT  []float64   // one feature's interaction gradients, by partner
 }
 
 // Forward computes the click logit for one example. When cache is non-nil it
@@ -245,19 +246,22 @@ func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, 
 	if cache != nil {
 		if len(cache.features) != cfg.NumTables+1 {
 			cache.features = make([][]float64, cfg.NumTables+1)
-			cache.embBuf = make([]float64, cfg.NumTables*d)
-			for t := 0; t < cfg.NumTables; t++ {
-				cache.features[t+1] = cache.embBuf[t*d : (t+1)*d]
+			cache.featM = *tensor.NewMatrix(cfg.NumTables+1, d)
+			for t := range cache.features {
+				cache.features[t] = cache.featM.Row(t)
 			}
 		}
 		features = cache.features
+		// The backward pass reads the features as one matrix, so f_0 is
+		// copied in rather than aliased.
+		copy(features[0], z)
 	} else {
 		features = make([][]float64, cfg.NumTables+1)
 		for t := 0; t < cfg.NumTables; t++ {
 			features[t+1] = make([]float64, d)
 		}
+		features[0] = z
 	}
-	features[0] = z
 	for t := 0; t < cfg.NumTables; t++ {
 		src.Lookup(t, sparse[t], features[t+1])
 	}
@@ -539,27 +543,38 @@ func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]f
 	}
 	dInter := dTopIn[cfg.EmbeddingDim:]
 
-	features := cache.features
-	if len(cache.dFeats) != len(features) {
-		cache.dFeats = make([][]float64, len(features))
-		cache.dFeatBuf = make([]float64, len(features)*cfg.EmbeddingDim)
+	n := len(cache.features)
+	if len(cache.dFeats) != n {
+		cache.dFeats = make([][]float64, n)
+		cache.dFeatBuf = make([]float64, n*cfg.EmbeddingDim)
 		for i := range cache.dFeats {
 			cache.dFeats[i] = cache.dFeatBuf[i*cfg.EmbeddingDim : (i+1)*cfg.EmbeddingDim]
 		}
+		cache.dInterT = make([]float64, n)
 	}
 	dFeatures := cache.dFeats
 	clear(cache.dFeatBuf)
-	k := 0
-	for i := 0; i < len(features); i++ {
-		for j := i + 1; j < len(features); j++ {
-			g := dInter[k]
-			k++
-			if g == 0 {
-				continue
-			}
-			tensor.Axpy(g, features[j], dFeatures[i])
-			tensor.Axpy(g, features[i], dFeatures[j])
+	// Feature t's gradient is Σ_{p≠t} g_tp·f_p, where g_tp is the gradient of
+	// the interaction ⟨f_min(t,p), f_max(t,p)⟩ (pairs are laid out row by row
+	// of the upper triangle). Summed over ascending p, these are the terms in
+	// the order a walk over the pairs would add them, so the result is the
+	// same bit for bit; a frozen stack reads no gradient for f_0.
+	first := 0
+	if frozen {
+		first = 1
+	}
+	gt := cache.dInterT
+	for t := first; t < n; t++ {
+		base := 0 // start of row p of the pair triangle
+		for p := 0; p < t; p++ {
+			gt[p] = dInter[base+t-p-1]
+			base += n - p - 1
 		}
+		gt[t] = 0
+		for p := t + 1; p < n; p++ {
+			gt[p] = dInter[base+p-t-1]
+		}
+		tensor.AxpyRows(dFeatures[t], 1, gt, &cache.featM)
 	}
 	if !frozen {
 		// f_0 is the bottom output: its gradient combines the direct

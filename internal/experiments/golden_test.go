@@ -3,25 +3,33 @@ package experiments
 import (
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/paper_golden.json from this tree (tolerances are kept)")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/paper_golden.json from this tree")
 
 const goldenPath = "testdata/paper_golden.json"
 
-// goldenReport pins one experiment's quick-mode table (seed 7). Tol maps a
-// column name, or "row label/column" for one cell, to the absolute tolerance
-// its numeric cells are compared under (percent cells in points); cells with
-// no entry, and non-numeric cells, must match exactly.
+// paperIDs returns the experiments that regenerate the paper's own tables
+// and figures; the serving-stack ids are not pinned.
+func paperIDs() []string {
+	var ids []string
+	for _, id := range IDs() {
+		if strings.HasPrefix(id, "fig") || strings.HasPrefix(id, "table") {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// goldenReport pins one experiment's quick-mode table (seed 7).
 type goldenReport struct {
-	Header []string           `json:"header"`
-	Rows   [][]string         `json:"rows"`
-	Tol    map[string]float64 `json:"tol"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
 }
 
 // cellNumber parses a table cell ("7", "30.9%", "+3.35", "0.5866").
@@ -30,50 +38,45 @@ func cellNumber(s string) (float64, bool) {
 	return v, err == nil
 }
 
-// TestPaperGolden keeps the figures that sit on the rank-adaptation kernels
-// (fig6: gradient-PCA ranks via ComputePCA; table3/fig15/fig17: LiveUpdate
-// with dynamic rank) from drifting while the code under them is refactored.
-// The file was generated on the commit before the d×d-spectrum route landed;
-// that commit's LiveUpdate cells varied from run to run (Resize drew random
-// numbers in map order), which the wider tolerances on those cells cover.
+// TestPaperGolden keeps every paper table and figure from drifting while the
+// code under it is refactored: each cell of each of the 18 quick-mode
+// reports (seed 7) must match the recorded golden exactly. The reports are
+// a deterministic function of the seed, so there is no tolerance; a change
+// that moves a cell on purpose re-records with -update and says why.
 func TestPaperGolden(t *testing.T) {
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := map[string]*goldenReport{}
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"fig6", "table3", "fig15", "fig17"} {
-		rep := run(t, id)
-		g := golden[id]
-		if g == nil {
-			t.Fatalf("%s: no golden entry", id)
+	golden := map[string]*goldenReport{} // -update re-records every entry
+	if !*updateGolden {
+		raw, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := paperIDs()
+	if len(ids) != 18 {
+		t.Fatalf("%d paper ids in IDs(), want the paper's 18: %v", len(ids), ids)
+	}
+	for _, id := range ids {
+		rep := run(t, id)
 		if *updateGolden {
-			g.Header, g.Rows = rep.Header, rep.Rows
+			golden[id] = &goldenReport{Header: rep.Header, Rows: rep.Rows}
 			continue
 		}
-		if strings.Join(rep.Header, "|") != strings.Join(g.Header, "|") || len(rep.Rows) != len(g.Rows) {
-			t.Fatalf("%s: table shape changed: header %v, %d rows; golden %v, %d rows",
+		g := golden[id]
+		if g == nil {
+			t.Errorf("%s: no golden entry", id)
+			continue
+		}
+		if !slices.Equal(rep.Header, g.Header) || len(rep.Rows) != len(g.Rows) {
+			t.Errorf("%s: table shape changed: header %v, %d rows; golden %v, %d rows",
 				id, rep.Header, len(rep.Rows), g.Header, len(g.Rows))
+			continue
 		}
 		for i, row := range rep.Rows {
-			for j, got := range row {
-				want, col := g.Rows[i][j], g.Header[j]
-				tol, ok := g.Tol[row[0]+"/"+col]
-				if !ok {
-					tol = g.Tol[col]
-				}
-				gv, gok := cellNumber(got)
-				wv, wok := cellNumber(want)
-				if gok && wok && math.Abs(gv-wv) <= tol {
-					continue
-				}
-				if got != want {
-					t.Errorf("%s row %d (%s) column %q: %s, golden %s (tolerance %v)", id, i, row[0], col, got, want, tol)
-				}
+			if !slices.Equal(row, g.Rows[i]) {
+				t.Errorf("%s row %d: %q, golden %q", id, i, row, g.Rows[i])
 			}
 		}
 	}

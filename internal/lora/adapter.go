@@ -120,14 +120,10 @@ type adapterState struct {
 	rows *rowStore      // A rows for active ids; rows.rank is the LoRA rank
 }
 
-// accumulate adds alpha times the delta of the row in slot into dst.
+// accumulate adds alpha times the delta of the row in slot, A[slot]·B, into
+// dst.
 func (st *adapterState) accumulate(slot int32, alpha float64, dst []float64) {
-	for k, av := range st.rows.row(slot) {
-		if av == 0 {
-			continue
-		}
-		tensor.Axpy(alpha*av, st.b.Row(k), dst)
-	}
+	tensor.AxpyRows(dst, alpha, st.rows.row(slot), st.b)
 }
 
 // Adapter is the LoRA table for one embedding table: sparse rows A[i] ∈ R^k
@@ -334,9 +330,11 @@ func (a *Adapter) adapt() {
 		// covariance, computed straight from the ring (row order does not
 		// matter to a covariance). The covariance is recomputed each pass,
 		// not maintained by a rank-1 update and downdate per Train: at
-		// GradWindow 256 / AdaptInterval 128 that costs the same d²
-		// multiply-adds per step as recomputing, and its running sums would
-		// accumulate rounding drift that a fresh sum does not have.
+		// GradWindow 256 / AdaptInterval 128 both come to d² multiply-adds
+		// per step, and running sums would accumulate rounding drift that a
+		// fresh sum does not have. Recomputing is now most of the pass: at
+		// d = 16 the m·d²/2 covariance takes about twice as long as the
+		// eigenvalue-only QL solve behind it.
 		window := tensor.Matrix{Rows: a.gradCount, Cols: a.cfg.Dim, Data: a.gradBuf.Data[:a.gradCount*a.cfg.Dim]}
 		rt := tensor.MinRankForVariance(tensor.CovarianceSpectrum(&window, &a.spectrum), a.cfg.Alpha)
 		a.rankObsSum += rt

@@ -384,6 +384,24 @@ func TestSetLookupHotAddsDelta(t *testing.T) {
 	}
 }
 
+// Set.Lookup is on every served request: a pooled lookup over hot and cold
+// ids allocates nothing.
+func TestSetLookupNoAlloc(t *testing.T) {
+	s := newTestSet(t)
+	g := []float64{0.3, -0.1, 0.2, 0, 0.5, -0.4, 0.1, 0.05}
+	for i := 0; i < 50; i++ {
+		s.ApplyGrad(0, []int32{int32(i % 7), 11}, g, 0.05)
+	}
+	ids := []int32{3, 11, 42, 6} // 42 is cold
+	if !s.HasHot(0, ids) || s.Adapters[0].Has(42) {
+		t.Fatal("fixture: want hot and cold ids in one lookup")
+	}
+	dst := make([]float64, 8)
+	if n := testing.AllocsPerRun(100, func() { s.Lookup(0, ids, dst) }); n != 0 {
+		t.Fatalf("Set.Lookup allocates %v times per call, want 0", n)
+	}
+}
+
 func TestSetApplyGradFreezesBase(t *testing.T) {
 	s := newTestSet(t)
 	baseBefore := append([]float64(nil), s.Base.Tables[1].PeekRow(3)...)

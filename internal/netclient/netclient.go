@@ -17,7 +17,8 @@
 //
 //   - A 429 from the gateway is not an error but shedding. The client sleeps
 //     out the server's Retry-After hint (millisecond-granular via
-//     X-Retry-After-Ms, clamped to [0, MaxRetryWait]) and retries, counting
+//     X-Retry-After-Ms, clamped to [0, MaxRetryWait]), jittered upward so
+//     lanes shed together do not retry together, and retries, counting
 //     every shed it absorbed in Shed429.
 //   - Transport errors (dial failures, resets, timeouts), 5xx responses, and
 //     every 4xx except 413/422 (a request damaged in flight is
@@ -535,10 +536,23 @@ func (c *Client) backoff(l *lane, k int) time.Duration {
 	if w <= 0 {
 		return 0
 	}
+	return w/2 + time.Duration(l.jitter()*float64(w/2))
+}
+
+// shedWait returns how long to sleep out a 429 whose Retry-After hint is
+// hint (already clamped to MaxRetryWait, so never above the cap): uniform in
+// [hint, 2·hint], capped at MaxRetryWait. Lanes shed by the same burst get
+// the same hint; sleeping it exactly would send them back in lockstep, to
+// be shed together again, and starve the unlucky ones.
+func (c *Client) shedWait(l *lane, hint time.Duration) time.Duration {
+	return min(hint+time.Duration(l.jitter()*float64(hint)), c.cfg.MaxRetryWait)
+}
+
+// jitter draws one uniform [0, 1) value from the lane's RNG.
+func (l *lane) jitter() float64 {
 	l.mu.Lock()
-	f := l.rng.Float64()
-	l.mu.Unlock()
-	return w/2 + time.Duration(f*float64(w/2))
+	defer l.mu.Unlock()
+	return l.rng.Float64()
 }
 
 // laneURL resolves the lane's current failover address; advance rotates it
@@ -604,8 +618,7 @@ func (c *Client) post(shard int, path, contentType string, body []byte) ([]byte,
 			l.brk.success()
 			c.shed429.Add(1)
 			lastErr = fmt.Errorf("server shedding (429)")
-			wait := retryAfter(hdr, c.cfg.MaxRetryWait)
-			if serr := c.sleep(ctx, wait); serr != nil {
+			if serr := c.sleep(ctx, c.shedWait(l, retryAfter(hdr, c.cfg.MaxRetryWait))); serr != nil {
 				c.gaveUp.Add(1)
 				return nil, fmt.Errorf("netclient: %s: cancelled in shed wait: %w", path, serr)
 			}

@@ -79,6 +79,10 @@ func TestKernelGuards(t *testing.T) {
 			func() { Quantize(a).MatVecInto(make([]float64, 2), make([]int8, 4), 1) }},
 		{"quantize vector mismatch", []string{"quantize vector", "xq=3", "x=4"},
 			func() { QuantizeVectorInto(make([]int8, 3), make([]float64, 4)) }},
+		{"axpyrows dst wrong", []string{"axpyrows", "a=3", "x=3x4", "dst=5", "len(dst) x.Cols"},
+			func() { AxpyRows(make([]float64, 5), 1, make([]float64, 3), a) }},
+		{"axpyrows coefficients wrong", []string{"axpyrows", "a=4", "x=3x4", "dst=4", "len(a) must equal x.Rows"},
+			func() { AxpyRows(make([]float64, 4), 1, make([]float64, 4), a) }},
 	}
 	for _, tc := range cases {
 		mustPanic(t, tc.name, tc.want, tc.f)
@@ -267,6 +271,103 @@ func TestTruncateF16(t *testing.T) {
 		if tm.Data[i] != TruncateF16(v) {
 			t.Fatalf("elem %d: %v != TruncateF16(%v)", i, tm.Data[i], v)
 		}
+	}
+}
+
+// axpyRowsRef is what AxpyRows replaced at its call sites: one Axpy per
+// non-zero coefficient, in row order.
+func axpyRowsRef(dst []float64, alpha float64, a []float64, x *Matrix) {
+	for k, ak := range a {
+		if ak != 0 {
+			Axpy(alpha*ak, x.Row(k), dst)
+		}
+	}
+}
+
+// TestKernelAxpyRowsMatchesAxpy: the four-terms-per-pass kernel against the
+// sequential Axpy loop, bit for bit, over every length 0…67 and row count
+// 0…17, with coefficients and operands drawn from normals, zeros of both
+// signs, subnormals and infinities, at several densities and scales.
+func TestKernelAxpyRowsMatchesAxpy(t *testing.T) {
+	rng := NewRNG(21)
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 0x1p-1060, 1e-300, math.Inf(1), 1, -1}
+	draw := func(zeroShare float64) float64 {
+		switch u := rng.Float64(); {
+		case u < zeroShare:
+			return 0
+		case u < zeroShare+0.15:
+			return special[rng.Intn(len(special))]
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		for k := 0; k <= 17; k++ {
+			for _, zeroShare := range []float64{0, 0.5, 0.9} {
+				x := NewMatrix(k, n)
+				for i := range x.Data {
+					x.Data[i] = draw(0.05)
+				}
+				a := make([]float64, k)
+				for i := range a {
+					a[i] = draw(zeroShare)
+				}
+				want, got := make([]float64, n), make([]float64, n)
+				for i := range want {
+					want[i] = draw(0.2)
+					got[i] = want[i]
+				}
+				for _, alpha := range []float64{1, -0.375, 1e-310} {
+					axpyRowsRef(want, alpha, a, x)
+					AxpyRows(got, alpha, a, x)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) &&
+							!(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+							t.Fatalf("n=%d k=%d zero share %v alpha %v: dst[%d] = %v, sequential Axpy gave %v",
+								n, k, zeroShare, alpha, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// inputGradOperands is the top MLP's first layer (64 outputs × 52 inputs)
+// and 256 output gradients with a random half of each masked off by the
+// ReLU: the shapes the train tick's input-gradient pass sees, in patterns a
+// branch predictor cannot learn.
+func inputGradOperands() (dst []float64, dPre [][]float64, w *Matrix) {
+	rng := NewRNG(3)
+	w = RandomMatrix(rng, 64, 52, 1)
+	dPre = make([][]float64, 256)
+	for j := range dPre {
+		dPre[j] = make([]float64, 64)
+		for i := range dPre[j] {
+			if rng.Float64() < 0.5 {
+				dPre[j][i] = rng.NormFloat64()
+			}
+		}
+	}
+	return make([]float64, 52), dPre, w
+}
+
+func BenchmarkAxpyRows(b *testing.B) {
+	dst, dPre, w := inputGradOperands()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		clear(dst)
+		AxpyRows(dst, 1, dPre[i%len(dPre)], w)
+	}
+}
+
+func BenchmarkAxpyRowsSequential(b *testing.B) {
+	dst, dPre, w := inputGradOperands()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		clear(dst)
+		axpyRowsRef(dst, 1, dPre[i%len(dPre)], w)
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package tensor provides the dense linear-algebra substrate for LiveUpdate:
-// row-major matrices, matrix products, a symmetric Jacobi eigen-solver with
-// the PCA spectrum and truncated (Eckart–Young) low-rank approximation built
-// on it, and deterministic random number generation. Everything is stdlib-only and deterministic.
+// row-major matrices, matrix products, the sparse row-combination kernel
+// under every backward pass and LoRA lookup (AxpyRows), the PCA spectrum
+// (Householder tridiagonalization + implicit QL) and the truncated
+// (Eckart–Young) low-rank approximation (a symmetric Jacobi eigen-solver),
+// and deterministic random number generation. Everything is stdlib-only and
+// deterministic.
 package tensor
 
 import (
@@ -353,6 +356,88 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 	for i, v := range x {
 		y[i] += alpha * v
+	}
+}
+
+// AxpyRows adds Σₖ (alpha·a[k])·x.Row(k) into dst, over the k with a[k] ≠ 0
+// in ascending order: Wᵀ·v for a sparse v, or a LoRA row's A·B. len(a) must
+// equal x.Rows and len(dst) x.Cols.
+//
+// The non-zero terms are taken four per pass over dst, so each dst element
+// is loaded and stored once per four rows instead of once per row. Every
+// element still adds its terms one at a time in k order, so the result is
+// bit-identical to calling Axpy(alpha*a[k], x.Row(k), dst) for each such k
+// in turn (TestKernelAxpyRowsMatchesAxpy).
+func AxpyRows(dst []float64, alpha float64, a []float64, x *Matrix) {
+	if len(a) != x.Rows || len(dst) != x.Cols {
+		panic(fmt.Sprintf("tensor: axpyrows a=%d x=%dx%d dst=%d: len(a) must equal x.Rows and len(dst) x.Cols",
+			len(a), x.Rows, x.Cols, len(dst)))
+	}
+	n := len(dst)
+	row := func(k int) []float64 { return x.Data[k*n : k*n+n] }
+	for k := 0; ; {
+		var ks [4]int
+		c := 0
+		for ; k < len(a) && c < 4; k++ {
+			ks[c] = k
+			c += nonzero(a[k])
+		}
+		switch c {
+		case 0:
+			return
+		case 1:
+			axpy1(dst, alpha*a[ks[0]], row(ks[0]))
+			return
+		case 2:
+			axpy2(dst, alpha*a[ks[0]], alpha*a[ks[1]], row(ks[0]), row(ks[1]))
+			return
+		case 3:
+			axpy2(dst, alpha*a[ks[0]], alpha*a[ks[1]], row(ks[0]), row(ks[1]))
+			axpy1(dst, alpha*a[ks[2]], row(ks[2]))
+			return
+		}
+		axpy4(dst, alpha*a[ks[0]], alpha*a[ks[1]], alpha*a[ks[2]], alpha*a[ks[3]],
+			row(ks[0]), row(ks[1]), row(ks[2]), row(ks[3]))
+	}
+}
+
+// nonzero is 1 when v ≠ 0 (NaN included) and 0 otherwise. It compiles to a
+// flag set, not a branch: which ReLU outputs are zero is a coin flip.
+func nonzero(v float64) int {
+	if v != 0 {
+		return 1
+	}
+	return 0
+}
+
+// axpy1, axpy2 and axpy4 are AxpyRows' passes over dst; every x has len(dst)
+// elements.
+func axpy1(dst []float64, c0 float64, x0 []float64) {
+	x0 = x0[:len(dst)]
+	for i := range dst {
+		dst[i] += c0 * x0[i]
+	}
+}
+
+func axpy2(dst []float64, c0, c1 float64, x0, x1 []float64) {
+	x0, x1 = x0[:len(dst)], x1[:len(dst)]
+	for i := range dst {
+		s := dst[i]
+		s += c0 * x0[i]
+		s += c1 * x1[i]
+		dst[i] = s
+	}
+}
+
+func axpy4(dst []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64) {
+	x0, x1, x2, x3 = x0[:len(dst)], x1[:len(dst)], x2[:len(dst)], x3[:len(dst)]
+	for i := range dst {
+		s := dst[i]
+		s += c0 * x0[i]
+		s += c1 * x1[i]
+		s += c2 * x2[i]
+		s += c3 * x3[i]
+		dst[i] = s
 	}
 }
 

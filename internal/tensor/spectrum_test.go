@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -143,20 +144,112 @@ func TestSpectrumMatchesSVDReference(t *testing.T) {
 	}
 }
 
+// jacobiSpectrum is CovarianceSpectrum with the eigen-solve it had before
+// the tridiagonal QL: the same mean and covariance, diagonalized by cyclic
+// Jacobi.
+func jacobiSpectrum(a *Matrix) []float64 {
+	n := a.Cols
+	mean := make([]float64, n)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			mean[j] += v
+		}
+	}
+	if a.Rows > 0 {
+		for j := range mean {
+			mean[j] /= float64(a.Rows)
+		}
+	}
+	cov := make([]float64, n*n)
+	gramInto(cov, a, mean)
+	symEigen(cov, n, make([]float64, n*n))
+	denom := math.Max(float64(a.Rows-1), 1)
+	eig := make([]float64, n)
+	for j := range eig {
+		eig[j] = math.Max(cov[j*n+j], 0) / denom
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
+	return eig
+}
+
+// TestSpectrumQLMatchesJacobi: the QL spectrum against the Jacobi one on the
+// inputs rank adaptation can hand it — gradient windows of every ring fill —
+// and on the degenerate ones: zero, a constant column, rank 1, fewer rows
+// than columns, one column, odd widths.
+func TestSpectrumQLMatchesJacobi(t *testing.T) {
+	rng := NewRNG(31)
+	constCol := RandomMatrix(rng, 40, 7, 1)
+	for i := 0; i < constCol.Rows; i++ {
+		constCol.Set(i, 3, -2.25)
+	}
+	rank1 := NewMatrix(50, 9)
+	MatMulInto(rank1, RandomMatrix(rng, 50, 1, 1), RandomMatrix(rng, 1, 9, 1))
+	cases := map[string]*Matrix{
+		"zero":        NewMatrix(12, 16),
+		"constcolumn": constCol,
+		"rank1":       rank1,
+		"wide":        RandomMatrix(rng, 5, 16, 1),
+		"onecolumn":   RandomMatrix(rng, 30, 1, 1),
+		"odd15":       gradientLike(rng, 100, 15, 5, 0.05),
+		"odd3":        RandomMatrix(rng, 9, 3, 1),
+		"tworows":     RandomMatrix(rng, 2, 16, 1),
+		"onerow":      RandomMatrix(rng, 1, 16, 1),
+	}
+	for m := 2; m <= 256; m *= 2 {
+		cases[fmt.Sprintf("ring%d", m)] = gradientLike(rng, m, 16, 3, 0.05)
+	}
+	var ws SpectrumScratch
+	for name, a := range cases {
+		want := jacobiSpectrum(a)
+		got := CovarianceSpectrum(a, &ws)
+		for j := range want {
+			if math.Abs(got[j]-want[j]) > 1e-12*want[0] || (want[0] == 0 && got[j] != 0) {
+				t.Fatalf("%s: eigenvalue %d = %v, Jacobi %v (λ₀ %v)", name, j, got[j], want[j], want[0])
+			}
+		}
+	}
+}
+
+// TestSpectrumScaleInvariant: scaling the data by a power of two s scales
+// the spectrum by exactly s², even where the covariance's squares would
+// leave the float64 range (the QL solve's own normalization).
+func TestSpectrumScaleInvariant(t *testing.T) {
+	a := gradientLike(NewRNG(41), 64, 16, 4, 0.1)
+	want := append([]float64(nil), ComputePCA(a).Eigenvalues...)
+	for _, s := range []float64{0x1p-400, 0x1p400} {
+		scaled := a.Clone()
+		scaled.Scale(s)
+		for j, v := range ComputePCA(scaled).Eigenvalues {
+			if v != want[j]*s*s {
+				t.Fatalf("scale %v: eigenvalue %d = %v, want exactly %v", s, j, v, want[j]*s*s)
+			}
+		}
+	}
+}
+
+// TestSpectrumMinRankMatchesReference: over 200 gradient windows, the rank
+// Eq. 2 reads off the spectrum is the one the SVD route and the Jacobi
+// solver give, at every threshold rank adaptation uses.
 func TestSpectrumMinRankMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		rng := NewRNG(seed)
 		a := gradientLike(rng, 32+rng.Intn(225), 16, 1+rng.Intn(8), 0.02+0.3*rng.Float64())
 		got := ComputePCA(a)
 		want := &PCA{Eigenvalues: refPCAEigenvalues(a)}
+		jacobi := &PCA{Eigenvalues: jacobiSpectrum(a)}
 		for _, alpha := range []float64{0.5, 0.8, 0.95} {
-			if g, w := got.MinRankForVariance(alpha), want.MinRankForVariance(alpha); g != w {
-				t.Fatalf("seed %d α=%v: rank %d, reference %d", seed, alpha, g, w)
+			g, w, j := got.MinRankForVariance(alpha), want.MinRankForVariance(alpha), jacobi.MinRankForVariance(alpha)
+			if g != w || g != j {
+				t.Fatalf("seed %d α=%v: rank %d, SVD reference %d, Jacobi %d", seed, alpha, g, w, j)
 			}
 		}
 	}
 }
 
+// TestSpectrumScratchReuse: results do not depend on what the scratch held
+// before; a cold scratch allocates once, and a warm one nothing while the
+// gradient ring fills from 2 rows to 256 (the scratch is sized by the width
+// alone).
 func TestSpectrumScratchReuse(t *testing.T) {
 	rng := NewRNG(5)
 	a, b := RandomMatrix(rng, 64, 16, 1), RandomMatrix(rng, 20, 8, 1)
@@ -171,6 +264,19 @@ func TestSpectrumScratchReuse(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { CovarianceSpectrum(a, &ws) }); n != 0 {
 		t.Fatalf("CovarianceSpectrum on a warm scratch allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { CovarianceSpectrum(a, &SpectrumScratch{}) }); n != 1 {
+		t.Fatalf("CovarianceSpectrum on a cold scratch allocates %v times, want 1", n)
+	}
+	ring := RandomMatrix(rng, 256, 16, 1)
+	var fill SpectrumScratch
+	CovarianceSpectrum(&Matrix{Rows: 2, Cols: 16, Data: ring.Data[:32]}, &fill)
+	if n := testing.AllocsPerRun(1, func() {
+		for m := 2; m <= ring.Rows; m++ {
+			CovarianceSpectrum(&Matrix{Rows: m, Cols: 16, Data: ring.Data[:m*16]}, &fill)
+		}
+	}); n != 0 {
+		t.Fatalf("a filling gradient ring allocates %v times, want 0", n)
 	}
 }
 
