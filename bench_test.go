@@ -428,7 +428,8 @@ func BenchmarkFleetReplaceReplica(b *testing.B) {
 }
 
 // BenchmarkLoRATrainStep measures one co-located LoRA training step
-// (forward + backward + factor update, dense layers frozen).
+// (forward + backward + factor update, dense layers frozen): one sample
+// through the frozen-dense dlrm.Trainer the train tick runs.
 func BenchmarkLoRATrainStep(b *testing.B) {
 	p := benchServingProfile()
 	rng := tensor.NewRNG(3)
@@ -440,16 +441,11 @@ func BenchmarkLoRATrainStep(b *testing.B) {
 	for i := range samples {
 		samples[i] = gen.Next()
 	}
-	var cache dlrm.ForwardCache // lives across steps, as the trainers' does
+	tr := dlrm.Trainer{Model: model, Emb: set, EmbLR: 0.05}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := samples[i%len(samples)]
-		logit := model.Forward(set, s.Dense, s.Sparse, &cache)
-		dLogit := dlrm.Sigmoid(logit) - float64(s.Label)
-		dEmb := model.BackwardInput(dLogit, &cache)
-		for t, g := range dEmb {
-			set.ApplyGrad(t, s.Sparse[t], g, 0.05)
-		}
+		k := i % len(samples)
+		tr.TrainBatch(samples[k : k+1])
 	}
 }
 

@@ -12,54 +12,6 @@ import (
 	"liveupdate/internal/simnet"
 )
 
-// AllGatherRounds returns the number of communication rounds recursive
-// doubling needs for n participants: ceil(log2(n)).
-//
-// Deprecated: use Flat{}.Rounds. The free-function cost model is kept as a
-// thin wrapper over the Flat topology so existing callers compile unchanged.
-func AllGatherRounds(n int) int { return Flat{}.Rounds(n) }
-
-// AllGatherTime returns the virtual duration of a recursive-doubling
-// AllGather where every node contributes bytesPerNode, over uniform links
-// with the given bandwidth/latency. In round r each node exchanges its
-// accumulated 2^r·bytesPerNode block with its partner; both directions
-// overlap (full duplex), so a round costs latency + blockBytes/bandwidth.
-// Total data held per node at the end is n·bytesPerNode; total time is
-// O(log n) in latency and O(n) in bytes — the favorable scaling of Fig 19.
-//
-// Deprecated: use Flat{}.GatherTime.
-func AllGatherTime(n int, bytesPerNode int64, bandwidthBps, latencySec float64) float64 {
-	return Flat{}.GatherTime(n, bytesPerNode, 0, bandwidthBps, latencySec)
-}
-
-// AllGatherBytes returns the total wire volume a recursive-doubling
-// AllGather moves for n participants each contributing bytesPerNode: in
-// round r every node ships its accumulated 2^r·bytesPerNode block, so the
-// fleet-wide traffic is n·(2^rounds − 1)·bytesPerNode.
-//
-// Deprecated: use Flat{}.GatherBytes.
-func AllGatherBytes(n int, bytesPerNode int64) int64 {
-	return Flat{}.GatherBytes(n, bytesPerNode, 0)
-}
-
-// BroadcastTime returns the virtual duration of a binomial-tree broadcast of
-// size bytes to n nodes: ceil(log2(n)) rounds, each shipping the full
-// payload one hop.
-//
-// Deprecated: use Flat{}.BroadcastTime.
-func BroadcastTime(n int, size int64, bandwidthBps, latencySec float64) float64 {
-	return Flat{}.BroadcastTime(n, size, bandwidthBps, latencySec)
-}
-
-// BroadcastBytes returns the total wire volume of a binomial-tree broadcast
-// of size bytes to n nodes: n−1 point-to-point transmissions of the full
-// payload (the rounds overlap in time, not in traffic).
-//
-// Deprecated: use Flat{}.BroadcastBytes.
-func BroadcastBytes(n int, size int64) int64 {
-	return Flat{}.BroadcastBytes(n, size)
-}
-
 // AllGatherOnNetwork executes a recursive-doubling AllGather on an actual
 // simnet.Network, respecting per-link queueing, and advances the clock to
 // completion. It returns the elapsed virtual time. For non-power-of-two n
@@ -71,7 +23,7 @@ func AllGatherOnNetwork(c *simnet.Clock, net *simnet.Network, bytesPerNode int64
 	}
 	start := c.Now()
 	block := bytesPerNode
-	for r := 0; r < AllGatherRounds(n); r++ {
+	for r := 0; r < (Flat{}).Rounds(n); r++ {
 		dist := 1 << r
 		roundEnd := c.Now()
 		for i := 0; i < n; i++ {
@@ -264,7 +216,7 @@ type GroupStats struct {
 	PayloadBytes int64
 	// WireBytes is the traffic the simulated collective actually moves:
 	// recursive-doubling AllGather rounds (on the largest per-rank payload,
-	// matching the cost model of AllGatherTime) plus the binomial-tree
+	// matching the cost model of Flat.GatherTime) plus the binomial-tree
 	// broadcast of the merged state. It is what the fabric bills for, and is
 	// strictly larger than PayloadBytes for more than one replica.
 	WireBytes int64

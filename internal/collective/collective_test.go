@@ -13,7 +13,7 @@ import (
 func TestAllGatherRounds(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 8: 3, 9: 4, 16: 4, 48: 6}
 	for n, want := range cases {
-		if got := AllGatherRounds(n); got != want {
+		if got := (Flat{}).Rounds(n); got != want {
 			t.Fatalf("rounds(%d) = %d, want %d", n, got, want)
 		}
 	}
@@ -23,13 +23,13 @@ func TestAllGatherTimeLogScaling(t *testing.T) {
 	// Latency-dominated regime: time grows like log2(N) (paper Fig 19).
 	const bw = 1e12
 	const lat = 0.01
-	t2 := AllGatherTime(2, 1000, bw, lat)
-	t16 := AllGatherTime(16, 1000, bw, lat)
+	t2 := Flat{}.GatherTime(2, 1000, 0, bw, lat)
+	t16 := Flat{}.GatherTime(16, 1000, 0, bw, lat)
 	ratio := t16 / t2
 	if math.Abs(ratio-4) > 0.1 { // log2(16)/log2(2) = 4
 		t.Fatalf("latency scaling ratio %v, want ~4", ratio)
 	}
-	if AllGatherTime(1, 1000, bw, lat) != 0 {
+	if (Flat{}).GatherTime(1, 1000, 0, bw, lat) != 0 {
 		t.Fatal("single node needs no communication")
 	}
 }
@@ -38,7 +38,7 @@ func TestAllGatherTimeBytesScaling(t *testing.T) {
 	// Bandwidth-dominated: total bytes moved per node ≈ (n-1)·payload, so
 	// time ≈ (n-1)·payload/bw.
 	const bw = 1e6
-	got := AllGatherTime(8, 1000, bw, 0)
+	got := Flat{}.GatherTime(8, 1000, 0, bw, 0)
 	want := float64(7*1000) / bw
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("bytes scaling time %v, want %v", got, want)
@@ -46,10 +46,10 @@ func TestAllGatherTimeBytesScaling(t *testing.T) {
 }
 
 func TestBroadcastTime(t *testing.T) {
-	if BroadcastTime(1, 1000, 1e6, 0.01) != 0 {
+	if (Flat{}).BroadcastTime(1, 1000, 1e6, 0.01) != 0 {
 		t.Fatal("single-node broadcast is free")
 	}
-	got := BroadcastTime(8, 1000, 1e6, 0.01)
+	got := Flat{}.BroadcastTime(8, 1000, 1e6, 0.01)
 	want := 3 * (0.01 + 1000/1e6)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("broadcast time %v, want %v", got, want)
@@ -276,10 +276,10 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 		t.Fatalf("Stats() = (%d, %d), want (1, %d): cumulative bytes must be per-sync payload totals", syncs, bytes, wantPayload)
 	}
 	gs := sg.GroupStats()
-	wantWire := AllGatherBytes(4, maxPayload) + BroadcastBytes(4, lora.PayloadBytes(merged))
+	wantWire := Flat{}.GatherBytes(4, maxPayload, 0) + Flat{}.BroadcastBytes(4, lora.PayloadBytes(merged))
 	if gs.WireBytes != wantWire {
 		t.Fatalf("WireBytes = %d, want %d (allgather %d + broadcast %d)",
-			gs.WireBytes, wantWire, AllGatherBytes(4, maxPayload), BroadcastBytes(4, lora.PayloadBytes(merged)))
+			gs.WireBytes, wantWire, Flat{}.GatherBytes(4, maxPayload, 0), Flat{}.BroadcastBytes(4, lora.PayloadBytes(merged)))
 	}
 	if gs.WireBytes <= gs.PayloadBytes {
 		t.Fatal("simulated wire traffic must exceed the application payload for 4 replicas")
@@ -300,16 +300,16 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 }
 
 func TestAllGatherAndBroadcastBytes(t *testing.T) {
-	if AllGatherBytes(1, 1000) != 0 || BroadcastBytes(1, 1000) != 0 {
+	if (Flat{}).GatherBytes(1, 1000, 0) != 0 || (Flat{}).BroadcastBytes(1, 1000) != 0 {
 		t.Fatal("single node moves nothing")
 	}
 	// n=4: 2 rounds, per-node blocks 1000 then 2000 → 4·3000 total; matches
 	// the traffic AllGatherOnNetwork actually generates (see its test).
-	if got := AllGatherBytes(4, 1000); got != 12000 {
-		t.Fatalf("AllGatherBytes(4, 1000) = %d, want 12000", got)
+	if got := (Flat{}).GatherBytes(4, 1000, 0); got != 12000 {
+		t.Fatalf("Flat.GatherBytes(4, 1000, 0) = %d, want 12000", got)
 	}
-	if got := BroadcastBytes(8, 1000); got != 7000 {
-		t.Fatalf("BroadcastBytes(8, 1000) = %d, want 7000", got)
+	if got := (Flat{}).BroadcastBytes(8, 1000); got != 7000 {
+		t.Fatalf("Flat.BroadcastBytes(8, 1000) = %d, want 7000", got)
 	}
 }
 

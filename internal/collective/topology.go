@@ -107,8 +107,7 @@ func hopPayload(perRank, merged int64) int64 {
 // Flat is the original cost model: recursive-doubling AllGather (every rank
 // ends up holding every rank's raw payload — the accumulated block doubles
 // each round, so the fleet-wide traffic is n·(2^rounds−1)·perRank) plus a
-// binomial-tree broadcast of the merged state. The deprecated free functions
-// (AllGatherTime etc.) delegate here bit-for-bit.
+// binomial-tree broadcast of the merged state.
 type Flat struct{}
 
 // Kind implements Topology.
@@ -118,7 +117,10 @@ func (Flat) Kind() Kind { return TopologyFlat }
 func (Flat) Rounds(n int) int { return ceilLog2(n) }
 
 // GatherTime implements Topology. The merged payload is ignored: a flat
-// AllGather ships raw concatenations, never partial merges.
+// AllGather ships raw concatenations, never partial merges. In round r each
+// rank exchanges its accumulated 2^r·perRank block with its partner, full
+// duplex, so a round costs latency + block/bandwidth: O(log n) in latency
+// and O(n) in bytes, the favorable scaling of Fig 19.
 func (Flat) GatherTime(n int, perRank, _ int64, bandwidthBps, latencySec float64) float64 {
 	if n <= 1 {
 		return 0

@@ -10,33 +10,6 @@ import (
 	"liveupdate/internal/tensor"
 )
 
-// TestFlatMatchesDeprecatedCostModel pins the deprecated free functions to
-// Flat: they are wrappers, so every number they ever produced must come back
-// bit-identical through the Topology interface.
-func TestFlatMatchesDeprecatedCostModel(t *testing.T) {
-	flat := Flat{}
-	const bw, lat = 12.5e9, 350e-9
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 16, 48, 256} {
-		for _, payload := range []int64{0, 1, 1000, 1 << 20} {
-			if got, want := flat.Rounds(n), AllGatherRounds(n); got != want {
-				t.Fatalf("Flat.Rounds(%d) = %d, want %d", n, got, want)
-			}
-			if got, want := flat.GatherTime(n, payload, 0, bw, lat), AllGatherTime(n, payload, bw, lat); got != want {
-				t.Fatalf("Flat.GatherTime(%d, %d) = %v, want %v", n, payload, got, want)
-			}
-			if got, want := flat.GatherBytes(n, payload, 0), AllGatherBytes(n, payload); got != want {
-				t.Fatalf("Flat.GatherBytes(%d, %d) = %d, want %d", n, payload, got, want)
-			}
-			if got, want := flat.BroadcastTime(n, payload, bw, lat), BroadcastTime(n, payload, bw, lat); got != want {
-				t.Fatalf("Flat.BroadcastTime(%d, %d) = %v, want %v", n, payload, got, want)
-			}
-			if got, want := flat.BroadcastBytes(n, payload), BroadcastBytes(n, payload); got != want {
-				t.Fatalf("Flat.BroadcastBytes(%d, %d) = %d, want %d", n, payload, got, want)
-			}
-		}
-	}
-}
-
 func TestParseTopology(t *testing.T) {
 	for _, kind := range append([]Kind{""}, Topologies()...) {
 		topo, err := ParseTopology(kind)
@@ -84,7 +57,7 @@ func TestTopologyCostShapes(t *testing.T) {
 		t.Fatalf("Ring.GatherBytes = %d, want %d", got, 7*merged)
 	}
 	// Flat's gather is oblivious to the merged size and strictly larger.
-	if flat := (Flat{}).GatherBytes(8, per, merged); flat != AllGatherBytes(8, per) || flat <= 7*per {
+	if flat := (Flat{}).GatherBytes(8, per, merged); flat != 8*7*per || flat <= 7*per {
 		t.Fatalf("Flat.GatherBytes = %d", flat)
 	}
 	// Latency shape: tree pays rounds hops, ring pays n-1 hops.

@@ -147,8 +147,8 @@ type System struct {
 
 	mu         sync.Mutex // guards all mutable state below and inside Node/Machine/LoRA
 	trainRNG   *tensor.RNG
-	trainBuf   []trace.Sample    // reusable mini-batch buffer for trainTick
-	trainCache dlrm.ForwardCache // reusable forward/backward buffers for trainTick
+	trainBuf   []trace.Sample // reusable mini-batch buffer for trainTick
+	trainer    dlrm.Trainer   // the co-located trainer: no optimizer, dense layers frozen
 	sinceTrain int
 	trainSteps uint64
 	fullSyncs  uint64
@@ -210,6 +210,7 @@ func New(opts Options) (*System, error) {
 		LoRA:     set,
 		Node:     node,
 		trainRNG: tensor.NewRNG(opts.Seed ^ 0x7ea1),
+		trainer:  dlrm.Trainer{Model: model, Emb: set, EmbLR: opts.EmbLR},
 	}
 	if opts.EnableScheduling {
 		ctl, err := numasim.NewController(opts.Controller, machine, clock, opts.InitialInfCCD)
@@ -598,12 +599,15 @@ func (s *System) TrainTick() {
 	s.trainTick()
 }
 
-// trainTick is TrainTick's body; callers must hold s.mu. It takes the
-// parameter write lock for its whole span: the LoRA SGD step mutates adapter
-// state in place, which must not interleave with a lock-free forward. The
-// mini-batch buffer and the forward cache are reused across ticks and
-// samples, keeping the tick's steady-state allocation footprint low (the
-// train-tick share of BenchmarkServeRequest's B/op).
+// trainTick is TrainTick's body; callers must hold s.mu. It first charges
+// the whole mini-batch's embedding traffic to the memory model, then runs it
+// through the node's frozen-dense Trainer under the parameter write lock: the
+// LoRA SGD step mutates adapter state in place, which must not interleave
+// with a lock-free forward. The charges read only ids and the training reads
+// neither the clock nor the machine, so this is the order-for-order
+// equivalent of charging and training sample by sample. The mini-batch
+// buffer and the trainer's buffers are reused across ticks: a warm tick
+// allocates nothing.
 func (s *System) trainTick() {
 	if s.trainBuf == nil {
 		s.trainBuf = make([]trace.Sample, s.Opts.TrainBatch)
@@ -612,15 +616,10 @@ func (s *System) trainTick() {
 	if batch == nil {
 		return
 	}
-	s.paramMu.Lock()
-	defer s.paramMu.Unlock()
 	numTables := int32(s.Opts.Profile.NumTables)
-	cache := &s.trainCache
-	cache.Frozen = true // only BackwardInput below
 	for _, sample := range batch {
-		// Charge the trainer's embedding traffic to the memory model. With
-		// reuse, reads go through the prefetched shadow table. Without it,
-		// the trainer touches its own replica blocks (a distinct address
+		// With reuse, reads go through the prefetched shadow table. Without
+		// it, the trainer touches its own replica blocks (a distinct address
 		// space) with read + write-back traffic — the naive full-replica
 		// pattern the paper calls out as cache-thrashing (§III-B O1, §IV-D).
 		memTime := 0.0
@@ -640,16 +639,10 @@ func (s *System) trainTick() {
 			}
 		}
 		s.Clock.Advance(memTime)
-		// LoRA-only learning: base and dense weights frozen, so the backward
-		// pass computes embedding gradients only. The cache is reused across
-		// samples: Forward overwrites every field it reads.
-		logit := s.Model.Forward(s.LoRA, sample.Dense, sample.Sparse, cache)
-		dLogit := dlrm.Sigmoid(logit) - float64(sample.Label)
-		dEmb := s.Model.BackwardInput(dLogit, cache)
-		for t, g := range dEmb {
-			s.LoRA.ApplyGrad(t, sample.Sparse[t], g, s.Opts.EmbLR)
-		}
 	}
+	s.paramMu.Lock()
+	s.trainer.TrainBatch(batch)
+	s.paramMu.Unlock()
 	s.trainSteps++
 	s.obsTicks.Inc()
 }

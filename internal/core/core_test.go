@@ -92,6 +92,29 @@ func TestTrainTickEmptyRing(t *testing.T) {
 	}
 }
 
+// A warm node's training tick — the memory-model charges and the Trainer's
+// forward, backward and adapter steps — allocates nothing, with and without
+// the reuse path.
+func TestTrainTickSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := trace.Profiles()["criteo"]
+	for _, reuse := range []bool{true, false} {
+		o := DefaultOptions(p, 42)
+		o.EnableReuse = reuse
+		s, gen := MustNew(o), trace.MustNewGenerator(p, 7)
+		for i := 0; i < 4000; i++ {
+			if _, err := s.Serve(gen.Next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(100, s.TrainTick); a != 0 {
+			t.Errorf("reuse %v: TrainTick allocates %v per run on a warm node, want 0", reuse, a)
+		}
+	}
+}
+
 func TestBaseStaysFrozenDuringServing(t *testing.T) {
 	s := MustNew(testOptions())
 	gen := trace.MustNewGenerator(testProfile(), 5)

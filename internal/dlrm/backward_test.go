@@ -63,7 +63,7 @@ func TestBackwardInputMatchesBackward(t *testing.T) {
 	// Reused across samples, like the train tick's — and the frozen side
 	// declares itself, so its Forward keeps no layer inputs.
 	var fc ForwardCache
-	zc := ForwardCache{Frozen: true}
+	zc := ForwardCache{frozen: true}
 	for si, s := range samples {
 		logit := full.Forward(src, s.Dense, s.Sparse, &fc)
 		if got := frozen.Forward(src, s.Dense, s.Sparse, &zc); got != logit {
@@ -71,7 +71,7 @@ func TestBackwardInputMatchesBackward(t *testing.T) {
 		}
 		dLogit := Sigmoid(logit) - float64(s.Label)
 		want := full.Backward(dLogit, &fc)
-		got := frozen.BackwardInput(dLogit, &zc)
+		got := frozen.backward(dLogit, &zc, true)
 		if len(got) != len(want) {
 			t.Fatalf("sample %d: %d gradient rows vs %d", si, len(got), len(want))
 		}
@@ -126,7 +126,7 @@ func TestMLPBackwardInputMatchesBackward(t *testing.T) {
 		a.Forward(x, &ca)
 		b.Forward(x, &cb)
 		want := a.Backward(dOut, &ca)
-		got := b.BackwardInput(dOut, &cb)
+		got := b.backwardInput(dOut, &cb)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d input %d: %v vs %v", trial, i, got[i], want[i])
@@ -198,7 +198,7 @@ func TestBackwardMatchesAxpyWalk(t *testing.T) {
 	for _, frozen := range []bool{false, true} {
 		m, src, samples := frozenFixture(45)
 		ref := m.Clone()
-		c, rc := ForwardCache{Frozen: frozen}, ForwardCache{Frozen: frozen}
+		c, rc := ForwardCache{frozen: frozen}, ForwardCache{frozen: frozen}
 		for si, s := range samples {
 			logit := m.Forward(src, s.Dense, s.Sparse, &c)
 			ref.Forward(src, s.Dense, s.Sparse, &rc)

@@ -183,7 +183,7 @@ func TestEmbeddingUpdatesMarkDirty(t *testing.T) {
 	m, src := newSetup(3)
 	dense := []float64{0, 0, 0, 0}
 	sparse := [][]int32{{1}, {2}, {3}}
-	m.TrainStep(src, dense, sparse, 1, 0.1)
+	m.TrainStepWith(src, dense, sparse, 1, 0.1, &ForwardCache{})
 	for ti, tab := range src.Group.Tables {
 		if tab.DirtyCount() != 1 {
 			t.Fatalf("table %d dirty %d, want 1", ti, tab.DirtyCount())
@@ -208,7 +208,7 @@ func TestModelCloneIndependence(t *testing.T) {
 	before := c.Forward(src, dense, sparse, nil)
 	// Train original only.
 	for i := 0; i < 10; i++ {
-		m.TrainStep(src, dense, sparse, 1, 0) // embLR=0: only dense params move
+		m.TrainStepWith(src, dense, sparse, 1, 0, &ForwardCache{}) // embLR=0: only dense params move
 		SGD{LR: 0.1}.Step(m.Bottom, 1)
 		SGD{LR: 0.1}.Step(m.Top, 1)
 	}

@@ -109,10 +109,10 @@ func (l *Layer) Backward(dOut []float64, cache *LayerCache) []float64 {
 	return l.inputGrad(dPre, cache)
 }
 
-// BackwardInput is Backward for a frozen layer: it returns the same gradient
+// backwardInput is Backward for a frozen layer: it returns the same gradient
 // w.r.t. the layer input, bit for bit, and leaves the weight and bias
 // gradient accumulators untouched.
-func (l *Layer) BackwardInput(dOut []float64, cache *LayerCache) []float64 {
+func (l *Layer) backwardInput(dOut []float64, cache *LayerCache) []float64 {
 	return l.inputGrad(l.preGrad(dOut, cache), cache)
 }
 
@@ -186,7 +186,7 @@ func NewMLP(rng *tensor.RNG, widths []int) *MLP {
 // MLPCache holds per-layer forward state for one sample.
 type MLPCache struct {
 	layers []LayerCache
-	frozen bool // Forward keeps no layer inputs: only BackwardInput may follow
+	frozen bool // Forward keeps no layer inputs: only backwardInput may follow
 }
 
 // Forward runs the stack, filling cache when non-nil.
@@ -322,12 +322,12 @@ func (m *MLP) Backward(dOut []float64, cache *MLPCache) []float64 {
 	return d
 }
 
-// BackwardInput is Backward through a frozen stack: the same gradient w.r.t.
+// backwardInput is Backward through a frozen stack: the same gradient w.r.t.
 // the MLP input, no gradient accumulated on any layer.
-func (m *MLP) BackwardInput(dOut []float64, cache *MLPCache) []float64 {
+func (m *MLP) backwardInput(dOut []float64, cache *MLPCache) []float64 {
 	d := dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		d = m.Layers[i].BackwardInput(d, &cache.layers[i])
+		d = m.Layers[i].backwardInput(d, &cache.layers[i])
 	}
 	return d
 }

@@ -201,14 +201,14 @@ func MustNewModel(cfg Config, rng *tensor.RNG) *Model {
 
 // ForwardCache retains the state of one forward pass for Backward, plus the
 // reusable buffers of the training path: a cache that lives across samples
-// (TrainStepWith, the core train tick) makes Forward/Backward allocation-free
-// after the first sample.
+// (TrainStepWith, a Trainer's) makes Forward/Backward allocation-free after
+// the first sample.
 type ForwardCache struct {
-	// Frozen declares that this cache's forward passes will be followed by
-	// BackwardInput only (dense layers frozen, the co-located trainer's
-	// case). Forward then skips the per-layer input copies that nothing but
-	// the weight gradients reads; Backward on such a cache panics.
-	Frozen bool
+	// frozen declares that this cache's forward passes will be followed by
+	// the input-only backward (dense layers frozen: a Trainer with no
+	// optimizer sets it). Forward then skips the per-layer input copies that
+	// nothing but the weight gradients reads; Backward on such a cache panics.
+	frozen bool
 
 	bottom   MLPCache
 	top      MLPCache
@@ -237,7 +237,7 @@ func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, 
 	var bc *MLPCache
 	if cache != nil {
 		bc = &cache.bottom
-		cache.bottom.frozen, cache.top.frozen = cache.Frozen, cache.Frozen
+		cache.bottom.frozen, cache.top.frozen = cache.frozen, cache.frozen
 	}
 	z := m.Bottom.Forward(dense, bc)
 
@@ -523,21 +523,18 @@ func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
 	return m.backward(dLogit, cache, false)
 }
 
-// BackwardInput is Backward with the dense layers frozen — the co-located
-// LoRA trainer's case (paper Fig 7: only A and B receive gradients). It
-// returns bit-identical embedding gradients while skipping every weight
-// gradient: no outer products in the top MLP, no bottom-MLP pass at all
-// (nothing upstream of it is trainable), and so nothing to ZeroGrad after.
-func (m *Model) BackwardInput(dLogit float64, cache *ForwardCache) [][]float64 {
-	return m.backward(dLogit, cache, true)
-}
-
+// backward is Backward; frozen selects the dense-frozen form — the
+// co-located LoRA trainer's case (paper Fig 7: only A and B receive
+// gradients). It returns bit-identical embedding gradients while skipping
+// every weight gradient: no outer products in the top MLP, no bottom-MLP pass
+// at all (nothing upstream of it is trainable), and so nothing to ZeroGrad
+// after.
 func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]float64 {
 	cfg := m.Cfg
 	cache.dLogit[0] = dLogit
 	var dTopIn []float64
 	if frozen {
-		dTopIn = m.Top.BackwardInput(cache.dLogit[:], &cache.top)
+		dTopIn = m.Top.backwardInput(cache.dLogit[:], &cache.top)
 	} else {
 		dTopIn = m.Top.Backward(cache.dLogit[:], &cache.top)
 	}
@@ -589,17 +586,12 @@ func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]f
 	return dFeatures[1:]
 }
 
-// TrainStep performs one SGD step on a single example: dense gradients are
-// accumulated (call opt.Step to apply) and embedding gradients are applied
-// immediately through src at rate embLR. It returns the example's BCE loss.
-func (m *Model) TrainStep(src EmbeddingSource, dense []float64, sparse [][]int32, label int, embLR float64) float64 {
-	var cache ForwardCache
-	return m.TrainStepWith(src, dense, sparse, label, embLR, &cache)
-}
-
-// TrainStepWith is TrainStep through a caller-owned forward cache. Reusing
-// one cache across a mini-batch amortizes the per-sample cache allocations
-// (Forward overwrites every field it reads, so reuse is safe).
+// TrainStepWith performs one SGD step on a single example through a
+// caller-owned forward cache: dense gradients are accumulated (call opt.Step
+// to apply) and embedding gradients are applied immediately through src at
+// rate embLR. It returns the example's BCE loss. Reusing one cache across a
+// mini-batch amortizes the per-sample cache allocations (Forward overwrites
+// every field it reads, so reuse is safe).
 func (m *Model) TrainStepWith(src EmbeddingSource, dense []float64, sparse [][]int32, label int, embLR float64, cache *ForwardCache) float64 {
 	return m.trainStep(src, dense, sparse, label, embLR, cache, false)
 }

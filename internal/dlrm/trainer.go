@@ -8,7 +8,9 @@ import (
 // Trainer couples a Model, an EmbeddingSource, and an optimizer into the
 // mini-batch training loop of paper §II-A. A nil Opt freezes the dense
 // layers: only embedding gradients are computed and applied (the paper's
-// online path trains nothing but the low-rank embedding factors).
+// online path trains nothing but the low-rank embedding factors). That is the
+// one frozen-dense LoRA step: the co-located train tick, the harness's
+// LiveUpdate arm and fig9's replicas all run it.
 //
 // A Trainer keeps its forward/backward buffers across batches, so a
 // long-lived one trains allocation-free after its first sample; it serves
@@ -31,7 +33,7 @@ func (tr *Trainer) TrainBatch(batch []trace.Sample) float64 {
 	}
 	total := 0.0
 	frozen := tr.Opt == nil
-	tr.cache.Frozen = frozen // no weight gradient will read the layer inputs
+	tr.cache.frozen = frozen // no weight gradient will read the layer inputs
 	for _, s := range batch {
 		total += tr.Model.trainStep(tr.Emb, s.Dense, s.Sparse, s.Label, tr.EmbLR, &tr.cache, frozen)
 	}

@@ -287,6 +287,7 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 	lcfg := lora.DefaultConfig(p.TableSize, p.EmbeddingDim)
 	lcfg.AdaptInterval = 64
 	replicas := make([]*lora.Set, 2)
+	trainers := make([]dlrm.Trainer, 2) // frozen dense: each replica trains its own adapters
 	for i := range replicas {
 		c := lcfg
 		c.Seed = uint64(i) + o.Seed
@@ -294,6 +295,7 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 		if err != nil {
 			return 0, err
 		}
+		trainers[i] = dlrm.Trainer{Model: model, Emb: replicas[i], EmbLR: 0.05}
 	}
 	sg := collective.NewSyncGroup(replicas, simnet.Gbps100, 0.001)
 	clock := simnet.NewClock()
@@ -307,15 +309,8 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 			count++
 		}
 		// Round-robin request sharding: each replica trains on its half.
-		for i, s := range samples {
-			rep := replicas[i%2]
-			cache := dlrm.ForwardCache{Frozen: true}
-			logit := model.Forward(rep, s.Dense, s.Sparse, &cache)
-			dLogit := dlrm.Sigmoid(logit) - float64(s.Label)
-			dEmb := model.BackwardInput(dLogit, &cache)
-			for t, g := range dEmb {
-				rep.ApplyGrad(t, s.Sparse[t], g, 0.05)
-			}
+		for i := range samples {
+			trainers[i%2].TrainBatch(samples[i : i+1])
 		}
 		if (w+1)%interval == 0 {
 			if _, err := sg.Sync(clock); err != nil {

@@ -219,16 +219,10 @@ func TestFig14CostShape(t *testing.T) {
 	if len(rep.Rows) != 9 {
 		t.Fatalf("fig14 rows %d, want 3 datasets × 3 intervals", len(rep.Rows))
 	}
+	// The Live < Quick < Delta order is one of TestPaperClaims' claims.
 	for i := range rep.Rows {
-		no := parseF(t, cell(t, rep, i, "NoUpdate"))
-		delta := parseF(t, cell(t, rep, i, "DeltaUpdate"))
-		quick := parseF(t, cell(t, rep, i, "QuickUpdate"))
-		live := parseF(t, cell(t, rep, i, "LiveUpdate"))
-		if no != 0 {
+		if parseF(t, cell(t, rep, i, "NoUpdate")) != 0 {
 			t.Fatal("NoUpdate must cost 0")
-		}
-		if !(live < quick && quick < delta) {
-			t.Fatalf("row %d cost order violated: live %v quick %v delta %v", i, live, quick, delta)
 		}
 	}
 }

@@ -26,13 +26,8 @@ type HarnessConfig struct {
 	SamplesPerWindow int
 
 	DenseLR float64
-	EmbLR   float64
+	EmbLR   float64 // the co-located LoRA trainer runs at liveLRScale×EmbLR
 	Batch   int
-
-	// LiveEmbLR is the co-located LoRA trainer's learning rate. LoRA's
-	// parameterized update moves ∆W slower than direct SGD near the B=0
-	// initialization, so it wants a higher rate; 0 means 2×EmbLR.
-	LiveEmbLR float64
 
 	// SyncDelayWindows models the inter-cluster transfer delay of
 	// DeltaUpdate/QuickUpdate: the state installed at a sync is the training
@@ -48,16 +43,23 @@ type HarnessConfig struct {
 	// data advantage for local adaptation. 0 means 0.5.
 	TrainerSampleFrac float64
 
-	// LoRA controls LiveUpdate variants. Rank 0 = dynamic (paper default);
-	// a positive FixedRank freezes the adapter at that rank.
+	// FixedRank controls LiveUpdate variants. Rank 0 = dynamic (paper
+	// default, lora's variance threshold α); a positive FixedRank freezes the
+	// adapter at that rank.
 	FixedRank int
-	LoRAAlpha float64 // variance threshold α; 0 → 0.8
-
-	// LiveEpochs is how many passes the co-located trainer makes over each
-	// window's cached data (idle CPUs re-sample the ring buffer
-	// continuously; paper Fig 7's update path). 0 means 2.
-	LiveEpochs int
 }
+
+const (
+	// liveLRScale scales EmbLR into the co-located LoRA trainer's learning
+	// rate. LoRA's parameterized update moves ∆W slower than direct SGD near
+	// the B=0 initialization, so it wants a higher rate.
+	liveLRScale = 2
+
+	// liveEpochs is how many passes the co-located trainer makes over each
+	// window's cached data (idle CPUs re-sample the ring buffer continuously;
+	// paper Fig 7's update path).
+	liveEpochs = 2
+)
 
 // DefaultHarnessConfig returns the paper's evaluation schedule: 5-minute
 // windows, 10-minute updates, hourly full sync. The transfer-delay default
@@ -180,9 +182,6 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		lcfg := lora.DefaultConfig(cfg.Profile.TableSize, cfg.Profile.EmbeddingDim)
 		lcfg.Seed = cfg.Seed
 		lcfg.AdaptInterval = 64
-		if cfg.LoRAAlpha > 0 {
-			lcfg.Alpha = cfg.LoRAAlpha
-		}
 		if cfg.FixedRank > 0 {
 			lcfg.InitialRank = cfg.FixedRank
 			lcfg.DisableRankAdapt = true
@@ -194,11 +193,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		if err != nil {
 			return nil, err
 		}
-		lr := cfg.LiveEmbLR
-		if lr == 0 {
-			lr = 2 * cfg.EmbLR
-		}
-		h.liveTrainer = dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, EmbLR: lr}
+		h.liveTrainer = dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, EmbLR: liveLRScale * cfg.EmbLR}
 	}
 	return h, nil
 }
@@ -251,11 +246,7 @@ func (h *Harness) Step() float64 {
 	// LiveUpdate's co-located trainer learns locally from the same window
 	// (its ring buffer holds exactly the requests it served).
 	if cfg.Kind == LiveUpdate {
-		epochs := cfg.LiveEpochs
-		if epochs == 0 {
-			epochs = 2
-		}
-		h.liveTrainer.TrainEpochs(samples, cfg.Batch, epochs)
+		h.liveTrainer.TrainEpochs(samples, cfg.Batch, liveEpochs)
 	}
 
 	h.window++
@@ -502,10 +493,6 @@ func (h *Harness) Result() Result {
 
 // LoRASet exposes the LiveUpdate adapter set (nil for other strategies).
 func (h *Harness) LoRASet() *lora.Set { return h.loraSet }
-
-// Generator exposes the stream generator (e.g. for access-distribution
-// statistics after a run).
-func (h *Harness) Generator() *trace.Generator { return h.gen }
 
 // TrainerGroup exposes the training cluster's tables (Fig 3a measurements).
 func (h *Harness) TrainerGroup() *emt.Group { return h.trainEmb.Group }
