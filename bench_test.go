@@ -30,8 +30,8 @@ import (
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	runner := experiments.Registry()[id]
-	if runner == nil {
+	runner, ok := experiments.Lookup(id)
+	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
 	for i := 0; i < b.N; i++ {
@@ -77,7 +77,7 @@ func benchServingProfile() Profile {
 // accesses, DLRM forward, ring-buffer push, latency tracking.
 func BenchmarkServeRequest(b *testing.B) {
 	p := benchServingProfile()
-	sys, err := New(DefaultOptions(p, 1))
+	sys, err := New(WithProfile(p), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func BenchmarkServeRequest(b *testing.B) {
 // alloc-gate step fails the build if allocs/op ever reads above 0.
 func BenchmarkServeRequestNoAlloc(b *testing.B) {
 	p := benchServingProfile()
-	srv, err := New(DefaultOptions(p, 1))
+	srv, err := New(WithProfile(p), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -703,12 +703,6 @@ func BenchmarkCostModel(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSyncScaleSweep regenerates the fleet-scale sync experiment in
-// quick mode: the 4→256 topology sweep with its cross-config fingerprint
-// equivalence check. Its trajectory tracks the cost of pricing hierarchical
-// collectives, delta syncs, and compressed payloads together.
-func BenchmarkSyncScaleSweep(b *testing.B) { benchExperiment(b, "syncscale") }
 
 // BenchmarkSyncCollectivePricing prices one ranked sync of a prepared
 // 16-member group under the most expensive knob combination (tree topology,

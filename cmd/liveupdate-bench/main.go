@@ -5,20 +5,20 @@
 //	liveupdate-bench -exp fig14            # one experiment, full fidelity
 //	liveupdate-bench -exp all -quick       # everything, reduced samples
 //	liveupdate-bench -exp all -concurrency 4  # experiments in parallel
-//	liveupdate-bench -exp syncpipe -sync-mode barrier  # fleet serving, one sync mode
-//	liveupdate-bench -exp elastic -chaos "@2s kill 1; @4s replace 1"  # custom churn
 //	liveupdate-bench -list                 # show available experiment ids
 //
-// Exit status: 0 on success, 1 when an experiment fails, 2 when emitting
-// results fails (e.g. a closed or full output pipe) — results that cannot
-// be written are results that were never delivered, so write errors are
-// checked and fatal rather than silently dropped.
+// Exit status: 0 on success, 1 when an experiment fails, 2 on a bad flag or
+// when emitting results fails (e.g. a closed or full output pipe) — results
+// that cannot be written are results that were never delivered, so write
+// errors are checked and fatal rather than silently dropped.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,92 +29,45 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig3a..fig19, table2, table3) or 'all'")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
-	quick := flag.Bool("quick", false, "reduced sample counts (smoke run)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	concurrency := flag.Int("concurrency", 1,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("liveupdate-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id (fig3a..fig19, table2, table3) or 'all'")
+	seed := fs.Uint64("seed", 42, "deterministic seed")
+	quick := fs.Bool("quick", false, "reduced sample counts (smoke run)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	concurrency := fs.Int("concurrency", 1,
 		"experiments to run in parallel (output order stays deterministic)")
-	syncMode := flag.String("sync-mode", "",
-		fmt.Sprintf("restrict fleet-serving experiments (syncpipe, elastic) to one sync propagation mode %v; empty runs their defaults", liveupdate.SyncModes()))
-	chaosScript := flag.String("chaos", "",
-		"override the elastic experiment's built-in membership schedule, e.g. \"@2s kill 1; @4s replace 1; @6s scale 6\"")
-	batch := flag.Int("batch", 0,
-		"lane-coalescing batch size for the fleet-serving experiments (syncpipe, elastic); 0 = unbatched")
-	topology := flag.String("topology", "",
-		fmt.Sprintf("restrict the syncscale experiment to one sync collective topology %v; empty sweeps all", liveupdate.SyncTopologies()))
-	delta := flag.Bool("delta", false, "bill delta syncs (only changed rows/factors) in the fleet-serving experiments")
-	compress := flag.Int("compress", 0, "flate level for sync payload pricing in the fleet-serving experiments (0 = off, 1-9)")
-	quant := flag.String("quant", "",
-		fmt.Sprintf("restrict the kernels experiment's AUC gate to one quantized mode %v (empty gates all quantized modes)", liveupdate.Quantizations()))
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile after the run to this file (go tool pprof)")
-	flag.Parse()
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile after the run to this file (go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *concurrency < 1 {
-		fmt.Fprintf(os.Stderr, "liveupdate-bench: -concurrency must be >= 1, got %d\n", *concurrency)
-		os.Exit(1)
-	}
-	if *syncMode != "" {
-		valid := false
-		for _, m := range liveupdate.SyncModes() {
-			if *syncMode == string(m) {
-				valid = true
-			}
-		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "liveupdate-bench: -sync-mode must be one of %v, got %q\n",
-				liveupdate.SyncModes(), *syncMode)
-			os.Exit(1)
-		}
-	}
-	if *chaosScript != "" {
-		if _, err := liveupdate.ParseChaosScript(*chaosScript); err != nil {
-			fmt.Fprintf(os.Stderr, "liveupdate-bench: -chaos: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *batch < 0 {
-		fmt.Fprintf(os.Stderr, "liveupdate-bench: -batch must be non-negative, got %d\n", *batch)
-		os.Exit(1)
-	}
-	// The fleet-scale sync flags follow the usage-then-exit-2 convention:
-	// a bad value prints the flag table so the valid domain is in view.
-	usagef := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "liveupdate-bench: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *topology != "" {
-		valid := false
-		for _, t := range liveupdate.SyncTopologies() {
-			if *topology == string(t) {
-				valid = true
-			}
-		}
-		if !valid {
-			usagef("-topology must be one of %v, got %q", liveupdate.SyncTopologies(), *topology)
-		}
-	}
-	if *compress < 0 || *compress > 9 {
-		usagef("-compress must be in [0,9], got %d", *compress)
-	}
-	if _, err := liveupdate.ParseQuantization(*quant); err != nil {
-		usagef("-quant must be one of %v, got %q", liveupdate.Quantizations(), *quant)
+		fmt.Fprintf(stderr, "liveupdate-bench: -concurrency must be >= 1, got %d\n", *concurrency)
+		return 1
 	}
 	// Profiling brackets the experiment runs themselves; stopProfiles is
 	// called explicitly (not deferred) right after the experiments finish, so
-	// the fatal os.Exit paths of result emission cannot truncate a profile.
+	// a failed result emission cannot truncate a profile.
 	var cpuFile *os.File
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "liveupdate-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "liveupdate-bench: -cpuprofile: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "liveupdate-bench: starting CPU profile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "liveupdate-bench: starting CPU profile: %v\n", err)
+			f.Close()
+			return 1
 		}
 		cpuFile = f
 	}
@@ -122,50 +75,44 @@ func main() {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "liveupdate-bench: closing CPU profile: %v\n", err)
+				fmt.Fprintf(stderr, "liveupdate-bench: closing CPU profile: %v\n", err)
 			}
 			cpuFile = nil
 		}
 		if *memProfile != "" {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "liveupdate-bench: -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "liveupdate-bench: -memprofile: %v\n", err)
 				return
 			}
 			runtime.GC() // settle: profile retained memory, not garbage
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "liveupdate-bench: writing heap profile: %v\n", err)
+				fmt.Fprintf(stderr, "liveupdate-bench: writing heap profile: %v\n", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "liveupdate-bench: closing heap profile: %v\n", err)
+				fmt.Fprintf(stderr, "liveupdate-bench: closing heap profile: %v\n", err)
 			}
 		}
 	}
 
-	// All result emission goes through one checked writer: a write error
-	// (closed pipe, full disk) must surface as a non-zero exit, not be
-	// ignored sample by sample.
-	out := bufio.NewWriter(os.Stdout)
-	emit := func(format string, args ...any) {
-		if _, err := fmt.Fprintf(out, format, args...); err != nil {
-			fmt.Fprintf(os.Stderr, "liveupdate-bench: writing results: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	flush := func() {
+	// All result emission goes through one buffered writer, which keeps its
+	// first write error: a failed write (closed pipe, full disk) surfaces
+	// from flush as a non-zero exit, not ignored sample by sample.
+	out := bufio.NewWriter(stdout)
+	flush := func() int {
 		if err := out.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "liveupdate-bench: flushing results: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "liveupdate-bench: writing results: %v\n", err)
+			return 2
 		}
+		return 0
 	}
 
 	if *list {
 		stopProfiles() // nothing to profile; close cleanly
 		for _, id := range liveupdate.ExperimentIDs() {
-			emit("%s\n", id)
+			fmt.Fprintln(out, id)
 		}
-		flush()
-		return
+		return flush()
 	}
 
 	ids := liveupdate.ExperimentIDs()
@@ -190,17 +137,7 @@ func main() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			out, err := liveupdate.RunExperimentWith(id, liveupdate.ExperimentConfig{
-				Seed:         *seed,
-				Quick:        *quick,
-				SyncMode:     liveupdate.SyncMode(*syncMode),
-				ChaosScript:  *chaosScript,
-				BatchSize:    *batch,
-				Topology:     liveupdate.SyncTopology(*topology),
-				DeltaSync:    *delta,
-				Compression:  *compress,
-				Quantization: liveupdate.Quantization(*quant),
-			})
+			out, err := liveupdate.RunExperiment(id, *seed, *quick)
 			results[i] = result{out: out, seconds: time.Since(start).Seconds(), err: err}
 		}(i, id)
 	}
@@ -211,15 +148,18 @@ func main() {
 	for i, id := range ids {
 		r := results[i]
 		if r.err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, r.err)
+			fmt.Fprintf(stderr, "experiment %s failed: %v\n", id, r.err)
 			failed++
 			continue
 		}
-		emit("%s", r.out)
-		emit("(%s in %.1fs)\n\n", id, r.seconds)
+		fmt.Fprint(out, r.out)
+		fmt.Fprintf(out, "(%s in %.1fs)\n\n", id, r.seconds)
 	}
-	flush()
+	if code := flush(); code != 0 {
+		return code
+	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -21,7 +21,7 @@ const (
 	TopologyRing Kind = "ring"
 	// TopologyTree is a binomial reduce + binomial broadcast: ceil(log2 n)
 	// rounds each way, with partial merges bounded by the final merged
-	// payload. The log-depth topology the syncscale experiment is about.
+	// payload: the log-depth topology.
 	TopologyTree Kind = "tree"
 )
 

@@ -29,8 +29,8 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
-// TestTopologyCostShapes pins the scaling laws the syncscale experiment
-// reports: tree rounds grow like ⌈log2 n⌉, ring rounds like n-1, and the
+// TestTopologyCostShapes pins the scaling laws behind the TestSyncScale*
+// cells: tree rounds grow like ⌈log2 n⌉, ring rounds like n-1, and the
 // hierarchical wire bills are (n-1)·hop against flat's n·(2^⌈log2 n⌉-1)·hop.
 func TestTopologyCostShapes(t *testing.T) {
 	for _, topo := range []Topology{Flat{}, Ring{}, Tree{}} {

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"liveupdate/internal/emt"
 	"liveupdate/internal/tensor"
+	"liveupdate/internal/trace"
 )
 
 func TestParseQuantMode(t *testing.T) {
@@ -54,6 +56,53 @@ func TestSetQuantizationChangesAndRestoresPredictions(t *testing.T) {
 	}
 	if err := m.SetQuantization("fp8"); err == nil {
 		t.Fatal("SetQuantization must reject unknown modes")
+	}
+}
+
+// quantAUCEpsilon is the accuracy gate for quantized inference: a quantized
+// model's AUC may differ from the float64 baseline by at most this much, in
+// either direction.
+const quantAUCEpsilon = 0.01
+
+// TestQuantAUCWithinEpsilon trains a small DLRM in float64 on a shrunk
+// criteo profile, then scores one held-out batch with float64 and with each
+// quantized mode's weights: |AUC(quantized) − AUC(float64)| ≤
+// quantAUCEpsilon. Training never sees quantization (it only snapshots the
+// published inference weights), so the delta isolates the kernels' numeric
+// error. The baseline must rank well above chance, or any quantized ranking
+// near 0.5 would pass the gate.
+func TestQuantAUCWithinEpsilon(t *testing.T) {
+	const seed, lr = 7, 0.2
+	p := trace.Profiles()["criteo"]
+	p.NumTables = 4
+	p.TableSize = 300
+	p.MultiHot = p.MultiHot[:4]
+	gen := trace.MustNewGenerator(p, seed)
+	rng := tensor.NewRNG(seed ^ 0x6b31)
+	model, err := NewModel(ConfigForProfile(p), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb := &BaseEmbeddings{Group: emt.NewGroup(p.NumTables, p.TableSize, p.EmbeddingDim, rng)}
+	tr := &Trainer{Model: model, Emb: emb, Opt: SGD{LR: lr}, EmbLR: lr}
+	for i := 0; i < 20; i++ {
+		tr.TrainBatch(gen.Batch(100, 60))
+	}
+	eval := gen.Batch(1000, 60)
+
+	base := EvaluateAUC(model, emb, eval)
+	if base < 0.65 {
+		t.Fatalf("baseline AUC %v too close to chance for the gate to mean anything", base)
+	}
+	for _, mode := range []QuantMode{QuantInt8, QuantF16} {
+		if err := model.SetQuantization(mode); err != nil {
+			t.Fatal(err)
+		}
+		quant := EvaluateAUC(model, emb, eval)
+		if delta := math.Abs(quant - base); delta > quantAUCEpsilon {
+			t.Errorf("%s: |ΔAUC| = %v exceeds epsilon %v (base %v, quant %v)",
+				mode, delta, quantAUCEpsilon, base, quant)
+		}
 	}
 }
 

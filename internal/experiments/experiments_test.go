@@ -11,7 +11,7 @@ func quickOpts() Options { return Options{Seed: 7, Quick: true} }
 // run executes a registered runner and sanity-checks report structure.
 func run(t *testing.T, id string) Report {
 	t.Helper()
-	runner, ok := Registry()[id]
+	runner, ok := Lookup(id)
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
@@ -65,15 +65,18 @@ func parseF(t *testing.T, s string) float64 {
 	return v
 }
 
+// TestRegistryCoversAllIDs: every id resolves, ids are unique, and an
+// unknown id does not.
 func TestRegistryCoversAllIDs(t *testing.T) {
-	reg := Registry()
+	seen := map[string]bool{}
 	for _, id := range IDs() {
-		if _, ok := reg[id]; !ok {
-			t.Fatalf("id %q missing from registry", id)
+		if _, ok := Lookup(id); !ok || seen[id] {
+			t.Fatalf("id %q: registered %v, duplicate %v", id, ok, seen[id])
 		}
+		seen[id] = true
 	}
-	if len(reg) != len(IDs()) {
-		t.Fatalf("registry has %d entries, IDs lists %d", len(reg), len(IDs()))
+	if _, ok := Lookup("nope"); ok {
+		t.Fatal(`Lookup("nope") found a runner`)
 	}
 }
 

@@ -15,18 +15,6 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/paper_golden.jso
 
 const goldenPath = "testdata/paper_golden.json"
 
-// paperIDs returns the experiments that regenerate the paper's own tables
-// and figures; the serving-stack ids are not pinned.
-func paperIDs() []string {
-	var ids []string
-	for _, id := range IDs() {
-		if strings.HasPrefix(id, "fig") || strings.HasPrefix(id, "table") {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // goldenReport pins one experiment's quick-mode table (seed 7).
 type goldenReport struct {
 	Header []string   `json:"header"`
@@ -55,9 +43,9 @@ func TestPaperGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := paperIDs()
+	ids := IDs()
 	if len(ids) != 18 {
-		t.Fatalf("%d paper ids in IDs(), want the paper's 18: %v", len(ids), ids)
+		t.Fatalf("%d ids in IDs(), want the paper's 18: %v", len(ids), ids)
 	}
 	for _, id := range ids {
 		rep := run(t, id)

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V): each experiment id (fig3a … fig19, table3) has a runner
+// evaluation (§V): each experiment id (table2, fig3a … fig19, table3) has a runner
 // that produces a Report with the same rows/series the paper plots. Runners
 // come in two modes: Quick (seconds; used by tests and benchmarks) and full
 // (used by cmd/liveupdate-bench).
@@ -63,85 +63,56 @@ func (r Report) String() string {
 type Options struct {
 	Seed  uint64
 	Quick bool // reduced sample counts for tests/benchmarks
-
-	// SyncMode restricts fleet-serving experiments (syncpipe, elastic) to
-	// one sync propagation mode ("async" or "barrier"); empty runs their
-	// default set.
-	SyncMode string
-
-	// Chaos overrides the elastic experiment's built-in membership-event
-	// schedule with a parsed chaos script (the -chaos flag grammar); empty
-	// uses the built-in kill/replace/scale sequence.
-	Chaos string
-
-	// Batch sets the load driver's lane-coalescing batch size for the
-	// fleet-serving experiments (syncpipe, elastic); 0 or 1 drives unbatched.
-	// Virtual-time columns are batch-invariant; wall-clock throughput is not.
-	Batch int
-
-	// Topology restricts the syncscale experiment to one collective
-	// topology ("flat", "ring", "tree"); empty sweeps all three.
-	Topology string
-
-	// Delta enables delta sync billing in the fleet-serving experiments;
-	// Compress sets their flate level (0 off, 1–9). Both are cost knobs:
-	// virtual-state columns are invariant to them.
-	Delta    bool
-	Compress int
-
-	// Quant restricts the kernels experiment's AUC gate to one quantized
-	// mode ("int8" or "f16"); empty gates both. Virtual-time columns of
-	// every experiment are invariant to the quantization knob (it changes
-	// served probabilities only).
-	Quant string
 }
 
 // Runner executes one experiment.
 type Runner func(Options) (Report, error)
 
-// Registry maps experiment ids to runners.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"fig3a":  Fig3a,
-		"fig3b":  Fig3b,
-		"fig4":   Fig4,
-		"fig5":   Fig5,
-		"fig6":   Fig6,
-		"fig8":   Fig8,
-		"fig9":   Fig9,
-		"fig10":  Fig10,
-		"fig11":  Fig11,
-		"fig12":  Fig12,
-		"fig14":  Fig14,
-		"fig15":  Fig15,
-		"fig16":  Fig16,
-		"fig17":  Fig17,
-		"fig18":  Fig18,
-		"fig19":  Fig19,
-		"table2": Table2,
-		"table3": Table3,
-
-		// Beyond the paper: serving-stack experiments.
-		"syncpipe":  Syncpipe,
-		"elastic":   Elastic,
-		"wire":      Wire,
-		"faultwire": Faultwire,
-		"syncscale": SyncScale,
-		"kernels":   Kernels,
-	}
+// paper is the suite: the paper's 18 tables and figures, in presentation
+// order. IDs and Lookup both read it.
+var paper = []struct {
+	ID  string
+	Run Runner
+}{
+	{"table2", Table2},
+	{"fig3a", Fig3a},
+	{"fig3b", Fig3b},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig14", Fig14},
+	{"table3", Table3},
+	{"fig15", Fig15},
+	{"fig16", Fig16},
+	{"fig17", Fig17},
+	{"fig18", Fig18},
+	{"fig19", Fig19},
 }
 
 // IDs returns experiment ids in presentation order.
 func IDs() []string {
-	return []string{
-		"table2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig14", "table3", "fig15", "fig16",
-		"fig17", "fig18", "fig19", "syncpipe", "elastic", "wire", "faultwire",
-		"syncscale", "kernels",
+	ids := make([]string, len(paper))
+	for i, e := range paper {
+		ids[i] = e.ID
 	}
+	return ids
 }
 
-func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
+// Lookup returns the runner for id.
+func Lookup(id string) (Runner, bool) {
+	for _, e := range paper {
+		if e.ID == id {
+			return e.Run, true
+		}
+	}
+	return nil, false
+}
+
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string  { return fmt.Sprintf("%.4f", v) }

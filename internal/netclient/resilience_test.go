@@ -330,83 +330,136 @@ func TestPerAttemptDeadline(t *testing.T) {
 	}
 }
 
-// TestDriveSurvivesListenerFaults drives a real gateway whose listener is
-// wrapped in a reset-heavy fault plan: every request must still complete
-// (the ledger reconciles with zero give-ups), with the virtual-time stats
-// identical to what the same drive produces fault-free.
+// TestDriveSurvivesListenerFaults drives one trace through a real loopback
+// gateway once per fault plan — fault-free, then once per fault class, each
+// from a fixed seed so a failure replays exactly — and asserts the wire
+// path's resilience contract on every row:
+//
+//   - reconciliation: accepted + gaveUp == sent, with gaveUp 0, so no fault
+//     lost or duplicated a served request;
+//   - drain ledger: after the graceful Close, accepted == completed on every
+//     endpoint;
+//   - virtual-time identity: the server's virtual-time stats equal an
+//     in-process core.System drive of the same trace. Faults cost wall-clock
+//     time, never simulated state.
+//
+// One worker on one lane with unbatched requests is a closed loop in which
+// retries preserve arrival order, which makes the identity exact. Every
+// injected delay stays far below the client's per-attempt deadline, so a
+// request is never abandoned while the server still serves it (the one way
+// a duplicate could happen). The corrupt row survives bit flips because the
+// gateway verifies each body's CRC-32 before admission.
 func TestDriveSurvivesListenerFaults(t *testing.T) {
-	plan := faultnet.MustParsePlan("reset(p=0.05);latency(p=0.1,min=0s,max=2ms)")
-	plan.Seed = 7
-	// Fault-free baseline first.
-	base := driveOnce(t, faultnet.Plan{})
-	faulted := driveOnce(t, plan)
-	if base != faulted {
-		t.Fatalf("virtual stats diverged under faults:\nfault-free: %+v\nfaulted:    %+v", base, faulted)
+	const seed, requests = 7, 200
+	p := smallProfile(t)
+	newSystem := func(t *testing.T) *core.System {
+		opts := core.DefaultOptions(p, seed)
+		opts.TrainInterval = 4
+		sys, err := core.New(opts)
+		if err != nil {
+			t.Fatalf("core.New: %v", err)
+		}
+		return sys
+	}
+	drive := func(t *testing.T, srv driver.Server) {
+		gen, err := trace.NewGenerator(p, seed^0x51)
+		if err != nil {
+			t.Fatalf("generator: %v", err)
+		}
+		if _, err := driver.Drive(context.Background(), srv, gen.Next, driver.Config{
+			Requests: requests, Workers: 1, Seed: seed,
+		}); err != nil {
+			t.Fatalf("Drive: %v", err)
+		}
+	}
+	sys := newSystem(t)
+	drive(t, sys)
+	want := statsOf(sys.Stats())
+
+	for _, tc := range []struct{ name, plan string }{
+		{"wire", ""}, // the serialization path alone must already match
+		{"latency", "latency(p=0.15,min=0s,max=2ms)"},
+		{"reset", "reset(p=0.08)"},
+		{"blackhole", "blackhole(p=0.05,stall=10ms)"},
+		{"truncate", "truncate(p=0.08)"},
+		{"corrupt", "corrupt(p=0.08,bits=3)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			var lnUse net.Listener = ln
+			var faulted *faultnet.Listener
+			if tc.plan != "" {
+				plan := faultnet.MustParsePlan(tc.plan)
+				plan.Seed = seed ^ 0xfa17
+				faulted = faultnet.WrapListener(ln, plan)
+				lnUse = faulted
+			}
+			gw, err := netserve.New(newSystem(t), lnUse, netserve.Config{})
+			if err != nil {
+				ln.Close()
+				t.Fatalf("netserve.New: %v", err)
+			}
+			defer gw.Close()
+			c, err := Dial(ln.Addr().String(), Config{
+				Conns: 1, Timeout: 2 * time.Second, Retries: 512,
+				BackoffBase: time.Millisecond, MaxRetryWait: 10 * time.Millisecond,
+				Seed: seed,
+			})
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			drive(t, c)
+			gaveUp := c.GaveUp()
+			c.Close()
+			if err := gw.Close(); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			var accepted uint64
+			for _, ep := range gw.WireStats() {
+				accepted += ep.Accepted
+				if ep.Accepted != ep.Completed {
+					t.Errorf("drain ledger: %s accepted %d != completed %d", ep.Endpoint, ep.Accepted, ep.Completed)
+				}
+			}
+			if gaveUp != 0 || accepted+gaveUp != requests {
+				t.Errorf("ledger: accepted %d + gaveUp %d, want %d + 0", accepted, gaveUp, requests)
+			}
+			if got := statsOf(gw.Stats()); got != want {
+				t.Errorf("virtual stats diverged from the in-process drive:\ngot  %+v\nwant %+v", got, want)
+			}
+			if faulted != nil && faulted.FaultsTotal() == 0 {
+				t.Errorf("plan %q never fired", tc.plan)
+			}
+		})
 	}
 }
 
+// driveStats is the virtual-time slice of core.Stats. Wall-clock fields
+// (QPS, Elapsed) and the wire ledger are left out: faults cost real time by
+// design.
 type driveStats struct {
-	Served     uint64
-	P50, P99   float64
-	Mean       float64
-	TrainSteps uint64
+	Served                 uint64
+	P50, P99, Mean         float64
+	Violations, TrainSteps uint64
+	FullSyncs              uint64
+	VirtualTime            float64
+	InferHit, TrainHit     float64
 }
 
-func driveOnce(t *testing.T, plan faultnet.Plan) driveStats {
-	t.Helper()
-	sys, err := core.New(core.DefaultOptions(smallProfile(t), 42))
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	var lnAny net.Listener = ln
-	if plan.Enabled() {
-		lnAny = faultnet.WrapListener(ln, plan)
-	}
-	g, err := netserve.New(sys, lnAny, netserve.Config{})
-	if err != nil {
-		t.Fatalf("netserve.New: %v", err)
-	}
-	defer g.Close()
-	c, err := Dial(ln.Addr().String(), Config{
-		Timeout:      2 * time.Second,
-		BackoffBase:  time.Millisecond,
-		MaxRetryWait: 10 * time.Millisecond,
-		Retries:      256,
-	})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	gen, err := trace.NewGenerator(smallProfile(t), 21)
-	if err != nil {
-		t.Fatalf("generator: %v", err)
-	}
-	// One worker, one lane, singles: requests reach the server strictly in
-	// trace order, so the faulted run replays the exact serve sequence of
-	// the fault-free run — the condition for bit-identical virtual stats.
-	if _, err := driver.Drive(context.Background(), c, gen.Next, driver.Config{
-		Requests: 120,
-		Workers:  1,
-		Seed:     21,
-	}); err != nil {
-		t.Fatalf("Drive under plan %q: %v", plan.Name, err)
-	}
-	if c.GaveUp() != 0 {
-		t.Fatalf("client gave up on requests despite a 256-attempt budget")
-	}
-	st, err := c.FetchStats()
-	if err != nil {
-		t.Fatalf("FetchStats: %v", err)
-	}
+func statsOf(st core.Stats) driveStats {
 	return driveStats{
-		Served:     st.Served,
-		P50:        st.P50,
-		P99:        st.P99,
-		Mean:       st.MeanLatency,
-		TrainSteps: st.TrainSteps,
+		Served:      st.Served,
+		P50:         st.P50,
+		P99:         st.P99,
+		Mean:        st.MeanLatency,
+		Violations:  st.Violations,
+		TrainSteps:  st.TrainSteps,
+		FullSyncs:   st.FullSyncs,
+		VirtualTime: st.VirtualTime,
+		InferHit:    st.InferenceHitRatio,
+		TrainHit:    st.TrainingHitRatio,
 	}
 }

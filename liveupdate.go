@@ -230,9 +230,9 @@ func SyncTopologies() []SyncTopology { return collective.Topologies() }
 // Quantization selects the published inference weight format of the dense
 // MLPs. Training always runs in float64; quantization snapshots the weights
 // at publish time (system construction, full sync), so it changes served
-// probabilities only — every virtual-time statistic is invariant to it. The
-// kernels experiment gates each quantized mode's accuracy: |ΔAUC| vs the
-// float64 baseline must stay under experiments.KernelAUCEpsilon.
+// probabilities only — every virtual-time statistic is invariant to it.
+// dlrm's TestQuantAUCWithinEpsilon gates each quantized mode's accuracy:
+// |ΔAUC| vs the float64 baseline must stay within 0.01.
 type Quantization = dlrm.QuantMode
 
 // The quantization modes.
@@ -299,7 +299,6 @@ func (f optionFunc) apply(c *config) error { return f(c) }
 type config struct {
 	profile   *Profile
 	seed      uint64
-	seedSet   bool
 	replicas  int
 	router    RouterPolicy
 	syncEvery time.Duration
@@ -308,7 +307,6 @@ type config struct {
 	deltaSync bool
 	compress  int
 	chaos     ChaosSchedule
-	legacy    *core.Options
 	overrides []func(*core.Options)
 	listener  net.Listener
 	admission AdmissionConfig
@@ -316,8 +314,7 @@ type config struct {
 	faultPlan FaultPlan
 }
 
-// WithProfile selects the dataset/workload profile (required unless a legacy
-// Options value is supplied).
+// WithProfile selects the dataset/workload profile (required).
 func WithProfile(p Profile) Option {
 	return optionFunc(func(c *config) error {
 		c.profile = &p
@@ -330,7 +327,6 @@ func WithProfile(p Profile) Option {
 func WithSeed(seed uint64) Option {
 	return optionFunc(func(c *config) error {
 		c.seed = seed
-		c.seedSet = true
 		return nil
 	})
 }
@@ -680,33 +676,11 @@ var (
 	_ Server = (*RemoteServer)(nil)
 )
 
-// Options is the legacy flat configuration struct.
-//
-// Deprecated: build Servers with New and functional options (WithProfile,
-// WithSeed, WithReplicas, ...). Options itself implements Option, so
-// existing New(DefaultOptions(p, seed)) call sites keep working; the value
-// is taken verbatim as the per-node configuration.
+// Options is the per-node configuration WithSystemOptions edits.
 type Options core.Options
 
-func (o Options) apply(c *config) error {
-	co := core.Options(o)
-	c.legacy = &co
-	return nil
-}
-
-// DefaultOptions returns the full-system single-node configuration
-// (training, NUMA scheduling, and embedding-vector reuse all enabled) for a
-// profile.
-//
-// Deprecated: prefer functional options; kept for the legacy New(Options)
-// form and as the base WithSystemOptions edits.
-func DefaultOptions(p Profile, seed uint64) Options {
-	return Options(core.DefaultOptions(p, seed))
-}
-
 // New builds a Server. With WithReplicas(1) (the default) the result is a
-// single-node *System; with more replicas it is a *Cluster. A legacy Options
-// value may be passed instead of (not alongside) WithProfile/WithSeed.
+// single-node *System; with more replicas it is a *Cluster.
 func New(opts ...Option) (Server, error) {
 	c := config{seed: 42, replicas: 1, router: RoundRobinRouter, syncEvery: 30 * time.Second, syncMode: SyncModeAsync}
 	for _, o := range opts {
@@ -717,19 +691,10 @@ func New(opts ...Option) (Server, error) {
 			return nil, err
 		}
 	}
-	var base core.Options
-	switch {
-	case c.legacy != nil && c.profile != nil:
-		return nil, fmt.Errorf("liveupdate: legacy Options and WithProfile are mutually exclusive")
-	case c.legacy != nil && c.seedSet:
-		return nil, fmt.Errorf("liveupdate: legacy Options and WithSeed are mutually exclusive (set Options.Seed instead)")
-	case c.legacy != nil:
-		base = *c.legacy
-	case c.profile != nil:
-		base = core.DefaultOptions(*c.profile, c.seed)
-	default:
-		return nil, fmt.Errorf("liveupdate: New requires WithProfile (or a legacy Options value)")
+	if c.profile == nil {
+		return nil, fmt.Errorf("liveupdate: New requires WithProfile")
 	}
+	base := core.DefaultOptions(*c.profile, c.seed)
 	for _, edit := range c.overrides {
 		edit(&base)
 	}
@@ -929,61 +894,18 @@ type CostModel = update.CostModel
 // 5% QuickUpdate sampling).
 func NewCostModel(p Profile) CostModel { return update.DefaultCostModel(p) }
 
-// ExperimentIDs lists the reproducible tables and figures in presentation
-// order (fig3a … fig19, table2, table3, syncpipe).
+// ExperimentIDs lists the paper's 18 reproducible tables and figures in
+// presentation order (table2, fig3a, …, fig19).
 func ExperimentIDs() []string { return experiments.IDs() }
-
-// ExperimentConfig configures RunExperimentWith.
-type ExperimentConfig struct {
-	// Seed is the deterministic seed.
-	Seed uint64
-	// Quick reduces sample counts (tests, smoke runs).
-	Quick bool
-	// SyncMode restricts fleet-serving experiments (syncpipe, elastic) to
-	// one sync propagation mode; the zero value runs their default mode set.
-	SyncMode SyncMode
-	// ChaosScript overrides the elastic experiment's built-in
-	// kill/replace/scale schedule (ParseChaosScript grammar).
-	ChaosScript string
-	// BatchSize sets the load driver's lane-coalescing batch size for the
-	// fleet-serving experiments (syncpipe, elastic); 0 or 1 drives unbatched.
-	BatchSize int
-	// Topology restricts the syncscale experiment to one collective
-	// topology ("flat", "ring", "tree"); the zero value sweeps all three.
-	Topology SyncTopology
-	// DeltaSync enables delta sync billing in the fleet-serving experiments.
-	DeltaSync bool
-	// Compression sets the fleet-serving experiments' flate level (0–9).
-	Compression int
-	// Quantization restricts the kernels experiment's AUC gate to one
-	// quantized mode; the zero value gates every quantized mode.
-	Quantization Quantization
-}
 
 // RunExperiment regenerates one paper table/figure and returns its printable
 // report. Set quick for reduced sample counts (tests, smoke runs).
 func RunExperiment(id string, seed uint64, quick bool) (string, error) {
-	return RunExperimentWith(id, ExperimentConfig{Seed: seed, Quick: quick})
-}
-
-// RunExperimentWith is RunExperiment with the full configuration surface,
-// including the sync propagation mode for fleet-serving experiments.
-func RunExperimentWith(id string, cfg ExperimentConfig) (string, error) {
-	runner, ok := experiments.Registry()[id]
+	runner, ok := experiments.Lookup(id)
 	if !ok {
 		return "", fmt.Errorf("liveupdate: unknown experiment %q (valid: %v)", id, experiments.IDs())
 	}
-	rep, err := runner(experiments.Options{
-		Seed:     cfg.Seed,
-		Quick:    cfg.Quick,
-		SyncMode: string(cfg.SyncMode),
-		Chaos:    cfg.ChaosScript,
-		Batch:    cfg.BatchSize,
-		Topology: string(cfg.Topology),
-		Delta:    cfg.DeltaSync,
-		Compress: cfg.Compression,
-		Quant:    string(cfg.Quantization),
-	})
+	rep, err := runner(experiments.Options{Seed: seed, Quick: quick})
 	if err != nil {
 		return "", err
 	}

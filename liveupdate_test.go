@@ -1,6 +1,7 @@
 package liveupdate
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -53,11 +54,9 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestLegacyOptionsShim(t *testing.T) {
+func TestWithTrainingOff(t *testing.T) {
 	p := smallProfile(t)
-	opts := DefaultOptions(p, 7)
-	opts.EnableTraining = false
-	srv, err := New(opts)
+	srv, err := New(WithProfile(p), WithSeed(7), WithTraining(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +67,7 @@ func TestLegacyOptionsShim(t *testing.T) {
 		}
 	}
 	if st := srv.Stats(); st.TrainSteps != 0 {
-		t.Fatalf("training disabled via legacy Options, but %d train steps ran", st.TrainSteps)
-	}
-	if _, err := New(opts, WithProfile(p)); err == nil {
-		t.Fatal("legacy Options + WithProfile must be rejected")
-	}
-	if _, err := New(opts, WithSeed(9)); err == nil {
-		t.Fatal("legacy Options + WithSeed must be rejected, not silently ignored")
+		t.Fatalf("training disabled via WithTraining(false), but %d train steps ran", st.TrainSteps)
 	}
 }
 
@@ -183,21 +176,16 @@ func TestRunExperimentUnknownIDError(t *testing.T) {
 	}
 }
 
+// TestExperimentIDsStable: the suite is exactly the paper's 18 tables and
+// figures, in presentation order.
 func TestExperimentIDsStable(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 24 {
-		t.Fatalf("expected 24 experiments, got %d", len(ids))
+	want := []string{
+		"table2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig8", "fig9",
+		"fig10", "fig11", "fig12", "fig14", "table3", "fig15", "fig16",
+		"fig17", "fig18", "fig19",
 	}
-	for _, want := range []string{"fig14", "table3", "fig16", "fig19", "elastic", "wire", "faultwire", "syncscale", "kernels"} {
-		found := false
-		for _, id := range ids {
-			if id == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("missing experiment %q", want)
-		}
+	if ids := ExperimentIDs(); !slices.Equal(ids, want) {
+		t.Fatalf("ExperimentIDs() = %v, want %v", ids, want)
 	}
 }
 
