@@ -353,9 +353,8 @@ func BenchmarkClusterServeBatchedNoAlloc(b *testing.B) {
 
 // benchSyncFleet builds a 4-replica hash-routed fleet with an aggressive
 // periodic sync cadence (every 100ms of virtual time → a sync every few
-// hundred requests) in the given propagation mode, so sync handling is a
-// measurable share of the drive.
-func benchSyncFleet(b *testing.B, mode SyncMode) (Server, *Workload) {
+// hundred requests), so sync handling is a measurable share of the drive.
+func benchSyncFleet(b *testing.B) (Server, *Workload) {
 	b.Helper()
 	p := benchServingProfile()
 	srv, err := New(
@@ -364,7 +363,6 @@ func benchSyncFleet(b *testing.B, mode SyncMode) (Server, *Workload) {
 		WithReplicas(4),
 		WithRouter(HashRouter),
 		WithSyncEvery(100*time.Millisecond),
-		WithSyncMode(mode),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -372,8 +370,11 @@ func benchSyncFleet(b *testing.B, mode SyncMode) (Server, *Workload) {
 	return srv, NewWorkload(p, 2)
 }
 
-func benchClusterSync(b *testing.B, mode SyncMode) {
-	srv, gen := benchSyncFleet(b, mode)
+// BenchmarkClusterSync drives a syncing fleet with 8 workers: snapshots,
+// background merges, and atomic per-replica publication run beside serving,
+// which never blocks behind a fleet-wide lock.
+func BenchmarkClusterSync(b *testing.B) {
+	srv, gen := benchSyncFleet(b)
 	b.ResetTimer()
 	rep, err := Drive(srv, gen, DriveConfig{Requests: b.N, Concurrency: 8, Seed: 1})
 	if err != nil {
@@ -386,19 +387,6 @@ func benchClusterSync(b *testing.B, mode SyncMode) {
 	b.ReportMetric(float64(rep.Final.Syncs), "syncs")
 }
 
-// BenchmarkClusterSyncBarrier drives a syncing fleet with the stop-the-world
-// protocol: every periodic priority-merge sync takes the fleet write lock
-// and stalls all 8 workers until the merged state is installed.
-func BenchmarkClusterSyncBarrier(b *testing.B) { benchClusterSync(b, SyncModeBarrier) }
-
-// BenchmarkClusterSyncAsync drives the identical fleet with the versioned
-// asynchronous pipeline: snapshots, background merge, and atomic per-replica
-// publication, with serving never blocked behind a fleet-wide lock. Compared
-// against the Barrier bench it quantifies the serve-latency tail the paper's
-// live-update design removes; the virtual-time stats (Served, sync counts)
-// are identical between the two.
-func BenchmarkClusterSyncAsync(b *testing.B) { benchClusterSync(b, SyncModeAsync) }
-
 // BenchmarkFleetReplaceReplica measures one full membership turnover on a
 // warmed 4-replica fleet: fail the member in slot 1, spawn a replacement,
 // and catch it up from a live donor (base-table checkpoint serialize +
@@ -406,7 +394,7 @@ func BenchmarkClusterSyncAsync(b *testing.B) { benchClusterSync(b, SyncModeAsync
 // control-plane cost a production fleet pays per crash, so its trajectory
 // matters as the serving stack grows.
 func BenchmarkFleetReplaceReplica(b *testing.B) {
-	srv, gen := benchSyncFleet(b, SyncModeAsync)
+	srv, gen := benchSyncFleet(b)
 	es := srv.(ElasticServer)
 	// Warm the fleet so the donor has real adapter state to ship.
 	for i := 0; i < 400; i++ {
@@ -582,8 +570,8 @@ func BenchmarkAblationRankResize(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSyncProtocol compares the sparse priority-merge protocol
-// (Algorithm 3) against a naive dense exchange in moved bytes and time.
+// BenchmarkAblationSyncProtocol measures one sparse priority-merge sync
+// (Algorithm 3) over 4 replicas: snapshot, merge, price, publish.
 func BenchmarkAblationSyncProtocol(b *testing.B) {
 	makeReplicas := func() []*lora.Set {
 		replicas := make([]*lora.Set, 4)
@@ -606,25 +594,24 @@ func BenchmarkAblationSyncProtocol(b *testing.B) {
 	grad[0] = 1
 	b.Run("priority-merge", func(b *testing.B) {
 		replicas := makeReplicas()
-		sg := collective.NewSyncGroup(replicas, simnet.Gbps100, 0.001)
+		sg, err := collective.NewSyncGroupWith(collective.GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states := make([]collective.RankedState, len(replicas))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A little fresh work per cycle, then the sparse sync.
 			replicas[i%4].ApplyGrad(0, []int32{int32(i % 2000)}, grad, 0.05)
-			if _, err := sg.Sync(simnet.NewClock()); err != nil {
+			for r, rep := range replicas {
+				states[r] = collective.RankedState{Rank: r, Tables: rep.Snapshot()}
+			}
+			merged, _, epoch, err := sg.SyncRanked(simnet.NewClock(), states)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("naive-dense", func(b *testing.B) {
-		// Naive alternative: every rank ships its full adapter state (all A
-		// rows of the table at current rank) regardless of modification.
-		for i := 0; i < b.N; i++ {
-			clock := simnet.NewClock()
-			link := simnet.NewLink(simnet.Gbps100, 0.001)
-			for r := 0; r < 4; r++ {
-				denseBytes := int64(2 * 2000 * 4 * 8) // 2 tables, full A at rank 4
-				link.TransferAndWait(clock, denseBytes)
+			for _, rep := range replicas {
+				rep.Publish(merged, epoch)
 			}
 		}
 	})
@@ -679,17 +666,6 @@ func runControllerSweep(b *testing.B, high, low float64) {
 				up = true
 			}
 		}
-	}
-}
-
-// BenchmarkAblationClockOverhead measures the discrete-event substrate
-// itself: virtual-clock transfers must be cheap enough to never dominate.
-func BenchmarkAblationClockOverhead(b *testing.B) {
-	clock := simnet.NewClock()
-	link := simnet.NewLink(simnet.Gbps100, 0.001)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		link.TransferAndWait(clock, 1<<20)
 	}
 }
 

@@ -104,10 +104,10 @@ func TestClusterPeriodicSyncPublicAPI(t *testing.T) {
 	}
 }
 
-// driveFleet builds a 4-replica hash-routed fleet with a fast periodic sync
-// in the given sync mode and returns it plus a fresh workload at a fixed
-// seed.
-func driveFleet(t *testing.T, mode liveupdate.SyncMode) (liveupdate.Server, *liveupdate.Workload) {
+// driveFleet builds a 4-replica hash-routed fleet with the given periodic
+// sync interval (0 disables it) and returns it plus a fresh workload at a
+// fixed seed.
+func driveFleet(t *testing.T, syncEvery time.Duration) (*liveupdate.Cluster, *liveupdate.Workload) {
 	t.Helper()
 	p := clusterProfile(t)
 	srv, err := liveupdate.New(
@@ -115,13 +115,12 @@ func driveFleet(t *testing.T, mode liveupdate.SyncMode) (liveupdate.Server, *liv
 		liveupdate.WithSeed(31),
 		liveupdate.WithReplicas(4),
 		liveupdate.WithRouter(liveupdate.HashRouter),
-		liveupdate.WithSyncEvery(2*time.Second),
-		liveupdate.WithSyncMode(mode),
+		liveupdate.WithSyncEvery(syncEvery),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, liveupdate.NewWorkload(p, 31)
+	return srv.(*liveupdate.Cluster), liveupdate.NewWorkload(p, 31)
 }
 
 // TestDriveMatchesSequentialServe is the acceptance property of the
@@ -129,98 +128,60 @@ func driveFleet(t *testing.T, mode liveupdate.SyncMode) (liveupdate.Server, *liv
 // 4-replica fleet produces exactly the virtual-time statistics of a plain
 // sequential Serve loop — same Served, Violations, TrainSteps, periodic
 // sync count, per-replica clocks, and fleet P99 — while actually serving
-// replicas from parallel goroutines. The property holds in BOTH sync
-// propagation modes: the asynchronous pipeline moves merges off the serving
-// critical path without perturbing any virtual-time statistic.
+// replicas from parallel goroutines: the periodic-sync pipeline moves merges
+// off the serving critical path without perturbing any virtual-time
+// statistic.
 func TestDriveMatchesSequentialServe(t *testing.T) {
-	for _, mode := range liveupdate.SyncModes() {
-		t.Run(string(mode), func(t *testing.T) {
-			const requests = 3000
+	const requests = 3000
 
-			seq, gen := driveFleet(t, mode)
-			for i := 0; i < requests; i++ {
-				if _, err := seq.Serve(gen.Next()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := seq.Stats()
-
-			par, gen := driveFleet(t, mode)
-			rep, err := liveupdate.Drive(par, gen, liveupdate.DriveConfig{
-				Requests:    requests,
-				Concurrency: 8,
-				Seed:        1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Served != requests {
-				t.Fatalf("drive served %d of %d", rep.Served, requests)
-			}
-			got := rep.Final
-
-			if want.Syncs == 0 {
-				t.Fatalf("fixture too small: no periodic syncs in %.2fs of virtual time", want.VirtualTime)
-			}
-			if got.Served != want.Served || got.Violations != want.Violations ||
-				got.TrainSteps != want.TrainSteps || got.Syncs != want.Syncs ||
-				got.VirtualTime != want.VirtualTime || got.P99 != want.P99 || got.P50 != want.P50 {
-				t.Fatalf("parallel drive diverged from sequential serve:\n"+
-					"  sequential: served=%d violations=%d steps=%d syncs=%d vt=%v p99=%v\n"+
-					"  parallel:   served=%d violations=%d steps=%d syncs=%d vt=%v p99=%v",
-					want.Served, want.Violations, want.TrainSteps, want.Syncs, want.VirtualTime, want.P99,
-					got.Served, got.Violations, got.TrainSteps, got.Syncs, got.VirtualTime, got.P99)
-			}
-			if len(got.Replicas) != len(want.Replicas) {
-				t.Fatalf("replica counts differ: %d vs %d", len(got.Replicas), len(want.Replicas))
-			}
-			for i := range want.Replicas {
-				w, g := want.Replicas[i], got.Replicas[i]
-				if g.Served != w.Served || g.Violations != w.Violations ||
-					g.TrainSteps != w.TrainSteps || g.VirtualTime != w.VirtualTime || g.P99 != w.P99 {
-					t.Fatalf("replica %d diverged:\n  sequential: %+v\n  parallel:   %+v", i, w, g)
-				}
-			}
-			// The drive report carries the sync-stall split.
-			if rep.SyncStallSeconds <= 0 ||
-				rep.SyncStallSeconds != rep.SyncComputeSeconds+rep.SyncPublishSeconds {
-				t.Fatalf("sync-stall split missing from report: total=%v compute=%v publish=%v",
-					rep.SyncStallSeconds, rep.SyncComputeSeconds, rep.SyncPublishSeconds)
-			}
-		})
+	seq, gen := driveFleet(t, 2*time.Second)
+	for i := 0; i < requests; i++ {
+		if _, err := seq.Serve(gen.Next()); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
+	want := seq.Stats()
 
-// TestWithSyncModePublicAPI covers the public mode surface: the default is
-// async, both modes construct, and bad modes are rejected at New.
-func TestWithSyncModePublicAPI(t *testing.T) {
-	p := clusterProfile(t)
-	srv, err := liveupdate.New(
-		liveupdate.WithProfile(p),
-		liveupdate.WithReplicas(2),
-	)
+	par, gen := driveFleet(t, 2*time.Second)
+	rep, err := liveupdate.Drive(par, gen, liveupdate.DriveConfig{
+		Requests:    requests,
+		Concurrency: 8,
+		Seed:        1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fleet, ok := srv.(*liveupdate.Cluster); !ok || fleet.Mode() != liveupdate.SyncModeAsync {
-		t.Fatalf("default fleet mode must be async, got %T", srv)
+	if rep.Served != requests {
+		t.Fatalf("drive served %d of %d", rep.Served, requests)
 	}
-	srv, err = liveupdate.New(
-		liveupdate.WithProfile(p),
-		liveupdate.WithReplicas(2),
-		liveupdate.WithSyncMode(liveupdate.SyncModeBarrier),
-	)
-	if err != nil {
-		t.Fatal(err)
+	got := rep.Final
+
+	if want.Syncs == 0 {
+		t.Fatalf("fixture too small: no periodic syncs in %.2fs of virtual time", want.VirtualTime)
 	}
-	if srv.(*liveupdate.Cluster).Mode() != liveupdate.SyncModeBarrier {
-		t.Fatal("WithSyncMode(barrier) must select the barrier protocol")
+	if got.Served != want.Served || got.Violations != want.Violations ||
+		got.TrainSteps != want.TrainSteps || got.Syncs != want.Syncs ||
+		got.VirtualTime != want.VirtualTime || got.P99 != want.P99 || got.P50 != want.P50 {
+		t.Fatalf("parallel drive diverged from sequential serve:\n"+
+			"  sequential: served=%d violations=%d steps=%d syncs=%d vt=%v p99=%v\n"+
+			"  parallel:   served=%d violations=%d steps=%d syncs=%d vt=%v p99=%v",
+			want.Served, want.Violations, want.TrainSteps, want.Syncs, want.VirtualTime, want.P99,
+			got.Served, got.Violations, got.TrainSteps, got.Syncs, got.VirtualTime, got.P99)
 	}
-	if _, err := liveupdate.New(
-		liveupdate.WithProfile(p),
-		liveupdate.WithReplicas(2),
-		liveupdate.WithSyncMode(liveupdate.SyncMode("half-async")),
-	); err == nil {
-		t.Fatal("unknown sync mode must be rejected")
+	if len(got.Replicas) != len(want.Replicas) {
+		t.Fatalf("replica counts differ: %d vs %d", len(got.Replicas), len(want.Replicas))
+	}
+	for i := range want.Replicas {
+		w, g := want.Replicas[i], got.Replicas[i]
+		if g.Served != w.Served || g.Violations != w.Violations ||
+			g.TrainSteps != w.TrainSteps || g.VirtualTime != w.VirtualTime || g.P99 != w.P99 {
+			t.Fatalf("replica %d diverged:\n  sequential: %+v\n  parallel:   %+v", i, w, g)
+		}
+	}
+	// The drive report carries the sync-stall split.
+	if rep.SyncStallSeconds <= 0 ||
+		rep.SyncStallSeconds != rep.SyncComputeSeconds+rep.SyncPublishSeconds {
+		t.Fatalf("sync-stall split missing from report: total=%v compute=%v publish=%v",
+			rep.SyncStallSeconds, rep.SyncComputeSeconds, rep.SyncPublishSeconds)
 	}
 }

@@ -39,8 +39,8 @@ func TestUnknownExperimentExits1(t *testing.T) {
 }
 
 func TestRemovedFlagExits2(t *testing.T) {
-	if code, _, _ := runCLI(t, "-sync-mode", "barrier"); code != 2 {
-		t.Fatalf("-sync-mode barrier: exit %d, want 2", code)
+	if code, _, _ := runCLI(t, "-topology", "tree"); code != 2 {
+		t.Fatalf("-topology tree: exit %d, want 2", code)
 	}
 }
 

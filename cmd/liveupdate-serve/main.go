@@ -9,7 +9,6 @@
 //	liveupdate-serve -profile criteo -requests 20000 -report 5000
 //	liveupdate-serve -replicas 4 -router hash -sync 30s
 //	liveupdate-serve -replicas 4 -concurrency 8          # parallel load driver
-//	liveupdate-serve -replicas 4 -sync-mode barrier      # legacy stop-the-world syncs
 //	liveupdate-serve -replicas 4 -chaos "@2s kill 1; @4s replace 1; @6s scale 6"
 //	liveupdate-serve -replicas 8 -topology tree -delta -compress 6  # hierarchical sync billing
 //
@@ -24,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -40,203 +41,258 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func main() {
-	profileName := flag.String("profile", "criteo", "dataset profile (avazu, criteo, bd-tb, ...)")
-	requests := flag.Int("requests", 20000, "requests to serve")
-	report := flag.Int("report", 5000, "print statistics every N requests (0 = final report only)")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
-	replicas := flag.Int("replicas", 1, "fleet size (1 = single node)")
-	router := flag.String("router", string(liveupdate.RoundRobinRouter),
+// flags is liveupdate-serve's parsed and validated command line.
+type flags struct {
+	profile      string
+	requests     int
+	report       int
+	seed         uint64
+	replicas     int
+	router       string
+	syncEvery    time.Duration
+	topology     string
+	deltaSync    bool
+	compress     int
+	quant        string
+	noTrain      bool
+	noIsolation  bool
+	concurrency  int
+	batch        int
+	chaos        liveupdate.ChaosSchedule
+	listen       string
+	connect      string
+	conns        int
+	maxConns     int
+	maxInflight  int
+	queueDepth   int
+	slaBudget    time.Duration
+	drainTimeout time.Duration
+	faultPlan    liveupdate.FaultPlan
+	telemetry    bool
+	traceSample  int
+	traceOut     string
+	pprof        bool
+}
+
+// parseFlags defines, parses and checks the command line. It returns nil
+// flags when the command line ends the run, with the exit status: 0 for
+// -help, 1 for a value the checks reject, 2 for an unknown flag or a bad
+// sync-pricing value (those also print the flag table). Valid flags come
+// back with status 0.
+func parseFlags(args []string, stderr io.Writer) (*flags, int) {
+	fs := flag.NewFlagSet("liveupdate-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := &flags{}
+	fs.StringVar(&f.profile, "profile", "criteo", "dataset profile (avazu, criteo, bd-tb, ...)")
+	fs.IntVar(&f.requests, "requests", 20000, "requests to serve")
+	fs.IntVar(&f.report, "report", 5000, "print statistics every N requests (0 = final report only)")
+	fs.Uint64Var(&f.seed, "seed", 42, "deterministic seed")
+	fs.IntVar(&f.replicas, "replicas", 1, "fleet size (1 = single node)")
+	fs.StringVar(&f.router, "router", string(liveupdate.RoundRobinRouter),
 		fmt.Sprintf("routing policy for -replicas > 1 %v", liveupdate.RouterPolicies()))
-	syncEvery := flag.Duration("sync", 5*time.Second,
-		"virtual-time interval between fleet LoRA syncs (0 disables)")
-	syncMode := flag.String("sync-mode", string(liveupdate.SyncModeAsync),
-		fmt.Sprintf("fleet sync propagation %v: async pipelines snapshot→merge→publish off the serving path, barrier stops the world", liveupdate.SyncModes()))
-	topology := flag.String("topology", string(liveupdate.SyncTopologyFlat),
+	fs.DurationVar(&f.syncEvery, "sync", 5*time.Second,
+		"virtual-time interval between fleet LoRA syncs (0 disables); syncs pipeline snapshot→merge→publish off the serving path")
+	fs.StringVar(&f.topology, "topology", string(liveupdate.SyncTopologyFlat),
 		fmt.Sprintf("sync collective topology %v: flat is the N² all-gather, ring/tree are hierarchical (~N·log N wire bill; merged state is identical)", liveupdate.SyncTopologies()))
-	deltaSync := flag.Bool("delta", false,
+	fs.BoolVar(&f.deltaSync, "delta", false,
 		"bill delta syncs: only rows/factors whose epoch changed since the peer's last acked generation count against the wire")
-	compress := flag.Int("compress", 0,
+	fs.IntVar(&f.compress, "compress", 0,
 		"flate level for sync payload pricing: trades compress cpu-seconds for wire-bytes (0 = off, 1-9)")
-	quant := flag.String("quant", "",
+	fs.StringVar(&f.quant, "quant", "",
 		fmt.Sprintf("published inference weight format %v: int8/f16 quantize the dense MLPs at publish time, training stays float64", liveupdate.Quantizations()))
-	noTrain := flag.Bool("no-train", false, "disable the co-located trainer (Only-Infer mode)")
-	noIsolation := flag.Bool("no-isolation", false, "disable NUMA scheduling and reuse (naive co-location)")
-	concurrency := flag.Int("concurrency", 1,
+	fs.BoolVar(&f.noTrain, "no-train", false, "disable the co-located trainer (Only-Infer mode)")
+	fs.BoolVar(&f.noIsolation, "no-isolation", false, "disable NUMA scheduling and reuse (naive co-location)")
+	fs.IntVar(&f.concurrency, "concurrency", 1,
 		"client goroutines driving the fleet (1 = plain sequential loop; virtual-time stats are identical either way)")
-	batch := flag.Int("batch", 1,
+	fs.IntVar(&f.batch, "batch", 1,
 		"serving batch size: driver lanes coalesce up to this many queued same-shard requests into one zero-allocation batched serve call (virtual-time stats are identical to -batch 1)")
-	chaosScript := flag.String("chaos", "",
+	chaosScript := fs.String("chaos", "",
 		"membership-event schedule applied at virtual timestamps while serving, e.g. \"@2s kill 1; @4s replace 1; @6s scale 6\" (actions: kill/replace/leave <slot>, join, scale <n>; needs -replicas > 1)")
-	listen := flag.String("listen", "",
+	fs.StringVar(&f.listen, "listen", "",
 		"server mode: expose the fleet on this TCP address (e.g. :7070) instead of driving it locally; serves until SIGINT/SIGTERM, then prints final statistics")
-	connect := flag.String("connect", "",
+	fs.StringVar(&f.connect, "connect", "",
 		"client mode: drive a remote fleet at this address through the wire client instead of building one locally")
-	conns := flag.Int("conns", 4, "client mode: parallel wire connections (client-side driver lanes)")
-	maxConns := flag.Int("max-conns", 0,
+	fs.IntVar(&f.conns, "conns", 4, "client mode: parallel wire connections (client-side driver lanes)")
+	fs.IntVar(&f.maxConns, "max-conns", 0,
 		"server mode: max simultaneously accepted TCP connections (0 = default 256)")
-	maxInflight := flag.Int("max-inflight", 0,
+	fs.IntVar(&f.maxInflight, "max-inflight", 0,
 		"server mode: max wire requests served concurrently (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue-depth", 0,
+	fs.IntVar(&f.queueDepth, "queue-depth", 0,
 		"server mode: admission queue depth; arrivals past it are shed with 429 (0 = default 64)")
-	slaBudget := flag.Duration("sla-budget", 0,
+	fs.DurationVar(&f.slaBudget, "sla-budget", 0,
 		"server mode: shed arrivals whose predicted queueing delay exceeds this budget (0 = disabled)")
-	drainTimeout := flag.Duration("drain-timeout", 0,
+	fs.DurationVar(&f.drainTimeout, "drain-timeout", 0,
 		"server mode: graceful-shutdown grace for in-flight and queued requests before force-close (0 = default 5s)")
-	faultPlanStr := flag.String("fault-plan", "",
+	faultPlanStr := fs.String("fault-plan", "",
 		"server mode: arm deterministic network chaos on every accepted connection, e.g. \"latency(p=0.2,min=1ms,max=20ms);reset(p=0.05)\" (classes: latency, reset, blackhole, truncate, corrupt; empty = off)")
-	faultSeed := flag.Uint64("fault-seed", 1,
+	faultSeed := fs.Uint64("fault-seed", 1,
 		"server mode: seed for -fault-plan; the same seed replays the same per-connection fault sequence")
-	telemetry := flag.Bool("telemetry", false,
+	fs.BoolVar(&f.telemetry, "telemetry", false,
 		"attach the telemetry layer: fleet metrics registry plus sampled per-request stage tracing; prints a stage latency table after a local drive, and with -listen exports GET /metrics, /debug/vars, /trace")
-	traceSample := flag.Int("trace-sample", 1,
+	fs.IntVar(&f.traceSample, "trace-sample", 1,
 		"telemetry: trace 1 in N requests per stage (1 = every request, 0 = metrics only); implies nothing without -telemetry")
-	traceOut := flag.String("trace-out", "",
+	fs.StringVar(&f.traceOut, "trace-out", "",
 		"telemetry: write the span ring as Chrome trace-event JSON to this file at exit (load at ui.perfetto.dev); implies -telemetry")
-	pprofFlag := flag.Bool("pprof", false,
+	fs.BoolVar(&f.pprof, "pprof", false,
 		"telemetry server mode: expose net/http/pprof under /debug/pprof/ (debug surface, off by default); implies -telemetry")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2
+	}
 
 	// Validate flags up front so bad values produce an error, not a panic
 	// (e.g. -report used to divide by zero).
-	if *requests <= 0 {
-		fatalf("-requests must be positive, got %d", *requests)
+	fail := func(format string, args ...any) (*flags, int) {
+		fmt.Fprintf(stderr, "liveupdate-serve: "+format+"\n", args...)
+		return nil, 1
 	}
-	if *listen != "" && *connect != "" {
-		fatalf("-listen and -connect are mutually exclusive: a process is either the server or the client")
+	if f.requests <= 0 {
+		return fail("-requests must be positive, got %d", f.requests)
 	}
-	if (*listen != "" || *connect != "") && *chaosScript != "" {
-		fatalf("-chaos drives membership at deterministic virtual-time drain points; the wire path is wall-clock and cannot honor them")
+	if f.listen != "" && f.connect != "" {
+		return fail("-listen and -connect are mutually exclusive: a process is either the server or the client")
 	}
-	if *connect != "" && *conns < 1 {
-		fatalf("-conns must be >= 1, got %d", *conns)
+	if (f.listen != "" || f.connect != "") && *chaosScript != "" {
+		return fail("-chaos drives membership at deterministic virtual-time drain points; the wire path is wall-clock and cannot honor them")
 	}
-	if *traceOut != "" || *pprofFlag {
-		*telemetry = true
+	if f.connect != "" && f.conns < 1 {
+		return fail("-conns must be >= 1, got %d", f.conns)
 	}
-	if *telemetry && *connect != "" {
-		fatalf("-telemetry instruments the serving process; in -connect mode set it on the -listen side and scrape its /metrics")
+	if f.traceOut != "" || f.pprof {
+		f.telemetry = true
 	}
-	if *traceSample < 0 {
-		fatalf("-trace-sample must be non-negative, got %d", *traceSample)
+	if f.telemetry && f.connect != "" {
+		return fail("-telemetry instruments the serving process; in -connect mode set it on the -listen side and scrape its /metrics")
 	}
-	if *report < 0 {
-		fatalf("-report must be non-negative, got %d", *report)
+	if f.traceSample < 0 {
+		return fail("-trace-sample must be non-negative, got %d", f.traceSample)
 	}
-	if *replicas < 1 {
-		fatalf("-replicas must be >= 1, got %d", *replicas)
+	if f.report < 0 {
+		return fail("-report must be non-negative, got %d", f.report)
 	}
-	if *syncEvery < 0 {
-		fatalf("-sync must be non-negative, got %v", *syncEvery)
+	if f.replicas < 1 {
+		return fail("-replicas must be >= 1, got %d", f.replicas)
 	}
-	if *concurrency < 1 {
-		fatalf("-concurrency must be >= 1, got %d", *concurrency)
+	if f.syncEvery < 0 {
+		return fail("-sync must be non-negative, got %v", f.syncEvery)
 	}
-	if *batch < 1 {
-		fatalf("-batch must be >= 1, got %d", *batch)
+	if f.concurrency < 1 {
+		return fail("-concurrency must be >= 1, got %d", f.concurrency)
+	}
+	if f.batch < 1 {
+		return fail("-batch must be >= 1, got %d", f.batch)
 	}
 	// The fleet-scale sync flags follow the usage-then-exit-2 convention: a
 	// bad value prints the flag table so the valid domain is in view.
-	usagef := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "liveupdate-serve: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
+	usage := func(format string, args ...any) (*flags, int) {
+		fmt.Fprintf(stderr, "liveupdate-serve: "+format+"\n", args...)
+		fs.Usage()
+		return nil, 2
 	}
 	validTopology := false
 	for _, t := range liveupdate.SyncTopologies() {
-		if *topology == string(t) {
+		if f.topology == string(t) {
 			validTopology = true
 		}
 	}
 	if !validTopology {
-		usagef("-topology must be one of %v, got %q", liveupdate.SyncTopologies(), *topology)
+		return usage("-topology must be one of %v, got %q", liveupdate.SyncTopologies(), f.topology)
 	}
-	if *compress < 0 || *compress > 9 {
-		usagef("-compress must be in [0,9], got %d", *compress)
+	if f.compress < 0 || f.compress > 9 {
+		return usage("-compress must be in [0,9], got %d", f.compress)
 	}
-	if _, err := liveupdate.ParseQuantization(*quant); err != nil {
-		usagef("-quant must be one of %v, got %q", liveupdate.Quantizations(), *quant)
+	if _, err := liveupdate.ParseQuantization(f.quant); err != nil {
+		return usage("-quant must be one of %v, got %q", liveupdate.Quantizations(), f.quant)
 	}
 	faultPlan, err := liveupdate.ParseFaultPlan(*faultPlanStr)
 	if err != nil {
-		usagef("-fault-plan: %v", err)
+		return usage("-fault-plan: %v", err)
 	}
 	faultPlan.Seed = *faultSeed
-	if faultPlan.Enabled() && *listen == "" {
-		fatalf("-fault-plan injects faults on the wire: set -listen")
+	if faultPlan.Enabled() && f.listen == "" {
+		return fail("-fault-plan injects faults on the wire: set -listen")
 	}
-	if *drainTimeout < 0 {
-		fatalf("-drain-timeout must be non-negative, got %v", *drainTimeout)
+	if f.drainTimeout < 0 {
+		return fail("-drain-timeout must be non-negative, got %v", f.drainTimeout)
 	}
-	if *drainTimeout > 0 && *listen == "" {
-		fatalf("-drain-timeout shapes the wire gateway's graceful shutdown: set -listen")
+	if f.drainTimeout > 0 && f.listen == "" {
+		return fail("-drain-timeout shapes the wire gateway's graceful shutdown: set -listen")
 	}
 
-	var chaos liveupdate.ChaosSchedule
+	f.faultPlan = faultPlan
 	if *chaosScript != "" {
-		var err error
-		if chaos, err = liveupdate.ParseChaosScript(*chaosScript); err != nil {
-			fatalf("%v", err)
+		if f.chaos, err = liveupdate.ParseChaosScript(*chaosScript); err != nil {
+			return fail("%v", err)
 		}
-		if *replicas < 2 {
-			fatalf("-chaos needs a fleet: set -replicas > 1")
+		if f.replicas < 2 {
+			return fail("-chaos needs a fleet: set -replicas > 1")
 		}
 	}
+	return f, 0
+}
 
-	if *connect != "" {
-		runClient(*connect, clientConfig{
-			conns:       *conns,
-			requests:    *requests,
-			report:      *report,
-			seed:        *seed,
-			concurrency: *concurrency,
-			batch:       *batch,
-			profile:     *profileName,
+func main() {
+	f, code := parseFlags(os.Args[1:], os.Stderr)
+	if f == nil {
+		os.Exit(code)
+	}
+	chaos, faultPlan := f.chaos, f.faultPlan
+
+	if f.connect != "" {
+		runClient(f.connect, clientConfig{
+			conns:       f.conns,
+			requests:    f.requests,
+			report:      f.report,
+			seed:        f.seed,
+			concurrency: f.concurrency,
+			batch:       f.batch,
+			profile:     f.profile,
 		})
 		return
 	}
 
-	profile, err := liveupdate.ProfileByName(*profileName)
+	profile, err := liveupdate.ProfileByName(f.profile)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	opts := []liveupdate.Option{
 		liveupdate.WithProfile(profile),
-		liveupdate.WithSeed(*seed),
-		liveupdate.WithReplicas(*replicas),
-		liveupdate.WithRouter(liveupdate.RouterPolicy(*router)),
-		liveupdate.WithSyncEvery(*syncEvery),
-		liveupdate.WithSyncMode(liveupdate.SyncMode(*syncMode)),
-		liveupdate.WithSyncTopology(liveupdate.SyncTopology(*topology)),
-		liveupdate.WithDeltaSync(*deltaSync),
-		liveupdate.WithCompression(*compress),
-		liveupdate.WithTraining(!*noTrain),
-		liveupdate.WithIsolation(!*noIsolation),
-		liveupdate.WithQuantization(liveupdate.Quantization(*quant)),
+		liveupdate.WithSeed(f.seed),
+		liveupdate.WithReplicas(f.replicas),
+		liveupdate.WithRouter(liveupdate.RouterPolicy(f.router)),
+		liveupdate.WithSyncEvery(f.syncEvery),
+		liveupdate.WithSyncTopology(liveupdate.SyncTopology(f.topology)),
+		liveupdate.WithDeltaSync(f.deltaSync),
+		liveupdate.WithCompression(f.compress),
+		liveupdate.WithTraining(!f.noTrain),
+		liveupdate.WithIsolation(!f.noIsolation),
+		liveupdate.WithQuantization(liveupdate.Quantization(f.quant)),
 	}
 	if len(chaos) > 0 {
 		opts = append(opts, liveupdate.WithChaos(chaos))
 	}
-	if *telemetry {
+	if f.telemetry {
 		opts = append(opts, liveupdate.WithTelemetry(liveupdate.TelemetryConfig{
-			SampleEvery: *traceSample,
-			Pprof:       *pprofFlag,
+			SampleEvery: f.traceSample,
+			Pprof:       f.pprof,
 		}))
 	}
 
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
+	if f.listen != "" {
+		ln, err := net.Listen("tcp", f.listen)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		opts = append(opts,
 			liveupdate.WithListener(ln),
 			liveupdate.WithAdmission(liveupdate.AdmissionConfig{
-				MaxConns:     *maxConns,
-				MaxInflight:  *maxInflight,
-				QueueDepth:   *queueDepth,
-				SLABudget:    *slaBudget,
-				DrainTimeout: *drainTimeout,
+				MaxConns:     f.maxConns,
+				MaxInflight:  f.maxInflight,
+				QueueDepth:   f.queueDepth,
+				SLABudget:    f.slaBudget,
+				DrainTimeout: f.drainTimeout,
 			}))
 		if faultPlan.Enabled() {
 			opts = append(opts, liveupdate.WithFaultInjection(faultPlan))
@@ -246,7 +302,7 @@ func main() {
 			ln.Close()
 			fatalf("%v", err)
 		}
-		runServer(srv.(*liveupdate.Gateway), *replicas, *telemetry, *pprofFlag, *traceOut, faultPlan)
+		runServer(srv.(*liveupdate.Gateway), f.replicas, f.telemetry, f.pprof, f.traceOut, faultPlan)
 		return
 	}
 
@@ -254,10 +310,10 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	gen := liveupdate.NewWorkload(profile, *seed^0x5e)
+	gen := liveupdate.NewWorkload(profile, f.seed^0x5e)
 
-	fmt.Printf("liveupdate-serve %s: profile=%s replicas=%d router=%s sync-mode=%s training=%v isolation=%v concurrency=%d batch=%d\n",
-		liveupdate.Version, profile.Name, *replicas, *router, *syncMode, !*noTrain, !*noIsolation, *concurrency, *batch)
+	fmt.Printf("liveupdate-serve %s: profile=%s replicas=%d router=%s training=%v isolation=%v concurrency=%d batch=%d\n",
+		liveupdate.Version, profile.Name, f.replicas, f.router, !f.noTrain, !f.noIsolation, f.concurrency, f.batch)
 	if len(chaos) > 0 {
 		fmt.Printf("chaos schedule: %s\n", chaos)
 	}
@@ -271,23 +327,23 @@ func main() {
 	// With telemetry on, even a single-worker run goes through Drive so the
 	// report carries the sampled stage breakdown (virtual-time stats are
 	// identical either way).
-	if *concurrency == 1 && len(chaos) == 0 && *batch <= 1 && !*telemetry {
-		for i := 1; i <= *requests; i++ {
+	if f.concurrency == 1 && len(chaos) == 0 && f.batch <= 1 && !f.telemetry {
+		for i := 1; i <= f.requests; i++ {
 			if _, err := srv.Serve(gen.Next()); err != nil {
 				fatalf("serve: %v", err)
 			}
-			if (*report > 0 && i%*report == 0) || i == *requests {
+			if (f.report > 0 && i%f.report == 0) || i == f.requests {
 				printStats(srv.Stats())
 			}
 		}
 	} else {
 		var lastPrinted uint64 // written under Drive's serialized OnProgress, read after it returns
 		rep, err := liveupdate.Drive(srv, gen, liveupdate.DriveConfig{
-			Requests:      *requests,
-			Concurrency:   *concurrency,
-			BatchSize:     *batch,
-			Seed:          *seed,
-			ProgressEvery: *report,
+			Requests:      f.requests,
+			Concurrency:   f.concurrency,
+			BatchSize:     f.batch,
+			Seed:          f.seed,
+			ProgressEvery: f.report,
 			OnProgress: func(served uint64) {
 				lastPrinted = served
 				printStats(srv.Stats())
@@ -318,7 +374,7 @@ func main() {
 				fmt.Printf("  (%d events skipped: trace ended before their timestamps)\n", rep.ChaosSkipped)
 			}
 		}
-		printStageTable(rep.Stages, *traceSample)
+		printStageTable(rep.Stages, f.traceSample)
 	}
 	if st := srv.Stats(); len(st.Replicas) > 0 {
 		fmt.Println("\nper-replica breakdown:")
@@ -328,8 +384,8 @@ func main() {
 			fmt.Printf("  %-8d %-10d %-10.3f %-12.4f %-12d %-12.2f\n",
 				i, rs.Served, rs.P99*1000, rs.ViolationRate, rs.TrainSteps, rs.VirtualTime)
 		}
-		fmt.Printf("\nfleet sync (%s/%s): %d syncs, %d payload bytes, %d wire bytes, %.4f virtual s (%.4f compute + %.4f publish)\n",
-			*syncMode, st.SyncTopology, st.Syncs, st.SyncBytes, st.SyncWireBytes,
+		fmt.Printf("\nfleet sync (%s): %d syncs, %d payload bytes, %d wire bytes, %.4f virtual s (%.4f compute + %.4f publish)\n",
+			st.SyncTopology, st.Syncs, st.SyncBytes, st.SyncWireBytes,
 			st.SyncSeconds, st.SyncComputeSeconds, st.SyncPublishSeconds)
 		if st.SyncDeltaSavedBytes != 0 || st.SyncCompressSavedBytes != 0 {
 			fmt.Printf("fleet sync savings: delta %d bytes, compression %d bytes for %.4f compress s\n",
@@ -340,7 +396,7 @@ func main() {
 				st.Members, st.Joins, st.Leaves, st.Fails, st.CatchUpBytes, st.CatchUpSeconds)
 		}
 	}
-	dumpTrace(srv, *traceOut)
+	dumpTrace(srv, f.traceOut)
 }
 
 // printStageTable renders the drive's sampled per-stage wall-clock latency

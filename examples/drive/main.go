@@ -1,6 +1,6 @@
 // Drive: the concurrent load driver. A 4-replica fleet is pumped by 8
 // client goroutines; independent replicas serve in parallel while the
-// periodic LoRA priority-merge sync barriers the fleet on its virtual-time
+// periodic LoRA priority-merge sync runs beside them on its virtual-time
 // cadence. The punchline is the last block: a second, single-goroutine
 // drive over an identical fleet reproduces the exact same virtual-time
 // statistics — parallelism changes wall-clock throughput, never results.

@@ -23,29 +23,24 @@
 //     target replica's own mutex (inside core.System.Serve). Requests for
 //     different replicas never contend; requests for the same replica
 //     serialize, matching the single-server virtual-clock model.
-//   - How a periodic sync propagates depends on Config.Mode. In SyncBarrier
-//     mode it takes the fleet-wide write lock: a stop-the-world barrier that
-//     drains in-flight requests, mutates every replica, and readmits
-//     traffic. In SyncAsync mode (the default) there is no fleet-wide
-//     serialization point at all: the pipeline snapshots each replica
-//     individually (holding only that replica's lock for the O(rows)
-//     export), runs the priority merge on a background goroutine with the
-//     simulated AllGather cost charged to the sync clock, and publishes the
-//     merged state per replica through epoch-versioned atomic pointer swaps
-//     (lora.Set.Publish). ServeShard never blocks on a periodic sync in
-//     async mode; manual SyncNow and ReplicasConsistent remain explicit
-//     barriers in both modes.
+//   - A periodic sync has no fleet-wide serialization point: a background
+//     pipeline snapshots each replica individually (holding only that
+//     replica's lock for the O(rows) export), runs the priority merge with
+//     the simulated AllGather cost charged to the sync clock, and publishes
+//     the merged state per replica through epoch-versioned atomic pointer
+//     swaps (lora.Set.Publish). ServeShard never blocks on a periodic sync.
+//     Manual SyncNow and ReplicasConsistent are explicit barriers: they take
+//     the fleet-wide write lock, so nothing serves while they run.
 //   - Membership reads are lock-free: the serve path loads the current
 //     fleet.View through an atomic pointer (under the fleet read lock, so a
 //     request never straddles a membership commit). Membership mutations
-//     hold syncMu — the mutex every merge (barrier periodic sync, async
-//     pipeline epoch, SyncNow, consistency probe) holds for its whole
-//     snapshot→merge→publish span — so a joiner's catch-up can never
-//     interleave with a publish, and they install the new view under a
-//     brief (O(members)) fleet write barrier so departing members' request
-//     counts fold exactly. The expensive parts — spawning and catching up a
-//     replica — run before that barrier; serving is never stopped
-//     fleet-wide for a membership change. Requests already routed to a slot
+//     hold syncMu — the mutex every merge (pipeline epoch, SyncNow,
+//     consistency probe) holds for its whole snapshot→merge→publish span —
+//     so a joiner's catch-up can never interleave with a publish, and they
+//     install the new view under a brief (O(members)) fleet write barrier
+//     so departing members' request counts fold exactly. The expensive
+//     parts — spawning and catching up a replica — run before that barrier;
+//     serving is never stopped fleet-wide for a membership change. Requests already routed to a slot
 //     whose member has since failed redirect to the next active slot.
 //   - Periodic syncs trigger on virtual-time epochs: epoch k starts when the
 //     fleet clock crosses k·SyncEvery, and each epoch is synced exactly
@@ -53,13 +48,15 @@
 //     request subsequence (LoRA values never feed back into latency), every
 //     virtual-time statistic — Served, Violations, sync counts, per-replica
 //     clocks and latency quantiles — is identical no matter how many
-//     goroutines drive the fleet, in either mode, as long as per-replica
-//     request order is preserved and membership changes land at
-//     deterministic points in the request sequence (see internal/driver,
-//     which guarantees both). What async mode gives up is bit-identical
-//     adapter VALUES across runs: which training steps land before a given
-//     snapshot depends on wall-clock interleaving, the bounded-staleness
-//     window the paper's live-update design explicitly embraces.
+//     goroutines drive the fleet, as long as per-replica request order is
+//     preserved and membership changes land at deterministic points in the
+//     request sequence (see internal/driver, which guarantees both). What
+//     the pipeline gives up is bit-identical adapter VALUES across runs:
+//     which training steps land before a given snapshot depends on
+//     wall-clock interleaving, the bounded-staleness window the paper's
+//     live-update design explicitly embraces. A caller that needs adapter
+//     content as a function of the request sequence sets SyncEvery to zero
+//     and calls SyncNow at the marks itself.
 package cluster
 
 import (
@@ -77,35 +74,6 @@ import (
 	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 )
-
-// SyncMode selects how periodic priority-merge syncs propagate through a
-// serving fleet.
-type SyncMode string
-
-const (
-	// SyncAsync (the default) runs the versioned, double-buffered pipeline:
-	// snapshot → background merge → atomic per-replica publish. Serving
-	// never blocks on a fleet-wide lock during a periodic sync.
-	SyncAsync SyncMode = "async"
-	// SyncBarrier is the legacy stop-the-world protocol: every periodic
-	// sync takes the fleet write lock, draining and blocking all serving
-	// until the merged state is installed everywhere.
-	SyncBarrier SyncMode = "barrier"
-)
-
-// SyncModes lists the supported modes, default first.
-func SyncModes() []SyncMode { return []SyncMode{SyncAsync, SyncBarrier} }
-
-// ParseSyncMode validates a mode name; the empty string means SyncAsync.
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch SyncMode(s) {
-	case "":
-		return SyncAsync, nil
-	case SyncAsync, SyncBarrier:
-		return SyncMode(s), nil
-	}
-	return "", fmt.Errorf("cluster: unknown sync mode %q (valid: %v)", s, SyncModes())
-}
 
 // Config describes a replica fleet.
 type Config struct {
@@ -127,10 +95,6 @@ type Config struct {
 	// syncs: one sync fires for each SyncEvery epoch the fleet-max clock
 	// crosses. Zero disables periodic syncs (SyncNow remains available).
 	SyncEvery time.Duration
-
-	// Mode selects the periodic-sync propagation protocol. The zero value
-	// means SyncAsync.
-	Mode SyncMode
 
 	// BandwidthBps and LatencySec describe the sync fabric links (also used
 	// to bill catch-up transfers). Zero values default to 100 GbE / 1 ms.
@@ -165,9 +129,6 @@ func (c Config) Validate() error {
 	if c.SyncEvery < 0 {
 		return fmt.Errorf("cluster: SyncEvery must be non-negative")
 	}
-	if _, err := ParseSyncMode(string(c.Mode)); err != nil {
-		return err
-	}
 	if c.BandwidthBps < 0 || c.LatencySec < 0 {
 		return fmt.Errorf("cluster: link parameters must be non-negative")
 	}
@@ -191,45 +152,39 @@ func (c Config) Validate() error {
 // Scale.
 type Cluster struct {
 	cfg    Config
-	mode   SyncMode
 	fleet  *fleet.Controller
 	router Router
 	sync   *collective.SyncGroup
-	async  *collective.AsyncSyncGroup
 
 	// syncClock accumulates virtual time spent inside priority-merge syncs
 	// and catch-up transfers, separate from the replicas' serving clocks.
 	syncClock *simnet.Clock
 
-	// fleetMu is the serve/sync barrier: Serve holds it for read; barrier
-	// syncs (every periodic sync in barrier mode, SyncNow and consistency
-	// probes in both modes) hold it for write, as does the membership
+	// fleetMu is the serve/sync barrier: Serve holds it for read; SyncNow
+	// and consistency probes hold it for write, as does the membership
 	// controller's install barrier (fold + view swap — O(members), so the
-	// serve stall is microseconds). The async pipeline's merge never takes
-	// it.
+	// serve stall is microseconds). The periodic pipeline never takes it.
 	fleetMu sync.RWMutex
-	// syncMu serializes every merge (barrier-mode periodic syncs, each
-	// async pipeline epoch, SyncNow, consistency probes) with every
-	// membership mutation. Holding it across a mutation makes the
-	// catch-up's donor export and the joiner's install atomic with respect
-	// to publishes: no merged epoch can land between them, so a joiner can
-	// never miss a publish whose rows would not recur in later supports.
+	// syncMu serializes every merge (each pipeline epoch, SyncNow,
+	// consistency probes) with every membership mutation. Holding it across
+	// a mutation makes the catch-up's donor export and the joiner's install
+	// atomic with respect to publishes: no merged epoch can land between
+	// them, so a joiner can never miss a publish whose rows would not recur
+	// in later supports.
 	// Serving NEVER takes syncMu — a membership change or in-flight merge
 	// only ever stalls other merges, not requests. Lock order:
 	// syncMu → controller mutex → fleetMu → per-replica node locks.
 	syncMu sync.Mutex
 	// syncedEpoch is the last SyncEvery epoch a periodic sync has covered.
-	// Atomic: in barrier mode it is written under the fleet write lock, in
-	// async mode by the pipeline goroutine; serve-path trigger checks read
-	// it lock-free in both modes.
+	// Atomic: the pipeline goroutine writes it, serve-path trigger checks
+	// read it lock-free.
 	syncedEpoch atomic.Int64
-	// pipe drives asynchronous periodic syncs (nil in barrier mode or when
-	// periodic syncs are disabled).
+	// pipe drives periodic syncs (nil when they are disabled).
 	pipe *syncPipeline
 
-	// testSyncStall, when set by tests, is invoked by the async pipeline
-	// after the snapshot while the merge is staged — a hook to hold a sync
-	// "in flight" and prove serving does not block behind it.
+	// testSyncStall, when set by tests, is invoked by every sync between the
+	// snapshot and the merge — a hook to hold a sync "in flight" and prove
+	// serving does not block behind it.
 	testSyncStall func()
 
 	// gen counts state-changing operations (serves, syncs, membership
@@ -247,7 +202,7 @@ type Cluster struct {
 	// side-band: counters observe completed events, gauges read lock-free
 	// state at scrape time, spans time wall-clock stages. Nothing here feeds
 	// back into routing, syncing, or any virtual-time statistic — and scrape
-	// paths never call Stats(), which would drain the async pipeline.
+	// paths never call Stats(), which would drain the sync pipeline.
 	tracer   *obs.Tracer
 	obsSyncs *obs.Counter
 }
@@ -268,14 +223,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.LatencySec == 0 {
 		cfg.LatencySec = 0.001
 	}
-	mode, err := ParseSyncMode(string(cfg.Mode))
-	if err != nil {
-		return nil, err
-	}
-	cfg.Mode = mode
 	c := &Cluster{
 		cfg:       cfg,
-		mode:      mode,
 		router:    cfg.Router,
 		syncClock: simnet.NewClock(),
 		gen:       metrics.NewShardedCounter(cfg.Replicas),
@@ -295,6 +244,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		seed[i] = sys
 	}
+	var err error
 	c.fleet, err = fleet.NewController(fleet.Config{
 		Spawn:        spawn,
 		BandwidthBps: cfg.BandwidthBps,
@@ -328,8 +278,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err // unreachable: Validate already checked the level
 	}
-	c.async = collective.NewAsyncSyncGroup(c.sync)
-	if mode == SyncAsync && cfg.SyncEvery > 0 {
+	if cfg.SyncEvery > 0 {
 		c.pipe = newSyncPipeline(c)
 	}
 	if tel := cfg.Base.Telemetry; tel != nil {
@@ -383,9 +332,6 @@ func (c *Cluster) Members() *fleet.View { return c.fleet.View() }
 // RouterName returns the active routing policy's name.
 func (c *Cluster) RouterName() string { return c.router.Name() }
 
-// Mode returns the periodic-sync propagation mode.
-func (c *Cluster) Mode() SyncMode { return c.mode }
-
 // DefaultBatchSize returns the serving-batch hint attached at construction
 // (Config.Base.BatchSize; 0 = unbatched). The load driver uses it when its
 // own configuration does not set a batch size.
@@ -409,21 +355,10 @@ func (c *Cluster) NumShards() int { return c.fleet.View().NumSlots() }
 func (c *Cluster) ShardOf(s trace.Sample) int {
 	t0 := c.tracer.StageStart(obs.StageRoute)
 	defer c.tracer.StageEnd(obs.StageRoute, t0)
-	v := c.fleet.View()
-	if vr, ok := c.router.(fleet.ViewRouter); ok {
-		if m := vr.RouteView(s, v); m != nil {
-			return m.Slot
-		}
-		return -1
+	if m := c.router.RouteView(s, c.fleet.View()); m != nil {
+		return m.Slot
 	}
-	// Legacy router: it sees the active systems as a flat slice; its index
-	// maps back to the member's slot.
-	active := v.Active()
-	i := c.router.Route(s, v.ActiveSystems())
-	if i < 0 || i >= len(active) {
-		return -1 // surfaces as a routing error in ServeShard
-	}
-	return active[i].Slot
+	return -1 // surfaces as a routing error in ServeShard
 }
 
 // Serve routes one request to a replica and serves it there (including that
@@ -435,13 +370,11 @@ func (c *Cluster) Serve(s trace.Sample) (core.Response, error) {
 	return c.ServeShard(c.ShardOf(s), s)
 }
 
-// ServeShard serves one request on a specific replica slot, then fires any
-// periodic LoRA syncs whose virtual-time epoch the fleet clock has crossed —
-// synchronously behind the fleet write lock in barrier mode, or handed to
-// the background pipeline (without ever taking a fleet-wide write lock) in
-// async mode. A request aimed at a slot whose member has since failed or
-// left redirects to the next active slot — the lane drains instead of
-// erroring.
+// ServeShard serves one request on a specific replica slot, then hands any
+// periodic LoRA sync whose virtual-time epoch the fleet clock has crossed to
+// the background pipeline (without ever taking a fleet-wide write lock). A
+// request aimed at a slot whose member has since failed or left redirects to
+// the next active slot — the lane drains instead of erroring.
 func (c *Cluster) ServeShard(shard int, s trace.Sample) (core.Response, error) {
 	if c.pipe != nil {
 		if err := c.pipe.Err(); err != nil {
@@ -471,28 +404,12 @@ func (c *Cluster) ServeShard(shard int, s trace.Sample) (core.Response, error) {
 		return resp, err
 	}
 	resp.Replica = m.Slot
-	needBarrierSync := false
-	if d := c.cfg.SyncEvery.Seconds(); d > 0 {
-		if e := c.epochOf(d); e > c.syncedEpoch.Load() {
-			if c.mode == SyncBarrier {
-				needBarrierSync = true
-			} else {
-				// Kick while still holding the read lock (kick is
-				// non-blocking and touches neither fleetMu nor the
-				// replicas), so anyone holding the WRITE lock knows no new
-				// pipeline work can appear under them — the invariant
-				// SyncNow and ReplicasConsistent rely on when they drain.
-				c.pipe.kick(e)
-			}
-		}
-	}
+	// Kick while still holding the read lock (kick is non-blocking and
+	// touches neither fleetMu nor the replicas), so anyone holding the WRITE
+	// lock knows no new pipeline work can appear under them.
+	c.kickCrossedEpoch()
 	c.gen.Add(m.Slot%c.gen.Shards(), 1)
 	c.fleetMu.RUnlock()
-	if needBarrierSync {
-		if err := c.syncPendingEpochs(); err != nil {
-			return resp, err
-		}
-	}
 	return resp, nil
 }
 
@@ -539,21 +456,9 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 	for i := range resps {
 		resps[i].Replica = m.Slot
 	}
-	needBarrierSync := false
-	if d := c.cfg.SyncEvery.Seconds(); d > 0 {
-		if e := c.epochOf(d); e > c.syncedEpoch.Load() {
-			if c.mode == SyncBarrier {
-				needBarrierSync = true
-			} else {
-				c.pipe.kick(e)
-			}
-		}
-	}
+	c.kickCrossedEpoch()
 	c.gen.Add(m.Slot%c.gen.Shards(), 1)
 	c.fleetMu.RUnlock()
-	if needBarrierSync {
-		return c.syncPendingEpochs()
-	}
 	return nil
 }
 
@@ -600,29 +505,16 @@ func (c *Cluster) ServeBatch(samples []trace.Sample, resps []core.Response) erro
 // synthesize samples with the matching feature shape.
 func (c *Cluster) Profile() trace.Profile { return c.cfg.Base.Profile }
 
-// epochOf returns the SyncEvery epoch the fleet clock is currently in.
-func (c *Cluster) epochOf(d float64) int64 {
-	return int64(math.Floor(c.fleetClock() / d))
-}
-
-// syncPendingEpochs takes the sync mutex and the fleet write lock and syncs
-// once per epoch the fleet clock has crossed since the last periodic sync —
-// the barrier-mode protocol. The recheck under the locks makes racing
-// callers idempotent: whoever gets them first syncs, the rest observe
-// syncedEpoch caught up and do nothing; a membership change holding syncMu
-// simply defers the sync until its new view is installed.
-func (c *Cluster) syncPendingEpochs() error {
-	d := c.cfg.SyncEvery.Seconds()
-	c.syncMu.Lock()
-	defer c.syncMu.Unlock()
-	c.fleetMu.Lock()
-	defer c.fleetMu.Unlock()
-	for target := c.epochOf(d); c.syncedEpoch.Load() < target; c.syncedEpoch.Add(1) {
-		if _, err := c.syncLocked(); err != nil {
-			return fmt.Errorf("cluster: periodic sync: %w", err)
-		}
+// kickCrossedEpoch hands the pipeline every SyncEvery epoch the fleet clock
+// has crossed since the last periodic sync. A no-op when periodic syncs are
+// disabled.
+func (c *Cluster) kickCrossedEpoch() {
+	if c.pipe == nil {
+		return
 	}
-	return nil
+	if e := int64(math.Floor(c.fleetClock() / c.cfg.SyncEvery.Seconds())); e > c.syncedEpoch.Load() {
+		c.pipe.kick(e)
+	}
 }
 
 // fleetClock returns the most advanced replica clock — the fleet's wall
@@ -648,11 +540,11 @@ func (c *Cluster) VirtualNow() float64 { return c.fleetClock() }
 // --- Elastic membership -------------------------------------------------
 
 // membershipOp runs a membership mutation holding syncMu, so it is
-// mutually exclusive with every merge: barrier-mode periodic syncs, each
-// async pipeline epoch, SyncNow, and consistency probes all hold syncMu
-// for their whole snapshot→merge→publish span. A joiner's catch-up export
-// and install therefore cannot interleave with a publish — it can never
-// miss a merged epoch whose rows would not recur in later supports.
+// mutually exclusive with every merge: each pipeline epoch, SyncNow, and
+// consistency probes all hold syncMu for their whole snapshot→merge→publish
+// span. A joiner's catch-up export and install therefore cannot interleave
+// with a publish — it can never miss a merged epoch whose rows would not
+// recur in later supports.
 // Serving never takes syncMu, so requests flow throughout; an epoch kicked
 // while the mutation runs simply merges afterwards, over the new view.
 func (c *Cluster) membershipOp(f func() error) error {
@@ -751,11 +643,11 @@ func (c *Cluster) FleetStats() fleet.Stats { return c.fleet.Stats() }
 
 // --- Synchronization ----------------------------------------------------
 
-// syncPipeline drives asynchronous periodic syncs: serve-path triggers kick
-// it with the epoch target they observed, and a single background worker
-// processes one epoch at a time — snapshot, staged merge, per-replica
-// publish — until it has caught up. The worker exits when idle, so an idle
-// Cluster holds no goroutines.
+// syncPipeline drives periodic syncs: serve-path triggers kick it with the
+// epoch target they observed, and a single background worker processes one
+// epoch at a time — snapshot, merge, per-replica publish — until it has
+// caught up. The worker exits when idle, so an idle Cluster holds no
+// goroutines.
 type syncPipeline struct {
 	c *Cluster
 
@@ -811,10 +703,19 @@ func (p *syncPipeline) run() {
 			return
 		}
 		p.mu.Unlock()
-		if err := p.c.syncEpochAsync(); err != nil {
+		// The whole epoch holds syncMu: membership mutations are excluded
+		// for its span, so the member set snapshotted stays the member set
+		// published to, and a joiner never misses a publish.
+		p.c.syncMu.Lock()
+		_, err := p.c.syncOnce()
+		if err == nil {
+			p.c.syncedEpoch.Add(1)
+		}
+		p.c.syncMu.Unlock()
+		if err != nil {
 			p.mu.Lock()
 			if p.err == nil {
-				p.err = fmt.Errorf("cluster: async periodic sync: %w", err)
+				p.err = fmt.Errorf("cluster: periodic sync: %w", err)
 				p.failed.Store(true)
 			}
 			p.mu.Unlock()
@@ -837,36 +738,31 @@ func (p *syncPipeline) drain() error {
 	return p.err
 }
 
-// syncEpochAsync runs one epoch of the asynchronous protocol:
+// syncOnce runs one priority-merge sync over the live members:
 //
-//  1. snapshot — each live member is locked individually, just long enough
-//     to export (and clear) its modified-row support;
-//  2. merge — PriorityMergeRanked (member IDs are the priority ranks) plus
-//     the simulated AllGather pricing run on a background goroutine
-//     (collective.AsyncSyncGroup), with the cost charged to the sync clock,
-//     not to any serving clock;
+//  1. snapshot — each member is locked individually, just long enough to
+//     export (and clear) its modified-row support;
+//  2. merge — SyncRanked runs Algorithm 3 (member IDs are the priority
+//     ranks) and charges the simulated collective to the sync clock, not to
+//     any serving clock;
 //  3. publish — the merged state is installed per member through
 //     epoch-versioned atomic pointer swaps.
 //
-// No step takes the fleet-wide write lock, so serving proceeds throughout.
-// The whole epoch holds syncMu: membership mutations are excluded for its
-// span, so the member set read here stays the member set published to, and
-// a joiner never misses a publish.
-func (c *Cluster) syncEpochAsync() error {
-	c.syncMu.Lock()
-	defer c.syncMu.Unlock()
+// Callers hold syncMu, so no membership change or other merge interleaves.
+// Pipeline epochs take nothing else and serving proceeds throughout; SyncNow
+// also holds the fleet write lock.
+func (c *Cluster) syncOnce() (collective.MergeStats, error) {
 	members := c.fleet.View().Active()
 	states := make([]collective.RankedState, len(members))
 	for i, m := range members {
 		states[i] = collective.RankedState{Rank: m.ID, Tables: m.Sys.SnapshotLoRA()}
 	}
-	pending := c.async.BeginRanked(states)
 	if hook := c.testSyncStall; hook != nil {
 		hook()
 	}
-	merged, _, epoch, err := c.async.Finish(pending, c.syncClock)
+	merged, stats, epoch, err := c.sync.SyncRanked(c.syncClock, states)
 	if err != nil {
-		return err
+		return stats, fmt.Errorf("cluster: sync failed: %w", err)
 	}
 	// The publish stall is the install span: each member briefly holds its
 	// node lock while the merged state swaps in.
@@ -876,20 +772,19 @@ func (c *Cluster) syncEpochAsync() error {
 	}
 	c.tracer.StageEnd(obs.StageSyncPublish, t0)
 	c.obsSyncs.Inc()
-	c.syncedEpoch.Add(1)
 	c.gen.Add(0, 1)
-	return nil
+	return stats, nil
 }
 
-// quiesceSyncs waits for the async pipeline (if any) to finish all epochs
-// kicked so far, so final statistics observe a settled sync count. Callers
-// must hold NO cluster locks: the pipeline worker acquires syncMu per
-// epoch, and a membership mutation holding syncMu may need the fleet write
-// lock to commit. No-op in barrier mode.
+// quiesceSyncs waits for the pipeline (if any) to finish all epochs kicked
+// so far, so final statistics observe a settled sync count. Callers must
+// hold NO cluster locks: the pipeline worker acquires syncMu per epoch, and
+// a membership mutation holding syncMu may need the fleet write lock to
+// commit.
 func (c *Cluster) quiesceSyncs() error { return c.pipe.drain() }
 
-// Err returns the async pipeline's sticky failure, if any (nil in barrier
-// mode and on a healthy pipeline). A failed periodic sync also surfaces on
+// Err returns the pipeline's sticky failure, if any (nil without periodic
+// syncs and on a healthy pipeline). A failed periodic sync also surfaces on
 // every subsequent Serve/ServeShard and SyncNow; this accessor exists for
 // callers that only poll Stats — which reports completed epochs and cannot
 // carry an error — after a drive has ended.
@@ -897,12 +792,12 @@ func (c *Cluster) Err() error { return c.pipe.Err() }
 
 // SyncNow runs one LoRA priority-merge synchronization across the live
 // members (Algorithm 3 + tree AllGather) and returns its merge statistics.
-// It is an explicit barrier in both modes: it holds syncMu — waiting out
-// any in-flight asynchronous epoch or membership change — and the
-// fleet-wide write lock, so its merge interleaves with nothing. After it
-// returns every live member holds identical adapter state (an async epoch
-// kicked but not yet started runs afterwards and publishes uniformly, so
-// the invariant is preserved). Manual syncs do not consume periodic epochs.
+// It is an explicit barrier: it holds syncMu — waiting out any in-flight
+// pipeline epoch or membership change — and the fleet-wide write lock, so
+// its merge interleaves with nothing. After it returns every live member
+// holds identical adapter state (an epoch kicked but not yet started runs
+// afterwards and publishes uniformly, so the invariant is preserved).
+// Manual syncs do not consume periodic epochs.
 func (c *Cluster) SyncNow() (collective.MergeStats, error) {
 	if err := c.pipe.Err(); err != nil {
 		return collective.MergeStats{}, err
@@ -911,12 +806,12 @@ func (c *Cluster) SyncNow() (collective.MergeStats, error) {
 	defer c.syncMu.Unlock()
 	c.fleetMu.Lock()
 	defer c.fleetMu.Unlock()
-	return c.syncLocked()
+	return c.syncOnce()
 }
 
 // lockMembers freezes every given member's node mutex (slot order, no
 // cycles: nothing holds one replica's mutex while waiting on another's), so
-// fleet-wide mutations honor core.System's concurrency contract even for
+// fleet-wide reads honor core.System's concurrency contract even for
 // callers driving a replica directly via Replica(i). Callers must hold
 // fleetMu for write.
 func lockMembers(members []*fleet.Member) {
@@ -929,34 +824,6 @@ func unlockMembers(members []*fleet.Member) {
 	for i := len(members) - 1; i >= 0; i-- {
 		members[i].Sys.Unlock()
 	}
-}
-
-// syncLocked runs one sync over the live member view; callers must hold the
-// fleet write lock.
-func (c *Cluster) syncLocked() (collective.MergeStats, error) {
-	// In barrier mode the whole merge+publish IS the serving stall (the
-	// fleet write lock is held), so the span covers all of it.
-	t0 := c.tracer.StageStart(obs.StageSyncPublish)
-	defer c.tracer.StageEnd(obs.StageSyncPublish, t0)
-	members := c.fleet.View().Active()
-	lockMembers(members)
-	states := make([]collective.RankedState, len(members))
-	for i, m := range members {
-		states[i] = collective.RankedState{Rank: m.ID, Tables: m.Sys.LoRA.Snapshot()}
-	}
-	merged, stats, epoch, err := c.sync.SyncRanked(c.syncClock, states)
-	if err == nil {
-		for _, m := range members {
-			m.Sys.LoRA.Publish(merged, epoch)
-		}
-	}
-	unlockMembers(members)
-	if err != nil {
-		return stats, fmt.Errorf("cluster: sync failed: %w", err)
-	}
-	c.obsSyncs.Inc()
-	c.gen.Add(0, 1)
-	return stats, nil
 }
 
 // ReplicasConsistent verifies the §II-C invariant: for the first idsPerTable
@@ -1007,11 +874,11 @@ func (c *Cluster) ReplicasConsistent(idsPerTable int) bool {
 // latency windows (not an average of per-replica quantiles), and the
 // per-replica breakdown in Replicas (live members, in slot order).
 //
-// In async mode Stats first drains the pipeline, so the snapshot reflects
+// Stats first drains the periodic-sync pipeline, so the snapshot reflects
 // every sync epoch the fleet had crossed when the call was made — which is
 // what makes the final sync counts of a run deterministic for any worker
 // count. Draining waits only for the background merge, never for serving.
-// A failed async sync cannot be reported here (Stats carries no error);
+// A failed periodic sync cannot be reported here (Stats carries no error);
 // it surfaces on every subsequent Serve and via Err().
 //
 // When no latency samples have been retained anywhere in the fleet (nothing

@@ -44,46 +44,42 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("negative SyncEvery must be rejected")
 	}
 	cfg = testConfig(t, 2)
-	cfg.Mode = SyncMode("mostly-stopped-world")
+	cfg.Chaos = fleet.Schedule{{At: -time.Second, Action: fleet.Kill, Arg: 0}}
 	if _, err := New(cfg); err == nil {
-		t.Fatal("unknown sync mode must be rejected")
+		t.Fatal("invalid chaos schedule must be rejected at construction")
 	}
 }
 
-func TestParseSyncMode(t *testing.T) {
-	if m, err := ParseSyncMode(""); err != nil || m != SyncAsync {
-		t.Fatalf("empty mode → (%v, %v), want async default", m, err)
-	}
-	for _, m := range SyncModes() {
-		got, err := ParseSyncMode(string(m))
-		if err != nil || got != m {
-			t.Fatalf("ParseSyncMode(%q) = (%v, %v)", m, got, err)
+// serveSyncingAtMarks serves n requests from gen one at a time and, after
+// each, calls SyncNow once for every `every` mark of the fleet clock crossed
+// since the last call (*synced counts the marks already synced). It is the
+// periodic schedule run as explicit barriers, so which training lands before
+// each merge is a function of the request sequence alone.
+func serveSyncingAtMarks(t *testing.T, c *Cluster, gen *trace.Generator, n int, every time.Duration, synced *int64) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := c.Serve(gen.Next()); err != nil {
+			t.Fatalf("serve: %v", err)
 		}
-	}
-	if _, err := ParseSyncMode("nope"); err == nil {
-		t.Fatal("unknown mode must error")
-	}
-	c, err := New(testConfig(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Mode() != SyncAsync {
-		t.Fatalf("default mode = %s, want %s", c.Mode(), SyncAsync)
+		for e := int64(math.Floor(c.VirtualNow() / every.Seconds())); *synced < e; *synced++ {
+			if _, err := c.SyncNow(); err != nil {
+				t.Fatalf("SyncNow: %v", err)
+			}
+		}
 	}
 }
 
 // TestAsyncServeNeverBlocksOnInFlightSync is the tentpole acceptance test:
-// with SyncMode async, ServeShard must not block on any fleet-wide write
-// lock while a periodic sync is in flight. The test parks the pipeline
-// between its snapshot and publish steps via the stall hook, then serves
-// from N goroutines and requires every request to complete — with a bounded
-// per-call wall latency — while the merge is still provably unpublished.
-// Under the barrier protocol this workload would deadlock-by-design: the
-// periodic sync would hold the fleet write lock for the whole stall.
+// ServeShard must not block on any fleet-wide write lock while a periodic
+// sync is in flight. The test parks the pipeline between its snapshot and
+// its merge via the stall hook, then serves from N goroutines and requires
+// every request to complete — with a bounded per-call wall latency — while
+// the merge is still provably unpublished. A stop-the-world periodic sync
+// would deadlock this workload by design: it would hold the fleet write lock
+// for the whole stall.
 func TestAsyncServeNeverBlocksOnInFlightSync(t *testing.T) {
 	cfg := testConfig(t, 4)
 	cfg.SyncEvery = 20 * time.Millisecond // crossed within a few requests
-	cfg.Mode = SyncAsync
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -168,55 +164,65 @@ func TestAsyncServeNeverBlocksOnInFlightSync(t *testing.T) {
 }
 
 // TestAsyncMatchesBarrierVirtualStats drives the same trace through a fleet
-// in each mode sequentially and checks that every virtual-time statistic the
-// determinism contract covers — Served, Violations, TrainSteps, sync counts,
-// fleet clock, latency quantiles — is identical across modes: the pipeline
-// changes WHEN merged values land, never how time or latency accrue.
+// with the periodic pipeline and through one with SyncEvery 0 that calls the
+// SyncNow barrier at the same marks, and checks that every virtual-time
+// statistic the determinism contract covers — Served, Violations,
+// TrainSteps, sync counts, fleet clock, latency quantiles — is identical:
+// the pipeline changes WHEN merged values land, never how time or latency
+// accrue.
 func TestAsyncMatchesBarrierVirtualStats(t *testing.T) {
-	run := func(mode SyncMode) core.Stats {
+	const every = 50 * time.Millisecond
+	run := func(periodic bool) core.Stats {
 		cfg := testConfig(t, 3)
-		cfg.SyncEvery = 50 * time.Millisecond
-		cfg.Mode = mode
+		if periodic {
+			cfg.SyncEvery = every
+		}
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gen := trace.MustNewGenerator(testProfile(t), 29)
-		for i := 0; i < 500; i++ {
-			if _, err := c.Serve(gen.Next()); err != nil {
-				t.Fatal(err)
+		if periodic {
+			for i := 0; i < 500; i++ {
+				if _, err := c.Serve(gen.Next()); err != nil {
+					t.Fatal(err)
+				}
 			}
+		} else {
+			var synced int64
+			serveSyncingAtMarks(t, c, gen, 500, every, &synced)
 		}
 		return c.Stats()
 	}
-	b := run(SyncBarrier)
-	a := run(SyncAsync)
+	b := run(false)
+	a := run(true)
 	if b.Syncs == 0 {
-		t.Fatal("fixture too small: no periodic syncs fired")
+		t.Fatal("fixture too small: no mark was crossed")
 	}
 	if a.Served != b.Served || a.Violations != b.Violations ||
 		a.TrainSteps != b.TrainSteps || a.Syncs != b.Syncs ||
 		a.VirtualTime != b.VirtualTime || a.P99 != b.P99 || a.P50 != b.P50 {
-		t.Fatalf("modes diverge on virtual-time stats:\n  barrier: served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v\n  async:   served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v",
+		t.Fatalf("pipeline and barrier diverge on virtual-time stats:\n  barrier:  served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v\n  pipeline: served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v",
 			b.Served, b.Violations, b.TrainSteps, b.Syncs, b.VirtualTime, b.P99,
 			a.Served, a.Violations, a.TrainSteps, a.Syncs, a.VirtualTime, a.P99)
 	}
-	if a.SyncComputeSeconds <= 0 || a.SyncPublishSeconds <= 0 {
-		t.Fatalf("async sync-cost split missing: %+v", a)
-	}
-	if math.Abs(a.SyncSeconds-(a.SyncComputeSeconds+a.SyncPublishSeconds)) > 1e-12 {
-		t.Fatalf("SyncSeconds %v != compute %v + publish %v",
-			a.SyncSeconds, a.SyncComputeSeconds, a.SyncPublishSeconds)
+	for _, st := range []core.Stats{a, b} {
+		if st.SyncComputeSeconds <= 0 || st.SyncPublishSeconds <= 0 {
+			t.Fatalf("sync-cost split missing: %+v", st)
+		}
+		if math.Abs(st.SyncSeconds-(st.SyncComputeSeconds+st.SyncPublishSeconds)) > 1e-12 {
+			t.Fatalf("SyncSeconds %v != compute %v + publish %v",
+				st.SyncSeconds, st.SyncComputeSeconds, st.SyncPublishSeconds)
+		}
 	}
 }
 
 // TestAsyncPublishStampsEpochs verifies the versioned publish protocol: each
-// completed async epoch installs a monotonically increasing epoch stamp on
-// every replica's adapter set, readable lock-free.
+// completed pipeline epoch installs a monotonically increasing epoch stamp
+// on every replica's adapter set, readable lock-free.
 func TestAsyncPublishStampsEpochs(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.SyncEvery = 30 * time.Millisecond
-	cfg.Mode = SyncAsync
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -507,67 +513,64 @@ func TestReplicaBoundsSafe(t *testing.T) {
 }
 
 func TestClusterMembershipUnderServing(t *testing.T) {
-	for _, mode := range SyncModes() {
-		cfg := testConfig(t, 3)
-		cfg.SyncEvery = 50 * time.Millisecond
-		cfg.Mode = mode
-		// Keep every LoRA row resident: usage-based pruning evicts
-		// previously-published rows at per-replica (wall-clock-dependent in
-		// async mode) adapt boundaries, which can leave rows no later merge
-		// re-publishes — a sync-protocol quirk orthogonal to membership.
-		// With pruning disabled, post-churn consistency is structural.
-		cfg.Base.LoRA.PruneThresh = 0
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := trace.MustNewGenerator(testProfile(t), 31)
-		serve := func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := c.Serve(gen.Next()); err != nil {
-					t.Fatalf("%s: serve: %v", mode, err)
-				}
+	cfg := testConfig(t, 3)
+	cfg.SyncEvery = 50 * time.Millisecond
+	// Keep every LoRA row resident: usage-based pruning evicts
+	// previously-published rows at per-replica (wall-clock-dependent)
+	// adapt boundaries, which can leave rows no later merge
+	// re-publishes — a sync-protocol quirk orthogonal to membership.
+	// With pruning disabled, post-churn consistency is structural.
+	cfg.Base.LoRA.PruneThresh = 0
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.MustNewGenerator(testProfile(t), 31)
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := c.Serve(gen.Next()); err != nil {
+				t.Fatalf("serve: %v", err)
 			}
 		}
-		serve(200)
-		if err := c.FailReplica(1); err != nil {
-			t.Fatalf("%s: fail: %v", mode, err)
-		}
-		if c.Size() != 2 || c.NumShards() != 3 {
-			t.Fatalf("%s: size=%d shards=%d after failure", mode, c.Size(), c.NumShards())
-		}
-		serve(200) // routing must avoid the empty slot
-		slot, err := c.ReplaceReplica(1)
-		if err != nil || slot != 1 {
-			t.Fatalf("%s: replace: slot=%d err=%v", mode, slot, err)
-		}
-		serve(200)
-		if err := c.Scale(5); err != nil {
-			t.Fatalf("%s: scale: %v", mode, err)
-		}
-		serve(200)
-		st := c.Stats()
-		if st.Served != 800 {
-			t.Fatalf("%s: merged Served=%d, want 800 (departed member's share folded in)", mode, st.Served)
-		}
-		// One fail (the kill; replacing the already-empty slot is a refill,
-		// not a second fail), three joins (refill + scale 3→5).
-		if st.Members != 5 || st.Fails != 1 || st.Joins != 3 {
-			t.Fatalf("%s: fleet counters: members=%d fails=%d joins=%d", mode, st.Members, st.Fails, st.Joins)
-		}
-		if st.CatchUpBytes == 0 || st.CatchUpSeconds <= 0 {
-			t.Fatalf("%s: catch-up bill missing: %+v", mode, st)
-		}
-		if st.Syncs == 0 {
-			t.Fatalf("%s: periodic syncs must keep firing across membership changes", mode)
-		}
-		// An explicit barrier merge must reconcile veterans and newcomers.
-		if _, err := c.SyncNow(); err != nil {
-			t.Fatalf("%s: SyncNow: %v", mode, err)
-		}
-		if !c.ReplicasConsistent(50) {
-			t.Fatalf("%s: fleet inconsistent after post-churn sync", mode)
-		}
+	}
+	serve(200)
+	if err := c.FailReplica(1); err != nil {
+		t.Fatalf("fail: %v", err)
+	}
+	if c.Size() != 2 || c.NumShards() != 3 {
+		t.Fatalf("size=%d shards=%d after failure", c.Size(), c.NumShards())
+	}
+	serve(200) // routing must avoid the empty slot
+	slot, err := c.ReplaceReplica(1)
+	if err != nil || slot != 1 {
+		t.Fatalf("replace: slot=%d err=%v", slot, err)
+	}
+	serve(200)
+	if err := c.Scale(5); err != nil {
+		t.Fatalf("scale: %v", err)
+	}
+	serve(200)
+	st := c.Stats()
+	if st.Served != 800 {
+		t.Fatalf("merged Served=%d, want 800 (departed member's share folded in)", st.Served)
+	}
+	// One fail (the kill; replacing the already-empty slot is a refill,
+	// not a second fail), three joins (refill + scale 3→5).
+	if st.Members != 5 || st.Fails != 1 || st.Joins != 3 {
+		t.Fatalf("fleet counters: members=%d fails=%d joins=%d", st.Members, st.Fails, st.Joins)
+	}
+	if st.CatchUpBytes == 0 || st.CatchUpSeconds <= 0 {
+		t.Fatalf("catch-up bill missing: %+v", st)
+	}
+	if st.Syncs == 0 {
+		t.Fatal("periodic syncs must keep firing across membership changes")
+	}
+	// An explicit barrier merge must reconcile veterans and newcomers.
+	if _, err := c.SyncNow(); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	if !c.ReplicasConsistent(50) {
+		t.Fatal("fleet inconsistent after post-churn sync")
 	}
 }
 
@@ -688,19 +691,6 @@ func TestLeastLoadedSkipsFailedMember(t *testing.T) {
 	}
 }
 
-func TestParseSyncModeErrorPaths(t *testing.T) {
-	for _, bad := range []string{"nope", "ASYNC", " async", "async ", "barrier\n", "sync"} {
-		if m, err := ParseSyncMode(bad); err == nil {
-			t.Fatalf("ParseSyncMode(%q) = %v, want error", bad, m)
-		}
-	}
-	cfg := testConfig(t, 2)
-	cfg.Chaos = fleet.Schedule{{At: -time.Second, Action: fleet.Kill, Arg: 0}}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid chaos schedule must be rejected at construction")
-	}
-}
-
 // TestConcurrentServeAndMembershipExactCounts hammers the fleet from
 // serving goroutines while another goroutine churns membership (fail,
 // replace, scale, manual syncs). Two invariants pin the membership
@@ -770,82 +760,79 @@ func TestConcurrentServeAndMembershipExactCounts(t *testing.T) {
 // the same virtual-time statistics as serving the identical pre-routed
 // stream one request at a time — the acceptance criterion "batched beats
 // sequential at equal virtual-time stats" is meaningless without the "equal"
-// half. Runs in both sync modes with an aggressive sync cadence so periodic
-// epochs fire mid-stream.
+// half. Runs with an aggressive sync cadence so periodic epochs fire
+// mid-stream.
 func TestServeShardBatchMatchesSequential(t *testing.T) {
 	const requests = 2000
-	for _, mode := range []SyncMode{SyncBarrier, SyncAsync} {
-		for _, batch := range []int{1, 4, 32} {
-			build := func() *Cluster {
-				cfg := testConfig(t, 3)
-				cfg.SyncEvery = 2 * time.Second // virtual; several epochs per run
-				cfg.Mode = mode
-				r, err := NewRouter(Hash)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Router = r
-				c, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
+	for _, batch := range []int{1, 4, 32} {
+		build := func() *Cluster {
+			cfg := testConfig(t, 3)
+			cfg.SyncEvery = 2 * time.Second // virtual; several epochs per run
+			r, err := NewRouter(Hash)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seq, bat := build(), build()
-			genA := trace.MustNewGenerator(testProfile(t), 13)
-			genB := trace.MustNewGenerator(testProfile(t), 13)
+			cfg.Router = r
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		seq, bat := build(), build()
+		genA := trace.MustNewGenerator(testProfile(t), 13)
+		genB := trace.MustNewGenerator(testProfile(t), 13)
 
-			for i := 0; i < requests; i++ {
-				s := genA.Next()
-				if _, err := seq.ServeShard(seq.ShardOf(s), s); err != nil {
-					t.Fatal(err)
-				}
+		for i := 0; i < requests; i++ {
+			s := genA.Next()
+			if _, err := seq.ServeShard(seq.ShardOf(s), s); err != nil {
+				t.Fatal(err)
 			}
+		}
 
-			// Batched: coalesce consecutive same-shard requests, as the
-			// driver's lane workers do.
-			var pendShard = -1
-			var pend []trace.Sample
-			resps := make([]core.Response, batch)
-			flush := func() {
-				if len(pend) == 0 {
-					return
-				}
-				if err := bat.ServeShardBatch(pendShard, pend, resps[:len(pend)]); err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range resps[:len(pend)] {
-					if r.Replica != pendShard {
-						t.Fatalf("response replica %d, want %d", r.Replica, pendShard)
-					}
-				}
-				pend = pend[:0]
+		// Batched: coalesce consecutive same-shard requests, as the
+		// driver's lane workers do.
+		var pendShard = -1
+		var pend []trace.Sample
+		resps := make([]core.Response, batch)
+		flush := func() {
+			if len(pend) == 0 {
+				return
 			}
-			for i := 0; i < requests; i++ {
-				s := genB.Next()
-				shard := bat.ShardOf(s)
-				if shard != pendShard || len(pend) == batch {
-					flush()
-					pendShard = shard
-				}
-				pend = append(pend, s)
+			if err := bat.ServeShardBatch(pendShard, pend, resps[:len(pend)]); err != nil {
+				t.Fatal(err)
 			}
-			flush()
+			for _, r := range resps[:len(pend)] {
+				if r.Replica != pendShard {
+					t.Fatalf("response replica %d, want %d", r.Replica, pendShard)
+				}
+			}
+			pend = pend[:0]
+		}
+		for i := 0; i < requests; i++ {
+			s := genB.Next()
+			shard := bat.ShardOf(s)
+			if shard != pendShard || len(pend) == batch {
+				flush()
+				pendShard = shard
+			}
+			pend = append(pend, s)
+		}
+		flush()
 
-			ss, bs := seq.Stats(), bat.Stats()
-			if ss.Served != bs.Served || ss.Violations != bs.Violations ||
-				ss.TrainSteps != bs.TrainSteps || ss.VirtualTime != bs.VirtualTime ||
-				ss.P99 != bs.P99 || ss.Syncs != bs.Syncs {
-				t.Fatalf("mode=%s batch=%d: stats diverged:\n seq served=%d viol=%d train=%d vt=%v p99=%v syncs=%d\n bat served=%d viol=%d train=%d vt=%v p99=%v syncs=%d",
-					mode, batch,
-					ss.Served, ss.Violations, ss.TrainSteps, ss.VirtualTime, ss.P99, ss.Syncs,
-					bs.Served, bs.Violations, bs.TrainSteps, bs.VirtualTime, bs.P99, bs.Syncs)
-			}
-			for i := range ss.Replicas {
-				if ss.Replicas[i].Served != bs.Replicas[i].Served ||
-					ss.Replicas[i].VirtualTime != bs.Replicas[i].VirtualTime {
-					t.Fatalf("mode=%s batch=%d replica %d diverged", mode, batch, i)
-				}
+		ss, bs := seq.Stats(), bat.Stats()
+		if ss.Served != bs.Served || ss.Violations != bs.Violations ||
+			ss.TrainSteps != bs.TrainSteps || ss.VirtualTime != bs.VirtualTime ||
+			ss.P99 != bs.P99 || ss.Syncs != bs.Syncs {
+			t.Fatalf("batch=%d: stats diverged:\n seq served=%d viol=%d train=%d vt=%v p99=%v syncs=%d\n bat served=%d viol=%d train=%d vt=%v p99=%v syncs=%d",
+				batch,
+				ss.Served, ss.Violations, ss.TrainSteps, ss.VirtualTime, ss.P99, ss.Syncs,
+				bs.Served, bs.Violations, bs.TrainSteps, bs.VirtualTime, bs.P99, bs.Syncs)
+		}
+		for i := range ss.Replicas {
+			if ss.Replicas[i].Served != bs.Replicas[i].Served ||
+				ss.Replicas[i].VirtualTime != bs.Replicas[i].VirtualTime {
+				t.Fatalf("batch=%d replica %d diverged", batch, i)
 			}
 		}
 	}

@@ -10,9 +10,10 @@ import (
 )
 
 // driveWithChurn runs one fixed serve-and-churn schedule — kill, replace,
-// scale mid-stream — and ends on an explicit barrier merge. The schedule
-// depends only on the seed, never on the sync pricing knobs, so two clusters
-// differing only in those knobs must end bit-identical.
+// scale mid-stream, with a SyncNow at every 50 ms mark of the fleet clock —
+// and ends on explicit merges. The schedule depends only on the seed, never
+// on the sync pricing knobs, so two clusters differing only in those knobs
+// must end bit-identical.
 func driveWithChurn(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
 	c, err := New(cfg)
@@ -20,13 +21,10 @@ func driveWithChurn(t *testing.T, cfg Config) *Cluster {
 		t.Fatal(err)
 	}
 	gen := trace.MustNewGenerator(testProfile(t), 61)
+	var synced int64
 	serve := func(n int) {
 		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, err := c.Serve(gen.Next()); err != nil {
-				t.Fatalf("serve: %v", err)
-			}
-		}
+		serveSyncingAtMarks(t, c, gen, n, 50*time.Millisecond, &synced)
 	}
 	serve(200)
 	if err := c.FailReplica(1); err != nil {
@@ -61,8 +59,6 @@ func driveWithChurn(t *testing.T, cfg Config) *Cluster {
 func TestDeltaSyncConvergesAfterChurn(t *testing.T) {
 	mkConfig := func(delta bool) Config {
 		cfg := testConfig(t, 3)
-		cfg.Mode = SyncBarrier // wall-clock out of the schedule
-		cfg.SyncEvery = 50 * time.Millisecond
 		// Keep every LoRA row resident so post-churn consistency is
 		// structural (see TestClusterMembershipUnderServing).
 		cfg.Base.LoRA.PruneThresh = 0

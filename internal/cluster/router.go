@@ -4,30 +4,26 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"liveupdate/internal/core"
 	"liveupdate/internal/fleet"
 	"liveupdate/internal/trace"
 )
 
 // Router picks the replica that serves a request. Implementations may keep
 // state (e.g. a round-robin cursor); a Router instance belongs to exactly one
-// Cluster. Route must be safe for concurrent callers — the built-in policies
-// are lock-free — though stateful policies only produce a deterministic
-// assignment when requests are routed in a deterministic order (the
-// load-driver routes from a single sequencer goroutine for exactly this
+// Cluster. RouteView must be safe for concurrent callers — the built-in
+// policies are lock-free — though stateful policies only produce a
+// deterministic assignment when requests are routed in a deterministic order
+// (the load-driver routes from a single sequencer goroutine for exactly this
 // reason).
 //
-// The built-in policies additionally implement fleet.ViewRouter and route
-// against the live membership view, so they keep working across joins,
-// leaves, and failures with no locking: the view (with its prebuilt
-// consistent-hash ring) swaps behind one atomic pointer. A custom Router
-// that only implements this flat-slice interface still works on an elastic
-// fleet — it is handed the active replicas and its index is mapped back to
-// the member's slot — but it re-observes the fleet as dense, so its
-// assignment reshuffles more than the ring policy on membership changes.
+// A Router routes against the live membership view, so it keeps working
+// across joins, leaves, and failures with no locking: the view (with its
+// prebuilt consistent-hash ring and active list) swaps behind one atomic
+// pointer.
 type Router interface {
-	// Route returns the index in replicas of the replica to serve s.
-	Route(s trace.Sample, replicas []*core.System) int
+	// RouteView picks the serving member for s from v's active members, or
+	// nil when there is none.
+	RouteView(s trace.Sample, v *fleet.View) *fleet.Member
 	// Name identifies the policy in stats output and CLI flags.
 	Name() string
 }
@@ -70,10 +66,6 @@ func NewRouter(p Policy) (Router, error) {
 
 type roundRobinRouter struct{ next atomic.Uint64 }
 
-func (r *roundRobinRouter) Route(_ trace.Sample, replicas []*core.System) int {
-	return int((r.next.Add(1) - 1) % uint64(len(replicas)))
-}
-
 func (r *roundRobinRouter) RouteView(_ trace.Sample, v *fleet.View) *fleet.Member {
 	active := v.Active()
 	if len(active) == 0 {
@@ -85,16 +77,6 @@ func (r *roundRobinRouter) RouteView(_ trace.Sample, v *fleet.View) *fleet.Membe
 func (r *roundRobinRouter) Name() string { return string(RoundRobin) }
 
 type leastLoadedRouter struct{}
-
-func (leastLoadedRouter) Route(_ trace.Sample, replicas []*core.System) int {
-	best := 0
-	for i := 1; i < len(replicas); i++ {
-		if replicas[i].Clock.Now() < replicas[best].Clock.Now() {
-			best = i
-		}
-	}
-	return best
-}
 
 func (leastLoadedRouter) RouteView(_ trace.Sample, v *fleet.View) *fleet.Member {
 	active := v.Active()
@@ -114,22 +96,8 @@ func (leastLoadedRouter) Name() string { return string(LeastLoaded) }
 
 type hashRouter struct{}
 
-// Route is the legacy flat-slice form: FNV-1a modulo the replica count.
-// Kept for custom callers holding a dense replica slice; the Cluster itself
-// routes through RouteView's consistent-hash ring.
-func (hashRouter) Route(s trace.Sample, replicas []*core.System) int {
-	return int(fleet.SampleKey(s) % uint64(len(replicas)))
-}
-
 func (hashRouter) RouteView(s trace.Sample, v *fleet.View) *fleet.Member {
 	return v.Route(fleet.SampleKey(s))
 }
 
 func (hashRouter) Name() string { return string(Hash) }
-
-// The built-in policies are membership-aware.
-var (
-	_ fleet.ViewRouter = (*roundRobinRouter)(nil)
-	_ fleet.ViewRouter = leastLoadedRouter{}
-	_ fleet.ViewRouter = hashRouter{}
-)

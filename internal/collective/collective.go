@@ -12,36 +12,6 @@ import (
 	"liveupdate/internal/simnet"
 )
 
-// AllGatherOnNetwork executes a recursive-doubling AllGather on an actual
-// simnet.Network, respecting per-link queueing, and advances the clock to
-// completion. It returns the elapsed virtual time. For non-power-of-two n
-// the exchange partner wraps modulo n (a standard dissemination variant).
-func AllGatherOnNetwork(c *simnet.Clock, net *simnet.Network, bytesPerNode int64) float64 {
-	n := net.N
-	if n <= 1 {
-		return 0
-	}
-	start := c.Now()
-	block := bytesPerNode
-	for r := 0; r < (Flat{}).Rounds(n); r++ {
-		dist := 1 << r
-		roundEnd := c.Now()
-		for i := 0; i < n; i++ {
-			j := (i + dist) % n
-			if j == i {
-				continue
-			}
-			done := net.Send(c, i, j, block)
-			if done > roundEnd {
-				roundEnd = done
-			}
-		}
-		c.AdvanceTo(roundEnd)
-		block *= 2
-	}
-	return c.Now() - start
-}
-
 // MergeStats describes one priority-merge synchronization.
 type MergeStats struct {
 	Participants int
@@ -157,29 +127,27 @@ func sortRowUpdates(rows []lora.RowUpdate) {
 	}
 }
 
-// SyncGroup coordinates R replica lora.Sets through periodic priority-merge
-// synchronization (the Sync step of paper Fig 7, step 3).
+// SyncGroup merges, prices and accounts the priority-merge synchronizations
+// of a group of replica lora.Sets (the Sync step of paper Fig 7, step 3);
+// the caller snapshots the replicas and publishes the merged state.
 //
-// Replica consistency after Sync requires the replicas to share a common
+// Replica consistency after a sync requires the replicas to share a common
 // LoRA rank: Algorithm 3 exchanges factor rows (A[i]) plus the shared B, so
 // independently rank-adapted replicas would hold structurally incompatible
 // factors. Deployments coordinate rank changes out of band (e.g. with the
 // hourly full sync); replicas here should either disable local rank
 // adaptation or adapt in lockstep.
 //
-// Accounting methods (Stats, GroupStats) and the cumulative counters are
-// guarded by an internal mutex so the asynchronous pipeline can fold results
-// in from a background goroutine while reporting code reads totals. The
-// delta-sync generation tracking shares that mutex and additionally assumes
-// merges are not concurrent with each other — the serialization every caller
-// (cluster syncMu, sequential Begin/Finish pairs) already provides.
+// GroupStats and the cumulative counters are guarded by an internal mutex
+// so a background sync can fold results in while reporting code reads
+// totals. The delta-sync generation tracking shares that mutex and
+// additionally assumes merges are not concurrent with each other — the
+// serialization the cluster's syncMu already provides.
 type SyncGroup struct {
-	Replicas []*lora.Set
-
 	BandwidthBps float64
 	LatencySec   float64
 
-	topo     Topology // nil means Flat
+	topo     Topology
 	delta    bool
 	compress int // flate level; 0 = off
 
@@ -194,17 +162,8 @@ type SyncGroup struct {
 	rowGen map[int]map[int32]int64 // table → row id → generation it last changed
 }
 
-// topology returns the configured topology, defaulting to Flat so
-// zero-valued and legacy-constructed groups keep the original cost model.
-func (sg *SyncGroup) topology() Topology {
-	if sg.topo == nil {
-		return Flat{}
-	}
-	return sg.topo
-}
-
 // Topology returns the topology pricing this group's collectives.
-func (sg *SyncGroup) Topology() Topology { return sg.topology() }
+func (sg *SyncGroup) Topology() Topology { return sg.topo }
 
 // GroupStats is a SyncGroup's cumulative accounting across syncs.
 type GroupStats struct {
@@ -221,7 +180,7 @@ type GroupStats struct {
 	// strictly larger than PayloadBytes for more than one replica.
 	WireBytes int64
 	// ComputeSeconds is the virtual time spent gathering and merging —
-	// the phase the asynchronous pipeline moves off the serving critical
+	// the phase the cluster's sync pipeline moves off the serving critical
 	// path. PublishSeconds is the virtual time broadcasting and installing
 	// the merged state. Their sum (plus CompressSeconds) is the total sync
 	// cost.
@@ -248,9 +207,9 @@ func (g GroupStats) Seconds() float64 {
 	return g.ComputeSeconds + g.PublishSeconds + g.CompressSeconds
 }
 
-// GroupConfig configures a SyncGroup beyond the uniform link parameters.
+// GroupConfig configures a SyncGroup: uniform link parameters plus the
+// pricing knobs.
 type GroupConfig struct {
-	Replicas     []*lora.Set
 	BandwidthBps float64
 	LatencySec   float64
 
@@ -277,7 +236,6 @@ func NewSyncGroupWith(cfg GroupConfig) (*SyncGroup, error) {
 		topo = Flat{}
 	}
 	sg := &SyncGroup{
-		Replicas:     cfg.Replicas,
 		BandwidthBps: cfg.BandwidthBps,
 		LatencySec:   cfg.LatencySec,
 		topo:         topo,
@@ -291,39 +249,6 @@ func NewSyncGroupWith(cfg GroupConfig) (*SyncGroup, error) {
 		sg.rowGen = make(map[int]map[int32]int64)
 	}
 	return sg, nil
-}
-
-// NewSyncGroup wraps the replica sets with uniform link parameters, flat
-// topology, full payloads, and no compression — the original cost model.
-func NewSyncGroup(replicas []*lora.Set, bandwidthBps, latencySec float64) *SyncGroup {
-	sg, err := NewSyncGroupWith(GroupConfig{
-		Replicas: replicas, BandwidthBps: bandwidthBps, LatencySec: latencySec,
-	})
-	if err != nil {
-		panic(err) // unreachable: the zero knobs are always valid
-	}
-	return sg
-}
-
-// Sync is the synchronous (barrier) protocol: it snapshots all replicas'
-// supports, priority-merges them, publishes the merged state everywhere, and
-// advances the clock by the AllGather + broadcast cost. Callers must have
-// quiesced every replica (it is the stop-the-world path). It returns the
-// merge statistics.
-func (sg *SyncGroup) Sync(c *simnet.Clock) (MergeStats, error) {
-	states := make([][]lora.TableState, len(sg.Replicas))
-	for i, r := range sg.Replicas {
-		states[i] = r.Snapshot()
-	}
-	merged, stats, cost, err := sg.merge(states)
-	if err != nil {
-		return stats, err
-	}
-	epoch := sg.commit(cost, stats, c)
-	for _, r := range sg.Replicas {
-		r.Publish(merged, epoch)
-	}
-	return stats, nil
 }
 
 // syncCost is one sync's wire/time bill, derived from the snapshots and the
@@ -341,37 +266,14 @@ type syncCost struct {
 	tracking *deltaTracking
 }
 
-// merge runs the priority merge and prices the collective: AllGather on the
-// largest per-rank payload (compute phase) plus a broadcast of the merged
-// state (publish phase). It does not touch the replicas, the clock, or the
-// cumulative stats, so it is safe to run on a background goroutine.
-func (sg *SyncGroup) merge(states [][]lora.TableState) ([]lora.TableState, MergeStats, syncCost, error) {
-	ranked := make([]RankedState, len(states))
-	for r, st := range states {
-		ranked[r] = RankedState{Rank: r, Tables: st}
-	}
-	return sg.mergeRanked(ranked)
-}
-
-// mergeRanked is merge over explicitly ranked states — the form an elastic
-// fleet uses, where the priority rank is a member's stable identity rather
-// than its position in a fixed replica slice.
-func (sg *SyncGroup) mergeRanked(states []RankedState) ([]lora.TableState, MergeStats, syncCost, error) {
-	merged, stats, err := PriorityMergeRanked(states)
-	if err != nil {
-		return nil, stats, syncCost{}, err
-	}
-	return merged, stats, sg.priceSync(states, merged), nil
-}
-
 // priceSync prices one sync's collective over the configured topology:
 // a gather paced by the largest per-rank payload, a broadcast of the merged
 // state, and — when enabled — delta tailoring and flate compression of both.
-// It never touches the replicas or the clock (delta tracking maps are read,
-// not written, under sg.mu), so it is safe on a background goroutine.
+// It never touches the clock or the cumulative stats (delta tracking maps
+// are read, not written, under sg.mu).
 func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) syncCost {
 	n := len(states)
-	topo := sg.topology()
+	topo := sg.topo
 
 	// Full sizing: the pacing (largest) per-rank payload and the merged
 	// payload — the classic bill, and the baseline delta savings are
@@ -425,25 +327,19 @@ func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) s
 	return cost
 }
 
-// SyncRanked runs one barrier-protocol sync over pre-taken ranked
-// snapshots: priority merge, collective pricing, cost charged to the clock,
-// accounting folded into the group totals. It returns the merged state and
-// the sync generation to stamp on published versions. Snapshotting and
-// publication stay with the caller — an elastic fleet snapshots whatever
-// members its live view holds, so the group's own replica list (if any) is
-// not consulted.
+// SyncRanked runs one priority-merge sync over pre-taken ranked snapshots:
+// Algorithm 3, collective pricing, cost charged to the clock (a nil clock
+// skips the charge), accounting folded into the group totals. It returns the
+// merged state and the sync generation to stamp on published versions.
+// Snapshotting and publication stay with the caller — an elastic fleet
+// snapshots whatever members its live view holds — and calls must not
+// overlap.
 func (sg *SyncGroup) SyncRanked(c *simnet.Clock, states []RankedState) ([]lora.TableState, MergeStats, int64, error) {
-	merged, stats, cost, err := sg.mergeRanked(states)
+	merged, stats, err := PriorityMergeRanked(states)
 	if err != nil {
 		return nil, stats, 0, err
 	}
-	epoch := sg.commit(cost, stats, c)
-	return merged, stats, epoch, nil
-}
-
-// commit charges one sync's cost to the clock and folds it into the
-// cumulative stats, returning the sync generation for version stamping.
-func (sg *SyncGroup) commit(cost syncCost, stats MergeStats, c *simnet.Clock) int64 {
+	cost := sg.priceSync(states, merged)
 	if c != nil {
 		c.Advance(cost.computeSeconds + cost.publishSeconds + cost.compressSeconds)
 	}
@@ -461,18 +357,7 @@ func (sg *SyncGroup) commit(cost syncCost, stats MergeStats, c *simnet.Clock) in
 	if cost.tracking != nil {
 		sg.applyTrackingLocked(cost.tracking, gen)
 	}
-	return gen
-}
-
-// Stats returns the cumulative sync count, the cumulative per-sync payload
-// totals (each rank's exported payload counted once per sync — the same
-// quantity MergeStats.PayloadBytes reports per sync), and the total virtual
-// seconds spent syncing. For the simulated wire traffic and the
-// compute/publish split, use GroupStats.
-func (sg *SyncGroup) Stats() (syncs int, bytes int64, seconds float64) {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	return sg.stats.Syncs, sg.stats.PayloadBytes, sg.stats.Seconds()
+	return merged, stats, gen, nil
 }
 
 // GroupStats returns the full cumulative accounting.
@@ -480,70 +365,4 @@ func (sg *SyncGroup) GroupStats() GroupStats {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
 	return sg.stats
-}
-
-// PendingMerge is one in-flight asynchronous priority merge: the snapshot
-// has been taken, the merge and its collective pricing run on a background
-// goroutine, and the merged state is staged until Finish publishes its cost.
-type PendingMerge struct {
-	done chan struct{}
-
-	merged []lora.TableState
-	stats  MergeStats
-	cost   syncCost
-	err    error
-}
-
-// AsyncSyncGroup is the pipelined half of the update path: Begin stages a
-// merge over pre-taken snapshots without blocking the caller, and Finish
-// waits for it, charges the simulated collective cost to the sync clock, and
-// hands back the merged state for per-replica publication. Snapshotting and
-// publication stay with the caller (a cluster locks each replica
-// individually around those two steps), so no fleet-wide barrier is needed
-// anywhere in the pipeline.
-type AsyncSyncGroup struct {
-	Group *SyncGroup
-}
-
-// NewAsyncSyncGroup wraps a SyncGroup for pipelined use. The two views share
-// replicas, link parameters, and cumulative accounting.
-func NewAsyncSyncGroup(sg *SyncGroup) *AsyncSyncGroup {
-	return &AsyncSyncGroup{Group: sg}
-}
-
-// Begin starts the background merge of the given per-rank snapshots (index =
-// rank id) and returns immediately. The snapshots must not be mutated after
-// the call — lora.Set.Snapshot's deep copies satisfy that by construction.
-func (ag *AsyncSyncGroup) Begin(states [][]lora.TableState) *PendingMerge {
-	p := &PendingMerge{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.merged, p.stats, p.cost, p.err = ag.Group.merge(states)
-	}()
-	return p
-}
-
-// BeginRanked is Begin over explicitly ranked snapshots (the elastic-fleet
-// form: rank ids are member identities and need not be contiguous).
-func (ag *AsyncSyncGroup) BeginRanked(states []RankedState) *PendingMerge {
-	p := &PendingMerge{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.merged, p.stats, p.cost, p.err = ag.Group.mergeRanked(states)
-	}()
-	return p
-}
-
-// Finish blocks until the pending merge completes, charges its simulated
-// AllGather + broadcast cost to the sync clock, folds the accounting into
-// the group totals, and returns the staged merged state together with the
-// sync generation to stamp on the published versions. Serving never waits
-// here: Finish is called from the pipeline's own goroutine.
-func (ag *AsyncSyncGroup) Finish(p *PendingMerge, c *simnet.Clock) ([]lora.TableState, MergeStats, int64, error) {
-	<-p.done
-	if p.err != nil {
-		return nil, p.stats, 0, p.err
-	}
-	epoch := ag.Group.commit(p.cost, p.stats, c)
-	return p.merged, p.stats, epoch, nil
 }

@@ -56,25 +56,33 @@ func TestBroadcastTime(t *testing.T) {
 	}
 }
 
-func TestAllGatherOnNetwork(t *testing.T) {
-	c := simnet.NewClock()
-	net := simnet.NewNetwork(4, 1e6, 0.001)
-	elapsed := AllGatherOnNetwork(c, net, 1000)
-	if elapsed <= 0 {
-		t.Fatal("allgather must take time")
+// testGroup is a flat-topology group on 100 GbE links with 1 ms latency,
+// full payloads, and no compression.
+func testGroup(t *testing.T) *SyncGroup {
+	t.Helper()
+	sg, err := NewSyncGroupWith(GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Now() != elapsed {
-		t.Fatal("clock must advance to completion")
+	return sg
+}
+
+// syncReplicas is one stop-the-world sync over a fixed replica slice: every
+// replica is snapshotted with its index as its rank, SyncRanked merges and
+// prices, and the merged state is published to every replica.
+func syncReplicas(sg *SyncGroup, c *simnet.Clock, replicas []*lora.Set) (MergeStats, error) {
+	states := make([]RankedState, len(replicas))
+	for i, r := range replicas {
+		states[i] = RankedState{Rank: i, Tables: r.Snapshot()}
 	}
-	// 2 rounds for n=4, payload doubles: round sizes 1000 then 2000.
-	if net.TotalBytesMoved() != 4*1000+4*2000 {
-		t.Fatalf("bytes moved %d", net.TotalBytesMoved())
+	merged, stats, epoch, err := sg.SyncRanked(c, states)
+	if err != nil {
+		return stats, err
 	}
-	// Single node: free.
-	c2 := simnet.NewClock()
-	if AllGatherOnNetwork(c2, simnet.NewNetwork(1, 1e6, 0.001), 1000) != 0 {
-		t.Fatal("single-node network allgather must be free")
+	for _, r := range replicas {
+		r.Publish(merged, epoch)
 	}
+	return stats, nil
 }
 
 func makeReplicas(n int) []*lora.Set {
@@ -239,8 +247,8 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 
 // TestSyncGroupByteAccounting is the regression test for the payload/wire
 // accounting mismatch: MergeStats.PayloadBytes counts each rank's export
-// exactly once per sync, SyncGroup.Stats accumulates exactly those per-sync
-// totals, and GroupStats.WireBytes bills the simulated collective
+// exactly once per sync, GroupStats.PayloadBytes accumulates exactly those
+// per-sync totals, and GroupStats.WireBytes bills the simulated collective
 // (recursive-doubling AllGather on the max per-rank payload plus the
 // broadcast of the merged state).
 func TestSyncGroupByteAccounting(t *testing.T) {
@@ -267,15 +275,15 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 		t.Fatalf("MergeStats.PayloadBytes = %d, want Σ per-rank exports %d", stats.PayloadBytes, wantPayload)
 	}
 
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
-	if _, err := sg.Sync(simnet.NewClock()); err != nil {
+	sg := testGroup(t)
+	clock := simnet.NewClock()
+	if _, err := syncReplicas(sg, clock, replicas); err != nil {
 		t.Fatal(err)
 	}
-	syncs, bytes, secs := sg.Stats()
-	if syncs != 1 || bytes != wantPayload {
-		t.Fatalf("Stats() = (%d, %d), want (1, %d): cumulative bytes must be per-sync payload totals", syncs, bytes, wantPayload)
-	}
 	gs := sg.GroupStats()
+	if gs.Syncs != 1 || gs.PayloadBytes != wantPayload {
+		t.Fatalf("GroupStats = (%d, %d), want (1, %d): cumulative bytes must be per-sync payload totals", gs.Syncs, gs.PayloadBytes, wantPayload)
+	}
 	wantWire := Flat{}.GatherBytes(4, maxPayload, 0) + Flat{}.BroadcastBytes(4, lora.PayloadBytes(merged))
 	if gs.WireBytes != wantWire {
 		t.Fatalf("WireBytes = %d, want %d (allgather %d + broadcast %d)",
@@ -287,11 +295,11 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 	if gs.ComputeSeconds <= 0 || gs.PublishSeconds <= 0 {
 		t.Fatalf("cost split missing: %+v", gs)
 	}
-	if math.Abs(secs-gs.Seconds()) > 1e-15 {
-		t.Fatalf("Stats seconds %v != GroupStats total %v", secs, gs.Seconds())
+	if clock.Now() != gs.Seconds() {
+		t.Fatalf("clock charged %v, GroupStats total %v", clock.Now(), gs.Seconds())
 	}
 	// A second sync accumulates on top (supports were reset, so only B moves).
-	if _, err := sg.Sync(simnet.NewClock()); err != nil {
+	if _, err := syncReplicas(sg, simnet.NewClock(), replicas); err != nil {
 		t.Fatal(err)
 	}
 	if got := sg.GroupStats(); got.Syncs != 2 || got.PayloadBytes <= gs.PayloadBytes {
@@ -303,88 +311,12 @@ func TestAllGatherAndBroadcastBytes(t *testing.T) {
 	if (Flat{}).GatherBytes(1, 1000, 0) != 0 || (Flat{}).BroadcastBytes(1, 1000) != 0 {
 		t.Fatal("single node moves nothing")
 	}
-	// n=4: 2 rounds, per-node blocks 1000 then 2000 → 4·3000 total; matches
-	// the traffic AllGatherOnNetwork actually generates (see its test).
+	// n=4: 2 rounds, per-node blocks 1000 then 2000 → 4·3000 total.
 	if got := (Flat{}).GatherBytes(4, 1000, 0); got != 12000 {
 		t.Fatalf("Flat.GatherBytes(4, 1000, 0) = %d, want 12000", got)
 	}
 	if got := (Flat{}).BroadcastBytes(8, 1000); got != 7000 {
 		t.Fatalf("Flat.BroadcastBytes(8, 1000) = %d, want 7000", got)
-	}
-}
-
-// TestAsyncSyncGroupMatchesSync verifies the pipelined protocol is the same
-// merge, the same cost, and the same accounting as the barrier Sync — only
-// staged: Begin runs the merge in the background over pre-taken snapshots,
-// Finish charges the clock and returns the staged state for publication.
-func TestAsyncSyncGroupMatchesSync(t *testing.T) {
-	mkTrained := func() []*lora.Set {
-		replicas := makeReplicas(3)
-		trainOn(replicas[0], 0, 5, 1)
-		trainOn(replicas[1], 0, 5, 2)
-		trainOn(replicas[2], 1, 9, 3)
-		return replicas
-	}
-
-	barrier := mkTrained()
-	bsg := NewSyncGroup(barrier, simnet.Gbps100, 0.001)
-	bclock := simnet.NewClock()
-	bstats, err := bsg.Sync(bclock)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pipelined := mkTrained()
-	asg := NewAsyncSyncGroup(NewSyncGroup(pipelined, simnet.Gbps100, 0.001))
-	aclock := simnet.NewClock()
-	states := make([][]lora.TableState, len(pipelined))
-	for i, r := range pipelined {
-		states[i] = r.Snapshot()
-	}
-	merged, astats, epoch, err := asg.Finish(asg.Begin(states), aclock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range pipelined {
-		r.Publish(merged, epoch)
-	}
-
-	if astats != bstats {
-		t.Fatalf("async merge stats %+v differ from barrier %+v", astats, bstats)
-	}
-	if aclock.Now() != bclock.Now() {
-		t.Fatalf("async clock charge %v differs from barrier %v", aclock.Now(), bclock.Now())
-	}
-	if asg.Group.GroupStats() != bsg.GroupStats() {
-		t.Fatalf("async accounting %+v differs from barrier %+v", asg.Group.GroupStats(), bsg.GroupStats())
-	}
-	if epoch != 1 {
-		t.Fatalf("first sync generation = %d, want 1", epoch)
-	}
-	// Replica consistency and version stamping after the async publish.
-	ref := make([]float64, 8)
-	got := make([]float64, 8)
-	for _, q := range []struct {
-		table int
-		id    int32
-	}{{0, 5}, {1, 9}} {
-		pipelined[0].EffectiveRow(q.table, q.id, ref)
-		for r := 1; r < len(pipelined); r++ {
-			pipelined[r].EffectiveRow(q.table, q.id, got)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("replica %d diverges on table %d id %d after async publish", r, q.table, q.id)
-				}
-			}
-		}
-	}
-	for i, r := range pipelined {
-		if r.Epoch() != epoch {
-			t.Fatalf("replica %d epoch %d, want %d", i, r.Epoch(), epoch)
-		}
-		if v := r.Published(); v == nil || len(v.Tables) != 2 {
-			t.Fatalf("replica %d published version malformed", i)
-		}
 	}
 }
 
@@ -403,7 +335,7 @@ func TestPriorityMergeErrors(t *testing.T) {
 }
 
 func TestSyncGroupConvergence(t *testing.T) {
-	// After Sync, all replicas must produce identical effective embeddings
+	// After a sync, all replicas must produce identical effective embeddings
 	// for every id any rank touched — the replica-consistency requirement of
 	// paper §II-C.
 	replicas := makeReplicas(4)
@@ -412,9 +344,9 @@ func TestSyncGroupConvergence(t *testing.T) {
 	trainOn(replicas[2], 1, 9, 3)
 	trainOn(replicas[3], 0, 30, 4)
 
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
+	sg := testGroup(t)
 	c := simnet.NewClock()
-	stats, err := sg.Sync(c)
+	stats, err := syncReplicas(sg, c, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,21 +381,20 @@ func TestSyncGroupConvergence(t *testing.T) {
 			}
 		}
 	}
-	syncs, bytes, secs := sg.Stats()
-	if syncs != 1 || bytes <= 0 || secs <= 0 {
-		t.Fatalf("stats %d %d %v", syncs, bytes, secs)
+	if gs := sg.GroupStats(); gs.Syncs != 1 || gs.PayloadBytes <= 0 || gs.Seconds() <= 0 {
+		t.Fatalf("stats %+v", gs)
 	}
 }
 
 func TestSyncGroupIdempotentWhenQuiet(t *testing.T) {
 	replicas := makeReplicas(2)
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
+	sg := testGroup(t)
 	c := simnet.NewClock()
-	if _, err := sg.Sync(c); err != nil {
+	if _, err := syncReplicas(sg, c, replicas); err != nil {
 		t.Fatal(err)
 	}
 	// Second sync with no training in between must merge zero rows.
-	stats, err := sg.Sync(c)
+	stats, err := syncReplicas(sg, c, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +421,7 @@ func TestSyncIntervalAccuracyTradeoffSetup(t *testing.T) {
 	if !diverged {
 		t.Fatal("replicas should diverge before sync")
 	}
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
-	if _, err := sg.Sync(nil); err != nil { // nil clock allowed
+	if _, err := syncReplicas(testGroup(t), nil, replicas); err != nil { // nil clock allowed
 		t.Fatal(err)
 	}
 	replicas[0].EffectiveRow(0, 5, a)
@@ -528,8 +458,7 @@ func TestSyncGroupConsistencyAfterLongRun(t *testing.T) {
 		id := int32(rng.Intn(200))
 		replicas[step%nodes].ApplyGrad(table, []int32{id}, g, 0.05)
 	}
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
-	if _, err := sg.Sync(simnet.NewClock()); err != nil {
+	if _, err := syncReplicas(testGroup(t), simnet.NewClock(), replicas); err != nil {
 		t.Fatal(err)
 	}
 	ref := make([]float64, 8)

@@ -22,8 +22,9 @@ import (
 // generation" half of the protocol.
 
 // deltaTracking stages the generation bookkeeping one delta-mode sync
-// applies at commit: which rows the publish touched, whether each table's
-// published factor changed, and which ranks acknowledged the generation.
+// applies when SyncRanked folds it into the group totals: which rows the
+// publish touched, whether each table's published factor changed, and which
+// ranks acknowledged the generation.
 type deltaTracking struct {
 	participants []int
 	mergedIDs    [][]int32 // per table: row ids published this sync
@@ -46,8 +47,8 @@ type deltaSizing struct {
 }
 
 // deltaSize computes the delta-adjusted payload sizes for one sync. It reads
-// the tracking maps under sg.mu but defers every mutation to commit via the
-// staged deltaTracking, so a failed or abandoned merge leaves no trace.
+// the tracking maps under sg.mu but defers every mutation to SyncRanked via
+// the staged deltaTracking, so a failed or abandoned merge leaves no trace.
 func (sg *SyncGroup) deltaSize(states []RankedState, merged []lora.TableState) deltaSizing {
 	numTables := len(merged)
 	ds := deltaSizing{

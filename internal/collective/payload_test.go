@@ -31,13 +31,16 @@ func payloadFixture() []lora.TableState {
 	}
 }
 
-func TestPayloadRoundTrip(t *testing.T) {
-	cases := map[string][]lora.TableState{
+func roundTripPayloads() map[string][]lora.TableState {
+	return map[string][]lora.TableState{
 		"fixture": payloadFixture(),
 		"empty":   {},
 		"no-rows": {{Rank: 4, B: tensor.NewMatrix(4, 2)}},
 	}
-	for name, tables := range cases {
+}
+
+func TestPayloadRoundTrip(t *testing.T) {
+	for name, tables := range roundTripPayloads() {
 		for _, level := range []int{0, 1, 6, 9} {
 			enc, err := EncodePayload(tables, level)
 			if err != nil {
@@ -118,9 +121,8 @@ func TestPayloadDecodeAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
-// payloadCorpus builds a valid raw frame and returns it plus helpers for
-// corrupting specific fields in place.
-func validRawPayload(t *testing.T) []byte {
+// validRawPayload encodes the fixture as a raw (level 0) frame.
+func validRawPayload(t testing.TB) []byte {
 	t.Helper()
 	enc, err := EncodePayload(payloadFixture(), 0)
 	if err != nil {
@@ -129,43 +131,51 @@ func validRawPayload(t *testing.T) []byte {
 	return enc
 }
 
-// TestPayloadHostileInputs is the hostile-input regression table: every
-// length field oversized past its cap, truncations, unknown framing, and
-// deflate bombs must all error before any oversized allocation happens.
-func TestPayloadHostileInputs(t *testing.T) {
+// hostilePayload is one malformed frame and the error it must produce.
+type hostilePayload struct {
+	name    string
+	frame   []byte
+	wantErr string
+}
+
+// payloadBody is the length of a frame's header (magic, version, flags).
+const payloadBody = 6
+
+// deflateFrame wraps a raw body in a deflate-flagged frame.
+func deflateFrame(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(payloadMagic)
+	buf.WriteByte(payloadVersion)
+	buf.WriteByte(flagPayloadDeflate)
+	fw, err := flate.NewWriter(&buf, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hostilePayloads is the hostile-input regression table: every length field
+// oversized past its cap, truncations, and unknown framing.
+func hostilePayloads(t testing.TB) []hostilePayload {
 	// Offsets into the raw frame (6-byte header, then the body):
 	// body+0: tableCount; body+4: table0 rank; body+8: hasFactor;
 	// body+9: factor rows; body+13: factor cols.
-	const body = 6
+	const body = payloadBody
 	put := func(frame []byte, off int, v uint32) []byte {
 		out := append([]byte(nil), frame...)
 		binary.LittleEndian.PutUint32(out[off:], v)
 		return out
 	}
-	deflateFrame := func(raw []byte) []byte {
-		var buf bytes.Buffer
-		buf.WriteString(payloadMagic)
-		buf.WriteByte(payloadVersion)
-		buf.WriteByte(flagPayloadDeflate)
-		fw, err := flate.NewWriter(&buf, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fw.Write(raw); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	valid := validRawPayload(t)
 
-	cases := []struct {
-		name    string
-		frame   []byte
-		wantErr string
-	}{
+	cases := []hostilePayload{
 		{"empty", nil, "truncated"},
 		{"short header", []byte("LUS"), "truncated"},
 		{"bad magic", append([]byte("NOPE"), valid[4:]...), "bad payload magic"},
@@ -200,46 +210,24 @@ func TestPayloadHostileInputs(t *testing.T) {
 	fx := payloadFixture()
 	// tableCount + rank + marker + factor dims + factor data
 	rowOff := body + 4 + 4 + 1 + 8 + len(fx[0].B.Data)*8
-	cases = append(cases,
-		struct {
-			name    string
-			frame   []byte
-			wantErr string
-		}{"row count over cap", put(valid, rowOff, maxPayloadRows+1), "row count"},
-		struct {
-			name    string
-			frame   []byte
-			wantErr string
-		}{"row count beyond data", put(valid, rowOff, maxPayloadRows), "truncated"},
-		struct {
-			name    string
-			frame   []byte
-			wantErr string
-		}{"row id past int32", put(valid, rowOff+4, math.MaxInt32+1), "row id"},
-		struct {
-			name    string
-			frame   []byte
-			wantErr string
-		}{"row width over cap", put(valid, rowOff+8, maxPayloadRank+1), "row width"},
-		struct {
-			name    string
-			frame   []byte
-			wantErr string
-		}{"row width beyond data", put(valid, rowOff+8, maxPayloadRank-1), "truncated"},
+	return append(cases,
+		hostilePayload{"row count over cap", put(valid, rowOff, maxPayloadRows+1), "row count"},
+		hostilePayload{"row count beyond data", put(valid, rowOff, maxPayloadRows), "truncated"},
+		hostilePayload{"row id past int32", put(valid, rowOff+4, math.MaxInt32+1), "row id"},
+		hostilePayload{"row width over cap", put(valid, rowOff+8, maxPayloadRank+1), "row width"},
+		hostilePayload{"row width beyond data", put(valid, rowOff+8, maxPayloadRank-1), "truncated"},
 	)
+}
 
+// TestPayloadHostileInputs requires every hostile frame, and a deflate bomb,
+// to error before any oversized allocation happens.
+func TestPayloadHostileInputs(t *testing.T) {
 	// Decompression bomb: a tiny deflate frame inflating past maxPayloadBody.
-	bomb := deflateFrame(make([]byte, maxPayloadBody+2))
+	bomb := deflateFrame(t, make([]byte, maxPayloadBody+2))
 	if len(bomb) > 1<<20 {
 		t.Fatalf("bomb frame unexpectedly large: %d", len(bomb))
 	}
-	cases = append(cases, struct {
-		name    string
-		frame   []byte
-		wantErr string
-	}{"decompression bomb", bomb, "exceeds"})
-
-	for _, tc := range cases {
+	for _, tc := range append(hostilePayloads(t), hostilePayload{"decompression bomb", bomb, "exceeds"}) {
 		_, err := DecodePayload(tc.frame)
 		if err == nil {
 			t.Fatalf("%s: decode must fail", tc.name)
@@ -250,11 +238,48 @@ func TestPayloadHostileInputs(t *testing.T) {
 	}
 
 	// A deflated valid frame still round-trips through the hostile decoder.
-	dec, err := DecodePayload(deflateFrame(valid[body:]))
+	dec, err := DecodePayload(deflateFrame(t, validRawPayload(t)[payloadBody:]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tablesEqual(dec, fx) {
+	if !tablesEqual(dec, payloadFixture()) {
 		t.Fatal("deflated frame round trip changed the payload")
 	}
+}
+
+// FuzzDecodePayload feeds DecodePayload arbitrary bytes, seeded with the
+// round-trip tables (encoded raw and deflated) and the hostile frames — not
+// the deflate bomb, which would inflate 256 MB on every execution. It must
+// never panic, and whatever it accepts must survive a raw re-encode and a
+// second decode bit for bit.
+func FuzzDecodePayload(f *testing.F) {
+	for _, tables := range roundTripPayloads() {
+		for _, level := range []int{0, 6} {
+			enc, err := EncodePayload(tables, level)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(enc)
+		}
+	}
+	for _, tc := range hostilePayloads(f) {
+		f.Add(tc.frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := DecodePayload(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodePayload(dec, 0)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted payload: %v", err)
+		}
+		again, err := DecodePayload(enc)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded payload: %v", err)
+		}
+		if !tablesEqual(again, dec) {
+			t.Fatal("encode∘decode is not the identity on an accepted payload")
+		}
+	})
 }

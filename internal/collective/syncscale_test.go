@@ -79,7 +79,6 @@ func runSyncScaleCell(seed uint64, n int, cfg ssConfig) (ssCell, error) {
 		return ssCell{}, err
 	}
 	sg, err := NewSyncGroupWith(GroupConfig{
-		Replicas:      sets,
 		BandwidthBps:  ssBw,
 		LatencySec:    ssLat,
 		Topology:      topo,
@@ -113,7 +112,7 @@ func runSyncScaleCell(seed uint64, n int, cfg ssConfig) (ssCell, error) {
 				}
 			}
 		}
-		if _, err := sg.Sync(clock); err != nil {
+		if _, err := syncReplicas(sg, clock, sets); err != nil {
 			return ssCell{}, fmt.Errorf("sync-scale cell: n=%d %s sync %d: %w", n, cfg.label, round+1, err)
 		}
 	}

@@ -207,9 +207,9 @@ type Report struct {
 	// SyncStallSeconds is the virtual time the fleet spent in priority-merge
 	// syncs during the drive (zero for a single System), split into the
 	// compute phase (snapshot gather + merge — runs off the serving critical
-	// path under the asynchronous pipeline) and the publish phase
-	// (broadcasting and installing the merged state). In barrier mode the
-	// whole stall sits between requests; in async mode serving overlaps it.
+	// path in the periodic-sync pipeline) and the publish phase
+	// (broadcasting and installing the merged state). Serving overlaps
+	// periodic syncs; only an explicit SyncNow stalls it.
 	SyncStallSeconds   float64
 	SyncComputeSeconds float64
 	SyncPublishSeconds float64

@@ -28,17 +28,9 @@ func testProfile(t testing.TB) trace.Profile {
 	return p
 }
 
-// testCluster builds a fleet in barrier mode: the stop-the-world protocol
-// additionally freezes WHICH training lands before each merge, so the
-// legacy determinism tests below can compare full per-replica stats —
-// adapter content included — across runs and worker counts. Async-mode
-// guarantees (the virtual-time subset only) are covered separately by
-// TestDriveAsyncVirtualTimeInvariance.
+// testCluster builds a fleet whose periodic sync fires every 2 virtual
+// seconds — several epochs per drive.
 func testCluster(t testing.TB, replicas int, policy cluster.Policy) *cluster.Cluster {
-	return testClusterMode(t, replicas, policy, cluster.SyncBarrier)
-}
-
-func testClusterMode(t testing.TB, replicas int, policy cluster.Policy, mode cluster.SyncMode) *cluster.Cluster {
 	t.Helper()
 	opts := core.DefaultOptions(testProfile(t), 42)
 	opts.TrainInterval = 4
@@ -50,8 +42,7 @@ func testClusterMode(t testing.TB, replicas int, policy cluster.Policy, mode clu
 		Base:      opts,
 		Replicas:  replicas,
 		Router:    r,
-		SyncEvery: 2e9, // 2 virtual seconds; several epochs per drive
-		Mode:      mode,
+		SyncEvery: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +50,9 @@ func testClusterMode(t testing.TB, replicas int, policy cluster.Policy, mode clu
 	return c
 }
 
-// keyStats projects the worker-count-invariant virtual-time fields.
+// keyStats projects the worker-count-invariant virtual-time fields: fleet
+// counters and quantiles, and the full per-replica snapshots minus the
+// adapter-content fields.
 type keyStats struct {
 	served, violations, trainSteps uint64
 	syncs                          int
@@ -81,12 +74,11 @@ func keyOf(st core.Stats) keyStats {
 		rs.Replicas = nil
 		// Adapter-content metrics are NOT part of the worker-count
 		// invariance contract (which covers virtual-time statistics): a
-		// periodic sync snapshots whatever each replica's support holds at
-		// the barrier, and how far a replica's lane has drained at that
-		// wall-clock instant depends on queue occupancy, which varies with
-		// the worker count. The merged VALUES land somewhere either way
-		// (this epoch or the next) without touching any virtual clock, but
-		// row-census metrics derived from them may differ.
+		// periodic sync snapshots whatever each replica's support holds
+		// when the pipeline gets to it, which depends on scheduling. The
+		// merged VALUES land somewhere either way (this epoch or the next)
+		// without touching any virtual clock, but row-census metrics
+		// derived from them may differ.
 		rs.LoRAHotRows = 0
 		rs.MemoryOverhead = 0
 		k.perReplica = append(k.perReplica, rs)
@@ -131,43 +123,13 @@ func TestDriveWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// virtualKey projects the fields async mode guarantees deterministic for
-// any worker count: everything derived from virtual time, per replica
-// included, but not adapter-content fields (hot-row counts, memory
-// overhead), which depend on when each background merge publishes.
-type virtualKey struct {
-	served, violations, trainSteps uint64
-	syncs                          int
-	virtualTime, p50, p99          float64
-	perReplica                     [][5]float64
-}
-
-func virtualKeyOf(st core.Stats) virtualKey {
-	k := virtualKey{
-		served:      st.Served,
-		violations:  st.Violations,
-		trainSteps:  st.TrainSteps,
-		syncs:       st.Syncs,
-		virtualTime: st.VirtualTime,
-		p50:         st.P50,
-		p99:         st.P99,
-	}
-	for _, rs := range st.Replicas {
-		k.perReplica = append(k.perReplica, [5]float64{
-			float64(rs.Served), float64(rs.Violations), float64(rs.TrainSteps),
-			rs.VirtualTime, rs.P99,
-		})
-	}
-	return k
-}
-
 // TestDriveAsyncVirtualTimeInvariance is the async pipeline's determinism
 // contract under the driver: with background merges publishing at arbitrary
 // wall-clock points, every virtual-time statistic — fleet and per-replica —
 // is still identical for 1 vs 8 workers and across repeated runs.
 func TestDriveAsyncVirtualTimeInvariance(t *testing.T) {
-	run := func(workers int) virtualKey {
-		c := testClusterMode(t, 4, cluster.Hash, cluster.SyncAsync)
+	run := func(workers int) keyStats {
+		c := testCluster(t, 4, cluster.Hash)
 		gen := trace.MustNewGenerator(testProfile(t), 7)
 		rep, err := Drive(context.Background(), c, gen.Next, Config{
 			Requests: 3000, Workers: workers, Seed: 1,
@@ -179,7 +141,7 @@ func TestDriveAsyncVirtualTimeInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: sync stall split inconsistent: %v != %v + %v",
 				workers, rep.SyncStallSeconds, rep.SyncComputeSeconds, rep.SyncPublishSeconds)
 		}
-		return virtualKeyOf(rep.Final)
+		return keyOf(rep.Final)
 	}
 	want := run(1)
 	if want.syncs == 0 {
@@ -410,7 +372,7 @@ func TestDriveHammersClusterRace(t *testing.T) {
 // disabled so post-churn consistency is structural (usage-based pruning
 // evicts published rows at per-replica adapt boundaries — a sync-protocol
 // quirk orthogonal to membership).
-func chaosCluster(t testing.TB, replicas int, mode cluster.SyncMode) *cluster.Cluster {
+func chaosCluster(t testing.TB, replicas int) *cluster.Cluster {
 	t.Helper()
 	opts := core.DefaultOptions(testProfile(t), 42)
 	opts.TrainInterval = 4
@@ -424,7 +386,6 @@ func chaosCluster(t testing.TB, replicas int, mode cluster.SyncMode) *cluster.Cl
 		Replicas:  replicas,
 		Router:    r,
 		SyncEvery: 500 * time.Millisecond,
-		Mode:      mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +399,7 @@ func chaosCluster(t testing.TB, replicas int, mode cluster.SyncMode) *cluster.Cl
 // replacement reaches the fleet epoch (ReplicasConsistent after the
 // post-drive drain + merge), and every virtual-time statistic, including
 // where in the request sequence each chaos event landed, is identical for
-// any worker count, in both sync modes.
+// any worker count.
 func TestDriveChaosKillReplaceDeterministic(t *testing.T) {
 	const requests = 4000
 	schedule := fleet.Schedule{
@@ -451,57 +412,55 @@ func TestDriveChaosKillReplaceDeterministic(t *testing.T) {
 		events []AppliedEvent
 		fleet  [5]int // members, joins, leaves, fails, shards
 	}
-	for _, mode := range cluster.SyncModes() {
-		var want chaosKey
-		for i, workers := range []int{1, 3, 8} {
-			c := chaosCluster(t, 4, mode)
-			gen := trace.MustNewGenerator(testProfile(t), 7)
-			rep, err := Drive(context.Background(), c, gen.Next, Config{
-				Requests: requests, Workers: workers, Seed: 1, Chaos: schedule,
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", mode, workers, err)
-			}
-			if rep.Served != requests {
-				t.Fatalf("%s workers=%d: served %d of %d — chaos dropped requests",
-					mode, workers, rep.Served, requests)
-			}
-			if len(rep.Chaos) != len(schedule) || rep.ChaosSkipped != 0 {
-				t.Fatalf("%s workers=%d: applied %d events (skipped %d), want all %d — raise the trace length or lower the timestamps",
-					mode, workers, len(rep.Chaos), rep.ChaosSkipped, len(schedule))
-			}
-			got := chaosKey{
-				stats:  keyOf(rep.Final),
-				events: rep.Chaos,
-				fleet: [5]int{rep.Final.Members, rep.Final.Joins, rep.Final.Leaves,
-					rep.Final.Fails, rep.Shards},
-			}
-			if rep.Final.Members != 5 || rep.Final.Fails != 1 || rep.Final.Joins != 2 {
-				t.Fatalf("%s workers=%d: fleet counters members=%d fails=%d joins=%d, want 5/1/2",
-					mode, workers, rep.Final.Members, rep.Final.Fails, rep.Final.Joins)
-			}
-			if rep.Final.CatchUpBytes == 0 || rep.Final.CatchUpSeconds <= 0 {
-				t.Fatalf("%s workers=%d: catch-up bill missing: %+v", mode, workers, rep.Final)
-			}
-			// The replacement must carry load after rejoining.
-			if sys := c.Replica(1); sys == nil || sys.Stats().Served == 0 {
-				t.Fatalf("%s workers=%d: replacement in slot 1 served nothing", mode, workers)
-			}
-			// Catch-up + post-churn syncs must reconcile the whole fleet.
-			if _, err := c.SyncNow(); err != nil {
-				t.Fatalf("%s workers=%d: SyncNow: %v", mode, workers, err)
-			}
-			if !c.ReplicasConsistent(50) {
-				t.Fatalf("%s workers=%d: fleet inconsistent after drain + merge", mode, workers)
-			}
-			if i == 0 {
-				want = got
-				continue
-			}
-			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-				t.Fatalf("%s: chaos drive diverges between worker counts:\n  want %+v\n  got(%d) %+v",
-					mode, want, workers, got)
-			}
+	var want chaosKey
+	for i, workers := range []int{1, 3, 8} {
+		c := chaosCluster(t, 4)
+		gen := trace.MustNewGenerator(testProfile(t), 7)
+		rep, err := Drive(context.Background(), c, gen.Next, Config{
+			Requests: requests, Workers: workers, Seed: 1, Chaos: schedule,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if rep.Served != requests {
+			t.Fatalf("workers=%d: served %d of %d — chaos dropped requests",
+				workers, rep.Served, requests)
+		}
+		if len(rep.Chaos) != len(schedule) || rep.ChaosSkipped != 0 {
+			t.Fatalf("workers=%d: applied %d events (skipped %d), want all %d — raise the trace length or lower the timestamps",
+				workers, len(rep.Chaos), rep.ChaosSkipped, len(schedule))
+		}
+		got := chaosKey{
+			stats:  keyOf(rep.Final),
+			events: rep.Chaos,
+			fleet: [5]int{rep.Final.Members, rep.Final.Joins, rep.Final.Leaves,
+				rep.Final.Fails, rep.Shards},
+		}
+		if rep.Final.Members != 5 || rep.Final.Fails != 1 || rep.Final.Joins != 2 {
+			t.Fatalf("workers=%d: fleet counters members=%d fails=%d joins=%d, want 5/1/2",
+				workers, rep.Final.Members, rep.Final.Fails, rep.Final.Joins)
+		}
+		if rep.Final.CatchUpBytes == 0 || rep.Final.CatchUpSeconds <= 0 {
+			t.Fatalf("workers=%d: catch-up bill missing: %+v", workers, rep.Final)
+		}
+		// The replacement must carry load after rejoining.
+		if sys := c.Replica(1); sys == nil || sys.Stats().Served == 0 {
+			t.Fatalf("workers=%d: replacement in slot 1 served nothing", workers)
+		}
+		// Catch-up + post-churn syncs must reconcile the whole fleet.
+		if _, err := c.SyncNow(); err != nil {
+			t.Fatalf("workers=%d: SyncNow: %v", workers, err)
+		}
+		if !c.ReplicasConsistent(50) {
+			t.Fatalf("workers=%d: fleet inconsistent after drain + merge", workers)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("chaos drive diverges between worker counts:\n  want %+v\n  got(%d) %+v",
+				want, workers, got)
 		}
 	}
 }
@@ -509,7 +468,7 @@ func TestDriveChaosKillReplaceDeterministic(t *testing.T) {
 // TestDriveChaosScaleAddsLanes: replicas joining mid-drive get shard lanes
 // (slot%workers) and actually absorb routed traffic.
 func TestDriveChaosScaleAddsLanes(t *testing.T) {
-	c := chaosCluster(t, 2, cluster.SyncAsync)
+	c := chaosCluster(t, 2)
 	gen := trace.MustNewGenerator(testProfile(t), 19)
 	rep, err := Drive(context.Background(), c, gen.Next, Config{
 		Requests: 3000, Workers: 2, Seed: 3,
@@ -556,7 +515,7 @@ func TestDriveChaosConfigErrors(t *testing.T) {
 	}); err == nil {
 		t.Fatal("chaos against a non-elastic server must be a config error")
 	}
-	c := chaosCluster(t, 2, cluster.SyncAsync)
+	c := chaosCluster(t, 2)
 	bad := fleet.Schedule{{At: -time.Second, Action: fleet.Kill, Arg: 0}}
 	if _, err := Drive(context.Background(), c, gen.Next, Config{
 		Requests: 10, Chaos: bad,
@@ -566,42 +525,40 @@ func TestDriveChaosConfigErrors(t *testing.T) {
 }
 
 // TestDriveBatchedMatchesUnbatched: lane-worker coalescing must leave every
-// virtual-time statistic identical to unbatched driving, across batch sizes,
-// worker counts, and both sync modes. Per-worker stats are also checked at a
-// fixed worker count: coalescing preserves each queue's serve order, so the
-// reservoir streams match item for item.
+// virtual-time statistic identical to unbatched driving, across batch sizes
+// and worker counts. Per-worker stats are also checked at a fixed worker
+// count: coalescing preserves each queue's serve order, so the reservoir
+// streams match item for item.
 func TestDriveBatchedMatchesUnbatched(t *testing.T) {
 	const requests = 3000
-	for _, mode := range []cluster.SyncMode{cluster.SyncBarrier, cluster.SyncAsync} {
-		run := func(workers, batch int) Report {
-			c := testClusterMode(t, 4, cluster.Hash, mode)
-			gen := trace.MustNewGenerator(testProfile(t), 7)
-			rep, err := Drive(context.Background(), c, gen.Next, Config{
-				Requests: requests, Workers: workers, Seed: 1, BatchSize: batch,
-			})
-			if err != nil {
-				t.Fatalf("mode=%s workers=%d batch=%d: %v", mode, workers, batch, err)
-			}
-			if rep.Served != requests {
-				t.Fatalf("mode=%s workers=%d batch=%d: served %d", mode, workers, batch, rep.Served)
-			}
-			return rep
+	run := func(workers, batch int) Report {
+		c := testCluster(t, 4, cluster.Hash)
+		gen := trace.MustNewGenerator(testProfile(t), 7)
+		rep, err := Drive(context.Background(), c, gen.Next, Config{
+			Requests: requests, Workers: workers, Seed: 1, BatchSize: batch,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
 		}
-		want := virtualKeyOf(run(1, 1).Final)
-		if want.syncs == 0 {
-			t.Fatalf("mode=%s: no periodic syncs fired", mode)
+		if rep.Served != requests {
+			t.Fatalf("workers=%d batch=%d: served %d", workers, batch, rep.Served)
 		}
-		for _, workers := range []int{1, 3, 8} {
-			for _, batch := range []int{4, 16} {
-				rep := run(workers, batch)
-				if rep.BatchSize != batch {
-					t.Fatalf("mode=%s: effective batch %d, want %d", mode, rep.BatchSize, batch)
-				}
-				got := virtualKeyOf(rep.Final)
-				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-					t.Fatalf("mode=%s workers=%d batch=%d: virtual stats differ:\n want %+v\n got  %+v",
-						mode, workers, batch, want, got)
-				}
+		return rep
+	}
+	want := keyOf(run(1, 1).Final)
+	if want.syncs == 0 {
+		t.Fatal("no periodic syncs fired")
+	}
+	for _, workers := range []int{1, 3, 8} {
+		for _, batch := range []int{4, 16} {
+			rep := run(workers, batch)
+			if rep.BatchSize != batch {
+				t.Fatalf("effective batch %d, want %d", rep.BatchSize, batch)
+			}
+			got := keyOf(rep.Final)
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				t.Fatalf("workers=%d batch=%d: virtual stats differ:\n want %+v\n got  %+v",
+					workers, batch, want, got)
 			}
 		}
 	}
@@ -613,7 +570,7 @@ func TestDriveBatchedMatchesUnbatched(t *testing.T) {
 // order-sensitive).
 func TestDriveBatchedPerWorkerOrder(t *testing.T) {
 	run := func(batch int) Report {
-		c := testClusterMode(t, 4, cluster.Hash, cluster.SyncBarrier)
+		c := testCluster(t, 4, cluster.Hash)
 		gen := trace.MustNewGenerator(testProfile(t), 11)
 		rep, err := Drive(context.Background(), c, gen.Next, Config{
 			Requests: 2000, Workers: 2, Seed: 9, BatchSize: batch,
@@ -676,7 +633,7 @@ func TestDriveBatchWithChaos(t *testing.T) {
 	}
 	var want Report
 	for i, batch := range []int{1, 8} {
-		c := testClusterMode(t, 4, cluster.Hash, cluster.SyncAsync)
+		c := testCluster(t, 4, cluster.Hash)
 		gen := trace.MustNewGenerator(testProfile(t), 7)
 		rep, err := Drive(context.Background(), c, gen.Next, Config{
 			Requests: 4000, Workers: 3, Seed: 1, BatchSize: batch, Chaos: schedule,
@@ -699,7 +656,7 @@ func TestDriveBatchWithChaos(t *testing.T) {
 				t.Fatalf("chaos placement differs batched vs not: %+v vs %+v", want.Chaos[j], rep.Chaos[j])
 			}
 		}
-		if a, b := virtualKeyOf(want.Final), virtualKeyOf(rep.Final); fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
+		if a, b := keyOf(want.Final), keyOf(rep.Final); fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 			t.Fatalf("chaos virtual stats differ batched vs not:\n %+v\n %+v", a, b)
 		}
 	}

@@ -106,6 +106,22 @@ func TestQuickBytesAndTransfer(t *testing.T) {
 	}
 }
 
+func TestPaperScaleSyncArithmetic(t *testing.T) {
+	cm := costModel("bd-tb")
+	// Paper §I: syncing 20 TB (10% of 200 TB) over 100 GbE takes >26 min.
+	if m := cm.TransferSeconds(20*(1<<40)) / 60; m < 26 || m > 35 {
+		t.Fatalf("20 TB over 100GbE = %.1f min, paper says >26 min", m)
+	}
+	// Paper §II-C: full 200 TB takes over four hours.
+	if h := cm.TransferSeconds(200*(1<<40)) / 3600; h < 4 {
+		t.Fatalf("200 TB over 100GbE = %.1f h, paper says >4 h", h)
+	}
+	// Paper §II-C: QuickUpdate's 10 TB delta takes >14 min.
+	if m := cm.TransferSeconds(10*(1<<40)) / 60; m < 14 {
+		t.Fatalf("10 TB over 100GbE = %.1f min, paper says >14 min", m)
+	}
+}
+
 func TestTimelineFig8Shape(t *testing.T) {
 	cm := costModel("bd-tb")
 	delta := cm.Timeline(DeltaUpdate, 300, 3600)

@@ -4,9 +4,9 @@
 //
 //   - the LiveUpdate serving stack behind one Server interface: a single
 //     co-located node (System) or a replica fleet with request routing and
-//     periodic LoRA priority-merge synchronization (Cluster) — propagated,
-//     by default, through a versioned asynchronous pipeline that never
-//     blocks serving (see WithSyncMode). The fleet is elastic: replicas
+//     periodic LoRA priority-merge synchronization (Cluster) — propagated
+//     through a versioned asynchronous pipeline that never blocks serving
+//     (see WithSyncEvery). The fleet is elastic: replicas
 //     join, leave, fail, and are replaced at runtime with checkpoint + LoRA
 //     catch-up (ElasticServer, WithChaos, DriveConfig.Chaos);
 //   - the baselines the paper compares against: NoUpdate, DeltaUpdate, and
@@ -80,7 +80,7 @@ const Version = "2.7.0"
 //
 // Both implementations are safe for concurrent callers: a System serializes
 // requests on an internal lock, while a Cluster serves independent replicas
-// in parallel and only barriers the fleet for priority-merge syncs. Use
+// in parallel and only barriers the fleet for an explicit SyncNow. Use
 // Drive to pump a workload through a Server from many goroutines with
 // deterministic virtual-time results.
 type Server interface {
@@ -165,7 +165,10 @@ type System = core.System
 // internal/cluster for details.
 type Cluster = cluster.Cluster
 
-// Router picks the replica that serves each request.
+// Router picks the replica that serves each request: RouteView chooses a
+// member of the fleet's live membership view, so routing follows joins,
+// leaves, and failures without a rebuild. WithRouter selects one of the
+// built-in policies.
 type Router = cluster.Router
 
 // RouterPolicy names a built-in routing policy for WithRouter.
@@ -184,27 +187,6 @@ const (
 
 // RouterPolicies lists the built-in routing policies.
 func RouterPolicies() []RouterPolicy { return cluster.Policies() }
-
-// SyncMode selects how periodic fleet syncs propagate.
-type SyncMode = cluster.SyncMode
-
-// The sync propagation modes.
-const (
-	// SyncModeAsync (the default) is the versioned, double-buffered
-	// pipeline: each replica is snapshotted individually, the priority merge
-	// runs on a background goroutine with the simulated AllGather cost
-	// charged to the sync clock, and the merged state is published per
-	// replica through epoch-versioned atomic pointer swaps. Serving never
-	// blocks on a fleet-wide lock during a periodic sync.
-	SyncModeAsync = cluster.SyncAsync
-	// SyncModeBarrier is the legacy stop-the-world protocol: every periodic
-	// sync drains and blocks the whole fleet behind a write lock until the
-	// merged state is installed everywhere.
-	SyncModeBarrier = cluster.SyncBarrier
-)
-
-// SyncModes lists the supported sync modes, default first.
-func SyncModes() []SyncMode { return cluster.SyncModes() }
 
 // SyncTopology names the collective topology pricing fleet syncs.
 type SyncTopology = collective.Kind
@@ -302,7 +284,6 @@ type config struct {
 	replicas  int
 	router    RouterPolicy
 	syncEvery time.Duration
-	syncMode  SyncMode
 	topology  SyncTopology
 	deltaSync bool
 	compress  int
@@ -358,30 +339,22 @@ func WithRouter(p RouterPolicy) Option {
 // WithSyncEvery sets the virtual-time interval between fleet-wide LoRA
 // priority-merge syncs (default 30s of virtual time). Zero disables periodic
 // syncs. It has no effect on a single-node Server.
+//
+// Periodic syncs run on a background pipeline that never blocks serving:
+// each replica is snapshotted individually, merged off the serving path, and
+// published through epoch-versioned atomic pointer swaps. Virtual-time
+// statistics (Served, Violations, sync counts, latency quantiles) are
+// deterministic for any worker count; adapter values are not, since which
+// training lands before a snapshot depends on scheduling (the paper's
+// bounded-staleness window). A caller that needs adapter content as a
+// function of the request sequence sets zero and calls (*Cluster).SyncNow,
+// an explicit barrier, at the marks itself.
 func WithSyncEvery(d time.Duration) Option {
 	return optionFunc(func(c *config) error {
 		if d < 0 {
 			return fmt.Errorf("liveupdate: WithSyncEvery(%v): interval must be non-negative", d)
 		}
 		c.syncEvery = d
-		return nil
-	})
-}
-
-// WithSyncMode selects how periodic fleet syncs propagate: SyncModeAsync
-// (the default) never blocks serving behind a periodic sync, SyncModeBarrier
-// reproduces the legacy stop-the-world behavior. It has no effect on a
-// single-node Server. Virtual-time statistics (Served, Violations, sync
-// counts, latency quantiles) are deterministic for any worker count in
-// either mode; async mode trades bit-identical run-to-run adapter values for
-// non-blocking propagation (the paper's bounded-staleness window).
-func WithSyncMode(m SyncMode) Option {
-	return optionFunc(func(c *config) error {
-		mode, err := cluster.ParseSyncMode(string(m))
-		if err != nil {
-			return err
-		}
-		c.syncMode = mode
 		return nil
 	})
 }
@@ -682,7 +655,7 @@ type Options core.Options
 // New builds a Server. With WithReplicas(1) (the default) the result is a
 // single-node *System; with more replicas it is a *Cluster.
 func New(opts ...Option) (Server, error) {
-	c := config{seed: 42, replicas: 1, router: RoundRobinRouter, syncEvery: 30 * time.Second, syncMode: SyncModeAsync}
+	c := config{seed: 42, replicas: 1, router: RoundRobinRouter, syncEvery: 30 * time.Second}
 	for _, o := range opts {
 		if o == nil {
 			continue
@@ -721,7 +694,6 @@ func New(opts ...Option) (Server, error) {
 			Replicas:    c.replicas,
 			Router:      router,
 			SyncEvery:   c.syncEvery,
-			Mode:        c.syncMode,
 			Topology:    c.topology,
 			DeltaSync:   c.deltaSync,
 			Compression: c.compress,

@@ -1,8 +1,8 @@
 package liveupdate
 
 import (
+	"math"
 	"testing"
-	"time"
 )
 
 // TestWithSyncTopologyPublicAPI drives the same fleet under every topology
@@ -22,23 +22,29 @@ func TestWithSyncTopologyPublicAPI(t *testing.T) {
 	}
 
 	run := func(topo SyncTopology) Stats {
+		// SyncNow at every 50 ms mark instead of the periodic pipeline keeps
+		// wall-clock out of the delta payloads: the pipeline reads state at
+		// scheduling-dependent moments, so SyncWireBytes would drift under
+		// load (see deltasync_test.go for the same pin).
 		srv, err := New(
 			WithProfile(p), WithSeed(42), WithReplicas(4),
-			WithRouter(HashRouter), WithSyncEvery(50*time.Millisecond),
-			// Barrier mode keeps wall-clock out of the delta payloads: in
-			// async mode the background merge reads state at scheduling-
-			// dependent moments, so SyncWireBytes would drift under load
-			// (see deltasync_test.go for the same pin).
-			WithSyncMode(SyncModeBarrier),
+			WithRouter(HashRouter), WithSyncEvery(0),
 			WithSyncTopology(topo), WithDeltaSync(true), WithCompression(3),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fleet := srv.(*Cluster)
 		gen := NewWorkload(p, 42)
+		synced := 0
 		for i := 0; i < 400; i++ {
-			if _, err := srv.Serve(gen.Next()); err != nil {
+			if _, err := fleet.Serve(gen.Next()); err != nil {
 				t.Fatal(err)
+			}
+			for e := int(math.Floor(fleet.VirtualNow() / 0.05)); synced < e; synced++ {
+				if _, err := fleet.SyncNow(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		st := srv.Stats()

@@ -1,8 +1,8 @@
 package liveupdate
 
 // Telemetry determinism gate: every virtual-time statistic must be
-// bit-identical with telemetry on or off — for any worker count, in both
-// sync modes, under chaos. The telemetry layer is a side-band wall-clock
+// bit-identical with telemetry on or off — for any worker count, under
+// chaos. The telemetry layer is a side-band wall-clock
 // observer; if switching it on moves a single virtual-time bit, it has
 // leaked into the simulation.
 
@@ -19,8 +19,8 @@ import (
 // contract covers (mirroring the driver's worker-count-invariance tests):
 // fleet-level counters and quantiles, the applied chaos event placements,
 // the membership counters, and the full per-replica snapshots minus the
-// adapter-content fields (hot-row census, memory overhead), which async
-// mode publishes at wall-clock-dependent instants.
+// adapter-content fields (hot-row census, memory overhead), which the
+// periodic-sync pipeline publishes at wall-clock-dependent instants.
 type telemetryKey struct {
 	served, violations, trainSteps uint64
 	syncs                          int
@@ -67,7 +67,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	const requests = 1500
 
-	run := func(mode SyncMode, workers int, telemetry Option) (DriveReport, Server) {
+	run := func(workers int, telemetry Option) (DriveReport, Server) {
 		t.Helper()
 		opts := []Option{
 			WithProfile(p),
@@ -75,7 +75,6 @@ func TestTelemetryDeterminism(t *testing.T) {
 			WithReplicas(3),
 			WithRouter(HashRouter),
 			WithSyncEvery(2 * time.Second),
-			WithSyncMode(mode),
 			WithSystemOptions(func(o *Options) { o.TrainInterval = 4 }),
 		}
 		if telemetry != nil {
@@ -90,85 +89,83 @@ func TestTelemetryDeterminism(t *testing.T) {
 			Requests: requests, Concurrency: workers, Seed: 1, Chaos: schedule,
 		})
 		if err != nil {
-			t.Fatalf("%s workers=%d: %v", mode, workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if rep.Served != requests {
-			t.Fatalf("%s workers=%d: served %d of %d", mode, workers, rep.Served, requests)
+			t.Fatalf("workers=%d: served %d of %d", workers, rep.Served, requests)
 		}
 		if len(rep.Chaos) != len(schedule) || rep.ChaosSkipped != 0 {
-			t.Fatalf("%s workers=%d: applied %d chaos events (skipped %d), want all %d",
-				mode, workers, len(rep.Chaos), rep.ChaosSkipped, len(schedule))
+			t.Fatalf("workers=%d: applied %d chaos events (skipped %d), want all %d",
+				workers, len(rep.Chaos), rep.ChaosSkipped, len(schedule))
 		}
 		return rep, srv
 	}
 
-	for _, mode := range SyncModes() {
-		baseline, off := run(mode, 1, nil)
-		if ServerTelemetry(off) != nil {
-			t.Fatalf("%s: server built without WithTelemetry must carry no telemetry", mode)
+	baseline, off := run(1, nil)
+	if ServerTelemetry(off) != nil {
+		t.Fatal("server built without WithTelemetry must carry no telemetry")
+	}
+	want := telemetryKeyOf(baseline)
+	if want.syncs == 0 {
+		t.Fatalf("no periodic syncs fired (virtual time %.3fs) — horizon too short",
+			want.virtualTime)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		rep, srv := run(workers, WithTelemetry(TelemetryConfig{SampleEvery: 1}))
+		got := telemetryKeyOf(rep)
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("workers=%d: virtual-time stats diverge with telemetry on:\n  off: %+v\n  on:  %+v",
+				workers, want, got)
 		}
-		want := telemetryKeyOf(baseline)
-		if want.syncs == 0 {
-			t.Fatalf("%s: no periodic syncs fired (virtual time %.3fs) — horizon too short",
-				mode, want.virtualTime)
-		}
-		for _, workers := range []int{1, 3, 8} {
-			rep, srv := run(mode, workers, WithTelemetry(TelemetryConfig{SampleEvery: 1}))
-			got := telemetryKeyOf(rep)
-			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-				t.Fatalf("%s workers=%d: virtual-time stats diverge with telemetry on:\n  off: %+v\n  on:  %+v",
-					mode, workers, want, got)
-			}
 
-			// The side-band surface must actually have observed the run.
-			tel := ServerTelemetry(srv)
-			if tel == nil || tel.Tracer() == nil {
-				t.Fatalf("%s workers=%d: WithTelemetry(SampleEvery:1) must expose a tracer", mode, workers)
+		// The side-band surface must actually have observed the run.
+		tel := ServerTelemetry(srv)
+		if tel == nil || tel.Tracer() == nil {
+			t.Fatalf("workers=%d: WithTelemetry(SampleEvery:1) must expose a tracer", workers)
+		}
+		totals := tel.Tracer().StageTotals()
+		for _, stage := range []obs.Stage{obs.StageRoute, obs.StageForward, obs.StageCommit, obs.StageTrainTick, obs.StageSyncPublish} {
+			if totals[stage].Count == 0 {
+				t.Fatalf("workers=%d: stage %q recorded no spans", workers, stage)
 			}
-			totals := tel.Tracer().StageTotals()
-			for _, stage := range []obs.Stage{obs.StageRoute, obs.StageForward, obs.StageCommit, obs.StageTrainTick, obs.StageSyncPublish} {
-				if totals[stage].Count == 0 {
-					t.Fatalf("%s workers=%d: stage %q recorded no spans", mode, workers, stage)
-				}
+		}
+		if len(rep.Stages) == 0 {
+			t.Fatalf("workers=%d: DriveReport.Stages empty with tracing on", workers)
+		}
+		seen := map[string]bool{}
+		for _, s := range rep.Stages {
+			if s.Count == 0 || s.TotalNs < 0 || s.MeanNs < 0 {
+				t.Fatalf("workers=%d: implausible stage stat %+v", workers, s)
 			}
-			if len(rep.Stages) == 0 {
-				t.Fatalf("%s workers=%d: DriveReport.Stages empty with tracing on", mode, workers)
+			seen[s.Stage] = true
+		}
+		for _, name := range []string{"route", "forward", "commit", "train_tick", "sync_publish"} {
+			if !seen[name] {
+				t.Fatalf("workers=%d: stage %q missing from report breakdown %+v",
+					workers, name, rep.Stages)
 			}
-			seen := map[string]bool{}
-			for _, s := range rep.Stages {
-				if s.Count == 0 || s.TotalNs < 0 || s.MeanNs < 0 {
-					t.Fatalf("%s workers=%d: implausible stage stat %+v", mode, workers, s)
-				}
-				seen[s.Stage] = true
+		}
+		var counted float64
+		for _, m := range tel.Registry().Snapshot() {
+			if m.Name == "liveupdate_serve_requests_total" {
+				counted = m.Value
 			}
-			for _, name := range []string{"route", "forward", "commit", "train_tick", "sync_publish"} {
-				if !seen[name] {
-					t.Fatalf("%s workers=%d: stage %q missing from report breakdown %+v",
-						mode, workers, name, rep.Stages)
-				}
-			}
-			var counted float64
-			for _, m := range tel.Registry().Snapshot() {
-				if m.Name == "liveupdate_serve_requests_total" {
-					counted = m.Value
-				}
-			}
-			if counted != float64(requests) {
-				t.Fatalf("%s workers=%d: liveupdate_serve_requests_total = %v, want %d",
-					mode, workers, counted, requests)
-			}
-			var sb strings.Builder
-			if err := tel.WriteMetrics(&sb); err != nil {
-				t.Fatalf("%s workers=%d: WriteMetrics: %v", mode, workers, err)
-			}
-			for _, want := range []string{
-				"# TYPE liveupdate_serve_requests_total counter",
-				"liveupdate_sync_epochs_total",
-				"liveupdate_fleet_members 4",
-			} {
-				if !strings.Contains(sb.String(), want) {
-					t.Fatalf("%s workers=%d: /metrics text missing %q:\n%s", mode, workers, want, sb.String())
-				}
+		}
+		if counted != float64(requests) {
+			t.Fatalf("workers=%d: liveupdate_serve_requests_total = %v, want %d",
+				workers, counted, requests)
+		}
+		var sb strings.Builder
+		if err := tel.WriteMetrics(&sb); err != nil {
+			t.Fatalf("workers=%d: WriteMetrics: %v", workers, err)
+		}
+		for _, want := range []string{
+			"# TYPE liveupdate_serve_requests_total counter",
+			"liveupdate_sync_epochs_total",
+			"liveupdate_fleet_members 4",
+		} {
+			if !strings.Contains(sb.String(), want) {
+				t.Fatalf("workers=%d: /metrics text missing %q:\n%s", workers, want, sb.String())
 			}
 		}
 	}
