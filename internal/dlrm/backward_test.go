@@ -1,6 +1,7 @@
 package dlrm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -213,20 +214,55 @@ func TestBackwardMatchesAxpyWalk(t *testing.T) {
 				}
 			}
 		}
-		layers := append(append([]*Layer(nil), m.Bottom.Layers...), m.Top.Layers...)
-		refLayers := append(append([]*Layer(nil), ref.Bottom.Layers...), ref.Top.Layers...)
-		for li, l := range layers {
-			for i, g := range l.gradW.Data {
-				if math.Float64bits(g) != math.Float64bits(refLayers[li].gradW.Data[i]) {
-					t.Fatalf("frozen %v layer %d weight gradient %d: %v, pair walk %v", frozen, li, i, g, refLayers[li].gradW.Data[i])
-				}
-			}
-			for i, g := range l.gradB {
-				if math.Float64bits(g) != math.Float64bits(refLayers[li].gradB[i]) {
-					t.Fatalf("frozen %v layer %d bias gradient %d: %v, pair walk %v", frozen, li, i, g, refLayers[li].gradB[i])
-				}
+		if msg := denseGradDiff(m, ref); msg != "" {
+			t.Fatalf("frozen %v: %s", frozen, msg)
+		}
+	}
+}
+
+// denseGradDiff describes the first weight or bias gradient in which m and
+// ref differ in any bit, or returns "".
+func denseGradDiff(m, ref *Model) string {
+	layers := append(append([]*Layer(nil), m.Bottom.Layers...), m.Top.Layers...)
+	refLayers := append(append([]*Layer(nil), ref.Bottom.Layers...), ref.Top.Layers...)
+	for li, l := range layers {
+		for i, g := range l.gradW.Data {
+			if math.Float64bits(g) != math.Float64bits(refLayers[li].gradW.Data[i]) {
+				return fmt.Sprintf("layer %d weight gradient %d: %v, reference %v", li, i, g, refLayers[li].gradW.Data[i])
 			}
 		}
+		for i, g := range l.gradB {
+			if math.Float64bits(g) != math.Float64bits(refLayers[li].gradB[i]) {
+				return fmt.Sprintf("layer %d bias gradient %d: %v, reference %v", li, i, g, refLayers[li].gradB[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TrainStepWith skips the input gradient of the bottom MLP's first layer,
+// which nothing reads, and accumulates the dense gradients of the full
+// backward bit for bit: over a mini-batch whose embedding steps feed back
+// into later samples.
+func TestTrainStepWithMatchesFullBackward(t *testing.T) {
+	m, src, samples := frozenFixture(57)
+	ref, refSrc, _ := frozenFixture(57)
+	var c, rc ForwardCache
+	for si, s := range samples {
+		loss := m.TrainStepWith(src, s.Dense, s.Sparse, s.Label, 0.05, &c)
+		logit := ref.Forward(refSrc, s.Dense, s.Sparse, &rc)
+		for ti, g := range refBackward(ref, Sigmoid(logit)-float64(s.Label), &rc, false) {
+			refSrc.ApplyGrad(ti, s.Sparse[ti], g, 0.05)
+		}
+		if want := BCELossWithLogit(logit, s.Label); loss != want {
+			t.Fatalf("sample %d: loss %v, reference %v", si, loss, want)
+		}
+	}
+	if msg := denseGradDiff(m, ref); msg != "" {
+		t.Fatal(msg)
+	}
+	if m.Bottom.Layers[0].gradW.FrobeniusNorm() == 0 {
+		t.Fatal("fixture left the bottom MLP's first layer without a gradient")
 	}
 }
 

@@ -312,11 +312,27 @@ func (m *MLP) InferInto(x []float64, s *MLPScratch) []float64 {
 // Backward backpropagates dOut through the stack, accumulating gradients,
 // and returns the gradient w.r.t. the MLP input.
 func (m *MLP) Backward(dOut []float64, cache *MLPCache) []float64 {
+	d := m.backwardAbove(dOut, cache)
+	return m.Layers[0].Backward(d, &cache.layers[0])
+}
+
+// backwardParams is Backward for a caller that discards the input gradient:
+// the same weight and bias gradients accumulated, bit for bit, without
+// layer 0's Wᵀ·dPre.
+func (m *MLP) backwardParams(dOut []float64, cache *MLPCache) {
+	d := m.backwardAbove(dOut, cache)
+	l, lc := m.Layers[0], &cache.layers[0]
+	l.accumulate(l.preGrad(d, lc), lc.Input)
+}
+
+// backwardAbove runs Backward through every layer but the first and returns
+// the gradient w.r.t. layer 0's output.
+func (m *MLP) backwardAbove(dOut []float64, cache *MLPCache) []float64 {
 	if cache.frozen {
 		panic("dlrm: Backward on a frozen cache: its Forward kept no layer inputs")
 	}
 	d := dOut
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	for i := len(m.Layers) - 1; i > 0; i-- {
 		d = m.Layers[i].Backward(d, &cache.layers[i])
 	}
 	return d

@@ -581,7 +581,7 @@ func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]f
 		for i := range dZ {
 			dZ[i] = dTopIn[i] + dFeatures[0][i]
 		}
-		m.Bottom.Backward(dZ, &cache.bottom)
+		m.Bottom.backwardParams(dZ, &cache.bottom) // the dense input has no gradient to take
 	}
 	return dFeatures[1:]
 }

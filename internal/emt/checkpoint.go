@@ -21,8 +21,9 @@ const (
 	checkpointVersion = 1
 
 	// Hostile-input allocation caps: ReadCheckpoint validates every header
-	// field against these BEFORE allocating, so a tiny crafted header cannot
-	// force a multi-gigabyte allocation. The largest legitimate profiles are
+	// field against these BEFORE allocating, and grows a table's storage only
+	// as its weights arrive, so a tiny crafted header cannot force a
+	// multi-gigabyte allocation. The largest legitimate profiles are
 	// thousands of rows × tens of dims; the caps leave orders of magnitude
 	// of headroom while bounding a single table's weights at 1 GiB and a
 	// whole checkpoint at 4 GiB of float64 storage.
@@ -131,24 +132,49 @@ func ReadCheckpoint(r io.Reader) (*Group, error) {
 		if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 			return nil, fmt.Errorf("emt: read version: %w", err)
 		}
-		t := &Table{
+		data, err := readWeights(br, int(elems))
+		if err != nil {
+			return nil, err
+		}
+		// The bookkeeping is sized only once the bytes have paid for the rows.
+		g.Tables = append(g.Tables, &Table{
 			Name:     string(name),
 			Dim:      int(dim),
-			weights:  tensor.NewMatrix(int(rows), int(dim)),
+			weights:  &tensor.Matrix{Rows: int(rows), Cols: int(dim), Data: data},
 			version:  version,
 			dirty:    newDirty(int(rows)),
 			accesses: make([]uint64, rows),
-		}
-		buf := make([]byte, 8)
-		for j := range t.weights.Data {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("emt: read weights: %w", err)
-			}
-			t.weights.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		}
-		g.Tables = append(g.Tables, t)
+		})
 	}
 	return g, nil
+}
+
+// readChunk is how many weights readWeights decodes per read (64 KiB).
+const readChunk = 1 << 13
+
+// readWeights decodes n little-endian float64s from r a chunk at a time, into
+// a slice grown by what has been read: a header's claim alone never sizes an
+// allocation, so a stream that ends early fails having allocated about twice
+// what it carried, plus one chunk.
+func readWeights(r io.Reader, n int) ([]float64, error) {
+	buf := make([]byte, 8*min(n, readChunk))
+	var data []float64
+	for len(data) < n {
+		k := min(n-len(data), readChunk)
+		if len(data)+k > cap(data) {
+			grown := make([]float64, len(data), min(n, max(2*cap(data), readChunk)))
+			copy(grown, data)
+			data = grown
+		}
+		b := buf[:8*k]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("emt: read weights: %w", err)
+		}
+		for i := 0; i < k; i++ {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+	}
+	return data, nil
 }
 
 func writeU32(w io.Writer, v uint32) error {

@@ -3,150 +3,182 @@ package emt
 import (
 	"bytes"
 	"encoding/binary"
-	"strings"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"liveupdate/internal/tensor"
 )
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	g := NewGroup(3, 40, 8, tensor.NewRNG(5))
-	g.Tables[1].ApplyRowDelta(7, make([]float64, 8)) // bump version
+// sameTables reports whether two groups hold the same tables: names, shapes,
+// versions and every weight bit.
+func sameTables(a, b *Group) bool {
+	return slices.EqualFunc(a.Tables, b.Tables, func(x, y *Table) bool {
+		return x.Name == y.Name && x.Dim == y.Dim && x.Rows() == y.Rows() && x.Version() == y.Version() &&
+			slices.EqualFunc(x.weights.Data, y.weights.Data, func(p, q float64) bool {
+				return math.Float64bits(p) == math.Float64bits(q)
+			})
+	})
+}
+
+func checkpointBytes(tb testing.TB, g *Group) []byte {
 	var buf bytes.Buffer
 	if err := g.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	got, err := ReadCheckpoint(&buf)
+	return buf.Bytes()
+}
+
+// roundTripGroup is a three-table group with one table's version bumped.
+func roundTripGroup() *Group {
+	g := NewGroup(3, 4, 2, tensor.NewRNG(5))
+	g.Tables[1].ApplyRowDelta(3, make([]float64, 2))
+	return g
+}
+
+func TestCheckpointRoundTrip(t *testing.T) {
+	g := roundTripGroup()
+	got, err := ReadCheckpoint(bytes.NewReader(checkpointBytes(t, g)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Tables) != 3 {
-		t.Fatalf("tables %d", len(got.Tables))
+	if len(got.Tables) != 3 || !sameTables(got, g) {
+		t.Fatal("tables must round-trip: names, shapes, versions and weights bit-exactly")
 	}
-	for ti, want := range g.Tables {
-		gt := got.Tables[ti]
-		if gt.Name != want.Name || gt.Dim != want.Dim || gt.Rows() != want.Rows() {
-			t.Fatalf("table %d metadata mismatch", ti)
-		}
-		if gt.Version() != want.Version() {
-			t.Fatalf("table %d version %d != %d", ti, gt.Version(), want.Version())
-		}
-		for id := int32(0); int(id) < want.Rows(); id++ {
-			a, b := want.PeekRow(id), gt.PeekRow(id)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatal("weights must round-trip bit-exactly")
-				}
-			}
-		}
+	for ti, gt := range got.Tables {
 		if gt.DirtyCount() != 0 {
-			t.Fatal("restored tables must start clean")
+			t.Fatalf("table %d: restored tables must start clean", ti)
 		}
+	}
+}
+
+// garbageCheckpoints are inputs rejected before any table header: short or
+// wrong magic, and a real checkpoint with a corrupt version field.
+func garbageCheckpoints(tb testing.TB) [][]byte {
+	wrongVersion := checkpointBytes(tb, NewGroup(1, 4, 2, tensor.NewRNG(1)))
+	wrongVersion[4] = 99
+	return [][]byte{
+		{},                            // empty
+		[]byte("NOPE"),                // short magic
+		[]byte("XXXXzzzzzzzzzzzzzzz"), // wrong magic
+		wrongVersion,
 	}
 }
 
 func TestCheckpointRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",                    // empty
-		"NOPE",                // short magic
-		"XXXXzzzzzzzzzzzzzzz", // wrong magic
-	}
-	for i, c := range cases {
-		if _, err := ReadCheckpoint(strings.NewReader(c)); err == nil {
+	for i, data := range garbageCheckpoints(t) {
+		if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
-	// Wrong version.
-	var buf bytes.Buffer
-	g := NewGroup(1, 4, 2, tensor.NewRNG(1))
-	if err := g.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
+}
+
+// hostileCheckpoints are crafted inputs whose shape fields would demand
+// absurd allocations: rejected at a header, or, for the largest table the
+// caps allow, by the body that is not there.
+func hostileCheckpoints(tb testing.TB) map[string][]byte {
+	header := func(tables uint32, fields ...uint32) []byte {
+		b := []byte(checkpointMagic)
+		for _, v := range append([]uint32{checkpointVersion, tables}, fields...) {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
 	}
-	data := buf.Bytes()
-	data[4] = 99 // corrupt the version field
-	if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
-		t.Fatal("expected version error")
+	named := func(b []byte, rows, dim uint32) []byte { // name "t", then the shape
+		b = binary.LittleEndian.AppendUint32(b, 1)
+		b = append(b, 't')
+		b = binary.LittleEndian.AppendUint32(b, rows)
+		return binary.LittleEndian.AppendUint32(b, dim)
+	}
+	// A real one-table checkpoint, its table count bumped to 2, and an absurd
+	// second header: caught at ITS header, after the first table parsed.
+	second := checkpointBytes(tb, NewGroup(1, 4, 2, tensor.NewRNG(3)))
+	binary.LittleEndian.PutUint32(second[8:12], 2)
+	return map[string][]byte{
+		"zero tables":        header(0),
+		"absurd table count": header(1 << 20),
+		"absurd name length": header(1, 1<<30),
+		"absurd table shape": named(header(1), 1<<31, 1<<31),
+		"zero dim":           named(header(1), 16, 0),
+		"absurd second":      named(second, 1<<31, 1<<31),
+		// 32 bytes: header, an unnamed maxTableElems×1 table, its version, no
+		// weights.
+		"no body": binary.LittleEndian.AppendUint64(header(1, 0, maxTableElems, 1), 0),
 	}
 }
 
-// TestCheckpointRejectsHostileHeaders feeds crafted headers whose shape
-// fields would demand absurd allocations and requires a clear error before
-// any table storage is allocated — the "tiny file, huge malloc" hardening.
 func TestCheckpointRejectsHostileHeaders(t *testing.T) {
-	header := func(tables uint32, mutate func([]byte) []byte) []byte {
-		buf := []byte(checkpointMagic)
-		u32 := func(v uint32) {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], v)
-			buf = append(buf, b[:]...)
-		}
-		u32(checkpointVersion)
-		u32(tables)
-		return mutate(buf)
-	}
-	u32bytes := func(v uint32) []byte {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return b[:]
-	}
-	cases := map[string][]byte{
-		"zero tables": header(0, func(b []byte) []byte { return b }),
-		"absurd table count": header(1<<20, func(b []byte) []byte {
-			return b
-		}),
-		"absurd name length": header(1, func(b []byte) []byte {
-			return append(b, u32bytes(1<<30)...)
-		}),
-		// name "t", then rows×dim far beyond any plausible table.
-		"absurd table shape": header(1, func(b []byte) []byte {
-			b = append(b, u32bytes(1)...)
-			b = append(b, 't')
-			b = append(b, u32bytes(1<<31)...) // rows
-			b = append(b, u32bytes(1<<31)...) // dim
-			return b
-		}),
-		"zero dim": header(1, func(b []byte) []byte {
-			b = append(b, u32bytes(1)...)
-			b = append(b, 't')
-			b = append(b, u32bytes(16)...)
-			b = append(b, u32bytes(0)...)
-			return b
-		}),
-	}
-	for name, data := range cases {
+	for name, data := range hostileCheckpoints(t) {
 		if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
 			t.Fatalf("%s: hostile header must be rejected", name)
 		}
 	}
-	// A hostile shape deeper in the stream must be caught at ITS header,
-	// after a legitimate leading table parsed fine: craft a real one-table
-	// checkpoint, bump the table count to 2, and append an absurd second
-	// header.
-	var buf bytes.Buffer
-	if err := NewGroup(1, 4, 2, tensor.NewRNG(3)).WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
+}
+
+// A header that passes the caps but brings no weights fails having allocated
+// what its 32 bytes pay for, not the 1 GiB table they claim.
+func TestCheckpointShortBodyAllocatesLittle(t *testing.T) {
+	data := hostileCheckpoints(t)["no body"]
+	if len(data) != 32 {
+		t.Fatalf("fixture is %d bytes, want 32", len(data))
 	}
-	data := buf.Bytes()
-	copy(data[8:12], u32bytes(2)) // tableCount 1 → 2
-	data = append(data, u32bytes(1)...)
-	data = append(data, 't')
-	data = append(data, u32bytes(1<<31)...) // rows
-	data = append(data, u32bytes(1<<31)...) // dim
-	if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
-		t.Fatal("hostile second-table shape must be rejected")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCheckpoint(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a table without weights must be rejected")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("rejecting a 32-byte checkpoint allocated %d bytes, want < 1 MB", n)
 	}
 }
 
-func TestCheckpointTruncated(t *testing.T) {
-	g := NewGroup(2, 20, 4, tensor.NewRNG(2))
-	var buf bytes.Buffer
-	if err := g.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+// truncatedCheckpoints cuts a real two-table checkpoint inside its header,
+// its first table, and its last weight.
+func truncatedCheckpoints(tb testing.TB) [][]byte {
+	data := checkpointBytes(tb, NewGroup(2, 4, 2, tensor.NewRNG(2)))
+	var cuts [][]byte
 	for _, cut := range []int{5, 12, 30, len(data) / 2, len(data) - 3} {
-		if _, err := ReadCheckpoint(bytes.NewReader(data[:cut])); err == nil {
-			t.Fatalf("truncation at %d must error", cut)
+		cuts = append(cuts, data[:cut])
+	}
+	return cuts
+}
+
+func TestCheckpointTruncated(t *testing.T) {
+	for _, data := range truncatedCheckpoints(t) {
+		if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
+			t.Fatalf("truncation at %d must error", len(data))
 		}
 	}
+}
+
+// FuzzReadCheckpoint feeds ReadCheckpoint arbitrary bytes, seeded with the
+// inputs of the checkpoint tests above. It must never panic, and a
+// checkpoint it accepts must write and read back to the same tables.
+func FuzzReadCheckpoint(f *testing.F) {
+	f.Add(checkpointBytes(f, roundTripGroup()))
+	for _, data := range garbageCheckpoints(f) {
+		f.Add(data)
+	}
+	for _, data := range hostileCheckpoints(f) {
+		f.Add(data)
+	}
+	for _, data := range truncatedCheckpoints(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := ReadCheckpoint(bytes.NewReader(checkpointBytes(t, g)))
+		if err != nil {
+			t.Fatalf("reading back an accepted checkpoint: %v", err)
+		}
+		if !sameTables(again, g) {
+			t.Fatal("write∘read is not the identity on an accepted checkpoint")
+		}
+	})
 }

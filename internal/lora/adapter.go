@@ -141,10 +141,8 @@ type Adapter struct {
 	// a later sync re-installs is exported as modified again.
 	ghosts idIndex
 
-	iter      int
-	gradBuf   *tensor.Matrix // ring of recent pooled gradients (GradWindow×dim)
-	gradCount int            // rows filled (≤ GradWindow)
-	gradNext  int
+	iter  int
+	grads *gradWindow // recent pooled gradients; nil with DisableRankAdapt
 
 	rankObsSum   int // Σ r_t within the adaptation interval
 	rankObsCount int
@@ -152,7 +150,7 @@ type Adapter struct {
 	adaptations int // completed rank/prune passes
 	pruned      int // total rows evicted
 
-	// adapt's reusable buffers (covariance spectrum of the gradient window,
+	// adapt's reusable buffers (eigen-solve of the window covariance,
 	// candidate slots of the prune step): a pass that does not change the
 	// rank allocates nothing.
 	spectrum tensor.SpectrumScratch
@@ -178,9 +176,11 @@ func NewAdapter(cfg Config) (*Adapter, error) {
 		return nil, err
 	}
 	a := &Adapter{
-		cfg:     cfg,
-		gradBuf: tensor.NewMatrix(cfg.GradWindow, cfg.Dim),
-		rng:     tensor.NewRNG(cfg.Seed ^ 0x10ad0ada),
+		cfg: cfg,
+		rng: tensor.NewRNG(cfg.Seed ^ 0x10ad0ada),
+	}
+	if !cfg.DisableRankAdapt {
+		a.grads = newGradWindow(cfg.GradWindow, cfg.Dim)
 	}
 	a.cur.Store(&adapterState{
 		b:    tensor.NewMatrix(cfg.InitialRank, cfg.Dim),
@@ -244,7 +244,9 @@ func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 	if len(grad) != a.cfg.Dim {
 		panic(fmt.Sprintf("lora: grad len %d != dim %d", len(grad), a.cfg.Dim))
 	}
-	a.recordGrad(grad)
+	if a.grads != nil {
+		a.grads.record(grad)
+	}
 	st := a.cur.Load()
 	rs, rank := st.rows, st.rows.rank
 	invPool := 1 / float64(len(ids))
@@ -309,34 +311,25 @@ func (a *Adapter) newRow(rs *rowStore, id int32) int32 {
 	return slot
 }
 
-// recordGrad appends a gradient snapshot to the PCA ring buffer and updates
-// the per-interval observed-rank statistics (r_t of §IV-C).
-func (a *Adapter) recordGrad(grad []float64) {
-	copy(a.gradBuf.Row(a.gradNext), grad)
-	a.gradNext = (a.gradNext + 1) % a.cfg.GradWindow
-	if a.gradCount < a.cfg.GradWindow {
-		a.gradCount++
-	}
-}
-
 // adapt runs Algorithm 1: PCA-driven rank adaptation followed by usage-based
 // pruning with capacity clamping.
 func (a *Adapter) adapt() {
 	a.adaptations++
 
 	// --- Rank adaptation (Alg. 1 line 3-4) ---
-	if !a.cfg.DisableRankAdapt && a.gradCount >= 2 {
+	if a.grads != nil && a.grads.count >= 2 {
 		// r_t is read off the eigenvalues of the gradient window's d×d
-		// covariance, computed straight from the ring (row order does not
-		// matter to a covariance). The covariance is recomputed each pass,
-		// not maintained by a rank-1 update and downdate per Train: at
-		// GradWindow 256 / AdaptInterval 128 both come to d² multiply-adds
-		// per step, and running sums would accumulate rounding drift that a
-		// fresh sum does not have. Recomputing is now most of the pass: at
-		// d = 16 the m·d²/2 covariance takes about twice as long as the
-		// eigenvalue-only QL solve behind it.
-		window := tensor.Matrix{Rows: a.gradCount, Cols: a.cfg.Dim, Data: a.gradBuf.Data[:a.gradCount*a.cfg.Dim]}
-		rt := tensor.MinRankForVariance(tensor.CovarianceSpectrum(&window, &a.spectrum), a.cfg.Alpha)
+		// covariance, merged from per-block moments (row order does not
+		// matter to a covariance): each ring row enters the scatter once,
+		// when its block fills, rather than GradWindow/AdaptInterval times,
+		// and a pass is left with one fresh block, a merge per cached block
+		// and the eigenvalue-only QL solve. Every block is summed fresh
+		// from its rows, so nothing drifts the way a running rank-1 update
+		// and downdate per Train would (a Welford-per-row variant flipped a
+		// rank decision against the whole-window reference); the merge
+		// moves the spectrum by rounding alone, and the decisions match
+		// that reference (TestBlockMomentsMatchWholeWindow).
+		rt := tensor.MinRankForVariance(a.grads.moments().Spectrum(&a.spectrum), a.cfg.Alpha)
 		a.rankObsSum += rt
 		a.rankObsCount++
 		// New rank = ceil of the interval-averaged observation, clamped.
@@ -568,8 +561,9 @@ func (a *Adapter) Reset() {
 		rows: newRowStore(rank),
 	})
 	a.ghosts.reset()
-	a.gradCount = 0
-	a.gradNext = 0
+	if a.grads != nil {
+		a.grads.reset()
+	}
 	a.rankObsSum = 0
 	a.rankObsCount = 0
 }

@@ -9,8 +9,10 @@ import (
 
 // refAdapter is the adapter as it was before the flat row store: A rows in a
 // Go map of heap slices, the update counts and the support set in two more
-// maps keyed by id. It survives as the oracle of TestStoreMatchesMapReference
-// — same arithmetic, same RNG draw order, the obvious data structure. Its one
+// maps keyed by id, and the rank read off the whole gradient window's
+// covariance at every pass. It survives as the oracle of
+// TestStoreMatchesMapReference — same arithmetic, same RNG draw order, the
+// obvious data structure — and of TestBlockMomentsMatchWholeWindow. Its one
 // departure from the original: a shrink that finds fewer active rows than the
 // target rank zero-pads the factors instead of installing short ones.
 type refAdapter struct {

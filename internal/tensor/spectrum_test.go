@@ -172,11 +172,10 @@ func jacobiSpectrum(a *Matrix) []float64 {
 	return eig
 }
 
-// TestSpectrumQLMatchesJacobi: the QL spectrum against the Jacobi one on the
-// inputs rank adaptation can hand it — gradient windows of every ring fill —
-// and on the degenerate ones: zero, a constant column, rank 1, fewer rows
-// than columns, one column, odd widths.
-func TestSpectrumQLMatchesJacobi(t *testing.T) {
+// spectrumCases are the inputs rank adaptation can hand a spectrum — gradient
+// windows of every ring fill — and the degenerate ones: zero, a constant
+// column, rank 1, fewer rows than columns, one column, odd widths.
+func spectrumCases() map[string]*Matrix {
 	rng := NewRNG(31)
 	constCol := RandomMatrix(rng, 40, 7, 1)
 	for i := 0; i < constCol.Rows; i++ {
@@ -198,8 +197,14 @@ func TestSpectrumQLMatchesJacobi(t *testing.T) {
 	for m := 2; m <= 256; m *= 2 {
 		cases[fmt.Sprintf("ring%d", m)] = gradientLike(rng, m, 16, 3, 0.05)
 	}
+	return cases
+}
+
+// TestSpectrumQLMatchesJacobi: the QL spectrum against the Jacobi one on
+// spectrumCases.
+func TestSpectrumQLMatchesJacobi(t *testing.T) {
 	var ws SpectrumScratch
-	for name, a := range cases {
+	for name, a := range spectrumCases() {
 		want := jacobiSpectrum(a)
 		got := CovarianceSpectrum(a, &ws)
 		for j := range want {
@@ -227,13 +232,58 @@ func TestSpectrumScaleInvariant(t *testing.T) {
 	}
 }
 
+// sweepWindow is the seed-th of 200 gradient windows of random fill, rank
+// structure and noise.
+func sweepWindow(seed uint64) *Matrix {
+	rng := NewRNG(seed)
+	return gradientLike(rng, 32+rng.Intn(225), 16, 1+rng.Intn(8), 0.02+0.3*rng.Float64())
+}
+
+// TestMomentsMergeMatchesWhole: the spectrum of per-block moments merged in
+// row order is the whole matrix's up to rounding — within 1e-12·λ₀, with the
+// rank Eq. 2 reads off it equal at every threshold rank adaptation uses — for
+// blocks of 1, 7, 32 and 64 rows (the last one short), and bit for bit when
+// one block holds every row.
+func TestMomentsMergeMatchesWhole(t *testing.T) {
+	cases := spectrumCases()
+	for seed := uint64(1); seed <= 200; seed++ {
+		cases[fmt.Sprintf("sweep%d", seed)] = sweepWindow(seed)
+	}
+	var ws, blockWS SpectrumScratch
+	for name, a := range cases {
+		want := CovarianceSpectrum(a, &ws)
+		for _, size := range []int{1, 7, 32, 64} {
+			merged, block := MakeMoments(1, a.Cols)[0], MakeMoments(1, a.Cols)[0]
+			for lo := 0; lo < a.Rows; lo += size {
+				hi := min(lo+size, a.Rows)
+				block.Of(&Matrix{Rows: hi - lo, Cols: a.Cols, Data: a.Data[lo*a.Cols : hi*a.Cols]})
+				merged.Merge(&block)
+			}
+			if merged.N != a.Rows {
+				t.Fatalf("%s, blocks of %d: merged %d rows of %d", name, size, merged.N, a.Rows)
+			}
+			got := merged.Spectrum(&blockWS)
+			for j := range want {
+				if math.Abs(got[j]-want[j]) > 1e-12*want[0] || (want[0] == 0 && got[j] != 0) ||
+					(size >= a.Rows && math.Float64bits(got[j]) != math.Float64bits(want[j])) {
+					t.Fatalf("%s, blocks of %d: eigenvalue %d = %v, whole %v (λ₀ %v)", name, size, j, got[j], want[j], want[0])
+				}
+			}
+			for _, alpha := range []float64{0.5, 0.8, 0.95} {
+				if g, w := MinRankForVariance(got, alpha), MinRankForVariance(want, alpha); g != w {
+					t.Fatalf("%s, blocks of %d, α=%v: rank %d, whole %d", name, size, alpha, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestSpectrumMinRankMatchesReference: over 200 gradient windows, the rank
 // Eq. 2 reads off the spectrum is the one the SVD route and the Jacobi
 // solver give, at every threshold rank adaptation uses.
 func TestSpectrumMinRankMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
-		rng := NewRNG(seed)
-		a := gradientLike(rng, 32+rng.Intn(225), 16, 1+rng.Intn(8), 0.02+0.3*rng.Float64())
+		a := sweepWindow(seed)
 		got := ComputePCA(a)
 		want := &PCA{Eigenvalues: refPCAEigenvalues(a)}
 		jacobi := &PCA{Eigenvalues: jacobiSpectrum(a)}

@@ -12,7 +12,14 @@ package tensor
 // ~1e-8·σ₀ are not resolved — far under the variance thresholds (α ≤ 0.95)
 // anything here decides on.
 //
-// There are two eigen-solvers. The spectrum (CovarianceSpectrum, read by
+// The covariance is carried as Moments (count, mean, centred scatter), which
+// merge pairwise: rank adaptation keeps one set per 32-row block of its
+// gradient ring, each computed once when the block fills, and a pass merges
+// them at d²/2 multiply-adds per block instead of re-reading the window's
+// m·d²/2. The merged spectrum differs from the whole-window one by rounding
+// alone (≈ 1e-15·λ₀).
+//
+// There are two eigen-solvers. The spectrum (Moments.Spectrum, read by
 // every rank-adaptation pass) needs eigenvalues only and takes the cheap
 // route: Householder reduction to tridiagonal form, then implicit-shift QL —
 // the pair behind Eigen's SelfAdjointEigenSolver, ≈ (4/3)d³ + O(d²) flops.
@@ -263,10 +270,10 @@ func tridiagonalEigenvalues(d, e []float64) {
 
 // gramInto writes Σ_i (a_i−mean)(a_i−mean)ᵀ over a's rows into the n×n
 // matrix g; a zero mean gives aᵀa. Only the upper triangle is meaningful on
-// return, which is all either eigen-solver reads. Columns are taken in 2×2 register
-// tiles and centered on the fly, so a is never copied (it is re-read once
-// per tile, from L1 at the shapes used here); an odd n pairs its last column
-// with itself.
+// return, which is all either eigen-solver and Moments.Merge read. Columns
+// are taken in 2×2 register tiles and centered on the fly, so a is never
+// copied (it is re-read once per tile, from L1 at the shapes used here); an
+// odd n pairs its last column with itself.
 func gramInto(g []float64, a *Matrix, mean []float64) {
 	n := a.Cols
 	data := a.Data[:a.Rows*n]
@@ -293,47 +300,93 @@ func gramInto(g []float64, a *Matrix, mean []float64) {
 	}
 }
 
-// SpectrumScratch holds CovarianceSpectrum's buffers, so a caller that
-// recomputes a spectrum periodically (lora's rank adaptation) allocates them
-// once. The zero value is ready to use.
-type SpectrumScratch struct {
-	slab []float64 // mean, eig, off and cov, carved per call; sized by d only
+// Moments are the sufficient statistics of a sample covariance: the row
+// count, the mean, and the upper triangle of the centred scatter
+// Σ_i (x_i−mean)(x_i−mean)ᵀ (d×d, row-major; the strict lower triangle is
+// scratch). Two sets of moments merge exactly in real arithmetic (Chan,
+// Golub & LeVeque's pairwise update), so the covariance of a sliding window
+// can be assembled from per-block moments, each computed fresh from its rows
+// once, instead of re-reading the whole window or carrying running sums that
+// drift. Mean and M2 must hold d and d×d elements; MakeMoments carves them.
+type Moments struct {
+	N    int
+	Mean []float64
+	M2   []float64
 }
 
-// carve returns the d-length mean, eigenvalue and off-diagonal vectors and
-// the d×d covariance, out of one slab that grows only with d.
-func (ws *SpectrumScratch) carve(n int) (mean, eig, off, cov []float64) {
-	if need := n*n + 3*n; len(ws.slab) < need {
-		ws.slab = make([]float64, need)
+// MakeMoments returns count empty d-dimensional Moments whose vectors are
+// carved from one slab.
+func MakeMoments(count, d int) []Moments {
+	ms := make([]Moments, count)
+	slab := make([]float64, count*(d+d*d))
+	for i := range ms {
+		s := slab[i*(d+d*d) : (i+1)*(d+d*d)]
+		ms[i] = Moments{Mean: s[:d:d], M2: s[d:]}
 	}
-	s := ws.slab
-	return s[:n:n], s[n : 2*n : 2*n], s[2*n : 3*n : 3*n], s[3*n : 3*n+n*n : 3*n+n*n]
+	return ms
 }
 
-// CovarianceSpectrum returns the eigenvalues, in descending order, of the
-// sample covariance of a's rows (observations × features, denominator
-// rows−1): the variance along each principal direction. Rows are
-// mean-centered on the fly and only the d×d covariance is decomposed, by
-// Householder tridiagonalization and implicit QL; a is not modified. The
-// result aliases ws and is valid until ws's next use.
-func CovarianceSpectrum(a *Matrix, ws *SpectrumScratch) []float64 {
-	m, n := a.Rows, a.Cols
-	mean, eig, off, cov := ws.carve(n)
+// Of sets m to the moments of a's rows (observations × features): the mean
+// summed in row order, then the scatter about it in 2×2 register tiles.
+func (m *Moments) Of(a *Matrix) {
+	m.N = a.Rows
+	mean := m.Mean
 	clear(mean)
-	for i := 0; i < m; i++ {
+	for i := 0; i < a.Rows; i++ {
 		for j, v := range a.Row(i) {
 			mean[j] += v
 		}
 	}
-	if m > 0 {
+	if a.Rows > 0 {
 		for j := range mean {
-			mean[j] /= float64(m)
+			mean[j] /= float64(a.Rows)
 		}
 	}
-	gramInto(cov, a, mean)
+	gramInto(m.M2, a, mean)
+}
+
+// Merge folds o into m, leaving m the moments of both row sets together:
+// with δ = mean_o − mean_m, M2 += M2_o + δδᵀ·n_m·n_o/n and mean += δ·n_o/n.
+// Merging into empty moments copies o exactly; merging empty o is a no-op.
+func (m *Moments) Merge(o *Moments) {
+	switch {
+	case o.N == 0:
+		return
+	case m.N == 0:
+		m.N = o.N
+		copy(m.Mean, o.Mean)
+		copy(m.M2, o.M2)
+		return
+	}
+	d := len(m.Mean)
+	na, nb := float64(m.N), float64(o.N)
+	n := na + nb
+	f, g := na*nb/n, nb/n
+	for p := 0; p < d; p++ {
+		dp := (o.Mean[p] - m.Mean[p]) * f
+		row, orow := m.M2[p*d:(p+1)*d], o.M2[p*d:(p+1)*d]
+		for q := p; q < d; q++ {
+			row[q] += orow[q] + dp*(o.Mean[q]-m.Mean[q])
+		}
+	}
+	for j, v := range o.Mean {
+		m.Mean[j] += (v - m.Mean[j]) * g
+	}
+	m.N += o.N
+}
+
+// Spectrum returns the eigenvalues, in descending order, of the sample
+// covariance M2/(N−1): the variance along each principal direction. The
+// scatter is copied into ws, reduced by Householder tridiagonalization and
+// solved by implicit QL; m is not modified. The result aliases ws and is
+// valid until ws's next use.
+func (m *Moments) Spectrum(ws *SpectrumScratch) []float64 {
+	n := len(m.Mean)
+	eig, off, cov, _, _ := ws.carve(n)
+	copy(cov, m.M2)
 	tridiagonalize(cov, n, eig, off)
 	tridiagonalEigenvalues(eig, off)
-	denom := float64(m - 1)
+	denom := float64(m.N - 1)
 	if denom < 1 {
 		denom = 1
 	}
@@ -344,6 +397,38 @@ func CovarianceSpectrum(a *Matrix, ws *SpectrumScratch) []float64 {
 	slices.Sort(eig)
 	slices.Reverse(eig)
 	return eig
+}
+
+// SpectrumScratch holds the buffers of Moments.Spectrum and
+// CovarianceSpectrum, so a caller that recomputes a spectrum periodically
+// (lora's rank adaptation) allocates them once. The zero value is ready to
+// use.
+type SpectrumScratch struct {
+	slab []float64 // carved per call; sized by d only
+}
+
+// carve returns the d-length eigenvalue and off-diagonal vectors and the d×d
+// matrix the eigen-solve destroys, then the mean and scatter
+// CovarianceSpectrum builds, out of one slab that grows only with d.
+func (ws *SpectrumScratch) carve(n int) (eig, off, cov, mean, m2 []float64) {
+	if need := 2*n*n + 3*n; len(ws.slab) < need {
+		ws.slab = make([]float64, need)
+	}
+	s := ws.slab
+	return s[:n:n], s[n : 2*n : 2*n], s[2*n : 2*n+n*n : 2*n+n*n],
+		s[2*n+n*n : 3*n+n*n : 3*n+n*n], s[3*n+n*n : 3*n+2*n*n : 3*n+2*n*n]
+}
+
+// CovarianceSpectrum returns the eigenvalues, in descending order, of the
+// sample covariance of a's rows (observations × features, denominator
+// rows−1): Moments.Of then Moments.Spectrum, so rows are mean-centered on the
+// fly and only the d×d covariance is decomposed; a is not modified. The
+// result aliases ws and is valid until ws's next use.
+func CovarianceSpectrum(a *Matrix, ws *SpectrumScratch) []float64 {
+	_, _, _, mean, m2 := ws.carve(a.Cols)
+	m := Moments{Mean: mean, M2: m2}
+	m.Of(a)
+	return m.Spectrum(ws)
 }
 
 // TruncatedSVD returns the optimal rank-k approximation factors of a
