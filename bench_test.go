@@ -258,7 +258,7 @@ func BenchmarkClusterServeSequential(b *testing.B) {
 func BenchmarkClusterServeParallel(b *testing.B) {
 	srv, gen := benchFleet(b)
 	b.ResetTimer()
-	rep, err := Drive(srv, gen, DriveConfig{Requests: b.N, Concurrency: 8, Seed: 1})
+	rep, err := Drive(srv, gen, DriveConfig{Requests: b.N, Workers: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func BenchmarkClusterServeParallel(b *testing.B) {
 func BenchmarkClusterServeBatched(b *testing.B) {
 	srv, gen := benchFleet(b)
 	b.ResetTimer()
-	rep, err := Drive(srv, gen, DriveConfig{Requests: b.N, Concurrency: 8, BatchSize: 16, Seed: 1})
+	rep, err := Drive(srv, gen, DriveConfig{Requests: b.N, Workers: 8, BatchSize: 16, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func benchSyncFleet(b *testing.B) (Server, *Workload) {
 func BenchmarkClusterSync(b *testing.B) {
 	srv, gen := benchSyncFleet(b)
 	b.ResetTimer()
-	rep, err := Drive(srv, gen, DriveConfig{Requests: b.N, Concurrency: 8, Seed: 1})
+	rep, err := Drive(srv, gen, DriveConfig{Requests: b.N, Workers: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

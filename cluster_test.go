@@ -144,9 +144,9 @@ func TestDriveMatchesSequentialServe(t *testing.T) {
 
 	par, gen := driveFleet(t, 2*time.Second)
 	rep, err := liveupdate.Drive(par, gen, liveupdate.DriveConfig{
-		Requests:    requests,
-		Concurrency: 8,
-		Seed:        1,
+		Requests: requests,
+		Workers:  8,
+		Seed:     1,
 	})
 	if err != nil {
 		t.Fatal(err)

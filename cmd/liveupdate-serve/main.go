@@ -103,7 +103,7 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 	fs.BoolVar(&f.noTrain, "no-train", false, "disable the co-located trainer (Only-Infer mode)")
 	fs.BoolVar(&f.noIsolation, "no-isolation", false, "disable NUMA scheduling and reuse (naive co-location)")
 	fs.IntVar(&f.concurrency, "concurrency", 1,
-		"client goroutines driving the fleet (1 = plain sequential loop; virtual-time stats are identical either way)")
+		"client goroutines driving the fleet (virtual-time stats are identical for any count)")
 	fs.IntVar(&f.batch, "batch", 1,
 		"serving batch size: driver lanes coalesce up to this many queued same-shard requests into one zero-allocation batched serve call (virtual-time stats are identical to -batch 1)")
 	chaosScript := fs.String("chaos", "",
@@ -270,9 +270,6 @@ func main() {
 		liveupdate.WithIsolation(!f.noIsolation),
 		liveupdate.WithQuantization(liveupdate.Quantization(f.quant)),
 	}
-	if len(chaos) > 0 {
-		opts = append(opts, liveupdate.WithChaos(chaos))
-	}
 	if f.telemetry {
 		opts = append(opts, liveupdate.WithTelemetry(liveupdate.TelemetryConfig{
 			SampleEvery: f.traceSample,
@@ -324,58 +321,45 @@ func main() {
 			st.Served, st.P99*1000, st.ViolationRate, st.TrainSteps,
 			st.MemoryOverhead, st.Syncs, st.SyncBytes, st.VirtualTime)
 	}
-	// With telemetry on, even a single-worker run goes through Drive so the
-	// report carries the sampled stage breakdown (virtual-time stats are
-	// identical either way).
-	if f.concurrency == 1 && len(chaos) == 0 && f.batch <= 1 && !f.telemetry {
-		for i := 1; i <= f.requests; i++ {
-			if _, err := srv.Serve(gen.Next()); err != nil {
-				fatalf("serve: %v", err)
-			}
-			if (f.report > 0 && i%f.report == 0) || i == f.requests {
-				printStats(srv.Stats())
-			}
-		}
-	} else {
-		var lastPrinted uint64 // written under Drive's serialized OnProgress, read after it returns
-		rep, err := liveupdate.Drive(srv, gen, liveupdate.DriveConfig{
-			Requests:      f.requests,
-			Concurrency:   f.concurrency,
-			BatchSize:     f.batch,
-			Seed:          f.seed,
-			ProgressEvery: f.report,
-			OnProgress: func(served uint64) {
-				lastPrinted = served
-				printStats(srv.Stats())
-			},
-		})
-		if err != nil {
-			fatalf("drive: %v", err)
-		}
-		if lastPrinted != rep.Served {
+	var lastPrinted uint64 // written under Drive's serialized OnProgress, read after it returns
+	rep, err := liveupdate.Drive(srv, gen, liveupdate.DriveConfig{
+		Requests:      f.requests,
+		Workers:       f.concurrency,
+		BatchSize:     f.batch,
+		Seed:          f.seed,
+		Chaos:         chaos,
+		ProgressEvery: f.report,
+		OnProgress: func(served uint64) {
+			lastPrinted = served
 			printStats(srv.Stats())
-		}
-		fmt.Printf("\ndrive: %d workers over %d shard(s): %d req in %v wall (%.0f req/s wall, %.0f req/s virtual)\n",
-			rep.Workers, rep.Shards, rep.Served, rep.Elapsed.Round(time.Millisecond), rep.QPS, rep.VirtualQPS)
-		if rep.BatchSize > 1 && rep.Batches > 0 {
-			fmt.Printf("batching: cap %d, %d serve calls, %.2f req/call mean\n",
-				rep.BatchSize, rep.Batches, float64(rep.Served)/float64(rep.Batches))
-		}
-		for _, ws := range rep.PerWorker {
-			fmt.Printf("  worker %-3d shards=%-8v served=%-8d busy=%-12v meanLat=%.3fms\n",
-				ws.Worker, ws.Shards, ws.Served, ws.Busy.Round(time.Millisecond), ws.MeanLatency*1000)
-		}
-		if len(chaos) > 0 {
-			fmt.Printf("\nchaos: %d/%d events applied\n", len(rep.Chaos), len(chaos))
-			for _, ae := range rep.Chaos {
-				fmt.Printf("  %-24s → request %-7d virtual %.3fs\n", ae.Event, ae.Request, ae.Virtual)
-			}
-			if rep.ChaosSkipped > 0 {
-				fmt.Printf("  (%d events skipped: trace ended before their timestamps)\n", rep.ChaosSkipped)
-			}
-		}
-		printStageTable(rep.Stages, f.traceSample)
+		},
+	})
+	if err != nil {
+		fatalf("drive: %v", err)
 	}
+	if lastPrinted != rep.Served {
+		printStats(srv.Stats())
+	}
+	fmt.Printf("\ndrive: %d workers over %d shard(s): %d req in %v wall (%.0f req/s wall, %.0f req/s virtual)\n",
+		rep.Workers, rep.Shards, rep.Served, rep.Elapsed.Round(time.Millisecond), rep.QPS, rep.VirtualQPS)
+	if rep.BatchSize > 1 && rep.Batches > 0 {
+		fmt.Printf("batching: cap %d, %d serve calls, %.2f req/call mean\n",
+			rep.BatchSize, rep.Batches, float64(rep.Served)/float64(rep.Batches))
+	}
+	for _, ws := range rep.PerWorker {
+		fmt.Printf("  worker %-3d shards=%-8v served=%-8d busy=%-12v meanLat=%.3fms\n",
+			ws.Worker, ws.Shards, ws.Served, ws.Busy.Round(time.Millisecond), ws.MeanLatency*1000)
+	}
+	if len(chaos) > 0 {
+		fmt.Printf("\nchaos: %d/%d events applied\n", len(rep.Chaos), len(chaos))
+		for _, ae := range rep.Chaos {
+			fmt.Printf("  %-24s → request %-7d virtual %.3fs\n", ae.Event, ae.Request, ae.Virtual)
+		}
+		if rep.ChaosSkipped > 0 {
+			fmt.Printf("  (%d events skipped: trace ended before their timestamps)\n", rep.ChaosSkipped)
+		}
+	}
+	printStageTable(rep.Stages, f.traceSample)
 	if st := srv.Stats(); len(st.Replicas) > 0 {
 		fmt.Println("\nper-replica breakdown:")
 		fmt.Printf("  %-8s %-10s %-10s %-12s %-12s %-12s\n",
@@ -515,7 +499,7 @@ func runClient(addr string, cfg clientConfig) {
 
 	rep, err := liveupdate.Drive(remote, gen, liveupdate.DriveConfig{
 		Requests:      cfg.requests,
-		Concurrency:   cfg.concurrency,
+		Workers:       cfg.concurrency,
 		BatchSize:     cfg.batch,
 		Seed:          cfg.seed,
 		ProgressEvery: cfg.report,

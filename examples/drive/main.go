@@ -41,9 +41,9 @@ func main() {
 
 	srv := buildFleet(profile)
 	rep, err := liveupdate.Drive(srv, liveupdate.NewWorkload(profile, 11), liveupdate.DriveConfig{
-		Requests:    requests,
-		Concurrency: 8,
-		Seed:        1,
+		Requests: requests,
+		Workers:  8,
+		Seed:     1,
 	})
 	if err != nil {
 		panic(err)
@@ -60,7 +60,7 @@ func main() {
 
 	// Same fleet, same workload, one worker: identical virtual-time results.
 	seq, err := liveupdate.Drive(buildFleet(profile), liveupdate.NewWorkload(profile, 11),
-		liveupdate.DriveConfig{Requests: requests, Concurrency: 1, Seed: 1})
+		liveupdate.DriveConfig{Requests: requests, Workers: 1, Seed: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -19,8 +19,9 @@
 // A Cluster is safe for concurrent callers and is designed so independent
 // replicas serve genuinely in parallel:
 //
-//   - Serve/ServeShard take a fleet-wide read lock (RWMutex.RLock) plus the
-//     target replica's own mutex (inside core.System.Serve). Requests for
+//   - Every serve runs ServeShardBatch, which takes a fleet-wide read lock
+//     (RWMutex.RLock) plus the target replica's own mutex (inside
+//     core.System.ServeBatch). Requests for
 //     different replicas never contend; requests for the same replica
 //     serialize, matching the single-server virtual-clock model.
 //   - A periodic sync has no fleet-wide serialization point: a background
@@ -114,11 +115,6 @@ type Config struct {
 	// Compression prices flate compression of sync payloads: 0 disables,
 	// 1 (fastest) … 9 (best ratio). Trades CompressSeconds for WireBytes.
 	Compression int
-
-	// Chaos optionally attaches a default membership-event schedule to the
-	// cluster. It is advisory: the load driver picks it up when its own
-	// configuration carries no schedule (liveupdate.WithChaos wires this).
-	Chaos fleet.Schedule
 }
 
 // Validate reports configuration errors.
@@ -137,9 +133,6 @@ func (c Config) Validate() error {
 	}
 	if c.Compression < 0 || c.Compression > 9 {
 		return fmt.Errorf("cluster: Compression level %d out of range [0,9]", c.Compression)
-	}
-	if err := c.Chaos.Validate(); err != nil {
-		return fmt.Errorf("cluster: chaos schedule: %w", err)
 	}
 	return c.Base.Validate()
 }
@@ -332,15 +325,6 @@ func (c *Cluster) Members() *fleet.View { return c.fleet.View() }
 // RouterName returns the active routing policy's name.
 func (c *Cluster) RouterName() string { return c.router.Name() }
 
-// DefaultBatchSize returns the serving-batch hint attached at construction
-// (Config.Base.BatchSize; 0 = unbatched). The load driver uses it when its
-// own configuration does not set a batch size.
-func (c *Cluster) DefaultBatchSize() int { return c.cfg.Base.BatchSize }
-
-// ChaosSchedule returns the membership-event schedule attached at
-// construction (nil when none was).
-func (c *Cluster) ChaosSchedule() fleet.Schedule { return c.cfg.Chaos }
-
 // NumShards returns the shard-lane capacity: the highest slot index plus
 // one. Slots are stable for a member's lifetime and capacity only grows, so
 // a load driver's lane ownership survives membership churn; an empty slot
@@ -358,7 +342,7 @@ func (c *Cluster) ShardOf(s trace.Sample) int {
 	if m := c.router.RouteView(s, c.fleet.View()); m != nil {
 		return m.Slot
 	}
-	return -1 // surfaces as a routing error in ServeShard
+	return -1 // surfaces as a routing error in ServeShardBatch
 }
 
 // Serve routes one request to a replica and serves it there (including that
@@ -370,59 +354,30 @@ func (c *Cluster) Serve(s trace.Sample) (core.Response, error) {
 	return c.ServeShard(c.ShardOf(s), s)
 }
 
-// ServeShard serves one request on a specific replica slot, then hands any
-// periodic LoRA sync whose virtual-time epoch the fleet clock has crossed to
-// the background pipeline (without ever taking a fleet-wide write lock). A
-// request aimed at a slot whose member has since failed or left redirects to
-// the next active slot — the lane drains instead of erroring.
+// ServeShard serves one request on a specific replica slot: a run of one
+// through ServeShardBatch.
 func (c *Cluster) ServeShard(shard int, s trace.Sample) (core.Response, error) {
-	if c.pipe != nil {
-		if err := c.pipe.Err(); err != nil {
-			return core.Response{}, err
-		}
-	}
-	// The view is resolved under the read lock: membership commits hold
-	// the write lock, so a member can never be folded out of the fleet
-	// totals while this request is mid-serve on it.
-	c.fleetMu.RLock()
-	v := c.fleet.View()
-	if shard < 0 || shard >= v.NumSlots() {
-		c.fleetMu.RUnlock()
-		return core.Response{}, fmt.Errorf("cluster: router %s picked replica %d of %d",
-			c.router.Name(), shard, v.NumSlots())
-	}
-	m := v.Member(shard)
-	if m == nil {
-		if m = v.Redirect(shard); m == nil {
-			c.fleetMu.RUnlock()
-			return core.Response{}, fmt.Errorf("cluster: no active replicas")
-		}
-	}
-	resp, err := m.Sys.Serve(s)
-	if err != nil {
-		c.fleetMu.RUnlock()
-		return resp, err
-	}
-	resp.Replica = m.Slot
-	// Kick while still holding the read lock (kick is non-blocking and
-	// touches neither fleetMu nor the replicas), so anyone holding the WRITE
-	// lock knows no new pipeline work can appear under them.
-	c.kickCrossedEpoch()
-	c.gen.Add(m.Slot%c.gen.Shards(), 1)
-	c.fleetMu.RUnlock()
-	return resp, nil
+	samples := [1]trace.Sample{s}
+	var resps [1]core.Response
+	err := c.ServeShardBatch(shard, samples[:], resps[:])
+	return resps[0], err
 }
 
 // ServeShardBatch serves a run of pre-routed same-shard samples on one
-// replica slot through core.System.ServeBatch — the amortized fast path the
-// load driver's lane workers coalesce into. Semantics match a loop over
-// ServeShard for every virtual-time statistic: each sample still gets its own
-// bookkeeping tail and training trigger on the replica; only buffer
+// replica slot through core.System.ServeBatch, then hands any periodic LoRA
+// sync whose virtual-time epoch the fleet clock has crossed to the
+// background pipeline (without ever taking a fleet-wide write lock). It is
+// the one serve body of the fleet — the load driver's lane workers coalesce
+// into it, and Serve and ServeShard are runs of one. Semantics match one
+// request at a time for every virtual-time statistic: each sample still gets
+// its own bookkeeping tail and training trigger on the replica; only buffer
 // acquisition, the fleet read lock, and the periodic-sync epoch check (which
-// runs once, after the batch) are amortized. A sync epoch crossed mid-batch
-// is therefore picked up at the batch boundary — the same epochs fire either
-// way, so final sync counts are unchanged. resps must have the same length as
-// samples and is filled in order.
+// runs once, after the run) are amortized. A sync epoch crossed mid-run is
+// therefore picked up at the run boundary — the same epochs fire either way,
+// so final sync counts are unchanged. A run aimed at a slot whose member has
+// since failed or left redirects to the next active slot — the lane drains
+// instead of erroring. resps must have the same length as samples and is
+// filled in order.
 func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []core.Response) error {
 	if len(resps) != len(samples) {
 		return fmt.Errorf("cluster: ServeShardBatch got %d response slots for %d samples", len(resps), len(samples))
@@ -435,6 +390,9 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 			return err
 		}
 	}
+	// The view is resolved under the read lock: membership commits hold
+	// the write lock, so a member can never be folded out of the fleet
+	// totals while this run is mid-serve on it.
 	c.fleetMu.RLock()
 	v := c.fleet.View()
 	if shard < 0 || shard >= v.NumSlots() {
@@ -456,6 +414,9 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 	for i := range resps {
 		resps[i].Replica = m.Slot
 	}
+	// Kick while still holding the read lock (kick is non-blocking and
+	// touches neither fleetMu nor the replicas), so anyone holding the WRITE
+	// lock knows no new pipeline work can appear under them.
 	c.kickCrossedEpoch()
 	c.gen.Add(m.Slot%c.gen.Shards(), 1)
 	c.fleetMu.RUnlock()

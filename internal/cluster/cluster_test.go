@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"liveupdate/internal/core"
-	"liveupdate/internal/fleet"
 	"liveupdate/internal/trace"
 )
 
@@ -43,10 +42,45 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative SyncEvery must be rejected")
 	}
-	cfg = testConfig(t, 2)
-	cfg.Chaos = fleet.Schedule{{At: -time.Second, Action: fleet.Kill, Arg: 0}}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid chaos schedule must be rejected at construction")
+}
+
+// TestClusterServeSteadyStateAllocs: a request through a warm fleet — route,
+// the one-sample run of ServeShardBatch, the replica's batched forward and
+// bookkeeping tail — allocates nothing.
+func TestClusterServeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := testConfig(t, 4)
+	r, err := NewRouter(Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Router = r
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.MustNewGenerator(testProfile(t), 47)
+	samples := make([]trace.Sample, 256)
+	for i := range samples {
+		samples[i] = gen.Next()
+	}
+	for round := 0; round < 4; round++ {
+		for _, s := range samples {
+			if _, err := c.Serve(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := c.Serve(samples[i%len(samples)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("warm Cluster.Serve allocates %v per request, want 0", n)
 	}
 }
 

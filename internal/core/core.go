@@ -42,12 +42,6 @@ type Options struct {
 	EmbLR         float64 // LoRA learning rate
 	InitialInfCCD int     // starting inference partition (scheduling on)
 
-	// BatchSize is the preferred serving batch size — the number of queued
-	// same-shard requests a load driver should coalesce into one ServeBatch /
-	// ServeShardBatch call. 0 or 1 means unbatched. It is a driving hint
-	// (picked up via DefaultBatchSize), not a serving-path requirement.
-	BatchSize int
-
 	// Telemetry, when non-nil, receives side-band wall-clock observability:
 	// serve/violation/train-tick counters, a virtual-latency histogram, and
 	// sampled stage spans (see internal/obs). It is strictly an observer —
@@ -88,9 +82,6 @@ func DefaultOptions(p trace.Profile, seed uint64) Options {
 func (o Options) Validate() error {
 	if err := o.Profile.Validate(); err != nil {
 		return err
-	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("core: BatchSize must be non-negative")
 	}
 	if _, err := dlrm.ParseQuantMode(o.Quantization); err != nil {
 		return err
@@ -348,8 +339,8 @@ type EndpointStats struct {
 
 // Serve processes one request through the serving path, interleaving
 // co-located training ticks per the configured cadence. It returns the
-// prediction and request latency; the only error is a sample whose sparse
-// feature count does not match the profile.
+// prediction and request latency; the only error is a sample whose shape
+// does not match the profile (see checkSample).
 //
 // The forward runs before and outside the node mutex (see the System comment
 // for the lock split); only the bookkeeping tail and the training trigger
@@ -357,9 +348,8 @@ type EndpointStats struct {
 // node is unchanged, every virtual-time statistic is bit-identical to the
 // historical fully-locked implementation.
 func (s *System) Serve(sample trace.Sample) (Response, error) {
-	if len(sample.Sparse) != s.Opts.Profile.NumTables {
-		return Response{}, fmt.Errorf("core: sample has %d sparse fields, profile %q expects %d",
-			len(sample.Sparse), s.Opts.Profile.Name, s.Opts.Profile.NumTables)
+	if err := s.checkSample(sample); err != nil {
+		return Response{}, err
 	}
 	s.paramMu.RLock()
 	prob := s.Node.Predict(sample)
@@ -374,6 +364,33 @@ func (s *System) Serve(sample trace.Sample) (Response, error) {
 	s.mu.Unlock()
 	s.observeServe(latency)
 	return Response{Prob: prob, Latency: latency}, nil
+}
+
+// checkSample rejects a sample whose shape the profile does not allow: a
+// sparse table count or dense width other than the profile's, or an id
+// outside [0, TableSize). Serve and ServeBatch call it before taking any
+// lock, because the forward indexes tables and weights with these values:
+// a panic there would leave paramMu read-locked and the next training tick
+// blocked for good.
+func (s *System) checkSample(sample trace.Sample) error {
+	p := &s.Opts.Profile
+	if len(sample.Sparse) != p.NumTables {
+		return fmt.Errorf("core: sample has %d sparse fields, profile %q expects %d",
+			len(sample.Sparse), p.Name, p.NumTables)
+	}
+	if len(sample.Dense) != p.NumDense {
+		return fmt.Errorf("core: sample has %d dense values, profile %q expects %d",
+			len(sample.Dense), p.Name, p.NumDense)
+	}
+	for t, ids := range sample.Sparse {
+		for _, id := range ids {
+			// One unsigned comparison covers both bounds.
+			if uint32(id) >= uint32(p.TableSize) {
+				return fmt.Errorf("core: sample id %d in table %d is outside [0, %d)", id, t, p.TableSize)
+			}
+		}
+	}
+	return nil
 }
 
 // observeServe feeds one committed request's already-computed virtual
@@ -407,9 +424,8 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 		return fmt.Errorf("core: ServeBatch got %d response slots for %d samples", len(resps), len(samples))
 	}
 	for i := range samples {
-		if len(samples[i].Sparse) != s.Opts.Profile.NumTables {
-			return fmt.Errorf("core: sample %d has %d sparse fields, profile %q expects %d",
-				i, len(samples[i].Sparse), s.Opts.Profile.Name, s.Opts.Profile.NumTables)
+		if err := s.checkSample(samples[i]); err != nil {
+			return fmt.Errorf("%w (batch index %d)", err, i)
 		}
 	}
 	if len(samples) == 0 {
@@ -532,13 +548,8 @@ func (s *System) LatencyWindow() []float64 {
 
 // Telemetry returns the telemetry this node was built with (nil when
 // observability is off). Export surfaces and the load driver discover it via
-// interface assertion, the same pattern as DefaultBatchSize.
+// interface assertion.
 func (s *System) Telemetry() *obs.Telemetry { return s.tel }
-
-// DefaultBatchSize returns the serving-batch hint configured at construction
-// (0 = unbatched). The load driver uses it when its own configuration does
-// not set a batch size.
-func (s *System) DefaultBatchSize() int { return s.Opts.BatchSize }
 
 // Profile returns the dataset profile this node serves. The wire front end
 // advertises it to remote load generators so they synthesize samples with

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"liveupdate/internal/dlrm"
 	"liveupdate/internal/emt"
@@ -330,6 +331,71 @@ func TestServeBatchValidation(t *testing.T) {
 	}
 	if err := s.ServeBatch(nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestMalformedSampleLeavesNodeUsable: a sample whose dense width or ids do
+// not fit the profile is an error from Serve and ServeBatch, not a panic
+// inside the forward — which would leave paramMu read-locked, so the next
+// training tick would block for good.
+func TestMalformedSampleLeavesNodeUsable(t *testing.T) {
+	p := testProfile()
+	good := trace.MustNewGenerator(p, 8).Next()
+	withDense := func(n int) trace.Sample {
+		s := good
+		s.Dense = make([]float64, n)
+		return s
+	}
+	withID := func(id int32) trace.Sample {
+		s := good
+		s.Sparse = append([][]int32{{id}}, good.Sparse[1:]...)
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		bad  trace.Sample
+	}{
+		{"short dense", withDense(p.NumDense - 1)},
+		{"long dense", withDense(p.NumDense + 1)},
+		{"negative id", withID(-1)},
+		{"id == TableSize", withID(int32(p.TableSize))},
+	} {
+		for _, batched := range []bool{false, true} {
+			s := MustNew(testOptions())
+			// A non-empty ring: the tick below then takes paramMu.
+			if _, err := s.Serve(good); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s (batched %v): panicked: %v", tc.name, batched, r)
+					}
+				}()
+				var err error
+				if batched {
+					err = s.ServeBatch([]trace.Sample{good, tc.bad}, make([]Response, 2))
+				} else {
+					_, err = s.Serve(tc.bad)
+				}
+				if err == nil {
+					t.Errorf("%s (batched %v): accepted", tc.name, batched)
+				}
+			}()
+			done := make(chan struct{})
+			go func() {
+				s.TrainTick()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s (batched %v): TrainTick blocked: the rejected sample left the node locked", tc.name, batched)
+			}
+			if _, err := s.Serve(good); err != nil {
+				t.Fatalf("%s (batched %v): serving after the rejection: %v", tc.name, batched, err)
+			}
+		}
 	}
 }
 

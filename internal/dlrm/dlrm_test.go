@@ -315,9 +315,9 @@ func TestConfigForProfile(t *testing.T) {
 
 // --- Serving fast path (zero-allocation scratch forward) ---
 
-// TestPredictWithMatchesForward: the scratch-based inference path must score
+// TestInferLogitMatchesForward: the scratch-based inference path must score
 // bit-identically to the allocating Forward path, for both embedding sources.
-func TestPredictWithMatchesForward(t *testing.T) {
+func TestInferLogitMatchesForward(t *testing.T) {
 	m, b := newSetup(5)
 	sc := m.NewScratch()
 	sparse := [][]int32{{1, 7}, {3}, {9, 11, 2}}
@@ -325,9 +325,10 @@ func TestPredictWithMatchesForward(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		dense[0] = float64(i) * 0.1
 		sparse[0][0] = int32(i % 50)
-		want := Sigmoid(m.Forward(b, dense, sparse, nil))
-		if got := m.PredictWith(b, dense, sparse, sc); got != want {
-			t.Fatalf("iter %d: PredictWith = %v, Forward = %v", i, got, want)
+		logit := m.Forward(b, dense, sparse, nil)
+		want := Sigmoid(logit)
+		if got := m.InferLogit(b, dense, sparse, sc); got != logit {
+			t.Fatalf("iter %d: InferLogit = %v, Forward = %v", i, got, logit)
 		}
 		if got := m.Predict(b, dense, sparse); got != want {
 			t.Fatalf("iter %d: Predict = %v, Forward = %v", i, got, want)
@@ -336,7 +337,7 @@ func TestPredictWithMatchesForward(t *testing.T) {
 }
 
 // TestPredictZeroAlloc asserts the acceptance criterion directly: the Predict
-// fast path (pooled scratch) and PredictWith (caller scratch) perform zero
+// fast path (pooled scratch) and InferLogit (caller scratch) perform zero
 // heap allocations per call.
 func TestPredictZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -346,8 +347,8 @@ func TestPredictZeroAlloc(t *testing.T) {
 	sc := m.NewScratch()
 	sparse := [][]int32{{1, 7}, {3}, {9, 11, 2}}
 	dense := []float64{0.5, -1, 2, 0.25}
-	if n := testing.AllocsPerRun(200, func() { m.PredictWith(b, dense, sparse, sc) }); n != 0 {
-		t.Fatalf("PredictWith allocates %v per run, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { m.InferLogit(b, dense, sparse, sc) }); n != 0 {
+		t.Fatalf("InferLogit allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { m.Predict(b, dense, sparse) }); n != 0 {
 		t.Fatalf("Predict allocates %v per run, want 0", n)

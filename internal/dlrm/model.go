@@ -292,7 +292,7 @@ func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, 
 // ForwardScratch owns every buffer one inference forward pass touches: the
 // per-layer MLP activations, the gathered (pooled) embedding rows, the
 // interaction-feature view, and the top-MLP input. Reusing a scratch across
-// requests makes PredictWith allocation-free.
+// requests makes InferLogit allocation-free.
 //
 // Ownership rules: a scratch serves one forward pass at a time — it is NOT
 // safe for concurrent use; callers either thread their own (NewScratch /
@@ -380,12 +380,6 @@ func (m *Model) Predict(src EmbeddingSource, dense []float64, sparse [][]int32) 
 	p := Sigmoid(m.forwardInto(src, dense, sparse, sc))
 	m.ReleaseScratch(sc)
 	return p
-}
-
-// PredictWith is Predict through a caller-owned scratch — the batch-amortized
-// form: acquire one scratch, score many requests, release once.
-func (m *Model) PredictWith(src EmbeddingSource, dense []float64, sparse [][]int32, sc *ForwardScratch) float64 {
-	return Sigmoid(m.forwardInto(src, dense, sparse, sc))
 }
 
 // BatchScratch owns every buffer one batched inference pass touches: the
@@ -609,9 +603,9 @@ func (m *Model) trainStep(src EmbeddingSource, dense []float64, sparse [][]int32
 	return loss
 }
 
-// InferLogit is the raw-logit form of PredictWith — the allocation-free
-// inference pass without the sigmoid, for callers that rank by score (AUC
-// evaluation) or apply their own link function.
+// InferLogit is Predict's pass through a caller-owned scratch, returning the
+// raw logit — allocation-free and without the sigmoid, for callers that rank
+// by score (AUC evaluation) or apply their own link function.
 func (m *Model) InferLogit(src EmbeddingSource, dense []float64, sparse [][]int32, sc *ForwardScratch) float64 {
 	return m.forwardInto(src, dense, sparse, sc)
 }

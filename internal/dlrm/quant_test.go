@@ -165,8 +165,8 @@ func TestQuantPredictZeroAlloc(t *testing.T) {
 		sc := m.NewScratch()
 		sparse := [][]int32{{1, 7}, {3}, {9, 11, 2}}
 		dense := []float64{0.5, -1, 2, 0.25}
-		if n := testing.AllocsPerRun(200, func() { m.PredictWith(b, dense, sparse, sc) }); n != 0 {
-			t.Fatalf("quant=%s PredictWith allocates %v per run, want 0", mode, n)
+		if n := testing.AllocsPerRun(200, func() { m.InferLogit(b, dense, sparse, sc) }); n != 0 {
+			t.Fatalf("quant=%s InferLogit allocates %v per run, want 0", mode, n)
 		}
 	}
 }

@@ -24,13 +24,13 @@
 //
 // # Batching
 //
-// With Config.BatchSize > 1 against a server exposing a batch path, each
-// lane worker opportunistically coalesces consecutive same-shard queued
-// items into one ServeShardBatch/ServeBatch call — the zero-allocation
-// amortized fast path through the serving stack. Coalescing never reorders a
-// queue and never waits for a batch to fill, so per-shard request order — and
-// with it every virtual-time statistic, worker-count invariance included — is
-// identical to unbatched driving (TestDriveBatchedMatchesUnbatched).
+// Every serve call is one Sharded.ServeShardBatch. With Config.BatchSize > 1
+// each lane worker opportunistically coalesces consecutive same-shard queued
+// items into that call — the zero-allocation amortized fast path through the
+// serving stack. Coalescing never reorders a queue and never waits for a
+// batch to fill, so per-shard request order — and with it every virtual-time
+// statistic, worker-count invariance included — is identical to unbatched
+// driving (TestDriveBatchedMatchesUnbatched).
 //
 // # Chaos schedules
 //
@@ -72,42 +72,49 @@ type Server interface {
 	Stats() core.Stats
 }
 
-// ShardedServer is implemented by servers whose state is partitioned into
-// independently-serving shards — a Cluster's replicas. The driver uses it to
-// route each sample once, deterministically, at sequencing time, and to
-// serve different shards from different workers in parallel. Servers that do
-// not implement it (a single System) are driven through one FIFO lane.
-type ShardedServer interface {
+// Sharded is the drive contract: a Server whose state is partitioned into
+// independently-serving shards — a Cluster's replicas, a wire client's
+// connection lanes. The driver routes each sample once, deterministically,
+// at sequencing time, serves different shards from different workers in
+// parallel, and hands each worker's run of consecutive same-shard items (up
+// to Config.BatchSize) to one ServeShardBatch call. A Server that is not
+// Sharded (a single System, a gateway) is driven as one lane.
+type Sharded interface {
 	Server
 	// NumShards returns the number of independent shards (≥ 1).
 	NumShards() int
 	// ShardOf routes one sample to a shard. Called from the sequencer
 	// goroutine only, in trace order.
 	ShardOf(trace.Sample) int
-	// ServeShard serves a pre-routed sample on its shard.
-	ServeShard(int, trace.Sample) (core.Response, error)
-}
-
-// BatchedServer is a ShardedServer whose shards accept a coalesced run of
-// same-shard requests in one amortized call — a Cluster. With
-// Config.BatchSize > 1 the driver's lane workers drain up to BatchSize
-// consecutive same-shard items from their queue into one ServeShardBatch
-// call, amortizing buffer acquisition and lock traffic while per-shard FIFO
-// order (and with it every virtual-time statistic) is preserved exactly.
-type BatchedServer interface {
-	ShardedServer
 	// ServeShardBatch serves pre-routed same-shard samples in order, filling
 	// resps (same length) with the per-request responses.
 	ServeShardBatch(shard int, samples []trace.Sample, resps []core.Response) error
 }
 
-// BatchServer is a non-sharded Server with an amortized batch path (a single
-// core.System): all load flows through one lane, and the lane's worker
-// coalesces into ServeBatch when Config.BatchSize > 1.
-type BatchServer interface {
+// oneLane drives a Server that is not Sharded as a single shard. A run goes
+// to the server's own ServeBatch when it has one, and to one Serve per
+// sample otherwise.
+type oneLane struct {
 	Server
-	// ServeBatch serves samples in order, filling resps (same length).
-	ServeBatch(samples []trace.Sample, resps []core.Response) error
+	batch interface {
+		ServeBatch([]trace.Sample, []core.Response) error
+	}
+}
+
+func (l oneLane) NumShards() int           { return 1 }
+func (l oneLane) ShardOf(trace.Sample) int { return 0 }
+
+func (l oneLane) ServeShardBatch(_ int, samples []trace.Sample, resps []core.Response) error {
+	if l.batch != nil {
+		return l.batch.ServeBatch(samples, resps)
+	}
+	for i := range samples {
+		var err error
+		if resps[i], err = l.Serve(samples[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Elastic is a sharded server whose replica membership can change while it
@@ -115,7 +122,7 @@ type BatchServer interface {
 // run a chaos schedule: events apply through ApplyChaos, and VirtualNow
 // anchors the schedule's virtual timestamps.
 type Elastic interface {
-	ShardedServer
+	Sharded
 	// ApplyChaos applies one membership event (kill/replace/join/leave/
 	// scale).
 	ApplyChaos(fleet.Event) error
@@ -162,14 +169,12 @@ type Config struct {
 	// the cost of more frequent pipeline drains.
 	ChaosEvery int
 
-	// BatchSize, when > 1 against a server with a batch path (BatchedServer
-	// or BatchServer), lets each lane worker coalesce up to BatchSize
-	// consecutive same-shard queued requests into one amortized serve call.
+	// BatchSize, when > 1, lets each lane worker coalesce up to BatchSize
+	// consecutive same-shard queued requests into one ServeShardBatch call.
 	// Coalescing is opportunistic — a worker never waits for a batch to
 	// fill, so batches only form when the queue runs ahead of the server —
 	// and order-preserving, so virtual-time statistics are identical to
-	// unbatched driving at any worker count. 0 or 1 disables batching, as
-	// does a server without a batch path.
+	// unbatched driving at any worker count. 0 or 1 disables batching.
 	BatchSize int
 }
 
@@ -195,7 +200,7 @@ type Report struct {
 	Served    uint64 // requests actually served (== Requests unless cancelled)
 	Workers   int    // client goroutines
 	Shards    int    // server shards driven
-	BatchSize int    // effective coalescing cap (1 = unbatched)
+	BatchSize int    // coalescing cap, max(Config.BatchSize, 1)
 	Batches   uint64 // serve calls issued across all workers
 
 	Elapsed time.Duration // wall-clock drive duration
@@ -336,35 +341,18 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 		depth = 128
 	}
 
-	shards := 1
-	sharded, isSharded := srv.(ShardedServer)
-	if isSharded {
-		shards = sharded.NumShards()
-		if shards < 1 {
-			return Report{}, fmt.Errorf("driver: server reports %d shards", shards)
-		}
+	lanes, ok := srv.(Sharded)
+	if !ok {
+		bs, _ := srv.(interface {
+			ServeBatch([]trace.Sample, []core.Response) error
+		})
+		lanes = oneLane{Server: srv, batch: bs}
 	}
-
-	// Batching: only effective when the server has an amortized batch path.
-	batchCap := cfg.BatchSize
-	if batchCap < 1 {
-		batchCap = 1
+	shards := lanes.NumShards()
+	if shards < 1 {
+		return Report{}, fmt.Errorf("driver: server reports %d shards", shards)
 	}
-	var shardBatcher BatchedServer
-	var plainBatcher BatchServer
-	if batchCap > 1 {
-		if isSharded {
-			if bs, ok := srv.(BatchedServer); ok {
-				shardBatcher = bs
-			} else {
-				batchCap = 1
-			}
-		} else if bs, ok := srv.(BatchServer); ok {
-			plainBatcher = bs
-		} else {
-			batchCap = 1
-		}
-	}
+	batchCap := max(cfg.BatchSize, 1)
 
 	// Stage-breakdown baseline: when the server carries telemetry with stage
 	// tracing on, the report diffs the tracer's per-stage aggregates across
@@ -482,13 +470,10 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 				seqShards = elastic.NumShards() // capacity may have grown
 			}
 			s := next()
-			shard := 0
-			if isSharded {
-				shard = sharded.ShardOf(s)
-				if shard < 0 || shard >= seqShards {
-					abort(fmt.Errorf("driver: ShardOf routed request %d to shard %d of %d", i, shard, seqShards))
-					return
-				}
+			shard := lanes.ShardOf(s)
+			if shard < 0 || shard >= seqShards {
+				abort(fmt.Errorf("driver: ShardOf routed request %d to shard %d of %d", i, shard, seqShards))
+				return
 			}
 			if gate != nil {
 				gate.add()
@@ -562,17 +547,7 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 				}
 
 				t0 := time.Now()
-				var err error
-				switch {
-				case shardBatcher != nil:
-					err = shardBatcher.ServeShardBatch(shard, batch, resps[:len(batch)])
-				case plainBatcher != nil:
-					err = plainBatcher.ServeBatch(batch, resps[:len(batch)])
-				case isSharded:
-					resps[0], err = sharded.ServeShard(shard, batch[0])
-				default:
-					resps[0], err = srv.Serve(batch[0])
-				}
+				err := lanes.ServeShardBatch(shard, batch, resps[:len(batch)])
 				busy += time.Since(t0)
 				batches++
 				if gate != nil {
@@ -618,9 +593,7 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 
 	// Shard count and lane ownership are reported against the final
 	// topology: chaos may have grown the slot capacity mid-drive.
-	if isSharded {
-		shards = sharded.NumShards()
-	}
+	shards = lanes.NumShards()
 	for s := 0; s < shards; s++ {
 		w := ownerOf(s)
 		perWorker[w].Shards = append(perWorker[w].Shards, s)

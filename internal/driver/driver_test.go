@@ -562,6 +562,42 @@ func TestDriveBatchedMatchesUnbatched(t *testing.T) {
 			}
 		}
 	}
+
+	// The one-lane fallback: a server with Serve alone — no shards, no
+	// ServeBatch — is driven as one lane that serves a run one Serve at a
+	// time, batched or not, and matches a System driven through its own
+	// ServeBatch.
+	opts := core.DefaultOptions(testProfile(t), 42)
+	opts.TrainInterval = 4
+	var wantOne keyStats
+	for i, batch := range []int{1, 1, 16} {
+		sys := core.MustNew(opts)
+		var srv Server = sys
+		stub := &errServer{sys: sys, limit: math.MaxUint64}
+		if i > 0 {
+			srv = stub
+		}
+		gen := trace.MustNewGenerator(testProfile(t), 7)
+		rep, err := Drive(context.Background(), srv, gen.Next, Config{
+			Requests: requests, Workers: 3, Seed: 1, BatchSize: batch,
+		})
+		if err != nil {
+			t.Fatalf("one lane, batch=%d: %v", batch, err)
+		}
+		if rep.Shards != 1 || rep.Served != requests {
+			t.Fatalf("one lane, batch=%d: %d shards, served %d", batch, rep.Shards, rep.Served)
+		}
+		if i == 0 {
+			wantOne = keyOf(rep.Final)
+			continue
+		}
+		if n := stub.n.Load(); n != requests {
+			t.Fatalf("Serve-only stub, batch=%d: Serve called %d times for %d requests", batch, n, requests)
+		}
+		if got := keyOf(rep.Final); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", wantOne) {
+			t.Fatalf("Serve-only stub, batch=%d: virtual stats differ:\n want %+v\n got  %+v", batch, wantOne, got)
+		}
+	}
 }
 
 // TestDriveBatchedPerWorkerOrder: at a fixed worker count, batched and
@@ -594,7 +630,8 @@ func TestDriveBatchedPerWorkerOrder(t *testing.T) {
 }
 
 // TestDriveBatchSingleSystem: batching against a non-sharded System goes
-// through BatchServer.ServeBatch and still matches the sequential loop.
+// through its one lane's System.ServeBatch and still matches the sequential
+// loop.
 func TestDriveBatchSingleSystem(t *testing.T) {
 	opts := core.DefaultOptions(testProfile(t), 42)
 	opts.TrainInterval = 4
@@ -623,10 +660,10 @@ func TestDriveBatchSingleSystem(t *testing.T) {
 	}
 }
 
-// TestDriveBatchWithChaos: coalescing composes with chaos drain points — the
+// TestDriveChaosBatched: coalescing composes with chaos drain points — the
 // gate counts every coalesced item, so membership events still land at fully
 // drained, deterministic positions.
-func TestDriveBatchWithChaos(t *testing.T) {
+func TestDriveChaosBatched(t *testing.T) {
 	schedule, err := fleet.ParseScript("@1500ms kill 1; @2500ms scale 5")
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 // Package netclient drives a remote netserve gateway over TCP. A Client
 // implements the same serving interfaces the in-process stack does —
-// Serve/Stats, plus the sharded and batched driver surfaces — so the
-// concurrent load driver (and with it the public liveupdate.Drive, batching
-// included) works unchanged against a fleet in another process.
+// Serve/Stats, plus the load driver's lane contract (NumShards, ShardOf,
+// ServeShardBatch) — so the concurrent load driver (and with it the public
+// liveupdate.Drive, batching included) works unchanged against a fleet in
+// another process. Every driven request rides the binary POST /serve.bin
+// path, one sample or a coalesced run; Serve keeps the JSON POST /serve.
 //
 // Client-side shards are lanes: the client owns Conns independent HTTP
 // connections, ShardOf hashes a sample's sparse ids to a lane, and the
@@ -356,8 +358,8 @@ func (c *Client) ctx() context.Context {
 	return context.Background()
 }
 
-// Info returns the server's handshake payload (profile name, server-side
-// replica count, batch hint).
+// Info returns the server's handshake payload (protocol version, profile
+// name, server-side replica count).
 func (c *Client) Info() netserve.Info { return c.info }
 
 // Shed429 returns how many 429 shed responses this client absorbed and
@@ -419,18 +421,14 @@ func (c *Client) ShardOf(s trace.Sample) int {
 	return int(h.Sum64() % uint64(len(c.lanes)))
 }
 
-// Serve scores one sample through the JSON endpoint on its hashed lane.
+// Serve scores one sample through the JSON endpoint (POST /serve) on its
+// hashed lane.
 func (c *Client) Serve(s trace.Sample) (core.Response, error) {
-	return c.ServeShard(c.ShardOf(s), s)
-}
-
-// ServeShard scores one sample on a specific lane via POST /serve (JSON).
-func (c *Client) ServeShard(shard int, s trace.Sample) (core.Response, error) {
 	body, err := json.Marshal(s)
 	if err != nil {
 		return core.Response{}, fmt.Errorf("netclient: encoding sample: %w", err)
 	}
-	data, err := c.post(shard, "/serve", "application/json", body)
+	data, err := c.post(c.ShardOf(s), "/serve", "application/json", body)
 	if err != nil {
 		return core.Response{}, err
 	}
@@ -441,9 +439,9 @@ func (c *Client) ServeShard(shard int, s trace.Sample) (core.Response, error) {
 	return resp, nil
 }
 
-// ServeShardBatch scores a coalesced run of samples on one lane via the
-// binary POST /serve.bin fast path. resps must have the same length as
-// samples and is filled in order.
+// ServeShardBatch scores a run of samples — one, or a coalesced lane run —
+// on one lane via the binary POST /serve.bin path. resps must have the same
+// length as samples and is filled in order.
 func (c *Client) ServeShardBatch(shard int, samples []trace.Sample, resps []core.Response) error {
 	if len(resps) != len(samples) {
 		return fmt.Errorf("netclient: ServeShardBatch got %d response slots for %d samples", len(resps), len(samples))

@@ -219,6 +219,33 @@ func TestDriveOverTheWire(t *testing.T) {
 	if c.Shed429() != 0 {
 		t.Fatalf("client absorbed %d sheds with ample capacity", c.Shed429())
 	}
+
+	// Unbatched, every driven request is still one lane call on the binary
+	// path: JSON /serve is Serve's alone.
+	addr1, g1 := startGateway(t, netserve.Config{})
+	c1, err := Dial(addr1, Config{Conns: 2})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c1.Close()
+	rep1, err := driver.Drive(context.Background(), c1, gen.Next, driver.Config{
+		Requests: 100, Workers: 2, Seed: 21, BatchSize: 1,
+	})
+	if err != nil {
+		t.Fatalf("unbatched drive over the wire: %v", err)
+	}
+	if rep1.Batches != 100 {
+		t.Fatalf("unbatched drive issued %d lane calls for 100 requests", rep1.Batches)
+	}
+	for _, ep := range g1.WireStats() {
+		want := uint64(0)
+		if ep.Endpoint == "/serve.bin" {
+			want = rep1.Batches
+		}
+		if ep.Accepted != want {
+			t.Errorf("%s accepted %d wire requests, want %d", ep.Endpoint, ep.Accepted, want)
+		}
+	}
 }
 
 // slowServer holds each request for a fixed wall delay, guaranteeing that a
@@ -233,6 +260,13 @@ func (s *slowServer) Serve(trace.Sample) (core.Response, error) {
 	time.Sleep(s.delay)
 	s.served.Add(1)
 	return core.Response{Prob: 0.5, Latency: 0.001}, nil
+}
+
+func (s *slowServer) ServeBatch(samples []trace.Sample, resps []core.Response) error {
+	for i := range samples {
+		resps[i], _ = s.Serve(samples[i]) // never fails
+	}
+	return nil
 }
 
 func (s *slowServer) Stats() core.Stats {

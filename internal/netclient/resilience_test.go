@@ -72,7 +72,7 @@ func shedForever(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/info", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1,"batchHint":8}`))
+		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1}`))
 	})
 	mux.HandleFunc("/serve", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Retry-After-Ms", "60000")
@@ -130,7 +130,7 @@ func TestTransportErrorsRetryWithBackoff(t *testing.T) {
 	failures.Store(3) // fail the first 3 serve attempts at the TCP level
 	mux := http.NewServeMux()
 	mux.HandleFunc("/info", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1,"batchHint":8}`))
+		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1}`))
 	})
 	mux.HandleFunc("/serve", func(w http.ResponseWriter, r *http.Request) {
 		if failures.Add(-1) >= 0 {
@@ -179,7 +179,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	down.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/info", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1,"batchHint":8}`))
+		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1}`))
 	})
 	var attempts atomic.Int64
 	mux.HandleFunc("/serve", func(w http.ResponseWriter, r *http.Request) {
@@ -298,7 +298,7 @@ func TestPerAttemptDeadline(t *testing.T) {
 	stall := make(chan struct{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/info", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1,"batchHint":8}`))
+		w.Write([]byte(`{"protocol":1,"profile":"criteo","replicas":1}`))
 	})
 	mux.HandleFunc("/serve", func(w http.ResponseWriter, r *http.Request) { <-stall })
 	srv := httptest.NewServer(mux)

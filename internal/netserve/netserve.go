@@ -1,7 +1,8 @@
 // Package netserve is the optional network front end: it exposes any serving
 // Server (a single System or a replica Cluster) over a real TCP listener as
-// HTTP/1.1 — JSON for single requests, a length-prefixed binary batch fast
-// path — with connection limits, a bounded FIFO admission queue, and
+// HTTP/1.1 — JSON for one sample (the curl-able debug path), a
+// length-prefixed binary frame for everything a load driver sends — with
+// connection limits, a bounded FIFO admission queue, and
 // SLA-budget-aware load shedding (429 + Retry-After when the queue or the
 // latency budget is exhausted).
 //
@@ -35,17 +36,13 @@ import (
 )
 
 // Server is the serving surface the gateway fronts; both *core.System and
-// *cluster.Cluster implement it (structurally identical to the internal
-// driver's Server interface).
+// *cluster.Cluster implement it. POST /serve calls Serve, and every
+// POST /serve.bin frame is one ServeBatch call.
 type Server interface {
 	Serve(trace.Sample) (core.Response, error)
-	Stats() core.Stats
-}
-
-// batchServer is the amortized mixed-batch path (System.ServeBatch,
-// Cluster.ServeBatch); the binary endpoint uses it when available.
-type batchServer interface {
+	// ServeBatch serves samples in order, filling resps (same length).
 	ServeBatch([]trace.Sample, []core.Response) error
+	Stats() core.Stats
 }
 
 // epMetrics is one endpoint's admission ledger (lock-free counters + gauges).
@@ -65,7 +62,6 @@ type epMetrics struct {
 // the wire), with Stats folding the wire admission ledger into the snapshot.
 type Gateway struct {
 	inner Server
-	batch batchServer // nil when inner has no batch path
 	cfg   Config
 	gate  *gate
 	ln    net.Listener
@@ -117,7 +113,6 @@ func New(inner Server, ln net.Listener, cfg Config) (*Gateway, error) {
 			"/serve.bin": {},
 		},
 	}
-	g.batch, _ = inner.(batchServer)
 	g.tel = cfg.Telemetry
 	if g.tel == nil {
 		g.tel = obs.New(obs.Config{}) // registry only: scrape endpoints always answer
@@ -371,15 +366,7 @@ func (g *Gateway) handleServeBin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resps := make([]core.Response, len(samples))
-	if g.batch != nil {
-		err = g.batch.ServeBatch(samples, resps)
-	} else {
-		for i := range samples {
-			if resps[i], err = g.inner.Serve(samples[i]); err != nil {
-				break
-			}
-		}
-	}
+	err = g.inner.ServeBatch(samples, resps)
 	release()
 	ep.completed.Add(1)
 	if err != nil {
@@ -430,9 +417,6 @@ func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	if s, ok := g.inner.(interface{ NumShards() int }); ok {
 		info.Replicas = s.NumShards()
-	}
-	if b, ok := g.inner.(interface{ DefaultBatchSize() int }); ok {
-		info.BatchHint = b.DefaultBatchSize()
 	}
 	writeJSON(w, info)
 }

@@ -259,7 +259,7 @@ func TestInfoHandshake(t *testing.T) {
 	if info.Protocol != protocolVersion {
 		t.Errorf("Protocol = %d, want %d", info.Protocol, protocolVersion)
 	}
-	// The stub exposes no Profile/NumShards/DefaultBatchSize; the handshake
+	// The stub exposes no Profile/NumShards; the handshake
 	// degrades to defaults rather than failing.
 	if info.Replicas != 1 || info.Profile != "" {
 		t.Errorf("stub handshake %+v, want 1 replica and empty profile", info)
@@ -351,6 +351,67 @@ func TestInnerServeErrorIs422(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %s, want 422", resp.Status)
+	}
+}
+
+// TestMalformedSampleIs422AndNodeStaysUsable: a sample inside the wire caps
+// but outside the served profile — a short dense vector, an id past the
+// table — is the node's error, so both endpoints answer 422, and the node
+// then serves and trains as before instead of being left locked.
+func TestMalformedSampleIs422AndNodeStaysUsable(t *testing.T) {
+	p := trace.Profiles()["criteo"]
+	p.NumTables, p.TableSize, p.NumDense, p.MultiHot = 3, 200, 4, []int{1, 1, 1}
+	sys, err := core.New(core.DefaultOptions(p, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + newTestGateway(t, sys, Config{}).Addr().String()
+	good := trace.MustNewGenerator(p, 6).Next()
+	short := good
+	short.Dense = good.Dense[:2]
+	farID := good
+	farID.Sparse = [][]int32{{int32(p.TableSize)}, good.Sparse[1], good.Sparse[2]}
+
+	hc := &http.Client{Timeout: 5 * time.Second}
+	post := func(path string, s trace.Sample) int {
+		body, ctype := AppendBatch(nil, []trace.Sample{good, s}), "application/octet-stream"
+		if path == "/serve" {
+			body, _ = json.Marshal(s)
+			ctype = "application/json"
+		}
+		resp, err := hc.Post(base+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("POST %s: %v", path, err)
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// A non-empty ring, so the tick below takes the parameter lock.
+	if code := post("/serve", good); code != http.StatusOK {
+		t.Fatalf("good sample: status %d", code)
+	}
+	for _, path := range []string{"/serve", "/serve.bin"} {
+		for _, bad := range []trace.Sample{short, farID} {
+			if code := post(path, bad); code != http.StatusUnprocessableEntity {
+				t.Errorf("malformed sample on %s: status %d, want 422", path, code)
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		sys.TrainTick()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("TrainTick blocked: a rejected sample left the node locked")
+	}
+	for _, path := range []string{"/serve", "/serve.bin"} {
+		if code := post(path, good); code != http.StatusOK {
+			t.Fatalf("good sample on %s after the rejections: status %d", path, code)
+		}
 	}
 }
 

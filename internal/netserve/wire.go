@@ -4,10 +4,10 @@ package netserve
 // semantic model (a trace.Sample in, a core.Response out):
 //
 //   - JSON over POST /serve: one sample per request, human-debuggable
-//     (curl-able), used by remote clients for singles.
-//   - A length-prefixed binary batch over POST /serve.bin: the fast path a
-//     remote load generator coalesces same-lane requests into. Layout
-//     (little endian):
+//     (curl-able); a remote client's Serve uses it.
+//   - A length-prefixed binary batch over POST /serve.bin: every request a
+//     remote load generator drives, one sample or a coalesced same-lane
+//     run. Layout (little endian):
 //
 //	request:  magic "LUW1" | u32 count | count × sample
 //	sample:   f64 time | u32 nDense | nDense × f64 |
@@ -312,10 +312,9 @@ func RestoreStats(st core.Stats) core.Stats {
 
 // Info is the GET /info handshake payload: what a remote load generator
 // needs to drive this server — the wire protocol version, the dataset
-// profile to synthesize samples for, and the server's shard/batch hints.
+// profile to synthesize samples for, and the server-side shard count.
 type Info struct {
-	Protocol  int    `json:"protocol"`
-	Profile   string `json:"profile"`   // registry name (lowercased Profile.Name)
-	Replicas  int    `json:"replicas"`  // server-side shard count (1 = single node)
-	BatchHint int    `json:"batchHint"` // server's preferred serving batch size (0 = none)
+	Protocol int    `json:"protocol"`
+	Profile  string `json:"profile"`  // registry name (lowercased Profile.Name)
+	Replicas int    `json:"replicas"` // server-side shard count (1 = single node)
 }

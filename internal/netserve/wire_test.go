@@ -78,12 +78,16 @@ func normSparse(s [][]int32) [][]int32 {
 	return out
 }
 
-func TestResponsesRoundTrip(t *testing.T) {
-	in := []core.Response{
+func responseFixture() []core.Response {
+	return []core.Response{
 		{Prob: 0.75, Latency: 0.001, Replica: 3},
 		{Prob: 0, Latency: 0, Replica: 0},
 		{Prob: 1, Latency: 2.5, Replica: -1},
 	}
+}
+
+func TestResponsesRoundTrip(t *testing.T) {
+	in := responseFixture()
 	out, err := DecodeResponses(AppendResponses(nil, in))
 	if err != nil {
 		t.Fatalf("DecodeResponses: %v", err)
@@ -94,7 +98,7 @@ func TestResponsesRoundTrip(t *testing.T) {
 }
 
 // corrupt returns a valid one-sample frame with the u32 at off overwritten.
-func corrupt(t *testing.T, off int, val uint32) []byte {
+func corrupt(t testing.TB, off int, val uint32) []byte {
 	t.Helper()
 	buf := AppendBatch(nil, []trace.Sample{{
 		Time:   1,
@@ -117,15 +121,16 @@ const (
 	offIDs    = offTables + 4
 )
 
-// TestDecodeBatchHostileInput is the satellite-2 regression suite: every
-// length field a remote peer controls is checked against a cap before any
-// allocation, so a tiny crafted frame cannot demand gigabytes.
-func TestDecodeBatchHostileInput(t *testing.T) {
-	cases := []struct {
-		name string
-		data []byte
-		want string // substring of the error
-	}{
+// hostileBatch is a request frame DecodeBatch must reject, with a substring
+// of the error it must give.
+type hostileBatch struct {
+	name string
+	data []byte
+	want string
+}
+
+func hostileBatches(t testing.TB) []hostileBatch {
+	return []hostileBatch{
 		{"empty", nil, "truncated"},
 		{"bad magic", []byte("NOPE\x01\x00\x00\x00"), "magic"},
 		{"response magic on batch path", AppendResponses(nil, []core.Response{{}}), "magic"},
@@ -138,7 +143,13 @@ func TestDecodeBatchHostileInput(t *testing.T) {
 		{"truncated mid-sample", AppendBatch(nil, sampleFixture())[:20], "truncated"},
 		{"trailing garbage", append(AppendBatch(nil, sampleFixture()), 0xff), "trailing"},
 	}
-	for _, tc := range cases {
+}
+
+// TestDecodeBatchHostileInput: every length field a remote peer controls is
+// checked against a cap before any allocation, so a tiny crafted frame
+// cannot demand gigabytes.
+func TestDecodeBatchHostileInput(t *testing.T) {
+	for _, tc := range hostileBatches(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeBatch(tc.data)
 			if err == nil {
@@ -168,19 +179,26 @@ func TestDecodeBatchCumulativeCap(t *testing.T) {
 	}
 }
 
-func TestDecodeResponsesHostileInput(t *testing.T) {
+// hostileResponses are response frames DecodeResponses must reject.
+func hostileResponses() []struct {
+	name string
+	data []byte
+} {
 	good := AppendResponses(nil, []core.Response{{Prob: 1}})
-	huge := append([]byte(responseMagic), 0xff, 0xff, 0xff, 0xff)
-	for _, tc := range []struct {
+	return []struct {
 		name string
 		data []byte
 	}{
 		{"empty", nil},
 		{"bad magic", []byte("XXXX\x00\x00\x00\x00")},
-		{"giant count", huge},
+		{"giant count", append([]byte(responseMagic), 0xff, 0xff, 0xff, 0xff)},
 		{"truncated", good[:8]},
 		{"trailing", append(append([]byte{}, good...), 1, 2, 3)},
-	} {
+	}
+}
+
+func TestDecodeResponsesHostileInput(t *testing.T) {
+	for _, tc := range hostileResponses() {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := DecodeResponses(tc.data); err == nil {
 				t.Fatal("hostile response frame decoded without error")

@@ -196,12 +196,6 @@ func (n *Node) Predict(s trace.Sample) float64 {
 	return p
 }
 
-// PredictWith is Predict through a caller-owned scratch — the batched form:
-// one scratch scores a whole run of requests without touching the pool.
-func (n *Node) PredictWith(s trace.Sample, sc *dlrm.ForwardScratch) float64 {
-	return n.Model.PredictWith(n.Emb, s.Dense, s.Sparse, sc)
-}
-
 // Commit performs one request's bookkeeping tail: embedding-row fetches are
 // charged to the memory model (inference workload, cached path), the request
 // is cached for the online trainer, tail latency and SLA violations are
@@ -227,14 +221,6 @@ func (n *Node) Commit(s trace.Sample) (latency float64) {
 	return latency
 }
 
-// Serve scores one request and commits its bookkeeping — Predict + Commit.
-// It returns the predicted probability and the request latency in seconds.
-// Like Commit, it must be serialized by the owner.
-func (n *Node) Serve(s trace.Sample) (prob, latency float64) {
-	prob = n.Predict(s)
-	return prob, n.Commit(s)
-}
-
 // batchViews holds the slice-header views PredictBatch packs from a sample
 // slice (no feature data is copied — the headers alias the samples). Pooled
 // so building a batch view allocates nothing in steady state; views are
@@ -245,10 +231,6 @@ type batchViews struct {
 }
 
 var viewPool = sync.Pool{New: func() any { return &batchViews{} }}
-
-// probsPool pools ServeBatch's probability output buffers (pointer-to-slice
-// so Put does not allocate).
-var probsPool = sync.Pool{New: func() any { b := make([]float64, 0, 64); return &b }}
 
 // PredictBatch scores samples in order, writing click probabilities into
 // probs (len(probs) == len(samples)). It is the batched form of Predict —
@@ -273,31 +255,6 @@ func (n *Node) PredictBatch(samples []trace.Sample, probs []float64) {
 	n.Model.PredictBatch(n.Emb, v.dense, v.sparse, probs, nil)
 	n.Trace.StageEnd(obs.StageForward, t0)
 	viewPool.Put(v)
-}
-
-// ServeBatch serves samples in order through the batched GEMM scoring path —
-// buffers are acquired once for the whole batch while every request still
-// gets its own memory-model charges, ring push, latency observation, and
-// clock advance, so virtual-time statistics are identical to a loop over
-// Serve. It returns the mean request latency.
-func (n *Node) ServeBatch(samples []trace.Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	pb := probsPool.Get().(*[]float64)
-	probs := *pb
-	if cap(probs) < len(samples) {
-		probs = make([]float64, len(samples))
-	}
-	probs = probs[:len(samples)]
-	n.PredictBatch(samples, probs)
-	total := 0.0
-	for _, s := range samples {
-		total += n.Commit(s)
-	}
-	*pb = probs[:0]
-	probsPool.Put(pb)
-	return total / float64(len(samples))
 }
 
 // P99 returns the current 99th-percentile latency over the tracker window.

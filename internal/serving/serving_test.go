@@ -138,11 +138,17 @@ func TestNodeConfigValidate(t *testing.T) {
 	}
 }
 
+// serve is one request through the node's two halves, the way core.System
+// runs them: Predict, then Commit.
+func serve(n *Node, s trace.Sample) (prob, latency float64) {
+	return n.Predict(s), n.Commit(s)
+}
+
 func TestServeReturnsLatencyAndAdvancesClock(t *testing.T) {
 	node, gen := newTestNode(t)
 	before := node.Clock.Now()
 	s := gen.Next()
-	prob, lat := node.Serve(s)
+	prob, lat := serve(node, s)
 	if prob <= 0 || prob >= 1 {
 		t.Fatalf("prob %v", prob)
 	}
@@ -164,10 +170,10 @@ func TestServeWarmLatencyDropsAndP99(t *testing.T) {
 	node, gen := newTestNode(t)
 	// Serve the same sample repeatedly: after the first, rows are cached.
 	s := gen.Next()
-	_, cold := node.Serve(s)
+	_, cold := serve(node, s)
 	var warm float64
 	for i := 0; i < 50; i++ {
-		_, warm = node.Serve(s)
+		_, warm = serve(node, s)
 	}
 	if warm >= cold {
 		t.Fatalf("warm latency %v should be below cold %v", warm, cold)
@@ -181,7 +187,7 @@ func TestViolationTracking(t *testing.T) {
 	node, gen := newTestNode(t)
 	node.Cfg.SLA = 1e-9 // everything violates
 	for i := 0; i < 10; i++ {
-		node.Serve(gen.Next())
+		serve(node, gen.Next())
 	}
 	if node.ViolationRate() != 1 {
 		t.Fatalf("violation rate %v, want 1", node.ViolationRate())
@@ -192,18 +198,25 @@ func TestViolationTracking(t *testing.T) {
 	}
 }
 
+// TestServeBatch: a batch is scored by one PredictBatch and committed one
+// request at a time, as core.System.ServeBatch runs it.
 func TestServeBatch(t *testing.T) {
 	node, gen := newTestNode(t)
-	mean := node.ServeBatch(gen.Batch(20, 1))
-	if mean <= 0 {
-		t.Fatalf("mean latency %v", mean)
+	batch := gen.Batch(20, 1)
+	probs := make([]float64, len(batch))
+	node.PredictBatch(batch, probs)
+	for i, s := range batch {
+		if probs[i] <= 0 || probs[i] >= 1 {
+			t.Fatalf("prob %d = %v", i, probs[i])
+		}
+		if lat := node.Commit(s); lat <= 0 {
+			t.Fatalf("latency %d = %v", i, lat)
+		}
 	}
 	if node.Served() != 20 {
 		t.Fatalf("served %d", node.Served())
 	}
-	if node.ServeBatch(nil) != 0 {
-		t.Fatal("empty batch mean must be 0")
-	}
+	node.PredictBatch(nil, nil) // an empty batch is a no-op
 }
 
 func TestHotRowsServedFromCache(t *testing.T) {
@@ -211,11 +224,11 @@ func TestHotRowsServedFromCache(t *testing.T) {
 	// Zipf skew means the hot set gets cached quickly: after a warmup the
 	// inference hit ratio should be substantial (paper Fig 12 → Fig 11 link).
 	for i := 0; i < 300; i++ {
-		node.Serve(gen.Next())
+		serve(node, gen.Next())
 	}
 	node.Machine.ResetStats()
 	for i := 0; i < 300; i++ {
-		node.Serve(gen.Next())
+		serve(node, gen.Next())
 	}
 	if hr := node.Machine.HitRatio(numasim.Inference); hr < 0.3 {
 		t.Fatalf("steady-state hit ratio %v too low for Zipf traffic", hr)
@@ -224,56 +237,29 @@ func TestHotRowsServedFromCache(t *testing.T) {
 
 // --- Serving fast path ---
 
-// TestServeEqualsPredictPlusCommit: the split serving path is exactly the
-// composed one — same probability, same latency, same bookkeeping — so the
-// lock-split System can call the halves separately without changing any
-// virtual-time statistic.
-func TestServeEqualsPredictPlusCommit(t *testing.T) {
-	a, genA := newTestNode(t)
-	b, genB := newTestNode(t)
-	for i := 0; i < 300; i++ {
-		sa, sb := genA.Next(), genB.Next()
-		probA, latA := a.Serve(sa)
-		probB := b.Predict(sb)
-		latB := b.Commit(sb)
-		if probA != probB || latA != latB {
-			t.Fatalf("req %d: Serve (%v, %v) != Predict+Commit (%v, %v)", i, probA, latA, probB, latB)
+// TestServeBatchMatchesServeLoop: scoring a batch with one PredictBatch and
+// then committing it gives bit-identical probabilities and virtual-time state
+// to Predict + Commit per request.
+func TestServeBatchMatchesServeLoop(t *testing.T) {
+	a, gen := newTestNode(t)
+	b, _ := newTestNode(t)
+	batch := make([]trace.Sample, 64)
+	for i := range batch {
+		batch[i] = gen.Next()
+	}
+	probs := make([]float64, len(batch))
+	b.PredictBatch(batch, probs)
+	for i, s := range batch {
+		prob, latA := serve(a, s)
+		if latB := b.Commit(s); prob != probs[i] || latA != latB {
+			t.Fatalf("req %d: one at a time (%v, %v), batched (%v, %v)", i, prob, latA, probs[i], latB)
 		}
 	}
-	if a.Served() != b.Served() || a.Violations() != b.Violations() ||
-		a.Clock.Now() != b.Clock.Now() || a.P99() != b.P99() ||
-		a.Ring.Total() != b.Ring.Total() {
-		t.Fatalf("bookkeeping diverged: served %d/%d clock %v/%v",
-			a.Served(), b.Served(), a.Clock.Now(), b.Clock.Now())
-	}
-}
-
-// TestServeBatchMatchesServeLoop: the amortized batch path must produce
-// bit-identical virtual-time state to a plain loop over Serve.
-func TestServeBatchMatchesServeLoop(t *testing.T) {
-	a, genA := newTestNode(t)
-	b, genB := newTestNode(t)
-	batch := make([]trace.Sample, 64)
-	loopTotal := 0.0
-	for i := range batch {
-		batch[i] = genA.Next()
-		genB.Next() // keep generators aligned (samples are identical streams)
-	}
-	for _, s := range batch {
-		_, l := a.Serve(s)
-		loopTotal += l
-	}
-	mean := b.ServeBatch(batch)
-	if want := loopTotal / float64(len(batch)); mean != want {
-		t.Fatalf("batch mean latency %v, want %v", mean, want)
-	}
 	if a.Served() != b.Served() || a.Clock.Now() != b.Clock.Now() ||
-		a.Violations() != b.Violations() || a.P99() != b.P99() {
+		a.Violations() != b.Violations() || a.P99() != b.P99() ||
+		a.Ring.Total() != b.Ring.Total() {
 		t.Fatalf("batch bookkeeping diverged: served %d/%d clock %v/%v",
 			a.Served(), b.Served(), a.Clock.Now(), b.Clock.Now())
-	}
-	if b.ServeBatch(nil) != 0 {
-		t.Fatal("empty batch must report 0 mean latency")
 	}
 }
 

@@ -8,7 +8,10 @@
 //     through a versioned asynchronous pipeline that never blocks serving
 //     (see WithSyncEvery). The fleet is elastic: replicas
 //     join, leave, fail, and are replaced at runtime with checkpoint + LoRA
-//     catch-up (ElasticServer, WithChaos, DriveConfig.Chaos);
+//     catch-up (ElasticServer);
+//   - Drive, the concurrent load driver, configured by one DriveConfig: the
+//     worker count, lane batching and a chaos schedule for an elastic fleet
+//     are settings of a drive, never of the Server it drives;
 //   - the baselines the paper compares against: NoUpdate, DeltaUpdate, and
 //     QuickUpdate, behind a single comparison harness (Comparison);
 //   - the evaluation suite: every table and figure of the paper's §V can be
@@ -287,7 +290,6 @@ type config struct {
 	topology  SyncTopology
 	deltaSync bool
 	compress  int
-	chaos     ChaosSchedule
 	overrides []func(*core.Options)
 	listener  net.Listener
 	admission AdmissionConfig
@@ -402,23 +404,6 @@ func WithCompression(level int) Option {
 	})
 }
 
-// WithBatchSize attaches a preferred serving batch size to the Server: Drive
-// picks it up when its own DriveConfig carries no batch size, letting the
-// load driver's lane workers coalesce up to n queued same-shard requests
-// into one amortized ServeBatch/ServeShardBatch call (one forward scratch,
-// one lock acquisition for the whole run, zero allocations on the scoring
-// path). Virtual-time statistics are identical to unbatched serving; only
-// wall-clock throughput changes. 0 or 1 means unbatched.
-func WithBatchSize(n int) Option {
-	return optionFunc(func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("liveupdate: WithBatchSize(%d): batch size must be non-negative", n)
-		}
-		c.overrides = append(c.overrides, func(o *core.Options) { o.BatchSize = n })
-		return nil
-	})
-}
-
 // WithQuantization selects the published inference weight format (see
 // Quantization). The zero value serves float64.
 func WithQuantization(q Quantization) Option {
@@ -427,21 +412,6 @@ func WithQuantization(q Quantization) Option {
 			return fmt.Errorf("liveupdate: WithQuantization: %w", err)
 		}
 		c.overrides = append(c.overrides, func(o *core.Options) { o.Quantization = string(q) })
-		return nil
-	})
-}
-
-// WithChaos attaches a membership-event schedule to the fleet: Drive picks
-// it up automatically when its own DriveConfig carries no schedule, so a
-// server can be constructed "pre-loaded" with the churn it should survive.
-// It requires WithReplicas(n) with n > 1 — a single node has no membership
-// to change.
-func WithChaos(schedule ChaosSchedule) Option {
-	return optionFunc(func(c *config) error {
-		if err := schedule.Validate(); err != nil {
-			return fmt.Errorf("liveupdate: WithChaos: %w", err)
-		}
-		c.chaos = schedule
 		return nil
 	})
 }
@@ -480,8 +450,8 @@ func WithSystemOptions(edit func(*Options)) Option {
 }
 
 // WithListener exposes the constructed Server over a real TCP (or any
-// net.Listener) wire front end: HTTP/1.1 + JSON for single requests, a
-// length-prefixed binary fast path for batches, with connection limits, a
+// net.Listener) wire front end: HTTP/1.1 + JSON for one sample, a
+// length-prefixed binary frame for driven traffic, with connection limits, a
 // bounded admission queue, and SLA-budget-aware load shedding (429 +
 // Retry-After). New then returns a *Gateway — still a Server, with its
 // Serve/Stats delegating in-process — whose Addr and Close manage the
@@ -630,9 +600,10 @@ type DialConfig = netclient.Config
 type RemoteServer = netclient.Client
 
 // Dial connects to a Gateway in another process and returns a RemoteServer:
-// a Server (with the sharded batch surfaces Drive uses for coalescing)
-// whose requests travel over the wire — singles as JSON, coalesced batches
-// on the binary fast path. 429 shed responses are absorbed transparently
+// a Server whose requests travel over the wire. Serve posts one JSON
+// sample; Drive treats the client's connections as lanes, and every driven
+// request — one sample or a coalesced lane run — rides the binary fast
+// path. 429 shed responses are absorbed transparently
 // with Retry-After back-off; RemoteServer.Shed429 counts them. Stats()
 // fetches the server-side snapshot, wire admission ledger included.
 //
@@ -674,11 +645,8 @@ func New(opts ...Option) (Server, error) {
 	if c.telemetry != nil {
 		base.Telemetry = c.telemetry
 	}
-	var srv Server
+	var srv netserve.Server
 	if c.replicas == 1 {
-		if len(c.chaos) > 0 {
-			return nil, fmt.Errorf("liveupdate: WithChaos requires a fleet (WithReplicas > 1)")
-		}
 		s, err := core.New(base)
 		if err != nil {
 			return nil, err
@@ -697,7 +665,6 @@ func New(opts ...Option) (Server, error) {
 			Topology:    c.topology,
 			DeltaSync:   c.deltaSync,
 			Compression: c.compress,
-			Chaos:       c.chaos,
 		})
 		if err != nil {
 			return nil, err
@@ -720,64 +687,28 @@ func New(opts ...Option) (Server, error) {
 	return srv, nil
 }
 
-// DriveConfig configures Drive, the concurrent load driver.
-type DriveConfig struct {
-	// Requests is the number of samples to pump through the Server
-	// (required, > 0).
-	Requests int
-
-	// Concurrency is the number of client goroutines. Zero or negative
-	// defaults to GOMAXPROCS. Effective parallelism is additionally bounded
-	// by the Server's shard count (a Cluster's replicas; 1 for a System).
-	Concurrency int
-
-	// QueueDepth bounds each worker's request queue (closed-loop
-	// back-pressure on the trace sequencer). Zero defaults to 128.
-	QueueDepth int
-
-	// Seed seeds the per-worker RNG streams behind the per-worker latency
-	// reservoirs, making the full Report reproducible at a fixed seed and
-	// concurrency. The workload carries its own seed.
-	Seed uint64
-
-	// ProgressEvery, with OnProgress set, invokes OnProgress after every
-	// ProgressEvery served requests. Calls are serialized; served is the
-	// drive-wide count at the time of the callback.
-	ProgressEvery int
-	OnProgress    func(served uint64)
-
-	// Chaos is a membership-event schedule applied during the drive; the
-	// Server must be elastic (a Cluster). Events fire at deterministic
-	// drain points — every ChaosEvery routed requests the driver lets all
-	// in-flight requests complete, reads the fleet's virtual clock, and
-	// applies every event whose timestamp has been reached — so a fixed
-	// (seed, schedule) pair reproduces the same event placement for any
-	// Concurrency. Empty falls back to the schedule attached with
-	// WithChaos, if any.
-	Chaos ChaosSchedule
-
-	// ChaosEvery is the drain-point cadence in requests (default 64).
-	ChaosEvery int
-
-	// BatchSize lets each driver lane coalesce up to this many queued
-	// same-shard requests into one amortized serve call (the zero-allocation
-	// batched fast path). Coalescing preserves per-shard order, so every
-	// virtual-time statistic matches unbatched driving. 0 falls back to the
-	// batch size attached with WithBatchSize, if any; 1 forces unbatched.
-	BatchSize int
-}
+// DriveConfig configures Drive, the concurrent load driver, and is the only
+// place a drive is configured: Requests (required), Workers (client
+// goroutines; 0 = GOMAXPROCS, effective parallelism bounded by the Server's
+// shard count — a Cluster's replicas, a RemoteServer's connections, 1 for a
+// System), QueueDepth, Seed (the per-worker latency-reservoir streams),
+// ProgressEvery/OnProgress, BatchSize (lane coalescing, identical
+// virtual-time statistics at any size) and Chaos/ChaosEvery (a membership
+// schedule for an elastic Server, applied at deterministic drain points).
+// See internal/driver.Config for each field.
+type DriveConfig = driver.Config
 
 // DriveReport is Drive's result: wall-clock throughput (QPS, Elapsed),
 // virtual-time stats (VirtualTime, VirtualQPS, the final Stats snapshot in
 // Final), and a per-worker breakdown. Virtual-time fields are deterministic
-// regardless of Concurrency; wall-clock fields are measured.
+// regardless of Workers; wall-clock fields are measured.
 type DriveReport = driver.Report
 
 // DriveWorkerStats is one worker's share of a drive.
 type DriveWorkerStats = driver.WorkerStats
 
 // Drive pumps cfg.Requests samples from workload through srv using
-// cfg.Concurrency client goroutines and returns a throughput report.
+// cfg.Workers client goroutines and returns a throughput report.
 //
 // A single sequencer draws the trace in order and routes each request to
 // its shard through the Server's own (deterministic) routing; per-shard FIFO
@@ -797,31 +728,7 @@ func DriveContext(ctx context.Context, srv Server, workload *Workload, cfg Drive
 	if workload == nil {
 		return DriveReport{}, fmt.Errorf("liveupdate: Drive requires a workload")
 	}
-	chaos := cfg.Chaos
-	if len(chaos) == 0 {
-		// Fall back to the schedule attached at construction (WithChaos).
-		if p, ok := srv.(interface{ ChaosSchedule() fleet.Schedule }); ok {
-			chaos = p.ChaosSchedule()
-		}
-	}
-	batch := cfg.BatchSize
-	if batch == 0 {
-		// Fall back to the batch size attached at construction (WithBatchSize).
-		if p, ok := srv.(interface{ DefaultBatchSize() int }); ok {
-			batch = p.DefaultBatchSize()
-		}
-	}
-	return driver.Drive(ctx, srv, workload.Next, driver.Config{
-		Requests:      cfg.Requests,
-		Workers:       cfg.Concurrency,
-		QueueDepth:    cfg.QueueDepth,
-		Seed:          cfg.Seed,
-		ProgressEvery: cfg.ProgressEvery,
-		OnProgress:    cfg.OnProgress,
-		Chaos:         chaos,
-		ChaosEvery:    cfg.ChaosEvery,
-		BatchSize:     batch,
-	})
+	return driver.Drive(ctx, srv, workload.Next, cfg)
 }
 
 // Profiles returns the dataset registry (paper Table II).

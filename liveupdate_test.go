@@ -189,11 +189,25 @@ func TestExperimentIDsStable(t *testing.T) {
 	}
 }
 
-func TestWithChaosDrivePublicAPI(t *testing.T) {
+// TestDriveChaosPublicAPI: a chaos schedule is a setting of the drive —
+// DriveConfig.Chaos — and Drive is its one check: it rejects an invalid
+// schedule, and any schedule aimed at a single System, which has no
+// membership to change.
+func TestDriveChaosPublicAPI(t *testing.T) {
 	p := smallProfile(t)
 	schedule, err := ParseChaosScript("@500ms kill 1; @900ms replace 1; @1300ms scale 4")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := ParseChaosScript("@1s detonate 2"); err == nil {
+		t.Fatal("unknown chaos action must be rejected")
+	}
+	single, err := New(WithProfile(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Drive(single, NewWorkload(p, 7), DriveConfig{Requests: 10, Chaos: schedule}); err == nil {
+		t.Fatal("chaos on a single System must be rejected")
 	}
 	srv, err := New(
 		WithProfile(p),
@@ -201,7 +215,6 @@ func TestWithChaosDrivePublicAPI(t *testing.T) {
 		WithReplicas(3),
 		WithRouter(HashRouter),
 		WithSyncEvery(300*time.Millisecond),
-		WithChaos(schedule),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +223,14 @@ func TestWithChaosDrivePublicAPI(t *testing.T) {
 	if _, ok := srv.(ElasticServer); !ok {
 		t.Fatalf("%T must implement ElasticServer", srv)
 	}
-	// Drive picks the attached schedule up without DriveConfig.Chaos.
-	rep, err := Drive(srv, NewWorkload(p, 7), DriveConfig{Requests: 3000, Concurrency: 4, Seed: 1})
+	bad := ChaosSchedule{{At: -time.Second, Action: ChaosKill, Arg: 0}}
+	if _, err := Drive(srv, NewWorkload(p, 7), DriveConfig{Requests: 10, Chaos: bad}); err == nil {
+		t.Fatal("invalid schedule must be rejected")
+	}
+	if st := srv.Stats(); st.Served != 0 {
+		t.Fatalf("a rejected drive served %d requests", st.Served)
+	}
+	rep, err := Drive(srv, NewWorkload(p, 7), DriveConfig{Requests: 3000, Workers: 4, Seed: 1, Chaos: schedule})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,20 +247,6 @@ func TestWithChaosDrivePublicAPI(t *testing.T) {
 	st := srv.Stats()
 	if st.Fails == 0 || st.Members == 0 {
 		t.Fatalf("fleet counters missing after churn: %+v", st)
-	}
-}
-
-func TestWithChaosValidation(t *testing.T) {
-	p := smallProfile(t)
-	if _, err := New(WithProfile(p), WithChaos(ChaosSchedule{{At: time.Second, Action: ChaosKill, Arg: 0}})); err == nil {
-		t.Fatal("WithChaos on a single node must be rejected")
-	}
-	if _, err := New(WithProfile(p), WithReplicas(2),
-		WithChaos(ChaosSchedule{{At: -time.Second, Action: ChaosKill, Arg: 0}})); err == nil {
-		t.Fatal("invalid schedule must be rejected")
-	}
-	if _, err := ParseChaosScript("@1s detonate 2"); err == nil {
-		t.Fatal("unknown chaos action must be rejected")
 	}
 }
 
@@ -270,47 +275,5 @@ func TestElasticServerScaleAndFail(t *testing.T) {
 	st := srv.Stats()
 	if st.Members != 4 || st.Served != 50 {
 		t.Fatalf("post-churn stats: members=%d served=%d", st.Members, st.Served)
-	}
-}
-
-// TestWithBatchSize: the construction-attached batch hint surfaces through
-// DefaultBatchSize on both server shapes, Drive picks it up when DriveConfig
-// carries none, and virtual-time stats match an unbatched drive.
-func TestWithBatchSize(t *testing.T) {
-	p := smallProfile(t)
-	if _, err := New(WithProfile(p), WithBatchSize(-1)); err == nil {
-		t.Fatal("negative batch size must be rejected")
-	}
-	run := func(batched bool) Stats {
-		opts := []Option{
-			WithProfile(p), WithSeed(42), WithReplicas(3),
-			WithRouter(HashRouter), WithSyncEvery(2 * time.Second),
-		}
-		if batched {
-			opts = append(opts, WithBatchSize(16))
-		}
-		srv, err := New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := map[bool]int{true: 16, false: 0}[batched]; srv.(*Cluster).DefaultBatchSize() != want {
-			t.Fatalf("DefaultBatchSize = %d, want %d", srv.(*Cluster).DefaultBatchSize(), want)
-		}
-		rep, err := Drive(srv, NewWorkload(p, 42), DriveConfig{Requests: 2000, Concurrency: 4, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batched && rep.BatchSize != 16 {
-			t.Fatalf("Drive did not pick up WithBatchSize: effective %d", rep.BatchSize)
-		}
-		if !batched && rep.BatchSize != 1 {
-			t.Fatalf("unbatched drive reports batch size %d", rep.BatchSize)
-		}
-		return rep.Final
-	}
-	a, b := run(false), run(true)
-	if a.Served != b.Served || a.VirtualTime != b.VirtualTime ||
-		a.Violations != b.Violations || a.TrainSteps != b.TrainSteps || a.Syncs != b.Syncs {
-		t.Fatalf("batched vs unbatched virtual stats differ:\n %+v\n %+v", a, b)
 	}
 }

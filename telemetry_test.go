@@ -86,7 +86,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 		}
 		gen := NewWorkload(p, 7)
 		rep, err := Drive(srv, gen, DriveConfig{
-			Requests: requests, Concurrency: workers, Seed: 1, Chaos: schedule,
+			Requests: requests, Workers: workers, Seed: 1, Chaos: schedule,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
