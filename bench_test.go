@@ -21,7 +21,6 @@ import (
 	"liveupdate/internal/lora"
 	"liveupdate/internal/metrics"
 	"liveupdate/internal/numasim"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/simnet"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
@@ -176,10 +175,10 @@ func BenchmarkServeRequestTracedNoAlloc(b *testing.B) {
 	}
 	b.StopTimer()
 	totals := ServerTelemetry(srv).Tracer().StageTotals()
-	if totals[obs.StageForward].Count == 0 {
+	if totals[metrics.StageForward].Count == 0 {
 		b.Fatal("tracer recorded no forward spans — telemetry was not live in the measured region")
 	}
-	if totals[obs.StageTrainTick].Count == 0 || totals[obs.StageCommit].Count == 0 {
+	if totals[metrics.StageTrainTick].Count == 0 || totals[metrics.StageCommit].Count == 0 {
 		b.Fatal("warm-up serves recorded no commit/train_tick spans — the tick is not traced as its own stage")
 	}
 }

@@ -71,7 +71,6 @@ import (
 	"liveupdate/internal/core"
 	"liveupdate/internal/fleet"
 	"liveupdate/internal/metrics"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 )
@@ -196,8 +195,8 @@ type Cluster struct {
 	// state at scrape time, spans time wall-clock stages. Nothing here feeds
 	// back into routing, syncing, or any virtual-time statistic — and scrape
 	// paths never call Stats(), which would drain the sync pipeline.
-	tracer   *obs.Tracer
-	obsSyncs *obs.Counter
+	tracer   *metrics.Tracer
+	telSyncs *metrics.Counter
 }
 
 // New builds the fleet: Replicas identical Systems from cfg.Base (shared
@@ -277,7 +276,7 @@ func New(cfg Config) (*Cluster, error) {
 	if tel := cfg.Base.Telemetry; tel != nil {
 		reg := tel.Registry()
 		c.tracer = tel.Tracer()
-		c.obsSyncs = reg.Counter("liveupdate_sync_epochs_total",
+		c.telSyncs = reg.Counter("liveupdate_sync_epochs_total",
 			"LoRA priority-merge synchronizations completed (periodic epochs and manual syncs).")
 		// Function-backed instruments read lock-free (view pointer, clock
 		// atomics) or briefly lock the membership controller — never a fleet
@@ -303,7 +302,7 @@ func New(cfg Config) (*Cluster, error) {
 
 // Telemetry returns the telemetry the fleet was built with (nil when
 // observability is off); replicas share it via Config.Base.Telemetry.
-func (c *Cluster) Telemetry() *obs.Telemetry { return c.cfg.Base.Telemetry }
+func (c *Cluster) Telemetry() *metrics.Telemetry { return c.cfg.Base.Telemetry }
 
 // Size returns the number of active replicas.
 func (c *Cluster) Size() int { return c.fleet.View().NumActive() }
@@ -337,8 +336,8 @@ func (c *Cluster) NumShards() int { return c.fleet.View().NumSlots() }
 // parallel. Each request must be routed exactly once: stateful routers
 // (round-robin) advance their cursor here. Only active slots are returned.
 func (c *Cluster) ShardOf(s trace.Sample) int {
-	t0 := c.tracer.StageStart(obs.StageRoute)
-	defer c.tracer.StageEnd(obs.StageRoute, t0)
+	t0 := c.tracer.StageStart(metrics.StageRoute)
+	defer c.tracer.StageEnd(metrics.StageRoute, t0)
 	if m := c.router.RouteView(s, c.fleet.View()); m != nil {
 		return m.Slot
 	}
@@ -727,12 +726,12 @@ func (c *Cluster) syncOnce() (collective.MergeStats, error) {
 	}
 	// The publish stall is the install span: each member briefly holds its
 	// node lock while the merged state swaps in.
-	t0 := c.tracer.StageStart(obs.StageSyncPublish)
+	t0 := c.tracer.StageStart(metrics.StageSyncPublish)
 	for _, m := range members {
 		m.Sys.PublishLoRA(merged, epoch)
 	}
-	c.tracer.StageEnd(obs.StageSyncPublish, t0)
-	c.obsSyncs.Inc()
+	c.tracer.StageEnd(metrics.StageSyncPublish, t0)
+	c.telSyncs.Inc()
 	c.gen.Add(0, 1)
 	return stats, nil
 }

@@ -12,8 +12,8 @@ import (
 	"liveupdate/internal/dlrm"
 	"liveupdate/internal/emt"
 	"liveupdate/internal/lora"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/numasim"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/serving"
 	"liveupdate/internal/simnet"
 	"liveupdate/internal/tensor"
@@ -44,11 +44,11 @@ type Options struct {
 
 	// Telemetry, when non-nil, receives side-band wall-clock observability:
 	// serve/violation/train-tick counters, a virtual-latency histogram, and
-	// sampled stage spans (see internal/obs). It is strictly an observer —
+	// sampled stage spans (see internal/metrics). It is strictly an observer —
 	// it never reads or mutates virtual-time state, so every deterministic
 	// statistic is bit-identical with telemetry on or off. Replicas of one
 	// fleet share a Telemetry; same-name instruments are get-or-create.
-	Telemetry *obs.Telemetry
+	Telemetry *metrics.Telemetry
 
 	// Quantization selects the published inference weight format for the
 	// dense MLPs: "" or "none" (float64), "int8" (per-row symmetric scales,
@@ -154,12 +154,12 @@ type System struct {
 	// Telemetry instruments (nil when Options.Telemetry is nil; the nil
 	// receivers no-op, so disabled telemetry costs one branch per site).
 	// All are side-band wall-clock observers of already-computed values.
-	tel        *obs.Telemetry
-	tracer     *obs.Tracer
-	obsServed  *obs.Counter
-	obsViol    *obs.Counter
-	obsTicks   *obs.Counter
-	obsLatency *obs.Histogram
+	tel        *metrics.Telemetry
+	tracer     *metrics.Tracer
+	telServed  *metrics.Counter
+	telViol    *metrics.Counter
+	telTicks   *metrics.Counter
+	telLatency *metrics.Histogram
 }
 
 // New assembles a system from opts.
@@ -215,13 +215,13 @@ func New(opts Options) (*System, error) {
 		s.tel = tel
 		s.tracer = tel.Tracer()
 		s.Node.Trace = s.tracer
-		s.obsServed = reg.Counter("liveupdate_serve_requests_total",
+		s.telServed = reg.Counter("liveupdate_serve_requests_total",
 			"Requests served (fleet-wide when replicas share a Telemetry).")
-		s.obsViol = reg.Counter("liveupdate_sla_violations_total",
+		s.telViol = reg.Counter("liveupdate_sla_violations_total",
 			"Requests whose virtual latency exceeded the SLA target.")
-		s.obsTicks = reg.Counter("liveupdate_train_ticks_total",
+		s.telTicks = reg.Counter("liveupdate_train_ticks_total",
 			"Co-located LoRA training ticks executed.")
-		s.obsLatency = reg.Histogram("liveupdate_serve_latency_seconds",
+		s.telLatency = reg.Histogram("liveupdate_serve_latency_seconds",
 			"Virtual request latency in seconds (deterministic values; observing them is side-band).",
 			0, 0.05, 25)
 	}
@@ -354,10 +354,10 @@ func (s *System) Serve(sample trace.Sample) (Response, error) {
 	s.paramMu.RLock()
 	prob := s.Node.Predict(sample)
 	s.paramMu.RUnlock()
-	t0 := s.tracer.StageStart(obs.StageCommit) // includes mutex wait: contention is the signal
+	t0 := s.tracer.StageStart(metrics.StageCommit) // includes mutex wait: contention is the signal
 	s.mu.Lock()
 	latency := s.Node.Commit(sample)
-	s.tracer.StageEnd(obs.StageCommit, t0)
+	s.tracer.StageEnd(metrics.StageCommit, t0)
 	if s.tickDueLocked() {
 		s.tickLocked()
 	}
@@ -397,14 +397,14 @@ func (s *System) checkSample(sample trace.Sample) error {
 // latency to the telemetry instruments. Pure side-band: it runs after the
 // bookkeeping tail, off every lock, and writes nothing deterministic.
 func (s *System) observeServe(latency float64) {
-	if s.obsServed == nil {
+	if s.telServed == nil {
 		return
 	}
-	s.obsServed.Inc()
+	s.telServed.Inc()
 	if latency > s.Opts.Node.SLA {
-		s.obsViol.Inc()
+		s.telViol.Inc()
 	}
-	s.obsLatency.Observe(latency)
+	s.telLatency.Observe(latency)
 }
 
 // ServeBatch serves samples in order on this node — the batch-amortized fast
@@ -447,19 +447,19 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 	batchProbsPool.Put(pb)
 	// One commit span per batch, interrupted (closed and reopened) around
 	// each training tick so the tick's cost is reported as its own stage.
-	t0 := s.tracer.StageStart(obs.StageCommit)
+	t0 := s.tracer.StageStart(metrics.StageCommit)
 	s.mu.Lock()
 	for i := range samples {
 		resps[i].Latency = s.Node.Commit(samples[i])
 		if s.tickDueLocked() {
-			s.tracer.StageEnd(obs.StageCommit, t0)
+			s.tracer.StageEnd(metrics.StageCommit, t0)
 			s.tickLocked()
-			t0 = s.tracer.StageStart(obs.StageCommit)
+			t0 = s.tracer.StageStart(metrics.StageCommit)
 		}
 	}
 	s.mu.Unlock()
-	s.tracer.StageEnd(obs.StageCommit, t0)
-	if s.obsServed != nil {
+	s.tracer.StageEnd(metrics.StageCommit, t0)
+	if s.telServed != nil {
 		for i := range resps {
 			s.observeServe(resps[i].Latency)
 		}
@@ -492,12 +492,12 @@ func (s *System) tickDueLocked() bool {
 // due to act on one (numasim.Controller.Due) — Observe would discard it
 // otherwise, so the controller's decisions are unchanged.
 func (s *System) tickLocked() {
-	t0 := s.tracer.StageStart(obs.StageTrainTick)
+	t0 := s.tracer.StageStart(metrics.StageTrainTick)
 	s.trainTick()
 	if s.Controller != nil && s.Controller.Due() {
 		s.Controller.Observe(s.Node.P99())
 	}
-	s.tracer.StageEnd(obs.StageTrainTick, t0)
+	s.tracer.StageEnd(metrics.StageTrainTick, t0)
 }
 
 // Stats snapshots the node's serving, training, and memory statistics.
@@ -549,7 +549,7 @@ func (s *System) LatencyWindow() []float64 {
 // Telemetry returns the telemetry this node was built with (nil when
 // observability is off). Export surfaces and the load driver discover it via
 // interface assertion.
-func (s *System) Telemetry() *obs.Telemetry { return s.tel }
+func (s *System) Telemetry() *metrics.Telemetry { return s.tel }
 
 // Profile returns the dataset profile this node serves. The wire front end
 // advertises it to remote load generators so they synthesize samples with
@@ -655,7 +655,7 @@ func (s *System) trainTick() {
 	s.trainer.TrainBatch(batch)
 	s.paramMu.Unlock()
 	s.trainSteps++
-	s.obsTicks.Inc()
+	s.telTicks.Inc()
 }
 
 // TrainSteps returns the number of co-located training ticks executed.

@@ -54,12 +54,12 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"liveupdate/internal/core"
 	"liveupdate/internal/fleet"
 	"liveupdate/internal/metrics"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
 )
@@ -247,7 +247,7 @@ type Report struct {
 
 // StageStat is one pipeline stage's sampled wall-clock timing over a drive.
 type StageStat struct {
-	Stage   string  // stage name (obs.Stage.String())
+	Stage   string  // stage name (metrics.Stage.String())
 	Count   uint64  // sampled spans recorded during the drive
 	TotalNs int64   // summed span duration, nanoseconds
 	MeanNs  float64 // TotalNs / Count
@@ -357,9 +357,9 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 	// Stage-breakdown baseline: when the server carries telemetry with stage
 	// tracing on, the report diffs the tracer's per-stage aggregates across
 	// the drive, so Stages covers this drive only — not whatever ran before.
-	var driveTracer *obs.Tracer
-	var stagesBefore [obs.NumStages]obs.StageAgg
-	if tp, ok := srv.(interface{ Telemetry() *obs.Telemetry }); ok {
+	var driveTracer *metrics.Tracer
+	var stagesBefore [metrics.NumStages]metrics.StageAgg
+	if tp, ok := srv.(interface{ Telemetry() *metrics.Telemetry }); ok {
 		driveTracer = tp.Telemetry().Tracer()
 		stagesBefore = driveTracer.StageTotals()
 	}
@@ -420,7 +420,7 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 		}()
 	}
 
-	var progress metrics.Counter
+	var progress atomic.Uint64
 	var progressMu sync.Mutex
 	perWorker := make([]WorkerStats, workers)
 
@@ -569,7 +569,7 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 						reservoir[j] = resp.Latency
 					}
 					if cfg.OnProgress != nil && cfg.ProgressEvery > 0 {
-						if n := progress.Inc(); n%uint64(cfg.ProgressEvery) == 0 {
+						if n := progress.Add(1); n%uint64(cfg.ProgressEvery) == 0 {
 							progressMu.Lock()
 							cfg.OnProgress(n)
 							progressMu.Unlock()
@@ -634,14 +634,14 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 	rep.SyncCompressSeconds = rep.Final.SyncCompressSeconds
 	if driveTracer != nil {
 		after := driveTracer.StageTotals()
-		for s := 0; s < obs.NumStages; s++ {
+		for s := 0; s < metrics.NumStages; s++ {
 			count := after[s].Count - stagesBefore[s].Count
 			if count == 0 {
 				continue
 			}
 			total := after[s].SumNs - stagesBefore[s].SumNs
 			rep.Stages = append(rep.Stages, StageStat{
-				Stage:   obs.Stage(s).String(),
+				Stage:   metrics.Stage(s).String(),
 				Count:   count,
 				TotalNs: total,
 				MeanNs:  float64(total) / float64(count),

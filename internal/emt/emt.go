@@ -312,43 +312,3 @@ func (g *Group) CopyWeightsFrom(src *Group) {
 		t.CopyWeightsFrom(src.Tables[i])
 	}
 }
-
-// Partition assigns table rows to nodes by contiguous range, the standard
-// row-wise EMT sharding of the paper's inference clusters (Fig 2). It maps
-// a (table, id) pair to the owning node.
-type Partition struct {
-	NumNodes int
-	rows     int
-}
-
-// NewPartition shards tables of `rows` rows across numNodes nodes.
-func NewPartition(numNodes, rows int) *Partition {
-	if numNodes <= 0 || rows <= 0 {
-		panic("emt: invalid partition")
-	}
-	return &Partition{NumNodes: numNodes, rows: rows}
-}
-
-// Owner returns the node owning row id.
-func (p *Partition) Owner(id int32) int {
-	per := (p.rows + p.NumNodes - 1) / p.NumNodes
-	n := int(id) / per
-	if n >= p.NumNodes {
-		n = p.NumNodes - 1
-	}
-	return n
-}
-
-// Range returns the [lo, hi) row interval owned by node.
-func (p *Partition) Range(node int) (lo, hi int32) {
-	per := (p.rows + p.NumNodes - 1) / p.NumNodes
-	lo = int32(node * per)
-	hi = lo + int32(per)
-	if int(hi) > p.rows {
-		hi = int32(p.rows)
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}

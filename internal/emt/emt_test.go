@@ -225,41 +225,6 @@ func TestGroupCloneCopy(t *testing.T) {
 	}
 }
 
-func TestPartitionOwnerAndRange(t *testing.T) {
-	p := NewPartition(4, 100)
-	if p.Owner(0) != 0 || p.Owner(99) != 3 {
-		t.Fatalf("owners %d %d", p.Owner(0), p.Owner(99))
-	}
-	// Every row owned by exactly the node whose range contains it.
-	for id := int32(0); id < 100; id++ {
-		n := p.Owner(id)
-		lo, hi := p.Range(n)
-		if id < lo || id >= hi {
-			t.Fatalf("row %d not in range [%d,%d) of node %d", id, lo, hi, n)
-		}
-	}
-	// Ranges cover all rows exactly once.
-	covered := 0
-	for n := 0; n < 4; n++ {
-		lo, hi := p.Range(n)
-		covered += int(hi - lo)
-	}
-	if covered != 100 {
-		t.Fatalf("ranges cover %d rows, want 100", covered)
-	}
-}
-
-func TestPartitionUneven(t *testing.T) {
-	p := NewPartition(3, 10) // per = 4: ranges [0,4) [4,8) [8,10)
-	lo, hi := p.Range(2)
-	if lo != 8 || hi != 10 {
-		t.Fatalf("last range [%d,%d)", lo, hi)
-	}
-	if p.Owner(9) != 2 {
-		t.Fatalf("owner(9) = %d", p.Owner(9))
-	}
-}
-
 // Property: after arbitrary update sequences through every writer, a row
 // updated twice counts once, DirtyIDs and ExportDeltas list exactly the
 // updated ids in ascending order, and DirtyRatio is within [0,1].

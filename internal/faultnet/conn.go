@@ -1,13 +1,11 @@
 package faultnet
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"liveupdate/internal/obs"
 	"liveupdate/internal/tensor"
 )
 
@@ -34,23 +32,6 @@ func (c *Counters) Count(class Class) uint64 {
 }
 
 func (c *Counters) hit(class Class) { c.counts[class].Add(1) }
-
-// Register publishes the counters into an obs metrics registry: a
-// liveupdate_wire_faults_total roll-up plus one
-// liveupdate_wire_fault_<class>_total per fault class.
-func (c *Counters) Register(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("liveupdate_wire_faults_total",
-		"Total network faults injected by the faultnet harness.", c.Total)
-	for _, class := range Classes() {
-		class := class
-		reg.CounterFunc(fmt.Sprintf("liveupdate_wire_fault_%s_total", class),
-			fmt.Sprintf("Injected %s faults.", class),
-			func() uint64 { return c.Count(class) })
-	}
-}
 
 // Listener wraps an accept loop so every accepted connection carries a
 // deterministic fault-injecting Conn. The n-th accepted connection's RNG is
@@ -82,12 +63,6 @@ func (l *Listener) Accept() (net.Conn, error) {
 // connection this listener accepted. netserve discovers this via a local
 // interface assertion to publish liveupdate_wire_faults_total.
 func (l *Listener) FaultsTotal() uint64 { return l.counters.Total() }
-
-// Counters exposes the per-class tallies (for tests and reports).
-func (l *Listener) Counters() *Counters { return &l.counters }
-
-// Plan returns the active fault plan.
-func (l *Listener) Plan() Plan { return l.plan }
 
 // connSeed mixes the plan seed with a connection serial number via the
 // SplitMix64 finalizer, so adjacent connections get decorrelated streams.

@@ -1,17 +1,10 @@
 package faultnet
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
-
-	"liveupdate/internal/obs"
 )
 
 func TestParsePlanGrammar(t *testing.T) {
@@ -299,90 +292,5 @@ func TestListenerWrapsAndCounts(t *testing.T) {
 	}
 	if ln.FaultsTotal() != 1 {
 		t.Errorf("FaultsTotal = %d, want 1", ln.FaultsTotal())
-	}
-}
-
-func TestCountersRegisterIntoObs(t *testing.T) {
-	var ctrs Counters
-	ctrs.hit(Reset)
-	ctrs.hit(Reset)
-	ctrs.hit(Corrupt)
-	reg := obs.NewRegistry()
-	ctrs.Register(reg)
-	found := map[string]float64{}
-	for _, m := range reg.Snapshot() {
-		found[m.Name] = m.Value
-	}
-	if got := found["liveupdate_wire_faults_total"]; got != 3 {
-		t.Errorf("liveupdate_wire_faults_total = %v, want 3", got)
-	}
-	if got := found["liveupdate_wire_fault_reset_total"]; got != 2 {
-		t.Errorf("reset counter = %v, want 2", got)
-	}
-	if got := found["liveupdate_wire_fault_corrupt_total"]; got != 1 {
-		t.Errorf("corrupt counter = %v, want 1", got)
-	}
-}
-
-func TestRoundTripperFaultsDeterministic(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "the quick brown fox jumps over the lazy dog")
-	}))
-	defer srv.Close()
-
-	run := func() []string {
-		plan := MustParsePlan("reset(p=0.3);truncate(p=0.3,bytes=4)")
-		plan.Seed = 99
-		rt := WrapRoundTripper(srv.Client().Transport, plan)
-		client := &http.Client{Transport: rt}
-		out := make([]string, 0, 32)
-		for i := 0; i < 32; i++ {
-			resp, err := client.Get(srv.URL)
-			if err != nil {
-				out = append(out, "reset")
-				continue
-			}
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			switch {
-			case rerr != nil || len(body) < 16:
-				out = append(out, "truncate")
-			default:
-				out = append(out, "ok")
-			}
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d: %s on first run, %s on replay", i, a[i], b[i])
-		}
-	}
-	if strings.Count(strings.Join(a, ","), "ok") == len(a) {
-		t.Error("plan with p=0.3 clauses injected nothing in 32 requests")
-	}
-}
-
-func TestRoundTripperCorruptDamagesBody(t *testing.T) {
-	payload := bytes.Repeat([]byte("a"), 64)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(payload)
-	}))
-	defer srv.Close()
-	plan := MustParsePlan("corrupt(p=1,bits=4)")
-	rt := WrapRoundTripper(srv.Client().Transport, plan)
-	client := &http.Client{Transport: rt}
-	resp, err := client.Get(srv.URL)
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if bytes.Equal(body, payload) {
-		t.Error("corrupt fault left the body intact")
-	}
-	if rt.FaultsTotal() != 1 {
-		t.Errorf("FaultsTotal = %d, want 1", rt.FaultsTotal())
 	}
 }

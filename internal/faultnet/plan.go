@@ -1,9 +1,8 @@
 // Package faultnet injects deterministic, seed-driven network faults into
-// net.Listener/net.Conn pairs (and, for the client side, an http.RoundTripper
-// shim). It is the chaos harness for the wire path: the same fault classes a
-// production network exhibits — latency spikes, connection resets, blackhole
-// stalls, truncated streams, byte corruption — reproduced from a fixed seed
-// so a failing run is replayable.
+// net.Listener/net.Conn pairs. It is the chaos harness for the wire path:
+// the same fault classes a production network exhibits — latency spikes,
+// connection resets, blackhole stalls, truncated streams, byte corruption —
+// reproduced from a fixed seed so a failing run is replayable.
 //
 // # Fault plans
 //
@@ -34,10 +33,7 @@
 // way in, but once it has reached the serving stack its response always
 // goes back out untouched. Faults therefore move requests — forcing client
 // retries — without ever duplicating a served request, which is what keeps
-// virtual-time statistics bit-identical to a fault-free run. The
-// client-side Transport shim has no such constraint (it can truncate or
-// corrupt responses after the server served them); use it for client
-// resilience tests that tolerate duplicate serves.
+// virtual-time statistics bit-identical to a fault-free run.
 package faultnet
 
 import (

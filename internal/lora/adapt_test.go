@@ -208,7 +208,7 @@ func TestPruneClampsToCapacityByFrequency(t *testing.T) {
 	for id := int32(0); id < 6; id++ {
 		foreign = append(foreign, RowUpdate{ID: id, Row: make([]float64, cfg.InitialRank)})
 	}
-	a.ApplyRows(foreign) // six rows in a table of capacity three
+	a.applyState(TableState{Rows: foreign}) // six rows in a table of capacity three
 	g := make([]float64, cfg.Dim)
 	g[0] = 1
 	for id, times := range map[int32]int{0: 1, 1: 3, 2: 2, 3: 2, 4: 5} { // 5 never trained

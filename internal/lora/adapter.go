@@ -15,14 +15,13 @@
 //
 //   - Lock-free readers (Lookup, Accumulate, Delta, Has, EffectiveRow, Rank)
 //     load the pointer once and touch only that state's index, slab and B.
-//   - The publish path — ApplyRows, SetB, Resize, Reset, Set.ApplyState and
-//     Set.Publish — never writes a published store. It clones it (index,
-//     per-slot array and slab, bookkeeping included), edits the clone and
-//     swaps the pointer in one atomic store, so a concurrent reader sees the
-//     old state or the new one, never a torn mix, and never blocks on an
-//     in-flight merge. SetB shares the store with the state it replaces:
-//     nothing in it changes. Publish-path calls must be serialized with each
-//     other and with the owner (core.System's mutex does that).
+//   - The publish path — Resize, Reset, Set.ApplyState and Set.Publish —
+//     never writes a published store. It clones it (index, per-slot array
+//     and slab, bookkeeping included), edits the clone and swaps the pointer
+//     in one atomic store, so a concurrent reader sees the old state or the
+//     new one, never a torn mix, and never blocks on an in-flight merge.
+//     Publish-path calls must be serialized with each other and with the
+//     owner (core.System's mutex does that).
 //   - The owner (the training loop, which additionally excludes readers)
 //     may call anything. Train writes the current store in place: A
 //     coefficients, new rows — which may move the slab and the index to
@@ -484,17 +483,6 @@ func (a *Adapter) ResetSupport() {
 	a.ghosts.reset()
 }
 
-// ApplyRows installs remote A rows (receiving side of a sync). Rows whose
-// length differs from the current rank are adapted: truncated or zero-padded.
-// Applied rows do not enter the local support set (they are foreign state).
-// The update is copy-on-write: the rows go into a clone of the store, swapped
-// in by one atomic store, so concurrent lock-free readers never see a torn
-// state.
-func (a *Adapter) ApplyRows(updates []RowUpdate) {
-	st := a.cur.Load()
-	a.cur.Store(&adapterState{b: st.b, rows: a.rowsWithUpdates(st.rows, updates)})
-}
-
 // rowsWithUpdates clones rs and installs updates at its rank. A new row
 // starts with no updates this window and outside the support set, unless its
 // id is a ghost.
@@ -514,18 +502,10 @@ func (a *Adapter) rowsWithUpdates(rs *rowStore, updates []RowUpdate) *rowStore {
 	return rows
 }
 
-// SetB overwrites the shared factor B from a synced copy. The incoming
-// matrix is rank'×d; rank mismatches are adapted by truncate/zero-pad.
-// Copy-on-write: the new B is installed by one atomic swap.
-func (a *Adapter) SetB(b *tensor.Matrix) {
-	st := a.cur.Load()
-	a.cur.Store(&adapterState{b: adaptedB(st.rows.rank, a.cfg.Dim, b), rows: st.rows})
-}
-
 // adaptedB copies b into a rank×dim matrix, truncating or zero-padding rows.
 func adaptedB(rank, dim int, b *tensor.Matrix) *tensor.Matrix {
 	if b.Cols != dim {
-		panic(fmt.Sprintf("lora: SetB dim %d != %d", b.Cols, dim))
+		panic(fmt.Sprintf("lora: B dim %d != %d", b.Cols, dim))
 	}
 	nb := tensor.NewMatrix(rank, dim)
 	n := rank
@@ -538,7 +518,9 @@ func adaptedB(rank, dim int, b *tensor.Matrix) *tensor.Matrix {
 
 // applyState installs one merged TableState (rows plus shared B) in a single
 // atomic swap — the per-adapter publish step of the versioned sync pipeline.
-// A nil B keeps the current factor.
+// Rows and B whose rank differs from the adapter's are truncated or
+// zero-padded; the rows do not enter the local support set (they are foreign
+// state) unless their id is a ghost. A nil B keeps the current factor.
 func (a *Adapter) applyState(ts TableState) {
 	st := a.cur.Load()
 	b := st.b

@@ -269,8 +269,8 @@ func TestSupportExportApplyRoundTrip(t *testing.T) {
 		t.Fatalf("export %d != support %d", len(export), a.SupportSize())
 	}
 	b := MustNewAdapter(testConfig())
-	b.SetB(a.B())
-	b.ApplyRows(export)
+	b.applyState(TableState{B: a.B()})
+	b.applyState(TableState{Rows: export})
 	for _, u := range export {
 		da := make([]float64, 8)
 		db := make([]float64, 8)
@@ -284,7 +284,7 @@ func TestSupportExportApplyRoundTrip(t *testing.T) {
 	}
 	// Applying must not pollute receiver support.
 	if b.SupportSize() != 0 {
-		t.Fatal("ApplyRows must not enter support")
+		t.Fatal("applied rows must not enter support")
 	}
 	a.ResetSupport()
 	if a.SupportSize() != 0 {
@@ -293,9 +293,9 @@ func TestSupportExportApplyRoundTrip(t *testing.T) {
 }
 
 func TestApplyRowsRankMismatch(t *testing.T) {
-	a := MustNewAdapter(testConfig())                                // rank 4
-	a.ApplyRows([]RowUpdate{{ID: 1, Row: []float64{1, 2}}})          // shorter
-	a.ApplyRows([]RowUpdate{{ID: 2, Row: []float64{1, 2, 3, 4, 5}}}) // longer
+	a := MustNewAdapter(testConfig())                                                   // rank 4
+	a.applyState(TableState{Rows: []RowUpdate{{ID: 1, Row: []float64{1, 2}}}})          // shorter
+	a.applyState(TableState{Rows: []RowUpdate{{ID: 2, Row: []float64{1, 2, 3, 4, 5}}}}) // longer
 	if len(liveRow(a, 1)) != 4 || len(liveRow(a, 2)) != 4 {
 		t.Fatal("applied rows must be adapted to local rank")
 	}
@@ -303,16 +303,16 @@ func TestApplyRowsRankMismatch(t *testing.T) {
 
 func TestSetBRankMismatchAndDimPanic(t *testing.T) {
 	a := MustNewAdapter(testConfig())
-	a.SetB(tensor.NewMatrix(2, 8)) // shorter: zero-pad
+	a.applyState(TableState{B: tensor.NewMatrix(2, 8)}) // shorter: zero-pad
 	if a.B().Rows != 4 {
-		t.Fatal("SetB must keep local rank")
+		t.Fatal("an applied B must keep local rank")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetB with wrong dim must panic")
+			t.Fatal("a B with the wrong dim must panic")
 		}
 	}()
-	a.SetB(tensor.NewMatrix(4, 5))
+	a.applyState(TableState{B: tensor.NewMatrix(4, 5)})
 }
 
 func TestReset(t *testing.T) {
@@ -367,10 +367,10 @@ func TestSetLookupColdEqualsBase(t *testing.T) {
 func TestSetLookupHotAddsDelta(t *testing.T) {
 	s := newTestSet(t)
 	a := s.Adapters[0]
-	a.ApplyRows([]RowUpdate{{ID: 5, Row: []float64{1, 0, 0, 0}}})
+	a.applyState(TableState{Rows: []RowUpdate{{ID: 5, Row: []float64{1, 0, 0, 0}}}})
 	b := tensor.NewMatrix(4, 8)
 	b.Set(0, 0, 0.5)
-	a.SetB(b)
+	a.applyState(TableState{B: b})
 	dst := make([]float64, 8)
 	s.Lookup(0, []int32{5}, dst)
 	baseRow := s.Base.Tables[0].PeekRow(5)
@@ -393,7 +393,7 @@ func TestSetLookupNoAlloc(t *testing.T) {
 		s.ApplyGrad(0, []int32{int32(i % 7), 11}, g, 0.05)
 	}
 	ids := []int32{3, 11, 42, 6} // 42 is cold
-	if !s.HasHot(0, ids) || s.Adapters[0].Has(42) {
+	if !s.Adapters[0].Has(3) || s.Adapters[0].Has(42) {
 		t.Fatal("fixture: want hot and cold ids in one lookup")
 	}
 	dst := make([]float64, 8)
@@ -419,35 +419,6 @@ func TestSetApplyGradFreezesBase(t *testing.T) {
 	}
 	if !s.Adapters[1].Has(3) {
 		t.Fatal("gradient must land in the adapter")
-	}
-}
-
-func TestSetMergeIntoBase(t *testing.T) {
-	s := newTestSet(t)
-	a := s.Adapters[0]
-	a.ApplyRows([]RowUpdate{{ID: 7, Row: []float64{2, 0, 0, 0}}})
-	b := tensor.NewMatrix(4, 8)
-	b.Set(0, 3, 1.5)
-	a.SetB(b)
-	want := make([]float64, 8)
-	s.EffectiveRow(0, 7, want)
-	s.MergeIntoBase()
-	got := s.Base.Tables[0].PeekRow(7)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatal("merge must fold ∆W into base")
-		}
-	}
-	if s.Adapters[0].ActiveCount() != 0 {
-		t.Fatal("merge must reset adapters")
-	}
-	// Post-merge lookups serve the merged value.
-	dst := make([]float64, 8)
-	s.Lookup(0, []int32{7}, dst)
-	for i := range want {
-		if math.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Fatal("post-merge lookup mismatch")
-		}
 	}
 }
 
@@ -534,7 +505,7 @@ func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 				id := int32(i % 20)
 				dst.Lookup(table, []int32{id}, out)
 				dst.EffectiveRow(table, id, row)
-				dst.HasHot(table, []int32{id})
+				dst.Adapters[table].Has(id)
 				_ = dst.Epoch()
 			}
 		}(g)
@@ -597,17 +568,6 @@ func TestSetSnapshotClearsSupports(t *testing.T) {
 	}
 }
 
-func TestSetHasHot(t *testing.T) {
-	s := newTestSet(t)
-	if s.HasHot(0, []int32{1, 2, 3}) {
-		t.Fatal("empty set must report cold")
-	}
-	s.Adapters[0].ApplyRows([]RowUpdate{{ID: 2, Row: make([]float64, 4)}})
-	if !s.HasHot(0, []int32{1, 2, 3}) {
-		t.Fatal("resident id must report hot")
-	}
-}
-
 // Property: for arbitrary training sequences the adapter invariants hold —
 // ActiveCount ≤ CMax, rank within [MinRank, MaxRank], SizeBytes consistent.
 func TestPropertyAdapterInvariants(t *testing.T) {
@@ -662,7 +622,7 @@ func seedAdapter(a *Adapter, n int) {
 		for k := range row {
 			row[k] = rng.NormFloat64() * 0.2
 		}
-		a.ApplyRows([]RowUpdate{{ID: id, Row: row}})
+		a.applyState(TableState{Rows: []RowUpdate{{ID: id, Row: row}}})
 		rs := a.cur.Load().rows
 		rs.markDirty(rs.find(id))
 	}
@@ -670,7 +630,7 @@ func seedAdapter(a *Adapter, n int) {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64() * 0.2
 	}
-	a.SetB(b)
+	a.applyState(TableState{B: b})
 }
 
 func snapshotDeltas(a *Adapter, n int) map[int32][]float64 {

@@ -15,7 +15,7 @@ import (
 // For synchronization the Set carries epoch-versioned, copy-on-write state:
 // Snapshot exports the modified rows for an in-flight merge, Publish installs
 // a merged state per adapter with atomic pointer swaps and stamps the epoch.
-// Readers (Lookup, EffectiveRow, HasHot) never block on a merge — they are
+// Readers (Lookup, EffectiveRow) never block on a merge — they are
 // safe concurrently with the whole publish path; only Train requires the
 // owner's serialization (see the package comment on Adapter).
 type Set struct {
@@ -121,39 +121,12 @@ func (s *Set) OverheadRatio() float64 {
 	return float64(s.SizeBytes()) / float64(base)
 }
 
-// MergeIntoBase folds every adapter's ∆W into the base tables and resets the
-// adapters (used when promoting accumulated LoRA state, e.g. just before an
-// hourly full sync replaces the base).
-func (s *Set) MergeIntoBase() {
-	delta := make([]float64, s.Dim())
-	for ti, a := range s.Adapters {
-		t := s.Base.Tables[ti]
-		for _, m := range a.cur.Load().rows.meta {
-			a.Delta(m.id, delta)
-			t.ApplyRowDelta(m.id, delta)
-		}
-		a.Reset()
-	}
-}
-
 // ResetAdapters clears all adapters without touching the base (after the
 // base was replaced by a full-parameter sync).
 func (s *Set) ResetAdapters() {
 	for _, a := range s.Adapters {
 		a.Reset()
 	}
-}
-
-// HasHot reports whether any id in ids has a LoRA row in the given table —
-// the serving path's Hot Index Filter (paper Fig 7, inference step 2).
-func (s *Set) HasHot(table int, ids []int32) bool {
-	a := s.Adapters[table]
-	for _, id := range ids {
-		if a.Has(id) {
-			return true
-		}
-	}
-	return false
 }
 
 // EffectiveRow writes W_base[id] + A[id]·B for one id into dst.
@@ -200,7 +173,7 @@ func (s *Set) ExportFull() []TableState {
 // table, never a torn mix. A state that does not fit the Set — the wrong
 // number of tables, a row id outside its base table — is refused by a panic
 // before any adapter is touched: such a row would count as active, be
-// re-exported, and index out of range in EffectiveRow and MergeIntoBase.
+// re-exported, and index out of range in EffectiveRow.
 func (s *Set) ApplyState(states []TableState) {
 	if len(states) != len(s.Adapters) {
 		panic(fmt.Sprintf("lora: ApplyState %d states for %d adapters", len(states), len(s.Adapters)))

@@ -77,15 +77,15 @@ func TestStoreMatchesMapReference(t *testing.T) {
 				set.ApplyGrad(0, ids, g, 0.05)
 				ref.train(ids, g, 0.05)
 			case r < 84:
-				op = "ApplyRows"
+				op = "applyState(Rows)"
 				ts := randState()
-				flat.ApplyRows(ts.Rows)
+				flat.applyState(TableState{Rows: ts.Rows})
 				ref.applyState(TableState{Rows: ts.Rows})
 			case r < 87:
-				op = "SetB"
+				op = "applyState(B)"
 				b := &tensor.Matrix{Rows: 1 + rng.Intn(dim), Cols: dim}
 				b.Data = randRow(b.Rows * dim)
-				flat.SetB(b)
+				flat.applyState(TableState{B: b})
 				ref.applyState(TableState{B: b})
 			case r < 91:
 				op = "Resize"
@@ -167,7 +167,7 @@ func TestSupportSurvivesPruneAndReinstall(t *testing.T) {
 	if a.Has(4) || a.SupportSize() != 1 {
 		t.Fatalf("fixture: id 4 resident=%v, support %d", a.Has(4), a.SupportSize())
 	}
-	a.ApplyRows([]RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}, {ID: 6, Row: []float64{1, 2, 3, 4}}})
+	a.applyState(TableState{Rows: []RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}, {ID: 6, Row: []float64{1, 2, 3, 4}}}})
 	var got []int32
 	for _, u := range a.ExportSupport() {
 		got = append(got, u.ID)
@@ -177,7 +177,7 @@ func TestSupportSurvivesPruneAndReinstall(t *testing.T) {
 	}
 	a.ResetSupport()
 	a.adapt() // prunes everything
-	a.ApplyRows([]RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}})
+	a.applyState(TableState{Rows: []RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}}})
 	if n := a.SupportSize(); n != 0 {
 		t.Fatalf("ResetSupport must forget ghosts: support %d", n)
 	}

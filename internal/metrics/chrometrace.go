@@ -1,4 +1,4 @@
-package obs
+package metrics
 
 import (
 	"encoding/json"
@@ -31,7 +31,7 @@ func writeChromeTrace(w io.Writer, tr *Tracer) error {
 	spans := tr.Snapshot() // nil-safe: empty on a nil tracer
 	doc := chromeTrace{
 		TraceEvents: make([]chromeEvent, 0, NumStages+len(spans)),
-		OtherData:   map[string]string{"generator": "liveupdate/internal/obs", "go": runtime.Version()},
+		OtherData:   map[string]string{"generator": "liveupdate/internal/metrics", "go": runtime.Version()},
 	}
 	for s := 0; s < NumStages; s++ {
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{

@@ -13,22 +13,33 @@ import (
 // across cache-line-padded slots (one per worker) so concurrent increments
 // never contend, at the cost of a summing read.
 
-// Counter is an atomic uint64 counter. The zero value is ready to use.
+// Counter is a monotone counter: the hot path is one atomic add, so any
+// number of writers may share it. A nil *Counter (telemetry off) no-ops.
 type Counter struct {
 	v atomic.Uint64
 }
 
-// Inc adds 1 and returns the new value.
-func (c *Counter) Inc() uint64 { return c.v.Add(1) }
+// Inc adds 1.
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
-// Add adds n and returns the new value.
-func (c *Counter) Add(n uint64) uint64 { return c.v.Add(n) }
+// Add adds n.
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
+// Load returns the current value (0 on nil).
+func (c *Counter) Load() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // counterSlot pads each shard's word to its own cache line (64 bytes) so
 // concurrent writers on different shards never false-share.
@@ -62,9 +73,6 @@ func (c *ShardedCounter) Shards() int { return len(c.slots) }
 func (c *ShardedCounter) Add(shard int, n uint64) {
 	c.slots[shard].v.Add(n)
 }
-
-// ShardLoad returns one shard's value.
-func (c *ShardedCounter) ShardLoad(shard int) uint64 { return c.slots[shard].v.Load() }
 
 // Load returns the sum across all shards.
 func (c *ShardedCounter) Load() uint64 {

@@ -10,15 +10,10 @@ func TestCounterBasics(t *testing.T) {
 	if c.Load() != 0 {
 		t.Fatal("zero value must start at 0")
 	}
-	if got := c.Inc(); got != 1 {
-		t.Fatalf("Inc = %d, want 1", got)
-	}
-	if got := c.Add(9); got != 10 {
-		t.Fatalf("Add = %d, want 10", got)
-	}
-	c.Reset()
-	if c.Load() != 0 {
-		t.Fatal("Reset must zero the counter")
+	c.Inc()
+	c.Add(9)
+	if got := c.Load(); got != 10 {
+		t.Fatalf("Load = %d, want 10", got)
 	}
 }
 
@@ -69,10 +64,5 @@ func TestShardedCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Load(); got != workers*per {
 		t.Fatalf("Load = %d, want %d", got, workers*per)
-	}
-	for w := 0; w < workers; w++ {
-		if got := c.ShardLoad(w); got != per {
-			t.Fatalf("shard %d = %d, want %d", w, got, per)
-		}
 	}
 }

@@ -1,7 +1,23 @@
-// Package metrics provides the evaluation metrics used throughout the
-// LiveUpdate reproduction: AUC-ROC for recommendation quality (paper §V-A),
-// latency quantile tracking for P99 SLA monitoring (paper §IV-D), histograms,
-// and CDF extraction (paper Fig 12).
+// Package metrics is the one instrument package of the LiveUpdate
+// reproduction. It holds the evaluation metrics — AUC-ROC for recommendation
+// quality (paper §V-A), latency quantile tracking for P99 SLA monitoring
+// (paper §IV-D) and the access-skew CDF of paper Fig 12 — and the telemetry
+// layer: sampled per-request stage tracing (route, admission queue wait,
+// forward, commit, train tick, sync-publish stall) into a preallocated
+// lock-free span ring, plus a named registry of counters, gauges and
+// histograms that serving, cluster sync, fleet membership and netserve
+// admission register into, exported as Prometheus text, expvar-style JSON
+// and Chrome trace-event JSON.
+//
+// The telemetry is strictly a *side-band wall-clock observer*: instruments
+// count real events and spans time real nanoseconds, but nothing here reads
+// or mutates any virtual-time state. The determinism contract — every
+// virtual-time statistic bit-identical for any worker count and under chaos
+// — holds with telemetry on or off, and a test enforces it.
+//
+// Not to be confused with internal/trace, which generates *workload* traces
+// (the request streams replayed against the system); this package records
+// *telemetry* traces (where those requests spent their time).
 package metrics
 
 import (
@@ -225,64 +241,6 @@ func (t *LatencyTracker) Reset() {
 	t.sum = 0
 }
 
-// Histogram counts values into fixed-width buckets over [min, max); values
-// outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	Min, Max float64
-	Counts   []uint64
-	width    float64
-	total    uint64
-}
-
-// NewHistogram creates a histogram with n buckets covering [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("metrics: invalid histogram parameters")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]uint64, n), width: (max - min) / float64(n)}
-}
-
-// Observe adds one value. NaN is dropped; ±Inf clamps to the edge buckets.
-// The range check happens on the float side: converting a NaN or out-of-range
-// float to int is unspecified in Go, so `int((v-Min)/width)` on such inputs
-// could land in an arbitrary bucket.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	var b int
-	switch {
-	case v < h.Min:
-		b = 0
-	case v >= h.Max:
-		b = len(h.Counts) - 1
-	default:
-		if b = int((v - h.Min) / h.width); b >= len(h.Counts) {
-			// Float rounding at the upper edge can overshoot by one.
-			b = len(h.Counts) - 1
-		}
-	}
-	h.Counts[b]++
-	h.total++
-}
-
-// Total returns the number of observed values.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// CDF returns cumulative fractions per bucket upper edge.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	cum := uint64(0)
-	for i, c := range h.Counts {
-		cum += c
-		out[i] = float64(cum) / float64(h.total)
-	}
-	return out
-}
-
 // TopShareCDF is the access-skew statistic of paper Fig 12: given per-item
 // access counts, it returns the fraction of total accesses captured by the
 // most popular `fraction` of items (e.g. fraction=0.10 → "top 10% of indices
@@ -313,24 +271,3 @@ func TopShareCDF(counts []uint64, fraction float64) float64 {
 	}
 	return float64(top) / float64(total)
 }
-
-// EMA is an exponential moving average with smoothing factor alpha in (0,1].
-type EMA struct {
-	Alpha float64
-	value float64
-	init  bool
-}
-
-// Observe folds in a sample and returns the updated average.
-func (e *EMA) Observe(v float64) float64 {
-	if !e.init {
-		e.value = v
-		e.init = true
-		return v
-	}
-	e.value = e.Alpha*v + (1-e.Alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any sample).
-func (e *EMA) Value() float64 { return e.value }

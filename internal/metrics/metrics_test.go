@@ -187,23 +187,63 @@ func TestLatencyTrackerReset(t *testing.T) {
 	}
 }
 
-func TestHistogramAndCDF(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
+// histogram observes vs into a fresh n-bucket histogram over [min, max) and
+// returns its snapshot.
+func histogram(min, max float64, n int, vs ...float64) *HistSnapshot {
+	h := newHistogram(min, max, n)
+	for _, v := range vs {
+		h.Observe(v)
 	}
-	if h.Total() != 10 {
-		t.Fatalf("total = %d", h.Total())
+	return h.snapshot()
+}
+
+func TestHistogramBuckets(t *testing.T) {
+	vs := make([]float64, 10)
+	for i := range vs {
+		vs[i] = float64(i) + 0.5
 	}
-	cdf := h.CDF()
-	if cdf[0] != 0.1 || math.Abs(cdf[9]-1) > 1e-12 {
-		t.Fatalf("cdf = %v", cdf)
+	s := histogram(0, 10, 10, vs...)
+	for i, c := range s.Buckets {
+		if c != 1 {
+			t.Fatalf("bucket %d = %d, want 1: %v", i, c, s.Buckets)
+		}
 	}
-	// Clamping of out-of-range values.
-	h.Observe(-5)
-	h.Observe(99)
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatalf("clamp failed: %v", h.Counts)
+	if s.Count != 10 || s.Sum != 50 {
+		t.Fatalf("count %d sum %v, want 10 and 50", s.Count, s.Sum)
+	}
+	// Below Min lands in bucket 0; above Max is counted, but in no finite
+	// bucket: it belongs only to le="+Inf".
+	s = histogram(0, 10, 10, -5, 99)
+	if s.Buckets[0] != 1 || s.Buckets[9] != 0 || s.Count != 2 {
+		t.Fatalf("out-of-range: buckets %v count %d", s.Buckets, s.Count)
+	}
+}
+
+// TestHistogramInnerEdges holds the "le" convention: a value exactly on an
+// edge is counted in the bucket that edge closes, never the next one.
+func TestHistogramInnerEdges(t *testing.T) {
+	s := histogram(0, 1, 4, 0, 0.25, 0.5, 0.75, 1)
+	for i, c := range s.Buckets {
+		want := uint64(1)
+		if i == 0 {
+			want = 2 // Min itself and the first edge
+		}
+		if c != want {
+			t.Fatalf("bucket %d (le=%v) = %d, want %d: %v", i, s.UpperEdge(i), c, want, s.Buckets)
+		}
+	}
+	// Every value lands in the bucket whose rendered edges bracket it, also
+	// where width·i rounds: 0.1·3 is 0.30000000000000004, above 0.3.
+	h := newHistogram(0, 1, 10)
+	for _, v := range []float64{0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 0.9, 0.999} {
+		b := h.bucket(v)
+		lo, hi := math.Inf(-1), upperEdge(h.min, h.width, b)
+		if b > 0 {
+			lo = upperEdge(h.min, h.width, b-1)
+		}
+		if !(lo < v && v <= hi) {
+			t.Fatalf("%v in bucket %d with edges (%v, %v]", v, b, lo, hi)
+		}
 	}
 }
 
@@ -228,21 +268,6 @@ func TestTopShareCDF(t *testing.T) {
 	}
 	if TopShareCDF(make([]uint64, 5), 0.1) != 0 {
 		t.Fatal("all-zero counts → 0")
-	}
-}
-
-func TestEMA(t *testing.T) {
-	e := &EMA{Alpha: 0.5}
-	if e.Value() != 0 {
-		t.Fatal("initial EMA must be 0")
-	}
-	e.Observe(10) // initializes to 10
-	if e.Value() != 10 {
-		t.Fatalf("EMA init = %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("EMA = %v, want 15", e.Value())
 	}
 }
 
@@ -321,26 +346,27 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 }
 
 func TestHistogramNonFiniteInputs(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
+	h := newHistogram(0, 10, 10)
 	h.Observe(math.NaN())
-	if h.Total() != 0 {
-		t.Fatalf("NaN was counted: total = %d, counts = %v", h.Total(), h.Counts)
-	}
-	h.Observe(math.Inf(1))
-	if h.Counts[9] != 1 {
-		t.Fatalf("+Inf must clamp to the last bucket: %v", h.Counts)
+	if s := h.snapshot(); s.Count != 0 || s.Sum != 0 {
+		t.Fatalf("NaN was counted: %+v", s)
 	}
 	h.Observe(math.Inf(-1))
-	if h.Counts[0] != 1 {
-		t.Fatalf("-Inf must clamp to the first bucket: %v", h.Counts)
+	if s := h.snapshot(); s.Buckets[0] != 1 {
+		t.Fatalf("-Inf must land in the first bucket: %v", s.Buckets)
 	}
-	if h.Total() != 2 {
-		t.Fatalf("total = %d, want 2", h.Total())
+	h.Observe(math.Inf(1))
+	s := h.snapshot()
+	if s.Buckets[9] != 0 || s.Count != 2 {
+		t.Fatalf("+Inf must count only toward le=+Inf: %v count %d", s.Buckets, s.Count)
 	}
-	// The exact upper edge belongs to the last bucket, never out of range.
+	if !math.IsNaN(s.Sum) {
+		t.Fatalf("sum of -Inf and +Inf = %v, want NaN", s.Sum)
+	}
+	// The exact upper edge belongs to the last bucket.
 	h.Observe(10)
-	if h.Counts[9] != 2 {
-		t.Fatalf("max edge must land in the last bucket: %v", h.Counts)
+	if s := h.snapshot(); s.Buckets[9] != 1 || s.Count != 3 {
+		t.Fatalf("max edge must land in the last bucket: %v", s.Buckets)
 	}
 }
 

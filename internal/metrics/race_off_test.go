@@ -1,6 +1,6 @@
 //go:build !race
 
-package obs
+package metrics
 
 // raceEnabled gates allocation-count assertions; see race_on_test.go.
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package obs
+package metrics
 
 // raceEnabled gates allocation-count assertions: race-detector
 // instrumentation changes allocation behavior, so alloc tests are skipped

@@ -1,12 +1,10 @@
-package obs
+package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-
-	"liveupdate/internal/metrics"
 )
 
 // Kind is the instrument class of a registered metric.
@@ -34,81 +32,94 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// Counter is a registered monotone counter. The hot path is one atomic add;
-// a nil *Counter (telemetry off) no-ops.
-type Counter struct {
-	c metrics.Counter
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.c.Inc()
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.c.Add(n)
-	}
-}
-
-// Load returns the current value (0 on nil).
-func (c *Counter) Load() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.c.Load()
-}
-
-// Histogram is a registered fixed-bucket histogram with a running sum, built
-// on metrics.Histogram. Observe takes one short mutex hold and does not
-// allocate; a nil *Histogram no-ops.
+// Histogram is a fixed-width-bucket histogram with a running sum and count.
+// Bucket i holds the values v with UpperEdge(i-1) < v ≤ UpperEdge(i) — the
+// Prometheus "le" convention, on the very edges the exposition renders — and
+// bucket 0 also takes everything below Min. Values above Max (and +Inf)
+// count only toward the total, i.e. the exposition's le="+Inf" bucket.
+// Observe takes one short mutex hold and does not allocate; a nil
+// *Histogram no-ops.
 type Histogram struct {
-	mu  sync.Mutex
-	h   *metrics.Histogram
-	sum float64
+	mu       sync.Mutex
+	min, max float64
+	width    float64
+	buckets  []uint64
+	count    uint64
+	sum      float64
 }
 
-// Observe records one value. NaN is dropped (matching metrics.Histogram);
-// ±Inf clamps into the edge buckets and poisons the sum, as in standard
-// Prometheus client behavior.
+func newHistogram(min, max float64, n int) *Histogram {
+	if n <= 0 || !(max > min) {
+		panic(fmt.Sprintf("metrics: invalid histogram [%v, %v) with %d buckets", min, max, n))
+	}
+	return &Histogram{min: min, max: max, width: (max - min) / float64(n), buckets: make([]uint64, n)}
+}
+
+// upperEdge is bucket i's upper boundary, shared by Observe and the
+// exposition so a value is always counted under the le it is rendered with.
+func upperEdge(min, width float64, i int) float64 { return min + width*float64(i+1) }
+
+// Observe records one value. NaN is dropped; ±Inf is counted (in bucket 0
+// or above every finite bucket) and poisons the sum.
 func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
 	h.mu.Lock()
-	h.h.Observe(v)
+	if b := h.bucket(v); b < len(h.buckets) {
+		h.buckets[b]++
+	}
+	h.count++
 	h.sum += v
 	h.mu.Unlock()
+}
+
+// bucket returns the index i with upperEdge(i-1) < v ≤ upperEdge(i), 0 for
+// anything at or below the first edge, and len(buckets) above the last. The
+// range checks stay on the float side (converting ±Inf to int is
+// unspecified in Go); the estimate from the width is then corrected against
+// the edges themselves, at most a step for float rounding.
+func (h *Histogram) bucket(v float64) int {
+	n := len(h.buckets)
+	switch {
+	case v <= upperEdge(h.min, h.width, 0):
+		return 0
+	case v > upperEdge(h.min, h.width, n-1):
+		return n
+	}
+	b := min(max(int(math.Ceil((v-h.min)/h.width))-1, 1), n-1)
+	for v <= upperEdge(h.min, h.width, b-1) {
+		b--
+	}
+	for v > upperEdge(h.min, h.width, b) {
+		b++
+	}
+	return b
 }
 
 // HistSnapshot is a consistent copy of a histogram's state.
 type HistSnapshot struct {
 	Min, Max float64
-	Buckets  []uint64 // per-bucket (non-cumulative) counts
+	Buckets  []uint64 // per-bucket (non-cumulative) counts; see Histogram
 	Sum      float64
-	Count    uint64
+	Count    uint64 // every observed value, including those above Max
 }
 
-// UpperEdge returns the upper boundary of bucket i. The last bucket absorbs
-// everything ≥ Max, so its rendered edge is Max (the +Inf bucket follows in
-// the exposition format).
+// UpperEdge returns the upper boundary of bucket i, the le it is rendered
+// under. Values above the last edge appear only in the le="+Inf" bucket.
 func (s *HistSnapshot) UpperEdge(i int) float64 {
-	width := (s.Max - s.Min) / float64(len(s.Buckets))
-	return s.Min + width*float64(i+1)
+	return upperEdge(s.Min, (s.Max-s.Min)/float64(len(s.Buckets)), i)
 }
 
 func (h *Histogram) snapshot() *HistSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return &HistSnapshot{
-		Min:     h.h.Min,
-		Max:     h.h.Max,
-		Buckets: append([]uint64(nil), h.h.Counts...),
+		Min:     h.min,
+		Max:     h.max,
+		Buckets: append([]uint64(nil), h.buckets...),
 		Sum:     h.sum,
-		Count:   h.h.Total(),
+		Count:   h.count,
 	}
 }
 
@@ -152,7 +163,7 @@ func (r *Registry) getOrCreate(name, help string, kind Kind) (*instrument, bool)
 	ins, ok := r.byName[name]
 	if ok {
 		if ins.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %v, was %v", name, kind, ins.kind))
+			panic(fmt.Sprintf("metrics: metric %q re-registered as %v, was %v", name, kind, ins.kind))
 		}
 		return ins, false
 	}
@@ -202,7 +213,7 @@ func (r *Registry) Histogram(name, help string, min, max float64, n int) *Histog
 	defer r.mu.Unlock()
 	ins, created := r.getOrCreate(name, help, KindHistogram)
 	if created {
-		ins.hist = &Histogram{h: metrics.NewHistogram(min, max, n)}
+		ins.hist = newHistogram(min, max, n)
 	}
 	return ins.hist
 }

@@ -1,24 +1,9 @@
-// Package obs is the telemetry layer of the LiveUpdate reproduction: sampled
-// per-request stage tracing (route, admission queue wait, forward, commit,
-// sync-publish stall) into a preallocated lock-free span ring, plus a named
-// metrics registry (counters, gauges, histograms) that serving, cluster sync,
-// fleet membership, and netserve admission register into.
-//
-// Everything in this package is strictly a *side-band wall-clock observer*:
-// instruments count real events and spans time real nanoseconds, but nothing
-// here reads or mutates any virtual-time state. The determinism contract —
-// every virtual-time statistic bit-identical for any worker count, both sync
-// modes, under chaos — holds with telemetry on or off, and a test enforces it.
-//
-// Not to be confused with internal/trace, which generates *workload* traces
-// (the request streams replayed against the system); obs records *telemetry*
-// traces (where those requests spent their time).
-package obs
+package metrics
 
 import "io"
 
-// Config selects which telemetry surfaces are live.
-type Config struct {
+// TelemetryConfig selects which telemetry surfaces are live.
+type TelemetryConfig struct {
 	// SampleEvery traces 1 in N stage timings (1 = every request). 0 or
 	// negative disables stage tracing entirely; the metrics registry is
 	// always on.
@@ -37,14 +22,14 @@ type Config struct {
 // *Telemetry is valid everywhere and means "telemetry off": the accessors
 // return nil, and nil tracers/instruments no-op.
 type Telemetry struct {
-	cfg    Config
+	cfg    TelemetryConfig
 	reg    *Registry
 	tracer *Tracer
 }
 
-// New builds a Telemetry from cfg. The registry is always created; the
-// tracer only when cfg.SampleEvery > 0.
-func New(cfg Config) *Telemetry {
+// NewTelemetry builds a Telemetry from cfg. The registry is always created;
+// the tracer only when cfg.SampleEvery > 0.
+func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 	t := &Telemetry{cfg: cfg, reg: NewRegistry()}
 	if cfg.SampleEvery > 0 {
 		t.tracer = NewTracer(cfg.SampleEvery, cfg.SpanRing)
@@ -53,9 +38,9 @@ func New(cfg Config) *Telemetry {
 }
 
 // Config returns the configuration this Telemetry was built with.
-func (t *Telemetry) Config() Config {
+func (t *Telemetry) Config() TelemetryConfig {
 	if t == nil {
-		return Config{}
+		return TelemetryConfig{}
 	}
 	return t.cfg
 }

@@ -1,4 +1,4 @@
-package obs
+package metrics
 
 import (
 	"bytes"
@@ -200,7 +200,7 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	h := r.Histogram("hhh", "dist", 0, 10, 5)
 	h.Observe(3)
 	h.Observe(math.NaN()) // dropped
-	h.Observe(99)         // clamps into last bucket
+	h.Observe(99)         // above Max: counted, in no finite bucket
 
 	snap := r.Snapshot()
 	names := make([]string, len(snap))
@@ -234,8 +234,8 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 			if m.Hist.Sum != 102 {
 				t.Fatalf("hhh sum = %v, want 102", m.Hist.Sum)
 			}
-			if m.Hist.Buckets[4] != 1 {
-				t.Fatalf("out-of-range observation must clamp: %v", m.Hist.Buckets)
+			if m.Hist.Buckets[1] != 1 || m.Hist.Buckets[4] != 0 {
+				t.Fatalf("3 belongs in (2, 4] and 99 above every bucket: %v", m.Hist.Buckets)
 			}
 		}
 	}
@@ -268,7 +268,7 @@ func TestPrometheusEscapingAndNonFinite(t *testing.T) {
 func TestPrometheusHistogramConventions(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "latency", 0, 1, 4)
-	for _, v := range []float64{0.1, 0.1, 0.4, 0.9, 5} { // 5 clamps to last bucket
+	for _, v := range []float64{0.1, 0.1, 0.4, 0.9, 5} { // 5 > Max: only le="+Inf"
 		h.Observe(v)
 	}
 	var buf bytes.Buffer
@@ -281,7 +281,7 @@ func TestPrometheusHistogramConventions(t *testing.T) {
 		`lat_seconds_bucket{le="0.25"} 2` + "\n", // cumulative
 		`lat_seconds_bucket{le="0.5"} 3` + "\n",
 		`lat_seconds_bucket{le="0.75"} 3` + "\n",
-		`lat_seconds_bucket{le="1"} 5` + "\n",
+		`lat_seconds_bucket{le="1"} 4` + "\n",
 		`lat_seconds_bucket{le="+Inf"} 5` + "\n",
 		"lat_seconds_sum 6.5\n",
 		"lat_seconds_count 5\n",
@@ -325,7 +325,7 @@ func TestPrometheusGolden(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	tel := New(Config{SampleEvery: 1, SpanRing: 64})
+	tel := NewTelemetry(TelemetryConfig{SampleEvery: 1, SpanRing: 64})
 	tr := tel.Tracer()
 	for i := 0; i < 10; i++ {
 		st := Stage(i % NumStages)
@@ -367,7 +367,7 @@ func TestChromeTraceExport(t *testing.T) {
 }
 
 func TestWriteVarsIsValidJSON(t *testing.T) {
-	tel := New(Config{})
+	tel := NewTelemetry(TelemetryConfig{})
 	tel.Registry().Counter("c_total", "counter").Add(5)
 	tel.Registry().GaugeFunc("g_nan", "gauge", func() float64 { return math.NaN() })
 	tel.Registry().Histogram("h", "hist", 0, 1, 2).Observe(0.3)

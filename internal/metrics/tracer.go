@@ -1,4 +1,4 @@
-package obs
+package metrics
 
 import (
 	"sort"
@@ -69,14 +69,6 @@ type spanSlot struct {
 	dur   atomic.Int64
 }
 
-// padCounter is a cache-line-padded atomic counter: the per-stage samplers
-// are incremented on every request by every worker, so each stage gets its
-// own line to avoid false sharing.
-type padCounter struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
 // Tracer records sampled stage timings into a fixed-size lock-free ring.
 // The hot path (StageStart/StageEnd) performs no allocation, takes no lock,
 // and on unsampled requests is a single atomic increment. A nil *Tracer is
@@ -85,7 +77,7 @@ type Tracer struct {
 	epoch       time.Time
 	sampleEvery uint64
 	mask        uint64
-	samplers    [NumStages]padCounter
+	samplers    [NumStages]counterSlot // hit by every worker on every request: one line each
 	agg         [NumStages]struct {
 		count atomic.Uint64
 		sumNs atomic.Int64
@@ -94,7 +86,7 @@ type Tracer struct {
 	ring   []spanSlot
 }
 
-// DefaultSpanRing is the span ring capacity when Config.SpanRing is 0.
+// DefaultSpanRing is the span ring capacity when TelemetryConfig.SpanRing is 0.
 const DefaultSpanRing = 4096
 
 // NewTracer returns a tracer sampling 1 in sampleEvery stage timings into a
@@ -167,14 +159,6 @@ func (t *Tracer) StageTotals() [NumStages]StageAgg {
 		out[i] = StageAgg{Count: t.agg[i].count.Load(), SumNs: t.agg[i].sumNs.Load()}
 	}
 	return out
-}
-
-// SampleEvery returns the tracer's sampling period (0 on a nil tracer).
-func (t *Tracer) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.sampleEvery)
 }
 
 // Snapshot copies the currently valid spans out of the ring, oldest first.

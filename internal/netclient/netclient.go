@@ -56,8 +56,8 @@ import (
 	"time"
 
 	"liveupdate/internal/core"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/netserve"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
 )
@@ -104,7 +104,7 @@ type Config struct {
 
 	// Telemetry, when set, receives the client's fault-tolerance instruments
 	// (liveupdate_client_retries_total, breaker-state gauge, ...).
-	Telemetry *obs.Telemetry
+	Telemetry *metrics.Telemetry
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -311,7 +311,7 @@ func normalizeAddr(addr string) string {
 	return strings.TrimSuffix(addr, "/")
 }
 
-func (c *Client) registerMetrics(reg *obs.Registry) {
+func (c *Client) registerMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}

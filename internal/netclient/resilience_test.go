@@ -13,8 +13,8 @@ import (
 	"liveupdate/internal/core"
 	"liveupdate/internal/driver"
 	"liveupdate/internal/faultnet"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/netserve"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/trace"
 )
 
@@ -193,7 +193,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	tel := obs.New(obs.Config{})
+	tel := metrics.NewTelemetry(metrics.TelemetryConfig{})
 	c, err := Dial(srv.Listener.Addr().String(), Config{
 		Retries:          1000,
 		BackoffBase:      time.Millisecond,

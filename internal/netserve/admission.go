@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"liveupdate/internal/obs"
+	"liveupdate/internal/metrics"
 )
 
 // Admission control for the wire front end: a connection limiter on the
@@ -54,7 +54,7 @@ type Config struct {
 	// Nil means a private registry-only Telemetry: the scrape endpoints
 	// still answer, without stage tracing or pprof. The public API wires
 	// this via liveupdate.WithTelemetry.
-	Telemetry *obs.Telemetry
+	Telemetry *metrics.Telemetry
 }
 
 // Admission defaults.

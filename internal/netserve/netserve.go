@@ -31,7 +31,7 @@ import (
 	"time"
 
 	"liveupdate/internal/core"
-	"liveupdate/internal/obs"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/trace"
 )
 
@@ -72,8 +72,8 @@ type Gateway struct {
 	// tel is never nil (a private registry-only Telemetry is created when
 	// Config.Telemetry is absent), so the observability endpoints always
 	// answer; tracer is nil unless stage tracing was enabled.
-	tel    *obs.Telemetry
-	tracer *obs.Tracer
+	tel    *metrics.Telemetry
+	tracer *metrics.Tracer
 
 	draining  atomic.Bool // set at the top of Close; /readyz flips to 503
 	closeOnce sync.Once
@@ -115,7 +115,7 @@ func New(inner Server, ln net.Listener, cfg Config) (*Gateway, error) {
 	}
 	g.tel = cfg.Telemetry
 	if g.tel == nil {
-		g.tel = obs.New(obs.Config{}) // registry only: scrape endpoints always answer
+		g.tel = metrics.NewTelemetry(metrics.TelemetryConfig{}) // registry only: scrape endpoints always answer
 	}
 	g.tracer = g.tel.Tracer()
 	g.registerWireInstruments()
@@ -194,7 +194,7 @@ func (g *Gateway) registerWireInstruments() {
 
 // Telemetry returns the gateway's observability surface (never nil; a
 // registry-only Telemetry is created when none was configured).
-func (g *Gateway) Telemetry() *obs.Telemetry { return g.tel }
+func (g *Gateway) Telemetry() *metrics.Telemetry { return g.tel }
 
 // Addr returns the listener's address (useful with ":0" listeners).
 func (g *Gateway) Addr() net.Addr { return g.ln.Addr() }
@@ -293,8 +293,8 @@ func (g *Gateway) admit(w http.ResponseWriter, ep *epMetrics) (release func(), o
 	// into an inflight slot record nothing.
 	var waitT0 int64
 	retry, reason := g.gate.enter(
-		func() { ep.queued.Add(1); waitT0 = g.tracer.StageStart(obs.StageQueueWait) },
-		func() { g.tracer.StageEnd(obs.StageQueueWait, waitT0); ep.queued.Add(-1) },
+		func() { ep.queued.Add(1); waitT0 = g.tracer.StageStart(metrics.StageQueueWait) },
+		func() { g.tracer.StageEnd(metrics.StageQueueWait, waitT0); ep.queued.Add(-1) },
 	)
 	if reason != "" {
 		ep.shed.Add(1)

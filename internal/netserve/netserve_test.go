@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -16,7 +17,7 @@ import (
 	"time"
 
 	"liveupdate/internal/core"
-	"liveupdate/internal/obs"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/trace"
 )
 
@@ -182,6 +183,52 @@ func TestServeRejectsBadInput(t *testing.T) {
 				t.Fatalf("status %s, want %d", resp.Status, tc.want)
 			}
 		})
+	}
+}
+
+// TestBodyChecksumGuardsServe holds readBody's integrity check on both serve
+// endpoints: a body whose X-Liveupdate-Crc32 does not match, or is not hex,
+// is refused with 400 before the inner server sees it; a matching checksum
+// or none at all is served.
+func TestBodyChecksumGuardsServe(t *testing.T) {
+	stub := &stubServer{}
+	g := newTestGateway(t, stub, Config{})
+	base := "http://" + g.Addr().String()
+
+	jsonBody, _ := json.Marshal(trace.Sample{Time: 1.5, Dense: []float64{1}, Sparse: [][]int32{{2}}})
+	bodies := map[string][]byte{"/serve": jsonBody, "/serve.bin": AppendBatch(nil, sampleFixture())}
+	for path, body := range bodies {
+		sum := crc32.ChecksumIEEE(body)
+		for _, tc := range []struct {
+			name, crc string
+			want      int
+		}{
+			{"mismatched", strconv.FormatUint(uint64(sum^1), 16), http.StatusBadRequest},
+			{"non-hex", "not-a-crc", http.StatusBadRequest},
+			{"correct", strconv.FormatUint(uint64(sum), 16), http.StatusOK},
+			{"absent", "", http.StatusOK},
+		} {
+			req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.crc != "" {
+				req.Header.Set(BodyChecksumHeader, tc.crc)
+			}
+			before := stub.served.Load()
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", path, tc.name, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("%s with %s checksum: %s, want %d", path, tc.name, resp.Status, tc.want)
+			}
+			if served := stub.served.Load() > before; served != (tc.want == http.StatusOK) {
+				t.Fatalf("%s with %s checksum: inner served=%v", path, tc.name, served)
+			}
+		}
 	}
 }
 
@@ -512,7 +559,7 @@ func TestMetricsAnswerDuringOverload(t *testing.T) {
 // end: Prometheus text on /metrics, expvar JSON on /debug/vars, a
 // Perfetto-loadable trace on /trace, and pprof behind the opt-in.
 func TestObservabilityEndpoints(t *testing.T) {
-	tel := obs.New(obs.Config{SampleEvery: 1, Pprof: true})
+	tel := metrics.NewTelemetry(metrics.TelemetryConfig{SampleEvery: 1, Pprof: true})
 	stub := &stubServer{}
 	g := newTestGateway(t, stub, Config{Telemetry: tel})
 	base := "http://" + g.Addr().String()
@@ -529,7 +576,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 		resp.Body.Close()
 	}
 	tr := tel.Tracer()
-	tr.StageEnd(obs.StageQueueWait, tr.StageStart(obs.StageQueueWait))
+	tr.StageEnd(metrics.StageQueueWait, tr.StageStart(metrics.StageQueueWait))
 
 	get := func(path string) (int, []byte) {
 		t.Helper()

@@ -12,7 +12,6 @@ import (
 	"liveupdate/internal/dlrm"
 	"liveupdate/internal/metrics"
 	"liveupdate/internal/numasim"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/simnet"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
@@ -148,7 +147,7 @@ type Node struct {
 
 	// Trace, when non-nil, records sampled wall-clock forward-stage spans.
 	// A nil tracer no-ops, so the unobserved fast path pays one branch.
-	Trace *obs.Tracer
+	Trace *metrics.Tracer
 
 	// served and violations are atomic so fleet-level code (merged stats,
 	// progress reporting) can read them without taking the owning replica's
@@ -190,9 +189,9 @@ func MustNewNode(cfg NodeConfig, model *dlrm.Model, emb dlrm.EmbeddingSource,
 // pooled forward scratch with zero heap allocations, and is safe concurrently
 // with Commit, Stats reads, and adapter publishes on the same node.
 func (n *Node) Predict(s trace.Sample) float64 {
-	t0 := n.Trace.StageStart(obs.StageForward)
+	t0 := n.Trace.StageStart(metrics.StageForward)
 	p := n.Model.Predict(n.Emb, s.Dense, s.Sparse)
-	n.Trace.StageEnd(obs.StageForward, t0)
+	n.Trace.StageEnd(metrics.StageForward, t0)
 	return p
 }
 
@@ -251,9 +250,9 @@ func (n *Node) PredictBatch(samples []trace.Sample, probs []float64) {
 		v.dense = append(v.dense, samples[i].Dense)
 		v.sparse = append(v.sparse, samples[i].Sparse)
 	}
-	t0 := n.Trace.StageStart(obs.StageForward) // one forward span per batch
+	t0 := n.Trace.StageStart(metrics.StageForward) // one forward span per batch
 	n.Model.PredictBatch(n.Emb, v.dense, v.sparse, probs, nil)
-	n.Trace.StageEnd(obs.StageForward, t0)
+	n.Trace.StageEnd(metrics.StageForward, t0)
 	viewPool.Put(v)
 }
 

@@ -65,10 +65,10 @@ import (
 	"liveupdate/internal/experiments"
 	"liveupdate/internal/faultnet"
 	"liveupdate/internal/fleet"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/netclient"
 	"liveupdate/internal/netserve"
 	"liveupdate/internal/numasim"
-	"liveupdate/internal/obs"
 	"liveupdate/internal/trace"
 	"liveupdate/internal/update"
 )
@@ -293,7 +293,7 @@ type config struct {
 	overrides []func(*core.Options)
 	listener  net.Listener
 	admission AdmissionConfig
-	telemetry *obs.Telemetry
+	telemetry *metrics.Telemetry
 	faultPlan FaultPlan
 }
 
@@ -506,7 +506,7 @@ func WithAdmission(cfg AdmissionConfig) Option {
 // (DriveReport.Stages) when the driven Server carries a tracer.
 func WithTelemetry(cfg TelemetryConfig) Option {
 	return optionFunc(func(c *config) error {
-		c.telemetry = obs.New(cfg)
+		c.telemetry = metrics.NewTelemetry(cfg)
 		return nil
 	})
 }
@@ -514,13 +514,13 @@ func WithTelemetry(cfg TelemetryConfig) Option {
 // TelemetryConfig configures WithTelemetry: SampleEvery traces 1 in N
 // requests per stage (0 disables tracing; the metrics registry is always on),
 // SpanRing sizes the span ring (default 4096), Pprof opts the gateway into
-// /debug/pprof/. See internal/obs.Config for field semantics.
-type TelemetryConfig = obs.Config
+// /debug/pprof/. See internal/metrics.TelemetryConfig for field semantics.
+type TelemetryConfig = metrics.TelemetryConfig
 
 // Telemetry is a Server's observability surface: the metrics registry, the
 // stage tracer, and the export writers (WriteMetrics, WriteVars, WriteTrace).
 // A nil *Telemetry is valid everywhere and means "telemetry off".
-type Telemetry = obs.Telemetry
+type Telemetry = metrics.Telemetry
 
 // DriveStageStat is one pipeline stage's sampled wall-clock timing over a
 // drive, carried in DriveReport.Stages when the driven Server has tracing
@@ -531,7 +531,7 @@ type DriveStageStat = driver.StageStat
 // carries none (constructed without WithTelemetry). Works on every topology:
 // System, Cluster, and Gateway.
 func ServerTelemetry(srv Server) *Telemetry {
-	if p, ok := srv.(interface{ Telemetry() *obs.Telemetry }); ok {
+	if p, ok := srv.(interface{ Telemetry() *metrics.Telemetry }); ok {
 		return p.Telemetry()
 	}
 	return nil

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"liveupdate/internal/obs"
+	"liveupdate/internal/metrics"
 )
 
 // telemetryKey projects the virtual-time statistics the determinism
@@ -124,7 +124,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: WithTelemetry(SampleEvery:1) must expose a tracer", workers)
 		}
 		totals := tel.Tracer().StageTotals()
-		for _, stage := range []obs.Stage{obs.StageRoute, obs.StageForward, obs.StageCommit, obs.StageTrainTick, obs.StageSyncPublish} {
+		for _, stage := range []metrics.Stage{metrics.StageRoute, metrics.StageForward, metrics.StageCommit, metrics.StageTrainTick, metrics.StageSyncPublish} {
 			if totals[stage].Count == 0 {
 				t.Fatalf("workers=%d: stage %q recorded no spans", workers, stage)
 			}
