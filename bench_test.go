@@ -92,8 +92,8 @@ func BenchmarkServeRequest(b *testing.B) {
 }
 
 // BenchmarkServeRequestNoAlloc measures the scoring half of the serving fast
-// path in isolation: the DLRM forward through the LoRA embedding source,
-// running on a pooled forward scratch outside the node's bookkeeping lock.
+// path in isolation: the DLRM forward through the LoRA embedding source, a
+// batch of one on a pooled BatchScratch outside the node's bookkeeping lock.
 // After warmup it performs zero heap allocations per request — CI's
 // alloc-gate step fails the build if allocs/op ever reads above 0.
 func BenchmarkServeRequestNoAlloc(b *testing.B) {

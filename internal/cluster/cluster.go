@@ -597,10 +597,6 @@ func (c *Cluster) ApplyChaos(ev fleet.Event) error {
 	return fmt.Errorf("cluster: unknown chaos action %q", ev.Action)
 }
 
-// FleetStats returns the membership controller's accounting snapshot
-// (member count, join/leave/fail counters, catch-up bill).
-func (c *Cluster) FleetStats() fleet.Stats { return c.fleet.Stats() }
-
 // --- Synchronization ----------------------------------------------------
 
 // syncPipeline drives periodic syncs: serve-path triggers kick it with the

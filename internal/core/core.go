@@ -106,10 +106,11 @@ func (o Options) Validate() error {
 // A System is safe for concurrent use, with the serve hot path split across
 // two locks:
 //
-//   - The DLRM forward (serving.Node.Predict) runs OUTSIDE the node mutex: it
-//     is read-only — adapter state is read through its copy-on-write atomic
-//     publishes (see internal/lora), embedding access counters are atomic —
-//     and allocation-free (a pooled forward scratch per in-flight request).
+//   - The DLRM forward (serving.Node.PredictBatch) runs OUTSIDE the node
+//     mutex: it is read-only — adapter state is read through its
+//     copy-on-write atomic publishes (see internal/lora), embedding access
+//     counters are atomic — and allocation-free (a pooled batch scratch per
+//     in-flight call).
 //     It holds only a read lock on paramMu, the rarely-written parameter
 //     lock, so forwards never block behind another request's bookkeeping, a
 //     Stats snapshot, or an in-flight fleet merge.
@@ -340,30 +341,18 @@ type EndpointStats struct {
 // Serve processes one request through the serving path, interleaving
 // co-located training ticks per the configured cadence. It returns the
 // prediction and request latency; the only error is a sample whose shape
-// does not match the profile (see checkSample).
-//
-// The forward runs before and outside the node mutex (see the System comment
-// for the lock split); only the bookkeeping tail and the training trigger
-// serialize. Because the forward reads no bookkeeping and the tail order per
-// node is unchanged, every virtual-time statistic is bit-identical to the
-// historical fully-locked implementation.
+// does not match the profile (see checkSample). It is a one-sample
+// ServeBatch: the forward, the bookkeeping tail and the tick trigger are
+// the batch's, and so are the stage spans (one forward, one commit, and a
+// train_tick when the request fires one).
 func (s *System) Serve(sample trace.Sample) (Response, error) {
 	if err := s.checkSample(sample); err != nil {
 		return Response{}, err
 	}
-	s.paramMu.RLock()
-	prob := s.Node.Predict(sample)
-	s.paramMu.RUnlock()
-	t0 := s.tracer.StageStart(metrics.StageCommit) // includes mutex wait: contention is the signal
-	s.mu.Lock()
-	latency := s.Node.Commit(sample)
-	s.tracer.StageEnd(metrics.StageCommit, t0)
-	if s.tickDueLocked() {
-		s.tickLocked()
-	}
-	s.mu.Unlock()
-	s.observeServe(latency)
-	return Response{Prob: prob, Latency: latency}, nil
+	samples := [1]trace.Sample{sample}
+	var resps [1]Response
+	s.serveChecked(samples[:], resps[:])
+	return resps[0], nil
 }
 
 // checkSample rejects a sample whose shape the profile does not allow: a
@@ -408,17 +397,22 @@ func (s *System) observeServe(latency float64) {
 }
 
 // ServeBatch serves samples in order on this node — the batch-amortized fast
-// path: all forwards run first through the model's batched GEMM path (one
+// path: all forwards run first through the model's batched GEMM pass (one
 // matrix multiply per MLP layer for the whole batch, zero allocations,
 // bit-identical to per-sample forwards), then one mutex acquisition covers
-// every request's bookkeeping
-// tail, each with its own memory charges, ring push, clock advance, and
-// training trigger at exactly the per-request cadence. Virtual-time
-// statistics are therefore identical to a loop over Serve; only the adapter
-// values a forward observes may be marginally staler (a request scored before
-// an earlier request's training tick — the bounded-staleness window the
-// paper's design embraces). resps must have the same length as samples; it is
-// filled in order.
+// every request's bookkeeping tail, each with its own memory charges, ring
+// push, clock advance, and training trigger at exactly the per-request
+// cadence. Virtual-time statistics are therefore identical to a loop over
+// Serve; only the adapter values a forward observes may be marginally
+// staler (a request scored before an earlier request's training tick — the
+// bounded-staleness window the paper's design embraces). resps must have the
+// same length as samples; it is filled in order.
+//
+// The forward runs before and outside the node mutex, under a read lock on
+// paramMu (see the System comment for the lock split); only the bookkeeping
+// tail and the training trigger serialize. Because the forward reads no
+// bookkeeping and the tail order per node is unchanged, every virtual-time
+// statistic is bit-identical to a fully-locked implementation.
 func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 	if len(resps) != len(samples) {
 		return fmt.Errorf("core: ServeBatch got %d response slots for %d samples", len(resps), len(samples))
@@ -428,25 +422,28 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 			return fmt.Errorf("%w (batch index %d)", err, i)
 		}
 	}
-	if len(samples) == 0 {
-		return nil
+	if len(samples) > 0 {
+		s.serveChecked(samples, resps)
 	}
-	pb := batchProbsPool.Get().(*[]float64)
-	probs := *pb
-	if cap(probs) < len(samples) {
-		probs = make([]float64, len(samples))
-	}
-	probs = probs[:len(samples)]
+	return nil
+}
+
+// serveChecked is the one serve body behind Serve and ServeBatch, for a
+// non-empty batch whose samples passed checkSample.
+func (s *System) serveChecked(samples []trace.Sample, resps []Response) {
+	var probs [forwardChunk]float64
 	s.paramMu.RLock()
-	s.Node.PredictBatch(samples, probs)
-	s.paramMu.RUnlock()
-	for i := range samples {
-		resps[i] = Response{Prob: probs[i]}
+	for lo := 0; lo < len(samples); lo += forwardChunk {
+		part := samples[lo:min(lo+forwardChunk, len(samples))]
+		s.Node.PredictBatch(part, probs[:len(part)])
+		for i := range part {
+			resps[lo+i] = Response{Prob: probs[i]}
+		}
 	}
-	*pb = probs[:0]
-	batchProbsPool.Put(pb)
-	// One commit span per batch, interrupted (closed and reopened) around
-	// each training tick so the tick's cost is reported as its own stage.
+	s.paramMu.RUnlock()
+	// One commit span per batch (it includes the mutex wait: contention is
+	// the signal), closed around each training tick so the tick's cost is
+	// reported as its own stage, and reopened only while samples remain.
 	t0 := s.tracer.StageStart(metrics.StageCommit)
 	s.mu.Lock()
 	for i := range samples {
@@ -454,7 +451,10 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 		if s.tickDueLocked() {
 			s.tracer.StageEnd(metrics.StageCommit, t0)
 			s.tickLocked()
-			t0 = s.tracer.StageStart(metrics.StageCommit)
+			t0 = -1
+			if i+1 < len(samples) {
+				t0 = s.tracer.StageStart(metrics.StageCommit)
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -464,13 +464,11 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 			s.observeServe(resps[i].Latency)
 		}
 	}
-	return nil
 }
 
-// batchProbsPool pools ServeBatch's probability buffers (pointer-to-slice so
-// Put does not allocate). Package-global: concurrent ServeBatch calls each
-// check out their own buffer.
-var batchProbsPool = sync.Pool{New: func() any { b := make([]float64, 0, 64); return &b }}
+// forwardChunk caps the samples one forward pass scores, so the
+// probabilities fit a stack buffer; a longer batch runs several passes.
+const forwardChunk = 64
 
 // tickDueLocked advances the post-request training cadence and reports
 // whether this request fires a tick; callers hold s.mu.

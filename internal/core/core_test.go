@@ -6,6 +6,7 @@ import (
 
 	"liveupdate/internal/dlrm"
 	"liveupdate/internal/emt"
+	"liveupdate/internal/metrics"
 	"liveupdate/internal/numasim"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
@@ -331,6 +332,52 @@ func TestServeBatchValidation(t *testing.T) {
 	}
 	if err := s.ServeBatch(nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestServeCommitSpans: with every span sampled, a ServeBatch whose last
+// commit fires a training tick records one commit span and one train_tick
+// span — no second, empty commit span reopened after the tick — and each
+// Serve records exactly one commit span.
+func TestServeCommitSpans(t *testing.T) {
+	o := testOptions()
+	o.Telemetry = metrics.NewTelemetry(metrics.TelemetryConfig{SampleEvery: 1})
+	s := MustNew(o)
+	tr := o.Telemetry.Tracer()
+	gen := trace.MustNewGenerator(testProfile(), 8)
+	spans := func(serve func()) (commit, tick uint64) {
+		before := tr.StageTotals()
+		serve()
+		after := tr.StageTotals()
+		return after[metrics.StageCommit].Count - before[metrics.StageCommit].Count,
+			after[metrics.StageTrainTick].Count - before[metrics.StageTrainTick].Count
+	}
+	batch := make([]trace.Sample, o.TrainInterval)
+	for i := range batch {
+		batch[i] = gen.Next()
+	}
+	commit, tick := spans(func() {
+		if err := s.ServeBatch(batch, make([]Response, len(batch))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if commit != 1 || tick != 1 {
+		t.Fatalf("ServeBatch of one tick interval: %d commit and %d train_tick spans, want 1 and 1", commit, tick)
+	}
+	ticks := uint64(0)
+	for i := 0; i < 2*o.TrainInterval; i++ {
+		commit, tick := spans(func() {
+			if _, err := s.Serve(gen.Next()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if commit != 1 {
+			t.Fatalf("Serve %d: %d commit spans, want 1", i, commit)
+		}
+		ticks += tick
+	}
+	if ticks != 2 {
+		t.Fatalf("%d Serves recorded %d train_tick spans, want 2", 2*o.TrainInterval, ticks)
 	}
 }
 

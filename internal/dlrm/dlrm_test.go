@@ -34,7 +34,7 @@ func TestLayerForwardLinear(t *testing.T) {
 		B:    []float64{1, -1},
 		ReLU: false,
 	}
-	out := l.Forward([]float64{3, 4}, nil)
+	out := l.Forward([]float64{3, 4}, &LayerCache{})
 	if out[0] != 4 || out[1] != 3 {
 		t.Fatalf("out = %v", out)
 	}
@@ -46,7 +46,7 @@ func TestLayerReLU(t *testing.T) {
 		B:    []float64{0, 0},
 		ReLU: true,
 	}
-	out := l.Forward([]float64{2}, nil)
+	out := l.Forward([]float64{2}, &LayerCache{})
 	if out[0] != 2 || out[1] != 0 {
 		t.Fatalf("relu out = %v", out)
 	}
@@ -55,7 +55,7 @@ func TestLayerReLU(t *testing.T) {
 func TestMLPShapes(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	m := NewMLP(rng, []int{4, 8, 2})
-	out := m.Forward([]float64{1, 2, 3, 4}, nil)
+	out := m.Forward([]float64{1, 2, 3, 4}, &MLPCache{})
 	if len(out) != 2 {
 		t.Fatalf("out len %d", len(out))
 	}
@@ -75,7 +75,7 @@ func TestGradientFiniteDifference(t *testing.T) {
 	label := 1
 
 	lossAt := func() float64 {
-		return BCELossWithLogit(m.Forward(src, dense, sparse, nil), label)
+		return BCELossWithLogit(m.Forward(src, dense, sparse, &ForwardCache{}), label)
 	}
 
 	// Analytic gradient.
@@ -130,6 +130,16 @@ func TestGradientFiniteDifference(t *testing.T) {
 	}
 }
 
+// meanLoss is the samples' mean BCE under the model.
+func meanLoss(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {
+	var cache ForwardCache
+	sum := 0.0
+	for _, s := range samples {
+		sum += BCELossWithLogit(m.Forward(src, s.Dense, s.Sparse, &cache), s.Label)
+	}
+	return sum / float64(len(samples))
+}
+
 func TestTrainingReducesLoss(t *testing.T) {
 	p := trace.Profiles()["criteo"]
 	p.NumTables = 3
@@ -145,9 +155,9 @@ func TestTrainingReducesLoss(t *testing.T) {
 	src := &BaseEmbeddings{Group: emt.NewGroup(cfg.NumTables, p.TableSize, cfg.EmbeddingDim, rng)}
 	tr := &Trainer{Model: m, Emb: src, Opt: SGD{LR: 0.05}, EmbLR: 0.05}
 
-	before := EvaluateLogLoss(m, src, samples)
+	before := meanLoss(m, src, samples)
 	tr.TrainEpochs(samples, 32, 3)
-	after := EvaluateLogLoss(m, src, samples)
+	after := meanLoss(m, src, samples)
 	if after >= before {
 		t.Fatalf("training did not reduce loss: %v -> %v", before, after)
 	}
@@ -171,9 +181,9 @@ func TestAdagradReducesLoss(t *testing.T) {
 	m := MustNewModel(cfg, rng)
 	src := &BaseEmbeddings{Group: emt.NewGroup(cfg.NumTables, p.TableSize, cfg.EmbeddingDim, rng)}
 	tr := &Trainer{Model: m, Emb: src, Opt: Adagrad{LR: 0.05}, EmbLR: 0.05}
-	before := EvaluateLogLoss(m, src, samples)
+	before := meanLoss(m, src, samples)
 	tr.TrainEpochs(samples, 32, 3)
-	after := EvaluateLogLoss(m, src, samples)
+	after := meanLoss(m, src, samples)
 	if after >= before {
 		t.Fatalf("adagrad did not reduce loss: %v -> %v", before, after)
 	}
@@ -205,19 +215,19 @@ func TestModelCloneIndependence(t *testing.T) {
 	c := m.Clone()
 	dense := []float64{1, 1, 1, 1}
 	sparse := [][]int32{{0}, {0}, {0}}
-	before := c.Forward(src, dense, sparse, nil)
+	before := c.Forward(src, dense, sparse, &ForwardCache{})
 	// Train original only.
 	for i := 0; i < 10; i++ {
 		m.TrainStepWith(src, dense, sparse, 1, 0, &ForwardCache{}) // embLR=0: only dense params move
 		SGD{LR: 0.1}.Step(m.Bottom, 1)
 		SGD{LR: 0.1}.Step(m.Top, 1)
 	}
-	after := c.Forward(src, dense, sparse, nil)
+	after := c.Forward(src, dense, sparse, &ForwardCache{})
 	if before != after {
 		t.Fatal("clone weights changed when original trained")
 	}
 	c.CopyWeightsFrom(m)
-	if c.Forward(src, dense, sparse, nil) != m.Forward(src, dense, sparse, nil) {
+	if c.Forward(src, dense, sparse, &ForwardCache{}) != m.Forward(src, dense, sparse, &ForwardCache{}) {
 		t.Fatal("CopyWeightsFrom must make outputs identical")
 	}
 }
@@ -311,72 +321,6 @@ func TestConfigForProfile(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// --- Serving fast path (zero-allocation scratch forward) ---
-
-// TestInferLogitMatchesForward: the scratch-based inference path must score
-// bit-identically to the allocating Forward path, for both embedding sources.
-func TestInferLogitMatchesForward(t *testing.T) {
-	m, b := newSetup(5)
-	sc := m.NewScratch()
-	sparse := [][]int32{{1, 7}, {3}, {9, 11, 2}}
-	dense := []float64{0.5, -1, 2, 0.25}
-	for i := 0; i < 50; i++ {
-		dense[0] = float64(i) * 0.1
-		sparse[0][0] = int32(i % 50)
-		logit := m.Forward(b, dense, sparse, nil)
-		want := Sigmoid(logit)
-		if got := m.InferLogit(b, dense, sparse, sc); got != logit {
-			t.Fatalf("iter %d: InferLogit = %v, Forward = %v", i, got, logit)
-		}
-		if got := m.Predict(b, dense, sparse); got != want {
-			t.Fatalf("iter %d: Predict = %v, Forward = %v", i, got, want)
-		}
-	}
-}
-
-// TestPredictZeroAlloc asserts the acceptance criterion directly: the Predict
-// fast path (pooled scratch) and InferLogit (caller scratch) perform zero
-// heap allocations per call.
-func TestPredictZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	m, b := newSetup(6)
-	sc := m.NewScratch()
-	sparse := [][]int32{{1, 7}, {3}, {9, 11, 2}}
-	dense := []float64{0.5, -1, 2, 0.25}
-	if n := testing.AllocsPerRun(200, func() { m.InferLogit(b, dense, sparse, sc) }); n != 0 {
-		t.Fatalf("InferLogit allocates %v per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { m.Predict(b, dense, sparse) }); n != 0 {
-		t.Fatalf("Predict allocates %v per run, want 0", n)
-	}
-}
-
-func TestPredictBatch(t *testing.T) {
-	m, b := newSetup(7)
-	const n = 16
-	dense := make([][]float64, n)
-	sparse := make([][][]int32, n)
-	for i := range dense {
-		dense[i] = []float64{float64(i), 1, -1, 0.5}
-		sparse[i] = [][]int32{{int32(i)}, {int32(2 * i)}, {int32(i), int32(i + 1)}}
-	}
-	out := make([]float64, n)
-	m.PredictBatch(b, dense, sparse, out, nil)
-	for i := range out {
-		if want := m.Predict(b, dense[i], sparse[i]); out[i] != want {
-			t.Fatalf("batch[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	m.PredictBatch(b, dense[:2], sparse, out, nil)
 }
 
 // TestForwardCacheInputNotAliased is the batched-reuse regression test: a

@@ -1,0 +1,105 @@
+package dlrm
+
+import (
+	"math"
+	"testing"
+
+	"liveupdate/internal/emt"
+	"liveupdate/internal/lora"
+	"liveupdate/internal/tensor"
+	"liveupdate/internal/trace"
+)
+
+// inferSources returns the two embedding sources the inference matrix scores
+// through, over one base group: the base tables themselves, and a LoRA Set
+// whose adapters were trained (dense layers frozen) until they hold hot rows.
+func inferSources(t *testing.T, m *Model, samples []trace.Sample) map[string]EmbeddingSource {
+	t.Helper()
+	cfg := m.Cfg
+	group := emt.NewGroup(cfg.NumTables, 50, cfg.EmbeddingDim, tensor.NewRNG(43))
+	set := lora.MustNewSet(group, lora.DefaultConfig(50, cfg.EmbeddingDim))
+	tr := &Trainer{Model: m, Emb: set, EmbLR: 0.05}
+	tr.TrainEpochs(samples, 16, 2)
+	for i, a := range set.Adapters {
+		if a.ActiveCount() == 0 {
+			t.Fatalf("LoRA table %d has no hot rows after training", i)
+		}
+	}
+	return map[string]EmbeddingSource{"base": &BaseEmbeddings{Group: group}, "lora": set}
+}
+
+// TestPredictBatchMatrix is the inference pass's equivalence matrix. For
+// every batch size, quantization mode and embedding source:
+//   - with float weights, each row's logit is the training Forward's, bit
+//     for bit;
+//   - each row of PredictBatch — on the pool or on a caller's scratch — of
+//     PredictSamples and of EvaluateAUC's chunked scoring is the
+//     batch-of-one Predict's probability, bit for bit;
+//   - Predict, PredictBatch and PredictSamples allocate nothing once the
+//     pool is warm.
+func TestPredictBatchMatrix(t *testing.T) {
+	sizes := []int{1, 2, 3, 15, 16, 17, 33, 65}
+	const maxB = 65
+	m, _ := newSetup(40)
+	p := trace.Profiles()["criteo"]
+	p.NumTables, p.TableSize, p.NumDense, p.MultiHot = 3, 50, 4, []int{1, 2, 3}
+	samples := trace.MustNewGenerator(p, 42).Batch(maxB, 60)
+	dense, sparse := make([][]float64, maxB), make([][][]int32, maxB)
+	for i, s := range samples {
+		dense[i], sparse[i] = s.Dense, s.Sparse
+	}
+	for name, src := range inferSources(t, m, samples) {
+		for _, mode := range QuantModes() {
+			if err := m.SetQuantization(mode); err != nil {
+				t.Fatal(err)
+			}
+			one := make([]float64, maxB)
+			for i := range one {
+				one[i] = m.Predict(src, dense[i], sparse[i])
+			}
+			var cache ForwardCache
+			for _, b := range sizes {
+				bs := m.NewBatchScratch(b)
+				logits := make([]float64, b)
+				m.logitsInto(src, dense[:b], sparse[:b], logits, bs)
+				pooled, owned, bySample, chunked := make([]float64, b), make([]float64, b), make([]float64, b), make([]float64, b)
+				m.PredictBatch(src, dense[:b], sparse[:b], pooled, nil)
+				m.PredictBatch(src, dense[:b], sparse[:b], owned, bs)
+				m.PredictSamples(src, samples[:b], bySample)
+				m.sampleLogits(src, samples[:b], chunked, 16) // EvaluateAUC's chunked passes
+				for i := 0; i < b; i++ {
+					if mode == QuantNone {
+						want := m.Forward(src, dense[i], sparse[i], &cache)
+						if math.Float64bits(logits[i]) != math.Float64bits(want) {
+							t.Fatalf("%s/%s b=%d row %d: batched logit %v, Forward %v", name, mode, b, i, logits[i], want)
+						}
+					}
+					for _, got := range []float64{pooled[i], owned[i], bySample[i], Sigmoid(logits[i]), Sigmoid(chunked[i])} {
+						if math.Float64bits(got) != math.Float64bits(one[i]) {
+							t.Fatalf("%s/%s b=%d row %d: batched %v, Predict %v", name, mode, b, i, got, one[i])
+						}
+					}
+				}
+			}
+			if raceEnabled {
+				continue // allocation counts are not meaningful under the race detector
+			}
+			out := make([]float64, maxB)
+			if a := testing.AllocsPerRun(100, func() { m.Predict(src, dense[0], sparse[0]) }); a != 0 {
+				t.Errorf("%s/%s: Predict allocates %v per run, want 0", name, mode, a)
+			}
+			if a := testing.AllocsPerRun(100, func() { m.PredictBatch(src, dense, sparse, out, nil) }); a != 0 {
+				t.Errorf("%s/%s: PredictBatch allocates %v per run, want 0", name, mode, a)
+			}
+			if a := testing.AllocsPerRun(100, func() { m.PredictSamples(src, samples, out) }); a != 0 {
+				t.Errorf("%s/%s: PredictSamples allocates %v per run, want 0", name, mode, a)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	m.PredictBatch(&BaseEmbeddings{}, dense[:2], sparse, make([]float64, maxB), nil)
+}

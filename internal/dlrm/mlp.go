@@ -38,10 +38,9 @@ func NewLayer(rng *tensor.RNG, in, out int, relu bool) *Layer {
 	}
 }
 
-// Forward computes the layer output and, when cache is non-nil, stores the
-// input and pre-activation needed for Backward. The input is copied into the
-// cache (reusing its buffer), so callers may overwrite x — e.g. a batched
-// serving loop reusing one scratch buffer — between Forward and Backward
+// Forward computes the layer output and stores the input and pre-activation
+// needed for Backward in cache. The input is copied into the cache (reusing
+// its buffer), so callers may overwrite x between Forward and Backward
 // without corrupting backpropagation.
 func (l *Layer) Forward(x []float64, cache *LayerCache) []float64 {
 	return l.forward(x, cache, true)
@@ -50,28 +49,19 @@ func (l *Layer) Forward(x []float64, cache *LayerCache) []float64 {
 // forward is Forward with the input copy optional: only the weight gradient
 // reads it, so a frozen stack (MLPCache.frozen) forwards without.
 func (l *Layer) forward(x []float64, cache *LayerCache, keepInput bool) []float64 {
-	var pre []float64
-	if cache != nil {
-		cache.Pre = growFloats(cache.Pre, l.Out())
-		pre = cache.Pre
-	} else {
-		pre = make([]float64, l.Out())
-	}
+	cache.Pre = growFloats(cache.Pre, l.Out())
+	pre := cache.Pre
 	tensor.MatVecInto(pre, l.W, x)
 	for i := range pre {
 		pre[i] += l.B[i]
 	}
 	out := pre
 	if l.ReLU {
-		if cache != nil {
-			cache.out = growFloats(cache.out, l.Out())
-			out = cache.out
-		} else {
-			out = make([]float64, len(pre))
-		}
+		cache.out = growFloats(cache.out, l.Out())
+		out = cache.out
 		tensor.ReLUInto(out, pre)
 	}
-	if cache != nil && keepInput {
+	if keepInput {
 		cache.Input = append(cache.Input[:0], x...)
 	}
 	return out
@@ -189,55 +179,26 @@ type MLPCache struct {
 	frozen bool // Forward keeps no layer inputs: only backwardInput may follow
 }
 
-// Forward runs the stack, filling cache when non-nil.
+// Forward runs the stack, filling cache for Backward.
 func (m *MLP) Forward(x []float64, cache *MLPCache) []float64 {
-	if cache != nil && len(cache.layers) != len(m.Layers) {
+	if len(cache.layers) != len(m.Layers) {
 		cache.layers = make([]LayerCache, len(m.Layers))
 	}
 	out := x
 	for i, l := range m.Layers {
-		var lc *LayerCache
-		if cache != nil {
-			lc = &cache.layers[i]
-		}
-		out = l.forward(out, lc, cache == nil || !cache.frozen)
+		out = l.forward(out, &cache.layers[i], !cache.frozen)
 	}
 	return out
 }
 
-// MLPScratch holds one output buffer per layer for allocation-free inference
-// (InferInto). A scratch belongs to exactly one forward pass at a time; see
-// Model.ForwardScratch for the ownership rules.
-type MLPScratch struct {
-	acts [][]float64
-	qx   []int8 // per-layer activation quantization buffer (int8 path)
-}
-
-// NewScratch allocates an inference scratch sized for this MLP. The scratch
-// also carries the int8 activation buffer, so the same scratch drives both
-// the float and quantized inference paths.
-func (m *MLP) NewScratch() *MLPScratch {
-	s := &MLPScratch{acts: make([][]float64, len(m.Layers))}
-	maxIn := 0
-	for i, l := range m.Layers {
-		s.acts[i] = make([]float64, l.Out())
-		if l.In() > maxIn {
-			maxIn = l.In()
-		}
-	}
-	s.qx = make([]int8, maxIn)
-	return s
-}
-
 // MLPBatchScratch holds one activation matrix per layer (capacity rows ×
-// layer width) for batched inference, plus a per-row scratch for inference
-// paths that cannot be expressed as a GEMM (the quantized kernel quantizes
-// each activation row individually). One batch scratch serves one
+// layer width) for batched inference, plus the int8 activation buffer the
+// quantized kernel fills one row at a time. One batch scratch serves one
 // InferBatchInto call at a time.
 type MLPBatchScratch struct {
 	maxB int
 	acts []tensor.Matrix
-	row  *MLPScratch
+	qx   []int8
 }
 
 // NewBatchScratch allocates a batch scratch for up to maxB samples.
@@ -245,68 +206,65 @@ func (m *MLP) NewBatchScratch(maxB int) *MLPBatchScratch {
 	if maxB < 1 {
 		maxB = 1
 	}
-	s := &MLPBatchScratch{
-		maxB: maxB,
-		acts: make([]tensor.Matrix, len(m.Layers)),
-		row:  m.NewScratch(),
+	s := &MLPBatchScratch{maxB: maxB, acts: make([]tensor.Matrix, len(m.Layers))}
+	width, maxIn := 0, 0
+	for _, l := range m.Layers {
+		width += l.Out()
+		maxIn = max(maxIn, l.In())
 	}
+	slab := make([]float64, maxB*width) // one allocation for every layer
 	for i, l := range m.Layers {
-		s.acts[i] = tensor.Matrix{Rows: maxB, Cols: l.Out(), Data: make([]float64, maxB*l.Out())}
+		s.acts[i] = tensor.Matrix{Rows: maxB, Cols: l.Out(), Data: carve(&slab, maxB*l.Out())}
 	}
+	s.qx = make([]int8, maxIn)
 	return s
 }
 
 // InferBatchInto runs x.Rows samples (one per row) through the stack with one
-// GEMM per layer instead of a matvec per sample: each layer computes
-// X·Wᵀ + b via MatMulTransInto into its scratch matrix. Per output element
-// the GEMM accumulates columns in the same order as MatVecInto, so batched
-// results are bit-identical to per-sample InferInto. The returned matrix
-// aliases scratch storage, valid until the scratch's next use.
+// GEMM per layer: each layer computes X·Wᵀ + b via MatMulTransInto into its
+// scratch matrix. Per output element the GEMM accumulates columns in the same
+// order as MatVecInto (one row falls through to it), so every row is
+// bit-identical to the training Forward's. The returned matrix aliases
+// scratch storage, valid until the scratch's next use.
 func (m *MLP) InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix {
-	if x.Rows > s.maxB {
-		panic(fmt.Sprintf("dlrm: batch %d exceeds scratch capacity %d", x.Rows, s.maxB))
-	}
+	checkBatch(x, s)
 	out := x
 	for i, l := range m.Layers {
 		act := &s.acts[i]
 		act.Rows = x.Rows
 		tensor.MatMulTransInto(act, out, l.W)
 		for r := 0; r < act.Rows; r++ {
-			row := act.Row(r)
-			for j := range row {
-				row[j] += l.B[j]
-			}
-			if l.ReLU {
-				tensor.ReLUInPlace(row)
-			}
+			biasAct(act.Row(r), l.B, l.ReLU)
 		}
 		out = act
 	}
 	return out
 }
 
-// InferInto runs the stack through the scratch's per-layer buffers with zero
-// allocations: each layer computes Wx+b into its scratch row (MatVecInto) and
-// applies ReLU in place. The returned slice aliases the scratch's last buffer
-// and is valid until the scratch's next use. Inference only — no cache is
-// filled, so it cannot feed Backward.
-func (m *MLP) InferInto(x []float64, s *MLPScratch) []float64 {
-	if len(s.acts) != len(m.Layers) {
-		panic(fmt.Sprintf("dlrm: scratch has %d layer buffers, MLP has %d layers", len(s.acts), len(m.Layers)))
+// carve cuts the next n elements off *slab, capacity-capped so an append
+// on the piece cannot spill into its neighbour.
+func carve(slab *[]float64, n int) []float64 {
+	piece := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return piece
+}
+
+// checkBatch panics when x has more rows than the scratch holds.
+func checkBatch(x *tensor.Matrix, s *MLPBatchScratch) {
+	if x.Rows > s.maxB {
+		panic(fmt.Sprintf("dlrm: batch %d exceeds scratch capacity %d", x.Rows, s.maxB))
 	}
-	out := x
-	for i, l := range m.Layers {
-		buf := s.acts[i]
-		tensor.MatVecInto(buf, l.W, out)
-		for j := range buf {
-			buf[j] += l.B[j]
-		}
-		if l.ReLU {
-			tensor.ReLUInPlace(buf)
-		}
-		out = buf
+}
+
+// biasAct adds the bias b to one output row and applies the ReLU in place
+// when relu is set.
+func biasAct(row, b []float64, relu bool) {
+	for j := range row {
+		row[j] += b[j]
 	}
-	return out
+	if relu {
+		tensor.ReLUInPlace(row)
+	}
 }
 
 // Backward backpropagates dOut through the stack, accumulating gradients,

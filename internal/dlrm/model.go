@@ -7,6 +7,7 @@ import (
 
 	"liveupdate/internal/emt"
 	"liveupdate/internal/tensor"
+	"liveupdate/internal/trace"
 )
 
 // EmbeddingSource abstracts where pooled embeddings come from and where their
@@ -105,12 +106,9 @@ type Model struct {
 	Bottom *MLP
 	Top    *MLP
 
-	// scratch pools ForwardScratch values for the allocation-free Predict
-	// fast path. Acquire/Release cycle through it; Predict itself is safe for
-	// concurrent callers because every call checks out its own scratch.
-	scratch sync.Pool
-
-	// batch pools BatchScratch values for the PredictBatch GEMM path.
+	// batch pools BatchScratch values for the inference pass. Predict and
+	// PredictBatch are safe for concurrent callers because every call checks
+	// out its own scratch.
 	batch sync.Pool
 
 	// qmode selects the published inference weight format; quant holds the
@@ -224,8 +222,10 @@ type ForwardCache struct {
 	dInterT  []float64   // one feature's interaction gradients, by partner
 }
 
-// Forward computes the click logit for one example. When cache is non-nil it
-// is filled for a subsequent Backward call.
+// Forward is the training forward: it computes the click logit for one
+// example and fills cache for a subsequent Backward call. Inference scores
+// through the batched pass (Predict, PredictBatch), which returns the same
+// logit bit for bit with float weights.
 func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, cache *ForwardCache) float64 {
 	cfg := m.Cfg
 	if len(dense) != cfg.NumDense {
@@ -234,158 +234,56 @@ func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, 
 	if len(sparse) != cfg.NumTables {
 		panic(fmt.Sprintf("dlrm: sparse tables %d != %d", len(sparse), cfg.NumTables))
 	}
-	var bc *MLPCache
-	if cache != nil {
-		bc = &cache.bottom
-		cache.bottom.frozen, cache.top.frozen = cache.frozen, cache.frozen
-	}
-	z := m.Bottom.Forward(dense, bc)
+	cache.bottom.frozen, cache.top.frozen = cache.frozen, cache.frozen
+	z := m.Bottom.Forward(dense, &cache.bottom)
 
-	d := cfg.EmbeddingDim
-	var features [][]float64
-	if cache != nil {
-		if len(cache.features) != cfg.NumTables+1 {
-			cache.features = make([][]float64, cfg.NumTables+1)
-			cache.featM = *tensor.NewMatrix(cfg.NumTables+1, d)
-			for t := range cache.features {
-				cache.features[t] = cache.featM.Row(t)
-			}
+	if len(cache.features) != cfg.NumTables+1 {
+		cache.features = make([][]float64, cfg.NumTables+1)
+		cache.featM = *tensor.NewMatrix(cfg.NumTables+1, cfg.EmbeddingDim)
+		for t := range cache.features {
+			cache.features[t] = cache.featM.Row(t)
 		}
-		features = cache.features
-		// The backward pass reads the features as one matrix, so f_0 is
-		// copied in rather than aliased.
-		copy(features[0], z)
-	} else {
-		features = make([][]float64, cfg.NumTables+1)
-		for t := 0; t < cfg.NumTables; t++ {
-			features[t+1] = make([]float64, d)
-		}
-		features[0] = z
 	}
+	features := cache.features
+	// The backward pass reads the features as one matrix, so f_0 is copied
+	// in rather than aliased.
+	copy(features[0], z)
 	for t := 0; t < cfg.NumTables; t++ {
 		src.Lookup(t, sparse[t], features[t+1])
 	}
+	cache.topIn = appendInteractions(append(cache.topIn[:0], z...), features)
+	cache.sparse = sparse
+	return m.Top.Forward(cache.topIn, &cache.top)[0]
+}
 
-	var topIn []float64
-	if cache != nil {
-		topIn = cache.topIn[:0]
-	} else {
-		topIn = make([]float64, 0, d+cfg.InteractionCount())
-	}
-	topIn = append(topIn, z...)
+// appendInteractions appends the pairwise dot products ⟨f_i, f_j⟩, i < j, of
+// the features to dst, row by row of the upper triangle.
+func appendInteractions(dst []float64, features [][]float64) []float64 {
 	for i := 0; i < len(features); i++ {
 		for j := i + 1; j < len(features); j++ {
-			topIn = append(topIn, tensor.Dot(features[i], features[j]))
+			dst = append(dst, tensor.Dot(features[i], features[j]))
 		}
 	}
-
-	var tc *MLPCache
-	if cache != nil {
-		tc = &cache.top
-		cache.topIn = topIn
-		cache.sparse = sparse
-	}
-	out := m.Top.Forward(topIn, tc)
-	return out[0]
+	return dst
 }
 
-// ForwardScratch owns every buffer one inference forward pass touches: the
-// per-layer MLP activations, the gathered (pooled) embedding rows, the
-// interaction-feature view, and the top-MLP input. Reusing a scratch across
-// requests makes InferLogit allocation-free.
-//
-// Ownership rules: a scratch serves one forward pass at a time — it is NOT
-// safe for concurrent use; callers either thread their own (NewScratch /
-// AcquireScratch+ReleaseScratch) through a serialized serving loop, or call
-// Predict, which checks a pooled scratch out per call. All result slices
-// handed out during a pass alias scratch storage and are invalidated by the
-// next pass.
-type ForwardScratch struct {
-	bottom *MLPScratch
-	top    *MLPScratch
-
-	// features[0] aliases the bottom MLP output; features[1..T] are the
-	// pooled embedding gather buffers, backed by embBuf.
-	features [][]float64
-	embBuf   []float64
-	topIn    []float64
-}
-
-// NewScratch allocates a forward scratch sized for this model. The scratch is
-// tied to the model's architecture; using it with a different model panics in
-// the underlying shape checks.
-func (m *Model) NewScratch() *ForwardScratch {
-	cfg := m.Cfg
-	sc := &ForwardScratch{
-		bottom:   m.Bottom.NewScratch(),
-		top:      m.Top.NewScratch(),
-		features: make([][]float64, cfg.NumTables+1),
-		embBuf:   make([]float64, cfg.NumTables*cfg.EmbeddingDim),
-		topIn:    make([]float64, 0, cfg.EmbeddingDim+cfg.InteractionCount()),
-	}
-	for t := 0; t < cfg.NumTables; t++ {
-		sc.features[t+1] = sc.embBuf[t*cfg.EmbeddingDim : (t+1)*cfg.EmbeddingDim]
-	}
-	return sc
-}
-
-// AcquireScratch checks a scratch out of the model's pool (allocating one
-// only when the pool is empty). Pair with ReleaseScratch.
-func (m *Model) AcquireScratch() *ForwardScratch {
-	if sc, ok := m.scratch.Get().(*ForwardScratch); ok {
-		return sc
-	}
-	return m.NewScratch()
-}
-
-// ReleaseScratch returns a scratch to the pool for reuse.
-func (m *Model) ReleaseScratch(sc *ForwardScratch) { m.scratch.Put(sc) }
-
-// forwardInto is the inference-only forward pass through caller-owned
-// buffers: bottom MLP (in-place ReLU), embedding gather into the scratch's
-// feature rows, pairwise dot-product interactions appended into the top-input
-// buffer, top MLP. It performs zero heap allocations and fills no
-// backpropagation cache.
-func (m *Model) forwardInto(src EmbeddingSource, dense []float64, sparse [][]int32, sc *ForwardScratch) float64 {
-	cfg := m.Cfg
-	if len(dense) != cfg.NumDense {
-		panic(fmt.Sprintf("dlrm: dense len %d != %d", len(dense), cfg.NumDense))
-	}
-	if len(sparse) != cfg.NumTables {
-		panic(fmt.Sprintf("dlrm: sparse tables %d != %d", len(sparse), cfg.NumTables))
-	}
-	bottom, top := m.inferencers()
-	z := bottom.InferInto(dense, sc.bottom)
-	sc.features[0] = z
-	for t := 0; t < cfg.NumTables; t++ {
-		src.Lookup(t, sparse[t], sc.features[t+1])
-	}
-	topIn := append(sc.topIn[:0], z...)
-	features := sc.features
-	for i := 0; i < len(features); i++ {
-		for j := i + 1; j < len(features); j++ {
-			topIn = append(topIn, tensor.Dot(features[i], features[j]))
-		}
-	}
-	out := top.InferInto(topIn, sc.top)
-	return out[0]
-}
-
-// Predict returns the click probability for one example. This is the serving
-// fast path: it runs through a pooled ForwardScratch and performs zero heap
-// allocations in steady state (verified by TestPredictZeroAlloc and gated in
-// CI by BenchmarkServeRequestNoAlloc).
+// Predict returns the click probability for one example: a batch of one
+// through the inference pass on a pooled BatchScratch. It performs zero heap
+// allocations in steady state (TestPredictBatchMatrix; gated in CI by
+// BenchmarkServeRequestNoAlloc).
 func (m *Model) Predict(src EmbeddingSource, dense []float64, sparse [][]int32) float64 {
-	sc := m.AcquireScratch()
-	p := Sigmoid(m.forwardInto(src, dense, sparse, sc))
-	m.ReleaseScratch(sc)
-	return p
+	sample := [1]trace.Sample{{Dense: dense, Sparse: sparse}}
+	var logit [1]float64
+	m.sampleLogits(src, sample[:], logit[:], 1)
+	return Sigmoid(logit[0])
 }
 
-// BatchScratch owns every buffer one batched inference pass touches: the
-// packed dense input matrix, per-layer batch activations for both MLPs, the
-// per-sample embedding gather rows, and the packed top-MLP input matrix.
-// Like ForwardScratch it serves one pass at a time; Model pools them.
+// BatchScratch owns every buffer one inference pass touches: the packed
+// dense input matrix, per-layer batch activations for both MLPs, the
+// per-sample embedding gather rows, the packed top-MLP input matrix, and
+// view arrays for callers that score samples by reference. A scratch serves
+// one pass at a time and is not safe for concurrent use; results alias its
+// storage until its next pass. Model pools them.
 type BatchScratch struct {
 	maxB   int
 	bottom *MLPBatchScratch
@@ -394,39 +292,43 @@ type BatchScratch struct {
 	topInM tensor.Matrix // maxB × (d + interactions) packed top inputs
 
 	// features[0] aliases one bottom-output row per sample; features[1..T]
-	// are the pooled embedding gather buffers, backed by embBuf and reused
-	// across the batch's samples.
+	// are the pooled embedding gather buffers, reused across the batch's
+	// samples.
 	features [][]float64
-	embBuf   []float64
+
+	// dense and sparse are maxB-long views onto the caller's samples (no
+	// feature data is copied), filled by sampleLogits.
+	dense  [][]float64
+	sparse [][][]int32
 }
 
 // NewBatchScratch allocates a batch scratch for up to maxB samples.
 func (m *Model) NewBatchScratch(maxB int) *BatchScratch {
-	if maxB < 1 {
-		maxB = 1
-	}
+	maxB = max(maxB, 1)
 	cfg := m.Cfg
-	topW := cfg.EmbeddingDim + cfg.InteractionCount()
+	d, topW := cfg.EmbeddingDim, cfg.EmbeddingDim+cfg.InteractionCount()
+	slab := make([]float64, maxB*(cfg.NumDense+topW)+cfg.NumTables*d)
 	bs := &BatchScratch{
 		maxB:     maxB,
 		bottom:   m.Bottom.NewBatchScratch(maxB),
 		top:      m.Top.NewBatchScratch(maxB),
-		denseM:   tensor.Matrix{Rows: maxB, Cols: cfg.NumDense, Data: make([]float64, maxB*cfg.NumDense)},
-		topInM:   tensor.Matrix{Rows: maxB, Cols: topW, Data: make([]float64, maxB*topW)},
+		denseM:   tensor.Matrix{Rows: maxB, Cols: cfg.NumDense, Data: carve(&slab, maxB*cfg.NumDense)},
+		topInM:   tensor.Matrix{Rows: maxB, Cols: topW, Data: carve(&slab, maxB*topW)},
 		features: make([][]float64, cfg.NumTables+1),
-		embBuf:   make([]float64, cfg.NumTables*cfg.EmbeddingDim),
+		dense:    make([][]float64, maxB),
+		sparse:   make([][][]int32, maxB),
 	}
-	for t := 0; t < cfg.NumTables; t++ {
-		bs.features[t+1] = bs.embBuf[t*cfg.EmbeddingDim : (t+1)*cfg.EmbeddingDim]
+	for t := 1; t <= cfg.NumTables; t++ {
+		bs.features[t] = carve(&slab, d)
 	}
 	return bs
 }
 
-// AcquireBatchScratch checks a batch scratch with capacity ≥ b out of the
-// model's pool, allocating (with capacity rounded up to a power of two) when
-// the pool is empty or its scratch is too small. Pair with
-// ReleaseBatchScratch.
-func (m *Model) AcquireBatchScratch(b int) *BatchScratch {
+// acquireBatchScratch checks a batch scratch with capacity ≥ b out of the
+// model's pool, allocating (with capacity rounded up to a power of two, at
+// least 16) when the pool is empty or its scratch is too small. Callers put
+// it back with m.batch.Put, with its sample views cleared.
+func (m *Model) acquireBatchScratch(b int) *BatchScratch {
 	if bs, ok := m.batch.Get().(*BatchScratch); ok && bs.maxB >= b {
 		return bs
 	}
@@ -437,42 +339,69 @@ func (m *Model) AcquireBatchScratch(b int) *BatchScratch {
 	return m.NewBatchScratch(capB)
 }
 
-// ReleaseBatchScratch returns a batch scratch to the pool for reuse.
-func (m *Model) ReleaseBatchScratch(bs *BatchScratch) { m.batch.Put(bs) }
-
 // PredictBatch scores len(out) examples, writing click probabilities into
-// out. dense, sparse, and out must have equal lengths.
-//
-// With sc == nil (the fast path) the batch runs through a pooled
-// BatchScratch: the dense rows are packed into one matrix and each MLP runs
-// one GEMM over the whole batch instead of a matvec per sample. The GEMM
-// accumulates in the same order as the per-sample kernels, so results are
-// bit-identical to calling Predict in a loop (TestPredictBatch). Passing a
-// caller-owned ForwardScratch keeps the legacy per-sample loop.
-func (m *Model) PredictBatch(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64, sc *ForwardScratch) {
+// out. dense, sparse, and out must have equal lengths. The batch runs
+// through bs — a caller-owned scratch of capacity ≥ len(out) — or, when bs
+// is nil, a pooled one: each MLP runs one GEMM over the whole batch, and the
+// results are bit-identical to calling Predict in a loop.
+func (m *Model) PredictBatch(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
 	if len(dense) != len(out) || len(sparse) != len(out) {
 		panic(fmt.Sprintf("dlrm: PredictBatch lengths dense=%d sparse=%d out=%d",
 			len(dense), len(sparse), len(out)))
 	}
-	if sc != nil {
-		for i := range out {
-			out[i] = Sigmoid(m.forwardInto(src, dense[i], sparse[i], sc))
-		}
-		return
-	}
 	if len(out) == 0 {
 		return
 	}
-	bs := m.AcquireBatchScratch(len(out))
-	m.predictBatchInto(src, dense, sparse, out, bs)
-	m.ReleaseBatchScratch(bs)
+	if bs == nil {
+		bs = m.acquireBatchScratch(len(out))
+		defer m.batch.Put(bs)
+	}
+	m.logitsInto(src, dense, sparse, out, bs)
+	for i, l := range out {
+		out[i] = Sigmoid(l)
+	}
 }
 
-// predictBatchInto is the batched inference pass through a caller-owned
-// batch scratch: pack dense rows → one bottom GEMM → per-sample embedding
-// gather + interactions packed into the top-input matrix → one top GEMM.
-// Zero heap allocations.
-func (m *Model) predictBatchInto(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
+// PredictSamples is PredictBatch over samples by reference: it writes their
+// click probabilities into out (len(out) == len(samples)) through one pooled
+// scratch, bit-identical to Predict per sample.
+func (m *Model) PredictSamples(src EmbeddingSource, samples []trace.Sample, out []float64) {
+	if len(out) != len(samples) {
+		panic(fmt.Sprintf("dlrm: PredictSamples out len %d != samples len %d", len(out), len(samples)))
+	}
+	m.sampleLogits(src, samples, out, len(samples))
+	for i, l := range out {
+		out[i] = Sigmoid(l)
+	}
+}
+
+// sampleLogits scores samples into out as raw logits, in passes of at most
+// chunk samples through the scratch's view arrays on one pooled scratch.
+func (m *Model) sampleLogits(src EmbeddingSource, samples []trace.Sample, out []float64, chunk int) {
+	if len(samples) == 0 {
+		return
+	}
+	chunk = min(chunk, len(samples))
+	bs := m.acquireBatchScratch(chunk)
+	for lo := 0; lo < len(samples); lo += chunk {
+		part := samples[lo:min(lo+chunk, len(samples))]
+		for i, s := range part {
+			bs.dense[i], bs.sparse[i] = s.Dense, s.Sparse
+		}
+		n := len(part)
+		m.logitsInto(src, bs.dense[:n], bs.sparse[:n], out[lo:lo+n], bs)
+	}
+	clear(bs.dense[:chunk]) // the pool pins no caller data
+	clear(bs.sparse[:chunk])
+	m.batch.Put(bs)
+}
+
+// logitsInto is the one inference forward: it scores len(out) ≤ bs.maxB
+// examples into out as raw logits — pack dense rows → one bottom GEMM →
+// per-sample embedding gather + interactions packed into the top-input
+// matrix → one top GEMM — through the published (float or quantized)
+// weights. Zero heap allocations; it fills no backpropagation cache.
+func (m *Model) logitsInto(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
 	cfg := m.Cfg
 	b := len(out)
 	bottom, top := m.inferencers()
@@ -496,16 +425,11 @@ func (m *Model) predictBatchInto(src EmbeddingSource, dense [][]float64, sparse 
 		for t := 0; t < cfg.NumTables; t++ {
 			src.Lookup(t, sparse[i][t], features[t+1])
 		}
-		row := append(bs.topInM.Row(i)[:0], features[0]...)
-		for a := 0; a < len(features); a++ {
-			for c := a + 1; c < len(features); c++ {
-				row = append(row, tensor.Dot(features[a], features[c]))
-			}
-		}
+		appendInteractions(append(bs.topInM.Row(i)[:0], features[0]...), features)
 	}
 	logits := top.InferBatchInto(&bs.topInM, bs.top)
 	for i := range out {
-		out[i] = Sigmoid(logits.Row(i)[0])
+		out[i] = logits.Row(i)[0]
 	}
 }
 
@@ -601,13 +525,6 @@ func (m *Model) trainStep(src EmbeddingSource, dense []float64, sparse [][]int32
 		src.ApplyGrad(t, sparse[t], g, embLR)
 	}
 	return loss
-}
-
-// InferLogit is Predict's pass through a caller-owned scratch, returning the
-// raw logit — allocation-free and without the sigmoid, for callers that rank
-// by score (AUC evaluation) or apply their own link function.
-func (m *Model) InferLogit(src EmbeddingSource, dense []float64, sparse [][]int32, sc *ForwardScratch) float64 {
-	return m.forwardInto(src, dense, sparse, sc)
 }
 
 // Clone deep-copies the dense parameters, preserving the quantization mode

@@ -46,7 +46,6 @@ func ParseQuantMode(s string) (QuantMode, error) {
 // it, so the forward pass dispatches on the published snapshot without
 // branching on the mode.
 type inferencer interface {
-	InferInto(x []float64, s *MLPScratch) []float64
 	InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix
 }
 
@@ -98,46 +97,27 @@ func (m *MLP) TruncateF16() *MLP {
 	return c
 }
 
-// InferInto runs the quantized stack through the scratch with zero heap
-// allocations: each layer quantizes its input activation once (shared scale)
-// into the scratch's int8 buffer, runs the int32 dot-product kernel, then
-// adds the float64 bias and applies ReLU in place.
-func (q *QuantizedMLP) InferInto(x []float64, s *MLPScratch) []float64 {
-	if len(s.acts) != len(q.layers) {
-		panic(fmt.Sprintf("dlrm: scratch has %d layer buffers, quantized MLP has %d layers", len(s.acts), len(q.layers)))
-	}
+// InferBatchInto runs each row of x through the quantized stack with zero
+// heap allocations: per layer, each row's input activation is quantized once
+// (one shared scale per row) into the scratch's int8 buffer, the int32
+// dot-product kernel writes the row's output, then the float64 bias and ReLU
+// are applied in place. The int8 kernel quantizes activations per row, so
+// the batch cannot fold into one integer GEMM.
+func (q *QuantizedMLP) InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix {
+	checkBatch(x, s)
 	out := x
 	for i := range q.layers {
 		l := &q.layers[i]
+		act := &s.acts[i]
+		act.Rows = x.Rows
 		xq := s.qx[:l.qw.Cols]
-		sx := tensor.QuantizeVectorInto(xq, out)
-		buf := s.acts[i]
-		l.qw.MatVecInto(buf, xq, sx)
-		for j := range buf {
-			buf[j] += l.b[j]
+		for r := 0; r < x.Rows; r++ {
+			sx := tensor.QuantizeVectorInto(xq, out.Row(r))
+			row := act.Row(r)
+			l.qw.MatVecInto(row, xq, sx)
+			biasAct(row, l.b, l.relu)
 		}
-		if l.relu {
-			tensor.ReLUInPlace(buf)
-		}
-		out = buf
+		out = act
 	}
 	return out
-}
-
-// InferBatchInto runs each row of x through InferInto and collects the
-// results in the batch scratch's final activation matrix. The int8 kernel
-// quantizes activations per row, so the batch cannot fold into one integer
-// GEMM; batching still amortizes scratch acquisition and keeps the call
-// shape uniform with the float path.
-func (q *QuantizedMLP) InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix {
-	if x.Rows > s.maxB {
-		panic(fmt.Sprintf("dlrm: batch %d exceeds scratch capacity %d", x.Rows, s.maxB))
-	}
-	last := &s.acts[len(s.acts)-1]
-	last.Rows = x.Rows
-	for r := 0; r < x.Rows; r++ {
-		out := q.InferInto(x.Row(r), s.row)
-		copy(last.Row(r), out)
-	}
-	return last
 }

@@ -150,76 +150,6 @@ func TestCloneKeepsQuantMode(t *testing.T) {
 	}
 }
 
-// TestQuantPredictZeroAlloc: the quantized serving path must stay on the
-// zero-allocation fast path — activation quantization runs through the
-// scratch's int8 buffer.
-func TestQuantPredictZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	for _, mode := range []QuantMode{QuantInt8, QuantF16} {
-		m, b := newSetup(24)
-		if err := m.SetQuantization(mode); err != nil {
-			t.Fatal(err)
-		}
-		sc := m.NewScratch()
-		sparse := [][]int32{{1, 7}, {3}, {9, 11, 2}}
-		dense := []float64{0.5, -1, 2, 0.25}
-		if n := testing.AllocsPerRun(200, func() { m.InferLogit(b, dense, sparse, sc) }); n != 0 {
-			t.Fatalf("quant=%s InferLogit allocates %v per run, want 0", mode, n)
-		}
-	}
-}
-
-// TestPredictBatchZeroAlloc: the batched GEMM path must be allocation-free in
-// steady state (warmed batch-scratch pool), for the float and quantized paths.
-func TestPredictBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	for _, mode := range []QuantMode{QuantNone, QuantInt8} {
-		m, b := newSetup(25)
-		if err := m.SetQuantization(mode); err != nil {
-			t.Fatal(err)
-		}
-		const n = 16
-		dense := make([][]float64, n)
-		sparse := make([][][]int32, n)
-		for i := range dense {
-			dense[i] = []float64{float64(i), 1, -1, 0.5}
-			sparse[i] = [][]int32{{int32(i)}, {int32(2 * i)}, {int32(i), int32(i + 1)}}
-		}
-		out := make([]float64, n)
-		m.PredictBatch(b, dense, sparse, out, nil) // warm the pool
-		if a := testing.AllocsPerRun(200, func() { m.PredictBatch(b, dense, sparse, out, nil) }); a != 0 {
-			t.Fatalf("quant=%s PredictBatch allocates %v per run, want 0", mode, a)
-		}
-	}
-}
-
-// TestQuantPredictBatchMatchesSequential: the batched quantized path must be
-// bit-identical to per-sample quantized Predicts, like the float path.
-func TestQuantPredictBatchMatchesSequential(t *testing.T) {
-	m, b := newSetup(26)
-	if err := m.SetQuantization(QuantInt8); err != nil {
-		t.Fatal(err)
-	}
-	const n = 9 // odd: exercises the 2x2 tile remainder
-	dense := make([][]float64, n)
-	sparse := make([][][]int32, n)
-	for i := range dense {
-		dense[i] = []float64{float64(i) * 0.3, -1, 2, 0.25}
-		sparse[i] = [][]int32{{int32(i)}, {int32(i + 3)}, {int32(i), int32(i + 1)}}
-	}
-	out := make([]float64, n)
-	m.PredictBatch(b, dense, sparse, out, nil)
-	for i := range out {
-		if want := m.Predict(b, dense[i], sparse[i]); out[i] != want {
-			t.Fatalf("quant batch[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-}
-
 // TestTrainStepWithSteadyStateAllocs: a reused forward cache makes the whole
 // train step — forward, backward, embedding scatter — allocation-free after
 // the first sample.
@@ -236,25 +166,5 @@ func TestTrainStepWithSteadyStateAllocs(t *testing.T) {
 		m.TrainStepWith(b, dense, sparse, 1, 0.05, &cache)
 	}); a != 0 {
 		t.Fatalf("TrainStepWith allocates %v per run with a warm cache, want 0", a)
-	}
-}
-
-// TestInferBatchIntoMatchesInferInto: MLP batch GEMM inference is
-// bit-identical to per-sample InferInto for odd batch sizes.
-func TestInferBatchIntoMatchesInferInto(t *testing.T) {
-	rng := tensor.NewRNG(31)
-	mlp := NewMLP(rng, []int{5, 7, 3})
-	const n = 5
-	x := tensor.RandomMatrix(rng, n, 5, 1)
-	bs := mlp.NewBatchScratch(n)
-	out := mlp.InferBatchInto(x, bs)
-	sc := mlp.NewScratch()
-	for i := 0; i < n; i++ {
-		want := mlp.InferInto(x.Row(i), sc)
-		for j, v := range want {
-			if out.Row(i)[j] != v {
-				t.Fatalf("batch row %d elem %d: %v != %v", i, j, out.Row(i)[j], v)
-			}
-		}
 	}
 }

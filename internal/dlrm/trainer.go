@@ -63,31 +63,21 @@ func (tr *Trainer) TrainEpochs(samples []trace.Sample, batchSize, epochs int) fl
 	return last
 }
 
+// evalChunk is how many samples EvaluateAUC scores per inference pass.
+const evalChunk = 64
+
 // EvaluateAUC scores samples with the model and returns the AUC-ROC. Scoring
-// runs through one shared inference scratch (raw logits — the ranking is
-// sigmoid-invariant, and the values match the historical cache-free Forward
-// bit for bit).
+// runs the inference pass in chunks on one pooled scratch and ranks raw
+// logits: the ranking is sigmoid-invariant, while saturated probabilities
+// would tie.
 func EvaluateAUC(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {
 	scores := make([]float64, len(samples))
 	labels := make([]int, len(samples))
-	sc := m.AcquireScratch()
+	m.sampleLogits(src, samples, scores, evalChunk)
 	for i, s := range samples {
-		scores[i] = m.InferLogit(src, s.Dense, s.Sparse, sc)
 		labels[i] = s.Label
 	}
-	m.ReleaseScratch(sc)
 	return metrics.AUC(scores, labels)
-}
-
-// EvaluateLogLoss scores samples and returns the mean BCE.
-func EvaluateLogLoss(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {
-	scores := make([]float64, len(samples))
-	labels := make([]int, len(samples))
-	for i, s := range samples {
-		scores[i] = m.Predict(src, s.Dense, s.Sparse)
-		labels[i] = s.Label
-	}
-	return metrics.LogLoss(scores, labels)
 }
 
 // ConfigForProfile derives a standard DLRM architecture from a trace profile:

@@ -3,12 +3,16 @@ package faultnet
 import (
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
 
+// grammarPlan mixes explicit knobs, defaults and stray spaces.
+const grammarPlan = "latency(p=0.2,min=1ms,max=20ms); reset(p=0.05) ;corrupt(bits=5)"
+
 func TestParsePlanGrammar(t *testing.T) {
-	plan, err := ParsePlan("latency(p=0.2,min=1ms,max=20ms); reset(p=0.05) ;corrupt(bits=5)")
+	plan, err := ParsePlan(grammarPlan)
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
@@ -40,34 +44,38 @@ func TestParsePlanGrammar(t *testing.T) {
 	}
 }
 
+// hostilePlans are inputs ParsePlan must reject, one mistake each.
+var hostilePlans = []string{
+	"gremlins",                  // unknown class
+	"latency(p=1.5)",            // probability > 1
+	"latency(p=-0.1)",           // negative probability
+	"latency(p=NaN)",            // NaN probability
+	"latency(min=-1ms)",         // negative duration
+	"latency(min=5ms,max=1ms)",  // min > max
+	"blackhole(stall=-50ms)",    // negative stall
+	"truncate(bytes=-4)",        // negative byte cap
+	"corrupt(bits=0)",           // too few flips
+	"corrupt(bits=65)",          // too many flips
+	"reset(p)",                  // not key=value
+	"reset(q=1)",                // unknown key
+	"reset(p=0.1",               // missing paren
+	"latency(min=9999999h999m)", // unparseable duration
+	";;",                        // clauses all empty
+}
+
 func TestParsePlanRejectsHostileInput(t *testing.T) {
-	bad := []string{
-		"gremlins",                  // unknown class
-		"latency(p=1.5)",            // probability > 1
-		"latency(p=-0.1)",           // negative probability
-		"latency(p=NaN)",            // NaN probability
-		"latency(min=-1ms)",         // negative duration
-		"latency(min=5ms,max=1ms)",  // min > max
-		"blackhole(stall=-50ms)",    // negative stall
-		"truncate(bytes=-4)",        // negative byte cap
-		"corrupt(bits=0)",           // too few flips
-		"corrupt(bits=65)",          // too many flips
-		"reset(p)",                  // not key=value
-		"reset(q=1)",                // unknown key
-		"reset(p=0.1",               // missing paren
-		"latency(min=9999999h999m)", // unparseable duration
-		";;",                        // clauses all empty
-	}
-	for _, s := range bad {
+	for _, s := range hostilePlans {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted hostile input", s)
 		}
 	}
 }
 
+// canonicalPlan names every class with every knob explicit.
+const canonicalPlan = "latency(p=0.2,min=1ms,max=20ms);reset(p=0.05);blackhole(p=0.01,stall=50ms);truncate(p=0.02,bytes=7);corrupt(p=0.03,bits=5)"
+
 func TestPlanStringRoundTrip(t *testing.T) {
-	const src = "latency(p=0.2,min=1ms,max=20ms);reset(p=0.05);blackhole(p=0.01,stall=50ms);truncate(p=0.02,bytes=7);corrupt(p=0.03,bits=5)"
-	plan := MustParsePlan(src)
+	plan := MustParsePlan(canonicalPlan)
 	again, err := ParsePlan(plan.String())
 	if err != nil {
 		t.Fatalf("reparse canonical form: %v", err)
@@ -80,6 +88,34 @@ func TestPlanStringRoundTrip(t *testing.T) {
 			t.Errorf("clause %d: %+v != %+v", i, again.Faults[i], plan.Faults[i])
 		}
 	}
+}
+
+// FuzzParsePlan: ParsePlan never panics; every fault it accepts passes
+// validateFault; re-parsing the plan's Name gives the same plan; and the
+// canonical String form parses back to the same faults.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range append([]string{grammarPlan, canonicalPlan, "blackhole", ""}, hostilePlans...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		plan, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		for i, fault := range plan.Faults {
+			if err := validateFault(fault); err != nil {
+				t.Fatalf("ParsePlan(%q) accepted invalid fault %d %+v: %v", s, i, fault, err)
+			}
+		}
+		again, err := ParsePlan(plan.Name)
+		if err != nil || !reflect.DeepEqual(again, plan) {
+			t.Fatalf("ParsePlan(%q) = %+v, but its Name re-parses to %+v, %v", s, plan, again, err)
+		}
+		canon, err := ParsePlan(plan.String())
+		if err != nil || !reflect.DeepEqual(canon.Faults, plan.Faults) {
+			t.Fatalf("ParsePlan(%q) = %+v, but String %q re-parses to %+v, %v", s, plan, plan.String(), canon.Faults, err)
+		}
+	})
 }
 
 // faultSequence drives n reads through a wrapped pipe and records which

@@ -1,12 +1,23 @@
 package fleet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
+// validScripts are accepted scripts: the first mixes optional '@'s and stray
+// spaces, the rest are in rendered form.
+var validScripts = []string{
+	"@2s kill 1; 500ms replace 0 ;@1m scale 6; @0s join",
+	"@2s kill 1; @4s replace 1; @6s scale 6",
+	"@500ms join; @1.5s leave 0",
+	"@0s join",
+	"@1m30s kill 0; @2h scale 2",
+}
+
 func TestParseScript(t *testing.T) {
-	s, err := ParseScript("@2s kill 1; 500ms replace 0 ;@1m scale 6; @0s join")
+	s, err := ParseScript(validScripts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,21 +37,24 @@ func TestParseScript(t *testing.T) {
 	}
 }
 
+// hostileScripts are inputs ParseScript must reject, one mistake each.
+var hostileScripts = []string{
+	"",                    // empty
+	"   ;  ; ",            // only separators
+	"kill 1",              // missing timestamp
+	"@2s explode 1",       // unknown action
+	"@2s kill",            // missing slot
+	"@2s kill one",        // non-numeric slot
+	"@2s kill -1",         // negative slot
+	"@2s join 3",          // join takes no operand
+	"@2s scale 0",         // fleet cannot scale to zero
+	"@-2s kill 1",         // negative timestamp
+	"@2parsecs kill 1",    // bad duration unit
+	"@2s kill 1 and more", // trailing tokens
+}
+
 func TestParseScriptErrors(t *testing.T) {
-	for _, src := range []string{
-		"",                    // empty
-		"   ;  ; ",            // only separators
-		"kill 1",              // missing timestamp
-		"@2s explode 1",       // unknown action
-		"@2s kill",            // missing slot
-		"@2s kill one",        // non-numeric slot
-		"@2s kill -1",         // negative slot
-		"@2s join 3",          // join takes no operand
-		"@2s scale 0",         // fleet cannot scale to zero
-		"@-2s kill 1",         // negative timestamp
-		"@2parsecs kill 1",    // bad duration unit
-		"@2s kill 1 and more", // trailing tokens
-	} {
+	for _, src := range hostileScripts {
 		if _, err := ParseScript(src); err == nil {
 			t.Fatalf("script %q must be rejected", src)
 		}
@@ -82,13 +96,7 @@ func TestEventString(t *testing.T) {
 // ParseScript accepts: parse → String → parse must reproduce the schedule
 // exactly, for every action and for sub-second and zero timestamps.
 func TestScheduleStringRoundTrips(t *testing.T) {
-	scripts := []string{
-		"@2s kill 1; @4s replace 1; @6s scale 6",
-		"@500ms join; @1.5s leave 0",
-		"@0s join",
-		"@1m30s kill 0; @2h scale 2",
-	}
-	for _, src := range scripts {
+	for _, src := range validScripts[1:] {
 		first, err := ParseScript(src)
 		if err != nil {
 			t.Fatalf("ParseScript(%q): %v", src, err)
@@ -111,4 +119,25 @@ func TestScheduleStringRoundTrips(t *testing.T) {
 			t.Fatalf("String not a fixed point: %q then %q", rendered, again)
 		}
 	}
+}
+
+// FuzzParseScript: ParseScript never panics, every schedule it accepts
+// validates, and rendering an accepted schedule parses back to it.
+func FuzzParseScript(f *testing.F) {
+	for _, src := range append(append([]string(nil), validScripts...), hostileScripts...) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := ParseScript(src)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseScript(%q) accepted an invalid schedule: %v", src, err)
+		}
+		again, err := ParseScript(s.String())
+		if err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("ParseScript(%q) = %v, but its String %q re-parses to %v, %v", src, s, s.String(), again, err)
+		}
+	})
 }

@@ -71,32 +71,6 @@ func AUC(scores []float64, labels []int) float64 {
 	return u / (float64(pos) * float64(neg))
 }
 
-// LogLoss returns the mean binary cross-entropy of predictions clipped away
-// from 0 and 1 for numerical safety.
-func LogLoss(scores []float64, labels []int) float64 {
-	if len(scores) != len(labels) {
-		panic("metrics: LogLoss length mismatch")
-	}
-	if len(scores) == 0 {
-		return 0
-	}
-	const eps = 1e-12
-	sum := 0.0
-	for i, p := range scores {
-		if p < eps {
-			p = eps
-		} else if p > 1-eps {
-			p = 1 - eps
-		}
-		if labels[i] == 1 {
-			sum -= math.Log(p)
-		} else {
-			sum -= math.Log(1 - p)
-		}
-	}
-	return sum / float64(len(scores))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
 // interpolation between closest ranks — bit for bit the value a full sort
 // would give, without sorting or modifying the input (see quantileOf).

@@ -101,21 +101,6 @@ func TestPropertyAUCLabelFlip(t *testing.T) {
 	}
 }
 
-func TestLogLoss(t *testing.T) {
-	// Perfect confident predictions → near-zero loss.
-	if l := LogLoss([]float64{1, 0}, []int{1, 0}); l > 1e-9 {
-		t.Fatalf("perfect logloss = %v", l)
-	}
-	// p=0.5 everywhere → ln 2.
-	l := LogLoss([]float64{0.5, 0.5}, []int{1, 0})
-	if math.Abs(l-math.Ln2) > 1e-12 {
-		t.Fatalf("logloss = %v, want ln2", l)
-	}
-	if LogLoss(nil, nil) != 0 {
-		t.Fatal("empty logloss must be 0")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
 	if q := Quantile(vals, 0.5); q != 3 {

@@ -6,7 +6,6 @@ package serving
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"liveupdate/internal/dlrm"
@@ -51,19 +50,10 @@ func (r *RingBuffer) Len() int { return r.count }
 // Total returns the number of samples ever pushed.
 func (r *RingBuffer) Total() uint64 { return r.total }
 
-// Sample draws n samples uniformly (with replacement) from the retained
-// window — the trainer's mini-batch source. It returns nil when empty.
-func (r *RingBuffer) Sample(rng *tensor.RNG, n int) []trace.Sample {
-	if r.count == 0 || n <= 0 {
-		return nil
-	}
-	return r.SampleInto(rng, make([]trace.Sample, n))
-}
-
-// SampleInto is Sample through a caller-owned buffer, filling dst entirely
-// and returning it — the allocation-free form the train tick reuses. It
-// returns nil (drawing nothing from rng) when the buffer is empty, so its RNG
-// consumption matches Sample's exactly.
+// SampleInto draws len(dst) samples uniformly (with replacement) from the
+// retained window into dst and returns it — the trainer's mini-batch source,
+// allocation-free through the caller's buffer. It returns nil, drawing
+// nothing from rng, when the buffer or dst is empty.
 func (r *RingBuffer) SampleInto(rng *tensor.RNG, dst []trace.Sample) []trace.Sample {
 	if r.count == 0 || len(dst) == 0 {
 		return nil
@@ -72,19 +62,6 @@ func (r *RingBuffer) SampleInto(rng *tensor.RNG, dst []trace.Sample) []trace.Sam
 		dst[i] = r.buf[rng.Intn(r.count)]
 	}
 	return dst
-}
-
-// Recent returns up to n of the most recently pushed samples, newest last.
-func (r *RingBuffer) Recent(n int) []trace.Sample {
-	if n > r.count {
-		n = r.count
-	}
-	out := make([]trace.Sample, 0, n)
-	for i := n; i > 0; i-- {
-		idx := (r.next - i + len(r.buf)) % len(r.buf)
-		out = append(out, r.buf[idx])
-	}
-	return out
 }
 
 // NodeConfig sets serving-path constants.
@@ -173,21 +150,12 @@ func NewNode(cfg NodeConfig, model *dlrm.Model, emb dlrm.EmbeddingSource,
 	}, nil
 }
 
-// MustNewNode panics on configuration errors.
-func MustNewNode(cfg NodeConfig, model *dlrm.Model, emb dlrm.EmbeddingSource,
-	machine *numasim.Machine, clock *simnet.Clock) *Node {
-	n, err := NewNode(cfg, model, emb, machine, clock)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Predict scores one request through the DLRM and the node's embedding
 // source. It is the lock-free half of the serving fast path: it touches no
-// node bookkeeping (ring, clocks, counters, machine model), runs through a
-// pooled forward scratch with zero heap allocations, and is safe concurrently
-// with Commit, Stats reads, and adapter publishes on the same node.
+// node bookkeeping (ring, clocks, counters, machine model), runs as a batch
+// of one through the model's pooled inference scratch with zero heap
+// allocations, and is safe concurrently with Commit, Stats reads, and
+// adapter publishes on the same node.
 func (n *Node) Predict(s trace.Sample) float64 {
 	t0 := n.Trace.StageStart(metrics.StageForward)
 	p := n.Model.Predict(n.Emb, s.Dense, s.Sparse)
@@ -220,40 +188,15 @@ func (n *Node) Commit(s trace.Sample) (latency float64) {
 	return latency
 }
 
-// batchViews holds the slice-header views PredictBatch packs from a sample
-// slice (no feature data is copied — the headers alias the samples). Pooled
-// so building a batch view allocates nothing in steady state; views are
-// package-global because batches from different nodes are interchangeable.
-type batchViews struct {
-	dense  [][]float64
-	sparse [][][]int32
-}
-
-var viewPool = sync.Pool{New: func() any { return &batchViews{} }}
-
 // PredictBatch scores samples in order, writing click probabilities into
 // probs (len(probs) == len(samples)). It is the batched form of Predict —
 // lock-free, zero-alloc in steady state — and routes through the model's
-// GEMM path: one matrix multiply per MLP layer for the whole batch, with
+// GEMM pass: one matrix multiply per MLP layer for the whole batch, with
 // results bit-identical to per-sample Predict calls.
 func (n *Node) PredictBatch(samples []trace.Sample, probs []float64) {
-	if len(probs) != len(samples) {
-		panic(fmt.Sprintf("serving: PredictBatch probs len %d != samples len %d", len(probs), len(samples)))
-	}
-	if len(samples) == 0 {
-		return
-	}
-	v := viewPool.Get().(*batchViews)
-	v.dense = v.dense[:0]
-	v.sparse = v.sparse[:0]
-	for i := range samples {
-		v.dense = append(v.dense, samples[i].Dense)
-		v.sparse = append(v.sparse, samples[i].Sparse)
-	}
 	t0 := n.Trace.StageStart(metrics.StageForward) // one forward span per batch
-	n.Model.PredictBatch(n.Emb, v.dense, v.sparse, probs, nil)
+	n.Model.PredictSamples(n.Emb, samples, probs)
 	n.Trace.StageEnd(metrics.StageForward, t0)
-	viewPool.Put(v)
 }
 
 // P99 returns the current 99th-percentile latency over the tracker window.
@@ -278,12 +221,4 @@ func (n *Node) ViolationRate() float64 {
 		return 0
 	}
 	return float64(n.violations.Load()) / float64(served)
-}
-
-// ResetLatencyStats clears the latency tracker and violation counters
-// (e.g. between experiment phases).
-func (n *Node) ResetLatencyStats() {
-	n.Lat.Reset()
-	n.served.Store(0)
-	n.violations.Store(0)
 }
