@@ -5,7 +5,9 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"liveupdate/internal/lora"
@@ -105,7 +107,9 @@ func PriorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, e
 		for _, c := range winner {
 			rows = append(rows, c.u)
 		}
-		sortRowUpdates(rows)
+		// Map drain order is random; ids are distinct per table, so sorting
+		// by id fixes the merged order.
+		slices.SortFunc(rows, func(a, b lora.RowUpdate) int { return cmp.Compare(a.ID, b.ID) })
 		stats.RowsMerged += len(rows)
 
 		// B: the highest participating rank's factor wins — deterministic
@@ -114,17 +118,6 @@ func PriorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, e
 		merged[t] = lora.TableState{Rows: rows, B: best.B, Rank: best.Rank}
 	}
 	return merged, stats, nil
-}
-
-func sortRowUpdates(rows []lora.RowUpdate) {
-	// Insertion sort: row counts per sync are modest and this avoids an
-	// import cycle-prone helper; ids are nearly sorted already (map drain
-	// order is random but sets are small).
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j].ID < rows[j-1].ID; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
 }
 
 // SyncGroup merges, prices and accounts the priority-merge synchronizations

@@ -55,100 +55,73 @@ func poisonGrads(m *Model) (untouched func() bool) {
 	}
 }
 
-// The input-only backward returns bit-identical embedding gradients to the
-// full backward and never touches a weight or bias gradient.
-func TestBackwardInputMatchesBackward(t *testing.T) {
-	full, src, samples := frozenFixture(21)
-	frozen := full.Clone()
-	untouched := poisonGrads(frozen)
-	// Reused across samples, like the train tick's — and the frozen side
-	// declares itself, so its Forward keeps no layer inputs.
-	var fc ForwardCache
-	zc := ForwardCache{frozen: true}
-	for si, s := range samples {
-		logit := full.Forward(src, s.Dense, s.Sparse, &fc)
-		if got := frozen.Forward(src, s.Dense, s.Sparse, &zc); got != logit {
-			t.Fatalf("sample %d: clone forward %v vs %v", si, got, logit)
+// refLayer is one layer's state in the reference forward: an owned copy
+// of its input, and its pre-activation.
+type refLayer struct{ in, pre []float64 }
+
+// refMLPForward is the per-sample matvec forward the batched pass replaced:
+// pre = W·x + b by MatVecInto, then ReLU into a separate output. It returns
+// the stack's output and each layer's state for refMLPBackward.
+func refMLPForward(m *MLP, x []float64) ([]float64, []refLayer) {
+	layers := make([]refLayer, len(m.Layers))
+	out := x
+	for i, l := range m.Layers {
+		pre := make([]float64, l.Out())
+		tensor.MatVecInto(pre, l.W, out)
+		for j := range pre {
+			pre[j] += l.B[j]
 		}
-		dLogit := Sigmoid(logit) - float64(s.Label)
-		want := full.Backward(dLogit, &fc)
-		got := frozen.backward(dLogit, &zc, true)
-		if len(got) != len(want) {
-			t.Fatalf("sample %d: %d gradient rows vs %d", si, len(got), len(want))
-		}
-		nonzero := false
-		for ti := range want {
-			for j := range want[ti] {
-				if math.Float64bits(got[ti][j]) != math.Float64bits(want[ti][j]) {
-					t.Fatalf("sample %d table %d coord %d: %v vs %v", si, ti, j, got[ti][j], want[ti][j])
-				}
-				nonzero = nonzero || want[ti][j] != 0
-			}
-		}
-		if !nonzero {
-			t.Fatalf("sample %d: all-zero embedding gradient — fixture proves nothing", si)
-		}
-		full.Bottom.ZeroGrad()
-		full.Top.ZeroGrad()
-	}
-	if !untouched() {
-		t.Fatal("BackwardInput wrote to a dense gradient accumulator")
-	}
-	for _, lc := range append(zc.bottom.layers, zc.top.layers...) {
-		if lc.Input != nil {
-			t.Fatal("a frozen cache's Forward copied a layer input")
+		layers[i] = refLayer{in: append([]float64(nil), out...), pre: pre}
+		out = pre
+		if l.ReLU {
+			out = make([]float64, l.Out())
+			tensor.ReLUInto(out, pre)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Backward on a frozen cache must panic: it has no layer inputs to take weight gradients from")
-		}
-	}()
-	frozen.Backward(0.5, &zc)
+	return out, layers
 }
 
-// MLP.BackwardInput alone: same input gradient as MLP.Backward, including
-// through ReLU masks, accumulators untouched.
-func TestMLPBackwardInputMatchesBackward(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	a := NewMLP(rng, []int{6, 9, 5, 2})
-	b := a.Clone()
-	untouched := poisonGrads(&Model{Bottom: b, Top: &MLP{}})
-	var ca, cb MLPCache
-	for trial := 0; trial < 20; trial++ {
-		x := make([]float64, 6)
-		dOut := make([]float64, 2)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for i := range dOut {
-			dOut[i] = rng.NormFloat64()
-		}
-		a.Forward(x, &ca)
-		b.Forward(x, &cb)
-		want := a.Backward(dOut, &ca)
-		got := b.backwardInput(dOut, &cb)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d input %d: %v vs %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-	if !untouched() {
-		t.Fatal("MLP.BackwardInput wrote to a gradient accumulator")
-	}
+// refCache is the reference forward's state for one sample.
+type refCache struct {
+	bottom, top []refLayer
+	features    [][]float64 // f_0 = bottom output, f_1.. = pooled embeddings
 }
 
-// refMLPBackward is MLP.Backward (BackwardInput when frozen) with the input
-// gradient taken the way it was before tensor.AxpyRows: one Axpy per row of
-// W whose output the ReLU let through.
-func refMLPBackward(m *MLP, dOut []float64, c *MLPCache, frozen bool) []float64 {
+// refForward is the per-sample matvec model forward the batched pass
+// replaced: the sample's logit, and the state refBackward reads.
+func refForward(m *Model, src EmbeddingSource, dense []float64, sparse [][]int32) (float64, *refCache) {
+	cfg := m.Cfg
+	z, bottom := refMLPForward(m.Bottom, dense)
+	f := make([][]float64, cfg.NumTables+1)
+	f[0] = z
+	for t := 0; t < cfg.NumTables; t++ {
+		f[t+1] = make([]float64, cfg.EmbeddingDim)
+		src.Lookup(t, sparse[t], f[t+1])
+	}
+	topIn := append([]float64(nil), z...)
+	for i := range f {
+		for j := i + 1; j < len(f); j++ {
+			topIn = append(topIn, tensor.Dot(f[i], f[j]))
+		}
+	}
+	out, top := refMLPForward(m.Top, topIn)
+	return out[0], &refCache{bottom: bottom, top: top, features: f}
+}
+
+// refMLPBackward is the per-layer backward the scratch-reading one replaced
+// (input gradient only when frozen): the ReLU mask from the pre-activation,
+// and the input gradient as one Axpy per row of W whose output the ReLU let
+// through.
+func refMLPBackward(m *MLP, dOut []float64, c []refLayer, frozen bool) []float64 {
 	d := dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		l, lc := m.Layers[i], &c.layers[i]
-		dPre := append([]float64(nil), l.preGrad(d, lc)...)
+		l := m.Layers[i]
+		dPre := append([]float64(nil), d...)
+		if l.ReLU {
+			tensor.ReLUMaskInto(dPre, d, c[i].pre)
+		}
 		if !frozen {
-			l.accumulate(dPre, lc.Input)
+			l.accumulate(dPre, c[i].in)
 		}
 		d = make([]float64, l.In())
 		for o, dp := range dPre {
@@ -162,8 +135,8 @@ func refMLPBackward(m *MLP, dOut []float64, c *MLPCache, frozen bool) []float64 
 
 // refBackward is Model.backward with the interaction gradient as the pair
 // walk it replaced: two Axpys per interaction, in pair order.
-func refBackward(m *Model, dLogit float64, c *ForwardCache, frozen bool) [][]float64 {
-	dTopIn := refMLPBackward(m.Top, []float64{dLogit}, &c.top, frozen)
+func refBackward(m *Model, dLogit float64, c *refCache, frozen bool) [][]float64 {
+	dTopIn := refMLPBackward(m.Top, []float64{dLogit}, c.top, frozen)
 	dInter := dTopIn[m.Cfg.EmbeddingDim:]
 	f := c.features
 	dF := make([][]float64, len(f))
@@ -187,31 +160,111 @@ func refBackward(m *Model, dLogit float64, c *ForwardCache, frozen bool) [][]flo
 		for i := range dZ {
 			dZ[i] = dTopIn[i] + dF[0][i]
 		}
-		refMLPBackward(m.Bottom, dZ, &c.bottom, false)
+		refMLPBackward(m.Bottom, dZ, c.bottom, false)
 	}
 	return dF[1:]
 }
 
-// Backward and BackwardInput — the input gradients through tensor.AxpyRows,
-// the interaction gradient summed per feature — give the bits of the
-// Axpy-per-row, pair-by-pair walk, embedding and dense gradients alike.
+// sameRows reports the first coordinate in which got and want differ in any
+// bit, or "".
+func sameRows(got, want [][]float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				return fmt.Sprintf("row %d coord %d: %v, reference %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	return ""
+}
+
+// The input-only backward returns the reference full backward's embedding
+// gradients bit for bit and never touches a weight or bias gradient.
+func TestBackwardInputMatchesBackward(t *testing.T) {
+	full, src, samples := frozenFixture(21)
+	frozen := full.Clone()
+	untouched := poisonGrads(frozen)
+	var c ForwardCache // reused across samples, like the train tick's
+	for si, s := range samples {
+		logit, rc := refForward(full, src, s.Dense, s.Sparse)
+		if got := frozen.forward(src, s.Dense, s.Sparse, &c); got != logit {
+			t.Fatalf("sample %d: forward %v, reference %v", si, got, logit)
+		}
+		dLogit := Sigmoid(logit) - float64(s.Label)
+		want := refBackward(full, dLogit, rc, false)
+		if msg := sameRows(frozen.backward(dLogit, &c, true), want); msg != "" {
+			t.Fatalf("sample %d: %s", si, msg)
+		}
+		nonzero := false
+		for _, row := range want {
+			for _, v := range row {
+				nonzero = nonzero || v != 0
+			}
+		}
+		if !nonzero {
+			t.Fatalf("sample %d: all-zero embedding gradient — fixture proves nothing", si)
+		}
+		full.Bottom.ZeroGrad()
+		full.Top.ZeroGrad()
+	}
+	if !untouched() {
+		t.Fatal("the frozen backward wrote to a dense gradient accumulator")
+	}
+}
+
+// The MLP's input-only backward from the batched pass's activations: the
+// reference full backward's input gradient, through ReLU masks, with the
+// accumulators untouched.
+func TestMLPBackwardInputMatchesBackward(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	a := NewMLP(rng, []int{6, 9, 5, 2})
+	b := a.Clone()
+	untouched := poisonGrads(&Model{Bottom: b, Top: &MLP{}})
+	s, gs := b.NewBatchScratch(1), b.newGrads()
+	x := tensor.NewMatrix(1, 6)
+	for trial := 0; trial < 20; trial++ {
+		dOut := make([]float64, 2)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		for i := range dOut {
+			dOut[i] = rng.NormFloat64()
+		}
+		wantOut, rc := refMLPForward(a, x.Data)
+		want := refMLPBackward(a, dOut, rc, false)
+		out := b.InferBatchInto(x, s).Row(0)
+		got := b.backward(dOut, x.Row(0), s, gs, false, true)
+		if msg := sameRows([][]float64{out, got}, [][]float64{wantOut, want}); msg != "" {
+			t.Fatalf("trial %d (row 0 output, row 1 input gradient): %s", trial, msg)
+		}
+	}
+	if !untouched() {
+		t.Fatal("the input-only backward wrote to a gradient accumulator")
+	}
+}
+
+// Backward and its frozen form — from the batched pass's activations, the
+// input gradients through tensor.AxpyRows, the interaction gradient summed
+// per feature — give the bits of the reference forward and its Axpy-per-row,
+// pair-by-pair backward, embedding and dense gradients alike.
 func TestBackwardMatchesAxpyWalk(t *testing.T) {
 	for _, frozen := range []bool{false, true} {
 		m, src, samples := frozenFixture(45)
 		ref := m.Clone()
-		c, rc := ForwardCache{frozen: frozen}, ForwardCache{frozen: frozen}
+		var c ForwardCache
 		for si, s := range samples {
-			logit := m.Forward(src, s.Dense, s.Sparse, &c)
-			ref.Forward(src, s.Dense, s.Sparse, &rc)
+			logit := m.forward(src, s.Dense, s.Sparse, &c)
+			refLogit, rc := refForward(ref, src, s.Dense, s.Sparse)
+			if logit != refLogit {
+				t.Fatalf("frozen %v sample %d: logit %v, reference %v", frozen, si, logit, refLogit)
+			}
 			dLogit := Sigmoid(logit) - float64(s.Label)
-			want := refBackward(ref, dLogit, &rc, frozen)
-			got := m.backward(dLogit, &c, frozen)
-			for ti := range want {
-				for j := range want[ti] {
-					if math.Float64bits(got[ti][j]) != math.Float64bits(want[ti][j]) {
-						t.Fatalf("frozen %v sample %d table %d coord %d: %v, pair walk %v", frozen, si, ti, j, got[ti][j], want[ti][j])
-					}
-				}
+			want := refBackward(ref, dLogit, rc, frozen)
+			if msg := sameRows(m.backward(dLogit, &c, frozen), want); msg != "" {
+				t.Fatalf("frozen %v sample %d: %s", frozen, si, msg)
 			}
 		}
 		if msg := denseGradDiff(m, ref); msg != "" {
@@ -247,11 +300,11 @@ func denseGradDiff(m, ref *Model) string {
 func TestTrainStepWithMatchesFullBackward(t *testing.T) {
 	m, src, samples := frozenFixture(57)
 	ref, refSrc, _ := frozenFixture(57)
-	var c, rc ForwardCache
+	var c ForwardCache
 	for si, s := range samples {
 		loss := m.TrainStepWith(src, s.Dense, s.Sparse, s.Label, 0.05, &c)
-		logit := ref.Forward(refSrc, s.Dense, s.Sparse, &rc)
-		for ti, g := range refBackward(ref, Sigmoid(logit)-float64(s.Label), &rc, false) {
+		logit, rc := refForward(ref, refSrc, s.Dense, s.Sparse)
+		for ti, g := range refBackward(ref, Sigmoid(logit)-float64(s.Label), rc, false) {
 			refSrc.ApplyGrad(ti, s.Sparse[ti], g, 0.05)
 		}
 		if want := BCELossWithLogit(logit, s.Label); loss != want {

@@ -28,13 +28,18 @@ func newSetup(seed uint64) (*Model, *BaseEmbeddings) {
 	return m, &BaseEmbeddings{Group: g}
 }
 
+// forwardOne runs one input row through the stack's batched pass.
+func forwardOne(m *MLP, x ...float64) []float64 {
+	return m.InferBatchInto(tensor.NewMatrixFrom(1, len(x), x), m.NewBatchScratch(1)).Row(0)
+}
+
 func TestLayerForwardLinear(t *testing.T) {
 	l := &Layer{
 		W:    tensor.NewMatrixFrom(2, 2, []float64{1, 0, 0, 1}),
 		B:    []float64{1, -1},
 		ReLU: false,
 	}
-	out := l.Forward([]float64{3, 4}, &LayerCache{})
+	out := forwardOne(&MLP{Layers: []*Layer{l}}, 3, 4)
 	if out[0] != 4 || out[1] != 3 {
 		t.Fatalf("out = %v", out)
 	}
@@ -46,7 +51,7 @@ func TestLayerReLU(t *testing.T) {
 		B:    []float64{0, 0},
 		ReLU: true,
 	}
-	out := l.Forward([]float64{2}, &LayerCache{})
+	out := forwardOne(&MLP{Layers: []*Layer{l}}, 2)
 	if out[0] != 2 || out[1] != 0 {
 		t.Fatalf("relu out = %v", out)
 	}
@@ -55,7 +60,7 @@ func TestLayerReLU(t *testing.T) {
 func TestMLPShapes(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	m := NewMLP(rng, []int{4, 8, 2})
-	out := m.Forward([]float64{1, 2, 3, 4}, &MLPCache{})
+	out := forwardOne(m, 1, 2, 3, 4)
 	if len(out) != 2 {
 		t.Fatalf("out len %d", len(out))
 	}
@@ -75,12 +80,12 @@ func TestGradientFiniteDifference(t *testing.T) {
 	label := 1
 
 	lossAt := func() float64 {
-		return BCELossWithLogit(m.Forward(src, dense, sparse, &ForwardCache{}), label)
+		return BCELossWithLogit(m.forward(src, dense, sparse, &ForwardCache{}), label)
 	}
 
 	// Analytic gradient.
 	var cache ForwardCache
-	logit := m.Forward(src, dense, sparse, &cache)
+	logit := m.forward(src, dense, sparse, &cache)
 	dLogit := Sigmoid(logit) - float64(label)
 	m.Bottom.ZeroGrad()
 	m.Top.ZeroGrad()
@@ -135,7 +140,7 @@ func meanLoss(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {
 	var cache ForwardCache
 	sum := 0.0
 	for _, s := range samples {
-		sum += BCELossWithLogit(m.Forward(src, s.Dense, s.Sparse, &cache), s.Label)
+		sum += BCELossWithLogit(m.forward(src, s.Dense, s.Sparse, &cache), s.Label)
 	}
 	return sum / float64(len(samples))
 }
@@ -215,19 +220,19 @@ func TestModelCloneIndependence(t *testing.T) {
 	c := m.Clone()
 	dense := []float64{1, 1, 1, 1}
 	sparse := [][]int32{{0}, {0}, {0}}
-	before := c.Forward(src, dense, sparse, &ForwardCache{})
+	before := c.Predict(src, dense, sparse)
 	// Train original only.
 	for i := 0; i < 10; i++ {
 		m.TrainStepWith(src, dense, sparse, 1, 0, &ForwardCache{}) // embLR=0: only dense params move
 		SGD{LR: 0.1}.Step(m.Bottom, 1)
 		SGD{LR: 0.1}.Step(m.Top, 1)
 	}
-	after := c.Forward(src, dense, sparse, &ForwardCache{})
+	after := c.Predict(src, dense, sparse)
 	if before != after {
 		t.Fatal("clone weights changed when original trained")
 	}
 	c.CopyWeightsFrom(m)
-	if c.Forward(src, dense, sparse, &ForwardCache{}) != m.Forward(src, dense, sparse, &ForwardCache{}) {
+	if c.Predict(src, dense, sparse) != m.Predict(src, dense, sparse) {
 		t.Fatal("CopyWeightsFrom must make outputs identical")
 	}
 }
@@ -324,51 +329,36 @@ func TestConfigForProfile(t *testing.T) {
 }
 
 // TestForwardCacheInputNotAliased is the batched-reuse regression test: a
-// caller may overwrite its input buffer after Forward (e.g. a serving loop
-// reusing one dense scratch across a batch) and Backward must still see the
-// original inputs. Gradients are compared against a run whose buffers were
-// never touched.
+// caller may overwrite its input buffer between the forward and Backward
+// (e.g. a serving loop reusing one dense scratch across a batch), because
+// the forward packs its inputs into the cache's scratch. Logit, embedding
+// and dense gradients must be the reference forward and backward's on
+// buffers that were never touched.
 func TestForwardCacheInputNotAliased(t *testing.T) {
-	mA, bA := newSetup(8)
-	mB, _ := newSetup(8) // identical weights via identical seed
-	bB := &BaseEmbeddings{Group: bA.Group}
+	m, src := newSetup(8)
+	ref, _ := newSetup(8) // identical weights via identical seed
 	sparse := [][]int32{{1}, {2}, {3}}
 	denseRef := []float64{1, -2, 3, -4}
 
-	// Reference: pristine buffers end to end.
-	var cacheA ForwardCache
-	logitA := mA.Forward(bA, denseRef, sparse, &cacheA)
-	dEmbA := mA.Backward(Sigmoid(logitA)-1, &cacheA)
+	logitRef, rc := refForward(ref, src, denseRef, sparse)
+	dEmbRef := refBackward(ref, Sigmoid(logitRef)-1, rc, false)
 
-	// Same forward, but the caller's dense buffer is clobbered before
-	// Backward — as a buffer-reusing batch loop would do.
 	denseLive := append([]float64(nil), denseRef...)
-	var cacheB ForwardCache
-	logitB := mB.Forward(bB, denseLive, sparse, &cacheB)
+	var cache ForwardCache
+	logit := m.forward(src, denseLive, sparse, &cache)
 	for i := range denseLive {
 		denseLive[i] = 999
 	}
-	dEmbB := mB.Backward(Sigmoid(logitB)-1, &cacheB)
+	dEmb := m.Backward(Sigmoid(logit)-1, &cache)
 
-	if logitA != logitB {
-		t.Fatalf("logits differ: %v vs %v", logitA, logitB)
+	if logit != logitRef {
+		t.Fatalf("logits differ: %v vs %v", logit, logitRef)
 	}
-	for ti := range dEmbA {
-		for d := range dEmbA[ti] {
-			if dEmbA[ti][d] != dEmbB[ti][d] {
-				t.Fatalf("table %d dim %d: embedding grad differs after input clobber: %v vs %v",
-					ti, d, dEmbA[ti][d], dEmbB[ti][d])
-			}
-		}
+	if msg := sameRows(dEmb, dEmbRef); msg != "" {
+		t.Fatalf("embedding gradient after input clobber: %s", msg)
 	}
-	// Dense-layer gradients must match too: Backward reads cache.Input.
-	for li := range mA.Bottom.Layers {
-		ga, gb := mA.Bottom.Layers[li].gradW.Data, mB.Bottom.Layers[li].gradW.Data
-		for i := range ga {
-			if ga[i] != gb[i] {
-				t.Fatalf("bottom layer %d gradW[%d] differs after input clobber", li, i)
-			}
-		}
+	if msg := denseGradDiff(m, ref); msg != "" {
+		t.Fatalf("dense gradient after input clobber: %s", msg)
 	}
 }
 

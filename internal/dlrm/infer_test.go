@@ -30,8 +30,8 @@ func inferSources(t *testing.T, m *Model, samples []trace.Sample) map[string]Emb
 
 // TestPredictBatchMatrix is the inference pass's equivalence matrix. For
 // every batch size, quantization mode and embedding source:
-//   - with float weights, each row's logit is the training Forward's, bit
-//     for bit;
+//   - with float weights, each row's logit is the reference per-sample
+//     forward's (refForward), bit for bit;
 //   - each row of PredictBatch — on the pool or on a caller's scratch — of
 //     PredictSamples and of EvaluateAUC's chunked scoring is the
 //     batch-of-one Predict's probability, bit for bit;
@@ -57,11 +57,11 @@ func TestPredictBatchMatrix(t *testing.T) {
 			for i := range one {
 				one[i] = m.Predict(src, dense[i], sparse[i])
 			}
-			var cache ForwardCache
 			for _, b := range sizes {
 				bs := m.NewBatchScratch(b)
 				logits := make([]float64, b)
-				m.logitsInto(src, dense[:b], sparse[:b], logits, bs)
+				bottom, top := m.inferencers()
+				m.logitsInto(src, bottom, top, dense[:b], sparse[:b], logits, bs)
 				pooled, owned, bySample, chunked := make([]float64, b), make([]float64, b), make([]float64, b), make([]float64, b)
 				m.PredictBatch(src, dense[:b], sparse[:b], pooled, nil)
 				m.PredictBatch(src, dense[:b], sparse[:b], owned, bs)
@@ -69,9 +69,9 @@ func TestPredictBatchMatrix(t *testing.T) {
 				m.sampleLogits(src, samples[:b], chunked, 16) // EvaluateAUC's chunked passes
 				for i := 0; i < b; i++ {
 					if mode == QuantNone {
-						want := m.Forward(src, dense[i], sparse[i], &cache)
+						want, _ := refForward(m, src, dense[i], sparse[i])
 						if math.Float64bits(logits[i]) != math.Float64bits(want) {
-							t.Fatalf("%s/%s b=%d row %d: batched logit %v, Forward %v", name, mode, b, i, logits[i], want)
+							t.Fatalf("%s/%s b=%d row %d: batched logit %v, reference %v", name, mode, b, i, logits[i], want)
 						}
 					}
 					for _, got := range []float64{pooled[i], owned[i], bySample[i], Sigmoid(logits[i]), Sigmoid(chunked[i])} {

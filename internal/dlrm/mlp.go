@@ -38,85 +38,6 @@ func NewLayer(rng *tensor.RNG, in, out int, relu bool) *Layer {
 	}
 }
 
-// Forward computes the layer output and stores the input and pre-activation
-// needed for Backward in cache. The input is copied into the cache (reusing
-// its buffer), so callers may overwrite x between Forward and Backward
-// without corrupting backpropagation.
-func (l *Layer) Forward(x []float64, cache *LayerCache) []float64 {
-	return l.forward(x, cache, true)
-}
-
-// forward is Forward with the input copy optional: only the weight gradient
-// reads it, so a frozen stack (MLPCache.frozen) forwards without.
-func (l *Layer) forward(x []float64, cache *LayerCache, keepInput bool) []float64 {
-	cache.Pre = growFloats(cache.Pre, l.Out())
-	pre := cache.Pre
-	tensor.MatVecInto(pre, l.W, x)
-	for i := range pre {
-		pre[i] += l.B[i]
-	}
-	out := pre
-	if l.ReLU {
-		cache.out = growFloats(cache.out, l.Out())
-		out = cache.out
-		tensor.ReLUInto(out, pre)
-	}
-	if keepInput {
-		cache.Input = append(cache.Input[:0], x...)
-	}
-	return out
-}
-
-// growFloats returns buf resized to n, reusing its backing array when the
-// capacity allows. Contents are unspecified; callers overwrite fully.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// LayerCache holds per-sample forward state for backpropagation, plus the
-// layer's reusable forward/backward buffers: a cache that lives across train
-// ticks makes Forward and Backward allocation-free after the first batch.
-// Input is an owned copy of the forward input (never an alias of the caller's
-// buffer).
-type LayerCache struct {
-	Input []float64
-	Pre   []float64
-
-	out  []float64 // post-ReLU output (aliased by Forward's return value)
-	dPre []float64 // backward scratch: gradient w.r.t. pre-activation
-	dIn  []float64 // backward scratch: gradient w.r.t. input (returned)
-}
-
-// Backward accumulates gradients for dOut (gradient w.r.t. the layer output)
-// and returns the gradient w.r.t. the layer input. The returned slice aliases
-// the cache's scratch and is valid until the cache's next Backward.
-func (l *Layer) Backward(dOut []float64, cache *LayerCache) []float64 {
-	dPre := l.preGrad(dOut, cache)
-	l.accumulate(dPre, cache.Input)
-	return l.inputGrad(dPre, cache)
-}
-
-// backwardInput is Backward for a frozen layer: it returns the same gradient
-// w.r.t. the layer input, bit for bit, and leaves the weight and bias
-// gradient accumulators untouched.
-func (l *Layer) backwardInput(dOut []float64, cache *LayerCache) []float64 {
-	return l.inputGrad(l.preGrad(dOut, cache), cache)
-}
-
-// preGrad returns the gradient w.r.t. the pre-activation: dOut masked by the
-// ReLU (in the cache's scratch), or dOut itself for a linear layer.
-func (l *Layer) preGrad(dOut []float64, cache *LayerCache) []float64 {
-	if !l.ReLU {
-		return dOut
-	}
-	cache.dPre = growFloats(cache.dPre, len(dOut))
-	tensor.ReLUMaskInto(cache.dPre, dOut, cache.Pre)
-	return cache.dPre
-}
-
 // accumulate adds the parameter half of the backward pass — the outer
 // product dPre·inᵀ and dPre itself — to the layer's gradient accumulators.
 func (l *Layer) accumulate(dPre, in []float64) {
@@ -130,16 +51,6 @@ func (l *Layer) accumulate(dPre, in []float64) {
 		}
 		l.gradB[o] += dp
 	}
-}
-
-// inputGrad returns the input half of the backward pass, Wᵀ·dPre, in the
-// cache's scratch: the rows of W whose output the ReLU let through, summed
-// in row order.
-func (l *Layer) inputGrad(dPre []float64, cache *LayerCache) []float64 {
-	cache.dIn = growFloats(cache.dIn, l.In())
-	clear(cache.dIn)
-	tensor.AxpyRows(cache.dIn, 1, dPre, l.W)
-	return cache.dIn
 }
 
 // In returns the input width, Out the output width.
@@ -173,26 +84,8 @@ func NewMLP(rng *tensor.RNG, widths []int) *MLP {
 	return m
 }
 
-// MLPCache holds per-layer forward state for one sample.
-type MLPCache struct {
-	layers []LayerCache
-	frozen bool // Forward keeps no layer inputs: only backwardInput may follow
-}
-
-// Forward runs the stack, filling cache for Backward.
-func (m *MLP) Forward(x []float64, cache *MLPCache) []float64 {
-	if len(cache.layers) != len(m.Layers) {
-		cache.layers = make([]LayerCache, len(m.Layers))
-	}
-	out := x
-	for i, l := range m.Layers {
-		out = l.forward(out, &cache.layers[i], !cache.frozen)
-	}
-	return out
-}
-
 // MLPBatchScratch holds one activation matrix per layer (capacity rows ×
-// layer width) for batched inference, plus the int8 activation buffer the
+// layer width) for the batched pass, plus the int8 activation buffer the
 // quantized kernel fills one row at a time. One batch scratch serves one
 // InferBatchInto call at a time.
 type MLPBatchScratch struct {
@@ -224,8 +117,9 @@ func (m *MLP) NewBatchScratch(maxB int) *MLPBatchScratch {
 // GEMM per layer: each layer computes X·Wᵀ + b via MatMulTransInto into its
 // scratch matrix. Per output element the GEMM accumulates columns in the same
 // order as MatVecInto (one row falls through to it), so every row is
-// bit-identical to the training Forward's. The returned matrix aliases
-// scratch storage, valid until the scratch's next use.
+// bit-identical to a per-sample matvec forward. The returned matrix aliases
+// scratch storage, valid until the scratch's next use; a training step reads
+// the activations it leaves there (MLP.backward).
 func (m *MLP) InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix {
 	checkBatch(x, s)
 	out := x
@@ -267,41 +161,49 @@ func biasAct(row, b []float64, relu bool) {
 	}
 }
 
-// Backward backpropagates dOut through the stack, accumulating gradients,
-// and returns the gradient w.r.t. the MLP input.
-func (m *MLP) Backward(dOut []float64, cache *MLPCache) []float64 {
-	d := m.backwardAbove(dOut, cache)
-	return m.Layers[0].Backward(d, &cache.layers[0])
-}
+// layerGrad is one layer's backward scratch: the gradients w.r.t. its
+// pre-activation and w.r.t. its input.
+type layerGrad struct{ dPre, dIn []float64 }
 
-// backwardParams is Backward for a caller that discards the input gradient:
-// the same weight and bias gradients accumulated, bit for bit, without
-// layer 0's Wᵀ·dPre.
-func (m *MLP) backwardParams(dOut []float64, cache *MLPCache) {
-	d := m.backwardAbove(dOut, cache)
-	l, lc := m.Layers[0], &cache.layers[0]
-	l.accumulate(l.preGrad(d, lc), lc.Input)
-}
-
-// backwardAbove runs Backward through every layer but the first and returns
-// the gradient w.r.t. layer 0's output.
-func (m *MLP) backwardAbove(dOut []float64, cache *MLPCache) []float64 {
-	if cache.frozen {
-		panic("dlrm: Backward on a frozen cache: its Forward kept no layer inputs")
+// newGrads allocates the stack's backward scratch, one layerGrad per layer.
+func (m *MLP) newGrads() []layerGrad {
+	gs := make([]layerGrad, len(m.Layers))
+	for i, l := range m.Layers {
+		gs[i] = layerGrad{dPre: make([]float64, l.Out()), dIn: make([]float64, l.In())}
 	}
-	d := dOut
-	for i := len(m.Layers) - 1; i > 0; i-- {
-		d = m.Layers[i].Backward(d, &cache.layers[i])
-	}
-	return d
+	return gs
 }
 
-// backwardInput is Backward through a frozen stack: the same gradient w.r.t.
-// the MLP input, no gradient accumulated on any layer.
-func (m *MLP) backwardInput(dOut []float64, cache *MLPCache) []float64 {
+// backward backpropagates dOut through the stack from the activations a
+// one-sample InferBatchInto left in row 0 of s, whose input was x. Each
+// layer's ReLU mask is read off its activation row: ReLU keeps a value
+// exactly when it is positive, so the activation masks the bits the
+// pre-activation would. With params it accumulates every weight and bias
+// gradient; with wantIn it returns the gradient w.r.t. x, and otherwise
+// skips layer 0's Wᵀ·dPre and returns nil. The result aliases gs.
+func (m *MLP) backward(dOut, x []float64, s *MLPBatchScratch, gs []layerGrad, params, wantIn bool) []float64 {
 	d := dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		d = m.Layers[i].backwardInput(d, &cache.layers[i])
+		l, g := m.Layers[i], &gs[i]
+		if l.ReLU {
+			tensor.ReLUMaskInto(g.dPre, d, s.acts[i].Row(0))
+			d = g.dPre
+		}
+		if params {
+			in := x
+			if i > 0 {
+				in = s.acts[i-1].Row(0)
+			}
+			l.accumulate(d, in)
+		}
+		if i == 0 && !wantIn {
+			return nil
+		}
+		// Wᵀ·dPre: the rows of W whose output the ReLU let through, summed
+		// in row order.
+		clear(g.dIn)
+		tensor.AxpyRows(g.dIn, 1, d, l.W)
+		d = g.dIn
 	}
 	return d
 }

@@ -106,7 +106,7 @@ type Model struct {
 	Bottom *MLP
 	Top    *MLP
 
-	// batch pools BatchScratch values for the inference pass. Predict and
+	// batch pools BatchScratch values for inference. Predict and
 	// PredictBatch are safe for concurrent callers because every call checks
 	// out its own scratch.
 	batch sync.Pool
@@ -197,63 +197,46 @@ func MustNewModel(cfg Config, rng *tensor.RNG) *Model {
 	return m
 }
 
-// ForwardCache retains the state of one forward pass for Backward, plus the
-// reusable buffers of the training path: a cache that lives across samples
-// (TrainStepWith, a Trainer's) makes Forward/Backward allocation-free after
-// the first sample.
+// ForwardCache is one training step's scratch: a one-sample BatchScratch
+// that the forward pass fills and the backward pass reads (the packed
+// inputs, every layer's activations and the feature matrix), plus the
+// backward's gradient buffers. The zero value is ready: the first step
+// builds the buffers for its model, and later steps reuse them, so a cache
+// kept across samples (TrainStepWith, a Trainer's) trains allocation-free.
+// A cache serves one model architecture.
 type ForwardCache struct {
-	// frozen declares that this cache's forward passes will be followed by
-	// the input-only backward (dense layers frozen: a Trainer with no
-	// optimizer sets it). Forward then skips the per-layer input copies that
-	// nothing but the weight gradients reads; Backward on such a cache panics.
-	frozen bool
+	bs *BatchScratch
 
-	bottom   MLPCache
-	top      MLPCache
-	features [][]float64 // f_0 = bottom output, f_1.. = pooled embeddings
-	sparse   [][]int32
-
-	featM    tensor.Matrix // (T+1)×d backing store for features, one per row
-	topIn    []float64
-	dLogit   [1]float64
-	dZ       []float64
-	dFeatBuf []float64   // backing store for dFeatures
-	dFeats   [][]float64 // per-feature gradient rows, reused across Backwards
-	dInterT  []float64   // one feature's interaction gradients, by partner
+	bottomG, topG []layerGrad
+	dLogit        [1]float64
+	dZ            []float64
+	dFeatBuf      []float64   // backing store for dFeats
+	dFeats        [][]float64 // per-feature gradient rows
+	dInterT       []float64   // one feature's interaction gradients, by partner
 }
 
-// Forward is the training forward: it computes the click logit for one
-// example and fills cache for a subsequent Backward call. Inference scores
-// through the batched pass (Predict, PredictBatch), which returns the same
-// logit bit for bit with float weights.
-func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, cache *ForwardCache) float64 {
-	cfg := m.Cfg
-	if len(dense) != cfg.NumDense {
-		panic(fmt.Sprintf("dlrm: dense len %d != %d", len(dense), cfg.NumDense))
-	}
-	if len(sparse) != cfg.NumTables {
-		panic(fmt.Sprintf("dlrm: sparse tables %d != %d", len(sparse), cfg.NumTables))
-	}
-	cache.bottom.frozen, cache.top.frozen = cache.frozen, cache.frozen
-	z := m.Bottom.Forward(dense, &cache.bottom)
-
-	if len(cache.features) != cfg.NumTables+1 {
-		cache.features = make([][]float64, cfg.NumTables+1)
-		cache.featM = *tensor.NewMatrix(cfg.NumTables+1, cfg.EmbeddingDim)
-		for t := range cache.features {
-			cache.features[t] = cache.featM.Row(t)
+// forward is the training forward: the batched pass on one sample through
+// the cache's scratch, which keeps every activation backward reads. It
+// always runs the float64 MLPs, never the published snapshot, so a
+// quantized model trains in float64.
+func (m *Model) forward(src EmbeddingSource, dense []float64, sparse [][]int32, c *ForwardCache) float64 {
+	if c.bs == nil {
+		n, d := m.Cfg.NumTables+1, m.Cfg.EmbeddingDim
+		c.bs = m.NewBatchScratch(1)
+		c.bottomG, c.topG = m.Bottom.newGrads(), m.Top.newGrads()
+		c.dZ = make([]float64, d)
+		c.dFeatBuf = make([]float64, n*d)
+		c.dFeats = make([][]float64, n)
+		for i := range c.dFeats {
+			c.dFeats[i] = c.dFeatBuf[i*d : (i+1)*d]
 		}
+		c.dInterT = make([]float64, n)
 	}
-	features := cache.features
-	// The backward pass reads the features as one matrix, so f_0 is copied
-	// in rather than aliased.
-	copy(features[0], z)
-	for t := 0; t < cfg.NumTables; t++ {
-		src.Lookup(t, sparse[t], features[t+1])
-	}
-	cache.topIn = appendInteractions(append(cache.topIn[:0], z...), features)
-	cache.sparse = sparse
-	return m.Top.Forward(cache.topIn, &cache.top)[0]
+	bs := c.bs
+	bs.dense[0], bs.sparse[0] = dense, sparse
+	var logit [1]float64
+	m.logitsInto(src, m.Bottom, m.Top, bs.dense[:1], bs.sparse[:1], logit[:], bs)
+	return logit[0]
 }
 
 // appendInteractions appends the pairwise dot products ⟨f_i, f_j⟩, i < j, of
@@ -268,7 +251,7 @@ func appendInteractions(dst []float64, features [][]float64) []float64 {
 }
 
 // Predict returns the click probability for one example: a batch of one
-// through the inference pass on a pooled BatchScratch. It performs zero heap
+// through the forward pass on a pooled BatchScratch. It performs zero heap
 // allocations in steady state (TestPredictBatchMatrix; gated in CI by
 // BenchmarkServeRequestNoAlloc).
 func (m *Model) Predict(src EmbeddingSource, dense []float64, sparse [][]int32) float64 {
@@ -278,12 +261,13 @@ func (m *Model) Predict(src EmbeddingSource, dense []float64, sparse [][]int32) 
 	return Sigmoid(logit[0])
 }
 
-// BatchScratch owns every buffer one inference pass touches: the packed
+// BatchScratch owns every buffer one forward pass touches: the packed
 // dense input matrix, per-layer batch activations for both MLPs, the
-// per-sample embedding gather rows, the packed top-MLP input matrix, and
-// view arrays for callers that score samples by reference. A scratch serves
-// one pass at a time and is not safe for concurrent use; results alias its
-// storage until its next pass. Model pools them.
+// feature matrix, the packed top-MLP input matrix, and view arrays for
+// callers that score samples by reference. A scratch serves one pass at a
+// time and is not safe for concurrent use; results alias its storage until
+// its next pass. Model pools them for inference; a ForwardCache owns one
+// for training.
 type BatchScratch struct {
 	maxB   int
 	bottom *MLPBatchScratch
@@ -291,9 +275,11 @@ type BatchScratch struct {
 	denseM tensor.Matrix // maxB × NumDense packed dense features
 	topInM tensor.Matrix // maxB × (d + interactions) packed top inputs
 
-	// features[0] aliases one bottom-output row per sample; features[1..T]
-	// are the pooled embedding gather buffers, reused across the batch's
-	// samples.
+	// featM holds one sample's features, one per row and reused across the
+	// batch's samples: row 0 a copy of its bottom output, rows 1..T its
+	// pooled embeddings. After a one-sample pass it is the matrix the
+	// backward's interaction step reads. features are its rows.
+	featM    tensor.Matrix
 	features [][]float64
 
 	// dense and sparse are maxB-long views onto the caller's samples (no
@@ -307,19 +293,21 @@ func (m *Model) NewBatchScratch(maxB int) *BatchScratch {
 	maxB = max(maxB, 1)
 	cfg := m.Cfg
 	d, topW := cfg.EmbeddingDim, cfg.EmbeddingDim+cfg.InteractionCount()
-	slab := make([]float64, maxB*(cfg.NumDense+topW)+cfg.NumTables*d)
+	n := cfg.NumTables + 1
+	slab := make([]float64, maxB*(cfg.NumDense+topW)+n*d)
 	bs := &BatchScratch{
 		maxB:     maxB,
 		bottom:   m.Bottom.NewBatchScratch(maxB),
 		top:      m.Top.NewBatchScratch(maxB),
 		denseM:   tensor.Matrix{Rows: maxB, Cols: cfg.NumDense, Data: carve(&slab, maxB*cfg.NumDense)},
 		topInM:   tensor.Matrix{Rows: maxB, Cols: topW, Data: carve(&slab, maxB*topW)},
-		features: make([][]float64, cfg.NumTables+1),
+		featM:    tensor.Matrix{Rows: n, Cols: d, Data: carve(&slab, n*d)},
+		features: make([][]float64, n),
 		dense:    make([][]float64, maxB),
 		sparse:   make([][][]int32, maxB),
 	}
-	for t := 1; t <= cfg.NumTables; t++ {
-		bs.features[t] = carve(&slab, d)
+	for t := range bs.features {
+		bs.features[t] = bs.featM.Row(t)
 	}
 	return bs
 }
@@ -356,7 +344,8 @@ func (m *Model) PredictBatch(src EmbeddingSource, dense [][]float64, sparse [][]
 		bs = m.acquireBatchScratch(len(out))
 		defer m.batch.Put(bs)
 	}
-	m.logitsInto(src, dense, sparse, out, bs)
+	bottom, top := m.inferencers()
+	m.logitsInto(src, bottom, top, dense, sparse, out, bs)
 	for i, l := range out {
 		out[i] = Sigmoid(l)
 	}
@@ -383,28 +372,29 @@ func (m *Model) sampleLogits(src EmbeddingSource, samples []trace.Sample, out []
 	}
 	chunk = min(chunk, len(samples))
 	bs := m.acquireBatchScratch(chunk)
+	bottom, top := m.inferencers()
 	for lo := 0; lo < len(samples); lo += chunk {
 		part := samples[lo:min(lo+chunk, len(samples))]
 		for i, s := range part {
 			bs.dense[i], bs.sparse[i] = s.Dense, s.Sparse
 		}
 		n := len(part)
-		m.logitsInto(src, bs.dense[:n], bs.sparse[:n], out[lo:lo+n], bs)
+		m.logitsInto(src, bottom, top, bs.dense[:n], bs.sparse[:n], out[lo:lo+n], bs)
 	}
 	clear(bs.dense[:chunk]) // the pool pins no caller data
 	clear(bs.sparse[:chunk])
 	m.batch.Put(bs)
 }
 
-// logitsInto is the one inference forward: it scores len(out) ≤ bs.maxB
-// examples into out as raw logits — pack dense rows → one bottom GEMM →
-// per-sample embedding gather + interactions packed into the top-input
-// matrix → one top GEMM — through the published (float or quantized)
-// weights. Zero heap allocations; it fills no backpropagation cache.
-func (m *Model) logitsInto(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
+// logitsInto is the one forward: it scores len(out) ≤ bs.maxB examples
+// into out as raw logits — pack dense rows → one bottom GEMM → per-sample
+// embedding gather + interactions packed into the top-input matrix → one
+// top GEMM — through the given MLPs: the published (float or quantized)
+// snapshot for inference, the float64 MLPs for training. Zero heap
+// allocations.
+func (m *Model) logitsInto(src EmbeddingSource, bottom, top inferencer, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
 	cfg := m.Cfg
 	b := len(out)
-	bottom, top := m.inferencers()
 
 	bs.denseM.Rows = b
 	for i, dv := range dense {
@@ -421,11 +411,12 @@ func (m *Model) logitsInto(src EmbeddingSource, dense [][]float64, sparse [][][]
 		if len(sparse[i]) != cfg.NumTables {
 			panic(fmt.Sprintf("dlrm: sparse tables %d != %d", len(sparse[i]), cfg.NumTables))
 		}
-		features[0] = z.Row(i)
+		zi := z.Row(i)
+		copy(features[0], zi)
 		for t := 0; t < cfg.NumTables; t++ {
 			src.Lookup(t, sparse[i][t], features[t+1])
 		}
-		appendInteractions(append(bs.topInM.Row(i)[:0], features[0]...), features)
+		appendInteractions(append(bs.topInM.Row(i)[:0], zi...), features)
 	}
 	logits := top.InferBatchInto(&bs.topInM, bs.top)
 	for i := range out {
@@ -433,10 +424,10 @@ func (m *Model) logitsInto(src EmbeddingSource, dense [][]float64, sparse [][][]
 	}
 }
 
-// Backward backpropagates dLogit through the model, accumulating dense-layer
-// gradients and returning the gradient w.r.t. each table's pooled embedding.
-// The returned rows alias the cache's scratch and are valid until its next
-// Backward.
+// Backward backpropagates dLogit through the forward pass the cache last
+// ran, accumulating dense-layer gradients and returning the gradient w.r.t.
+// each table's pooled embedding. The returned rows alias the cache's
+// scratch and are valid until its next Backward.
 func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
 	return m.backward(dLogit, cache, false)
 }
@@ -448,25 +439,12 @@ func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
 // at all (nothing upstream of it is trainable), and so nothing to ZeroGrad
 // after.
 func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]float64 {
-	cfg := m.Cfg
+	bs := cache.bs
 	cache.dLogit[0] = dLogit
-	var dTopIn []float64
-	if frozen {
-		dTopIn = m.Top.backwardInput(cache.dLogit[:], &cache.top)
-	} else {
-		dTopIn = m.Top.Backward(cache.dLogit[:], &cache.top)
-	}
-	dInter := dTopIn[cfg.EmbeddingDim:]
+	dTopIn := m.Top.backward(cache.dLogit[:], bs.topInM.Row(0), bs.top, cache.topG, !frozen, true)
+	dInter := dTopIn[m.Cfg.EmbeddingDim:]
 
-	n := len(cache.features)
-	if len(cache.dFeats) != n {
-		cache.dFeats = make([][]float64, n)
-		cache.dFeatBuf = make([]float64, n*cfg.EmbeddingDim)
-		for i := range cache.dFeats {
-			cache.dFeats[i] = cache.dFeatBuf[i*cfg.EmbeddingDim : (i+1)*cfg.EmbeddingDim]
-		}
-		cache.dInterT = make([]float64, n)
-	}
+	n := len(bs.features)
 	dFeatures := cache.dFeats
 	clear(cache.dFeatBuf)
 	// Feature t's gradient is Σ_{p≠t} g_tp·f_p, where g_tp is the gradient of
@@ -489,17 +467,17 @@ func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]f
 		for p := t + 1; p < n; p++ {
 			gt[p] = dInter[base+p-t-1]
 		}
-		tensor.AxpyRows(dFeatures[t], 1, gt, &cache.featM)
+		tensor.AxpyRows(dFeatures[t], 1, gt, &bs.featM)
 	}
 	if !frozen {
 		// f_0 is the bottom output: its gradient combines the direct
 		// top-input path and the interaction path.
-		cache.dZ = growFloats(cache.dZ, cfg.EmbeddingDim)
 		dZ := cache.dZ
 		for i := range dZ {
 			dZ[i] = dTopIn[i] + dFeatures[0][i]
 		}
-		m.Bottom.backwardParams(dZ, &cache.bottom) // the dense input has no gradient to take
+		// The dense input has no gradient to take.
+		m.Bottom.backward(dZ, bs.denseM.Row(0), bs.bottom, cache.bottomG, true, false)
 	}
 	return dFeatures[1:]
 }
@@ -508,8 +486,8 @@ func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]f
 // caller-owned forward cache: dense gradients are accumulated (call opt.Step
 // to apply) and embedding gradients are applied immediately through src at
 // rate embLR. It returns the example's BCE loss. Reusing one cache across a
-// mini-batch amortizes the per-sample cache allocations (Forward overwrites
-// every field it reads, so reuse is safe).
+// mini-batch makes every step after the first allocation-free (the forward
+// overwrites every buffer the backward reads, so reuse is safe).
 func (m *Model) TrainStepWith(src EmbeddingSource, dense []float64, sparse [][]int32, label int, embLR float64, cache *ForwardCache) float64 {
 	return m.trainStep(src, dense, sparse, label, embLR, cache, false)
 }
@@ -517,7 +495,7 @@ func (m *Model) TrainStepWith(src EmbeddingSource, dense []float64, sparse [][]i
 // trainStep is TrainStepWith; frozen selects the input-only backward, which
 // applies the same embedding gradients and accumulates no dense ones.
 func (m *Model) trainStep(src EmbeddingSource, dense []float64, sparse [][]int32, label int, embLR float64, cache *ForwardCache, frozen bool) float64 {
-	logit := m.Forward(src, dense, sparse, cache)
+	logit := m.forward(src, dense, sparse, cache)
 	loss := BCELossWithLogit(logit, label)
 	dLogit := Sigmoid(logit) - float64(label)
 	dEmb := m.backward(dLogit, cache, frozen)

@@ -1,10 +1,12 @@
 package dlrm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"liveupdate/internal/emt"
+	"liveupdate/internal/lora"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
 )
@@ -166,5 +168,88 @@ func TestTrainStepWithSteadyStateAllocs(t *testing.T) {
 		m.TrainStepWith(b, dense, sparse, 1, 0.05, &cache)
 	}); a != 0 {
 		t.Fatalf("TrainStepWith allocates %v per run with a warm cache, want 0", a)
+	}
+}
+
+// TestQuantizedModelTrainsInFloat: the published snapshot serves
+// predictions only. For int8 and f16, Trainer.TrainBatch moves the same bits
+// as on the same model with QuantNone — returned losses, base tables,
+// adapter state and dense weights — both frozen over a LoRA Set and with SGD
+// over the base tables.
+func TestQuantizedModelTrainsInFloat(t *testing.T) {
+	type result struct {
+		losses []float64
+		model  *Model
+		group  *emt.Group
+		set    *lora.Set
+	}
+	train := func(mode QuantMode, frozen bool) result {
+		m, base, samples := frozenFixture(61)
+		if err := m.SetQuantization(mode); err != nil {
+			t.Fatal(err)
+		}
+		r := result{model: m, group: base.Group}
+		tr := Trainer{Model: m, Emb: base, Opt: SGD{LR: 0.05}, EmbLR: 0.05}
+		if frozen {
+			r.set = lora.MustNewSet(base.Group, lora.DefaultConfig(base.Group.Tables[0].Rows(), m.Cfg.EmbeddingDim))
+			tr = Trainer{Model: m, Emb: r.set, EmbLR: 0.05}
+		}
+		for i := 0; i+16 <= len(samples); i += 16 {
+			r.losses = append(r.losses, tr.TrainBatch(samples[i:i+16]))
+		}
+		return r
+	}
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, frozen := range []bool{true, false} {
+		want := train(QuantNone, frozen)
+		for _, mode := range []QuantMode{QuantInt8, QuantF16} {
+			got := train(mode, frozen)
+			name := fmt.Sprintf("%s frozen=%v", mode, frozen)
+			if !sameBits(got.losses, want.losses) {
+				t.Fatalf("%s: losses %v, float model %v", name, got.losses, want.losses)
+			}
+			for ti, tab := range got.group.Tables {
+				for id := int32(0); int(id) < tab.Rows(); id++ {
+					if !sameBits(tab.PeekRow(id), want.group.Tables[ti].PeekRow(id)) {
+						t.Fatalf("%s: table %d row %d differs", name, ti, id)
+					}
+				}
+			}
+			layers := append(append([]*Layer(nil), got.model.Bottom.Layers...), got.model.Top.Layers...)
+			wantLayers := append(append([]*Layer(nil), want.model.Bottom.Layers...), want.model.Top.Layers...)
+			for li, l := range layers {
+				if !sameBits(l.W.Data, wantLayers[li].W.Data) || !sameBits(l.B, wantLayers[li].B) {
+					t.Fatalf("%s: dense layer %d differs", name, li)
+				}
+			}
+			if !frozen {
+				continue
+			}
+			gs, ws := got.set.ExportFull(), want.set.ExportFull()
+			for ti := range ws {
+				g, w := gs[ti], ws[ti]
+				if g.Rank != w.Rank || len(g.Rows) != len(w.Rows) || !sameBits(g.B.Data, w.B.Data) {
+					t.Fatalf("%s: adapter %d rank/rows/B differ", name, ti)
+				}
+				for i := range w.Rows {
+					if g.Rows[i].ID != w.Rows[i].ID || !sameBits(g.Rows[i].Row, w.Rows[i].Row) {
+						t.Fatalf("%s: adapter %d row %d differs", name, ti, w.Rows[i].ID)
+					}
+				}
+			}
+		}
+		if frozen && want.set.Adapters[0].ActiveCount() == 0 {
+			t.Fatal("the LoRA arm trained no adapter row — fixture proves nothing")
+		}
 	}
 }

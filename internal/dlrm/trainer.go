@@ -33,7 +33,6 @@ func (tr *Trainer) TrainBatch(batch []trace.Sample) float64 {
 	}
 	total := 0.0
 	frozen := tr.Opt == nil
-	tr.cache.frozen = frozen // no weight gradient will read the layer inputs
 	for _, s := range batch {
 		total += tr.Model.trainStep(tr.Emb, s.Dense, s.Sparse, s.Label, tr.EmbLR, &tr.cache, frozen)
 	}
@@ -63,11 +62,11 @@ func (tr *Trainer) TrainEpochs(samples []trace.Sample, batchSize, epochs int) fl
 	return last
 }
 
-// evalChunk is how many samples EvaluateAUC scores per inference pass.
+// evalChunk is how many samples EvaluateAUC scores per forward pass.
 const evalChunk = 64
 
 // EvaluateAUC scores samples with the model and returns the AUC-ROC. Scoring
-// runs the inference pass in chunks on one pooled scratch and ranks raw
+// runs the forward pass in chunks on one pooled scratch and ranks raw
 // logits: the ranking is sigmoid-invariant, while saturated probabilities
 // would tie.
 func EvaluateAUC(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {

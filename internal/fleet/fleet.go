@@ -126,10 +126,6 @@ type Config struct {
 	// duration — the same clock the periodic sync protocol bills.
 	SyncClock *simnet.Clock
 
-	// RingVNodes is the per-member virtual-node count of the consistent-hash
-	// ring (default 64).
-	RingVNodes int
-
 	// InstallBarrier, when set, wraps every membership commit — the fold of
 	// a departing member's statistics plus the atomic view swap — so the
 	// owner can exclude in-flight request serving around it. The cluster
@@ -285,7 +281,7 @@ func (c *Controller) install(slots []*Member, version int64) {
 		slots:   slots,
 		active:  active,
 		systems: systems,
-		ring:    newRing(active, c.cfg.RingVNodes),
+		ring:    newRing(active),
 	})
 }
 

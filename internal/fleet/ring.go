@@ -7,16 +7,16 @@ import (
 )
 
 // Consistent-hash ring over the active members of a View. Each member owns
-// RingVNodes pseudo-random points on a 64-bit ring; a key is served by the
+// ringVNodes pseudo-random points on a 64-bit ring; a key is served by the
 // first member point at or clockwise of the key's hash. Membership changes
 // therefore only remap the keys in the arcs a member's points cover —
 // roughly a 1/N share per single join or leave — instead of reshuffling the
 // whole keyspace the way `hash(key) mod N` does.
 
-// defaultVNodes is the per-member virtual-node count: enough points that a
+// ringVNodes is the per-member virtual-node count: enough points that a
 // member's keyspace share concentrates near 1/N without making ring builds
 // (one per membership change) expensive.
-const defaultVNodes = 64
+const ringVNodes = 64
 
 type ringPoint struct {
 	hash uint64
@@ -27,17 +27,14 @@ type ring struct {
 	points []ringPoint // sorted by hash
 }
 
-// newRing places vnodes points per member. Point positions depend only on
+// newRing places ringVNodes points per member. Point positions depend only on
 // the member's stable ID, never on its slot or the current fleet size, so a
 // member's arcs survive other members' churn untouched.
-func newRing(members []*Member, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &ring{points: make([]ringPoint, 0, len(members)*vnodes)}
+func newRing(members []*Member) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(members)*ringVNodes)}
 	for _, m := range members {
 		base := uint64(m.ID) * 0x9e3779b97f4a7c15
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: mix64(base + uint64(v)), m: m})
 		}
 	}
