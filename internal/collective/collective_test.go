@@ -92,7 +92,11 @@ func makeReplicas(n int) []*lora.Set {
 		base := emt.NewGroup(2, 50, 8, tensor.NewRNG(7)) // identical bases
 		cfg := lora.DefaultConfig(50, 8)
 		cfg.Seed = uint64(i)
-		replicas[i] = lora.MustNewSet(base, cfg)
+		set, err := lora.NewSet(base, cfg)
+		if err != nil {
+			panic(err)
+		}
+		replicas[i] = set
 	}
 	_ = rng
 	return replicas
@@ -117,9 +121,9 @@ func TestPriorityMergeMaxRankWins(t *testing.T) {
 	trainOn(replicas[1], 1, 3, 300)
 
 	states := [][]lora.TableState{
-		replicas[0].ExportState(),
-		replicas[1].ExportState(),
-		replicas[2].ExportState(),
+		replicas[0].Snapshot(),
+		replicas[1].Snapshot(),
+		replicas[2].Snapshot(),
 	}
 	merged, stats, err := PriorityMerge(states)
 	if err != nil {
@@ -177,9 +181,9 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 
 	ranked := make([]RankedState, 3)
 	for r := range ranked {
-		ranked[r] = RankedState{Rank: r, Tables: replicas[r].ExportState()}
+		ranked[r] = RankedState{Rank: r, Tables: replicas[r].Snapshot()}
 	}
-	ref, refStats, err := PriorityMergeRanked(append([]RankedState(nil), ranked...))
+	ref, refStats, err := priorityMergeRanked(append([]RankedState(nil), ranked...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +193,7 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 		for i, p := range perm {
 			in[i] = ranked[p]
 		}
-		got, stats, err := PriorityMergeRanked(in)
+		got, stats, err := priorityMergeRanked(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,10 +238,10 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if idxStats != refStats || len(viaIndex) != len(ref) {
-		t.Fatalf("PriorityMerge disagrees with PriorityMergeRanked: %+v vs %+v", idxStats, refStats)
+		t.Fatalf("PriorityMerge disagrees with priorityMergeRanked: %+v vs %+v", idxStats, refStats)
 	}
 	// Duplicate rank ids are ambiguous priorities and must be rejected.
-	if _, _, err := PriorityMergeRanked([]RankedState{
+	if _, _, err := priorityMergeRanked([]RankedState{
 		{Rank: 1, Tables: ranked[0].Tables},
 		{Rank: 1, Tables: ranked[1].Tables},
 	}); err == nil {
@@ -252,15 +256,19 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 // (recursive-doubling AllGather on the max per-rank payload plus the
 // broadcast of the merged state).
 func TestSyncGroupByteAccounting(t *testing.T) {
-	replicas := makeReplicas(4)
-	trainOn(replicas[0], 0, 5, 1)
-	trainOn(replicas[1], 0, 9, 2)
-	trainOn(replicas[2], 1, 3, 3)
+	// twins trains exactly as replicas does; its snapshots give the expected
+	// payloads, since a snapshot clears the supports the sync exports.
+	replicas, twins := makeReplicas(4), makeReplicas(4)
+	for _, rs := range [][]*lora.Set{replicas, twins} {
+		trainOn(rs[0], 0, 5, 1)
+		trainOn(rs[1], 0, 9, 2)
+		trainOn(rs[2], 1, 3, 3)
+	}
 
-	states := make([][]lora.TableState, len(replicas))
+	states := make([][]lora.TableState, len(twins))
 	var wantPayload, maxPayload int64
-	for i, r := range replicas {
-		states[i] = r.ExportState()
+	for i, r := range twins {
+		states[i] = r.Snapshot()
 		p := lora.PayloadBytes(states[i])
 		wantPayload += p
 		if p > maxPayload {
@@ -326,8 +334,8 @@ func TestPriorityMergeErrors(t *testing.T) {
 	}
 	replicas := makeReplicas(2)
 	bad := [][]lora.TableState{
-		replicas[0].ExportState(),
-		replicas[1].ExportState()[:1], // table count mismatch
+		replicas[0].Snapshot(),
+		replicas[1].Snapshot()[:1], // table count mismatch
 	}
 	if _, _, err := PriorityMerge(bad); err == nil {
 		t.Fatal("table mismatch must error")
@@ -375,8 +383,8 @@ func TestSyncGroupConvergence(t *testing.T) {
 	}
 	// Supports must be cleared.
 	for _, r := range replicas {
-		for _, a := range r.Adapters {
-			if a.SupportSize() != 0 {
+		for _, st := range r.Snapshot() {
+			if len(st.Rows) != 0 {
 				t.Fatal("sync must reset supports")
 			}
 		}
@@ -446,7 +454,11 @@ func TestSyncGroupConsistencyAfterLongRun(t *testing.T) {
 		cfg.Seed = uint64(i)
 		cfg.DisableRankAdapt = true // rank coordinated out of band
 		cfg.AdaptInterval = 50      // pruning still cycles
-		replicas[i] = lora.MustNewSet(base, cfg)
+		set, err := lora.NewSet(base, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas[i] = set
 	}
 	rng := tensor.NewRNG(77)
 	g := make([]float64, 8)

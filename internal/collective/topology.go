@@ -32,7 +32,7 @@ func Topologies() []Kind { return []Kind{TopologyFlat, TopologyRing, TopologyTre
 // (collect every rank's exported payload to form the merge) and the
 // broadcast (publish the merged state back to every rank) — on uniform
 // full-duplex links. Implementations are pure cost models: the merge result
-// itself is computed by PriorityMergeRanked and is identical under every
+// itself is computed by priorityMergeRanked and is identical under every
 // topology; only the virtual time and wire bytes charged differ.
 //
 // perRank is the largest single rank's payload (the pacing payload of the
@@ -64,9 +64,9 @@ func ParseTopology(kind Kind) (Topology, error) {
 	case "", TopologyFlat:
 		return Flat{}, nil
 	case TopologyRing:
-		return Ring{}, nil
+		return ringTopology{}, nil
 	case TopologyTree:
-		return Tree{}, nil
+		return treeTopology{}, nil
 	}
 	return nil, fmt.Errorf("collective: unknown topology %q (want flat, ring, or tree)", kind)
 }
@@ -166,23 +166,23 @@ func (Flat) BroadcastBytes(n int, size int64) int64 {
 	return int64(n-1) * size
 }
 
-// Tree is a binomial reduce followed by a binomial broadcast. In each of the
+// treeTopology is a binomial reduce followed by a binomial broadcast. In each of the
 // ceil(log2 n) reduce rounds, half the live subtree roots ship their partial
 // priority merge one hop and drop out; a partial merge is bounded by
 // max(perRank, merged), so every hop carries at most that. Total gather
 // traffic is n−1 hops — linear in the fleet, against flat's quadratic — and
 // gather depth is logarithmic.
-type Tree struct{}
+type treeTopology struct{}
 
 // Kind implements Topology.
-func (Tree) Kind() Kind { return TopologyTree }
+func (treeTopology) Kind() Kind { return TopologyTree }
 
 // Rounds implements Topology: ceil(log2 n) binomial rounds.
-func (Tree) Rounds(n int) int { return ceilLog2(n) }
+func (treeTopology) Rounds(n int) int { return ceilLog2(n) }
 
 // GatherTime implements Topology: rounds × (latency + hop/bandwidth), the
 // depth×link charge of a binomial reduce.
-func (Tree) GatherTime(n int, perRank, merged int64, bandwidthBps, latencySec float64) float64 {
+func (treeTopology) GatherTime(n int, perRank, merged int64, bandwidthBps, latencySec float64) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -192,7 +192,7 @@ func (Tree) GatherTime(n int, perRank, merged int64, bandwidthBps, latencySec fl
 }
 
 // GatherBytes implements Topology: n−1 hops of at most max(perRank, merged).
-func (Tree) GatherBytes(n int, perRank, merged int64) int64 {
+func (treeTopology) GatherBytes(n int, perRank, merged int64) int64 {
 	if n <= 1 {
 		return 0
 	}
@@ -200,28 +200,28 @@ func (Tree) GatherBytes(n int, perRank, merged int64) int64 {
 }
 
 // BroadcastTime implements Topology: the same binomial broadcast Flat uses.
-func (Tree) BroadcastTime(n int, size int64, bandwidthBps, latencySec float64) float64 {
+func (treeTopology) BroadcastTime(n int, size int64, bandwidthBps, latencySec float64) float64 {
 	return Flat{}.BroadcastTime(n, size, bandwidthBps, latencySec)
 }
 
 // BroadcastBytes implements Topology: n−1 transmissions of the full payload.
-func (Tree) BroadcastBytes(n int, size int64) int64 {
+func (treeTopology) BroadcastBytes(n int, size int64) int64 {
 	return Flat{}.BroadcastBytes(n, size)
 }
 
-// Ring is a pipelined, chunked ring. The gather reduces partial merges
+// ringTopology is a pipelined, chunked ring. The gather reduces partial merges
 // around the ring in n−1 steps, each moving a 1/n chunk of the hop payload
 // per link; the broadcast pipelines the merged state back the other way.
 // Bandwidth-optimal — each link carries roughly one payload total, so wire
-// volume matches Tree's n−1 hops — but the n−1 step latency term makes it
+// volume matches treeTopology's n−1 hops — but the n−1 step latency term makes it
 // the long-thin-pipe choice, not the low-latency one.
-type Ring struct{}
+type ringTopology struct{}
 
 // Kind implements Topology.
-func (Ring) Kind() Kind { return TopologyRing }
+func (ringTopology) Kind() Kind { return TopologyRing }
 
 // Rounds implements Topology: n−1 ring steps.
-func (Ring) Rounds(n int) int {
+func (ringTopology) Rounds(n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -229,7 +229,7 @@ func (Ring) Rounds(n int) int {
 }
 
 // GatherTime implements Topology: (n−1) × (latency + (hop/n)/bandwidth).
-func (Ring) GatherTime(n int, perRank, merged int64, bandwidthBps, latencySec float64) float64 {
+func (ringTopology) GatherTime(n int, perRank, merged int64, bandwidthBps, latencySec float64) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -240,8 +240,8 @@ func (Ring) GatherTime(n int, perRank, merged int64, bandwidthBps, latencySec fl
 }
 
 // GatherBytes implements Topology: n−1 links each carrying the chunked hop
-// payload once — (n−1)·hop in total, same linear volume as Tree.
-func (Ring) GatherBytes(n int, perRank, merged int64) int64 {
+// payload once — (n−1)·hop in total, same linear volume as treeTopology.
+func (ringTopology) GatherBytes(n int, perRank, merged int64) int64 {
 	if n <= 1 {
 		return 0
 	}
@@ -250,7 +250,7 @@ func (Ring) GatherBytes(n int, perRank, merged int64) int64 {
 
 // BroadcastTime implements Topology: the merged state pipelines around the
 // ring in n−1 chunked steps.
-func (Ring) BroadcastTime(n int, size int64, bandwidthBps, latencySec float64) float64 {
+func (ringTopology) BroadcastTime(n int, size int64, bandwidthBps, latencySec float64) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -262,7 +262,7 @@ func (Ring) BroadcastTime(n int, size int64, bandwidthBps, latencySec float64) f
 
 // BroadcastBytes implements Topology: every link forwards the full payload
 // once (in chunks), so n−1 payloads total.
-func (Ring) BroadcastBytes(n int, size int64) int64 {
+func (ringTopology) BroadcastBytes(n int, size int64) int64 {
 	if n <= 1 {
 		return 0
 	}

@@ -33,7 +33,7 @@ func TestParseTopology(t *testing.T) {
 // cells: tree rounds grow like ⌈log2 n⌉, ring rounds like n-1, and the
 // hierarchical wire bills are (n-1)·hop against flat's n·(2^⌈log2 n⌉-1)·hop.
 func TestTopologyCostShapes(t *testing.T) {
-	for _, topo := range []Topology{Flat{}, Ring{}, Tree{}} {
+	for _, topo := range []Topology{Flat{}, ringTopology{}, treeTopology{}} {
 		if topo.Rounds(1) != 0 || topo.GatherBytes(1, 1000, 1000) != 0 ||
 			topo.BroadcastBytes(1, 1000) != 0 ||
 			topo.GatherTime(1, 1000, 1000, 1e9, 1e-6) != 0 ||
@@ -41,19 +41,19 @@ func TestTopologyCostShapes(t *testing.T) {
 			t.Fatalf("%s: single member must be free", topo.Kind())
 		}
 	}
-	if got := (Tree{}).Rounds(256); got != 8 {
+	if got := (treeTopology{}).Rounds(256); got != 8 {
 		t.Fatalf("Tree.Rounds(256) = %d, want 8", got)
 	}
-	if got := (Ring{}).Rounds(256); got != 255 {
+	if got := (ringTopology{}).Rounds(256); got != 255 {
 		t.Fatalf("Ring.Rounds(256) = %d, want 255", got)
 	}
 	// Hop payload is max(perRank, merged): both hierarchical gathers ship
 	// (n-1) hops of it.
 	const per, merged = 1000, 4000
-	if got := (Tree{}).GatherBytes(8, per, merged); got != 7*merged {
+	if got := (treeTopology{}).GatherBytes(8, per, merged); got != 7*merged {
 		t.Fatalf("Tree.GatherBytes = %d, want %d", got, 7*merged)
 	}
-	if got := (Ring{}).GatherBytes(8, per, merged); got != 7*merged {
+	if got := (ringTopology{}).GatherBytes(8, per, merged); got != 7*merged {
 		t.Fatalf("Ring.GatherBytes = %d, want %d", got, 7*merged)
 	}
 	// Flat's gather is oblivious to the merged size and strictly larger.
@@ -62,10 +62,10 @@ func TestTopologyCostShapes(t *testing.T) {
 	}
 	// Latency shape: tree pays rounds hops, ring pays n-1 hops.
 	const bw, lat = 1e15, 1e-3 // latency-dominated
-	if got := (Tree{}).GatherTime(256, per, merged, bw, lat); math.Abs(got-8*lat) > 1e-9 {
+	if got := (treeTopology{}).GatherTime(256, per, merged, bw, lat); math.Abs(got-8*lat) > 1e-9 {
 		t.Fatalf("Tree latency %v, want ~%v", got, 8*lat)
 	}
-	if got := (Ring{}).GatherTime(256, per, merged, bw, lat); math.Abs(got-255*lat) > 1e-9 {
+	if got := (ringTopology{}).GatherTime(256, per, merged, bw, lat); math.Abs(got-255*lat) > 1e-9 {
 		t.Fatalf("Ring latency %v, want ~%v", got, 255*lat)
 	}
 }
@@ -82,7 +82,7 @@ func rankedExports(t *testing.T, n int) []RankedState {
 	}
 	states := make([]RankedState, n)
 	for i, r := range replicas {
-		states[i] = RankedState{Rank: i, Tables: r.ExportState()}
+		states[i] = RankedState{Rank: i, Tables: r.Snapshot()}
 	}
 	return states
 }
@@ -235,7 +235,7 @@ func TestDeltaAccountingIdentity(t *testing.T) {
 		sg, err := NewSyncGroupWith(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
-			Topology:     Tree{},
+			Topology:     treeTopology{},
 			Delta:        delta,
 		})
 		if err != nil {
@@ -313,7 +313,7 @@ func TestDeltaBackfillStaleRank(t *testing.T) {
 		sg, err := NewSyncGroupWith(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
-			Topology:     Tree{},
+			Topology:     treeTopology{},
 			Delta:        true,
 		})
 		if err != nil {
@@ -367,7 +367,7 @@ func TestCompressionAccounting(t *testing.T) {
 		sg, err := NewSyncGroupWith(GroupConfig{
 			BandwidthBps:  simnet.Gbps100,
 			LatencySec:    1e-6,
-			Topology:      Tree{},
+			Topology:      treeTopology{},
 			CompressLevel: level,
 		})
 		if err != nil {
@@ -430,7 +430,7 @@ func TestTopologyGuards(t *testing.T) {
 		}()
 		f()
 	}
-	for _, topo := range []Topology{Flat{}, Ring{}, Tree{}} {
+	for _, topo := range []Topology{Flat{}, ringTopology{}, treeTopology{}} {
 		kind := topo.Kind()
 		mustPanic(fmt.Sprintf("%s negative payload", kind), func() { topo.GatherBytes(4, -1, 0) })
 		mustPanic(fmt.Sprintf("%s zero bandwidth", kind), func() { topo.GatherTime(4, 1000, 1000, 0, 1e-6) })

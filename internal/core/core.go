@@ -14,7 +14,6 @@ import (
 	"liveupdate/internal/lora"
 	"liveupdate/internal/metrics"
 	"liveupdate/internal/numasim"
-	"liveupdate/internal/serving"
 	"liveupdate/internal/simnet"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
@@ -28,7 +27,7 @@ type Options struct {
 	Profile trace.Profile
 	Seed    uint64
 
-	Node       serving.NodeConfig
+	Node       NodeConfig
 	Machine    numasim.Config
 	Controller numasim.ControllerConfig
 	LoRA       lora.Config
@@ -62,9 +61,15 @@ type Options struct {
 func DefaultOptions(p trace.Profile, seed uint64) Options {
 	mcfg := numasim.DefaultConfig()
 	return Options{
-		Profile:          p,
-		Seed:             seed,
-		Node:             serving.DefaultNodeConfig(),
+		Profile: p,
+		Seed:    seed,
+		// The paper's serving constants: ~4 ms dense time, 10 ms SLA target.
+		Node: NodeConfig{
+			GPUDenseTime:  0.004,
+			SLA:           0.010,
+			RingCapacity:  8192,
+			LatencyWindow: 4096,
+		},
 		Machine:          mcfg,
 		Controller:       numasim.DefaultControllerConfig(mcfg.NumCCDs),
 		LoRA:             lora.DefaultConfig(p.TableSize, p.EmbeddingDim),
@@ -86,6 +91,16 @@ func (o Options) Validate() error {
 	if _, err := dlrm.ParseQuantMode(o.Quantization); err != nil {
 		return err
 	}
+	switch n := o.Node; {
+	case n.GPUDenseTime <= 0:
+		return fmt.Errorf("core: Node.GPUDenseTime must be positive")
+	case n.SLA <= 0:
+		return fmt.Errorf("core: Node.SLA must be positive")
+	case n.RingCapacity <= 0:
+		return fmt.Errorf("core: Node.RingCapacity must be positive")
+	case n.LatencyWindow <= 0:
+		return fmt.Errorf("core: Node.LatencyWindow must be positive")
+	}
 	if o.EnableTraining {
 		if o.TrainBatch <= 0 {
 			return fmt.Errorf("core: TrainBatch must be positive")
@@ -106,11 +121,11 @@ func (o Options) Validate() error {
 // A System is safe for concurrent use, with the serve hot path split across
 // two locks:
 //
-//   - The DLRM forward (serving.Node.PredictBatch) runs OUTSIDE the node
+//   - The DLRM forward (Node.predictBatch) runs OUTSIDE the node
 //     mutex: it is read-only — adapter state is read through its
-//     copy-on-write atomic publishes (see internal/lora), embedding access
-//     counters are atomic — and allocation-free (a pooled batch scratch per
-//     in-flight call).
+//     copy-on-write atomic publishes (see internal/lora), embedding rows are
+//     only read — and allocation-free (a pooled batch scratch per in-flight
+//     call).
 //     It holds only a read lock on paramMu, the rarely-written parameter
 //     lock, so forwards never block behind another request's bookkeeping, a
 //     Stats snapshot, or an in-flight fleet merge.
@@ -135,7 +150,7 @@ type System struct {
 	Model      *dlrm.Model
 	Base       *emt.Group
 	LoRA       *lora.Set
-	Node       *serving.Node
+	Node       *Node
 
 	mu         sync.Mutex // guards all mutable state below and inside Node/Machine/LoRA
 	trainRNG   *tensor.RNG
@@ -189,10 +204,6 @@ func New(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	node, err := serving.NewNode(opts.Node, model, set, machine, clock)
-	if err != nil {
-		return nil, err
-	}
 	s := &System{
 		Opts:     opts,
 		Clock:    clock,
@@ -200,10 +211,10 @@ func New(opts Options) (*System, error) {
 		Model:    model,
 		Base:     base,
 		LoRA:     set,
-		Node:     node,
 		trainRNG: tensor.NewRNG(opts.Seed ^ 0x7ea1),
 		trainer:  dlrm.Trainer{Model: model, Emb: set, EmbLR: opts.EmbLR},
 	}
+	s.Node = newNode(s)
 	if opts.EnableScheduling {
 		ctl, err := numasim.NewController(opts.Controller, machine, clock, opts.InitialInfCCD)
 		if err != nil {
@@ -215,7 +226,6 @@ func New(opts Options) (*System, error) {
 		reg := tel.Registry()
 		s.tel = tel
 		s.tracer = tel.Tracer()
-		s.Node.Trace = s.tracer
 		s.telServed = reg.Counter("liveupdate_serve_requests_total",
 			"Requests served (fleet-wide when replicas share a Telemetry).")
 		s.telViol = reg.Counter("liveupdate_sla_violations_total",
@@ -435,7 +445,7 @@ func (s *System) serveChecked(samples []trace.Sample, resps []Response) {
 	s.paramMu.RLock()
 	for lo := 0; lo < len(samples); lo += forwardChunk {
 		part := samples[lo:min(lo+forwardChunk, len(samples))]
-		s.Node.PredictBatch(part, probs[:len(part)])
+		s.Node.predictBatch(part, probs[:len(part)])
 		for i := range part {
 			resps[lo+i] = Response{Prob: probs[i]}
 		}
@@ -507,12 +517,12 @@ func (s *System) Stats() Stats {
 		hot += a.ActiveCount()
 	}
 	return Stats{
-		Served:            s.Node.Served(),
-		P50:               s.Node.Lat.P50(),
+		Served:            s.Node.served.Load(),
+		P50:               s.Node.lat.P50(),
 		P99:               s.Node.P99(),
-		MeanLatency:       s.Node.Lat.Mean(),
+		MeanLatency:       s.Node.lat.Mean(),
 		SLA:               s.Opts.Node.SLA,
-		Violations:        s.Node.Violations(),
+		Violations:        s.Node.violations.Load(),
 		ViolationRate:     s.Node.ViolationRate(),
 		TrainSteps:        s.trainSteps,
 		FullSyncs:         s.fullSyncs,
@@ -541,7 +551,7 @@ func (s *System) Unlock() { s.mu.Unlock() }
 func (s *System) LatencyWindow() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.Node.LatencySamples()
+	return s.Node.lat.Samples()
 }
 
 // Telemetry returns the telemetry this node was built with (nil when
@@ -591,13 +601,6 @@ func (s *System) PublishLoRA(state []lora.TableState, epoch int64) {
 // never block behind an in-flight request or merge.
 func (s *System) AdapterEpoch() int64 { return s.LoRA.Epoch() }
 
-// AdapterVersion returns the node's last published adapter Version (nil
-// before the first sync), lock-free. The returned value is immutable: Serve
-// and the trainer read the same tables through the adapters' own atomic
-// state, so a caller can inspect a consistent published snapshot while the
-// node keeps serving.
-func (s *System) AdapterVersion() *lora.Version { return s.LoRA.Published() }
-
 // TrainTick runs one co-located training step: a mini-batch sampled from the
 // inference ring buffer, every embedding access charged to the machine model
 // (through the reuse path when enabled), and one LoRA SGD step per sample.
@@ -621,7 +624,7 @@ func (s *System) trainTick() {
 	if s.trainBuf == nil {
 		s.trainBuf = make([]trace.Sample, s.Opts.TrainBatch)
 	}
-	batch := s.Node.Ring.SampleInto(s.trainRNG, s.trainBuf)
+	batch := s.Node.ring.sampleInto(s.trainRNG, s.trainBuf)
 	if batch == nil {
 		return
 	}
@@ -656,13 +659,6 @@ func (s *System) trainTick() {
 	s.telTicks.Inc()
 }
 
-// TrainSteps returns the number of co-located training ticks executed.
-func (s *System) TrainSteps() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.trainSteps
-}
-
 // FullSync installs fresh base weights and dense parameters from a training
 // cluster (the hourly mid-term tier of Fig 8) and resets the adapters.
 func (s *System) FullSync(freshBase *emt.Group, freshModel *dlrm.Model) {
@@ -678,13 +674,6 @@ func (s *System) FullSync(freshBase *emt.Group, freshModel *dlrm.Model) {
 	s.Model.CopyWeightsFrom(freshModel)
 	s.LoRA.ResetAdapters()
 	s.fullSyncs++
-}
-
-// FullSyncs returns the number of full-parameter syncs performed.
-func (s *System) FullSyncs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fullSyncs
 }
 
 // MemoryOverhead returns LoRA bytes / base EMT bytes (the paper's <2% claim).

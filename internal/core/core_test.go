@@ -57,7 +57,7 @@ func TestServeInterleavesTraining(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Serve(gen.Next())
 	}
-	if s.TrainSteps() == 0 {
+	if s.Stats().TrainSteps == 0 {
 		t.Fatal("training ticks must run during serving")
 	}
 	// Training populated the LoRA tables.
@@ -68,8 +68,8 @@ func TestServeInterleavesTraining(t *testing.T) {
 	if active == 0 {
 		t.Fatal("co-located training must populate adapters")
 	}
-	if s.Node.Served() != 40 {
-		t.Fatalf("served %d", s.Node.Served())
+	if s.Node.served.Load() != 40 {
+		t.Fatalf("served %d", s.Node.served.Load())
 	}
 }
 
@@ -81,7 +81,7 @@ func TestTrainingDisabled(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Serve(gen.Next())
 	}
-	if s.TrainSteps() != 0 {
+	if s.Stats().TrainSteps != 0 {
 		t.Fatal("Only-Infer configuration must not train")
 	}
 }
@@ -89,7 +89,7 @@ func TestTrainingDisabled(t *testing.T) {
 func TestTrainTickEmptyRing(t *testing.T) {
 	s := MustNew(testOptions())
 	s.TrainTick() // no samples served yet: must be a no-op
-	if s.TrainSteps() != 0 {
+	if s.Stats().TrainSteps != 0 {
 		t.Fatal("empty ring must not count a training step")
 	}
 }
@@ -123,10 +123,8 @@ func TestBaseStaysFrozenDuringServing(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		s.Serve(gen.Next())
 	}
-	for _, tab := range s.Base.Tables {
-		if tab.DirtyCount() != 0 {
-			t.Fatal("co-located LoRA training must never write the base EMT")
-		}
+	if s.Base.DirtyRatio() != 0 {
+		t.Fatal("co-located LoRA training must never write the base EMT")
 	}
 }
 
@@ -177,11 +175,14 @@ func TestFullSyncInstallsFreshState(t *testing.T) {
 	}
 	// Build a "training cluster" state to install.
 	rng := tensor.NewRNG(99)
-	freshModel := dlrm.MustNewModel(dlrm.ConfigForProfile(testProfile()), rng)
+	freshModel, err := dlrm.NewModel(dlrm.ConfigForProfile(testProfile()), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	freshBase := emt.NewGroup(3, 300, 16, rng)
 	s.FullSync(freshBase, freshModel)
-	if s.FullSyncs() != 1 {
-		t.Fatalf("full syncs %d", s.FullSyncs())
+	if s.Stats().FullSyncs != 1 {
+		t.Fatalf("full syncs %d", s.Stats().FullSyncs)
 	}
 	for _, a := range s.LoRA.Adapters {
 		if a.ActiveCount() != 0 {

@@ -43,8 +43,8 @@ func TestServeIsAFunctionOfTheSeed(t *testing.T) {
 
 // Serve reads the window's P99 only when the controller is due to act on it.
 // A twin that feeds Observe the P99 after every tick, eagerly, through the
-// public pieces of Serve, must end in the same state: same statistics, same
-// CCD moves. The controller thresholds sit inside the latency band, with a
+// public pieces of Serve, must hold the same CCD partition after every
+// request and end with the same statistics. The controller thresholds sit inside the latency band, with a
 // short cycle, so that CCDs really move, in both directions, many times.
 func TestDueGateMatchesEagerObserve(t *testing.T) {
 	n := 50000
@@ -63,6 +63,8 @@ func TestDueGateMatchesEagerObserve(t *testing.T) {
 	eager := MustNew(twinOpts)
 
 	ga, gb := trace.MustNewGenerator(p, 7), trace.MustNewGenerator(p, 7)
+	var toInf, toTr int // partition changes of the gated controller
+	prev := gated.Controller.InferenceCCDs()
 	for i := 0; i < n; i++ {
 		if _, err := gated.Serve(ga.Next()); err != nil {
 			t.Fatal(err)
@@ -76,11 +78,16 @@ func TestDueGateMatchesEagerObserve(t *testing.T) {
 			eager.TrainTick()
 			eager.Controller.Observe(eager.Node.P99())
 		}
-	}
-	toInf, toTr := gated.Controller.Moves()
-	eInf, eTr := eager.Controller.Moves()
-	if toInf != eInf || toTr != eTr {
-		t.Fatalf("controller moves: gated %d/%d, eager %d/%d", toInf, toTr, eInf, eTr)
+		g, e := gated.Controller.InferenceCCDs(), eager.Controller.InferenceCCDs()
+		if g != e {
+			t.Fatalf("request %d: inference CCDs gated %d, eager %d", i, g, e)
+		}
+		if g > prev {
+			toInf++
+		} else if g < prev {
+			toTr++
+		}
+		prev = g
 	}
 	if toInf < 5 || toTr < 5 {
 		t.Fatalf("fixture too quiet: %d moves to inference, %d to training", toInf, toTr)

@@ -20,7 +20,7 @@ func frozenFixture(seed uint64) (*Model, *BaseEmbeddings, []trace.Sample) {
 	p.MultiHot = []int{1, 1, 2}
 	rng := tensor.NewRNG(seed)
 	cfg := smallConfig()
-	m := MustNewModel(cfg, rng)
+	m := mustNewModel(cfg, rng)
 	src := &BaseEmbeddings{Group: emt.NewGroup(cfg.NumTables, p.TableSize, cfg.EmbeddingDim, rng)}
 	return m, src, trace.MustNewGenerator(p, seed).Batch(64, 60)
 }
@@ -66,7 +66,7 @@ func refMLPForward(m *MLP, x []float64) ([]float64, []refLayer) {
 	layers := make([]refLayer, len(m.Layers))
 	out := x
 	for i, l := range m.Layers {
-		pre := make([]float64, l.Out())
+		pre := make([]float64, l.out())
 		tensor.MatVecInto(pre, l.W, out)
 		for j := range pre {
 			pre[j] += l.B[j]
@@ -74,8 +74,8 @@ func refMLPForward(m *MLP, x []float64) ([]float64, []refLayer) {
 		layers[i] = refLayer{in: append([]float64(nil), out...), pre: pre}
 		out = pre
 		if l.ReLU {
-			out = make([]float64, l.Out())
-			tensor.ReLUInto(out, pre)
+			out = append([]float64(nil), pre...)
+			tensor.ReLUInPlace(out)
 		}
 	}
 	return out, layers
@@ -123,7 +123,7 @@ func refMLPBackward(m *MLP, dOut []float64, c []refLayer, frozen bool) []float64
 		if !frozen {
 			l.accumulate(dPre, c[i].in)
 		}
-		d = make([]float64, l.In())
+		d = make([]float64, l.in())
 		for o, dp := range dPre {
 			if dp != 0 {
 				tensor.Axpy(dp, l.W.Row(o), d)
@@ -193,7 +193,7 @@ func TestBackwardInputMatchesBackward(t *testing.T) {
 		if got := frozen.forward(src, s.Dense, s.Sparse, &c); got != logit {
 			t.Fatalf("sample %d: forward %v, reference %v", si, got, logit)
 		}
-		dLogit := Sigmoid(logit) - float64(s.Label)
+		dLogit := sigmoid(logit) - float64(s.Label)
 		want := refBackward(full, dLogit, rc, false)
 		if msg := sameRows(frozen.backward(dLogit, &c, true), want); msg != "" {
 			t.Fatalf("sample %d: %s", si, msg)
@@ -207,8 +207,8 @@ func TestBackwardInputMatchesBackward(t *testing.T) {
 		if !nonzero {
 			t.Fatalf("sample %d: all-zero embedding gradient — fixture proves nothing", si)
 		}
-		full.Bottom.ZeroGrad()
-		full.Top.ZeroGrad()
+		full.Bottom.zeroGrad()
+		full.Top.zeroGrad()
 	}
 	if !untouched() {
 		t.Fatal("the frozen backward wrote to a dense gradient accumulator")
@@ -220,10 +220,10 @@ func TestBackwardInputMatchesBackward(t *testing.T) {
 // accumulators untouched.
 func TestMLPBackwardInputMatchesBackward(t *testing.T) {
 	rng := tensor.NewRNG(4)
-	a := NewMLP(rng, []int{6, 9, 5, 2})
-	b := a.Clone()
+	a := newMLP(rng, []int{6, 9, 5, 2})
+	b := a.clone()
 	untouched := poisonGrads(&Model{Bottom: b, Top: &MLP{}})
-	s, gs := b.NewBatchScratch(1), b.newGrads()
+	s, gs := b.newBatchScratch(1), b.newGrads()
 	x := tensor.NewMatrix(1, 6)
 	for trial := 0; trial < 20; trial++ {
 		dOut := make([]float64, 2)
@@ -235,7 +235,7 @@ func TestMLPBackwardInputMatchesBackward(t *testing.T) {
 		}
 		wantOut, rc := refMLPForward(a, x.Data)
 		want := refMLPBackward(a, dOut, rc, false)
-		out := b.InferBatchInto(x, s).Row(0)
+		out := b.inferBatchInto(x, s).Row(0)
 		got := b.backward(dOut, x.Row(0), s, gs, false, true)
 		if msg := sameRows([][]float64{out, got}, [][]float64{wantOut, want}); msg != "" {
 			t.Fatalf("trial %d (row 0 output, row 1 input gradient): %s", trial, msg)
@@ -261,7 +261,7 @@ func TestBackwardMatchesAxpyWalk(t *testing.T) {
 			if logit != refLogit {
 				t.Fatalf("frozen %v sample %d: logit %v, reference %v", frozen, si, logit, refLogit)
 			}
-			dLogit := Sigmoid(logit) - float64(s.Label)
+			dLogit := sigmoid(logit) - float64(s.Label)
 			want := refBackward(ref, dLogit, rc, frozen)
 			if msg := sameRows(m.backward(dLogit, &c, frozen), want); msg != "" {
 				t.Fatalf("frozen %v sample %d: %s", frozen, si, msg)
@@ -304,17 +304,17 @@ func TestTrainStepWithMatchesFullBackward(t *testing.T) {
 	for si, s := range samples {
 		loss := m.TrainStepWith(src, s.Dense, s.Sparse, s.Label, 0.05, &c)
 		logit, rc := refForward(ref, refSrc, s.Dense, s.Sparse)
-		for ti, g := range refBackward(ref, Sigmoid(logit)-float64(s.Label), rc, false) {
+		for ti, g := range refBackward(ref, sigmoid(logit)-float64(s.Label), rc, false) {
 			refSrc.ApplyGrad(ti, s.Sparse[ti], g, 0.05)
 		}
-		if want := BCELossWithLogit(logit, s.Label); loss != want {
+		if want := bCELossWithLogit(logit, s.Label); loss != want {
 			t.Fatalf("sample %d: loss %v, reference %v", si, loss, want)
 		}
 	}
 	if msg := denseGradDiff(m, ref); msg != "" {
 		t.Fatal(msg)
 	}
-	if m.Bottom.Layers[0].gradW.FrobeniusNorm() == 0 {
+	if tensor.Norm2(m.Bottom.Layers[0].gradW.Data) == 0 {
 		t.Fatal("fixture left the bottom MLP's first layer without a gradient")
 	}
 }
@@ -323,7 +323,7 @@ func TestTrainStepWithMatchesFullBackward(t *testing.T) {
 // discards the accumulated dense gradients.
 type zeroingOpt struct{}
 
-func (zeroingOpt) Step(m *MLP, _ int) { m.ZeroGrad() }
+func (zeroingOpt) Step(m *MLP, _ int) { m.zeroGrad() }
 
 // A Trainer without an optimizer trains embeddings exactly as one that
 // computes dense gradients and throws them away, and leaves dense weights put.

@@ -20,22 +20,30 @@ func smallConfig() Config {
 	}
 }
 
+func mustNewModel(cfg Config, rng *tensor.RNG) *Model {
+	m, err := NewModel(cfg, rng)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func newSetup(seed uint64) (*Model, *BaseEmbeddings) {
 	rng := tensor.NewRNG(seed)
 	cfg := smallConfig()
-	m := MustNewModel(cfg, rng)
+	m := mustNewModel(cfg, rng)
 	g := emt.NewGroup(cfg.NumTables, 50, cfg.EmbeddingDim, rng)
 	return m, &BaseEmbeddings{Group: g}
 }
 
 // forwardOne runs one input row through the stack's batched pass.
 func forwardOne(m *MLP, x ...float64) []float64 {
-	return m.InferBatchInto(tensor.NewMatrixFrom(1, len(x), x), m.NewBatchScratch(1)).Row(0)
+	return m.inferBatchInto(&tensor.Matrix{Rows: 1, Cols: len(x), Data: x}, m.newBatchScratch(1)).Row(0)
 }
 
 func TestLayerForwardLinear(t *testing.T) {
 	l := &Layer{
-		W:    tensor.NewMatrixFrom(2, 2, []float64{1, 0, 0, 1}),
+		W:    &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}},
 		B:    []float64{1, -1},
 		ReLU: false,
 	}
@@ -47,7 +55,7 @@ func TestLayerForwardLinear(t *testing.T) {
 
 func TestLayerReLU(t *testing.T) {
 	l := &Layer{
-		W:    tensor.NewMatrixFrom(2, 1, []float64{1, -1}),
+		W:    &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{1, -1}},
 		B:    []float64{0, 0},
 		ReLU: true,
 	}
@@ -59,13 +67,13 @@ func TestLayerReLU(t *testing.T) {
 
 func TestMLPShapes(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	m := NewMLP(rng, []int{4, 8, 2})
+	m := newMLP(rng, []int{4, 8, 2})
 	out := forwardOne(m, 1, 2, 3, 4)
 	if len(out) != 2 {
 		t.Fatalf("out len %d", len(out))
 	}
-	if m.ParamCount() != 4*8+8+8*2+2 {
-		t.Fatalf("param count %d", m.ParamCount())
+	if m.paramCount() != 4*8+8+8*2+2 {
+		t.Fatalf("param count %d", m.paramCount())
 	}
 }
 
@@ -80,16 +88,16 @@ func TestGradientFiniteDifference(t *testing.T) {
 	label := 1
 
 	lossAt := func() float64 {
-		return BCELossWithLogit(m.forward(src, dense, sparse, &ForwardCache{}), label)
+		return bCELossWithLogit(m.forward(src, dense, sparse, &ForwardCache{}), label)
 	}
 
 	// Analytic gradient.
 	var cache ForwardCache
 	logit := m.forward(src, dense, sparse, &cache)
-	dLogit := Sigmoid(logit) - float64(label)
-	m.Bottom.ZeroGrad()
-	m.Top.ZeroGrad()
-	dEmb := m.Backward(dLogit, &cache)
+	dLogit := sigmoid(logit) - float64(label)
+	m.Bottom.zeroGrad()
+	m.Top.zeroGrad()
+	dEmb := m.backward(dLogit, &cache, false)
 
 	const h = 1e-6
 
@@ -140,7 +148,7 @@ func meanLoss(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {
 	var cache ForwardCache
 	sum := 0.0
 	for _, s := range samples {
-		sum += BCELossWithLogit(m.forward(src, s.Dense, s.Sparse, &cache), s.Label)
+		sum += bCELossWithLogit(m.forward(src, s.Dense, s.Sparse, &cache), s.Label)
 	}
 	return sum / float64(len(samples))
 }
@@ -156,7 +164,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 
 	rng := tensor.NewRNG(11)
 	cfg := smallConfig()
-	m := MustNewModel(cfg, rng)
+	m := mustNewModel(cfg, rng)
 	src := &BaseEmbeddings{Group: emt.NewGroup(cfg.NumTables, p.TableSize, cfg.EmbeddingDim, rng)}
 	tr := &Trainer{Model: m, Emb: src, Opt: SGD{LR: 0.05}, EmbLR: 0.05}
 
@@ -172,36 +180,15 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestAdagradReducesLoss(t *testing.T) {
-	p := trace.Profiles()["criteo"]
-	p.NumTables = 3
-	p.TableSize = 50
-	p.NumDense = 4
-	p.MultiHot = []int{1, 1, 1}
-	gen := trace.MustNewGenerator(p, 6)
-	samples := gen.Batch(400, 60)
-
-	rng := tensor.NewRNG(12)
-	cfg := smallConfig()
-	m := MustNewModel(cfg, rng)
-	src := &BaseEmbeddings{Group: emt.NewGroup(cfg.NumTables, p.TableSize, cfg.EmbeddingDim, rng)}
-	tr := &Trainer{Model: m, Emb: src, Opt: Adagrad{LR: 0.05}, EmbLR: 0.05}
-	before := meanLoss(m, src, samples)
-	tr.TrainEpochs(samples, 32, 3)
-	after := meanLoss(m, src, samples)
-	if after >= before {
-		t.Fatalf("adagrad did not reduce loss: %v -> %v", before, after)
-	}
-}
-
 func TestEmbeddingUpdatesMarkDirty(t *testing.T) {
 	m, src := newSetup(3)
 	dense := []float64{0, 0, 0, 0}
 	sparse := [][]int32{{1}, {2}, {3}}
 	m.TrainStepWith(src, dense, sparse, 1, 0.1, &ForwardCache{})
 	for ti, tab := range src.Group.Tables {
-		if tab.DirtyCount() != 1 {
-			t.Fatalf("table %d dirty %d, want 1", ti, tab.DirtyCount())
+		one := &emt.Group{Tables: []*emt.Table{tab}}
+		if got := one.DirtyRatio() * float64(tab.Rows()); got != 1 {
+			t.Fatalf("table %d dirty %v rows, want 1", ti, got)
 		}
 	}
 }
@@ -210,7 +197,7 @@ func TestApplyGradEmptyIDs(t *testing.T) {
 	_, src := newSetup(4)
 	// Must not panic or update anything.
 	src.ApplyGrad(0, nil, make([]float64, 8), 0.1)
-	if src.Group.Tables[0].DirtyCount() != 0 {
+	if src.Group.DirtyRatio() != 0 {
 		t.Fatal("empty ApplyGrad must be a no-op")
 	}
 }
@@ -239,7 +226,7 @@ func TestModelCloneIndependence(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	good := smallConfig()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	for i, bad := range []Config{
@@ -247,7 +234,7 @@ func TestConfigValidate(t *testing.T) {
 		{NumTables: 3, EmbeddingDim: 0, NumDense: 4},
 		{NumTables: 3, EmbeddingDim: 8, NumDense: 0},
 	} {
-		if err := bad.Validate(); err == nil {
+		if err := bad.validate(); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -258,8 +245,8 @@ func TestConfigValidate(t *testing.T) {
 
 func TestInteractionCount(t *testing.T) {
 	c := smallConfig() // 3 tables + bottom = 4 features → 6 pairs
-	if c.InteractionCount() != 6 {
-		t.Fatalf("interactions %d, want 6", c.InteractionCount())
+	if c.interactionCount() != 6 {
+		t.Fatalf("interactions %d, want 6", c.interactionCount())
 	}
 }
 
@@ -267,7 +254,7 @@ func TestBCELossStability(t *testing.T) {
 	// Extreme logits must not produce NaN/Inf.
 	for _, logit := range []float64{-500, -10, 0, 10, 500} {
 		for _, label := range []int{0, 1} {
-			l := BCELossWithLogit(logit, label)
+			l := bCELossWithLogit(logit, label)
 			if math.IsNaN(l) || math.IsInf(l, 0) {
 				t.Fatalf("loss(%v,%d) = %v", logit, label, l)
 			}
@@ -277,19 +264,19 @@ func TestBCELossStability(t *testing.T) {
 		}
 	}
 	// Known value: logit 0 → ln 2 either label.
-	if math.Abs(BCELossWithLogit(0, 1)-math.Ln2) > 1e-12 {
+	if math.Abs(bCELossWithLogit(0, 1)-math.Ln2) > 1e-12 {
 		t.Fatal("loss(0,1) != ln2")
 	}
 }
 
 func TestSigmoid(t *testing.T) {
-	if Sigmoid(0) != 0.5 {
+	if sigmoid(0) != 0.5 {
 		t.Fatal("sigmoid(0) != 0.5")
 	}
-	if s := Sigmoid(100); s <= 0.999 {
+	if s := sigmoid(100); s <= 0.999 {
 		t.Fatalf("sigmoid(100) = %v", s)
 	}
-	if s := Sigmoid(-100); s >= 0.001 {
+	if s := sigmoid(-100); s >= 0.001 {
 		t.Fatalf("sigmoid(-100) = %v", s)
 	}
 }
@@ -323,7 +310,7 @@ func TestConfigForProfile(t *testing.T) {
 	if cfg.NumTables != p.NumTables || cfg.EmbeddingDim != p.EmbeddingDim || cfg.NumDense != p.NumDense {
 		t.Fatal("ConfigForProfile mismatch")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,7 +328,7 @@ func TestForwardCacheInputNotAliased(t *testing.T) {
 	denseRef := []float64{1, -2, 3, -4}
 
 	logitRef, rc := refForward(ref, src, denseRef, sparse)
-	dEmbRef := refBackward(ref, Sigmoid(logitRef)-1, rc, false)
+	dEmbRef := refBackward(ref, sigmoid(logitRef)-1, rc, false)
 
 	denseLive := append([]float64(nil), denseRef...)
 	var cache ForwardCache
@@ -349,7 +336,7 @@ func TestForwardCacheInputNotAliased(t *testing.T) {
 	for i := range denseLive {
 		denseLive[i] = 999
 	}
-	dEmb := m.Backward(Sigmoid(logit)-1, &cache)
+	dEmb := m.backward(sigmoid(logit)-1, &cache, false)
 
 	if logit != logitRef {
 		t.Fatalf("logits differ: %v vs %v", logit, logitRef)
@@ -376,7 +363,7 @@ func TestBaseApplyGradScratchReuse(t *testing.T) {
 		delta[i] = -0.1 / 2 * g
 	}
 	for _, id := range []int32{4, 5} {
-		ref.Tables[1].ApplyRowDelta(id, delta)
+		ref.Tables[1].ScatterAdd([]int32{id}, delta)
 	}
 	for _, id := range []int32{4, 5} {
 		got := b.Group.Tables[1].PeekRow(id)

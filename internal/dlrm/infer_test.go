@@ -17,7 +17,10 @@ func inferSources(t *testing.T, m *Model, samples []trace.Sample) map[string]Emb
 	t.Helper()
 	cfg := m.Cfg
 	group := emt.NewGroup(cfg.NumTables, 50, cfg.EmbeddingDim, tensor.NewRNG(43))
-	set := lora.MustNewSet(group, lora.DefaultConfig(50, cfg.EmbeddingDim))
+	set, err := lora.NewSet(group, lora.DefaultConfig(50, cfg.EmbeddingDim))
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := &Trainer{Model: m, Emb: set, EmbLR: 0.05}
 	tr.TrainEpochs(samples, 16, 2)
 	for i, a := range set.Adapters {
@@ -58,7 +61,7 @@ func TestPredictBatchMatrix(t *testing.T) {
 				one[i] = m.Predict(src, dense[i], sparse[i])
 			}
 			for _, b := range sizes {
-				bs := m.NewBatchScratch(b)
+				bs := m.newBatchScratch(b)
 				logits := make([]float64, b)
 				bottom, top := m.inferencers()
 				m.logitsInto(src, bottom, top, dense[:b], sparse[:b], logits, bs)
@@ -74,7 +77,7 @@ func TestPredictBatchMatrix(t *testing.T) {
 							t.Fatalf("%s/%s b=%d row %d: batched logit %v, reference %v", name, mode, b, i, logits[i], want)
 						}
 					}
-					for _, got := range []float64{pooled[i], owned[i], bySample[i], Sigmoid(logits[i]), Sigmoid(chunked[i])} {
+					for _, got := range []float64{pooled[i], owned[i], bySample[i], sigmoid(logits[i]), sigmoid(chunked[i])} {
 						if math.Float64bits(got) != math.Float64bits(one[i]) {
 							t.Fatalf("%s/%s b=%d row %d: batched %v, Predict %v", name, mode, b, i, got, one[i])
 						}

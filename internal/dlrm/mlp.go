@@ -1,7 +1,7 @@
 // Package dlrm implements the Deep Learning Recommendation Model of paper
 // §II-A from scratch: bottom/top MLPs, dot-product feature interaction,
-// embedding pooling via internal/emt, binary cross-entropy loss, and SGD /
-// Adagrad optimizers. It substitutes for TorchRec+FBGEMM on H100s; the
+// embedding pooling via internal/emt, binary cross-entropy loss, and an SGD
+// optimizer. It substitutes for TorchRec+FBGEMM on H100s; the
 // architecture (Fig 1) is the same, the scale is laptop-sized.
 package dlrm
 
@@ -21,14 +21,10 @@ type Layer struct {
 	// Gradient accumulators, applied by the optimizer per batch.
 	gradW *tensor.Matrix
 	gradB []float64
-
-	// Adagrad accumulators (lazily allocated).
-	accW *tensor.Matrix
-	accB []float64
 }
 
-// NewLayer builds an in→out layer with Xavier-initialized weights.
-func NewLayer(rng *tensor.RNG, in, out int, relu bool) *Layer {
+// newLayer builds an in→out layer with Xavier-initialized weights.
+func newLayer(rng *tensor.RNG, in, out int, relu bool) *Layer {
 	return &Layer{
 		W:     tensor.XavierMatrix(rng, out, in),
 		B:     make([]float64, out),
@@ -53,9 +49,9 @@ func (l *Layer) accumulate(dPre, in []float64) {
 	}
 }
 
-// In returns the input width, Out the output width.
-func (l *Layer) In() int  { return l.W.Cols }
-func (l *Layer) Out() int { return l.W.Rows }
+// in returns the input width, out the output width.
+func (l *Layer) in() int  { return l.W.Cols }
+func (l *Layer) out() int { return l.W.Rows }
 
 // zeroGrad clears accumulated gradients.
 func (l *Layer) zeroGrad() {
@@ -70,57 +66,57 @@ type MLP struct {
 	Layers []*Layer
 }
 
-// NewMLP builds an MLP with the given widths; widths[0] is the input size.
+// newMLP builds an MLP with the given widths; widths[0] is the input size.
 // All hidden layers use ReLU; the final layer is linear.
-func NewMLP(rng *tensor.RNG, widths []int) *MLP {
+func newMLP(rng *tensor.RNG, widths []int) *MLP {
 	if len(widths) < 2 {
 		panic(fmt.Sprintf("dlrm: MLP needs at least 2 widths, got %v", widths))
 	}
 	m := &MLP{}
 	for i := 0; i+1 < len(widths); i++ {
 		relu := i+2 < len(widths)
-		m.Layers = append(m.Layers, NewLayer(rng, widths[i], widths[i+1], relu))
+		m.Layers = append(m.Layers, newLayer(rng, widths[i], widths[i+1], relu))
 	}
 	return m
 }
 
-// MLPBatchScratch holds one activation matrix per layer (capacity rows ×
+// mlpBatchScratch holds one activation matrix per layer (capacity rows ×
 // layer width) for the batched pass, plus the int8 activation buffer the
 // quantized kernel fills one row at a time. One batch scratch serves one
-// InferBatchInto call at a time.
-type MLPBatchScratch struct {
+// inferBatchInto call at a time.
+type mlpBatchScratch struct {
 	maxB int
 	acts []tensor.Matrix
 	qx   []int8
 }
 
-// NewBatchScratch allocates a batch scratch for up to maxB samples.
-func (m *MLP) NewBatchScratch(maxB int) *MLPBatchScratch {
+// newBatchScratch allocates a batch scratch for up to maxB samples.
+func (m *MLP) newBatchScratch(maxB int) *mlpBatchScratch {
 	if maxB < 1 {
 		maxB = 1
 	}
-	s := &MLPBatchScratch{maxB: maxB, acts: make([]tensor.Matrix, len(m.Layers))}
+	s := &mlpBatchScratch{maxB: maxB, acts: make([]tensor.Matrix, len(m.Layers))}
 	width, maxIn := 0, 0
 	for _, l := range m.Layers {
-		width += l.Out()
-		maxIn = max(maxIn, l.In())
+		width += l.out()
+		maxIn = max(maxIn, l.in())
 	}
 	slab := make([]float64, maxB*width) // one allocation for every layer
 	for i, l := range m.Layers {
-		s.acts[i] = tensor.Matrix{Rows: maxB, Cols: l.Out(), Data: carve(&slab, maxB*l.Out())}
+		s.acts[i] = tensor.Matrix{Rows: maxB, Cols: l.out(), Data: carve(&slab, maxB*l.out())}
 	}
 	s.qx = make([]int8, maxIn)
 	return s
 }
 
-// InferBatchInto runs x.Rows samples (one per row) through the stack with one
+// inferBatchInto runs x.Rows samples (one per row) through the stack with one
 // GEMM per layer: each layer computes X·Wᵀ + b via MatMulTransInto into its
 // scratch matrix. Per output element the GEMM accumulates columns in the same
 // order as MatVecInto (one row falls through to it), so every row is
 // bit-identical to a per-sample matvec forward. The returned matrix aliases
 // scratch storage, valid until the scratch's next use; a training step reads
 // the activations it leaves there (MLP.backward).
-func (m *MLP) InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix {
+func (m *MLP) inferBatchInto(x *tensor.Matrix, s *mlpBatchScratch) *tensor.Matrix {
 	checkBatch(x, s)
 	out := x
 	for i, l := range m.Layers {
@@ -144,7 +140,7 @@ func carve(slab *[]float64, n int) []float64 {
 }
 
 // checkBatch panics when x has more rows than the scratch holds.
-func checkBatch(x *tensor.Matrix, s *MLPBatchScratch) {
+func checkBatch(x *tensor.Matrix, s *mlpBatchScratch) {
 	if x.Rows > s.maxB {
 		panic(fmt.Sprintf("dlrm: batch %d exceeds scratch capacity %d", x.Rows, s.maxB))
 	}
@@ -169,19 +165,19 @@ type layerGrad struct{ dPre, dIn []float64 }
 func (m *MLP) newGrads() []layerGrad {
 	gs := make([]layerGrad, len(m.Layers))
 	for i, l := range m.Layers {
-		gs[i] = layerGrad{dPre: make([]float64, l.Out()), dIn: make([]float64, l.In())}
+		gs[i] = layerGrad{dPre: make([]float64, l.out()), dIn: make([]float64, l.in())}
 	}
 	return gs
 }
 
 // backward backpropagates dOut through the stack from the activations a
-// one-sample InferBatchInto left in row 0 of s, whose input was x. Each
+// one-sample inferBatchInto left in row 0 of s, whose input was x. Each
 // layer's ReLU mask is read off its activation row: ReLU keeps a value
 // exactly when it is positive, so the activation masks the bits the
 // pre-activation would. With params it accumulates every weight and bias
 // gradient; with wantIn it returns the gradient w.r.t. x, and otherwise
 // skips layer 0's Wᵀ·dPre and returns nil. The result aliases gs.
-func (m *MLP) backward(dOut, x []float64, s *MLPBatchScratch, gs []layerGrad, params, wantIn bool) []float64 {
+func (m *MLP) backward(dOut, x []float64, s *mlpBatchScratch, gs []layerGrad, params, wantIn bool) []float64 {
 	d := dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		l, g := m.Layers[i], &gs[i]
@@ -208,15 +204,15 @@ func (m *MLP) backward(dOut, x []float64, s *MLPBatchScratch, gs []layerGrad, pa
 	return d
 }
 
-// ZeroGrad clears accumulated gradients on all layers.
-func (m *MLP) ZeroGrad() {
+// zeroGrad clears accumulated gradients on all layers.
+func (m *MLP) zeroGrad() {
 	for _, l := range m.Layers {
 		l.zeroGrad()
 	}
 }
 
-// ParamCount returns the number of trainable scalars.
-func (m *MLP) ParamCount() int {
+// paramCount returns the number of trainable scalars.
+func (m *MLP) paramCount() int {
 	n := 0
 	for _, l := range m.Layers {
 		n += len(l.W.Data) + len(l.B)
@@ -224,8 +220,8 @@ func (m *MLP) ParamCount() int {
 	return n
 }
 
-// Clone deep-copies weights (gradient state is reset in the copy).
-func (m *MLP) Clone() *MLP {
+// clone deep-copies weights (gradient state is reset in the copy).
+func (m *MLP) clone() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
 		nl := &Layer{
@@ -240,10 +236,10 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
-// CopyWeightsFrom overwrites weights from src (same architecture).
-func (m *MLP) CopyWeightsFrom(src *MLP) {
+// copyWeightsFrom overwrites weights from src (same architecture).
+func (m *MLP) copyWeightsFrom(src *MLP) {
 	if len(m.Layers) != len(src.Layers) {
-		panic("dlrm: MLP CopyWeightsFrom layer count mismatch")
+		panic("dlrm: MLP copyWeightsFrom layer count mismatch")
 	}
 	for i, l := range m.Layers {
 		copy(l.W.Data, src.Layers[i].W.Data)
@@ -275,51 +271,15 @@ func (s SGD) Step(m *MLP, batchSize int) {
 			l.B[i] -= scale * g
 		}
 	}
-	m.ZeroGrad()
+	m.zeroGrad()
 }
 
-// Adagrad adapts per-parameter learning rates by accumulated squared
-// gradients, the optimizer production DLRMs commonly use for dense layers.
-type Adagrad struct {
-	LR  float64
-	Eps float64 // defaults to 1e-8 when zero
-}
+// sigmoid returns the logistic function of x.
+func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// Step implements Optimizer.
-func (a Adagrad) Step(m *MLP, batchSize int) {
-	if batchSize <= 0 {
-		batchSize = 1
-	}
-	eps := a.Eps
-	if eps == 0 {
-		eps = 1e-8
-	}
-	inv := 1 / float64(batchSize)
-	for _, l := range m.Layers {
-		if l.accW == nil {
-			l.accW = tensor.NewMatrix(l.W.Rows, l.W.Cols)
-			l.accB = make([]float64, len(l.B))
-		}
-		for i, g := range l.gradW.Data {
-			g *= inv
-			l.accW.Data[i] += g * g
-			l.W.Data[i] -= a.LR * g / (math.Sqrt(l.accW.Data[i]) + eps)
-		}
-		for i, g := range l.gradB {
-			g *= inv
-			l.accB[i] += g * g
-			l.B[i] -= a.LR * g / (math.Sqrt(l.accB[i]) + eps)
-		}
-	}
-	m.ZeroGrad()
-}
-
-// Sigmoid returns the logistic function of x.
-func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// BCELossWithLogit returns the binary cross-entropy of the logit against a
+// bCELossWithLogit returns the binary cross-entropy of the logit against a
 // 0/1 label, computed in a numerically stable form.
-func BCELossWithLogit(logit float64, label int) float64 {
+func bCELossWithLogit(logit float64, label int) float64 {
 	// log(1+exp(-|x|)) + max(x,0) - x*y
 	z := math.Max(logit, 0)
 	return z - logit*float64(label) + math.Log1p(math.Exp(-math.Abs(logit)))

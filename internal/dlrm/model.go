@@ -78,8 +78,8 @@ type Config struct {
 	TopHidden    []int // hidden widths of the top MLP
 }
 
-// Validate checks architectural consistency.
-func (c Config) Validate() error {
+// validate checks architectural consistency.
+func (c Config) validate() error {
 	switch {
 	case c.NumTables <= 0:
 		return fmt.Errorf("dlrm: NumTables must be positive")
@@ -91,9 +91,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// InteractionCount returns the number of pairwise dot-product features:
+// interactionCount returns the number of pairwise dot-product features:
 // (T+1 choose 2) over the T pooled embeddings plus the bottom-MLP output.
-func (c Config) InteractionCount() int {
+func (c Config) interactionCount() int {
 	n := c.NumTables + 1
 	return n * (n - 1) / 2
 }
@@ -126,14 +126,6 @@ type quantModel struct {
 	top    inferencer
 }
 
-// QuantMode returns the model's published inference weight format.
-func (m *Model) QuantMode() QuantMode {
-	if m.qmode == "" {
-		return QuantNone
-	}
-	return m.qmode
-}
-
 // SetQuantization switches the published inference weight format and, for
 // int8/f16, builds the snapshot. Callers must hold whatever lock serializes
 // weight mutation (core holds paramMu); concurrent Predicts see either the
@@ -154,9 +146,9 @@ func (m *Model) SetQuantization(mode QuantMode) error {
 func (m *Model) refreshQuant() {
 	switch m.qmode {
 	case QuantInt8:
-		m.quant.Store(&quantModel{bottom: m.Bottom.Quantize(), top: m.Top.Quantize()})
+		m.quant.Store(&quantModel{bottom: m.Bottom.quantize(), top: m.Top.quantize()})
 	case QuantF16:
-		m.quant.Store(&quantModel{bottom: m.Bottom.TruncateF16(), top: m.Top.TruncateF16()})
+		m.quant.Store(&quantModel{bottom: m.Bottom.truncateF16(), top: m.Top.truncateF16()})
 	default:
 		m.quant.Store(nil)
 	}
@@ -173,28 +165,19 @@ func (m *Model) inferencers() (inferencer, inferencer) {
 
 // NewModel builds a model for cfg with Xavier initialization from rng.
 func NewModel(cfg Config, rng *tensor.RNG) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	bw := append([]int{cfg.NumDense}, cfg.BottomHidden...)
 	bw = append(bw, cfg.EmbeddingDim)
-	topIn := cfg.EmbeddingDim + cfg.InteractionCount()
+	topIn := cfg.EmbeddingDim + cfg.interactionCount()
 	tw := append([]int{topIn}, cfg.TopHidden...)
 	tw = append(tw, 1)
 	return &Model{
 		Cfg:    cfg,
-		Bottom: NewMLP(rng, bw),
-		Top:    NewMLP(rng, tw),
+		Bottom: newMLP(rng, bw),
+		Top:    newMLP(rng, tw),
 	}, nil
-}
-
-// MustNewModel panics on configuration errors; for tests and examples.
-func MustNewModel(cfg Config, rng *tensor.RNG) *Model {
-	m, err := NewModel(cfg, rng)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // ForwardCache is one training step's scratch: a one-sample BatchScratch
@@ -222,7 +205,7 @@ type ForwardCache struct {
 func (m *Model) forward(src EmbeddingSource, dense []float64, sparse [][]int32, c *ForwardCache) float64 {
 	if c.bs == nil {
 		n, d := m.Cfg.NumTables+1, m.Cfg.EmbeddingDim
-		c.bs = m.NewBatchScratch(1)
+		c.bs = m.newBatchScratch(1)
 		c.bottomG, c.topG = m.Bottom.newGrads(), m.Top.newGrads()
 		c.dZ = make([]float64, d)
 		c.dFeatBuf = make([]float64, n*d)
@@ -258,7 +241,7 @@ func (m *Model) Predict(src EmbeddingSource, dense []float64, sparse [][]int32) 
 	sample := [1]trace.Sample{{Dense: dense, Sparse: sparse}}
 	var logit [1]float64
 	m.sampleLogits(src, sample[:], logit[:], 1)
-	return Sigmoid(logit[0])
+	return sigmoid(logit[0])
 }
 
 // BatchScratch owns every buffer one forward pass touches: the packed
@@ -270,8 +253,8 @@ func (m *Model) Predict(src EmbeddingSource, dense []float64, sparse [][]int32) 
 // for training.
 type BatchScratch struct {
 	maxB   int
-	bottom *MLPBatchScratch
-	top    *MLPBatchScratch
+	bottom *mlpBatchScratch
+	top    *mlpBatchScratch
 	denseM tensor.Matrix // maxB × NumDense packed dense features
 	topInM tensor.Matrix // maxB × (d + interactions) packed top inputs
 
@@ -288,17 +271,17 @@ type BatchScratch struct {
 	sparse [][][]int32
 }
 
-// NewBatchScratch allocates a batch scratch for up to maxB samples.
-func (m *Model) NewBatchScratch(maxB int) *BatchScratch {
+// newBatchScratch allocates a batch scratch for up to maxB samples.
+func (m *Model) newBatchScratch(maxB int) *BatchScratch {
 	maxB = max(maxB, 1)
 	cfg := m.Cfg
-	d, topW := cfg.EmbeddingDim, cfg.EmbeddingDim+cfg.InteractionCount()
+	d, topW := cfg.EmbeddingDim, cfg.EmbeddingDim+cfg.interactionCount()
 	n := cfg.NumTables + 1
 	slab := make([]float64, maxB*(cfg.NumDense+topW)+n*d)
 	bs := &BatchScratch{
 		maxB:     maxB,
-		bottom:   m.Bottom.NewBatchScratch(maxB),
-		top:      m.Top.NewBatchScratch(maxB),
+		bottom:   m.Bottom.newBatchScratch(maxB),
+		top:      m.Top.newBatchScratch(maxB),
 		denseM:   tensor.Matrix{Rows: maxB, Cols: cfg.NumDense, Data: carve(&slab, maxB*cfg.NumDense)},
 		topInM:   tensor.Matrix{Rows: maxB, Cols: topW, Data: carve(&slab, maxB*topW)},
 		featM:    tensor.Matrix{Rows: n, Cols: d, Data: carve(&slab, n*d)},
@@ -324,7 +307,7 @@ func (m *Model) acquireBatchScratch(b int) *BatchScratch {
 	for capB < b {
 		capB *= 2
 	}
-	return m.NewBatchScratch(capB)
+	return m.newBatchScratch(capB)
 }
 
 // PredictBatch scores len(out) examples, writing click probabilities into
@@ -347,7 +330,7 @@ func (m *Model) PredictBatch(src EmbeddingSource, dense [][]float64, sparse [][]
 	bottom, top := m.inferencers()
 	m.logitsInto(src, bottom, top, dense, sparse, out, bs)
 	for i, l := range out {
-		out[i] = Sigmoid(l)
+		out[i] = sigmoid(l)
 	}
 }
 
@@ -360,7 +343,7 @@ func (m *Model) PredictSamples(src EmbeddingSource, samples []trace.Sample, out 
 	}
 	m.sampleLogits(src, samples, out, len(samples))
 	for i, l := range out {
-		out[i] = Sigmoid(l)
+		out[i] = sigmoid(l)
 	}
 }
 
@@ -403,7 +386,7 @@ func (m *Model) logitsInto(src EmbeddingSource, bottom, top inferencer, dense []
 		}
 		copy(bs.denseM.Row(i), dv)
 	}
-	z := bottom.InferBatchInto(&bs.denseM, bs.bottom)
+	z := bottom.inferBatchInto(&bs.denseM, bs.bottom)
 
 	bs.topInM.Rows = b
 	features := bs.features
@@ -418,25 +401,21 @@ func (m *Model) logitsInto(src EmbeddingSource, bottom, top inferencer, dense []
 		}
 		appendInteractions(append(bs.topInM.Row(i)[:0], zi...), features)
 	}
-	logits := top.InferBatchInto(&bs.topInM, bs.top)
+	logits := top.inferBatchInto(&bs.topInM, bs.top)
 	for i := range out {
 		out[i] = logits.Row(i)[0]
 	}
 }
 
-// Backward backpropagates dLogit through the forward pass the cache last
+// backward backpropagates dLogit through the forward pass the cache last
 // ran, accumulating dense-layer gradients and returning the gradient w.r.t.
 // each table's pooled embedding. The returned rows alias the cache's
-// scratch and are valid until its next Backward.
-func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
-	return m.backward(dLogit, cache, false)
-}
-
-// backward is Backward; frozen selects the dense-frozen form — the
+// scratch and are valid until its next backward. frozen selects the
+// dense-frozen form — the
 // co-located LoRA trainer's case (paper Fig 7: only A and B receive
 // gradients). It returns bit-identical embedding gradients while skipping
 // every weight gradient: no outer products in the top MLP, no bottom-MLP pass
-// at all (nothing upstream of it is trainable), and so nothing to ZeroGrad
+// at all (nothing upstream of it is trainable), and so nothing to zeroGrad
 // after.
 func (m *Model) backward(dLogit float64, cache *ForwardCache, frozen bool) [][]float64 {
 	bs := cache.bs
@@ -496,8 +475,8 @@ func (m *Model) TrainStepWith(src EmbeddingSource, dense []float64, sparse [][]i
 // applies the same embedding gradients and accumulates no dense ones.
 func (m *Model) trainStep(src EmbeddingSource, dense []float64, sparse [][]int32, label int, embLR float64, cache *ForwardCache, frozen bool) float64 {
 	logit := m.forward(src, dense, sparse, cache)
-	loss := BCELossWithLogit(logit, label)
-	dLogit := Sigmoid(logit) - float64(label)
+	loss := bCELossWithLogit(logit, label)
+	dLogit := sigmoid(logit) - float64(label)
 	dEmb := m.backward(dLogit, cache, frozen)
 	for t, g := range dEmb {
 		src.ApplyGrad(t, sparse[t], g, embLR)
@@ -508,7 +487,7 @@ func (m *Model) trainStep(src EmbeddingSource, dense []float64, sparse [][]int32
 // Clone deep-copies the dense parameters, preserving the quantization mode
 // (the clone gets its own published snapshot).
 func (m *Model) Clone() *Model {
-	c := &Model{Cfg: m.Cfg, Bottom: m.Bottom.Clone(), Top: m.Top.Clone(), qmode: m.qmode}
+	c := &Model{Cfg: m.Cfg, Bottom: m.Bottom.clone(), Top: m.Top.clone(), qmode: m.qmode}
 	c.refreshQuant()
 	return c
 }
@@ -516,12 +495,12 @@ func (m *Model) Clone() *Model {
 // CopyWeightsFrom overwrites dense parameters from src and republishes the
 // quantized snapshot so served predictions pick up the new weights.
 func (m *Model) CopyWeightsFrom(src *Model) {
-	m.Bottom.CopyWeightsFrom(src.Bottom)
-	m.Top.CopyWeightsFrom(src.Top)
+	m.Bottom.copyWeightsFrom(src.Bottom)
+	m.Top.copyWeightsFrom(src.Top)
 	m.refreshQuant()
 }
 
 // DenseParamCount returns the number of dense trainable scalars.
 func (m *Model) DenseParamCount() int {
-	return m.Bottom.ParamCount() + m.Top.ParamCount()
+	return m.Bottom.paramCount() + m.Top.paramCount()
 }

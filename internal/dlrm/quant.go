@@ -42,11 +42,11 @@ func ParseQuantMode(s string) (QuantMode, error) {
 }
 
 // inferencer is the inference contract a published MLP snapshot satisfies:
-// the float64 *MLP, its f16-truncated clone, and *QuantizedMLP all implement
+// the float64 *MLP, its f16-truncated clone, and *quantizedMLP all implement
 // it, so the forward pass dispatches on the published snapshot without
 // branching on the mode.
 type inferencer interface {
-	InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix
+	inferBatchInto(x *tensor.Matrix, s *mlpBatchScratch) *tensor.Matrix
 }
 
 // quantLayer is one published int8 layer.
@@ -56,16 +56,16 @@ type quantLayer struct {
 	relu bool
 }
 
-// QuantizedMLP is an int8 snapshot of an MLP, built by MLP.Quantize. It is
+// quantizedMLP is an int8 snapshot of an MLP, built by MLP.quantize. It is
 // immutable after construction and safe for concurrent readers.
-type QuantizedMLP struct {
+type quantizedMLP struct {
 	layers []quantLayer
 }
 
-// Quantize snapshots the MLP's weights into int8 with per-row scales. Biases
+// quantize snapshots the MLP's weights into int8 with per-row scales. Biases
 // stay float64: they are added after the int32 dot product is rescaled.
-func (m *MLP) Quantize() *QuantizedMLP {
-	q := &QuantizedMLP{layers: make([]quantLayer, len(m.Layers))}
+func (m *MLP) quantize() *quantizedMLP {
+	q := &quantizedMLP{layers: make([]quantLayer, len(m.Layers))}
 	for i, l := range m.Layers {
 		q.layers[i] = quantLayer{
 			qw:   tensor.Quantize(l.W),
@@ -76,10 +76,10 @@ func (m *MLP) Quantize() *QuantizedMLP {
 	return q
 }
 
-// TruncateF16 returns a clone of the MLP with every weight and bias passed
+// truncateF16 returns a clone of the MLP with every weight and bias passed
 // through tensor.TruncateF16, emulating half-precision weight storage while
 // keeping the float64 kernels.
-func (m *MLP) TruncateF16() *MLP {
+func (m *MLP) truncateF16() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
 		nl := &Layer{
@@ -97,13 +97,13 @@ func (m *MLP) TruncateF16() *MLP {
 	return c
 }
 
-// InferBatchInto runs each row of x through the quantized stack with zero
+// inferBatchInto runs each row of x through the quantized stack with zero
 // heap allocations: per layer, each row's input activation is quantized once
 // (one shared scale per row) into the scratch's int8 buffer, the int32
 // dot-product kernel writes the row's output, then the float64 bias and ReLU
 // are applied in place. The int8 kernel quantizes activations per row, so
 // the batch cannot fold into one integer GEMM.
-func (q *QuantizedMLP) InferBatchInto(x *tensor.Matrix, s *MLPBatchScratch) *tensor.Matrix {
+func (q *quantizedMLP) inferBatchInto(x *tensor.Matrix, s *mlpBatchScratch) *tensor.Matrix {
 	checkBatch(x, s)
 	out := x
 	for i := range q.layers {

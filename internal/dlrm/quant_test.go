@@ -11,6 +11,14 @@ import (
 	"liveupdate/internal/trace"
 )
 
+// quantModeOf returns m's published inference weight format.
+func quantModeOf(m *Model) QuantMode {
+	if m.qmode == "" {
+		return QuantNone
+	}
+	return m.qmode
+}
+
 func TestParseQuantMode(t *testing.T) {
 	for in, want := range map[string]QuantMode{
 		"": QuantNone, "none": QuantNone, "int8": QuantInt8, "f16": QuantF16,
@@ -38,8 +46,8 @@ func TestSetQuantizationChangesAndRestoresPredictions(t *testing.T) {
 		if err := m.SetQuantization(mode); err != nil {
 			t.Fatal(err)
 		}
-		if m.QuantMode() != mode {
-			t.Fatalf("QuantMode() = %v, want %v", m.QuantMode(), mode)
+		if got := quantModeOf(m); got != mode {
+			t.Fatalf("published mode %v, want %v", got, mode)
 		}
 		q := m.Predict(b, dense, sparse)
 		if q == base {
@@ -142,8 +150,8 @@ func TestCloneKeepsQuantMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone()
-	if c.QuantMode() != QuantF16 {
-		t.Fatalf("clone QuantMode() = %v, want f16", c.QuantMode())
+	if got := quantModeOf(c); got != QuantF16 {
+		t.Fatalf("clone's published mode %v, want f16", got)
 	}
 	sparse := [][]int32{{4}, {5}, {6}}
 	dense := []float64{0.1, 0.2, 0.3, 0.4}
@@ -191,7 +199,11 @@ func TestQuantizedModelTrainsInFloat(t *testing.T) {
 		r := result{model: m, group: base.Group}
 		tr := Trainer{Model: m, Emb: base, Opt: SGD{LR: 0.05}, EmbLR: 0.05}
 		if frozen {
-			r.set = lora.MustNewSet(base.Group, lora.DefaultConfig(base.Group.Tables[0].Rows(), m.Cfg.EmbeddingDim))
+			set, err := lora.NewSet(base.Group, lora.DefaultConfig(base.Group.Tables[0].Rows(), m.Cfg.EmbeddingDim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.set = set
 			tr = Trainer{Model: m, Emb: r.set, EmbLR: 0.05}
 		}
 		for i := 0; i+16 <= len(samples); i += 16 {

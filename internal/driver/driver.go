@@ -24,7 +24,7 @@
 //
 // # Batching
 //
-// Every serve call is one Sharded.ServeShardBatch. With Config.BatchSize > 1
+// Every serve call is one sharded.ServeShardBatch. With Config.BatchSize > 1
 // each lane worker opportunistically coalesces consecutive same-shard queued
 // items into that call — the zero-allocation amortized fast path through the
 // serving stack. Coalescing never reorders a queue and never waits for a
@@ -34,7 +34,7 @@
 //
 // # Chaos schedules
 //
-// A drive over an Elastic server can carry a fleet.Schedule of membership
+// A drive over an elasticServer can carry a fleet.Schedule of membership
 // events (kill/replace/join/leave/scale) pinned to virtual timestamps. The
 // sequencer evaluates the schedule at drain points — every ChaosEvery
 // routed requests it waits for all in-flight requests to finish, reads the
@@ -72,14 +72,14 @@ type Server interface {
 	Stats() core.Stats
 }
 
-// Sharded is the drive contract: a Server whose state is partitioned into
+// sharded is the drive contract: a Server whose state is partitioned into
 // independently-serving shards — a Cluster's replicas, a wire client's
 // connection lanes. The driver routes each sample once, deterministically,
 // at sequencing time, serves different shards from different workers in
 // parallel, and hands each worker's run of consecutive same-shard items (up
 // to Config.BatchSize) to one ServeShardBatch call. A Server that is not
-// Sharded (a single System, a gateway) is driven as one lane.
-type Sharded interface {
+// sharded (a single System, a gateway) is driven as one lane.
+type sharded interface {
 	Server
 	// NumShards returns the number of independent shards (≥ 1).
 	NumShards() int
@@ -91,7 +91,7 @@ type Sharded interface {
 	ServeShardBatch(shard int, samples []trace.Sample, resps []core.Response) error
 }
 
-// oneLane drives a Server that is not Sharded as a single shard. A run goes
+// oneLane drives a Server that is not sharded as a single shard. A run goes
 // to the server's own ServeBatch when it has one, and to one Serve per
 // sample otherwise.
 type oneLane struct {
@@ -117,12 +117,12 @@ func (l oneLane) ServeShardBatch(_ int, samples []trace.Sample, resps []core.Res
 	return nil
 }
 
-// Elastic is a sharded server whose replica membership can change while it
-// serves — a Cluster backed by the fleet controller. The driver needs it to
-// run a chaos schedule: events apply through ApplyChaos, and VirtualNow
-// anchors the schedule's virtual timestamps.
-type Elastic interface {
-	Sharded
+// elasticServer is a sharded server whose replica membership can change
+// while it serves — a Cluster backed by the fleet controller. The driver
+// needs it to run a chaos schedule: events apply through ApplyChaos, and
+// VirtualNow anchors the schedule's virtual timestamps.
+type elasticServer interface {
+	sharded
 	// ApplyChaos applies one membership event (kill/replace/join/leave/
 	// scale).
 	ApplyChaos(fleet.Event) error
@@ -155,7 +155,7 @@ type Config struct {
 	OnProgress    func(served uint64)
 
 	// Chaos is a scripted membership-event schedule applied during the
-	// drive; it requires a server implementing Elastic. Events fire at
+	// drive; it requires a server implementing elasticServer. Events fire at
 	// deterministic drain points: every ChaosEvery routed requests the
 	// sequencer waits for all in-flight requests to complete, reads the
 	// fleet's virtual clock — which, over a drained prefix of the trace, is
@@ -341,7 +341,7 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 		depth = 128
 	}
 
-	lanes, ok := srv.(Sharded)
+	lanes, ok := srv.(sharded)
 	if !ok {
 		bs, _ := srv.(interface {
 			ServeBatch([]trace.Sample, []core.Response) error
@@ -364,13 +364,13 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 		stagesBefore = driveTracer.StageTotals()
 	}
 
-	var elastic Elastic
+	var elastic elasticServer
 	chaos := cfg.Chaos.Sorted()
 	if len(chaos) > 0 {
 		if err := chaos.Validate(); err != nil {
 			return Report{}, fmt.Errorf("driver: %w", err)
 		}
-		e, ok := srv.(Elastic)
+		e, ok := srv.(elasticServer)
 		if !ok {
 			return Report{}, fmt.Errorf("driver: chaos schedule needs an elastic server, got %T", srv)
 		}

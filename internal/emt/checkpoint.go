@@ -73,7 +73,7 @@ func (g *Group) WriteCheckpoint(w io.Writer) error {
 }
 
 // ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint,
-// returning a fresh Group with clean dirty/access state.
+// returning a fresh Group with a clean dirty set.
 func ReadCheckpoint(r io.Reader) (*Group, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -138,12 +138,11 @@ func ReadCheckpoint(r io.Reader) (*Group, error) {
 		}
 		// The bookkeeping is sized only once the bytes have paid for the rows.
 		g.Tables = append(g.Tables, &Table{
-			Name:     string(name),
-			Dim:      int(dim),
-			weights:  &tensor.Matrix{Rows: int(rows), Cols: int(dim), Data: data},
-			version:  version,
-			dirty:    newDirty(int(rows)),
-			accesses: make([]uint64, rows),
+			Name:    string(name),
+			Dim:     int(dim),
+			weights: &tensor.Matrix{Rows: int(rows), Cols: int(dim), Data: data},
+			version: version,
+			dirty:   newDirty(int(rows)),
 		})
 	}
 	return g, nil

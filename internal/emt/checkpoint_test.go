@@ -15,7 +15,7 @@ import (
 // versions and every weight bit.
 func sameTables(a, b *Group) bool {
 	return slices.EqualFunc(a.Tables, b.Tables, func(x, y *Table) bool {
-		return x.Name == y.Name && x.Dim == y.Dim && x.Rows() == y.Rows() && x.Version() == y.Version() &&
+		return x.Name == y.Name && x.Dim == y.Dim && x.Rows() == y.Rows() && x.version == y.version &&
 			slices.EqualFunc(x.weights.Data, y.weights.Data, func(p, q float64) bool {
 				return math.Float64bits(p) == math.Float64bits(q)
 			})
@@ -33,7 +33,7 @@ func checkpointBytes(tb testing.TB, g *Group) []byte {
 // roundTripGroup is a three-table group with one table's version bumped.
 func roundTripGroup() *Group {
 	g := NewGroup(3, 4, 2, tensor.NewRNG(5))
-	g.Tables[1].ApplyRowDelta(3, make([]float64, 2))
+	g.Tables[1].ScatterAdd([]int32{3}, make([]float64, 2))
 	return g
 }
 
@@ -47,7 +47,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("tables must round-trip: names, shapes, versions and weights bit-exactly")
 	}
 	for ti, gt := range got.Tables {
-		if gt.DirtyCount() != 0 {
+		if gt.dirtyCount != 0 {
 			t.Fatalf("table %d: restored tables must start clean", ti)
 		}
 	}

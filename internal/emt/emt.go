@@ -8,8 +8,6 @@ package emt
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"sync/atomic"
 
 	"liveupdate/internal/tensor"
 )
@@ -23,31 +21,23 @@ type Table struct {
 	version uint64
 
 	// dirty is a bitset (one bit per row) of the rows modified since the last
-	// ResetDirty, dirtyCount its population; they back the update-ratio
-	// accounting of paper Fig 3a and delta-update extraction.
+	// resetDirty, dirtyCount its population; they back the update-ratio
+	// accounting of paper Fig 3a.
 	dirty      []uint64
 	dirtyCount int
-
-	// accesses counts lookups per row for hot/cold classification (Fig 12).
-	// Incremented atomically: Row/Lookup run on the serving fast path, which
-	// is lock-free with respect to the owner's bookkeeping, so concurrent
-	// requests on one replica may record accesses at the same time. Readers
-	// (AccessCounts) are expected to run quiesced (experiments, tests).
-	accesses []uint64
 }
 
-// NewTable creates a |V|×d table initialized with N(0, 1/sqrt(d)) rows, the
+// newTable creates a |V|×d table initialized with N(0, 1/sqrt(d)) rows, the
 // usual DLRM embedding initialization scale.
-func NewTable(name string, rows, dim int, rng *tensor.RNG) *Table {
+func newTable(name string, rows, dim int, rng *tensor.RNG) *Table {
 	if rows <= 0 || dim <= 0 {
 		panic(fmt.Sprintf("emt: invalid table %dx%d", rows, dim))
 	}
 	return &Table{
-		Name:     name,
-		Dim:      dim,
-		weights:  tensor.RandomMatrix(rng, rows, dim, 1/math.Sqrt(float64(dim))),
-		dirty:    newDirty(rows),
-		accesses: make([]uint64, rows),
+		Name:    name,
+		Dim:     dim,
+		weights: tensor.RandomMatrix(rng, rows, dim, 1/math.Sqrt(float64(dim))),
+		dirty:   newDirty(rows),
 	}
 }
 
@@ -66,19 +56,9 @@ func (t *Table) markDirty(id int32) {
 // Rows returns |V|.
 func (t *Table) Rows() int { return t.weights.Rows }
 
-// Version returns the monotonically increasing modification counter.
-func (t *Table) Version() uint64 { return t.version }
-
-// Row returns the embedding vector for id, aliasing internal storage, and
-// records the access (atomically — Row is called from the lock-free serving
-// forward). Callers must not modify the returned slice; use ApplyRowDelta or
-// SetRow for writes so dirty tracking stays correct.
-func (t *Table) Row(id int32) []float64 {
-	atomic.AddUint64(&t.accesses[id], 1)
-	return t.weights.Row(int(id))
-}
-
-// PeekRow returns the row without recording an access (for sync/export).
+// PeekRow returns the embedding vector for id, aliasing internal storage.
+// Callers must not modify the returned slice; writes go through ScatterAdd
+// or ApplyDeltas.
 func (t *Table) PeekRow(id int32) []float64 { return t.weights.Row(int(id)) }
 
 // Lookup mean-pools the embeddings of ids into dst (len Dim). A single id
@@ -95,21 +75,8 @@ func (t *Table) Lookup(ids []int32, dst []float64) {
 	}
 	inv := 1 / float64(len(ids))
 	for _, id := range ids {
-		tensor.Axpy(inv, t.Row(id), dst)
+		tensor.Axpy(inv, t.PeekRow(id), dst)
 	}
-}
-
-// ApplyRowDelta adds delta to row id (sparse SGD step) and marks it dirty.
-func (t *Table) ApplyRowDelta(id int32, delta []float64) {
-	row := t.weights.Row(int(id))
-	if len(delta) != len(row) {
-		panic(fmt.Sprintf("emt: delta len %d != dim %d", len(delta), len(row)))
-	}
-	for i, d := range delta {
-		row[i] += d
-	}
-	t.markDirty(id)
-	t.version++
 }
 
 // ScatterAdd adds delta to every row in ids — the SPMM-style sparse scatter
@@ -133,96 +100,43 @@ func (t *Table) ScatterAdd(ids []int32, delta []float64) {
 	t.version++
 }
 
-// SetRow overwrites row id and marks it dirty.
-func (t *Table) SetRow(id int32, values []float64) {
-	row := t.weights.Row(int(id))
-	if len(values) != len(row) {
-		panic(fmt.Sprintf("emt: values len %d != dim %d", len(values), len(row)))
-	}
-	copy(row, values)
-	t.markDirty(id)
-	t.version++
-}
-
-// DirtyCount returns the number of rows modified since the last ResetDirty.
-func (t *Table) DirtyCount() int { return t.dirtyCount }
-
-// DirtyRatio returns DirtyCount / |V| — the per-window update ratio of Fig 3a.
-func (t *Table) DirtyRatio() float64 { return float64(t.dirtyCount) / float64(t.Rows()) }
-
-// DirtyIDs returns the modified row ids in ascending order.
-func (t *Table) DirtyIDs() []int32 {
-	out := make([]int32, 0, t.dirtyCount)
-	for w, word := range t.dirty {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
-		}
-	}
-	return out
-}
-
-// ResetDirty clears the dirty set in place, starting a new tracking window.
-func (t *Table) ResetDirty() {
+// resetDirty clears the dirty set in place, starting a new tracking window.
+func (t *Table) resetDirty() {
 	clear(t.dirty)
 	t.dirtyCount = 0
 }
 
-// AccessCounts returns per-row lookup counts (aliases internal state). Call
-// it only while no request is in flight on the owning node; the counters are
-// written atomically by the serving path.
-func (t *Table) AccessCounts() []uint64 { return t.accesses }
+// sizeBytes returns the in-memory weight footprint (float64 storage).
+func (t *Table) sizeBytes() int64 { return int64(t.Rows()) * int64(t.Dim) * 8 }
 
-// ResetAccessCounts zeroes the lookup counters.
-func (t *Table) ResetAccessCounts() {
-	for i := range t.accesses {
-		atomic.StoreUint64(&t.accesses[i], 0)
-	}
-}
-
-// SizeBytes returns the in-memory weight footprint (float64 storage).
-func (t *Table) SizeBytes() int64 { return int64(t.Rows()) * int64(t.Dim) * 8 }
-
-// Clone returns a deep copy with cleared dirty/access state, representing a
+// clone returns a deep copy with a cleared dirty set, representing a
 // freshly synced replica of the current weights.
-func (t *Table) Clone() *Table {
+func (t *Table) clone() *Table {
 	return &Table{
-		Name:     t.Name,
-		Dim:      t.Dim,
-		weights:  t.weights.Clone(),
-		version:  t.version,
-		dirty:    newDirty(t.Rows()),
-		accesses: make([]uint64, t.Rows()),
+		Name:    t.Name,
+		Dim:     t.Dim,
+		weights: t.weights.Clone(),
+		version: t.version,
+		dirty:   newDirty(t.Rows()),
 	}
 }
 
-// CopyWeightsFrom overwrites all weights from src (a full-parameter sync).
+// copyWeightsFrom overwrites all weights from src (a full-parameter sync).
 // Dirty state is cleared: after a full sync the replica is clean.
-func (t *Table) CopyWeightsFrom(src *Table) {
+func (t *Table) copyWeightsFrom(src *Table) {
 	if t.Rows() != src.Rows() || t.Dim != src.Dim {
 		panic(fmt.Sprintf("emt: CopyWeightsFrom shape mismatch %dx%d vs %dx%d",
 			t.Rows(), t.Dim, src.Rows(), src.Dim))
 	}
 	copy(t.weights.Data, src.weights.Data)
 	t.version = src.version
-	t.ResetDirty()
+	t.resetDirty()
 }
 
 // RowDelta holds one changed row for delta synchronization.
 type RowDelta struct {
 	ID     int32
 	Values []float64
-}
-
-// ExportDeltas snapshots the dirty rows, in ascending id order, as full row
-// values (the payload a DeltaUpdate strategy ships) without clearing the
-// dirty set.
-func (t *Table) ExportDeltas() []RowDelta {
-	ids := t.DirtyIDs()
-	out := make([]RowDelta, len(ids))
-	for i, id := range ids {
-		out[i] = RowDelta{ID: id, Values: append([]float64(nil), t.weights.Row(int(id))...)}
-	}
-	return out
 }
 
 // ApplyDeltas installs row snapshots (receiving side of a delta sync).
@@ -245,7 +159,7 @@ type Group struct {
 func NewGroup(numTables, rows, dim int, rng *tensor.RNG) *Group {
 	g := &Group{}
 	for i := 0; i < numTables; i++ {
-		g.Tables = append(g.Tables, NewTable(fmt.Sprintf("table%d", i), rows, dim, rng))
+		g.Tables = append(g.Tables, newTable(fmt.Sprintf("table%d", i), rows, dim, rng))
 	}
 	return g
 }
@@ -269,7 +183,7 @@ func (g *Group) Lookup(sparse [][]int32, dst []float64) {
 func (g *Group) SizeBytes() int64 {
 	var total int64
 	for _, t := range g.Tables {
-		total += t.SizeBytes()
+		total += t.sizeBytes()
 	}
 	return total
 }
@@ -278,7 +192,7 @@ func (g *Group) SizeBytes() int64 {
 func (g *Group) DirtyRatio() float64 {
 	dirty, total := 0, 0
 	for _, t := range g.Tables {
-		dirty += t.DirtyCount()
+		dirty += t.dirtyCount
 		total += t.Rows()
 	}
 	if total == 0 {
@@ -290,7 +204,7 @@ func (g *Group) DirtyRatio() float64 {
 // ResetDirty clears dirty state on every table.
 func (g *Group) ResetDirty() {
 	for _, t := range g.Tables {
-		t.ResetDirty()
+		t.resetDirty()
 	}
 }
 
@@ -298,7 +212,7 @@ func (g *Group) ResetDirty() {
 func (g *Group) Clone() *Group {
 	out := &Group{}
 	for _, t := range g.Tables {
-		out.Tables = append(out.Tables, t.Clone())
+		out.Tables = append(out.Tables, t.clone())
 	}
 	return out
 }
@@ -309,6 +223,6 @@ func (g *Group) CopyWeightsFrom(src *Group) {
 		panic("emt: group CopyWeightsFrom table count mismatch")
 	}
 	for i, t := range g.Tables {
-		t.CopyWeightsFrom(src.Tables[i])
+		t.copyWeightsFrom(src.Tables[i])
 	}
 }

@@ -2,14 +2,28 @@ package emt
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
 	"liveupdate/internal/tensor"
 )
 
+// dirtyDeltas snapshots tab's dirty rows in ascending id order, as full row
+// values: the payload a delta sync ships.
+func dirtyDeltas(tab *Table) []RowDelta {
+	var out []RowDelta
+	for w, word := range tab.dirty {
+		for ; word != 0; word &= word - 1 {
+			id := int32(w<<6 + bits.TrailingZeros64(word))
+			out = append(out, RowDelta{ID: id, Values: append([]float64(nil), tab.PeekRow(id)...)})
+		}
+	}
+	return out
+}
+
 func newTestTable(rows, dim int) *Table {
-	return NewTable("t", rows, dim, tensor.NewRNG(1))
+	return newTable("t", rows, dim, tensor.NewRNG(1))
 }
 
 func TestNewTableShape(t *testing.T) {
@@ -17,31 +31,11 @@ func TestNewTableShape(t *testing.T) {
 	if tab.Rows() != 100 || tab.Dim != 16 {
 		t.Fatalf("shape %dx%d", tab.Rows(), tab.Dim)
 	}
-	if tab.SizeBytes() != 100*16*8 {
-		t.Fatalf("size %d", tab.SizeBytes())
+	if tab.sizeBytes() != 100*16*8 {
+		t.Fatalf("size %d", tab.sizeBytes())
 	}
-	if tab.Version() != 0 {
+	if tab.version != 0 {
 		t.Fatal("fresh table version must be 0")
-	}
-}
-
-func TestRowAccessCounting(t *testing.T) {
-	tab := newTestTable(10, 4)
-	tab.Row(3)
-	tab.Row(3)
-	tab.Row(7)
-	counts := tab.AccessCounts()
-	if counts[3] != 2 || counts[7] != 1 || counts[0] != 0 {
-		t.Fatalf("access counts %v", counts)
-	}
-	// PeekRow must not count.
-	tab.PeekRow(3)
-	if counts[3] != 2 {
-		t.Fatal("PeekRow must not record an access")
-	}
-	tab.ResetAccessCounts()
-	if counts[3] != 0 {
-		t.Fatal("ResetAccessCounts failed")
 	}
 }
 
@@ -59,8 +53,8 @@ func TestLookupSingleHot(t *testing.T) {
 
 func TestLookupMeanPooling(t *testing.T) {
 	tab := newTestTable(10, 2)
-	tab.SetRow(0, []float64{2, 4})
-	tab.SetRow(1, []float64{4, 8})
+	copy(tab.PeekRow(0), []float64{2, 4})
+	copy(tab.PeekRow(1), []float64{4, 8})
 	dst := make([]float64, 2)
 	tab.Lookup([]int32{0, 1}, dst)
 	if dst[0] != 3 || dst[1] != 6 {
@@ -80,26 +74,22 @@ func TestLookupEmptyIDs(t *testing.T) {
 func TestApplyRowDeltaAndDirty(t *testing.T) {
 	tab := newTestTable(10, 2)
 	orig := append([]float64(nil), tab.PeekRow(4)...)
-	tab.ApplyRowDelta(4, []float64{0.5, -0.5})
+	tab.ScatterAdd([]int32{4}, []float64{0.5, -0.5})
 	row := tab.PeekRow(4)
 	if math.Abs(row[0]-(orig[0]+0.5)) > 1e-15 || math.Abs(row[1]-(orig[1]-0.5)) > 1e-15 {
 		t.Fatal("delta not applied")
 	}
-	if tab.DirtyCount() != 1 {
-		t.Fatalf("dirty count %d", tab.DirtyCount())
+	if tab.dirtyCount != 1 {
+		t.Fatalf("dirty count %d", tab.dirtyCount)
 	}
-	if tab.DirtyRatio() != 0.1 {
-		t.Fatalf("dirty ratio %v", tab.DirtyRatio())
+	if tab.dirty[0] != 1<<4 {
+		t.Fatalf("dirty bits %b, want row 4 only", tab.dirty[0])
 	}
-	ids := tab.DirtyIDs()
-	if len(ids) != 1 || ids[0] != 4 {
-		t.Fatalf("dirty ids %v", ids)
+	if tab.version != 1 {
+		t.Fatalf("version %d", tab.version)
 	}
-	if tab.Version() != 1 {
-		t.Fatalf("version %d", tab.Version())
-	}
-	tab.ResetDirty()
-	if tab.DirtyCount() != 0 {
+	tab.resetDirty()
+	if tab.dirtyCount != 0 {
 		t.Fatal("ResetDirty failed")
 	}
 }
@@ -107,19 +97,19 @@ func TestApplyRowDeltaAndDirty(t *testing.T) {
 func TestDirtyDeduplication(t *testing.T) {
 	tab := newTestTable(10, 2)
 	for i := 0; i < 5; i++ {
-		tab.ApplyRowDelta(2, []float64{0.1, 0.1})
+		tab.ScatterAdd([]int32{2}, []float64{0.1, 0.1})
 	}
-	if tab.DirtyCount() != 1 {
-		t.Fatalf("repeated updates to same row must count once, got %d", tab.DirtyCount())
+	if tab.dirtyCount != 1 {
+		t.Fatalf("repeated updates to same row must count once, got %d", tab.dirtyCount)
 	}
 }
 
 func TestExportApplyDeltas(t *testing.T) {
 	src := newTestTable(10, 3)
-	dst := src.Clone()
-	src.ApplyRowDelta(1, []float64{1, 1, 1})
-	src.ApplyRowDelta(8, []float64{-1, 0, 1})
-	deltas := src.ExportDeltas()
+	dst := src.clone()
+	src.ScatterAdd([]int32{1}, []float64{1, 1, 1})
+	src.ScatterAdd([]int32{8}, []float64{-1, 0, 1})
+	deltas := dirtyDeltas(src)
 	if len(deltas) != 2 {
 		t.Fatalf("deltas %d", len(deltas))
 	}
@@ -133,40 +123,40 @@ func TestExportApplyDeltas(t *testing.T) {
 		}
 	}
 	// Receiving a delta must not mark the replica dirty.
-	if dst.DirtyCount() != 0 {
+	if dst.dirtyCount != 0 {
 		t.Fatal("ApplyDeltas must not dirty the replica")
-	}
-	// Export must not clear dirty.
-	if src.DirtyCount() != 2 {
-		t.Fatal("ExportDeltas must not clear dirty state")
 	}
 }
 
+// An installed delta is a copy: the sender may reuse its buffer after
+// ApplyDeltas without touching the receiving table.
 func TestExportDeltasSnapshotIndependence(t *testing.T) {
-	tab := newTestTable(4, 2)
-	tab.ApplyRowDelta(0, []float64{1, 1})
-	deltas := tab.ExportDeltas()
-	tab.ApplyRowDelta(0, []float64{5, 5})
-	if deltas[0].Values[0] == tab.PeekRow(0)[0] {
-		t.Fatal("exported delta must be a snapshot, not an alias")
+	src, dst := newTestTable(4, 2), newTestTable(4, 2)
+	src.ScatterAdd([]int32{0}, []float64{1, 1})
+	deltas := dirtyDeltas(src)
+	dst.ApplyDeltas(deltas)
+	want := dst.PeekRow(0)[0]
+	deltas[0].Values[0] += 5
+	if dst.PeekRow(0)[0] != want {
+		t.Fatal("an installed delta must be copied, not aliased")
 	}
 }
 
 func TestCloneAndCopyWeights(t *testing.T) {
 	a := newTestTable(6, 2)
-	a.ApplyRowDelta(0, []float64{1, 2})
-	c := a.Clone()
-	if c.DirtyCount() != 0 {
+	a.ScatterAdd([]int32{0}, []float64{1, 2})
+	c := a.clone()
+	if c.dirtyCount != 0 {
 		t.Fatal("clone must start clean")
 	}
-	if c.Version() != a.Version() {
+	if c.version != a.version {
 		t.Fatal("clone should carry the version")
 	}
-	a.ApplyRowDelta(1, []float64{3, 3})
+	a.ScatterAdd([]int32{1}, []float64{3, 3})
 	if c.PeekRow(1)[0] == a.PeekRow(1)[0] {
 		t.Fatal("clone must not share storage")
 	}
-	c.CopyWeightsFrom(a)
+	c.copyWeightsFrom(a)
 	for i := 0; i < 6; i++ {
 		ra, rc := a.PeekRow(int32(i)), c.PeekRow(int32(i))
 		for j := range ra {
@@ -175,7 +165,7 @@ func TestCloneAndCopyWeights(t *testing.T) {
 			}
 		}
 	}
-	if c.DirtyCount() != 0 {
+	if c.dirtyCount != 0 {
 		t.Fatal("full sync must leave replica clean")
 	}
 }
@@ -200,9 +190,9 @@ func TestGroupDirtyRatioAndSize(t *testing.T) {
 	if g.SizeBytes() != 2*10*4*8 {
 		t.Fatalf("group size %d", g.SizeBytes())
 	}
-	g.Tables[0].ApplyRowDelta(0, make([]float64, 4))
-	g.Tables[1].ApplyRowDelta(1, make([]float64, 4))
-	g.Tables[1].ApplyRowDelta(2, make([]float64, 4))
+	g.Tables[0].ScatterAdd([]int32{0}, make([]float64, 4))
+	g.Tables[1].ScatterAdd([]int32{1}, make([]float64, 4))
+	g.Tables[1].ScatterAdd([]int32{2}, make([]float64, 4))
 	if got := g.DirtyRatio(); math.Abs(got-0.15) > 1e-12 {
 		t.Fatalf("group dirty ratio %v, want 0.15", got)
 	}
@@ -215,7 +205,7 @@ func TestGroupDirtyRatioAndSize(t *testing.T) {
 func TestGroupCloneCopy(t *testing.T) {
 	g := NewGroup(2, 5, 2, tensor.NewRNG(4))
 	c := g.Clone()
-	g.Tables[0].ApplyRowDelta(0, []float64{9, 9})
+	g.Tables[0].ScatterAdd([]int32{0}, []float64{9, 9})
 	if c.Tables[0].PeekRow(0)[0] == g.Tables[0].PeekRow(0)[0] {
 		t.Fatal("group clone shares storage")
 	}
@@ -225,39 +215,34 @@ func TestGroupCloneCopy(t *testing.T) {
 	}
 }
 
-// Property: after arbitrary update sequences through every writer, a row
-// updated twice counts once, DirtyIDs and ExportDeltas list exactly the
-// updated ids in ascending order, and DirtyRatio is within [0,1].
+// Property: after arbitrary update sequences, a row updated twice counts
+// once and the dirty set holds exactly the updated ids.
 func TestPropertyDirtyTracking(t *testing.T) {
 	const rows = 130 // three bitset words, the last one partial
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		tab := NewTable("p", rows, 4, rng)
+		tab := newTable("p", rows, 4, rng)
 		distinct := make(map[int32]bool)
 		n := rng.Intn(100)
 		for i := 0; i < n; i++ {
 			id := int32(rng.Intn(rows))
 			distinct[id] = true
-			switch i % 3 {
-			case 0:
-				tab.ApplyRowDelta(id, []float64{0.1, 0, 0, 0})
-			case 1:
+			if i%2 == 0 {
+				tab.ScatterAdd([]int32{id}, []float64{0.1, 0, 0, 0})
+			} else {
 				tab.ScatterAdd([]int32{id, id}, []float64{0, 0.1, 0, 0})
-			default:
-				tab.SetRow(id, []float64{1, 2, 3, 4})
 			}
 		}
-		ids, deltas := tab.DirtyIDs(), tab.ExportDeltas()
-		if len(ids) != len(distinct) || len(deltas) != len(ids) {
+		deltas := dirtyDeltas(tab)
+		if len(deltas) != len(distinct) {
 			return false
 		}
-		for i, id := range ids {
-			if !distinct[id] || deltas[i].ID != id || (i > 0 && ids[i-1] >= id) {
+		for i, d := range deltas {
+			if !distinct[d.ID] || (i > 0 && deltas[i-1].ID >= d.ID) {
 				return false
 			}
 		}
-		return tab.DirtyCount() == len(distinct) &&
-			tab.DirtyRatio() >= 0 && tab.DirtyRatio() <= 1
+		return tab.dirtyCount == len(distinct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -270,14 +255,14 @@ func TestCopyWeightsFromAllocatesNothing(t *testing.T) {
 	src := NewGroup(2, 130, 4, tensor.NewRNG(5))
 	dst := src.Clone()
 	allocs := testing.AllocsPerRun(10, func() {
-		dst.Tables[0].ApplyRowDelta(129, []float64{1, 0, 0, 0})
+		dst.Tables[0].ScatterAdd([]int32{129}, []float64{1, 0, 0, 0})
 		dst.CopyWeightsFrom(src)
 		dst.ResetDirty()
 	})
 	if allocs != 0 {
 		t.Fatalf("CopyWeightsFrom + ResetDirty allocate %v times, want 0", allocs)
 	}
-	if dst.DirtyRatio() != 0 || len(dst.Tables[0].DirtyIDs()) != 0 {
+	if dst.DirtyRatio() != 0 || dst.Tables[0].dirtyCount != 0 {
 		t.Fatal("full sync must leave the replica clean")
 	}
 }
@@ -287,13 +272,13 @@ func TestCopyWeightsFromAllocatesNothing(t *testing.T) {
 func TestPropertyDeltaRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		src := NewTable("p", 30, 3, rng)
-		dst := src.Clone()
+		src := newTable("p", 30, 3, rng)
+		dst := src.clone()
 		for i := 0; i < 20; i++ {
 			id := int32(rng.Intn(30))
-			src.ApplyRowDelta(id, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
+			src.ScatterAdd([]int32{id}, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
 		}
-		dst.ApplyDeltas(src.ExportDeltas())
+		dst.ApplyDeltas(dirtyDeltas(src))
 		for id := int32(0); id < 30; id++ {
 			a, b := src.PeekRow(id), dst.PeekRow(id)
 			for j := range a {

@@ -44,9 +44,9 @@ func accSamples(o Options) int {
 	return 600
 }
 
-// Fig3a reproduces the embedding-update-ratio measurement (paper Fig 3a):
+// fig3a reproduces the embedding-update-ratio measurement (paper Fig 3a):
 // the fraction of EMT rows modified within 10/30/60-minute training windows.
-func Fig3a(o Options) (Report, error) {
+func fig3a(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig3a",
 		Title:  "Embedding update ratio by window length (paper Fig 3a)",
@@ -86,9 +86,9 @@ func Fig3a(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig3b reproduces the staleness-decay curve (paper Fig 3b): accuracy falls
+// fig3b reproduces the staleness-decay curve (paper Fig 3b): accuracy falls
 // while the model is stale and sharply recovers at each update.
-func Fig3b(o Options) (Report, error) {
+func fig3b(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig3b",
 		Title:  "Accuracy along serving with periodic updates (paper Fig 3b)",
@@ -131,9 +131,9 @@ func Fig3b(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig6 reproduces the gradient-PCA analysis (paper Fig 6): a handful of
+// fig6 reproduces the gradient-PCA analysis (paper Fig 6): a handful of
 // principal components captures ≥80% of the embedding-gradient variance.
-func Fig6(o Options) (Report, error) {
+func fig6(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig6",
 		Title:  "Cumulative PCA importance of embedding gradients (paper Fig 6)",
@@ -232,9 +232,9 @@ func (g *gradRecorder) ApplyGrad(table int, ids []int32, grad []float64, lr floa
 	g.base.ApplyGrad(table, ids, grad, lr)
 }
 
-// Fig9 reproduces the sync-interval sweep (paper Fig 9): longer LoRA sync
+// fig9 reproduces the sync-interval sweep (paper Fig 9): longer LoRA sync
 // intervals widen the accuracy gap between distributed replicas.
-func Fig9(o Options) (Report, error) {
+func fig9(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig9",
 		Title:  "Accuracy gap vs LoRA sync interval (paper Fig 9)",
@@ -333,9 +333,9 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 	return sum / float64(count), nil
 }
 
-// Fig12 reproduces the access-distribution CDF (paper Fig 12): a tiny
+// fig12 reproduces the access-distribution CDF (paper Fig 12): a tiny
 // fraction of embedding indices receives nearly all accesses.
-func Fig12(o Options) (Report, error) {
+func fig12(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig12",
 		Title:  "CDF of embedding access distribution (paper Fig 12)",
@@ -371,9 +371,9 @@ func Fig12(o Options) (Report, error) {
 	return r, nil
 }
 
-// Table3 reproduces the headline accuracy comparison (paper Table III):
+// table3 reproduces the headline accuracy comparison (paper Table III):
 // average AUC improvement over DeltaUpdate with 10-minute updates.
-func Table3(o Options) (Report, error) {
+func table3(o Options) (Report, error) {
 	r := Report{
 		ID:     "table3",
 		Title:  "Average AUC improvement (%) vs DeltaUpdate, 10-min updates (paper Table III)",
@@ -458,10 +458,10 @@ func Table3(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig15 reproduces the two-hour accuracy trace (paper Fig 15): per-window
+// fig15 reproduces the two-hour accuracy trace (paper Fig 15): per-window
 // AUC for DeltaUpdate, QuickUpdate, and LiveUpdate with 5-minute updates and
 // hourly full syncs.
-func Fig15(o Options) (Report, error) {
+func fig15(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig15",
 		Title:  "Accuracy over two hours, 5-min updates, hourly full sync (paper Fig 15)",
@@ -512,10 +512,10 @@ func Fig15(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig17 reproduces the memory-optimization ablation (paper Fig 17): dynamic
+// fig17 reproduces the memory-optimization ablation (paper Fig 17): dynamic
 // rank adaptation and pruning shrink the LoRA footprint by 97-99% vs a
 // fixed-rank, fully resident table.
-func Fig17(o Options) (Report, error) {
+func fig17(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig17",
 		Title:  "LoRA memory footprint by optimization (paper Fig 17)",

@@ -12,8 +12,8 @@ import (
 // newClock is a tiny helper shared by runners.
 func newClock() *simnet.Clock { return simnet.NewClock() }
 
-// Table2 prints the dataset registry (paper Table II).
-func Table2(o Options) (Report, error) {
+// table2 prints the dataset registry (paper Table II).
+func table2(o Options) (Report, error) {
 	r := Report{
 		ID:     "table2",
 		Title:  "Datasets for accuracy & performance testing (paper Table II)",
@@ -35,9 +35,9 @@ func Table2(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig8 reproduces the model-update timeline comparison (paper Fig 8): which
+// fig8 reproduces the model-update timeline comparison (paper Fig 8): which
 // model versions each strategy activates across one hour.
-func Fig8(o Options) (Report, error) {
+func fig8(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig8",
 		Title:  "Model update timeline over 60 min (paper Fig 8)",
@@ -76,9 +76,9 @@ func Fig8(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig14 reproduces the update-cost comparison (paper Fig 14): hourly update
+// fig14 reproduces the update-cost comparison (paper Fig 14): hourly update
 // cost for each method on each TB-scale dataset at 20/10/5-minute windows.
-func Fig14(o Options) (Report, error) {
+func fig14(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig14",
 		Title:  "Hourly update cost (minutes) across production-scale datasets (paper Fig 14)",
@@ -119,9 +119,9 @@ func Fig14(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig19 reproduces the scalability study (paper Fig 19): LoRA sync time as
+// fig19 reproduces the scalability study (paper Fig 19): LoRA sync time as
 // the inference cluster grows, measured 2-16 nodes and projected 24-48.
-func Fig19(o Options) (Report, error) {
+func fig19(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig19",
 		Title:  "LoRA sync + local train time vs cluster size (paper Fig 19)",

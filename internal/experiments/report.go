@@ -74,24 +74,24 @@ var paper = []struct {
 	ID  string
 	Run Runner
 }{
-	{"table2", Table2},
-	{"fig3a", Fig3a},
-	{"fig3b", Fig3b},
-	{"fig4", Fig4},
-	{"fig5", Fig5},
-	{"fig6", Fig6},
-	{"fig8", Fig8},
-	{"fig9", Fig9},
-	{"fig10", Fig10},
-	{"fig11", Fig11},
-	{"fig12", Fig12},
-	{"fig14", Fig14},
-	{"table3", Table3},
-	{"fig15", Fig15},
-	{"fig16", Fig16},
-	{"fig17", Fig17},
-	{"fig18", Fig18},
-	{"fig19", Fig19},
+	{"table2", table2},
+	{"fig3a", fig3a},
+	{"fig3b", fig3b},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"fig6", fig6},
+	{"fig8", fig8},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig14", fig14},
+	{"table3", table3},
+	{"fig15", fig15},
+	{"fig16", fig16},
+	{"fig17", fig17},
+	{"fig18", fig18},
+	{"fig19", fig19},
 }
 
 // IDs returns experiment ids in presentation order.

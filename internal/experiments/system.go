@@ -49,9 +49,9 @@ func sysRequests(o Options) int {
 	return 3000
 }
 
-// Fig4 reproduces the 24-hour CPU-utilization curve of the production
+// fig4 reproduces the 24-hour CPU-utilization curve of the production
 // inference cluster (paper Fig 4): diurnal load with peak utilization ≤20%.
-func Fig4(o Options) (Report, error) {
+func fig4(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig4",
 		Title:  "CPU utilization over 24 hours, inference-only cluster",
@@ -80,9 +80,9 @@ func Fig4(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig5 reproduces the 15-minute CPU power comparison (paper Fig 5):
+// fig5 reproduces the 15-minute CPU power comparison (paper Fig 5):
 // co-located training costs ~20% more power than inference alone.
-func Fig5(o Options) (Report, error) {
+func fig5(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig5",
 		Title:  "CPU power over 15 min: inference-only vs co-located training",
@@ -110,10 +110,10 @@ func Fig5(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig10 reproduces the DDR memory-pressure measurement (paper Fig 10):
+// fig10 reproduces the DDR memory-pressure measurement (paper Fig 10):
 // DRAM bandwidth is not saturated during serving — contention, not capacity,
 // causes the latency spikes.
-func Fig10(o Options) (Report, error) {
+func fig10(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig10",
 		Title:  "DRAM bandwidth utilization during co-located serving",
@@ -145,10 +145,10 @@ func Fig10(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig11 reproduces the L3 hit-ratio ablation (paper Fig 11): (a) data reuse
+// fig11 reproduces the L3 hit-ratio ablation (paper Fig 11): (a) data reuse
 // lifts the training workload's hit ratio, (b) CCD scheduling lifts the
 // inference workload's.
-func Fig11(o Options) (Report, error) {
+func fig11(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig11",
 		Title:  "L3 hit ratio by optimization (paper Fig 11a/11b)",
@@ -182,10 +182,10 @@ func Fig11(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig16 reproduces the end-to-end P99 ablation (paper Fig 16): naive
+// fig16 reproduces the end-to-end P99 ablation (paper Fig 16): naive
 // co-location inflates tail latency; scheduling + reuse restore it to the
 // inference-only floor.
-func Fig16(o Options) (Report, error) {
+func fig16(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig16",
 		Title:  "P99 latency under isolation ablation (paper Fig 16)",
@@ -223,10 +223,10 @@ func Fig16(o Options) (Report, error) {
 	return r, nil
 }
 
-// Fig18 reproduces the power/utilization before-vs-after comparison (paper
+// fig18 reproduces the power/utilization before-vs-after comparison (paper
 // Fig 18): LiveUpdate converts idle CPU cycles into freshness at modest
 // power cost, without breaching the latency SLA.
-func Fig18(o Options) (Report, error) {
+func fig18(o Options) (Report, error) {
 	r := Report{
 		ID:     "fig18",
 		Title:  "CPU power and utilization before/after LiveUpdate (paper Fig 18)",

@@ -9,13 +9,13 @@ import (
 	"liveupdate/internal/tensor"
 )
 
-// Counters tallies injected faults by class. Safe for concurrent use.
-type Counters struct {
+// faultCounters tallies injected faults by class. Safe for concurrent use.
+type faultCounters struct {
 	counts [numClasses]atomic.Uint64
 }
 
-// Total returns the number of faults injected across all classes.
-func (c *Counters) Total() uint64 {
+// total returns the number of faults injected across all classes.
+func (c *faultCounters) total() uint64 {
 	var total uint64
 	for i := range c.counts {
 		total += c.counts[i].Load()
@@ -23,24 +23,16 @@ func (c *Counters) Total() uint64 {
 	return total
 }
 
-// Count returns the number of injected faults of one class.
-func (c *Counters) Count(class Class) uint64 {
-	if int(class) >= numClasses {
-		return 0
-	}
-	return c.counts[class].Load()
-}
-
-func (c *Counters) hit(class Class) { c.counts[class].Add(1) }
+func (c *faultCounters) hit(class Class) { c.counts[class].Add(1) }
 
 // Listener wraps an accept loop so every accepted connection carries a
-// deterministic fault-injecting Conn. The n-th accepted connection's RNG is
+// deterministic fault-injecting faultConn. The n-th accepted connection's RNG is
 // seeded from (plan.Seed, n), so a run is replayable from the plan seed.
 type Listener struct {
 	net.Listener
 	plan     Plan
 	seq      atomic.Uint64
-	counters Counters
+	counters faultCounters
 }
 
 // WrapListener wraps ln with the plan. A disabled plan (no clauses) returns
@@ -56,13 +48,13 @@ func (l *Listener) Accept() (net.Conn, error) {
 		return c, err
 	}
 	n := l.seq.Add(1) - 1
-	return WrapConn(c, l.plan, n, &l.counters), nil
+	return wrapConn(c, l.plan, n, &l.counters), nil
 }
 
 // FaultsTotal returns the number of faults injected so far across every
 // connection this listener accepted. netserve discovers this via a local
 // interface assertion to publish liveupdate_wire_faults_total.
-func (l *Listener) FaultsTotal() uint64 { return l.counters.Total() }
+func (l *Listener) FaultsTotal() uint64 { return l.counters.total() }
 
 // connSeed mixes the plan seed with a connection serial number via the
 // SplitMix64 finalizer, so adjacent connections get decorrelated streams.
@@ -73,24 +65,24 @@ func connSeed(seed, serial uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Conn injects faults into the read (inbound) half of a wrapped connection.
+// faultConn injects faults into the read (inbound) half of a wrapped connection.
 // Writes pass through untouched — see the package comment for why the
 // listener side never faults outbound responses.
-type Conn struct {
+type faultConn struct {
 	net.Conn
 
 	mu   sync.Mutex // guards rng and dead; reads are serialized by net/http anyway
 	rng  *tensor.RNG
 	plan Plan
-	ctrs *Counters
-	dead *InjectedError // sticky: once a fault kills the conn, every read fails the same way
+	ctrs *faultCounters
+	dead *injectedError // sticky: once a fault kills the conn, every read fails the same way
 }
 
-// WrapConn wraps c with the plan, using serial to derive the connection's
-// private RNG stream. Counters may be shared across connections; it must be
+// wrapConn wraps c with the plan, using serial to derive the connection's
+// private RNG stream. The counters may be shared across connections; it must be
 // non-nil.
-func WrapConn(c net.Conn, plan Plan, serial uint64, ctrs *Counters) *Conn {
-	return &Conn{
+func wrapConn(c net.Conn, plan Plan, serial uint64, ctrs *faultCounters) *faultConn {
+	return &faultConn{
 		Conn: c,
 		rng:  tensor.NewRNG(connSeed(plan.Seed, serial)),
 		plan: plan,
@@ -109,7 +101,7 @@ func WrapConn(c net.Conn, plan Plan, serial uint64, ctrs *Counters) *Conn {
 // a fault can delay, cut, or damage a request on its way in, but can never
 // kill a connection between a completed serve and its response. That is what
 // guarantees faults force retries without ever duplicating a served request.
-func (c *Conn) Read(b []byte) (int, error) {
+func (c *faultConn) Read(b []byte) (int, error) {
 	c.mu.Lock()
 	if c.dead != nil {
 		err := c.dead
@@ -127,7 +119,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		c.mu.Unlock()
 		return 0, err
 	}
-	var fault *Fault
+	var fault *fault
 	for i := range c.plan.Faults {
 		if c.rng.Float64() < c.plan.Faults[i].P {
 			fault = &c.plan.Faults[i]
@@ -140,7 +132,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 	}
 	c.ctrs.hit(fault.Class)
 	switch fault.Class {
-	case Latency:
+	case faultLatency:
 		// Deliver the bytes late.
 		var d time.Duration
 		if span := fault.Max - fault.Min; span > 0 {
@@ -152,15 +144,15 @@ func (c *Conn) Read(b []byte) (int, error) {
 		time.Sleep(d)
 		return n, rerr
 
-	case Reset:
+	case faultReset:
 		// Drop the delivered bytes and kill the transport: the request they
 		// belonged to can never complete, so it is retried, never duplicated.
-		err := c.killLocked(Reset)
+		err := c.killLocked(faultReset)
 		c.mu.Unlock()
 		return 0, err
 
-	case Blackhole:
-		err := &InjectedError{Class: Blackhole}
+	case faultBlackhole:
+		err := &injectedError{Class: faultBlackhole}
 		c.dead = err
 		stall := fault.Stall
 		c.mu.Unlock()
@@ -171,20 +163,20 @@ func (c *Conn) Read(b []byte) (int, error) {
 		c.Conn.Close()
 		return 0, err
 
-	case Truncate:
+	case faultTruncate:
 		// Deliver a prefix of what arrived, then cut the stream.
 		keep := fault.Bytes
 		if keep <= 0 || keep >= n {
 			keep = n / 2
 		}
-		err := c.killLocked(Truncate)
+		err := c.killLocked(faultTruncate)
 		c.mu.Unlock()
 		if keep <= 0 {
 			return 0, err
 		}
 		return keep, err
 
-	case Corrupt:
+	case faultCorrupt:
 		for i := 0; i < fault.Bits; i++ {
 			pos := c.rng.Intn(n * 8)
 			b[pos/8] ^= 1 << uint(pos%8)
@@ -198,8 +190,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // killLocked marks the connection dead with a sticky injected error and
 // closes the transport. Caller holds c.mu.
-func (c *Conn) killLocked(class Class) *InjectedError {
-	err := &InjectedError{Class: class}
+func (c *faultConn) killLocked(class Class) *injectedError {
+	err := &injectedError{Class: class}
 	c.dead = err
 	c.Conn.Close()
 	return err

@@ -11,6 +11,14 @@ import (
 // grammarPlan mixes explicit knobs, defaults and stray spaces.
 const grammarPlan = "latency(p=0.2,min=1ms,max=20ms); reset(p=0.05) ;corrupt(bits=5)"
 
+func mustParsePlan(s string) Plan {
+	p, err := ParsePlan(s)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestParsePlanGrammar(t *testing.T) {
 	plan, err := ParsePlan(grammarPlan)
 	if err != nil {
@@ -20,13 +28,13 @@ func TestParsePlanGrammar(t *testing.T) {
 		t.Fatalf("got %d faults, want 3", len(plan.Faults))
 	}
 	f := plan.Faults[0]
-	if f.Class != Latency || f.P != 0.2 || f.Min != time.Millisecond || f.Max != 20*time.Millisecond {
+	if f.Class != faultLatency || f.P != 0.2 || f.Min != time.Millisecond || f.Max != 20*time.Millisecond {
 		t.Errorf("latency clause parsed wrong: %+v", f)
 	}
-	if plan.Faults[1].Class != Reset || plan.Faults[1].P != 0.05 {
+	if plan.Faults[1].Class != faultReset || plan.Faults[1].P != 0.05 {
 		t.Errorf("reset clause parsed wrong: %+v", plan.Faults[1])
 	}
-	if plan.Faults[2].Class != Corrupt || plan.Faults[2].P != DefaultP || plan.Faults[2].Bits != 5 {
+	if plan.Faults[2].Class != faultCorrupt || plan.Faults[2].P != defaultP || plan.Faults[2].Bits != 5 {
 		t.Errorf("corrupt clause parsed wrong: %+v", plan.Faults[2])
 	}
 	// Bare class name takes every default.
@@ -34,8 +42,8 @@ func TestParsePlanGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bare clause: %v", err)
 	}
-	if plan.Faults[0].Stall != DefaultStall {
-		t.Errorf("bare blackhole stall = %v, want default %v", plan.Faults[0].Stall, DefaultStall)
+	if plan.Faults[0].Stall != defaultStall {
+		t.Errorf("bare blackhole stall = %v, want default %v", plan.Faults[0].Stall, defaultStall)
 	}
 	// Empty string is a disabled plan, not an error.
 	plan, err = ParsePlan("")
@@ -75,7 +83,7 @@ func TestParsePlanRejectsHostileInput(t *testing.T) {
 const canonicalPlan = "latency(p=0.2,min=1ms,max=20ms);reset(p=0.05);blackhole(p=0.01,stall=50ms);truncate(p=0.02,bytes=7);corrupt(p=0.03,bits=5)"
 
 func TestPlanStringRoundTrip(t *testing.T) {
-	plan := MustParsePlan(canonicalPlan)
+	plan := mustParsePlan(canonicalPlan)
 	again, err := ParsePlan(plan.String())
 	if err != nil {
 		t.Fatalf("reparse canonical form: %v", err)
@@ -125,8 +133,8 @@ func faultSequence(t *testing.T, plan Plan, serial uint64, reads int) []int {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	var ctrs Counters
-	fc := WrapConn(server, plan, serial, &ctrs)
+	var ctrs faultCounters
+	fc := wrapConn(server, plan, serial, &ctrs)
 	go func() {
 		buf := []byte("xxxxxxxx")
 		for i := 0; i < reads; i++ {
@@ -156,16 +164,16 @@ func faultSequence(t *testing.T, plan Plan, serial uint64, reads int) []int {
 	return seq
 }
 
-func snapshotCounts(c *Counters) [numClasses]uint64 {
+func snapshotCounts(c *faultCounters) [numClasses]uint64 {
 	var out [numClasses]uint64
 	for _, class := range Classes() {
-		out[class] = c.Count(class)
+		out[class] = c.counts[class].Load()
 	}
 	return out
 }
 
 func TestFaultSequenceDeterministicFromSeed(t *testing.T) {
-	plan := MustParsePlan("latency(p=0.3,min=0s,max=0s);corrupt(p=0.3,bits=1)")
+	plan := mustParsePlan("latency(p=0.3,min=0s,max=0s);corrupt(p=0.3,bits=1)")
 	plan.Seed = 42
 	a := faultSequence(t, plan, 7, 64)
 	b := faultSequence(t, plan, 7, 64)
@@ -194,24 +202,24 @@ func TestFaultSequenceDeterministicFromSeed(t *testing.T) {
 }
 
 func TestResetKillsConnectionStickily(t *testing.T) {
-	plan := MustParsePlan("reset(p=1)")
+	plan := mustParsePlan("reset(p=1)")
 	client, server := net.Pipe()
 	defer client.Close()
-	var ctrs Counters
-	fc := WrapConn(server, plan, 0, &ctrs)
+	var ctrs faultCounters
+	fc := wrapConn(server, plan, 0, &ctrs)
 	go client.Write([]byte("hello"))
 	buf := make([]byte, 8)
 	_, err := fc.Read(buf)
-	var inj *InjectedError
-	if !errors.As(err, &inj) || inj.Class != Reset {
+	var inj *injectedError
+	if !errors.As(err, &inj) || inj.Class != faultReset {
 		t.Fatalf("want injected reset, got %v", err)
 	}
 	// Sticky: the second read fails the same way without touching the conn.
 	if _, err2 := fc.Read(buf); !errors.Is(err2, err) {
 		t.Errorf("second read after reset: %v", err2)
 	}
-	if ctrs.Count(Reset) != 1 {
-		t.Errorf("reset counted %d times, want 1 (sticky reads must not recount)", ctrs.Count(Reset))
+	if ctrs.counts[faultReset].Load() != 1 {
+		t.Errorf("reset counted %d times, want 1 (sticky reads must not recount)", ctrs.counts[faultReset].Load())
 	}
 	// The peer observes the close.
 	client.SetReadDeadline(time.Now().Add(time.Second))
@@ -221,17 +229,17 @@ func TestResetKillsConnectionStickily(t *testing.T) {
 }
 
 func TestBlackholeStallsThenKills(t *testing.T) {
-	plan := MustParsePlan("blackhole(p=1,stall=30ms)")
+	plan := mustParsePlan("blackhole(p=1,stall=30ms)")
 	client, server := net.Pipe()
 	defer client.Close()
-	var ctrs Counters
-	fc := WrapConn(server, plan, 0, &ctrs)
+	var ctrs faultCounters
+	fc := wrapConn(server, plan, 0, &ctrs)
 	go client.Write([]byte("hello"))
 	start := time.Now()
 	_, err := fc.Read(make([]byte, 8))
 	elapsed := time.Since(start)
-	var inj *InjectedError
-	if !errors.As(err, &inj) || inj.Class != Blackhole {
+	var inj *injectedError
+	if !errors.As(err, &inj) || inj.Class != faultBlackhole {
 		t.Fatalf("want injected blackhole, got %v", err)
 	}
 	if !inj.Timeout() {
@@ -243,11 +251,11 @@ func TestBlackholeStallsThenKills(t *testing.T) {
 }
 
 func TestTruncateDeliversShortRead(t *testing.T) {
-	plan := MustParsePlan("truncate(p=1,bytes=3)")
+	plan := mustParsePlan("truncate(p=1,bytes=3)")
 	client, server := net.Pipe()
 	defer client.Close()
-	var ctrs Counters
-	fc := WrapConn(server, plan, 0, &ctrs)
+	var ctrs faultCounters
+	fc := wrapConn(server, plan, 0, &ctrs)
 	go client.Write([]byte("abcdefgh"))
 	buf := make([]byte, 8)
 	n, _ := fc.Read(buf)
@@ -261,12 +269,12 @@ func TestTruncateDeliversShortRead(t *testing.T) {
 }
 
 func TestCorruptFlipsBitsButKeepsStream(t *testing.T) {
-	plan := MustParsePlan("corrupt(p=1,bits=1)")
+	plan := mustParsePlan("corrupt(p=1,bits=1)")
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	var ctrs Counters
-	fc := WrapConn(server, plan, 0, &ctrs)
+	var ctrs faultCounters
+	fc := wrapConn(server, plan, 0, &ctrs)
 	orig := []byte("abcdefgh")
 	go client.Write(orig)
 	buf := make([]byte, 8)
@@ -297,7 +305,7 @@ func TestListenerWrapsAndCounts(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer inner.Close()
-	plan := MustParsePlan("reset(p=1)")
+	plan := mustParsePlan("reset(p=1)")
 	plan.Seed = 1
 	ln := WrapListener(inner, plan)
 	lnErr := make(chan error, 1)
@@ -319,7 +327,7 @@ func TestListenerWrapsAndCounts(t *testing.T) {
 	client.Write([]byte("hi"))
 	select {
 	case err := <-lnErr:
-		var inj *InjectedError
+		var inj *injectedError
 		if !errors.As(err, &inj) {
 			t.Fatalf("accept-side read error = %v, want injected", err)
 		}

@@ -14,7 +14,7 @@
 // parameters (see ParsePlan). On every read that delivers inbound bytes the
 // connection rolls its private RNG against the clauses in plan order; the
 // first clause whose probability fires wins. Empty reads never roll — see
-// Conn.Read for why that restriction carries the no-duplicates guarantee.
+// faultConn.Read for why that restriction carries the no-duplicates guarantee.
 //
 // # Determinism
 //
@@ -48,71 +48,73 @@ import (
 type Class uint8
 
 const (
-	// Latency delays a read by a uniform duration in [Min, Max].
-	Latency Class = iota
-	// Reset closes the connection abruptly mid-read.
-	Reset
-	// Blackhole stalls a read for Stall, then kills the connection — the
+	// faultLatency delays a read by a uniform duration in [Min, Max].
+	faultLatency Class = iota
+	// faultReset closes the connection abruptly mid-read.
+	faultReset
+	// faultBlackhole stalls a read for Stall, then kills the connection — the
 	// peer that answers nothing, as opposed to the peer that says no.
-	Blackhole
-	// Truncate delivers at most Bytes bytes of the pending read, then kills
+	faultBlackhole
+	// faultTruncate delivers at most Bytes bytes of the pending read, then kills
 	// the connection: a frame cut mid-stream.
-	Truncate
-	// Corrupt flips Bits random bits in the delivered read buffer.
-	Corrupt
+	faultTruncate
+	// faultCorrupt flips Bits random bits in the delivered read buffer.
+	faultCorrupt
 
 	numClasses = 5
 )
 
 // Classes lists every fault class in plan-grammar order.
-func Classes() []Class { return []Class{Latency, Reset, Blackhole, Truncate, Corrupt} }
+func Classes() []Class {
+	return []Class{faultLatency, faultReset, faultBlackhole, faultTruncate, faultCorrupt}
+}
 
 // String returns the grammar name of the class.
 func (c Class) String() string {
 	switch c {
-	case Latency:
+	case faultLatency:
 		return "latency"
-	case Reset:
+	case faultReset:
 		return "reset"
-	case Blackhole:
+	case faultBlackhole:
 		return "blackhole"
-	case Truncate:
+	case faultTruncate:
 		return "truncate"
-	case Corrupt:
+	case faultCorrupt:
 		return "corrupt"
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// Fault is one weighted clause of a Plan.
-type Fault struct {
+// fault is one weighted clause of a Plan.
+type fault struct {
 	Class Class
 
 	// P is the probability that this fault fires on one read operation,
 	// in [0, 1]. Clauses are evaluated in plan order; the first hit wins.
 	P float64
 
-	// Min/Max bound the injected delay (Latency only).
+	// Min/Max bound the injected delay (latency only).
 	Min, Max time.Duration
 
-	// Stall is how long a Blackhole read hangs before the connection dies.
+	// Stall is how long a blackhole read hangs before the connection dies.
 	Stall time.Duration
 
-	// Bytes is the most a Truncate read delivers before the cut. 0 means
+	// Bytes is the most a truncate read delivers before the cut. 0 means
 	// half of whatever the read returned (at least one byte short).
 	Bytes int
 
-	// Bits is how many bit flips a Corrupt fault applies (Corrupt only).
+	// Bits is how many bit flips a corrupt fault applies (corrupt only).
 	Bits int
 }
 
 // Per-class defaults, applied by ParsePlan when a clause omits the knob.
 const (
-	DefaultP     = 0.05
-	DefaultMin   = time.Millisecond
-	DefaultMax   = 20 * time.Millisecond
-	DefaultStall = 50 * time.Millisecond
-	DefaultBits  = 3
+	defaultP     = 0.05
+	defaultMin   = time.Millisecond
+	defaultMax   = 20 * time.Millisecond
+	defaultStall = 50 * time.Millisecond
+	defaultBits  = 3
 )
 
 // Plan is a named, seeded fault-injection schedule.
@@ -126,7 +128,7 @@ type Plan struct {
 	Seed uint64
 
 	// Faults are the weighted clauses, evaluated in order on every read.
-	Faults []Fault
+	Faults []fault
 }
 
 // Enabled reports whether the plan injects anything.
@@ -138,15 +140,15 @@ func (p Plan) String() string {
 	clauses := make([]string, 0, len(p.Faults))
 	for _, f := range p.Faults {
 		switch f.Class {
-		case Latency:
+		case faultLatency:
 			clauses = append(clauses, fmt.Sprintf("latency(p=%s,min=%s,max=%s)", ftoa(f.P), f.Min, f.Max))
-		case Reset:
+		case faultReset:
 			clauses = append(clauses, fmt.Sprintf("reset(p=%s)", ftoa(f.P)))
-		case Blackhole:
+		case faultBlackhole:
 			clauses = append(clauses, fmt.Sprintf("blackhole(p=%s,stall=%s)", ftoa(f.P), f.Stall))
-		case Truncate:
+		case faultTruncate:
 			clauses = append(clauses, fmt.Sprintf("truncate(p=%s,bytes=%d)", ftoa(f.P), f.Bytes))
-		case Corrupt:
+		case faultCorrupt:
 			clauses = append(clauses, fmt.Sprintf("corrupt(p=%s,bits=%d)", ftoa(f.P), f.Bits))
 		}
 	}
@@ -205,17 +207,8 @@ func ParsePlan(s string) (Plan, error) {
 	return plan, nil
 }
 
-// MustParsePlan is ParsePlan panicking on error — for tests and constants.
-func MustParsePlan(s string) Plan {
-	p, err := ParsePlan(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-func newFault(name string) (Fault, error) {
-	f := Fault{P: DefaultP, Min: DefaultMin, Max: DefaultMax, Stall: DefaultStall, Bits: DefaultBits}
+func newFault(name string) (fault, error) {
+	f := fault{P: defaultP, Min: defaultMin, Max: defaultMax, Stall: defaultStall, Bits: defaultBits}
 	for _, c := range Classes() {
 		if name == c.String() {
 			f.Class = c
@@ -230,7 +223,7 @@ func newFault(name string) (Fault, error) {
 	return f, fmt.Errorf("faultnet: unknown fault class %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
-func parseArgs(f *Fault, args string) error {
+func parseArgs(f *fault, args string) error {
 	if strings.TrimSpace(args) == "" {
 		return nil
 	}
@@ -265,7 +258,7 @@ func parseArgs(f *Fault, args string) error {
 	return nil
 }
 
-func validateFault(f Fault) error {
+func validateFault(f fault) error {
 	switch {
 	case f.P < 0 || f.P > 1 || f.P != f.P: // the last term rejects NaN
 		return fmt.Errorf("probability p=%v outside [0,1]", f.P)
@@ -283,19 +276,19 @@ func validateFault(f Fault) error {
 	return nil
 }
 
-// InjectedError is the error every injected connection kill surfaces —
+// injectedError is the error every injected connection kill surfaces —
 // errors.As against it distinguishes harness faults from real ones.
-type InjectedError struct {
+type injectedError struct {
 	Class Class
 }
 
-func (e *InjectedError) Error() string {
+func (e *injectedError) Error() string {
 	return fmt.Sprintf("faultnet: injected %s fault", e.Class)
 }
 
-// Timeout makes Blackhole faults look like net timeouts to callers that
+// Timeout makes blackhole faults look like net timeouts to callers that
 // inspect net.Error.
-func (e *InjectedError) Timeout() bool { return e.Class == Blackhole }
+func (e *injectedError) Timeout() bool { return e.Class == faultBlackhole }
 
 // Temporary is true: every injected fault is transient by construction.
-func (e *InjectedError) Temporary() bool { return true }
+func (e *injectedError) Temporary() bool { return true }

@@ -31,8 +31,8 @@ const (
 	Scale Action = "scale"
 )
 
-// Actions lists the chaos actions in presentation order.
-func Actions() []Action { return []Action{Kill, Replace, Join, Leave, Scale} }
+// actions lists the chaos actions in presentation order.
+func actions() []Action { return []Action{Kill, Replace, Join, Leave, Scale} }
 
 // Event is one scripted membership change.
 type Event struct {
@@ -63,7 +63,7 @@ func (e Event) Validate() error {
 	case Join:
 		// no operand
 	default:
-		return fmt.Errorf("fleet: unknown chaos action %q (valid: %v)", e.Action, Actions())
+		return fmt.Errorf("fleet: unknown chaos action %q (valid: %v)", e.Action, actions())
 	}
 	return nil
 }

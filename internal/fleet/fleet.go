@@ -8,8 +8,8 @@
 // Each replica is a Member with two identities:
 //
 //   - ID: a stable, monotonically assigned identity that is never reused.
-//     IDs are the priority ranks of the sync protocol (collective.
-//     PriorityMergeRanked) and the anchor points of the consistent-hash
+//     IDs are the priority ranks of the sync protocol (collective's
+//     priority merge) and the anchor points of the consistent-hash
 //     ring, so a member's routing arcs and merge priority survive other
 //     members' churn.
 //   - Slot: the member's shard-lane index. Slots are the unit a load
@@ -147,8 +147,8 @@ type CatchUp struct {
 	Seconds         float64
 }
 
-// Bytes returns the total transfer volume.
-func (cu CatchUp) Bytes() int64 { return cu.CheckpointBytes + cu.LoRABytes }
+// bytes returns the total transfer volume.
+func (cu CatchUp) bytes() int64 { return cu.CheckpointBytes + cu.LoRABytes }
 
 // Stats is a point-in-time accounting snapshot of the controller.
 type Stats struct {
@@ -334,7 +334,7 @@ func (c *Controller) joinLocked() (*Member, CatchUp, error) {
 	slots[slot] = m
 	c.commit(func() { c.install(slots, c.View().Version+1) })
 	c.joins++
-	c.cuBytes += cu.Bytes()
+	c.cuBytes += cu.bytes()
 	c.cuSecs += cu.Seconds
 	return m, cu, nil
 }
@@ -376,7 +376,7 @@ func (c *Controller) catchUp(donor *Member, sys *core.System) (CatchUp, error) {
 	}
 	// Point-to-point transfer: one link latency per payload leg, bytes at
 	// line rate — the same pricing model the sync collective uses.
-	cu.Seconds = 2*c.cfg.LatencySec + float64(cu.Bytes())/c.cfg.BandwidthBps
+	cu.Seconds = 2*c.cfg.LatencySec + float64(cu.bytes())/c.cfg.BandwidthBps
 	if c.cfg.SyncClock != nil {
 		c.cfg.SyncClock.Advance(cu.Seconds)
 	}
@@ -496,7 +496,7 @@ func (c *Controller) Replace(slot int) (*Member, CatchUp, error) {
 		c.fails++
 	}
 	c.joins++
-	c.cuBytes += cu.Bytes()
+	c.cuBytes += cu.bytes()
 	c.cuSecs += cu.Seconds
 	return m, cu, nil
 }

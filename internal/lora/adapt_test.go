@@ -15,7 +15,7 @@ func trainRichGradients(a *Adapter, seed uint64, n int) {
 		for j := range g {
 			g[j] = rng.NormFloat64()
 		}
-		a.Train([]int32{int32(i % 30), int32((7 * i) % 30)}, g, 0.01)
+		a.train([]int32{int32(i % 30), int32((7 * i) % 30)}, g, 0.01)
 	}
 }
 
@@ -27,7 +27,7 @@ func TestResizeGrowIsDeterministic(t *testing.T) {
 		cfg.InitialRank = 1
 		cfg.Alpha = 0.95
 		cfg.AdaptInterval = 40
-		a := MustNewAdapter(cfg)
+		a := mustNewAdapter(cfg)
 		trainRichGradients(a, 5, 400)
 		return a
 	}
@@ -38,7 +38,7 @@ func TestResizeGrowIsDeterministic(t *testing.T) {
 	if a.Rank() != b.Rank() || a.ActiveCount() != b.ActiveCount() {
 		t.Fatalf("twin adapters diverged: rank %d vs %d, rows %d vs %d", a.Rank(), b.Rank(), a.ActiveCount(), b.ActiveCount())
 	}
-	ra, rb := a.ExportAllRows(), b.ExportAllRows()
+	ra, rb := a.exportAllRows(), b.exportAllRows()
 	for i := range ra {
 		if ra[i].ID != rb[i].ID {
 			t.Fatalf("row %d: id %d vs %d", i, ra[i].ID, rb[i].ID)
@@ -49,9 +49,9 @@ func TestResizeGrowIsDeterministic(t *testing.T) {
 			}
 		}
 	}
-	for i, v := range a.B().Data {
-		if math.Float64bits(v) != math.Float64bits(b.B().Data[i]) {
-			t.Fatalf("B[%d]: %v vs %v", i, v, b.B().Data[i])
+	for i, v := range a.copyB().Data {
+		if math.Float64bits(v) != math.Float64bits(b.copyB().Data[i]) {
+			t.Fatalf("B[%d]: %v vs %v", i, v, b.copyB().Data[i])
 		}
 	}
 }
@@ -64,7 +64,7 @@ func TestAdaptSteadyStateAllocs(t *testing.T) {
 	cfg.Alpha = 1
 	cfg.AdaptInterval = 1 << 30 // adapt() is called by hand below
 	cfg.PruneThresh = 0         // an idle window evicts nobody
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	trainRichGradients(a, 9, 300)
 	a.adapt() // sizes the scratch
 	rank, rows, passes := a.Rank(), a.ActiveCount(), a.Adaptations()
@@ -87,7 +87,7 @@ func TestTrainAcrossAdaptSteadyStateAllocs(t *testing.T) {
 		cfg.Alpha = 1
 		cfg.PruneThresh = 0
 		cfg.DisableRankAdapt = fixed
-		a := MustNewAdapter(cfg)
+		a := mustNewAdapter(cfg)
 		rng := tensor.NewRNG(9)
 		g, ids := make([]float64, cfg.Dim), make([]int32, 2)
 		step := func(i int) {
@@ -95,7 +95,7 @@ func TestTrainAcrossAdaptSteadyStateAllocs(t *testing.T) {
 				g[j] = rng.NormFloat64()
 			}
 			ids[0], ids[1] = int32(i%30), int32((7*i)%30)
-			a.Train(ids, g, 0.01)
+			a.train(ids, g, 0.01)
 		}
 		for i := 0; i < 300; i++ {
 			step(i)
@@ -159,7 +159,7 @@ func TestBlockMomentsMatchWholeWindow(t *testing.T) {
 			cfg.GradWindow = window
 			cfg.CMax = 120
 			cfg.Seed = uint64(interval + window)
-			flat, ref := MustNewAdapter(cfg), newRefAdapter(cfg)
+			flat, ref := mustNewAdapter(cfg), newRefAdapter(cfg)
 			next := driftingGradients(cfg.Seed, dim)
 			rng := tensor.NewRNG(cfg.Seed)
 			ids := make([]int32, 3)
@@ -169,28 +169,28 @@ func TestBlockMomentsMatchWholeWindow(t *testing.T) {
 					if flat.grads.next%gradBlock == 0 {
 						t.Fatalf("fixture: the Reset at step %d lands on a block boundary", step)
 					}
-					flat.Reset()
+					flat.reset()
 					ref.reset()
 				}
 				for i := range ids {
 					ids[i] = int32(rng.Intn(universe / (1 + 9*(i%2))))
 				}
 				g := next()
-				flat.Train(ids, g, 0.01)
+				flat.train(ids, g, 0.01)
 				ref.train(ids, g, 0.01)
 				if flat.Rank() != ref.rank || flat.rankObsSum != ref.rankObsSum || flat.rankObsCount != ref.rankObsCount ||
-					flat.Adaptations() != ref.adaptations || flat.PrunedTotal() != ref.pruned || flat.ActiveCount() != len(ref.rows) {
+					flat.Adaptations() != ref.adaptations || flat.pruned != ref.pruned || flat.ActiveCount() != len(ref.rows) {
 					t.Fatalf("interval %d window %d step %d: rank %d/%d Σr_t %d/%d passes %d/%d pruned %d/%d rows %d/%d",
 						interval, window, step, flat.Rank(), ref.rank, flat.rankObsSum, ref.rankObsSum,
-						flat.Adaptations(), ref.adaptations, flat.PrunedTotal(), ref.pruned, flat.ActiveCount(), len(ref.rows))
+						flat.Adaptations(), ref.adaptations, flat.pruned, ref.pruned, flat.ActiveCount(), len(ref.rows))
 				}
 				ranks[flat.Rank()] = true
 			}
-			if !sameBits(flat.B().Data, ref.b.Data) {
+			if !sameBits(flat.copyB().Data, ref.b.Data) {
 				t.Fatalf("interval %d window %d: B differs after identical rank decisions", interval, window)
 			}
-			if len(ranks) < 3 || flat.PrunedTotal() == 0 {
-				t.Fatalf("interval %d window %d: fixture too quiet: ranks %v, %d rows pruned", interval, window, ranks, flat.PrunedTotal())
+			if len(ranks) < 3 || flat.pruned == 0 {
+				t.Fatalf("interval %d window %d: fixture too quiet: ranks %v, %d rows pruned", interval, window, ranks, flat.pruned)
 			}
 		}
 	}
@@ -203,7 +203,7 @@ func TestPruneClampsToCapacityByFrequency(t *testing.T) {
 	cfg.AdaptInterval = 1 << 30
 	cfg.CMax = 3
 	cfg.DisableRankAdapt = true
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	var foreign []RowUpdate
 	for id := int32(0); id < 6; id++ {
 		foreign = append(foreign, RowUpdate{ID: id, Row: make([]float64, cfg.InitialRank)})
@@ -213,16 +213,16 @@ func TestPruneClampsToCapacityByFrequency(t *testing.T) {
 	g[0] = 1
 	for id, times := range map[int32]int{0: 1, 1: 3, 2: 2, 3: 2, 4: 5} { // 5 never trained
 		for i := 0; i < times; i++ {
-			a.Train([]int32{id}, g, 0.01)
+			a.train([]int32{id}, g, 0.01)
 		}
 	}
 	a.adapt()
 	for id, want := range map[int32]bool{0: false, 1: true, 2: true, 3: false, 4: true, 5: false} {
-		if a.Has(id) != want {
-			t.Fatalf("id %d resident = %v, want %v", id, a.Has(id), want)
+		if has(a, id) != want {
+			t.Fatalf("id %d resident = %v, want %v", id, has(a, id), want)
 		}
 	}
-	if a.PrunedTotal() != 3 {
-		t.Fatalf("pruned %d rows, want 3", a.PrunedTotal())
+	if a.pruned != 3 {
+		t.Fatalf("pruned %d rows, want 3", a.pruned)
 	}
 }

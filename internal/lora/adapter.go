@@ -13,9 +13,9 @@
 // a new row takes the next slab slot instead of a heap object, and a copy is
 // three memmoves whatever the row count. Three classes of callers exist:
 //
-//   - Lock-free readers (Lookup, Accumulate, Delta, Has, EffectiveRow, Rank)
+//   - Lock-free readers (Set.Lookup, EffectiveRow, accumulate, Rank)
 //     load the pointer once and touch only that state's index, slab and B.
-//   - The publish path — Resize, Reset, Set.ApplyState and Set.Publish —
+//   - The publish path — Resize, reset and Set.Publish —
 //     never writes a published store. It clones it (index, per-slot array
 //     and slab, bookkeeping included), edits the clone and swaps the pointer
 //     in one atomic store, so a concurrent reader sees the old state or the
@@ -23,12 +23,12 @@
 //     Publish-path calls must be serialized with each other and with the
 //     owner (core.System's mutex does that).
 //   - The owner (the training loop, which additionally excludes readers)
-//     may call anything. Train writes the current store in place: A
+//     may call anything. train writes the current store in place: A
 //     coefficients, new rows — which may move the slab and the index to
 //     larger arrays — and, every AdaptInterval steps, adapt's pruning. The
 //     per-slot update counts and support bits, and the Adapter's fields
 //     outside the state record, are owner-only as well (Snapshot and
-//     ResetSupport clear the support bits of the current store in place;
+//     resetSupport clear the support bits of the current store in place;
 //     readers never look at them).
 //
 // The index has no tombstones because nothing deletes one row: rows leave
@@ -87,8 +87,8 @@ func DefaultConfig(rows, dim int) Config {
 	}
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	switch {
 	case c.Dim <= 0:
 		return fmt.Errorf("lora: Dim must be positive")
@@ -166,12 +166,12 @@ type Adapter struct {
 	rng *tensor.RNG // A-row initialization
 }
 
-// NewAdapter builds an adapter using the standard LoRA initialization:
+// newAdapter builds an adapter using the standard LoRA initialization:
 // B starts at zero and A rows are drawn randomly on allocation, so ∆W = AB
 // is exactly zero at first (serving matches the base table) while gradients
 // can still flow into B.
-func NewAdapter(cfg Config) (*Adapter, error) {
-	if err := cfg.Validate(); err != nil {
+func newAdapter(cfg Config) (*Adapter, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	a := &Adapter{
@@ -188,55 +188,30 @@ func NewAdapter(cfg Config) (*Adapter, error) {
 	return a, nil
 }
 
-// MustNewAdapter panics on config errors; for tests and examples.
-func MustNewAdapter(cfg Config) *Adapter {
-	a, err := NewAdapter(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Rank returns the current LoRA rank k.
 func (a *Adapter) Rank() int { return a.cur.Load().rows.rank }
 
 // ActiveCount returns the number of ids holding a LoRA row.
 func (a *Adapter) ActiveCount() int { return len(a.cur.Load().rows.meta) }
 
-// Has reports whether id has a LoRA row — the serving path's Hot Index
-// Filter check (paper Fig 7 step 2).
-func (a *Adapter) Has(id int32) bool { return a.cur.Load().rows.find(id) >= 0 }
-
 // Adaptations returns how many rank/prune passes have run.
 func (a *Adapter) Adaptations() int { return a.adaptations }
 
-// PrunedTotal returns the cumulative number of evicted rows.
-func (a *Adapter) PrunedTotal() int { return a.pruned }
-
-// Delta writes W_lora(id) - W_base(id) = A[id]·B into dst (len Dim). Ids
-// without a LoRA row contribute zero.
-func (a *Adapter) Delta(id int32, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	a.Accumulate(id, 1, dst)
-}
-
-// Accumulate adds the id's LoRA delta scaled by alpha into dst.
-func (a *Adapter) Accumulate(id int32, alpha float64, dst []float64) {
+// accumulate adds the id's LoRA delta scaled by alpha into dst.
+func (a *Adapter) accumulate(id int32, alpha float64, dst []float64) {
 	st := a.cur.Load()
 	if slot := st.rows.find(id); slot >= 0 {
 		st.accumulate(slot, alpha, dst)
 	}
 }
 
-// Train consumes the gradient w.r.t. the pooled embedding of ids (the output
-// of dlrm.Model.Backward) and performs one SGD step at rate lr on A and B,
+// train consumes the gradient w.r.t. the pooled embedding of ids (the output
+// of the dlrm backward pass) and performs one SGD step at rate lr on A and B,
 // with the base weights frozen (paper §IV-A, step 1 of the update path).
 // Ids without a row are allocated one (zero-initialized) if capacity allows.
-// Train mutates the current state in place and is owner-only: it must be
+// train mutates the current state in place and is owner-only: it must be
 // serialized with every other call on this adapter.
-func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
+func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	if len(ids) == 0 {
 		return
 	}
@@ -455,24 +430,20 @@ type RowUpdate struct {
 	Row []float64 // length = sender's rank
 }
 
-// ExportSupport snapshots the A rows modified since the last ResetSupport —
+// exportSupport snapshots the A rows modified since the last resetSupport —
 // supp(∆θ) in Algorithm 3 — without clearing the support set. The returned
 // rows are deep copies, so the export stays valid (and immutable) while the
 // adapter keeps training; they share one backing array. Rows pruned since
 // their modification are not exported.
-func (a *Adapter) ExportSupport() []RowUpdate { return a.cur.Load().rows.export(true) }
+func (a *Adapter) exportSupport() []RowUpdate { return a.cur.Load().rows.export(true) }
 
-// ExportAllRows snapshots every active A row — not just the modified
+// exportAllRows snapshots every active A row — not just the modified
 // support — as deep copies in id order: the full-state payload a joining
 // replica restores during fleet catch-up. The support set is untouched.
-func (a *Adapter) ExportAllRows() []RowUpdate { return a.cur.Load().rows.export(false) }
+func (a *Adapter) exportAllRows() []RowUpdate { return a.cur.Load().rows.export(false) }
 
-// SupportSize returns |S_r|, the number of resident rows modified since
-// ResetSupport — the length of ExportSupport's result.
-func (a *Adapter) SupportSize() int { return a.cur.Load().rows.dirty }
-
-// ResetSupport clears the modification tracker (end of a sync cycle).
-func (a *Adapter) ResetSupport() {
+// resetSupport clears the modification tracker (end of a sync cycle).
+func (a *Adapter) resetSupport() {
 	rs := a.cur.Load().rows
 	if rs.dirty > 0 {
 		for s := range rs.meta {
@@ -530,13 +501,13 @@ func (a *Adapter) applyState(ts TableState) {
 	a.cur.Store(&adapterState{b: b, rows: a.rowsWithUpdates(st.rows, ts.Rows)})
 }
 
-// B returns a copy of the shared factor for synchronization.
-func (a *Adapter) B() *tensor.Matrix { return a.cur.Load().b.Clone() }
+// copyB returns a copy of the shared factor for synchronization.
+func (a *Adapter) copyB() *tensor.Matrix { return a.cur.Load().b.Clone() }
 
-// Reset clears all LoRA state (after a full-parameter sync folds fresh base
+// reset clears all LoRA state (after a full-parameter sync folds fresh base
 // weights in, the adapter starts from ∆W = 0 again — paper Fig 8's hourly
 // full-update starting points).
-func (a *Adapter) Reset() {
+func (a *Adapter) reset() {
 	rank := a.cur.Load().rows.rank
 	a.cur.Store(&adapterState{
 		b:    tensor.NewMatrix(rank, a.cfg.Dim),

@@ -10,6 +10,32 @@ import (
 	"liveupdate/internal/tensor"
 )
 
+func mustNewAdapter(cfg Config) *Adapter {
+	a, err := newAdapter(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+func mustNewSet(base *emt.Group, cfg Config) *Set {
+	s, err := NewSet(base, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// has reports whether id holds a LoRA row: the Hot Index Filter check.
+func has(a *Adapter, id int32) bool { return a.cur.Load().rows.find(id) >= 0 }
+
+// delta writes W_lora(id) - W_base(id) = A[id]·B into dst; an id without a
+// row gives zero.
+func delta(a *Adapter, id int32, dst []float64) {
+	clear(dst)
+	a.accumulate(id, 1, dst)
+}
+
 func testConfig() Config {
 	cfg := DefaultConfig(100, 8)
 	cfg.AdaptInterval = 50
@@ -18,7 +44,7 @@ func testConfig() Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := testConfig().Validate(); err != nil {
+	if err := testConfig().validate(); err != nil {
 		t.Fatal(err)
 	}
 	mutations := []func(*Config){
@@ -38,39 +64,39 @@ func TestConfigValidate(t *testing.T) {
 	for i, mutate := range mutations {
 		c := testConfig()
 		mutate(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Fatalf("mutation %d: expected validation error", i)
 		}
 	}
-	if _, err := NewAdapter(Config{}); err == nil {
+	if _, err := newAdapter(Config{}); err == nil {
 		t.Fatal("NewAdapter must reject zero config")
 	}
 }
 
 func TestAdapterStartsAtZeroDelta(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	dst := make([]float64, 8)
-	a.Delta(5, dst)
+	delta(a, 5, dst)
 	for _, v := range dst {
 		if v != 0 {
 			t.Fatal("fresh adapter must have zero delta")
 		}
 	}
-	if a.ActiveCount() != 0 || a.Has(5) {
+	if a.ActiveCount() != 0 || has(a, 5) {
 		t.Fatal("fresh adapter must be empty")
 	}
 }
 
 func TestTrainAllocatesAndMoves(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	grad := []float64{1, 0, 0, 0, 0, 0, 0, 0}
 	// Several steps so both A (from B≠0 after the first B update... actually
 	// with A=0,B=0 the first step moves nothing: dA = grad·Bᵀ = 0, dB = A·grad = 0.
 	// Seed A by allocation then give B a kick through repeated training once a
 	// row exists. To break symmetry the adapter relies on allocation plus the
 	// next gradient — verify the well-known LoRA cold-start by priming A.
-	a.Train([]int32{3}, grad, 0.1)
-	if !a.Has(3) {
+	a.train([]int32{3}, grad, 0.1)
+	if !has(a, 3) {
 		t.Fatal("training must allocate a row")
 	}
 	// Prime: with both factors zero the product stays zero (standard LoRA
@@ -78,10 +104,10 @@ func TestTrainAllocatesAndMoves(t *testing.T) {
 	// paper's trainer does via its initializer, then train.
 	liveRow(a, 3)[0] = 0.5
 	before := make([]float64, 8)
-	a.Delta(3, before)
-	a.Train([]int32{3}, grad, 0.1)
+	delta(a, 3, before)
+	a.train([]int32{3}, grad, 0.1)
 	after := make([]float64, 8)
-	a.Delta(3, after)
+	delta(a, 3, after)
 	moved := false
 	for i := range after {
 		if after[i] != before[i] {
@@ -94,8 +120,8 @@ func TestTrainAllocatesAndMoves(t *testing.T) {
 }
 
 func TestTrainEmptyAndWrongDim(t *testing.T) {
-	a := MustNewAdapter(testConfig())
-	a.Train(nil, make([]float64, 8), 0.1) // no-op
+	a := mustNewAdapter(testConfig())
+	a.train(nil, make([]float64, 8), 0.1) // no-op
 	if a.ActiveCount() != 0 {
 		t.Fatal("empty train must not allocate")
 	}
@@ -104,18 +130,18 @@ func TestTrainEmptyAndWrongDim(t *testing.T) {
 			t.Fatal("wrong grad dim must panic")
 		}
 	}()
-	a.Train([]int32{1}, make([]float64, 3), 0.1)
+	a.train([]int32{1}, make([]float64, 3), 0.1)
 }
 
 func TestCapacityLimit(t *testing.T) {
 	cfg := testConfig()
 	cfg.CMax = 5
 	cfg.CMin = 1
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	grad := make([]float64, 8)
 	grad[0] = 1
 	for id := int32(0); id < 20; id++ {
-		a.Train([]int32{id}, grad, 0.01)
+		a.train([]int32{id}, grad, 0.01)
 	}
 	if a.ActiveCount() > 5 {
 		t.Fatalf("active %d exceeds CMax 5", a.ActiveCount())
@@ -123,7 +149,7 @@ func TestCapacityLimit(t *testing.T) {
 }
 
 func TestResizeGrowPreservesDelta(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	seedAdapter(a, 10)
 	before := snapshotDeltas(a, 10)
 	a.Resize(7)
@@ -141,7 +167,7 @@ func TestResizeGrowPreservesDelta(t *testing.T) {
 }
 
 func TestResizeShrinkApproximatesDelta(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	seedAdapter(a, 20)
 	before := snapshotDeltas(a, 20)
 	a.Resize(2)
@@ -166,7 +192,7 @@ func TestResizeShrinkApproximatesDelta(t *testing.T) {
 }
 
 func TestResizeClampsAndNoops(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	a.Resize(a.Rank()) // no-op
 	a.Resize(100)      // clamps to MaxRank (=Dim=8)
 	if a.Rank() != 8 {
@@ -177,9 +203,9 @@ func TestResizeClampsAndNoops(t *testing.T) {
 		t.Fatalf("rank %d, want clamp to 1", a.Rank())
 	}
 	// Shrinking with no rows resets B shape cleanly.
-	b := MustNewAdapter(testConfig())
+	b := mustNewAdapter(testConfig())
 	b.Resize(2)
-	if b.Rank() != 2 || b.B().Rows != 2 {
+	if b.Rank() != 2 || b.copyB().Rows != 2 {
 		t.Fatal("empty shrink must resize B")
 	}
 }
@@ -189,7 +215,7 @@ func TestAdaptRankTracksGradientStructure(t *testing.T) {
 	cfg := testConfig()
 	cfg.InitialRank = 6
 	cfg.AdaptInterval = 40
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	dir := []float64{1, 2, -1, 0.5, 0, 0, 0, 0}
 	rng := tensor.NewRNG(3)
 	for i := 0; i < 200; i++ {
@@ -198,7 +224,7 @@ func TestAdaptRankTracksGradientStructure(t *testing.T) {
 		for j := range g {
 			g[j] = scale * dir[j]
 		}
-		a.Train([]int32{int32(i % 30)}, g, 0.01)
+		a.train([]int32{int32(i % 30)}, g, 0.01)
 	}
 	if a.Adaptations() == 0 {
 		t.Fatal("adaptation never ran")
@@ -213,14 +239,14 @@ func TestAdaptRankGrowsForRichGradients(t *testing.T) {
 	cfg.InitialRank = 1
 	cfg.Alpha = 0.95
 	cfg.AdaptInterval = 40
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	rng := tensor.NewRNG(5)
 	for i := 0; i < 200; i++ {
 		g := make([]float64, 8)
 		for j := range g {
 			g[j] = rng.NormFloat64() // full-rank gradient stream
 		}
-		a.Train([]int32{int32(i % 30)}, g, 0.01)
+		a.train([]int32{int32(i % 30)}, g, 0.01)
 	}
 	if a.Rank() <= 1 {
 		t.Fatalf("full-rank gradients should grow rank, got %d", a.Rank())
@@ -232,50 +258,50 @@ func TestPruningEvictsInactive(t *testing.T) {
 	cfg.AdaptInterval = 100
 	cfg.PruneThresh = 2
 	cfg.CMin = 1
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	grad := make([]float64, 8)
 	grad[0] = 0.1
 	// id 1 updated often; ids 50..58 once each.
 	for i := 0; i < 90; i++ {
-		a.Train([]int32{1}, grad, 0.01)
+		a.train([]int32{1}, grad, 0.01)
 	}
 	for id := int32(50); id < 59; id++ {
-		a.Train([]int32{id}, grad, 0.01)
+		a.train([]int32{id}, grad, 0.01)
 	}
 	// 99 iterations so far; next one triggers adapt at 100.
-	a.Train([]int32{1}, grad, 0.01)
+	a.train([]int32{1}, grad, 0.01)
 	if a.Adaptations() != 1 {
 		t.Fatalf("adaptations %d, want 1", a.Adaptations())
 	}
-	if a.Has(50) || a.Has(58) {
+	if has(a, 50) || has(a, 58) {
 		t.Fatal("singly-updated ids must be pruned with PruneThresh=2")
 	}
-	if !a.Has(1) {
+	if !has(a, 1) {
 		t.Fatal("hot id must survive pruning")
 	}
-	if a.PrunedTotal() == 0 {
+	if a.pruned == 0 {
 		t.Fatal("pruned counter must advance")
 	}
 }
 
 func TestSupportExportApplyRoundTrip(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	seedAdapter(a, 5)
-	if a.SupportSize() == 0 {
+	if a.cur.Load().rows.dirty == 0 {
 		t.Fatal("training must record support")
 	}
-	export := a.ExportSupport()
-	if len(export) != a.SupportSize() {
-		t.Fatalf("export %d != support %d", len(export), a.SupportSize())
+	export := a.exportSupport()
+	if len(export) != a.cur.Load().rows.dirty {
+		t.Fatalf("export %d != support %d", len(export), a.cur.Load().rows.dirty)
 	}
-	b := MustNewAdapter(testConfig())
-	b.applyState(TableState{B: a.B()})
+	b := mustNewAdapter(testConfig())
+	b.applyState(TableState{B: a.copyB()})
 	b.applyState(TableState{Rows: export})
 	for _, u := range export {
 		da := make([]float64, 8)
 		db := make([]float64, 8)
-		a.Delta(u.ID, da)
-		b.Delta(u.ID, db)
+		delta(a, u.ID, da)
+		delta(b, u.ID, db)
 		for i := range da {
 			if math.Abs(da[i]-db[i]) > 1e-12 {
 				t.Fatal("applied rows must reproduce sender deltas")
@@ -283,17 +309,17 @@ func TestSupportExportApplyRoundTrip(t *testing.T) {
 		}
 	}
 	// Applying must not pollute receiver support.
-	if b.SupportSize() != 0 {
+	if b.cur.Load().rows.dirty != 0 {
 		t.Fatal("applied rows must not enter support")
 	}
-	a.ResetSupport()
-	if a.SupportSize() != 0 {
-		t.Fatal("ResetSupport failed")
+	a.resetSupport()
+	if a.cur.Load().rows.dirty != 0 {
+		t.Fatal("resetSupport failed")
 	}
 }
 
 func TestApplyRowsRankMismatch(t *testing.T) {
-	a := MustNewAdapter(testConfig())                                                   // rank 4
+	a := mustNewAdapter(testConfig())                                                   // rank 4
 	a.applyState(TableState{Rows: []RowUpdate{{ID: 1, Row: []float64{1, 2}}}})          // shorter
 	a.applyState(TableState{Rows: []RowUpdate{{ID: 2, Row: []float64{1, 2, 3, 4, 5}}}}) // longer
 	if len(liveRow(a, 1)) != 4 || len(liveRow(a, 2)) != 4 {
@@ -302,9 +328,9 @@ func TestApplyRowsRankMismatch(t *testing.T) {
 }
 
 func TestSetBRankMismatchAndDimPanic(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	a.applyState(TableState{B: tensor.NewMatrix(2, 8)}) // shorter: zero-pad
-	if a.B().Rows != 4 {
+	if a.copyB().Rows != 4 {
 		t.Fatal("an applied B must keep local rank")
 	}
 	defer func() {
@@ -316,14 +342,14 @@ func TestSetBRankMismatchAndDimPanic(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	seedAdapter(a, 5)
-	a.Reset()
-	if a.ActiveCount() != 0 || a.SupportSize() != 0 {
+	a.reset()
+	if a.ActiveCount() != 0 || a.cur.Load().rows.dirty != 0 {
 		t.Fatal("reset must clear rows and support")
 	}
 	dst := make([]float64, 8)
-	a.Delta(0, dst)
+	delta(a, 0, dst)
 	for _, v := range dst {
 		if v != 0 {
 			t.Fatal("reset must zero deltas")
@@ -332,7 +358,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	a := MustNewAdapter(testConfig()) // rank 4, dim 8
+	a := mustNewAdapter(testConfig()) // rank 4, dim 8
 	base := a.SizeBytes()
 	if base != 4*8*8 { // B only
 		t.Fatalf("empty adapter bytes %d", base)
@@ -349,7 +375,7 @@ func newTestSet(t *testing.T) *Set {
 	t.Helper()
 	rng := tensor.NewRNG(7)
 	base := emt.NewGroup(3, 100, 8, rng)
-	return MustNewSet(base, testConfig())
+	return mustNewSet(base, testConfig())
 }
 
 func TestSetLookupColdEqualsBase(t *testing.T) {
@@ -369,7 +395,7 @@ func TestSetLookupHotAddsDelta(t *testing.T) {
 	a := s.Adapters[0]
 	a.applyState(TableState{Rows: []RowUpdate{{ID: 5, Row: []float64{1, 0, 0, 0}}}})
 	b := tensor.NewMatrix(4, 8)
-	b.Set(0, 0, 0.5)
+	b.Data[0] = 0.5
 	a.applyState(TableState{B: b})
 	dst := make([]float64, 8)
 	s.Lookup(0, []int32{5}, dst)
@@ -393,7 +419,7 @@ func TestSetLookupNoAlloc(t *testing.T) {
 		s.ApplyGrad(0, []int32{int32(i % 7), 11}, g, 0.05)
 	}
 	ids := []int32{3, 11, 42, 6} // 42 is cold
-	if !s.Adapters[0].Has(3) || s.Adapters[0].Has(42) {
+	if !has(s.Adapters[0], 3) || has(s.Adapters[0], 42) {
 		t.Fatal("fixture: want hot and cold ids in one lookup")
 	}
 	dst := make([]float64, 8)
@@ -414,10 +440,10 @@ func TestSetApplyGradFreezesBase(t *testing.T) {
 			t.Fatal("base weights must stay frozen under LoRA training")
 		}
 	}
-	if s.Base.Tables[1].DirtyCount() != 0 {
+	if s.Base.DirtyRatio() != 0 {
 		t.Fatal("LoRA training must not dirty the base")
 	}
-	if !s.Adapters[1].Has(3) {
+	if !has(s.Adapters[1], 3) {
 		t.Fatal("gradient must land in the adapter")
 	}
 }
@@ -442,18 +468,18 @@ func TestSetStateRoundTrip(t *testing.T) {
 	liveRow(s1.Adapters[0], 1)[0] = 0.3
 	s1.ApplyGrad(0, []int32{1}, grad, 0.05)
 
-	states := s1.ExportState()
+	states := s1.exportState()
 	if PayloadBytes(states) <= 0 {
 		t.Fatal("payload must be positive")
 	}
 	s2 := newTestSet(t)
-	s2.ApplyState(states)
+	s2.applyState(states)
 	for _, table := range []int{0, 2} {
 		for _, u := range states[table].Rows {
 			d1 := make([]float64, 8)
 			d2 := make([]float64, 8)
-			s1.Adapters[table].Delta(u.ID, d1)
-			s2.Adapters[table].Delta(u.ID, d2)
+			delta(s1.Adapters[table], u.ID, d1)
+			delta(s2.Adapters[table], u.ID, d2)
 			for i := range d1 {
 				if math.Abs(d1[i]-d2[i]) > 1e-12 {
 					t.Fatal("state sync must reproduce deltas")
@@ -461,16 +487,16 @@ func TestSetStateRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	s1.ResetSupports()
+	s1.resetSupports()
 	for _, a := range s1.Adapters {
-		if a.SupportSize() != 0 {
-			t.Fatal("ResetSupports failed")
+		if a.cur.Load().rows.dirty != 0 {
+			t.Fatal("resetSupports failed")
 		}
 	}
 }
 
 // TestSetStateRoundTripConcurrentLookup is the copy-on-write acceptance
-// test: an ExportState/ApplyState (and Publish) round-trip runs in a loop
+// test: an exportState/applyState (and Publish) round-trip runs in a loop
 // while reader goroutines hammer Lookup and EffectiveRow on the same Set.
 // Under `go test -race` this proves the publish path swaps state atomically
 // — readers never observe a torn mix and never block on an in-flight merge —
@@ -483,7 +509,7 @@ func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 	for id := int32(0); id < 40; id++ {
 		src.ApplyGrad(int(id)%3, []int32{id % 20}, grad, 0.05)
 	}
-	states := src.ExportState()
+	states := src.exportState()
 	epochs := []int64{1, 2, 3}
 
 	dst := newTestSet(t)
@@ -505,7 +531,7 @@ func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 				id := int32(i % 20)
 				dst.Lookup(table, []int32{id}, out)
 				dst.EffectiveRow(table, id, row)
-				dst.Adapters[table].Has(id)
+				has(dst.Adapters[table], id)
 				_ = dst.Epoch()
 			}
 		}(g)
@@ -514,7 +540,7 @@ func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 	// the readers run. Every iteration rebuilds row maps and B matrices, so
 	// any unsynchronized reader access is a guaranteed race-detector hit.
 	for i := 0; i < 200; i++ {
-		dst.ApplyState(states)
+		dst.applyState(states)
 		dst.Publish(states, epochs[i%len(epochs)])
 	}
 	close(stop)
@@ -523,17 +549,14 @@ func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 	if got := dst.Epoch(); got != epochs[(200-1)%len(epochs)] {
 		t.Fatalf("published epoch = %d, want %d", got, epochs[(200-1)%len(epochs)])
 	}
-	if v := dst.Published(); v == nil || len(v.Tables) != 3 {
-		t.Fatal("published version must carry the applied tables")
-	}
 	// Round-trip fidelity: the concurrent episode must not have perturbed
 	// the installed state.
 	d1 := make([]float64, 8)
 	d2 := make([]float64, 8)
 	for table := range states {
 		for _, u := range states[table].Rows {
-			src.Adapters[table].Delta(u.ID, d1)
-			dst.Adapters[table].Delta(u.ID, d2)
+			delta(src.Adapters[table], u.ID, d1)
+			delta(dst.Adapters[table], u.ID, d2)
 			for i := range d1 {
 				if math.Abs(d1[i]-d2[i]) > 1e-12 {
 					t.Fatalf("table %d id %d: delta diverged after concurrent round-trip", table, u.ID)
@@ -556,7 +579,7 @@ func TestSetSnapshotClearsSupports(t *testing.T) {
 		t.Fatalf("snapshot missing trained row: %+v", snap[0].Rows)
 	}
 	for _, a := range s.Adapters {
-		if a.SupportSize() != 0 {
+		if a.cur.Load().rows.dirty != 0 {
 			t.Fatal("Snapshot must clear supports")
 		}
 	}
@@ -577,7 +600,7 @@ func TestPropertyAdapterInvariants(t *testing.T) {
 		cfg.CMax = 20
 		cfg.CMin = 2
 		cfg.AdaptInterval = 16
-		a := MustNewAdapter(cfg)
+		a := mustNewAdapter(cfg)
 		for i := 0; i < 120; i++ {
 			n := 1 + rng.Intn(3)
 			ids := make([]int32, n)
@@ -588,7 +611,7 @@ func TestPropertyAdapterInvariants(t *testing.T) {
 			for j := range g {
 				g[j] = rng.NormFloat64()
 			}
-			a.Train(ids, g, 0.01)
+			a.train(ids, g, 0.01)
 			if a.ActiveCount() > cfg.CMax {
 				return false
 			}
@@ -637,7 +660,7 @@ func snapshotDeltas(a *Adapter, n int) map[int32][]float64 {
 	out := make(map[int32][]float64)
 	for id := int32(0); id < int32(n); id++ {
 		d := make([]float64, a.cfg.Dim)
-		a.Delta(id, d)
+		delta(a, id, d)
 		out[id] = d
 	}
 	return out

@@ -101,7 +101,9 @@ func (a *refAdapter) adapt() {
 	a.adaptations++
 	if !a.cfg.DisableRankAdapt && a.gradCount >= 2 {
 		window := tensor.Matrix{Rows: a.gradCount, Cols: a.cfg.Dim, Data: a.gradBuf.Data[:a.gradCount*a.cfg.Dim]}
-		a.rankObsSum += tensor.MinRankForVariance(tensor.CovarianceSpectrum(&window, &a.spectrum), a.cfg.Alpha)
+		m := tensor.Moments{Mean: make([]float64, a.cfg.Dim), M2: make([]float64, a.cfg.Dim*a.cfg.Dim)}
+		m.Of(&window)
+		a.rankObsSum += tensor.MinRankForVariance(m.Spectrum(&a.spectrum), a.cfg.Alpha)
 		a.rankObsCount++
 		a.resize((a.rankObsSum + a.rankObsCount - 1) / a.rankObsCount)
 	}

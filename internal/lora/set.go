@@ -22,23 +22,9 @@ type Set struct {
 	Base     *emt.Group
 	Adapters []*Adapter
 
-	// published is the last Version installed by Publish; nil before the
+	// epoch is one more than the epoch of the last Publish: zero before the
 	// first sync. Readers load it lock-free.
-	published atomic.Pointer[Version]
-}
-
-// Version is an epoch-stamped snapshot of merged adapter state, as installed
-// by Publish. It is immutable after publication: the sync pipeline hands the
-// same Version to every replica, and adapters copy rows on apply rather than
-// aliasing them.
-type Version struct {
-	// Epoch is the publisher's monotone sync generation — the SyncGroup's
-	// cumulative sync counter, which advances on every completed merge,
-	// manual SyncNow included. It orders publications; it is NOT the
-	// Cluster's SyncEvery epoch index.
-	Epoch int64
-	// Tables is the merged state, one entry per embedding table.
-	Tables []TableState
+	epoch atomic.Int64
 }
 
 // NewSet builds adapters (one per base table) from cfg. The cfg.Dim field is
@@ -57,22 +43,13 @@ func NewSet(base *emt.Group, cfg Config) (*Set, error) {
 		if c.CMin > c.CMax {
 			c.CMin = c.CMax
 		}
-		a, err := NewAdapter(c)
+		a, err := newAdapter(c)
 		if err != nil {
 			return nil, fmt.Errorf("lora: table %s: %w", t.Name, err)
 		}
 		s.Adapters = append(s.Adapters, a)
 	}
 	return s, nil
-}
-
-// MustNewSet panics on configuration errors.
-func MustNewSet(base *emt.Group, cfg Config) *Set {
-	s, err := NewSet(base, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // NumTables implements dlrm.EmbeddingSource.
@@ -92,18 +69,18 @@ func (s *Set) Lookup(table int, ids []int32, dst []float64) {
 	a := s.Adapters[table]
 	inv := 1 / float64(len(ids))
 	for _, id := range ids {
-		a.Accumulate(id, inv, dst)
+		a.accumulate(id, inv, dst)
 	}
 }
 
 // ApplyGrad implements dlrm.EmbeddingSource: the pooled-embedding gradient
 // trains the LoRA factors; base weights are untouched (frozen W).
 func (s *Set) ApplyGrad(table int, ids []int32, grad []float64, lr float64) {
-	s.Adapters[table].Train(ids, grad, lr)
+	s.Adapters[table].train(ids, grad, lr)
 }
 
-// SizeBytes sums adapter footprints across tables.
-func (s *Set) SizeBytes() int64 {
+// sizeBytes sums adapter footprints across tables.
+func (s *Set) sizeBytes() int64 {
 	var total int64
 	for _, a := range s.Adapters {
 		total += a.SizeBytes()
@@ -118,21 +95,21 @@ func (s *Set) OverheadRatio() float64 {
 	if base == 0 {
 		return 0
 	}
-	return float64(s.SizeBytes()) / float64(base)
+	return float64(s.sizeBytes()) / float64(base)
 }
 
 // ResetAdapters clears all adapters without touching the base (after the
 // base was replaced by a full-parameter sync).
 func (s *Set) ResetAdapters() {
 	for _, a := range s.Adapters {
-		a.Reset()
+		a.reset()
 	}
 }
 
 // EffectiveRow writes W_base[id] + A[id]·B for one id into dst.
 func (s *Set) EffectiveRow(table int, id int32, dst []float64) {
 	copy(dst, s.Base.Tables[table].PeekRow(id))
-	s.Adapters[table].Accumulate(id, 1, dst)
+	s.Adapters[table].accumulate(id, 1, dst)
 }
 
 // TableState bundles one adapter's sync payload: modified A rows plus the
@@ -143,11 +120,11 @@ type TableState struct {
 	Rank int
 }
 
-// ExportState snapshots all adapters' supports for synchronization.
-func (s *Set) ExportState() []TableState {
+// exportState snapshots all adapters' supports for synchronization.
+func (s *Set) exportState() []TableState {
 	out := make([]TableState, len(s.Adapters))
 	for i, a := range s.Adapters {
-		out[i] = TableState{Rows: a.ExportSupport(), B: a.B(), Rank: a.Rank()}
+		out[i] = TableState{Rows: a.exportSupport(), B: a.copyB(), Rank: a.Rank()}
 	}
 	return out
 }
@@ -162,27 +139,27 @@ func (s *Set) ExportState() []TableState {
 func (s *Set) ExportFull() []TableState {
 	out := make([]TableState, len(s.Adapters))
 	for i, a := range s.Adapters {
-		out[i] = TableState{Rows: a.ExportAllRows(), B: a.B(), Rank: a.Rank()}
+		out[i] = TableState{Rows: a.exportAllRows(), B: a.copyB(), Rank: a.Rank()}
 	}
 	return out
 }
 
-// ApplyState installs a synced snapshot (winner of the priority merge). Each
+// applyState installs a synced snapshot (winner of the priority merge). Each
 // adapter swaps in its new rows and B factor with one atomic store, so
 // concurrent lock-free readers see either the pre- or post-sync state of a
 // table, never a torn mix. A state that does not fit the Set — the wrong
 // number of tables, a row id outside its base table — is refused by a panic
 // before any adapter is touched: such a row would count as active, be
 // re-exported, and index out of range in EffectiveRow.
-func (s *Set) ApplyState(states []TableState) {
+func (s *Set) applyState(states []TableState) {
 	if len(states) != len(s.Adapters) {
-		panic(fmt.Sprintf("lora: ApplyState %d states for %d adapters", len(states), len(s.Adapters)))
+		panic(fmt.Sprintf("lora: Publish %d states for %d adapters", len(states), len(s.Adapters)))
 	}
 	for i, st := range states {
 		rows := s.Base.Tables[i].Rows()
 		for _, u := range st.Rows {
 			if u.ID < 0 || int(u.ID) >= rows {
-				panic(fmt.Sprintf("lora: ApplyState table %d: row id %d outside [0,%d)", i, u.ID, rows))
+				panic(fmt.Sprintf("lora: Publish table %d: row id %d outside [0,%d)", i, u.ID, rows))
 			}
 		}
 	}
@@ -198,38 +175,31 @@ func (s *Set) ApplyState(states []TableState) {
 // feeds the NEXT epoch instead of being silently dropped. Owner-only: callers
 // must hold the replica's serialization while snapshotting.
 func (s *Set) Snapshot() []TableState {
-	st := s.ExportState()
-	s.ResetSupports()
+	st := s.exportState()
+	s.resetSupports()
 	return st
 }
 
 // Publish atomically installs a merged state and stamps it with the
 // publisher's epoch. The state is applied per adapter via copy-on-write
-// pointer swaps and then recorded as the Set's published Version, so
-// lock-free readers can observe both the data and the epoch it belongs to
-// without blocking on the merge that produced it.
+// pointer swaps, then the epoch is recorded, so lock-free readers never
+// block on the merge that produced it. The epoch is the publisher's monotone
+// sync generation — the SyncGroup's cumulative sync counter, which advances
+// on every completed merge, manual SyncNow included. It orders
+// publications; it is NOT the Cluster's SyncEvery epoch index.
 func (s *Set) Publish(states []TableState, epoch int64) {
-	s.ApplyState(states)
-	s.published.Store(&Version{Epoch: epoch, Tables: states})
+	s.applyState(states)
+	s.epoch.Store(epoch + 1)
 }
-
-// Published returns the last Version installed by Publish (nil before the
-// first sync). Lock-free.
-func (s *Set) Published() *Version { return s.published.Load() }
 
 // Epoch returns the epoch of the last published state, or -1 before the
 // first publication. Lock-free.
-func (s *Set) Epoch() int64 {
-	if v := s.published.Load(); v != nil {
-		return v.Epoch
-	}
-	return -1
-}
+func (s *Set) Epoch() int64 { return s.epoch.Load() - 1 }
 
-// ResetSupports clears all adapters' support sets (end of sync cycle).
-func (s *Set) ResetSupports() {
+// resetSupports clears all adapters' support sets (end of sync cycle).
+func (s *Set) resetSupports() {
 	for _, a := range s.Adapters {
-		a.ResetSupport()
+		a.resetSupport()
 	}
 }
 

@@ -97,7 +97,7 @@ func (ix *idIndex) reset() {
 type slotMeta struct {
 	id    int32 // -1 marks a slot evicted by adapt, until compact drops it
 	freq  int32 // updates in the current adaptation window
-	dirty bool  // updated since the last ResetSupport (Alg. 3's support)
+	dirty bool  // updated since the last resetSupport (Alg. 3's support)
 }
 
 // rowStore holds one adapter state's sparse A factor: the row of the id in

@@ -32,7 +32,7 @@ func TestStoreMatchesMapReference(t *testing.T) {
 		cfg.PruneThresh = 1 + int(seed%2)
 		cfg.Seed = seed
 		base := emt.NewGroup(1, universe, dim, tensor.NewRNG(seed))
-		set := MustNewSet(base, cfg)
+		set := mustNewSet(base, cfg)
 		flat := set.Adapters[0]
 		ref := newRefAdapter(flat.cfg)
 		rng := tensor.NewRNG(seed * 977)
@@ -64,7 +64,7 @@ func TestStoreMatchesMapReference(t *testing.T) {
 			return int32(rng.Intn(universe))
 		}
 
-		delta, want := make([]float64, dim), make([]float64, dim)
+		got, want := make([]float64, dim), make([]float64, dim)
 		for step := 0; step < 1500; step++ {
 			op := "train"
 			switch r := rng.Intn(100); {
@@ -94,7 +94,7 @@ func TestStoreMatchesMapReference(t *testing.T) {
 				ref.resize(r)
 			case r < 92:
 				op = "Reset"
-				flat.Reset()
+				flat.reset()
 				ref.reset()
 			case r < 95:
 				op = "Snapshot"
@@ -115,37 +115,37 @@ func TestStoreMatchesMapReference(t *testing.T) {
 			}
 
 			if flat.Rank() != ref.rank || flat.ActiveCount() != len(ref.rows) || flat.SizeBytes() != ref.sizeBytes() ||
-				flat.Adaptations() != ref.adaptations || flat.PrunedTotal() != ref.pruned {
+				flat.Adaptations() != ref.adaptations || flat.pruned != ref.pruned {
 				t.Fatalf("seed %d step %d (%s): rank %d/%d rows %d/%d bytes %d/%d passes %d/%d pruned %d/%d", seed, step, op,
 					flat.Rank(), ref.rank, flat.ActiveCount(), len(ref.rows), flat.SizeBytes(), ref.sizeBytes(),
-					flat.Adaptations(), ref.adaptations, flat.PrunedTotal(), ref.pruned)
+					flat.Adaptations(), ref.adaptations, flat.pruned, ref.pruned)
 			}
-			if !sameBits(flat.B().Data, ref.b.Data) {
+			if !sameBits(flat.copyB().Data, ref.b.Data) {
 				t.Fatalf("seed %d step %d (%s): B differs", seed, step, op)
 			}
 			for id := int32(-1); id <= universe; id++ { // -1 and universe: never resident
-				flat.Delta(id, delta)
+				delta(flat, id, got)
 				ref.delta(id, want)
 				_, resident := ref.rows[id]
-				if !sameBits(delta, want) || flat.Has(id) != resident {
-					t.Fatalf("seed %d step %d (%s): id %d: delta %v want %v, resident %v want %v", seed, step, op, id, delta, want, flat.Has(id), resident)
+				if !sameBits(got, want) || has(flat, id) != resident {
+					t.Fatalf("seed %d step %d (%s): id %d: delta %v want %v, resident %v want %v", seed, step, op, id, got, want, has(flat, id), resident)
 				}
 			}
-			support := flat.ExportSupport()
-			if !sameRows(support, ref.export(true)) || flat.SupportSize() != len(support) {
-				t.Fatalf("seed %d step %d (%s): ExportSupport differs (%d rows, SupportSize %d, reference %d)", seed, step, op,
-					len(support), flat.SupportSize(), len(ref.export(true)))
+			support := flat.exportSupport()
+			if !sameRows(support, ref.export(true)) || flat.cur.Load().rows.dirty != len(support) {
+				t.Fatalf("seed %d step %d (%s): exportSupport differs (%d rows, support %d, reference %d)", seed, step, op,
+					len(support), flat.cur.Load().rows.dirty, len(ref.export(true)))
 			}
-			if !sameRows(flat.ExportAllRows(), ref.export(false)) {
-				t.Fatalf("seed %d step %d (%s): ExportAllRows differs", seed, step, op)
+			if !sameRows(flat.exportAllRows(), ref.export(false)) {
+				t.Fatalf("seed %d step %d (%s): exportAllRows differs", seed, step, op)
 			}
 			if rs := flat.cur.Load().rows; rs.n != len(rs.meta) || len(rs.a) != len(rs.meta)*rs.rank || 2*rs.n > len(rs.cells) {
 				t.Fatalf("seed %d step %d (%s): store out of shape: %d indexed, %d slots, slab %d at rank %d, %d cells", seed, step, op,
 					rs.n, len(rs.meta), len(rs.a), rs.rank, len(rs.cells))
 			}
 		}
-		if flat.Adaptations() < 20 || flat.PrunedTotal() == 0 {
-			t.Fatalf("seed %d: fixture too quiet: %d passes, %d rows pruned", seed, flat.Adaptations(), flat.PrunedTotal())
+		if flat.Adaptations() < 20 || flat.pruned == 0 {
+			t.Fatalf("seed %d: fixture too quiet: %d passes, %d rows pruned", seed, flat.Adaptations(), flat.pruned)
 		}
 	}
 }
@@ -157,29 +157,29 @@ func TestStoreMatchesMapReference(t *testing.T) {
 func TestSupportSurvivesPruneAndReinstall(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdaptInterval = 1 << 30
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	g := make([]float64, cfg.Dim)
 	g[0] = 1
-	a.Train([]int32{4, 5}, g, 0.1)
+	a.train([]int32{4, 5}, g, 0.1)
 	a.adapt() // both trained this window: kept
-	a.Train([]int32{5}, g, 0.1)
+	a.train([]int32{5}, g, 0.1)
 	a.adapt() // 4 idle: pruned while in the support
-	if a.Has(4) || a.SupportSize() != 1 {
-		t.Fatalf("fixture: id 4 resident=%v, support %d", a.Has(4), a.SupportSize())
+	if has(a, 4) || a.cur.Load().rows.dirty != 1 {
+		t.Fatalf("fixture: id 4 resident=%v, support %d", has(a, 4), a.cur.Load().rows.dirty)
 	}
 	a.applyState(TableState{Rows: []RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}, {ID: 6, Row: []float64{1, 2, 3, 4}}}})
 	var got []int32
-	for _, u := range a.ExportSupport() {
+	for _, u := range a.exportSupport() {
 		got = append(got, u.ID)
 	}
 	if !slices.Equal(got, []int32{4, 5}) {
 		t.Fatalf("support after re-install = %v, want [4 5] (6 is foreign state)", got)
 	}
-	a.ResetSupport()
+	a.resetSupport()
 	a.adapt() // prunes everything
 	a.applyState(TableState{Rows: []RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}}})
-	if n := a.SupportSize(); n != 0 {
-		t.Fatalf("ResetSupport must forget ghosts: support %d", n)
+	if n := a.cur.Load().rows.dirty; n != 0 {
+		t.Fatalf("resetSupport must forget ghosts: support %d", n)
 	}
 }
 
@@ -189,30 +189,30 @@ func TestSupportSurvivesPruneAndReinstall(t *testing.T) {
 func TestResizeShrinkWithFewRows(t *testing.T) {
 	cfg := testConfig()
 	cfg.InitialRank = 6
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	seedAdapter(a, 2)
 	before := make([]float64, cfg.Dim)
-	a.Delta(1, before)
+	delta(a, 1, before)
 	a.Resize(4)
-	if b := a.B(); a.Rank() != 4 || b.Rows != 4 || len(liveRow(a, 1)) != 4 {
+	if b := a.copyB(); a.Rank() != 4 || b.Rows != 4 || len(liveRow(a, 1)) != 4 {
 		t.Fatalf("rank %d, B %d×%d, row width %d; want 4 everywhere", a.Rank(), b.Rows, b.Cols, len(liveRow(a, 1)))
 	}
 	after := make([]float64, cfg.Dim)
-	a.Delta(1, after)
+	delta(a, 1, after)
 	for i := range after {
 		if math.Abs(after[i]-before[i]) > 1e-9 {
 			t.Fatalf("two rows fit in rank 4 exactly: delta moved %v → %v", before, after)
 		}
 	}
-	a.Train([]int32{0, 1, 2}, make([]float64, cfg.Dim), 0.1)
+	a.train([]int32{0, 1, 2}, make([]float64, cfg.Dim), 0.1)
 }
 
 // Exported rows share one backing array; appending to one must not reach
 // the next.
 func TestExportRowsAreCapacityLimited(t *testing.T) {
-	a := MustNewAdapter(testConfig())
+	a := mustNewAdapter(testConfig())
 	seedAdapter(a, 3)
-	rows := a.ExportAllRows()
+	rows := a.exportAllRows()
 	next := slices.Clone(rows[1].Row)
 	rows[0].Row = append(rows[0].Row, 42)
 	if !sameBits(rows[1].Row, next) {
@@ -234,7 +234,7 @@ func TestLookupSeesOldOrNewNeverTorn(t *testing.T) {
 	const ids, dim = 64, 8
 	base := emt.NewGroup(1, ids, dim, tensor.NewRNG(3))
 	cfg := DefaultConfig(ids, dim)
-	set := MustNewSet(base, cfg)
+	set := mustNewSet(base, cfg)
 	a := set.Adapters[0]
 
 	// State s: every row is the unit vector e_s, B row s is dirs[s], and B's
@@ -273,7 +273,7 @@ func TestLookupSeesOldOrNewNeverTorn(t *testing.T) {
 					return
 				default:
 				}
-				a.Delta(int32(i%ids), got)
+				delta(a, int32(i%ids), got)
 				ok := false
 				for _, want := range dirs {
 					near := true
@@ -282,7 +282,7 @@ func TestLookupSeesOldOrNewNeverTorn(t *testing.T) {
 					}
 					ok = ok || near
 				}
-				if !ok || !a.Has(int32(i%ids)) {
+				if !ok || !has(a, int32(i%ids)) {
 					errs <- slices.Clone(got)
 					return
 				}
@@ -312,7 +312,7 @@ func TestTrainNewRowsSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(4096, 8)
 	cfg.AdaptInterval = 32
 	cfg.DisableRankAdapt = true
-	a := MustNewAdapter(cfg)
+	a := mustNewAdapter(cfg)
 	g := make([]float64, cfg.Dim)
 	g[1] = 1
 	next := int32(0)
@@ -322,17 +322,17 @@ func TestTrainNewRowsSteadyStateAllocs(t *testing.T) {
 			ids[i] = next % 4096
 			next++
 		}
-		a.Train(ids, g, 0.01)
+		a.train(ids, g, 0.01)
 	}
 	for i := 0; i < 2048; i++ { // two laps over the id space: every array at its high-water mark
 		step()
 	}
-	created := a.PrunedTotal()
+	created := a.pruned
 	if n := testing.AllocsPerRun(1024, step); n != 0 {
 		t.Fatalf("Train creating new rows allocates %v times per call, want 0", n)
 	}
-	if a.PrunedTotal()-created < 4000 {
-		t.Fatalf("fixture: only %d rows were created and pruned during the measurement", a.PrunedTotal()-created)
+	if a.pruned-created < 4000 {
+		t.Fatalf("fixture: only %d rows were created and pruned during the measurement", a.pruned-created)
 	}
 }
 
@@ -348,7 +348,7 @@ func TestSnapshotPublishAllocsIndependentOfRows(t *testing.T) {
 		base := emt.NewGroup(3, 2048, 8, tensor.NewRNG(1))
 		cfg := DefaultConfig(2048, 8)
 		cfg.AdaptInterval = 1 << 30
-		src, dst := MustNewSet(base, cfg), MustNewSet(base, cfg)
+		src, dst := mustNewSet(base, cfg), mustNewSet(base, cfg)
 		g := make([]float64, 8)
 		g[2] = 1
 		train := func() {
@@ -387,7 +387,7 @@ func TestApplyStateRefusesIDsOutsideTheTable(t *testing.T) {
 		states[0].Rows = []RowUpdate{{ID: 5, Row: []float64{1, 2, 3, 4}}}
 		states[2].Rows = []RowUpdate{{ID: 7, Row: []float64{1, 2, 3, 4}}, {ID: bad, Row: []float64{1, 2, 3, 4}}}
 		for name, install := range map[string]func(){
-			"ApplyState": func() { s.ApplyState(states) },
+			"applyState": func() { s.applyState(states) },
 			"Publish":    func() { s.Publish(states, 1) },
 		} {
 			func() {
@@ -398,7 +398,7 @@ func TestApplyStateRefusesIDsOutsideTheTable(t *testing.T) {
 				}()
 				install()
 			}()
-			if s.Adapters[0].Has(5) || s.Adapters[2].ActiveCount() != 0 || s.Epoch() != -1 {
+			if has(s.Adapters[0], 5) || s.Adapters[2].ActiveCount() != 0 || s.Epoch() != -1 {
 				t.Fatalf("%s installed part of a refused state (id %d)", name, bad)
 			}
 		}

@@ -28,7 +28,7 @@ type chromeTrace struct {
 }
 
 func writeChromeTrace(w io.Writer, tr *Tracer) error {
-	spans := tr.Snapshot() // nil-safe: empty on a nil tracer
+	spans := tr.snapshot() // nil-safe: empty on a nil tracer
 	doc := chromeTrace{
 		TraceEvents: make([]chromeEvent, 0, NumStages+len(spans)),
 		OtherData:   map[string]string{"generator": "liveupdate/internal/metrics", "go": runtime.Version()},

@@ -26,15 +26,8 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Load returns the current value (0 on nil).
-func (c *Counter) Load() uint64 {
+// load returns the current value (0 on nil).
+func (c *Counter) load() uint64 {
 	if c == nil {
 		return 0
 	}

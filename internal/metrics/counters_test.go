@@ -7,12 +7,12 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	if c.Load() != 0 {
+	if c.load() != 0 {
 		t.Fatal("zero value must start at 0")
 	}
 	c.Inc()
-	c.Add(9)
-	if got := c.Load(); got != 10 {
+	c.v.Add(9)
+	if got := c.load(); got != 10 {
 		t.Fatalf("Load = %d, want 10", got)
 	}
 }
@@ -31,7 +31,7 @@ func TestCounterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Load(); got != workers*per {
+	if got := c.load(); got != workers*per {
 		t.Fatalf("Load = %d, want %d", got, workers*per)
 	}
 }

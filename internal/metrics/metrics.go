@@ -174,9 +174,6 @@ func (t *LatencyTracker) Observe(v float64) {
 	t.next = (t.next + 1) % t.window
 }
 
-// Count returns the total number of samples observed (not just retained).
-func (t *LatencyTracker) Count() uint64 { return t.count }
-
 // Mean returns the mean over all observed samples.
 func (t *LatencyTracker) Mean() float64 {
 	if t.count == 0 {
@@ -186,15 +183,15 @@ func (t *LatencyTracker) Mean() float64 {
 }
 
 // P99 returns the 99th-percentile latency over the retained window.
-func (t *LatencyTracker) P99() float64 { return t.QuantileOf(0.99) }
+func (t *LatencyTracker) P99() float64 { return t.quantile(0.99) }
 
 // P50 returns the median latency over the retained window.
-func (t *LatencyTracker) P50() float64 { return t.QuantileOf(0.50) }
+func (t *LatencyTracker) P50() float64 { return t.quantile(0.50) }
 
-// QuantileOf returns an arbitrary quantile over the retained window. It
+// quantile returns an arbitrary quantile over the retained window. It
 // selects through the tracker's scratch, so like Observe it mutates the
 // tracker and needs the same serialization.
-func (t *LatencyTracker) QuantileOf(q float64) float64 {
+func (t *LatencyTracker) quantile(q float64) float64 {
 	v, buf := quantileOf(t.samples, q, t.scratch)
 	t.scratch = buf
 	return v
@@ -205,14 +202,6 @@ func (t *LatencyTracker) QuantileOf(q float64) float64 {
 // latencies across trackers, e.g. for a fleet-wide P99.
 func (t *LatencyTracker) Samples() []float64 {
 	return append([]float64(nil), t.samples...)
-}
-
-// Reset drops all retained samples and counters.
-func (t *LatencyTracker) Reset() {
-	t.samples = t.samples[:0]
-	t.next = 0
-	t.count = 0
-	t.sum = 0
 }
 
 // TopShareCDF is the access-skew statistic of paper Fig 12: given per-item

@@ -132,8 +132,8 @@ func TestLatencyTrackerBasics(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		tr.Observe(float64(i))
 	}
-	if tr.Count() != 100 {
-		t.Fatalf("count = %d", tr.Count())
+	if tr.count != 100 {
+		t.Fatalf("count = %d", tr.count)
 	}
 	if m := tr.Mean(); math.Abs(m-50.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 50.5", m)
@@ -158,23 +158,14 @@ func TestLatencyTrackerSlidingWindow(t *testing.T) {
 	if p := tr.P50(); p != 100 {
 		t.Fatalf("window p50 = %v, want 100", p)
 	}
-	if tr.Count() != 110 {
-		t.Fatalf("count = %d, want 110", tr.Count())
-	}
-}
-
-func TestLatencyTrackerReset(t *testing.T) {
-	tr := NewLatencyTracker(10)
-	tr.Observe(5)
-	tr.Reset()
-	if tr.Count() != 0 || tr.Mean() != 0 || tr.P99() != 0 {
-		t.Fatal("reset did not clear state")
+	if tr.count != 110 {
+		t.Fatalf("count = %d, want 110", tr.count)
 	}
 }
 
 // histogram observes vs into a fresh n-bucket histogram over [min, max) and
 // returns its snapshot.
-func histogram(min, max float64, n int, vs ...float64) *HistSnapshot {
+func histogram(min, max float64, n int, vs ...float64) *histSnapshot {
 	h := newHistogram(min, max, n)
 	for _, v := range vs {
 		h.Observe(v)
@@ -214,7 +205,7 @@ func TestHistogramInnerEdges(t *testing.T) {
 			want = 2 // Min itself and the first edge
 		}
 		if c != want {
-			t.Fatalf("bucket %d (le=%v) = %d, want %d: %v", i, s.UpperEdge(i), c, want, s.Buckets)
+			t.Fatalf("bucket %d (le=%v) = %d, want %d: %v", i, s.upperEdge(i), c, want, s.Buckets)
 		}
 	}
 	// Every value lands in the bucket whose rendered edges bracket it, also
@@ -363,8 +354,8 @@ func TestLatencyTrackerWrapKeepsWindowStats(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		tr.Observe(float64(i))
 	}
-	if tr.Count() != 8 {
-		t.Fatalf("count = %d, want 8", tr.Count())
+	if tr.count != 8 {
+		t.Fatalf("count = %d, want 8", tr.count)
 	}
 	if got, want := tr.Mean(), 4.5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("mean = %v, want %v", got, want)

@@ -27,7 +27,7 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func writePrometheus(w io.Writer, snapshot []Metric) error {
+func writePrometheus(w io.Writer, snapshot []metricSnapshot) error {
 	bw := bufio.NewWriter(w)
 	for _, m := range snapshot {
 		if m.Help != "" {
@@ -57,7 +57,7 @@ func writePrometheus(w io.Writer, snapshot []Metric) error {
 			cum += c
 			bw.WriteString(m.Name)
 			bw.WriteString(`_bucket{le="`)
-			bw.WriteString(formatValue(m.Hist.UpperEdge(i)))
+			bw.WriteString(formatValue(m.Hist.upperEdge(i)))
 			bw.WriteString(`"} `)
 			bw.WriteString(strconv.FormatUint(cum, 10))
 			bw.WriteByte('\n')

@@ -76,7 +76,7 @@ func TestLatencyTrackerQuantilesMatchSortAcrossWrap(t *testing.T) {
 		}
 		retained := tr.Samples()
 		for _, q := range equivalenceQs {
-			if got, want := tr.QuantileOf(q), refQuantile(retained, q); !sameBits(got, want) {
+			if got, want := tr.quantile(q), refQuantile(retained, q); !sameBits(got, want) {
 				t.Fatalf("after %d samples q=%v: tracker %v, sort %v", i+1, q, got, want)
 			}
 		}

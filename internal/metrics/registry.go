@@ -7,33 +7,33 @@ import (
 	"sync"
 )
 
-// Kind is the instrument class of a registered metric.
-type Kind uint8
+// metricKind is the instrument class of a registered metric.
+type metricKind uint8
 
 const (
-	// KindCounter is a monotone uint64 counter.
-	KindCounter Kind = iota
-	// KindGauge is an instantaneous float64 value.
-	KindGauge
-	// KindHistogram is a fixed-bucket distribution with sum and count.
-	KindHistogram
+	// kindCounter is a monotone uint64 counter.
+	kindCounter metricKind = iota
+	// kindGauge is an instantaneous float64 value.
+	kindGauge
+	// kindHistogram is a fixed-bucket distribution with sum and count.
+	kindHistogram
 )
 
 // String returns the Prometheus TYPE keyword for the kind.
-func (k Kind) String() string {
+func (k metricKind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	}
 	return "untyped"
 }
 
 // Histogram is a fixed-width-bucket histogram with a running sum and count.
-// Bucket i holds the values v with UpperEdge(i-1) < v ≤ UpperEdge(i) — the
+// Bucket i holds the values v with upperEdge(i-1) < v ≤ upperEdge(i) — the
 // Prometheus "le" convention, on the very edges the exposition renders — and
 // bucket 0 also takes everything below Min. Values above Max (and +Inf)
 // count only toward the total, i.e. the exposition's le="+Inf" bucket.
@@ -97,24 +97,24 @@ func (h *Histogram) bucket(v float64) int {
 	return b
 }
 
-// HistSnapshot is a consistent copy of a histogram's state.
-type HistSnapshot struct {
+// histSnapshot is a consistent copy of a histogram's state.
+type histSnapshot struct {
 	Min, Max float64
 	Buckets  []uint64 // per-bucket (non-cumulative) counts; see Histogram
 	Sum      float64
 	Count    uint64 // every observed value, including those above Max
 }
 
-// UpperEdge returns the upper boundary of bucket i, the le it is rendered
+// upperEdge returns the upper boundary of bucket i, the le it is rendered
 // under. Values above the last edge appear only in the le="+Inf" bucket.
-func (s *HistSnapshot) UpperEdge(i int) float64 {
+func (s *histSnapshot) upperEdge(i int) float64 {
 	return upperEdge(s.Min, (s.Max-s.Min)/float64(len(s.Buckets)), i)
 }
 
-func (h *Histogram) snapshot() *HistSnapshot {
+func (h *Histogram) snapshot() *histSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return &HistSnapshot{
+	return &histSnapshot{
 		Min:     h.min,
 		Max:     h.max,
 		Buckets: append([]uint64(nil), h.buckets...),
@@ -123,21 +123,21 @@ func (h *Histogram) snapshot() *HistSnapshot {
 	}
 }
 
-// Metric is one instrument's state as captured by Registry.Snapshot.
-type Metric struct {
+// metricSnapshot is one instrument's state as captured by Registry.Snapshot.
+type metricSnapshot struct {
 	Name string
 	Help string
-	Kind Kind
+	Kind metricKind
 	// Value is the counter or gauge reading; unused for histograms.
 	Value float64
 	// Hist is set only for histograms.
-	Hist *HistSnapshot
+	Hist *histSnapshot
 }
 
 type instrument struct {
 	name    string
 	help    string
-	kind    Kind
+	kind    metricKind
 	counter *Counter
 	countFn func() uint64
 	gaugeFn func() float64
@@ -154,12 +154,12 @@ type Registry struct {
 	byName map[string]*instrument
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{byName: make(map[string]*instrument)}
 }
 
-func (r *Registry) getOrCreate(name, help string, kind Kind) (*instrument, bool) {
+func (r *Registry) getOrCreate(name, help string, kind metricKind) (*instrument, bool) {
 	ins, ok := r.byName[name]
 	if ok {
 		if ins.kind != kind {
@@ -176,7 +176,7 @@ func (r *Registry) getOrCreate(name, help string, kind Kind) (*instrument, bool)
 func (r *Registry) Counter(name, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ins, created := r.getOrCreate(name, help, KindCounter)
+	ins, created := r.getOrCreate(name, help, kindCounter)
 	if created {
 		ins.counter = &Counter{}
 	}
@@ -189,7 +189,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ins, created := r.getOrCreate(name, help, KindCounter)
+	ins, created := r.getOrCreate(name, help, kindCounter)
 	if created {
 		ins.countFn = fn
 	}
@@ -200,7 +200,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ins, created := r.getOrCreate(name, help, KindGauge)
+	ins, created := r.getOrCreate(name, help, kindGauge)
 	if created {
 		ins.gaugeFn = fn
 	}
@@ -211,17 +211,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 func (r *Registry) Histogram(name, help string, min, max float64, n int) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ins, created := r.getOrCreate(name, help, KindHistogram)
+	ins, created := r.getOrCreate(name, help, kindHistogram)
 	if created {
 		ins.hist = newHistogram(min, max, n)
 	}
 	return ins.hist
 }
 
-// Snapshot reads every instrument, sorted by name. Function-backed
+// snapshot reads every instrument, sorted by name. Function-backed
 // instruments are invoked here, on the scraper's goroutine — never on a
 // serving path.
-func (r *Registry) Snapshot() []Metric {
+func (r *Registry) snapshot() []metricSnapshot {
 	r.mu.Lock()
 	list := make([]*instrument, 0, len(r.byName))
 	for _, ins := range r.byName {
@@ -230,12 +230,12 @@ func (r *Registry) Snapshot() []Metric {
 	r.mu.Unlock()
 	sort.Slice(list, func(a, b int) bool { return list[a].name < list[b].name })
 
-	out := make([]Metric, 0, len(list))
+	out := make([]metricSnapshot, 0, len(list))
 	for _, ins := range list {
-		m := Metric{Name: ins.name, Help: ins.help, Kind: ins.kind}
+		m := metricSnapshot{Name: ins.name, Help: ins.help, Kind: ins.kind}
 		switch {
 		case ins.counter != nil:
-			m.Value = float64(ins.counter.Load())
+			m.Value = float64(ins.counter.load())
 		case ins.countFn != nil:
 			m.Value = float64(ins.countFn())
 		case ins.gaugeFn != nil:

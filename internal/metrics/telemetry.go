@@ -30,9 +30,9 @@ type Telemetry struct {
 // NewTelemetry builds a Telemetry from cfg. The registry is always created;
 // the tracer only when cfg.SampleEvery > 0.
 func NewTelemetry(cfg TelemetryConfig) *Telemetry {
-	t := &Telemetry{cfg: cfg, reg: NewRegistry()}
+	t := &Telemetry{cfg: cfg, reg: newRegistry()}
 	if cfg.SampleEvery > 0 {
-		t.tracer = NewTracer(cfg.SampleEvery, cfg.SpanRing)
+		t.tracer = newTracer(cfg.SampleEvery, cfg.SpanRing)
 	}
 	return t
 }
@@ -68,7 +68,7 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	return writePrometheus(w, t.reg.Snapshot())
+	return writePrometheus(w, t.reg.snapshot())
 }
 
 // WriteVars renders the registry as an expvar-style JSON object.
@@ -77,7 +77,7 @@ func (t *Telemetry) WriteVars(w io.Writer) error {
 		_, err := io.WriteString(w, "{}\n")
 		return err
 	}
-	return writeVars(w, t.reg.Snapshot())
+	return writeVars(w, t.reg.snapshot())
 }
 
 // WriteTrace dumps the span ring as Chrome trace-event JSON, loadable in

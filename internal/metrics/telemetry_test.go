@@ -51,7 +51,7 @@ func TestNilTelemetryAndTracerAreSafe(t *testing.T) {
 		t.Fatalf("nil tracer StageStart = %d, want -1", got)
 	}
 	tr.StageEnd(StageForward, 123) // must not panic
-	if tr.Snapshot() != nil {
+	if tr.snapshot() != nil {
 		t.Fatal("nil tracer snapshot must be nil")
 	}
 	if tr.StageTotals() != ([NumStages]StageAgg{}) {
@@ -59,8 +59,7 @@ func TestNilTelemetryAndTracerAreSafe(t *testing.T) {
 	}
 	var c *Counter
 	c.Inc()
-	c.Add(3)
-	if c.Load() != 0 {
+	if c.load() != 0 {
 		t.Fatal("nil counter must read 0")
 	}
 	var h *Histogram
@@ -68,7 +67,7 @@ func TestNilTelemetryAndTracerAreSafe(t *testing.T) {
 }
 
 func TestTracerSamplesOneInN(t *testing.T) {
-	tr := NewTracer(4, 64)
+	tr := newTracer(4, 64)
 	sampled := 0
 	for i := 0; i < 16; i++ {
 		if start := tr.StageStart(StageForward); start >= 0 {
@@ -93,12 +92,12 @@ func TestTracerSamplesOneInN(t *testing.T) {
 }
 
 func TestTracerSnapshotOrderAndWrap(t *testing.T) {
-	tr := NewTracer(1, 8) // tiny ring to force a lap
+	tr := newTracer(1, 8) // tiny ring to force a lap
 	for i := 0; i < 20; i++ {
 		start := tr.StageStart(Stage(i % NumStages))
 		tr.StageEnd(Stage(i%NumStages), start)
 	}
-	spans := tr.Snapshot()
+	spans := tr.snapshot()
 	if len(spans) == 0 || len(spans) > 8 {
 		t.Fatalf("snapshot has %d spans, want 1..8", len(spans))
 	}
@@ -121,7 +120,7 @@ func TestTracerSnapshotOrderAndWrap(t *testing.T) {
 // reader snapshots — the seqlock must keep this race-clean (this test's
 // teeth are under -race in CI) and every surfaced span plausible.
 func TestTracerConcurrentSnapshot(t *testing.T) {
-	tr := NewTracer(1, 64)
+	tr := newTracer(1, 64)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -141,7 +140,7 @@ func TestTracerConcurrentSnapshot(t *testing.T) {
 	}
 	deadline := time.Now().Add(50 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		for _, sp := range tr.Snapshot() {
+		for _, sp := range tr.snapshot() {
 			if int(sp.Stage) >= NumStages || sp.DurNs < 0 || sp.StartNs < 0 {
 				close(stop)
 				wg.Wait()
@@ -157,7 +156,7 @@ func TestTracerHotPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are asserted without the race detector (CI alloc-gate)")
 	}
-	tr := NewTracer(1, 64) // sample everything: worst case
+	tr := newTracer(1, 64) // sample everything: worst case
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := tr.StageStart(StageForward)
 		tr.StageEnd(StageForward, start)
@@ -168,16 +167,16 @@ func TestTracerHotPathZeroAlloc(t *testing.T) {
 }
 
 func TestRegistryGetOrCreateSharesInstruments(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.Counter("serve_total", "requests")
 	b := r.Counter("serve_total", "requests")
 	if a != b {
 		t.Fatal("same-name counters must be the same instrument")
 	}
 	a.Inc()
-	b.Add(2)
-	if a.Load() != 3 {
-		t.Fatalf("shared counter = %d, want 3", a.Load())
+	b.v.Add(2)
+	if a.load() != 3 {
+		t.Fatalf("shared counter = %d, want 3", a.load())
 	}
 	h1 := r.Histogram("lat", "latency", 0, 1, 10)
 	h2 := r.Histogram("lat", "latency", 0, 1, 10)
@@ -193,8 +192,8 @@ func TestRegistryGetOrCreateSharesInstruments(t *testing.T) {
 }
 
 func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zzz", "last").Add(7)
+	r := newRegistry()
+	r.Counter("zzz", "last").v.Add(7)
 	r.GaugeFunc("aaa", "first", func() float64 { return 1.5 })
 	r.CounterFunc("mmm", "middle", func() uint64 { return 42 })
 	h := r.Histogram("hhh", "dist", 0, 10, 5)
@@ -202,7 +201,7 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	h.Observe(math.NaN()) // dropped
 	h.Observe(99)         // above Max: counted, in no finite bucket
 
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	names := make([]string, len(snap))
 	for i, m := range snap {
 		names[i] = m.Name
@@ -213,19 +212,19 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	for _, m := range snap {
 		switch m.Name {
 		case "zzz":
-			if m.Kind != KindCounter || m.Value != 7 {
+			if m.Kind != kindCounter || m.Value != 7 {
 				t.Fatalf("zzz: %+v", m)
 			}
 		case "aaa":
-			if m.Kind != KindGauge || m.Value != 1.5 {
+			if m.Kind != kindGauge || m.Value != 1.5 {
 				t.Fatalf("aaa: %+v", m)
 			}
 		case "mmm":
-			if m.Kind != KindCounter || m.Value != 42 {
+			if m.Kind != kindCounter || m.Value != 42 {
 				t.Fatalf("mmm: %+v", m)
 			}
 		case "hhh":
-			if m.Kind != KindHistogram || m.Hist == nil {
+			if m.Kind != kindHistogram || m.Hist == nil {
 				t.Fatalf("hhh: %+v", m)
 			}
 			if m.Hist.Count != 2 {
@@ -242,13 +241,13 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 }
 
 func TestPrometheusEscapingAndNonFinite(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.GaugeFunc("nan_gauge", "can be NaN", func() float64 { return math.NaN() })
 	r.GaugeFunc("inf_gauge", "line1\nline2 with back\\slash", func() float64 { return math.Inf(1) })
 	r.GaugeFunc("neginf_gauge", "negative", func() float64 { return math.Inf(-1) })
 
 	var buf bytes.Buffer
-	if err := writePrometheus(&buf, r.Snapshot()); err != nil {
+	if err := writePrometheus(&buf, r.snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -266,13 +265,13 @@ func TestPrometheusEscapingAndNonFinite(t *testing.T) {
 }
 
 func TestPrometheusHistogramConventions(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("lat_seconds", "latency", 0, 1, 4)
 	for _, v := range []float64{0.1, 0.1, 0.4, 0.9, 5} { // 5 > Max: only le="+Inf"
 		h.Observe(v)
 	}
 	var buf bytes.Buffer
-	if err := writePrometheus(&buf, r.Snapshot()); err != nil {
+	if err := writePrometheus(&buf, r.snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -295,8 +294,8 @@ func TestPrometheusHistogramConventions(t *testing.T) {
 // TestPrometheusGolden locks the full exposition output for a representative
 // registry against testdata/metrics.golden (regenerate with -update).
 func TestPrometheusGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("liveupdate_serve_requests_total", "Requests served by the fleet.").Add(1234)
+	r := newRegistry()
+	r.Counter("liveupdate_serve_requests_total", "Requests served by the fleet.").v.Add(1234)
 	r.CounterFunc("liveupdate_sync_epochs_total", "Completed sync epochs.", func() uint64 { return 17 })
 	r.GaugeFunc("liveupdate_fleet_members", "Active members in the fleet view.", func() float64 { return 3 })
 	r.GaugeFunc("liveupdate_weird_gauge", "Escapes: back\\slash and\nnewline; value NaN.", func() float64 { return math.NaN() })
@@ -306,7 +305,7 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := writePrometheus(&buf, r.Snapshot()); err != nil {
+	if err := writePrometheus(&buf, r.snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics.golden")
@@ -368,7 +367,7 @@ func TestChromeTraceExport(t *testing.T) {
 
 func TestWriteVarsIsValidJSON(t *testing.T) {
 	tel := NewTelemetry(TelemetryConfig{})
-	tel.Registry().Counter("c_total", "counter").Add(5)
+	tel.Registry().Counter("c_total", "counter").v.Add(5)
 	tel.Registry().GaugeFunc("g_nan", "gauge", func() float64 { return math.NaN() })
 	tel.Registry().Histogram("h", "hist", 0, 1, 2).Observe(0.3)
 

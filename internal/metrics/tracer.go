@@ -43,9 +43,9 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// Span is one completed, sampled stage timing. Start is nanoseconds since
+// span is one completed, sampled stage timing. Start is nanoseconds since
 // the tracer's epoch (process-local), Dur is the stage's wall-clock duration.
-type Span struct {
+type span struct {
 	Stage   Stage
 	StartNs int64
 	DurNs   int64
@@ -86,17 +86,17 @@ type Tracer struct {
 	ring   []spanSlot
 }
 
-// DefaultSpanRing is the span ring capacity when TelemetryConfig.SpanRing is 0.
-const DefaultSpanRing = 4096
+// defaultSpanRing is the span ring capacity when TelemetryConfig.SpanRing is 0.
+const defaultSpanRing = 4096
 
-// NewTracer returns a tracer sampling 1 in sampleEvery stage timings into a
+// newTracer returns a tracer sampling 1 in sampleEvery stage timings into a
 // ring of the given capacity (rounded up to a power of two; 0 = default).
-func NewTracer(sampleEvery, ringSize int) *Tracer {
+func newTracer(sampleEvery, ringSize int) *Tracer {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
 	if ringSize <= 0 {
-		ringSize = DefaultSpanRing
+		ringSize = defaultSpanRing
 	}
 	n := 1
 	for n < ringSize {
@@ -161,22 +161,22 @@ func (t *Tracer) StageTotals() [NumStages]StageAgg {
 	return out
 }
 
-// Snapshot copies the currently valid spans out of the ring, oldest first.
+// snapshot copies the currently valid spans out of the ring, oldest first.
 // Entries being overwritten during the copy are detected by their seqlock
 // guard and dropped; a span that survived a ring lap with an implausible
 // payload (negative duration, unknown stage) is dropped too.
-func (t *Tracer) Snapshot() []Span {
+func (t *Tracer) snapshot() []span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(t.ring))
+	out := make([]span, 0, len(t.ring))
 	for i := range t.ring {
 		slot := &t.ring[i]
 		seq1 := slot.seq.Load()
 		if seq1 == 0 {
 			continue
 		}
-		sp := Span{
+		sp := span{
 			Stage:   Stage(slot.stage.Load()),
 			StartNs: slot.start.Load(),
 			DurNs:   slot.dur.Load(),

@@ -13,7 +13,7 @@ import (
 // per-registry renderer with expvar's shape instead: a flat JSON object,
 // plus the customary "memstats" block.
 
-func writeVars(w io.Writer, snapshot []Metric) error {
+func writeVars(w io.Writer, snapshot []metricSnapshot) error {
 	vars := make(map[string]any, len(snapshot)+1)
 	for _, m := range snapshot {
 		if m.Hist != nil {

@@ -228,11 +228,10 @@ type Client struct {
 
 	boundCtx atomic.Pointer[context.Context] // BindContext target for serve-path attempts
 
-	shed429     atomic.Uint64         // 429 responses absorbed (then retried)
-	transpRetry atomic.Uint64         // transport/5xx/400 retries
-	gaveUp      atomic.Uint64         // requests abandoned (budget or cancellation)
-	retryWait   atomic.Int64          // cumulative back-off, nanoseconds
-	statsErr    atomic.Pointer[error] // most recent Stats() transport failure
+	shed429     atomic.Uint64 // 429 responses absorbed (then retried)
+	transpRetry atomic.Uint64 // transport/5xx/400 retries
+	gaveUp      atomic.Uint64 // requests abandoned (budget or cancellation)
+	retryWait   atomic.Int64  // cumulative back-off, nanoseconds
 }
 
 // Dial connects to a netserve gateway, performs the /info handshake, and
@@ -379,18 +378,6 @@ func (c *Client) GaveUp() uint64 { return c.gaveUp.Load() }
 // hints, exponential backoff, and breaker cooldowns).
 func (c *Client) RetryWait() time.Duration { return time.Duration(c.retryWait.Load()) }
 
-// BreakerOpenLanes returns how many lanes currently have a non-closed
-// breaker (open or half-open probe pending).
-func (c *Client) BreakerOpenLanes() int {
-	open := 0
-	for _, l := range c.lanes {
-		if l.brk.snapshot() != breakerClosed {
-			open++
-		}
-	}
-	return open
-}
-
 // Close releases idle connections on every lane.
 func (c *Client) Close() {
 	for _, l := range c.lanes {
@@ -467,14 +454,9 @@ func (c *Client) ServeShardBatch(shard int, samples []trace.Sample, resps []core
 
 // Stats fetches the server's statistics snapshot (wire admission ledger
 // included). The Server interface has no error return, so a transport
-// failure here yields a zero snapshot; LastStatsErr reports it.
+// failure here yields a zero snapshot; FetchStats returns the error.
 func (c *Client) Stats() core.Stats {
-	st, err := c.FetchStats()
-	if err != nil {
-		c.statsErr.Store(&err)
-		return core.Stats{}
-	}
-	c.statsErr.Store(nil)
+	st, _ := c.FetchStats()
 	return st
 }
 
@@ -493,15 +475,6 @@ func (c *Client) FetchStats() (core.Stats, error) {
 		return core.Stats{}, fmt.Errorf("netclient: decoding stats: %w", err)
 	}
 	return netserve.RestoreStats(st), nil
-}
-
-// LastStatsErr returns the error of the most recent failed Stats() call, or
-// nil if none failed since the last success.
-func (c *Client) LastStatsErr() error {
-	if p := c.statsErr.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // sleep blocks for d or until ctx is cancelled, billing the time slept to
@@ -699,7 +672,7 @@ func retryAfter(h http.Header, max time.Duration) time.Duration {
 	}
 	if s := h.Get("Retry-After"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			if v > int(max/time.Second)+1 {
+			if v > int(max/time.Second) { // v·1s > max, and the product may overflow
 				return max
 			}
 			return clampWait(time.Duration(v)*time.Second, max)

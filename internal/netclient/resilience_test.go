@@ -3,9 +3,11 @@ package netclient
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,52 +20,80 @@ import (
 	"liveupdate/internal/trace"
 )
 
-// TestRetryAfterHostileHeaders is the satellite table test: hostile
-// Retry-After values must clamp into [0, max] instead of overflowing or
-// poisoning the back-off.
-func TestRetryAfterHostileHeaders(t *testing.T) {
-	const max = 250 * time.Millisecond
-	cases := []struct {
-		name string
-		ms   string // X-Retry-After-Ms
-		sec  string // Retry-After
-		want time.Duration
-	}{
-		{"absent", "", "", time.Millisecond},
-		{"normal ms", "40", "", 40 * time.Millisecond},
-		{"normal seconds", "", "1", max}, // 1s > max → clamp
-		{"ms preferred over seconds", "40", "100", 40 * time.Millisecond},
-		{"zero ms falls through to floor", "0", "", time.Millisecond},
-		{"negative ms", "-500", "", time.Millisecond},
-		{"non-numeric ms", "soon", "", time.Millisecond},
-		{"non-numeric seconds", "", "Fri, 31 Dec 1999 23:59:59 GMT", time.Millisecond},
-		{"absurd ms", "999999999999999999", "", max},
-		// Would overflow time.Duration multiplication into a negative value
-		// that sails under any downstream cap — the historical bug.
-		{"overflow ms", "9223372036854775807", "", max},
-		{"overflow seconds", "", "9223372036854775807", max},
-		{"negative seconds", "", "-5", time.Millisecond},
-		{"empty ms with seconds", "", "100000", max},
+// retryAfterMax is the back-off cap retryAfterCases are written against.
+const retryAfterMax = 250 * time.Millisecond
+
+// retryAfterCases are hostile and ordinary back-off hints: the table of
+// TestRetryAfterHostileHeaders and the seeds of FuzzRetryAfter.
+var retryAfterCases = []struct {
+	name string
+	ms   string // X-Retry-After-Ms
+	sec  string // Retry-After
+	want time.Duration
+}{
+	{"absent", "", "", time.Millisecond},
+	{"normal ms", "40", "", 40 * time.Millisecond},
+	{"normal seconds", "", "1", retryAfterMax}, // 1s > max → clamp
+	{"ms preferred over seconds", "40", "100", 40 * time.Millisecond},
+	{"zero ms falls through to floor", "0", "", time.Millisecond},
+	{"negative ms", "-500", "", time.Millisecond},
+	{"non-numeric ms", "soon", "", time.Millisecond},
+	{"non-numeric seconds", "", "Fri, 31 Dec 1999 23:59:59 GMT", time.Millisecond},
+	{"absurd ms", "999999999999999999", "", retryAfterMax},
+	// Would overflow time.Duration multiplication into a negative value
+	// that sails under any downstream cap — the historical bug.
+	{"overflow ms", "9223372036854775807", "", retryAfterMax},
+	{"overflow seconds", "", "9223372036854775807", retryAfterMax},
+	{"negative seconds", "", "-5", time.Millisecond},
+	{"empty ms with seconds", "", "100000", retryAfterMax},
+}
+
+func retryAfterHeader(ms, sec string) http.Header {
+	h := http.Header{}
+	if ms != "" {
+		h.Set("X-Retry-After-Ms", ms)
 	}
-	for _, tc := range cases {
-		h := http.Header{}
-		if tc.ms != "" {
-			h.Set("X-Retry-After-Ms", tc.ms)
-		}
-		if tc.sec != "" {
-			h.Set("Retry-After", tc.sec)
-		}
-		got := retryAfter(h, max)
+	if sec != "" {
+		h.Set("Retry-After", sec)
+	}
+	return h
+}
+
+// TestRetryAfterHostileHeaders: hostile Retry-After values must clamp into
+// [1ms, max] instead of overflowing or poisoning the back-off.
+func TestRetryAfterHostileHeaders(t *testing.T) {
+	for _, tc := range retryAfterCases {
+		got := retryAfter(retryAfterHeader(tc.ms, tc.sec), retryAfterMax)
 		if got != tc.want {
 			t.Errorf("%s: retryAfter = %v, want %v", tc.name, got, tc.want)
 		}
-		if got < 0 || got > max {
-			t.Errorf("%s: retryAfter = %v escaped [0, %v]", tc.name, got, max)
+		if got < 0 || got > retryAfterMax {
+			t.Errorf("%s: retryAfter = %v escaped [0, %v]", tc.name, got, retryAfterMax)
 		}
 	}
-	if got := retryAfter(nil, max); got != time.Millisecond {
+	if got := retryAfter(nil, retryAfterMax); got != time.Millisecond {
 		t.Errorf("nil header: retryAfter = %v, want 1ms floor", got)
 	}
+}
+
+// FuzzRetryAfter: for any pair of hint headers and any cap of at least 1ms,
+// retryAfter never panics and returns a wait in [1ms, max].
+func FuzzRetryAfter(f *testing.F) {
+	for _, tc := range retryAfterCases {
+		f.Add(tc.ms, tc.sec, int64(retryAfterMax))
+	}
+	// Retry-After 9223372037 (one second above the largest whole-second
+	// Duration) under the largest cap once overflowed to a negative wait.
+	f.Add("", "9223372037", int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, ms, sec string, maxNs int64) {
+		max := time.Duration(maxNs)
+		if max < time.Millisecond {
+			t.Skip("the cap is at least the 1ms floor")
+		}
+		if got := retryAfter(retryAfterHeader(ms, sec), max); got < time.Millisecond || got > max {
+			t.Fatalf("retryAfter(ms=%q, sec=%q, max=%v) = %v, outside [1ms, max]", ms, sec, max, got)
+		}
+	})
 }
 
 // shedForever is a gateway-shaped handler that 429s every serve request with
@@ -219,8 +249,10 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	if time.Since(start) < 100*time.Millisecond {
 		t.Error("request completed before the outage ended — breaker test inert")
 	}
-	if c.BreakerOpenLanes() != 0 {
-		t.Errorf("breaker still open after recovery: %d lanes", c.BreakerOpenLanes())
+	for i, l := range c.lanes {
+		if st := l.brk.snapshot(); st != breakerClosed {
+			t.Errorf("lane %d breaker state %d after recovery, want closed", i, st)
+		}
 	}
 	// With a 3-strike threshold and 50ms cooldowns inside a ~120ms outage,
 	// the breaker must have throttled attempts well below the free-running
@@ -229,14 +261,20 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 		t.Errorf("server saw %d attempts through a 120ms outage — breaker never gated", n)
 	}
 	// The registered gauge reads 0 now; the retries counter must be live.
-	found := map[string]float64{}
-	for _, m := range tel.Registry().Snapshot() {
-		found[m.Name] = m.Value
+	var sb strings.Builder
+	if err := tel.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if found["liveupdate_client_retries_total"] == 0 {
+	found := map[string]string{} // metric name → exposed value
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			found[f[0]] = f[1]
+		}
+	}
+	if v := found["liveupdate_client_retries_total"]; v == "" || v == "0" {
 		t.Error("liveupdate_client_retries_total not registered or zero after retries")
 	}
-	if v, ok := found["liveupdate_client_breaker_open"]; !ok || v != 0 {
+	if v, ok := found["liveupdate_client_breaker_open"]; !ok || v != "0" {
 		t.Errorf("liveupdate_client_breaker_open = %v (present=%v), want 0 after recovery", v, ok)
 	}
 }
@@ -392,7 +430,10 @@ func TestDriveSurvivesListenerFaults(t *testing.T) {
 			var lnUse net.Listener = ln
 			var faulted *faultnet.Listener
 			if tc.plan != "" {
-				plan := faultnet.MustParsePlan(tc.plan)
+				plan, err := faultnet.ParsePlan(tc.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
 				plan.Seed = seed ^ 0xfa17
 				faulted = faultnet.WrapListener(ln, plan)
 				lnUse = faulted

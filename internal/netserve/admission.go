@@ -22,7 +22,7 @@ import (
 type Config struct {
 	// MaxConns bounds simultaneously accepted TCP connections; further
 	// Accepts block in the kernel backlog until one closes. 0 defaults to
-	// DefaultMaxConns; negative is invalid.
+	// defaultMaxConns; negative is invalid.
 	MaxConns int
 
 	// MaxInflight bounds wire requests being served concurrently. 0 defaults
@@ -31,7 +31,7 @@ type Config struct {
 
 	// QueueDepth bounds admitted requests waiting for an inflight slot. An
 	// arrival that finds the queue full is shed with 429. 0 defaults to
-	// DefaultQueueDepth; negative is invalid.
+	// defaultQueueDepth; negative is invalid.
 	QueueDepth int
 
 	// SLABudget, when positive, sheds an arrival whose predicted queueing
@@ -43,7 +43,7 @@ type Config struct {
 
 	// DrainTimeout bounds the graceful drain on Close: the gateway stops
 	// accepting, finishes in-flight requests for up to this long, then force
-	// closes whatever remains. 0 defaults to DefaultDrainTimeout; negative
+	// closes whatever remains. 0 defaults to defaultDrainTimeout; negative
 	// is invalid.
 	DrainTimeout time.Duration
 
@@ -59,9 +59,9 @@ type Config struct {
 
 // Admission defaults.
 const (
-	DefaultMaxConns     = 256
-	DefaultQueueDepth   = 64
-	DefaultDrainTimeout = 5 * time.Second
+	defaultMaxConns     = 256
+	defaultQueueDepth   = 64
+	defaultDrainTimeout = 5 * time.Second
 )
 
 // withDefaults resolves zero values and validates.
@@ -79,16 +79,16 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("netserve: DrainTimeout must be non-negative, got %v", c.DrainTimeout)
 	}
 	if c.MaxConns == 0 {
-		c.MaxConns = DefaultMaxConns
+		c.MaxConns = defaultMaxConns
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth == 0 {
-		c.QueueDepth = DefaultQueueDepth
+		c.QueueDepth = defaultQueueDepth
 	}
 	if c.DrainTimeout == 0 {
-		c.DrainTimeout = DefaultDrainTimeout
+		c.DrainTimeout = defaultDrainTimeout
 	}
 	return c, nil
 }

@@ -12,14 +12,14 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	if cfg.MaxConns != DefaultMaxConns {
-		t.Errorf("MaxConns = %d, want %d", cfg.MaxConns, DefaultMaxConns)
+	if cfg.MaxConns != defaultMaxConns {
+		t.Errorf("MaxConns = %d, want %d", cfg.MaxConns, defaultMaxConns)
 	}
 	if cfg.MaxInflight <= 0 {
 		t.Errorf("MaxInflight = %d, want > 0", cfg.MaxInflight)
 	}
-	if cfg.QueueDepth != DefaultQueueDepth {
-		t.Errorf("QueueDepth = %d, want %d", cfg.QueueDepth, DefaultQueueDepth)
+	if cfg.QueueDepth != defaultQueueDepth {
+		t.Errorf("QueueDepth = %d, want %d", cfg.QueueDepth, defaultQueueDepth)
 	}
 	if cfg.SLABudget != 0 {
 		t.Errorf("SLABudget = %v, want 0 (disabled)", cfg.SLABudget)

@@ -34,7 +34,7 @@ func TestHealthzAndReadyz(t *testing.T) {
 			t.Errorf("GET %s: body %q not JSON: %v", path, body, err)
 		}
 	}
-	if g.Draining() {
+	if g.draining.Load() {
 		t.Error("fresh gateway reports draining")
 	}
 }
@@ -72,12 +72,12 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 	// Phase one of the two-phase restart: readiness flips while the
 	// listener still serves, so a balancer can stop routing here before
 	// anything closes.
-	g.BeginDrain()
+	g.draining.Store(true)
 	var codes [2]int
 	for j, path := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
-			t.Fatalf("GET %s during BeginDrain: %v", path, err)
+			t.Fatalf("GET %s while draining: %v", path, err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -108,8 +108,8 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 	if codes[1] != http.StatusServiceUnavailable {
 		t.Errorf("/readyz during drain = %d, want 503", codes[1])
 	}
-	if !g.Draining() {
-		t.Error("Draining() false after Close")
+	if !g.draining.Load() {
+		t.Error("draining flag false after Close")
 	}
 }
 
@@ -207,7 +207,10 @@ func TestBinaryEndpointSurvivesTruncatedUploads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	plan := faultnet.MustParsePlan("truncate(p=0.2)")
+	plan, err := faultnet.ParsePlan("truncate(p=0.2)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan.Seed = 3
 	g, err := New(stub, faultnet.WrapListener(inner, plan), Config{})
 	if err != nil {

@@ -199,12 +199,6 @@ func (g *Gateway) Telemetry() *metrics.Telemetry { return g.tel }
 // Addr returns the listener's address (useful with ":0" listeners).
 func (g *Gateway) Addr() net.Addr { return g.ln.Addr() }
 
-// BeginDrain flips readiness to 503 without touching the listener: existing
-// and new requests still serve, but a readiness-aware balancer stops routing
-// here. Call it ahead of Close to give the balancer time to react — the
-// two-phase restart that sheds zero requests end to end.
-func (g *Gateway) BeginDrain() { g.draining.Store(true) }
-
 // Close drains the gateway gracefully: readiness flips to 503, the listener
 // stops accepting, in-flight and queued requests get up to DrainTimeout to
 // finish, and only then is anything force-closed — a restart behind a
@@ -227,9 +221,6 @@ func (g *Gateway) Close() error {
 	})
 	return g.closeErr
 }
-
-// Draining reports whether Close has begun.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // handleHealthz is liveness: the process is up and answering. It stays 200
 // through a drain — a draining gateway is alive, just not ready.
@@ -328,7 +319,7 @@ func (g *Gateway) handleServe(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("netserve: bad sample JSON: %w", err))
 		return
 	}
-	if err := ValidateSample(sample); err != nil {
+	if err := validateSample(sample); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -383,7 +374,7 @@ func (g *Gateway) handleServeBin(w http.ResponseWriter, r *http.Request) {
 // handleStats returns the merged Stats snapshot (wire ledger included), with
 // NaN quantiles mapped to the wire sentinel.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, SanitizeStats(g.Stats()))
+	writeJSON(w, sanitizeStats(g.Stats()))
 }
 
 // handleMetrics renders the metrics registry in Prometheus text format.

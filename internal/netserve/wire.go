@@ -254,10 +254,10 @@ func (r *wireReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// ValidateSample bounds-checks a JSON-decoded sample against the wire caps;
+// validateSample bounds-checks a JSON-decoded sample against the wire caps;
 // the JSON body size is already capped, but a sample within it can still
 // carry absurd shapes the serving stack should never see.
-func ValidateSample(s trace.Sample) error {
+func validateSample(s trace.Sample) error {
 	if len(s.Dense) > maxWireDense {
 		return fmt.Errorf("netserve: implausible dense count %d (max %d)", len(s.Dense), maxWireDense)
 	}
@@ -277,9 +277,9 @@ func ValidateSample(s trace.Sample) error {
 // maps them back, so a remote Stats() round-trips the sentinel.
 const wireNaN = -1
 
-// SanitizeStats returns st with NaN quantile fields replaced by wireNaN for
+// sanitizeStats returns st with NaN quantile fields replaced by wireNaN for
 // JSON transport, recursively through the per-replica breakdown.
-func SanitizeStats(st core.Stats) core.Stats {
+func sanitizeStats(st core.Stats) core.Stats {
 	if math.IsNaN(st.P50) {
 		st.P50 = wireNaN
 	}
@@ -289,14 +289,14 @@ func SanitizeStats(st core.Stats) core.Stats {
 	if len(st.Replicas) > 0 {
 		reps := make([]core.Stats, len(st.Replicas))
 		for i, r := range st.Replicas {
-			reps[i] = SanitizeStats(r)
+			reps[i] = sanitizeStats(r)
 		}
 		st.Replicas = reps
 	}
 	return st
 }
 
-// RestoreStats undoes SanitizeStats on the client side.
+// RestoreStats undoes sanitizeStats on the client side.
 func RestoreStats(st core.Stats) core.Stats {
 	if st.P50 == wireNaN {
 		st.P50 = math.NaN()

@@ -208,7 +208,7 @@ func TestDecodeResponsesHostileInput(t *testing.T) {
 }
 
 func TestValidateSample(t *testing.T) {
-	if err := ValidateSample(sampleFixture()[0]); err != nil {
+	if err := validateSample(sampleFixture()[0]); err != nil {
 		t.Fatalf("legitimate sample rejected: %v", err)
 	}
 	bad := []trace.Sample{
@@ -217,7 +217,7 @@ func TestValidateSample(t *testing.T) {
 		{Sparse: [][]int32{make([]int32, maxWireIDs+1)}},
 	}
 	for i, s := range bad {
-		if err := ValidateSample(s); err == nil {
+		if err := validateSample(s); err == nil {
 			t.Errorf("oversized sample %d accepted", i)
 		}
 	}
@@ -233,19 +233,19 @@ func TestStatsNaNRoundTrip(t *testing.T) {
 			{P50: math.NaN(), P99: math.NaN()},
 		},
 	}
-	wire := SanitizeStats(st)
+	wire := sanitizeStats(st)
 	if math.IsNaN(wire.P50) || math.IsNaN(wire.P99) {
-		t.Fatal("SanitizeStats left a NaN in place")
+		t.Fatal("sanitizeStats left a NaN in place")
 	}
 	if math.IsNaN(wire.Replicas[1].P50) {
-		t.Fatal("SanitizeStats missed a replica NaN")
+		t.Fatal("sanitizeStats missed a replica NaN")
 	}
 	if wire.Replicas[0].P50 != 0.001 {
-		t.Fatal("SanitizeStats clobbered a real quantile")
+		t.Fatal("sanitizeStats clobbered a real quantile")
 	}
 	// Sanitizing must not mutate the caller's replica slice.
 	if !math.IsNaN(st.Replicas[1].P50) {
-		t.Fatal("SanitizeStats mutated its input")
+		t.Fatal("sanitizeStats mutated its input")
 	}
 
 	back := RestoreStats(wire)

@@ -11,28 +11,28 @@
 // it, misses contend for DRAM bandwidth — is the paper's.
 package numasim
 
-// BlockKey identifies one cacheable block (an embedding row).
-type BlockKey struct {
+// blockKey identifies one cacheable block (an embedding row).
+type blockKey struct {
 	Space int32 // block namespace (e.g. table id)
 	Row   int32
 }
 
 // packed is the key as the index stores it: one word, so the map hashes it
 // on its integer fast path.
-func (k BlockKey) packed() uint64 { return uint64(uint32(k.Space))<<32 | uint64(uint32(k.Row)) }
+func (k blockKey) packed() uint64 { return uint64(uint32(k.Space))<<32 | uint64(uint32(k.Row)) }
 
 // lruNode is one resident block, linked into the recency list by slot number.
 type lruNode struct {
-	key        BlockKey
+	key        blockKey
 	prev, next int32 // towards the most / least recently used; -1 at the ends
 }
 
-// L3Cache is an LRU cache over fixed-size blocks, modelling one CCD's
+// l3Cache is an LRU cache over fixed-size blocks, modelling one CCD's
 // private L3 at embedding-row granularity. The recency list is intrusive,
 // over one preallocated array of capacity nodes: a miss reuses the evicted
 // block's node (or takes the next unused one), so Access never allocates once
 // the index map has seen capacity keys.
-type L3Cache struct {
+type l3Cache struct {
 	capacity   int // max resident blocks
 	nodes      []lruNode
 	head, tail int32            // most / least recently used node; -1 when empty
@@ -42,12 +42,12 @@ type L3Cache struct {
 	misses uint64
 }
 
-// NewL3Cache builds a cache holding at most capacity blocks.
-func NewL3Cache(capacity int) *L3Cache {
+// newL3Cache builds a cache holding at most capacity blocks.
+func newL3Cache(capacity int) *l3Cache {
 	if capacity <= 0 {
 		panic("numasim: cache capacity must be positive")
 	}
-	return &L3Cache{
+	return &l3Cache{
 		capacity: capacity,
 		nodes:    make([]lruNode, 0, capacity),
 		head:     -1,
@@ -57,7 +57,7 @@ func NewL3Cache(capacity int) *L3Cache {
 }
 
 // unlink takes node n out of the recency list.
-func (c *L3Cache) unlink(n int32) {
+func (c *l3Cache) unlink(n int32) {
 	prev, next := c.nodes[n].prev, c.nodes[n].next
 	if prev >= 0 {
 		c.nodes[prev].next = next
@@ -72,7 +72,7 @@ func (c *L3Cache) unlink(n int32) {
 }
 
 // pushFront makes node n the most recently used.
-func (c *L3Cache) pushFront(n int32) {
+func (c *l3Cache) pushFront(n int32) {
 	c.nodes[n].prev, c.nodes[n].next = -1, c.head
 	if c.head >= 0 {
 		c.nodes[c.head].prev = n
@@ -82,9 +82,9 @@ func (c *L3Cache) pushFront(n int32) {
 	c.head = n
 }
 
-// Access touches key, returning true on a hit. Misses install the block,
+// access touches key, returning true on a hit. Misses install the block,
 // evicting the least recently used one if full.
-func (c *L3Cache) Access(key BlockKey) bool {
+func (c *l3Cache) access(key blockKey) bool {
 	k := key.packed()
 	if n, ok := c.index[k]; ok {
 		if n != c.head {
@@ -110,37 +110,13 @@ func (c *L3Cache) Access(key BlockKey) bool {
 	return false
 }
 
-// Contains reports residency without touching LRU order or counters.
-func (c *L3Cache) Contains(key BlockKey) bool {
-	_, ok := c.index[key.packed()]
-	return ok
-}
+// resetStats zeroes hit/miss counters without flushing contents.
+func (c *l3Cache) resetStats() { c.hits, c.misses = 0, 0 }
 
-// Len returns the number of resident blocks.
-func (c *L3Cache) Len() int { return len(c.nodes) }
-
-// Capacity returns the maximum resident blocks.
-func (c *L3Cache) Capacity() int { return c.capacity }
-
-// HitRatio returns hits/(hits+misses), or 0 before any access.
-func (c *L3Cache) HitRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
-// ResetStats zeroes hit/miss counters without flushing contents.
-func (c *L3Cache) ResetStats() { c.hits, c.misses = 0, 0 }
-
-// Flush empties the cache (e.g. when a CCD is reassigned to a different
+// flush empties the cache (e.g. when a CCD is reassigned to a different
 // workload, its working set is effectively cold).
-func (c *L3Cache) Flush() {
+func (c *l3Cache) flush() {
 	c.nodes = c.nodes[:0]
 	c.head, c.tail = -1, -1
 	clear(c.index)
 }
-
-// Stats returns raw hit/miss counts.
-func (c *L3Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }

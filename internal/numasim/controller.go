@@ -38,8 +38,8 @@ func DefaultControllerConfig(numCCDs int) ControllerConfig {
 	}
 }
 
-// Validate reports configuration errors against a machine of numCCDs dies.
-func (c ControllerConfig) Validate(numCCDs int) error {
+// validate reports configuration errors against a machine of numCCDs dies.
+func (c ControllerConfig) validate(numCCDs int) error {
 	switch {
 	case c.THigh <= c.TLow:
 		return fmt.Errorf("numasim: THigh must exceed TLow")
@@ -62,15 +62,13 @@ type Controller struct {
 
 	infCCDs    int
 	lastAdjust float64
-	movesToInf int
-	movesToTr  int
 }
 
 // NewController attaches a controller to m, starting from the given initial
 // inference share.
 func NewController(cfg ControllerConfig, m *Machine, clock *simnet.Clock, initialInfCCDs int) (*Controller, error) {
-	n := m.Config().NumCCDs
-	if err := cfg.Validate(n); err != nil {
+	n := m.config().NumCCDs
+	if err := cfg.validate(n); err != nil {
 		return nil, err
 	}
 	if initialInfCCDs < cfg.MinInfCCDs {
@@ -95,25 +93,11 @@ func NewController(cfg ControllerConfig, m *Machine, clock *simnet.Clock, initia
 	return ctl, nil
 }
 
-// MustNewController panics on configuration errors.
-func MustNewController(cfg ControllerConfig, m *Machine, clock *simnet.Clock, initialInfCCDs int) *Controller {
-	ctl, err := NewController(cfg, m, clock, initialInfCCDs)
-	if err != nil {
-		panic(err)
-	}
-	return ctl
-}
-
 // InferenceCCDs returns the current inference partition size.
 func (ctl *Controller) InferenceCCDs() int { return ctl.infCCDs }
 
 // TrainingCCDs returns the current training partition size.
-func (ctl *Controller) TrainingCCDs() int { return ctl.machine.Config().NumCCDs - ctl.infCCDs }
-
-// Moves returns cumulative rebalances in each direction.
-func (ctl *Controller) Moves() (toInference, toTraining int) {
-	return ctl.movesToInf, ctl.movesToTr
-}
+func (ctl *Controller) TrainingCCDs() int { return ctl.machine.config().NumCCDs - ctl.infCCDs }
 
 // Due reports whether Observe would act on a measurement now, i.e. whether
 // the cycle period has elapsed since the last adjustment. Until it has,
@@ -133,15 +117,13 @@ func (ctl *Controller) Observe(p99 float64) bool {
 	if !ctl.Due() {
 		return false
 	}
-	n := ctl.machine.Config().NumCCDs
+	n := ctl.machine.config().NumCCDs
 	switch {
 	case p99 >= ctl.cfg.THigh && ctl.infCCDs < n-1:
 		// Grow inference; training always retains at least one CCD.
 		ctl.infCCDs++
-		ctl.movesToInf++
 	case p99 <= ctl.cfg.TLow && ctl.TrainingCCDs() < ctl.cfg.MaxTrainCCDs && ctl.infCCDs > ctl.cfg.MinInfCCDs:
 		ctl.infCCDs--
-		ctl.movesToTr++
 	default:
 		return false
 	}

@@ -78,8 +78,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	switch {
 	case c.NumCCDs <= 0:
 		return fmt.Errorf("numasim: NumCCDs must be positive")
@@ -110,7 +110,7 @@ type wstats struct {
 type Machine struct {
 	cfg   Config
 	clock *simnet.Clock
-	ccds  []*L3Cache
+	ccds  []*l3Cache
 
 	// assign[w] lists the CCD ids serving workload w. When scheduling is
 	// disabled both workloads share all CCDs (the "w/o Opt" configuration).
@@ -130,12 +130,12 @@ type Machine struct {
 
 // NewMachine builds a machine over the given virtual clock.
 func NewMachine(cfg Config, clock *simnet.Clock) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	m := &Machine{cfg: cfg, clock: clock, windowLen: 0.1}
 	for i := 0; i < cfg.NumCCDs; i++ {
-		m.ccds = append(m.ccds, NewL3Cache(cfg.L3BlocksPerCCD))
+		m.ccds = append(m.ccds, newL3Cache(cfg.L3BlocksPerCCD))
 	}
 	all := make([]int, cfg.NumCCDs)
 	for i := range all {
@@ -187,21 +187,10 @@ func (m *Machine) Partition(infCCDs int) error {
 		wasInf := owned(oldInf, i)
 		isInf := owned(inf, i)
 		if wasInf != isInf {
-			m.ccds[i].Flush()
+			m.ccds[i].flush()
 		}
 	}
 	return nil
-}
-
-// ShareAll reverts to un-partitioned co-location (both workloads on every
-// CCD) — the naive "w/o Opt" baseline.
-func (m *Machine) ShareAll() {
-	all := make([]int, m.cfg.NumCCDs)
-	for i := range all {
-		all[i] = i
-	}
-	m.assign[Inference] = all
-	m.assign[Training] = append([]int(nil), all...)
 }
 
 // CCDsOf returns a copy of the CCD set assigned to w.
@@ -227,9 +216,9 @@ func (m *Machine) Access(w Workload, kind AccessKind, space, row int32) float64 
 	}
 
 	set := m.assign[w]
-	key := BlockKey{Space: space, Row: row}
+	key := blockKey{Space: space, Row: row}
 	ccd := set[int(uint32(space*31+row))%len(set)]
-	if m.ccds[ccd].Access(key) {
+	if m.ccds[ccd].access(key) {
 		m.stats[w].hits++
 		return m.cfg.L3HitLatency
 	}
@@ -298,7 +287,7 @@ func (m *Machine) ResetStats() {
 		m.stats[i] = wstats{}
 	}
 	for _, c := range m.ccds {
-		c.ResetStats()
+		c.resetStats()
 	}
 }
 
@@ -325,5 +314,5 @@ func (m *Machine) Power(infLoad, trainLoad float64) float64 {
 	return m.cfg.PowerIdle + m.cfg.PowerPerCCD*active + m.cfg.PowerPerGBps*gbps
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
+// config returns the machine's configuration.
+func (m *Machine) config() Config { return m.cfg }

@@ -18,7 +18,7 @@ const Gbps100 = 100e9 / 8
 // lock-free and safe for concurrent use: a replica advances its own clock
 // while fleet-level code (routing, sync triggering, merged stats) reads it
 // from other goroutines. The value is stored as IEEE-754 bits in an atomic
-// word; Advance and AdvanceTo are CAS loops, so concurrent advances compose
+// word; Advance is a CAS loop, so concurrent advances compose
 // without lost updates.
 type Clock struct {
 	bits atomic.Uint64 // Float64bits of the current time
@@ -40,19 +40,6 @@ func (c *Clock) Advance(dt float64) {
 		old := c.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + dt)
 		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// AdvanceTo moves time forward to t if t is in the future; no-op otherwise.
-func (c *Clock) AdvanceTo(t float64) {
-	for {
-		old := c.bits.Load()
-		if t <= math.Float64frombits(old) {
-			return
-		}
-		if c.bits.CompareAndSwap(old, math.Float64bits(t)) {
 			return
 		}
 	}

@@ -16,14 +16,6 @@ func TestClockMonotone(t *testing.T) {
 	if c.Now() != 7.5 {
 		t.Fatalf("now = %v", c.Now())
 	}
-	c.AdvanceTo(3) // past: no-op
-	if c.Now() != 7.5 {
-		t.Fatal("AdvanceTo must not go backwards")
-	}
-	c.AdvanceTo(10)
-	if c.Now() != 10 {
-		t.Fatalf("AdvanceTo failed: %v", c.Now())
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative Advance must panic")
@@ -34,8 +26,7 @@ func TestClockMonotone(t *testing.T) {
 
 // TestClockConcurrent exercises the lock-free clock: concurrent Advance
 // calls must never lose an update (the fleet reads replica clocks while
-// their owners advance them), and AdvanceTo must stay monotone under racing
-// maximum writes.
+// their owners advance them).
 func TestClockConcurrent(t *testing.T) {
 	c := NewClock()
 	const writers, per = 8, 5000
@@ -71,10 +62,5 @@ func TestClockConcurrent(t *testing.T) {
 	want := float64(writers*per) * 0.001
 	if got := c.Now(); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("lost updates: clock at %v, want %v", got, want)
-	}
-	c.AdvanceTo(5)
-	c.AdvanceTo(4) // no-op: already past
-	if c.Now() < 5 {
-		t.Fatalf("AdvanceTo regressed the clock to %v", c.Now())
 	}
 }

@@ -26,20 +26,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFrom wraps data (not copied) as a rows×cols matrix.
-func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns the element at (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -55,64 +41,6 @@ func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Add accumulates other into m in place. Dimensions must match.
-func (m *Matrix) Add(other *Matrix) {
-	m.mustSameShape(other)
-	for i := range m.Data {
-		m.Data[i] += other.Data[i]
-	}
-}
-
-// Sub subtracts other from m in place. Dimensions must match.
-func (m *Matrix) Sub(other *Matrix) {
-	m.mustSameShape(other)
-	for i := range m.Data {
-		m.Data[i] -= other.Data[i]
-	}
-}
-
-// AXPY performs m += alpha*other in place.
-func (m *Matrix) AXPY(alpha float64, other *Matrix) {
-	m.mustSameShape(other)
-	for i := range m.Data {
-		m.Data[i] += alpha * other.Data[i]
-	}
-}
-
-func (m *Matrix) mustSameShape(other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d",
-			m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
-// MatMul returns a × b. It panics on a dimension mismatch. Thin allocating
-// shim over MatMulInto; hot paths call the Into kernel directly.
-func MatMul(a, b *Matrix) *Matrix {
-	c := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(c, a, b)
-	return c
 }
 
 // checkMatVec validates one matvec call. Every panic message carries both
@@ -133,30 +61,6 @@ func checkMatVec(op string, dst []float64, a *Matrix, x []float64) {
 	}
 }
 
-// MatVec returns a × x for a column vector x (len == a.Cols). Thin allocating
-// shim over MatVecInto.
-func MatVec(a *Matrix, x []float64) []float64 {
-	y := make([]float64, a.Rows)
-	MatVecInto(y, a, x)
-	return y
-}
-
-// MatVecRefInto is the naive scalar matvec: one accumulator per output row,
-// columns in order. It is the bit-for-bit ground truth the blocked kernel is
-// property-tested against (and the baseline the `kernels` experiment times);
-// serving paths use MatVecInto.
-func MatVecRefInto(dst []float64, a *Matrix, x []float64) {
-	checkMatVec("matvec", dst, a, x)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-}
-
 // MatVecInto computes a × x into dst (len == a.Rows), overwriting dst. It is
 // the allocation-free core of the serving fast path: callers own dst and
 // reuse it across requests. dst must not alias x.
@@ -164,8 +68,8 @@ func MatVecRefInto(dst []float64, a *Matrix, x []float64) {
 // The kernel is register-blocked over rows, four at a time, so each loaded
 // x[j] feeds four multiply-adds instead of one. Every output element keeps
 // its own accumulator and sums columns in the same sequential order as the
-// scalar reference, so results are bit-identical to MatVecRefInto
-// (TestKernelBlockedMatchesReference).
+// scalar reference, so results are bit-identical to a naive one-accumulator
+// loop (TestKernelBlockedMatchesReference).
 func MatVecInto(dst []float64, a *Matrix, x []float64) {
 	checkMatVec("matvec", dst, a, x)
 	n := a.Cols
@@ -220,45 +124,6 @@ func checkMatMul(op string, dst, a, b *Matrix, wantRows, wantCols int, innerOK b
 	}
 }
 
-// MatMulInto computes a × b into dst (a.Rows × b.Cols), overwriting dst. The
-// loop order is ikj — both b and dst stream row-wise — with the k loop
-// unrolled four-wide so each dst row stays in registers across four b rows.
-// Per output element the k terms accumulate strictly in order, so results are
-// bit-identical to the scalar ikj reference.
-func MatMulInto(dst, a, b *Matrix) {
-	checkMatMul("matmul", dst, a, b, a.Rows, b.Cols, a.Cols == b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := dst.Row(i)
-		for j := range crow {
-			crow[j] = 0
-		}
-		k := 0
-		for ; k+4 <= a.Cols; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Row(k)
-			b1 := b.Row(k + 1)
-			b2 := b.Row(k + 2)
-			b3 := b.Row(k + 3)
-			for j := range crow {
-				s := crow[j]
-				s += a0 * b0[j]
-				s += a1 * b1[j]
-				s += a2 * b2[j]
-				s += a3 * b3[j]
-				crow[j] = s
-			}
-		}
-		for ; k < a.Cols; k++ {
-			av := arow[k]
-			brow := b.Row(k)
-			for j := range crow {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
 // MatMulTransInto computes a × bᵀ into dst (a.Rows × b.Rows): dst[i][o] is
 // the dot product of a's row i with b's row o. This is the batched-inference
 // GEMM — a batch of activation rows times a row-major weight matrix — and
@@ -302,13 +167,13 @@ func MatMulTransInto(dst, a, b *Matrix) {
 	}
 }
 
-// ReLUInto writes max(src, 0) into dst (same length; dst may be src). A
+// reluInto writes max(src, 0) into dst (same length; dst may be src). A
 // neuron's sign is a coin flip, so the kernel does not branch on it: it tests
 // the float's bits as a signed integer — positive exactly when the value is
 // greater than zero — which compiles to a conditional move. Every value that
 // is not greater than zero becomes +0.0, -0.0 included; a NaN passes through
 // or becomes +0.0 with its sign bit.
-func ReLUInto(dst, src []float64) {
+func reluInto(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		b := math.Float64bits(v)
@@ -321,11 +186,11 @@ func ReLUInto(dst, src []float64) {
 
 // ReLUInPlace clamps the elements of x that are not greater than zero to
 // +0.0 in place.
-func ReLUInPlace(x []float64) { ReLUInto(x, x) }
+func ReLUInPlace(x []float64) { reluInto(x, x) }
 
 // ReLUMaskInto writes ReLU's backward pass into dst: grad where pre is
 // greater than zero, +0.0 elsewhere (same lengths; dst may be grad).
-// Branch-free on pre's sign, like ReLUInto.
+// Branch-free on pre's sign, like ReLUInPlace.
 func ReLUMaskInto(dst, grad, pre []float64) {
 	dst, pre = dst[:len(grad)], pre[:len(grad)]
 	for i, g := range grad {
@@ -448,20 +313,6 @@ func Norm2(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 { return Norm2(m.Data) }
-
-// MaxAbs returns the largest absolute element value, or 0 for empty matrices.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // RandomMatrix fills a rows×cols matrix with N(0, stddev²) entries.

@@ -45,11 +45,6 @@ func Quantize(m *Matrix) *QuantizedMatrix {
 	return q
 }
 
-// Row returns the int8 row i, aliasing the underlying storage.
-func (q *QuantizedMatrix) Row(i int) []int8 {
-	return q.Data[i*q.Cols : (i+1)*q.Cols]
-}
-
 // QuantizeVectorInto quantizes x into xq (same length) with one shared
 // symmetric scale, returned to the caller. The activation is quantized once
 // per layer and reused across all output rows of the int8 matvec.

@@ -73,19 +73,6 @@ func (r *RNG) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Zipf samples from a Zipf distribution over [0, n) with exponent s > 0
 // using inverse-CDF over precomputed weights held by the caller; see
 // NewZipf for the sampler type.
@@ -113,10 +100,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return &Zipf{rng: rng, cdf: cdf}
 }
 
-// N returns the number of items the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next samples the next item id in [0, N()).
+// Next samples the next item id in [0, n).
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()
 	lo, hi := 0, len(z.cdf)-1

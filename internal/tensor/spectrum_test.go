@@ -8,7 +8,7 @@ import (
 )
 
 // Equivalence tests for the Gram-route spectrum kernels (ComputePCA,
-// CovarianceSpectrum, TruncatedSVD) against the tall-matrix one-sided Jacobi
+// covarianceSpectrum, TruncatedSVD) against the tall-matrix one-sided Jacobi
 // SVD they replaced. The reference lives here and nowhere else.
 
 // refSingularValues is the historical ComputeSVD, reduced to what the
@@ -16,14 +16,14 @@ import (
 // working copy of a; the column norms, descending, are the singular values.
 func refSingularValues(a *Matrix) []float64 {
 	if a.Rows < a.Cols {
-		return refSingularValues(a.T())
+		return refSingularValues(transpose(a))
 	}
 	m, n := a.Rows, a.Cols
 	cols := make([][]float64, n)
 	for j := range cols {
 		cols[j] = make([]float64, m)
 		for i := 0; i < m; i++ {
-			cols[j][i] = a.At(i, j)
+			cols[j][i] = a.Row(i)[j]
 		}
 	}
 	const tol = 1e-12
@@ -107,11 +107,9 @@ func TestSpectrumMatchesSVDReference(t *testing.T) {
 	rng := NewRNG(77)
 	constCol := RandomMatrix(rng, 40, 6, 1)
 	for i := 0; i < constCol.Rows; i++ {
-		constCol.Set(i, 2, 3.5) // zero-variance feature
+		constCol.Row(i)[2] = 3.5 // zero-variance feature
 	}
-	rankDef := NewMatrix(30, 5)
-	u, v := RandomMatrix(rng, 30, 2, 1), RandomMatrix(rng, 2, 5, 1)
-	MatMulInto(rankDef, u, v)
+	rankDef := matMul(RandomMatrix(rng, 30, 2, 1), RandomMatrix(rng, 2, 5, 1))
 	cases := map[string]*Matrix{
 		"random":      RandomMatrix(rng, 256, 16, 1),
 		"gradient":    gradientLike(rng, 256, 16, 3, 0.05),
@@ -144,7 +142,7 @@ func TestSpectrumMatchesSVDReference(t *testing.T) {
 	}
 }
 
-// jacobiSpectrum is CovarianceSpectrum with the eigen-solve it had before
+// jacobiSpectrum is covarianceSpectrum with the eigen-solve it had before
 // the tridiagonal QL: the same mean and covariance, diagonalized by cyclic
 // Jacobi.
 func jacobiSpectrum(a *Matrix) []float64 {
@@ -179,10 +177,9 @@ func spectrumCases() map[string]*Matrix {
 	rng := NewRNG(31)
 	constCol := RandomMatrix(rng, 40, 7, 1)
 	for i := 0; i < constCol.Rows; i++ {
-		constCol.Set(i, 3, -2.25)
+		constCol.Row(i)[3] = -2.25
 	}
-	rank1 := NewMatrix(50, 9)
-	MatMulInto(rank1, RandomMatrix(rng, 50, 1, 1), RandomMatrix(rng, 1, 9, 1))
+	rank1 := matMul(RandomMatrix(rng, 50, 1, 1), RandomMatrix(rng, 1, 9, 1))
 	cases := map[string]*Matrix{
 		"zero":        NewMatrix(12, 16),
 		"constcolumn": constCol,
@@ -206,7 +203,7 @@ func TestSpectrumQLMatchesJacobi(t *testing.T) {
 	var ws SpectrumScratch
 	for name, a := range spectrumCases() {
 		want := jacobiSpectrum(a)
-		got := CovarianceSpectrum(a, &ws)
+		got := covarianceSpectrum(a, &ws)
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > 1e-12*want[0] || (want[0] == 0 && got[j] != 0) {
 				t.Fatalf("%s: eigenvalue %d = %v, Jacobi %v (λ₀ %v)", name, j, got[j], want[j], want[0])
@@ -223,7 +220,9 @@ func TestSpectrumScaleInvariant(t *testing.T) {
 	want := append([]float64(nil), ComputePCA(a).Eigenvalues...)
 	for _, s := range []float64{0x1p-400, 0x1p400} {
 		scaled := a.Clone()
-		scaled.Scale(s)
+		for i := range scaled.Data {
+			scaled.Data[i] *= s
+		}
 		for j, v := range ComputePCA(scaled).Eigenvalues {
 			if v != want[j]*s*s {
 				t.Fatalf("scale %v: eigenvalue %d = %v, want exactly %v", s, j, v, want[j]*s*s)
@@ -251,7 +250,7 @@ func TestMomentsMergeMatchesWhole(t *testing.T) {
 	}
 	var ws, blockWS SpectrumScratch
 	for name, a := range cases {
-		want := CovarianceSpectrum(a, &ws)
+		want := covarianceSpectrum(a, &ws)
 		for _, size := range []int{1, 7, 32, 64} {
 			merged, block := MakeMoments(1, a.Cols)[0], MakeMoments(1, a.Cols)[0]
 			for lo := 0; lo < a.Rows; lo += size {
@@ -304,26 +303,26 @@ func TestSpectrumScratchReuse(t *testing.T) {
 	rng := NewRNG(5)
 	a, b := RandomMatrix(rng, 64, 16, 1), RandomMatrix(rng, 20, 8, 1)
 	var ws SpectrumScratch
-	first := append([]float64(nil), CovarianceSpectrum(a, &ws)...)
-	CovarianceSpectrum(b, &ws) // a smaller problem through the same scratch
-	again := CovarianceSpectrum(a, &ws)
+	first := append([]float64(nil), covarianceSpectrum(a, &ws)...)
+	covarianceSpectrum(b, &ws) // a smaller problem through the same scratch
+	again := covarianceSpectrum(a, &ws)
 	for j := range first {
 		if first[j] != again[j] || first[j] != ComputePCA(a).Eigenvalues[j] {
 			t.Fatalf("eigenvalue %d depends on scratch history: %v vs %v", j, first[j], again[j])
 		}
 	}
-	if n := testing.AllocsPerRun(20, func() { CovarianceSpectrum(a, &ws) }); n != 0 {
-		t.Fatalf("CovarianceSpectrum on a warm scratch allocates %v times", n)
+	if n := testing.AllocsPerRun(20, func() { covarianceSpectrum(a, &ws) }); n != 0 {
+		t.Fatalf("covarianceSpectrum on a warm scratch allocates %v times", n)
 	}
-	if n := testing.AllocsPerRun(5, func() { CovarianceSpectrum(a, &SpectrumScratch{}) }); n != 1 {
-		t.Fatalf("CovarianceSpectrum on a cold scratch allocates %v times, want 1", n)
+	if n := testing.AllocsPerRun(5, func() { covarianceSpectrum(a, &SpectrumScratch{}) }); n != 1 {
+		t.Fatalf("covarianceSpectrum on a cold scratch allocates %v times, want 1", n)
 	}
 	ring := RandomMatrix(rng, 256, 16, 1)
 	var fill SpectrumScratch
-	CovarianceSpectrum(&Matrix{Rows: 2, Cols: 16, Data: ring.Data[:32]}, &fill)
+	covarianceSpectrum(&Matrix{Rows: 2, Cols: 16, Data: ring.Data[:32]}, &fill)
 	if n := testing.AllocsPerRun(1, func() {
 		for m := 2; m <= ring.Rows; m++ {
-			CovarianceSpectrum(&Matrix{Rows: m, Cols: 16, Data: ring.Data[:m*16]}, &fill)
+			covarianceSpectrum(&Matrix{Rows: m, Cols: 16, Data: ring.Data[:m*16]}, &fill)
 		}
 	}); n != 0 {
 		t.Fatalf("a filling gradient ring allocates %v times, want 0", n)
@@ -344,10 +343,10 @@ func TestSymEigenDecomposes(t *testing.T) {
 		orig := append([]float64(nil), s...)
 		vt := make([]float64, n*n)
 		symEigen(s, n, vt)
-		v := NewMatrixFrom(n, n, vt)
+		v := &Matrix{Rows: n, Cols: n, Data: vt}
 		// vt·orig·vtᵀ must be diag(eigenvalues), and vt orthonormal.
-		proj := MatMul(MatMul(v, NewMatrixFrom(n, n, orig)), v.T())
-		gram := MatMul(v, v.T())
+		proj := matMul(matMul(v, &Matrix{Rows: n, Cols: n, Data: orig}), transpose(v))
+		gram := matMul(v, transpose(v))
 		scale := Norm2(orig)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -355,11 +354,11 @@ func TestSymEigenDecomposes(t *testing.T) {
 				if i == j {
 					want, unit = s[i*n+i], 1
 				}
-				if math.Abs(proj.At(i, j)-want) > 1e-12*scale {
-					t.Fatalf("n=%d: (VᵀSV)[%d][%d] = %v, want %v", n, i, j, proj.At(i, j), want)
+				if math.Abs(proj.Row(i)[j]-want) > 1e-12*scale {
+					t.Fatalf("n=%d: (VᵀSV)[%d][%d] = %v, want %v", n, i, j, proj.Row(i)[j], want)
 				}
-				if math.Abs(gram.At(i, j)-unit) > 1e-12 {
-					t.Fatalf("n=%d: eigenvectors not orthonormal at [%d][%d]: %v", n, i, j, gram.At(i, j))
+				if math.Abs(gram.Row(i)[j]-unit) > 1e-12 {
+					t.Fatalf("n=%d: eigenvectors not orthonormal at [%d][%d]: %v", n, i, j, gram.Row(i)[j])
 				}
 			}
 		}
@@ -376,12 +375,12 @@ func TestTruncatedSVDResidualMatchesReference(t *testing.T) {
 	}
 	for ci, a := range cases {
 		sigma := refSingularValues(a)
-		norm2 := a.FrobeniusNorm() * a.FrobeniusNorm()
+		norm2 := Norm2(a.Data) * Norm2(a.Data)
 		for k := 0; k <= minInt(a.Rows, a.Cols); k++ {
 			left, right := TruncatedSVD(a, k)
-			res := MatMul(left, right)
-			res.Sub(a)
-			got := res.FrobeniusNorm() * res.FrobeniusNorm()
+			res := matMul(left, right)
+			Axpy(-1, a.Data, res.Data)
+			got := Norm2(res.Data) * Norm2(res.Data)
 			want := 0.0
 			for _, s := range sigma[k:] {
 				want += s * s
@@ -389,15 +388,15 @@ func TestTruncatedSVDResidualMatchesReference(t *testing.T) {
 			if math.Abs(got-want) > 1e-9*norm2 {
 				t.Fatalf("case %d k=%d: residual² %v, Σ discarded σ² %v", ci, k, got, want)
 			}
-			rrt := MatMul(right, right.T())
+			rrt := matMul(right, transpose(right))
 			for i := 0; i < k; i++ {
 				for j := 0; j < k; j++ {
 					want := 0.0
 					if i == j {
 						want = 1
 					}
-					if math.Abs(rrt.At(i, j)-want) > 1e-12 {
-						t.Fatalf("case %d k=%d: right rows not orthonormal at [%d][%d]: %v", ci, k, i, j, rrt.At(i, j))
+					if math.Abs(rrt.Row(i)[j]-want) > 1e-12 {
+						t.Fatalf("case %d k=%d: right rows not orthonormal at [%d][%d]: %v", ci, k, i, j, rrt.Row(i)[j])
 					}
 				}
 			}

@@ -400,7 +400,7 @@ func (m *Moments) Spectrum(ws *SpectrumScratch) []float64 {
 }
 
 // SpectrumScratch holds the buffers of Moments.Spectrum and
-// CovarianceSpectrum, so a caller that recomputes a spectrum periodically
+// covarianceSpectrum, so a caller that recomputes a spectrum periodically
 // (lora's rank adaptation) allocates them once. The zero value is ready to
 // use.
 type SpectrumScratch struct {
@@ -409,7 +409,7 @@ type SpectrumScratch struct {
 
 // carve returns the d-length eigenvalue and off-diagonal vectors and the d×d
 // matrix the eigen-solve destroys, then the mean and scatter
-// CovarianceSpectrum builds, out of one slab that grows only with d.
+// covarianceSpectrum builds, out of one slab that grows only with d.
 func (ws *SpectrumScratch) carve(n int) (eig, off, cov, mean, m2 []float64) {
 	if need := 2*n*n + 3*n; len(ws.slab) < need {
 		ws.slab = make([]float64, need)
@@ -419,12 +419,12 @@ func (ws *SpectrumScratch) carve(n int) (eig, off, cov, mean, m2 []float64) {
 		s[2*n+n*n : 3*n+n*n : 3*n+n*n], s[3*n+n*n : 3*n+2*n*n : 3*n+2*n*n]
 }
 
-// CovarianceSpectrum returns the eigenvalues, in descending order, of the
+// covarianceSpectrum returns the eigenvalues, in descending order, of the
 // sample covariance of a's rows (observations × features, denominator
 // rows−1): Moments.Of then Moments.Spectrum, so rows are mean-centered on the
 // fly and only the d×d covariance is decomposed; a is not modified. The
 // result aliases ws and is valid until ws's next use.
-func CovarianceSpectrum(a *Matrix, ws *SpectrumScratch) []float64 {
+func covarianceSpectrum(a *Matrix, ws *SpectrumScratch) []float64 {
 	_, _, _, mean, m2 := ws.carve(a.Cols)
 	m := Moments{Mean: mean, M2: m2}
 	m.Of(a)
@@ -469,9 +469,9 @@ type PCA struct {
 }
 
 // ComputePCA performs principal component analysis of the rows of a
-// (observations × features); see CovarianceSpectrum for the method.
+// (observations × features); see covarianceSpectrum for the method.
 func ComputePCA(a *Matrix) *PCA {
-	return &PCA{Eigenvalues: CovarianceSpectrum(a, &SpectrumScratch{})}
+	return &PCA{Eigenvalues: covarianceSpectrum(a, &SpectrumScratch{})}
 }
 
 // CumulativeImportance returns, for each k, the fraction of total variance

@@ -111,12 +111,6 @@ func MustNewGenerator(p Profile, seed uint64) *Generator {
 	return g
 }
 
-// Now returns the current virtual time in seconds.
-func (g *Generator) Now() float64 { return g.now }
-
-// Emitted returns the number of samples generated so far.
-func (g *Generator) Emitted() uint64 { return g.emitted }
-
 // Advance moves virtual time forward by dt seconds, applying ground-truth
 // drift and popularity churn proportional to the elapsed interval.
 func (g *Generator) Advance(dt float64) {
@@ -222,30 +216,6 @@ func (g *Generator) Batch(n int, dt float64) []Sample {
 // AccessCounts returns per-table, per-id access counts accumulated so far.
 // The returned slices alias internal state; callers must not modify them.
 func (g *Generator) AccessCounts() [][]uint64 { return g.accessCounts }
-
-// ResetAccessCounts zeroes the access statistics.
-func (g *Generator) ResetAccessCounts() {
-	for _, c := range g.accessCounts {
-		for i := range c {
-			c[i] = 0
-		}
-	}
-}
-
-// ContextSnapshot returns a copy of the current ground-truth context vector;
-// used by tests to verify drift behavior.
-func (g *Generator) ContextSnapshot() []float64 {
-	return append([]float64(nil), g.context...)
-}
-
-// RequestRateAt returns the instantaneous request rate (requests/second) at
-// virtual time tSec, combining the profile's sustained load with the diurnal
-// curve normalized to average 1.0.
-func (g *Generator) RequestRateAt(tSec float64) float64 {
-	base := float64(g.Profile.RequestsPer5Min) / 300
-	hour := math.Mod(tSec/3600, 24)
-	return base * DiurnalLoadFactor(hour)
-}
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 

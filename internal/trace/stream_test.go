@@ -85,9 +85,9 @@ func TestStreamMatchesReference(t *testing.T) {
 					t.Fatalf("%s seed %d: sample %d is %+v, reference %+v", name, seed, i, got[i], want[i])
 				}
 			}
-			if g.Now() != ref.Now() || g.Emitted() != ref.Emitted() ||
+			if g.now != ref.now || g.emitted != ref.emitted ||
 				!reflect.DeepEqual(g.AccessCounts(), ref.AccessCounts()) ||
-				!reflect.DeepEqual(g.ContextSnapshot(), ref.ContextSnapshot()) {
+				!reflect.DeepEqual(g.context, ref.context) {
 				t.Fatalf("%s seed %d: generator state diverged from the reference", name, seed)
 			}
 		}

@@ -82,20 +82,20 @@ func (cm CostModel) dirtyRatioForWindow(windowSec float64) float64 {
 	return r
 }
 
-// DeltaBytes returns the bytes a DeltaUpdate sync ships after windowSec of
+// deltaBytes returns the bytes a DeltaUpdate sync ships after windowSec of
 // training: the dirty fraction of the full EMT.
-func (cm CostModel) DeltaBytes(windowSec float64) int64 {
+func (cm CostModel) deltaBytes(windowSec float64) int64 {
 	return int64(cm.dirtyRatioForWindow(windowSec) * float64(cm.Profile.PaperEMTBytes))
 }
 
-// QuickBytes returns the bytes a QuickUpdate sync ships: the top-α fraction
+// quickBytes returns the bytes a QuickUpdate sync ships: the top-α fraction
 // of parameters (α of the full table, per the paper's 5-10% sampling).
-func (cm CostModel) QuickBytes() int64 {
+func (cm CostModel) quickBytes() int64 {
 	return int64(cm.QuickAlpha * float64(cm.Profile.PaperEMTBytes))
 }
 
-// TransferSeconds converts a payload to wire time on the inter-cluster link.
-func (cm CostModel) TransferSeconds(bytes int64) float64 {
+// transferSeconds converts a payload to wire time on the inter-cluster link.
+func (cm CostModel) transferSeconds(bytes int64) float64 {
 	return cm.BaseLatency + float64(bytes)/cm.BandwidthBps
 }
 
@@ -107,16 +107,16 @@ func (cm CostModel) LiveTrainSeconds(windowSec float64) float64 {
 	return bytesPerWindow / cm.CPUTrainBps
 }
 
-// UpdateCost returns the cost in seconds of a single update under the given
+// updateCost returns the cost in seconds of a single update under the given
 // strategy with the given update window.
-func (cm CostModel) UpdateCost(k Kind, windowSec float64) float64 {
+func (cm CostModel) updateCost(k Kind, windowSec float64) float64 {
 	switch k {
 	case NoUpdate:
 		return 0
 	case DeltaUpdate:
-		return cm.TransferSeconds(cm.DeltaBytes(windowSec))
+		return cm.transferSeconds(cm.deltaBytes(windowSec))
 	case QuickUpdate:
-		return cm.TransferSeconds(cm.QuickBytes())
+		return cm.transferSeconds(cm.quickBytes())
 	case LiveUpdate:
 		return cm.LiveTrainSeconds(windowSec)
 	default:
@@ -131,7 +131,7 @@ func (cm CostModel) HourlyCost(k Kind, windowSec float64) float64 {
 		return 0
 	}
 	updates := math.Floor(3600 / windowSec)
-	return updates * cm.UpdateCost(k, windowSec)
+	return updates * cm.updateCost(k, windowSec)
 }
 
 // VersionEvent is one model-version activation in a Fig 8 timeline.
@@ -151,7 +151,7 @@ func (cm CostModel) Timeline(k Kind, windowSec, horizonSec float64) []VersionEve
 	case NoUpdate:
 		return nil
 	case DeltaUpdate:
-		cost := cm.UpdateCost(DeltaUpdate, windowSec)
+		cost := cm.updateCost(DeltaUpdate, windowSec)
 		t := cost // first update completes after one transfer
 		v := 1
 		for t <= horizonSec {
@@ -161,7 +161,7 @@ func (cm CostModel) Timeline(k Kind, windowSec, horizonSec float64) []VersionEve
 			v++
 		}
 	case QuickUpdate, LiveUpdate:
-		cost := cm.UpdateCost(k, windowSec)
+		cost := cm.updateCost(k, windowSec)
 		kind := "delta"
 		gate := windowSec
 		if k == LiveUpdate {
@@ -180,7 +180,7 @@ func (cm CostModel) Timeline(k Kind, windowSec, horizonSec float64) []VersionEve
 			v++
 		}
 		// Hourly full updates to bound drift (paper Fig 8).
-		full := cm.TransferSeconds(cm.Profile.PaperEMTBytes)
+		full := cm.transferSeconds(cm.Profile.PaperEMTBytes)
 		for h := 3600.0; h <= horizonSec; h += 3600 {
 			events = append(events, VersionEvent{Time: h + full, Kind: "full", Version: v})
 			v++

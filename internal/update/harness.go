@@ -86,8 +86,8 @@ func DefaultHarnessConfig(p trace.Profile, k Kind, seed uint64) HarnessConfig {
 	}
 }
 
-// Validate reports configuration errors.
-func (c HarnessConfig) Validate() error {
+// validate reports configuration errors.
+func (c HarnessConfig) validate() error {
 	if err := c.Profile.Validate(); err != nil {
 		return err
 	}
@@ -114,7 +114,7 @@ type Harness struct {
 	gen *trace.Generator
 
 	// Training cluster: always trains on the freshest data. trainer.Opt is
-	// the dense optimizer (SetDenseOpt replaces it).
+	// the dense optimizer.
 	trainModel *dlrm.Model
 	trainEmb   *dlrm.BaseEmbeddings
 	trainer    dlrm.Trainer
@@ -152,7 +152,7 @@ type clusterSnapshot struct {
 // NewHarness builds the two-cluster setup with identical initial weights
 // (paper: "all systems start from identical model version 0").
 func NewHarness(cfg HarnessConfig) (*Harness, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	gen, err := trace.NewGenerator(cfg.Profile, cfg.Seed)
@@ -493,11 +493,3 @@ func (h *Harness) Result() Result {
 
 // LoRASet exposes the LiveUpdate adapter set (nil for other strategies).
 func (h *Harness) LoRASet() *lora.Set { return h.loraSet }
-
-// TrainerGroup exposes the training cluster's tables (Fig 3a measurements).
-func (h *Harness) TrainerGroup() *emt.Group { return h.trainEmb.Group }
-
-// SetDenseOpt overrides the training cluster's dense-layer optimizer from the
-// next Pretrain or Step on (e.g. Adagrad, the production choice, which
-// stabilizes long streaming runs).
-func (h *Harness) SetDenseOpt(opt dlrm.Optimizer) { h.trainer.Opt = opt }

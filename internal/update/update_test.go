@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"liveupdate/internal/dlrm"
 	"liveupdate/internal/trace"
 )
 
@@ -50,10 +49,10 @@ func TestUpdateCostOrdering(t *testing.T) {
 	// DeltaUpdate, and NoUpdate is free.
 	cm := costModel("bd-tb")
 	w := 300.0
-	no := cm.UpdateCost(NoUpdate, w)
-	live := cm.UpdateCost(LiveUpdate, w)
-	quick := cm.UpdateCost(QuickUpdate, w)
-	delta := cm.UpdateCost(DeltaUpdate, w)
+	no := cm.updateCost(NoUpdate, w)
+	live := cm.updateCost(LiveUpdate, w)
+	quick := cm.updateCost(QuickUpdate, w)
+	delta := cm.updateCost(DeltaUpdate, w)
 	if no != 0 {
 		t.Fatalf("NoUpdate cost %v", no)
 	}
@@ -96,11 +95,11 @@ func TestHourlyCostShape(t *testing.T) {
 func TestQuickBytesAndTransfer(t *testing.T) {
 	cm := costModel("bd-tb")
 	want := int64(0.05 * float64(cm.Profile.PaperEMTBytes))
-	if got := cm.QuickBytes(); got != want {
+	if got := cm.quickBytes(); got != want {
 		t.Fatalf("quick bytes %d, want %d", got, want)
 	}
 	// 2.5 TB over 100 GbE ≈ 220 s + base latency.
-	secs := cm.TransferSeconds(cm.QuickBytes())
+	secs := cm.transferSeconds(cm.quickBytes())
 	if secs < 180 || secs > 300 {
 		t.Fatalf("quick transfer %v s implausible", secs)
 	}
@@ -109,15 +108,15 @@ func TestQuickBytesAndTransfer(t *testing.T) {
 func TestPaperScaleSyncArithmetic(t *testing.T) {
 	cm := costModel("bd-tb")
 	// Paper §I: syncing 20 TB (10% of 200 TB) over 100 GbE takes >26 min.
-	if m := cm.TransferSeconds(20*(1<<40)) / 60; m < 26 || m > 35 {
+	if m := cm.transferSeconds(20*(1<<40)) / 60; m < 26 || m > 35 {
 		t.Fatalf("20 TB over 100GbE = %.1f min, paper says >26 min", m)
 	}
 	// Paper §II-C: full 200 TB takes over four hours.
-	if h := cm.TransferSeconds(200*(1<<40)) / 3600; h < 4 {
+	if h := cm.transferSeconds(200*(1<<40)) / 3600; h < 4 {
 		t.Fatalf("200 TB over 100GbE = %.1f h, paper says >4 h", h)
 	}
 	// Paper §II-C: QuickUpdate's 10 TB delta takes >14 min.
-	if m := cm.TransferSeconds(10*(1<<40)) / 60; m < 14 {
+	if m := cm.transferSeconds(10*(1<<40)) / 60; m < 14 {
 		t.Fatalf("10 TB over 100GbE = %.1f min, paper says >14 min", m)
 	}
 }
@@ -169,22 +168,22 @@ func quickHarnessConfig(k Kind) HarnessConfig {
 
 func TestHarnessValidate(t *testing.T) {
 	good := quickHarnessConfig(DeltaUpdate)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := good
 	bad.WindowSec = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("zero window must fail")
 	}
 	bad = good
 	bad.UpdateEvery = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("zero update interval must fail")
 	}
 	bad = quickHarnessConfig(QuickUpdate)
 	bad.QuickAlpha = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("quick alpha 0 must fail")
 	}
 	if _, err := NewHarness(HarnessConfig{}); err == nil {
@@ -209,7 +208,7 @@ func TestHarnessDeltaTracksTrainer(t *testing.T) {
 	}
 	// After a delta sync, inference tables equal trainer tables.
 	h.sync()
-	for ti, tt := range h.TrainerGroup().Tables {
+	for ti, tt := range h.trainEmb.Group.Tables {
 		inf := h.infGroup.Tables[ti]
 		for id := int32(0); id < 20; id++ {
 			a, b := tt.PeekRow(id), inf.PeekRow(id)
@@ -331,7 +330,7 @@ func TestSyncDelayPipeline(t *testing.T) {
 	// After window 1's sync the replica should hold the state from *before*
 	// window 1's training, i.e. differ from the live trainer.
 	diff := false
-	tt := h.TrainerGroup().Tables[0]
+	tt := h.trainEmb.Group.Tables[0]
 	inf := h.infGroup.Tables[0]
 	for id := int32(0); int(id) < tt.Rows() && !diff; id++ {
 		a, b := tt.PeekRow(id), inf.PeekRow(id)
@@ -350,7 +349,7 @@ func TestSyncDelayPipeline(t *testing.T) {
 	h2 := MustNewHarness(cfg)
 	h2.Pretrain(1)
 	h2.Step()
-	tt2 := h2.TrainerGroup().Tables[0]
+	tt2 := h2.trainEmb.Group.Tables[0]
 	inf2 := h2.infGroup.Tables[0]
 	for id := int32(0); int(id) < tt2.Rows(); id++ {
 		a, b := tt2.PeekRow(id), inf2.PeekRow(id)
@@ -390,37 +389,4 @@ func TestDefaultDelayPerStrategy(t *testing.T) {
 	if d := DefaultHarnessConfig(p, QuickUpdate, 1).SyncDelayWindows; d != 1 {
 		t.Fatalf("quick delay %d, want 1", d)
 	}
-}
-
-func TestSetDenseOpt(t *testing.T) {
-	h := MustNewHarness(quickHarnessConfig(DeltaUpdate))
-	h.SetDenseOpt(dlrmAdagrad())
-	h.Pretrain(1)
-	if got := h.Run(2); len(got.AUCSeries) != 2 {
-		t.Fatalf("run with adagrad failed: %+v", got)
-	}
-}
-
-func dlrmAdagrad() dlrm.Optimizer { return dlrm.Adagrad{LR: 0.05} }
-
-// The trainers live on the Harness across windows, so an optimizer set
-// mid-run must still be the one the next Step trains with.
-func TestSetDenseOptAppliesToNextStep(t *testing.T) {
-	run := func(swap bool) []float64 {
-		h := MustNewHarness(quickHarnessConfig(DeltaUpdate))
-		h.Pretrain(1)
-		h.Step()
-		if swap {
-			h.SetDenseOpt(dlrmAdagrad())
-		}
-		h.Step()
-		return h.trainModel.Top.Layers[0].W.Data
-	}
-	sgd, adagrad := run(false), run(true)
-	for i := range sgd {
-		if sgd[i] != adagrad[i] {
-			return
-		}
-	}
-	t.Fatal("SetDenseOpt between Steps changed nothing: the long-lived trainer kept its old optimizer")
 }
