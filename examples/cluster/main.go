@@ -44,11 +44,12 @@ func main() {
 			panic(err)
 		}
 	}
-	fmt.Println("Multi-node LoRA sync (Algorithm 3 + tree AllGather)")
+	fmt.Println("Multi-node LoRA sync (Algorithm 3 + recursive-doubling AllGather)")
 	fmt.Printf("  consistent before sync: %v (disjoint shards diverge)\n",
 		fleet.ReplicasConsistent(50))
 
-	// Synchronize: priority merge + tree AllGather on a 100 GbE fabric.
+	// Synchronize: priority merge + flat recursive-doubling AllGather (the
+	// default topology) on a 100 GbE fabric.
 	stats, err := fleet.SyncNow()
 	if err != nil {
 		panic(err)

@@ -1,14 +1,14 @@
 // Package cluster runs a fleet of LiveUpdate replicas behind one serving
 // front door (paper §II-C and §IV-E): N core.Systems share a common base
 // checkpoint, a Router spreads requests across them, and a periodic
-// priority-merge synchronization (Algorithm 3 over the tree AllGather of
-// internal/collective) reconciles the per-replica LoRA adapters so every
-// replica converges to identical effective embeddings — the paper's
-// replica-consistency requirement.
+// priority-merge synchronization (Algorithm 3 over an internal/collective
+// AllGather, priced on the Config.Topology fabric) reconciles the
+// per-replica LoRA adapters so every replica converges to identical
+// effective embeddings — the paper's replica-consistency requirement.
 //
-// Replica ownership is delegated to an internal/fleet membership
-// controller: the fleet is elastic. Replicas can Join, Leave, Fail, and be
-// Replaced at runtime while serving continues; a joining replica catches up
+// The Cluster owns its replica set, and the fleet is elastic (see
+// membership.go). Replicas can join, leave, fail, and be replaced at runtime
+// while serving continues; a joining replica catches up
 // through an emt checkpoint restore plus a full LoRA state transfer billed
 // to the virtual sync clock, and routing follows the live member view
 // through one atomic pointer (the hash policy is a consistent-hash ring, so
@@ -33,16 +33,19 @@
 //     Manual SyncNow and ReplicasConsistent are explicit barriers: they take
 //     the fleet-wide write lock, so nothing serves while they run.
 //   - Membership reads are lock-free: the serve path loads the current
-//     fleet.View through an atomic pointer (under the fleet read lock, so a
+//     View through an atomic pointer (under the fleet read lock, so a
 //     request never straddles a membership commit). Membership mutations
 //     hold syncMu — the mutex every merge (pipeline epoch, SyncNow,
 //     consistency probe) holds for its whole snapshot→merge→publish span —
-//     so a joiner's catch-up can never interleave with a publish, and they
-//     install the new view under a brief (O(members)) fleet write barrier
-//     so departing members' request counts fold exactly. The expensive
-//     parts — spawning and catching up a replica — run before that barrier;
-//     serving is never stopped fleet-wide for a membership change. Requests already routed to a slot
+//     so a joiner's catch-up can never interleave with a publish. Each
+//     commits in one brief (O(members)) fleet write section: the departing
+//     member's stats fold, the membership counters and the view swap land
+//     together, so request counts fold exactly and Stats reads all of it
+//     under one read lock. The expensive parts — spawning and catching up a
+//     replica — run before that section; serving is never stopped
+//     fleet-wide for a membership change. Requests already routed to a slot
 //     whose member has since failed redirect to the next active slot.
+//     Lock order: syncMu → fleetMu → per-replica node locks.
 //   - Periodic syncs trigger on virtual-time epochs: epoch k starts when the
 //     fleet clock crosses k·SyncEvery, and each epoch is synced exactly
 //     once. Because a replica's virtual timeline depends only on its own
@@ -69,7 +72,6 @@ import (
 
 	"liveupdate/internal/collective"
 	"liveupdate/internal/core"
-	"liveupdate/internal/fleet"
 	"liveupdate/internal/metrics"
 	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
@@ -140,11 +142,10 @@ func (c Config) validate() error {
 // same Serve/Stats surface as a single core.System, so callers can scale
 // from one node to a fleet without changing the serving loop, and it is safe
 // for concurrent callers (see the package comment for the locking model).
-// Membership is elastic: see Join, Leave, FailReplica, ReplaceReplica, and
-// Scale.
+// Membership is elastic: see FailReplica, ReplaceReplica, Scale, and
+// ApplyChaos (which also joins and leaves).
 type Cluster struct {
 	cfg    Config
-	fleet  *fleet.Controller
 	router Router
 	sync   *collective.SyncGroup
 
@@ -153,9 +154,9 @@ type Cluster struct {
 	syncClock *simnet.Clock
 
 	// fleetMu is the serve/sync barrier: Serve holds it for read; SyncNow
-	// and consistency probes hold it for write, as does the membership
-	// controller's install barrier (fold + view swap — O(members), so the
-	// serve stall is microseconds). The periodic pipeline never takes it.
+	// and consistency probes hold it for write, as does every membership
+	// commit (fold + counters + view swap — O(members), so the serve stall is
+	// microseconds). The periodic pipeline never takes it.
 	fleetMu sync.RWMutex
 	// syncMu serializes every merge (each pipeline epoch, SyncNow,
 	// consistency probes) with every membership mutation. Holding it across
@@ -165,7 +166,7 @@ type Cluster struct {
 	// in later supports.
 	// Serving NEVER takes syncMu — a membership change or in-flight merge
 	// only ever stalls other merges, not requests. Lock order:
-	// syncMu → controller mutex → fleetMu → per-replica node locks.
+	// syncMu → fleetMu → per-replica node locks.
 	syncMu sync.Mutex
 	// syncedEpoch is the last SyncEvery epoch a periodic sync has covered.
 	// Atomic: the pipeline goroutine writes it, serve-path trigger checks
@@ -173,6 +174,21 @@ type Cluster struct {
 	syncedEpoch atomic.Int64
 	// pipe drives periodic syncs (nil when they are disabled).
 	pipe *syncPipeline
+
+	// view is the live membership, loaded lock-free. nextID (the next member
+	// identity) is guarded by syncMu. Everything Stats reports about
+	// membership — retired, the three counters, the catch-up bill — is
+	// written in the same fleetMu write section as the view swap. The
+	// counters are atomics so telemetry scrapes read them without a lock;
+	// retiredClock (float64 bits: the highest clock a departed member
+	// reached) is one so VirtualNow stays lock-free on the serve path.
+	view                 atomic.Pointer[View]
+	nextID               int
+	retired              retired
+	retiredClock         atomic.Uint64
+	joins, leaves, fails atomic.Int64
+	catchUpBytes         int64
+	catchUpSeconds       float64
 
 	// testSyncStall, when set by tests, is invoked by every sync between the
 	// snapshot and the merge — a hook to hold a sync "in flight" and prove
@@ -200,8 +216,7 @@ type Cluster struct {
 }
 
 // New builds the fleet: Replicas identical Systems from cfg.Base (shared
-// base checkpoint), owned by a fleet membership controller and wired into
-// one SyncGroup.
+// base checkpoint) in slots 0..Replicas-1, wired into one SyncGroup.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -220,40 +235,17 @@ func New(cfg Config) (*Cluster, error) {
 		router:    cfg.Router,
 		syncClock: simnet.NewClock(),
 		gen:       metrics.NewShardedCounter(cfg.Replicas),
+		nextID:    cfg.Replicas,
 	}
-	spawn := func() (*core.System, error) {
-		opts := cfg.Base
-		// All replicas must hold structurally compatible LoRA factors for
-		// the merge; see Config.Base.
-		opts.LoRA.DisableRankAdapt = true
-		return core.New(opts)
-	}
-	seed := make([]*core.System, cfg.Replicas)
-	for i := range seed {
-		sys, err := spawn()
+	slots := make([]*member, cfg.Replicas)
+	for i := range slots {
+		sys, err := c.spawn()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
-		seed[i] = sys
+		slots[i] = &member{ID: i, Slot: i, Sys: sys}
 	}
-	var err error
-	c.fleet, err = fleet.NewController(fleet.Config{
-		Spawn:        spawn,
-		BandwidthBps: cfg.BandwidthBps,
-		LatencySec:   cfg.LatencySec,
-		SyncClock:    c.syncClock,
-		// Membership commits (stats fold + view swap) run with no serve in
-		// flight, so a request can neither finish on a member whose stats
-		// were already folded nor observe a half-installed view.
-		InstallBarrier: func(commit func()) {
-			c.fleetMu.Lock()
-			commit()
-			c.fleetMu.Unlock()
-		},
-	}, seed)
-	if err != nil {
-		return nil, err
-	}
+	c.install(slots)
 	// The SyncGroup carries link pricing and cumulative accounting; the
 	// replica set it syncs over is the live member view, passed per sync.
 	topo, err := collective.ParseTopology(cfg.Topology)
@@ -279,23 +271,23 @@ func New(cfg Config) (*Cluster, error) {
 		c.telSyncs = reg.Counter("liveupdate_sync_epochs_total",
 			"LoRA priority-merge synchronizations completed (periodic epochs and manual syncs).")
 		// Function-backed instruments read lock-free (view pointer, clock
-		// atomics) or briefly lock the membership controller — never a fleet
-		// or replica serve lock, so a scrape cannot stall serving.
+		// and counter atomics) — never a fleet or replica serve lock, so a
+		// scrape cannot stall serving.
 		reg.GaugeFunc("liveupdate_fleet_members",
 			"Active replicas in the current membership view.",
-			func() float64 { return float64(c.fleet.View().NumActive()) })
+			func() float64 { return float64(len(c.view.Load().active)) })
 		reg.GaugeFunc("liveupdate_virtual_time_seconds",
 			"Fleet virtual clock (most advanced replica, including retired high-water mark).",
-			c.fleetClock)
+			c.VirtualNow)
 		reg.CounterFunc("liveupdate_fleet_joins_total",
 			"Replicas admitted after the seed fleet (join, replace, scale-up).",
-			func() uint64 { return uint64(c.fleet.Stats().Joins) })
+			func() uint64 { return uint64(c.joins.Load()) })
 		reg.CounterFunc("liveupdate_fleet_leaves_total",
 			"Graceful departures (leave, scale-down).",
-			func() uint64 { return uint64(c.fleet.Stats().Leaves) })
+			func() uint64 { return uint64(c.leaves.Load()) })
 		reg.CounterFunc("liveupdate_fleet_fails_total",
 			"Abrupt exclusions (fail, the fail half of replace).",
-			func() uint64 { return uint64(c.fleet.Stats().Fails) })
+			func() uint64 { return uint64(c.fails.Load()) })
 	}
 	return c, nil
 }
@@ -306,17 +298,16 @@ func (c *Cluster) Telemetry() *metrics.Telemetry { return c.cfg.Base.Telemetry }
 
 // Replica exposes the System serving slot i (read-mostly: experiments and
 // tests). It returns nil when i is out of range or the slot is empty — its
-// member failed or left — so callers must check before dereferencing;
-// historically an out-of-range index panicked.
+// member failed or left — so callers must check before dereferencing.
 func (c *Cluster) Replica(i int) *core.System {
-	if m := c.fleet.View().Member(i); m != nil {
+	if m := c.view.Load().at(i); m != nil {
 		return m.Sys
 	}
 	return nil
 }
 
 // Members returns the current membership view.
-func (c *Cluster) Members() *fleet.View { return c.fleet.View() }
+func (c *Cluster) Members() *View { return c.view.Load() }
 
 // RouterName returns the active routing policy's name.
 func (c *Cluster) RouterName() string { return c.router.Name() }
@@ -325,7 +316,7 @@ func (c *Cluster) RouterName() string { return c.router.Name() }
 // one. Slots are stable for a member's lifetime and capacity only grows, so
 // a load driver's lane ownership survives membership churn; an empty slot
 // (failed/left member) simply receives no routed traffic.
-func (c *Cluster) NumShards() int { return c.fleet.View().NumSlots() }
+func (c *Cluster) NumShards() int { return len(c.view.Load().slots) }
 
 // ShardOf routes one request to a replica slot without serving it. Routing
 // and serving are deliberately split so a concurrent driver can route the
@@ -335,7 +326,7 @@ func (c *Cluster) NumShards() int { return c.fleet.View().NumSlots() }
 func (c *Cluster) ShardOf(s trace.Sample) int {
 	t0 := c.tracer.StageStart(metrics.StageRoute)
 	defer c.tracer.StageEnd(metrics.StageRoute, t0)
-	if m := c.router.RouteView(s, c.fleet.View()); m != nil {
+	if m := c.router.route(s, c.view.Load()); m != nil {
 		return m.Slot
 	}
 	return -1 // surfaces as a routing error in ServeShardBatch
@@ -390,15 +381,15 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 	// the write lock, so a member can never be folded out of the fleet
 	// totals while this run is mid-serve on it.
 	c.fleetMu.RLock()
-	v := c.fleet.View()
-	if shard < 0 || shard >= v.NumSlots() {
+	v := c.view.Load()
+	if shard < 0 || shard >= len(v.slots) {
 		c.fleetMu.RUnlock()
 		return fmt.Errorf("cluster: router %s picked replica %d of %d",
-			c.router.Name(), shard, v.NumSlots())
+			c.router.Name(), shard, len(v.slots))
 	}
-	m := v.Member(shard)
+	m := v.slots[shard]
 	if m == nil {
-		if m = v.Redirect(shard); m == nil {
+		if m = v.redirect(shard); m == nil {
 			c.fleetMu.RUnlock()
 			return fmt.Errorf("cluster: no active replicas")
 		}
@@ -469,129 +460,26 @@ func (c *Cluster) kickCrossedEpoch() {
 	if c.pipe == nil {
 		return
 	}
-	if e := int64(math.Floor(c.fleetClock() / c.cfg.SyncEvery.Seconds())); e > c.syncedEpoch.Load() {
+	if e := int64(math.Floor(c.VirtualNow() / c.cfg.SyncEvery.Seconds())); e > c.syncedEpoch.Load() {
 		c.pipe.kick(e)
 	}
 }
 
-// fleetClock returns the most advanced replica clock — the fleet's wall
-// time under concurrent serving — including the high-water mark of members
-// that have since departed, so virtual time never runs backward across a
-// failure. Clock and view reads are atomic, so this is safe from any
-// goroutine.
-func (c *Cluster) fleetClock() float64 {
-	max := c.fleet.RetiredClock()
-	for _, sys := range c.fleet.View().ActiveSystems() {
+// VirtualNow returns the fleet's current virtual time: the most advanced
+// replica clock — the fleet's wall time under concurrent serving —
+// including the high-water mark of members that have since departed, so
+// virtual time never runs backward across a failure. Clock and view reads
+// are atomic, so this is lock-free and safe from any goroutine; the load
+// driver reads it at drained checkpoints to evaluate chaos-schedule
+// timestamps deterministically.
+func (c *Cluster) VirtualNow() float64 {
+	max := math.Float64frombits(c.retiredClock.Load())
+	for _, sys := range c.view.Load().systems {
 		if t := sys.Clock.Now(); t > max {
 			max = t
 		}
 	}
 	return max
-}
-
-// VirtualNow returns the fleet's current virtual time (the fleet clock).
-// Lock-free; the load driver reads it at drained checkpoints to evaluate
-// chaos-schedule timestamps deterministically.
-func (c *Cluster) VirtualNow() float64 { return c.fleetClock() }
-
-// --- Elastic membership -------------------------------------------------
-
-// membershipOp runs a membership mutation holding syncMu, so it is
-// mutually exclusive with every merge: each pipeline epoch, SyncNow, and
-// consistency probes all hold syncMu for their whole snapshot→merge→publish
-// span. A joiner's catch-up export and install therefore cannot interleave
-// with a publish — it can never miss a merged epoch whose rows would not
-// recur in later supports.
-// Serving never takes syncMu, so requests flow throughout; an epoch kicked
-// while the mutation runs simply merges afterwards, over the new view.
-func (c *Cluster) membershipOp(f func() error) error {
-	c.syncMu.Lock()
-	defer c.syncMu.Unlock()
-	if err := f(); err != nil {
-		return err
-	}
-	c.gen.Add(0, 1) // membership changed: invalidate the stats cache
-	return nil
-}
-
-// join admits a fresh replica into the fleet (first empty slot, or a new
-// one), catching it up from the freshest active donor via checkpoint + full
-// LoRA transfer. It returns the new member's slot. Serving continues
-// throughout; only the donor is briefly locked for the export.
-func (c *Cluster) join() (int, error) {
-	slot := -1
-	err := c.membershipOp(func() error {
-		m, _, err := c.fleet.Join()
-		if err != nil {
-			return err
-		}
-		slot = m.Slot
-		return nil
-	})
-	return slot, err
-}
-
-// leave retires the replica in slot gracefully: its statistics fold into
-// the fleet totals and its slot empties (in-flight requests redirect).
-func (c *Cluster) leave(slot int) error {
-	return c.membershipOp(func() error { return c.fleet.Leave(slot) })
-}
-
-// FailReplica kills the replica in slot — the crash path. The member is
-// excluded from routing immediately (the next view load), its lane
-// redirects, and its statistics fold into the fleet totals. The last active
-// replica cannot be failed.
-func (c *Cluster) FailReplica(slot int) error {
-	return c.membershipOp(func() error { return c.fleet.Fail(slot) })
-}
-
-// ReplaceReplica fails the replica in slot (if still present) and admits a
-// freshly caught-up replacement into the same slot in one membership
-// change. It returns the slot served by the replacement.
-func (c *Cluster) ReplaceReplica(slot int) (int, error) {
-	out := -1
-	err := c.membershipOp(func() error {
-		m, _, err := c.fleet.Replace(slot)
-		if err != nil {
-			return err
-		}
-		out = m.Slot
-		return nil
-	})
-	return out, err
-}
-
-// Scale grows or shrinks the active fleet to n replicas: joins fill empty
-// slots first, shrinks retire the highest slots gracefully.
-func (c *Cluster) Scale(n int) error {
-	return c.membershipOp(func() error {
-		_, err := c.fleet.Scale(n)
-		return err
-	})
-}
-
-// ApplyChaos applies one scripted membership event. The load driver calls
-// this at drained checkpoints; it is also a convenient programmatic entry
-// point for the same event grammar the -chaos flags accept.
-func (c *Cluster) ApplyChaos(ev fleet.Event) error {
-	if err := ev.Validate(); err != nil {
-		return err
-	}
-	switch ev.Action {
-	case fleet.Kill:
-		return c.FailReplica(ev.Arg)
-	case fleet.Replace:
-		_, err := c.ReplaceReplica(ev.Arg)
-		return err
-	case fleet.Join:
-		_, err := c.join()
-		return err
-	case fleet.Leave:
-		return c.leave(ev.Arg)
-	case fleet.Scale:
-		return c.Scale(ev.Arg)
-	}
-	return fmt.Errorf("cluster: unknown chaos action %q", ev.Action)
 }
 
 // --- Synchronization ----------------------------------------------------
@@ -705,7 +593,7 @@ func (p *syncPipeline) drain() error {
 // Pipeline epochs take nothing else and serving proceeds throughout; SyncNow
 // also holds the fleet write lock.
 func (c *Cluster) syncOnce() (collective.MergeStats, error) {
-	members := c.fleet.View().Active()
+	members := c.view.Load().active
 	states := make([]collective.RankedState, len(members))
 	for i, m := range members {
 		states[i] = collective.RankedState{Rank: m.ID, Tables: m.Sys.SnapshotLoRA()}
@@ -737,7 +625,8 @@ func (c *Cluster) syncOnce() (collective.MergeStats, error) {
 func (c *Cluster) quiesceSyncs() error { return c.pipe.drain() }
 
 // SyncNow runs one LoRA priority-merge synchronization across the live
-// members (Algorithm 3 + tree AllGather) and returns its merge statistics.
+// members (Algorithm 3 over the configured AllGather topology, flat
+// recursive doubling by default) and returns its merge statistics.
 // It is an explicit barrier: it holds syncMu — waiting out any in-flight
 // pipeline epoch or membership change — and the fleet-wide write lock, so
 // its merge interleaves with nothing. After it returns every live member
@@ -760,13 +649,13 @@ func (c *Cluster) SyncNow() (collective.MergeStats, error) {
 // fleet-wide reads honor core.System's concurrency contract even for
 // callers driving a replica directly via Replica(i). Callers must hold
 // fleetMu for write.
-func lockMembers(members []*fleet.Member) {
+func lockMembers(members []*member) {
 	for _, m := range members {
 		m.Sys.Lock()
 	}
 }
 
-func unlockMembers(members []*fleet.Member) {
+func unlockMembers(members []*member) {
 	for i := len(members) - 1; i >= 0; i-- {
 		members[i].Sys.Unlock()
 	}
@@ -785,7 +674,7 @@ func (c *Cluster) ReplicasConsistent(idsPerTable int) bool {
 	defer c.syncMu.Unlock()
 	c.fleetMu.Lock()
 	defer c.fleetMu.Unlock()
-	members := c.fleet.View().Active()
+	members := c.view.Load().active
 	if len(members) < 2 {
 		return true
 	}
@@ -861,37 +750,15 @@ func cloneStats(st core.Stats) core.Stats {
 }
 
 // mergedStats recomputes the fleet snapshot from the live members plus the
-// retired aggregate of departed ones.
+// retired aggregate of departed ones. It holds fleetMu for read: every
+// membership commit holds it for write, so the view, the retired aggregate
+// and the membership counters are read as one consistent snapshot.
 func (c *Cluster) mergedStats() core.Stats {
-	for {
-		// Controller accounting must be read BEFORE taking fleetMu: the
-		// membership install barrier acquires fleetMu while holding the
-		// controller's mutex, so nesting them the other way could deadlock.
-		// But a commit landing between these reads and the member iteration
-		// would leave the departing member counted in neither the retired
-		// aggregate nor the live view — so capture the view version first,
-		// and retry the rare snapshot that straddled a commit (none can
-		// land while the read lock is held).
-		v0 := c.fleet.View().Version
-		fs := c.fleet.Stats()
-		ret := c.fleet.Retired()
-		c.fleetMu.RLock()
-		if c.fleet.View().Version != v0 {
-			c.fleetMu.RUnlock()
-			continue
-		}
-		merged := c.mergedStatsLocked(fs, ret)
-		c.fleetMu.RUnlock()
-		return merged
-	}
-}
-
-// mergedStatsLocked merges the live members with the given controller
-// accounting; callers must hold fleetMu (read suffices — commits need the
-// write lock, so the membership cannot change mid-merge).
-func (c *Cluster) mergedStatsLocked(fs fleet.Stats, ret fleet.Retired) core.Stats {
+	c.fleetMu.RLock()
+	defer c.fleetMu.RUnlock()
+	v := c.view.Load()
 	merged := core.Stats{
-		VirtualTime: c.fleetClock(),
+		VirtualTime: c.VirtualNow(),
 	}
 	gs := c.sync.GroupStats()
 	merged.Syncs = gs.Syncs
@@ -906,21 +773,21 @@ func (c *Cluster) mergedStatsLocked(fs fleet.Stats, ret fleet.Retired) core.Stat
 	merged.SyncTopology = string(c.sync.Topology().Kind())
 	merged.SLA = c.cfg.Base.Node.SLA
 
-	merged.Members = fs.Members
-	merged.Joins = fs.Joins
-	merged.Leaves = fs.Leaves
-	merged.Fails = fs.Fails
-	merged.CatchUpBytes = fs.CatchUpBytes
-	merged.CatchUpSeconds = fs.CatchUpSeconds
+	merged.Members = len(v.active)
+	merged.Joins = int(c.joins.Load())
+	merged.Leaves = int(c.leaves.Load())
+	merged.Fails = int(c.fails.Load())
+	merged.CatchUpBytes = c.catchUpBytes
+	merged.CatchUpSeconds = c.catchUpSeconds
 
-	merged.Served = ret.Served
-	merged.Violations = ret.Violations
-	merged.TrainSteps = ret.TrainSteps
-	merged.FullSyncs = ret.FullSyncs
-	latencySum := ret.LatencySum
-	hitInf, hitTrain := ret.HitInfSum, ret.HitTrainSum
+	merged.Served = c.retired.served
+	merged.Violations = c.retired.violations
+	merged.TrainSteps = c.retired.trainSteps
+	merged.FullSyncs = c.retired.fullSyncs
+	latencySum := c.retired.latencySum
+	hitInf, hitTrain := c.retired.hitInfSum, c.retired.hitTrainSum
 
-	members := c.fleet.View().Active()
+	members := v.active
 	var lat []float64
 	for _, m := range members {
 		rs := m.Sys.Stats()

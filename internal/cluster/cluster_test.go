@@ -152,8 +152,8 @@ func TestAsyncServeNeverBlocksOnInFlightSync(t *testing.T) {
 	const perWorker = 50
 	const bound = 5 * time.Second // generous for CI; a barrier would stall forever
 	var wg sync.WaitGroup
-	errs := make(chan error, c.Members().NumActive())
-	for shard := 0; shard < c.Members().NumActive(); shard++ {
+	errs := make(chan error, len(c.Members().active))
+	for shard := 0; shard < len(c.Members().active); shard++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
@@ -191,7 +191,7 @@ func TestAsyncServeNeverBlocksOnInFlightSync(t *testing.T) {
 	if st.Syncs == 0 {
 		t.Fatal("stalled sync must complete after release")
 	}
-	wantServed := uint64(len(warm) + c.Members().NumActive()*perWorker)
+	wantServed := uint64(len(warm) + len(c.Members().active)*perWorker)
 	if st.Served != wantServed {
 		t.Fatalf("served %d, want %d", st.Served, wantServed)
 	}
@@ -261,7 +261,7 @@ func TestAsyncPublishStampsEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.Members().NumActive(); i++ {
+	for i := 0; i < len(c.Members().active); i++ {
 		if e := c.Replica(i).AdapterEpoch(); e != -1 {
 			t.Fatalf("replica %d epoch before first sync = %d, want -1", i, e)
 		}
@@ -280,7 +280,7 @@ func TestAsyncPublishStampsEpochs(t *testing.T) {
 		t.Fatalf("healthy pipeline must report nil Err, got %v", err)
 	}
 	want := int64(st.Syncs)
-	for i := 0; i < c.Members().NumActive(); i++ {
+	for i := 0; i < len(c.Members().active); i++ {
 		if e := c.Replica(i).AdapterEpoch(); e != want {
 			t.Fatalf("replica %d epoch = %d, want %d", i, e, want)
 		}
@@ -567,8 +567,8 @@ func TestClusterMembershipUnderServing(t *testing.T) {
 	if err := c.FailReplica(1); err != nil {
 		t.Fatalf("fail: %v", err)
 	}
-	if c.Members().NumActive() != 2 || c.NumShards() != 3 {
-		t.Fatalf("size=%d shards=%d after failure", c.Members().NumActive(), c.NumShards())
+	if len(c.Members().active) != 2 || c.NumShards() != 3 {
+		t.Fatalf("size=%d shards=%d after failure", len(c.Members().active), c.NumShards())
 	}
 	serve(200) // routing must avoid the empty slot
 	slot, err := c.ReplaceReplica(1)
@@ -606,7 +606,7 @@ func TestClusterMembershipUnderServing(t *testing.T) {
 
 // TestServeShardRedirectsEmptySlot covers the in-flight lane drain: a
 // request already routed to a slot whose member failed serves on the next
-// active slot instead of erroring.
+// active slot, wrapping around past the last, instead of erroring.
 func TestServeShardRedirectsEmptySlot(t *testing.T) {
 	c, err := New(testConfig(t, 3))
 	if err != nil {
@@ -623,6 +623,12 @@ func TestServeShardRedirectsEmptySlot(t *testing.T) {
 	if resp.Replica != 2 {
 		t.Fatalf("request for empty slot 1 served by %d, want redirect to 2", resp.Replica)
 	}
+	if err := c.FailReplica(2); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = c.ServeShard(1, gen.Next()); err != nil || resp.Replica != 0 {
+		t.Fatalf("request for empty slot 1 after a double failure served by %d (err %v), want wrap to 0", resp.Replica, err)
+	}
 	if _, err := c.ServeShard(7, gen.Next()); err == nil {
 		t.Fatal("out-of-capacity shard must still error")
 	}
@@ -630,7 +636,8 @@ func TestServeShardRedirectsEmptySlot(t *testing.T) {
 
 // TestHashRingMembershipRemap is the router contract under churn: failing
 // one of N replicas remaps only that replica's key share (≈1/N, never to
-// the failed slot), and the replacement claims a share back.
+// the failed slot), and the replacement — a fresh identity, so fresh ring
+// points — claims a ≈1/N share back and nothing else.
 func TestHashRingMembershipRemap(t *testing.T) {
 	const n = 5
 	cfg := testConfig(t, n)
@@ -675,12 +682,19 @@ func TestHashRingMembershipRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	claimed := 0
 	for i, s := range samples {
 		after := c.ShardOf(s)
 		if before[i] != 3 && after != before[i] && after != slot {
 			t.Fatalf("key %d moved %d → %d after replace (only slot %d may claim keys)",
 				i, before[i], after, slot)
 		}
+		if after == slot {
+			claimed++
+		}
+	}
+	if claimed == 0 || claimed > 2*keys/n {
+		t.Fatalf("replacement claimed %d/%d keys, want ≈%d (≤%d)", claimed, keys, keys/n, 2*keys/n)
 	}
 }
 
@@ -728,7 +742,10 @@ func TestLeastLoadedSkipsFailedMember(t *testing.T) {
 // the merged totals (a member's stats fold and its removal from the view
 // commit atomically behind the fleet write barrier), and a final merge must
 // reconcile every member including mid-churn joiners (catch-up holds the
-// sync mutex, so it can never interleave with a publish).
+// sync mutex, so it can never interleave with a publish). A poller reads
+// Stats throughout: every membership field it reports is written in the
+// same fleet write section as the view swap, so each snapshot is whole
+// (Members == len(Replicas)) and the cumulative counters never go back.
 func TestConcurrentServeAndMembershipExactCounts(t *testing.T) {
 	cfg := testConfig(t, 4)
 	cfg.SyncEvery = 30 * time.Millisecond
@@ -771,7 +788,33 @@ func TestConcurrentServeAndMembershipExactCounts(t *testing.T) {
 	}
 	wg.Add(1)
 	go func() { defer wg.Done(); churn() }()
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		var last core.Stats
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := c.Stats()
+			if st.Members != len(st.Replicas) {
+				t.Errorf("Stats: Members=%d but %d replica rows", st.Members, len(st.Replicas))
+			}
+			if st.Served < last.Served || st.Joins < last.Joins || st.Leaves < last.Leaves ||
+				st.Fails < last.Fails || st.CatchUpBytes < last.CatchUpBytes {
+				t.Errorf("Stats went back: served/joins/leaves/fails/catch-up %d/%d/%d/%d/%d after %d/%d/%d/%d/%d",
+					st.Served, st.Joins, st.Leaves, st.Fails, st.CatchUpBytes,
+					last.Served, last.Joins, last.Leaves, last.Fails, last.CatchUpBytes)
+			}
+			last = st
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-polled
 
 	st := c.Stats()
 	if st.Served != served.Load() {

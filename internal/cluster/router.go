@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"liveupdate/internal/fleet"
 	"liveupdate/internal/trace"
 )
 
-// Router picks the replica that serves a request. Implementations may keep
-// state (e.g. a round-robin cursor); a Router instance belongs to exactly one
-// Cluster. RouteView must be safe for concurrent callers — the built-in
-// policies are lock-free — though stateful policies only produce a
+// Router picks the replica that serves a request. The interface is sealed:
+// NewRouter builds the built-in policies, the only implementations. A policy
+// may keep state (e.g. a round-robin cursor); a Router instance belongs to
+// exactly one Cluster. route must be safe for concurrent callers — the
+// built-in policies are lock-free — though stateful policies only produce a
 // deterministic assignment when requests are routed in a deterministic order
 // (the load-driver routes from a single sequencer goroutine for exactly this
 // reason).
@@ -21,9 +21,9 @@ import (
 // prebuilt consistent-hash ring and active list) swaps behind one atomic
 // pointer.
 type Router interface {
-	// RouteView picks the serving member for s from v's active members, or
+	// route picks the serving member for s from v's active members, or
 	// nil when there is none.
-	RouteView(s trace.Sample, v *fleet.View) *fleet.Member
+	route(s trace.Sample, v *View) *member
 	// Name identifies the policy in stats output and CLI flags.
 	Name() string
 }
@@ -66,8 +66,8 @@ func NewRouter(p Policy) (Router, error) {
 
 type roundRobinRouter struct{ next atomic.Uint64 }
 
-func (r *roundRobinRouter) RouteView(_ trace.Sample, v *fleet.View) *fleet.Member {
-	active := v.Active()
+func (r *roundRobinRouter) route(_ trace.Sample, v *View) *member {
+	active := v.active
 	if len(active) == 0 {
 		return nil
 	}
@@ -78,8 +78,8 @@ func (r *roundRobinRouter) Name() string { return string(RoundRobin) }
 
 type leastLoadedRouter struct{}
 
-func (leastLoadedRouter) RouteView(_ trace.Sample, v *fleet.View) *fleet.Member {
-	active := v.Active()
+func (leastLoadedRouter) route(_ trace.Sample, v *View) *member {
+	active := v.active
 	if len(active) == 0 {
 		return nil
 	}
@@ -96,8 +96,8 @@ func (leastLoadedRouter) Name() string { return string(LeastLoaded) }
 
 type hashRouter struct{}
 
-func (hashRouter) RouteView(s trace.Sample, v *fleet.View) *fleet.Member {
-	return v.Route(fleet.SampleKey(s))
+func (hashRouter) route(s trace.Sample, v *View) *member {
+	return v.ring.lookup(sampleKey(s))
 }
 
 func (hashRouter) Name() string { return string(Hash) }

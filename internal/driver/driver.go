@@ -118,9 +118,9 @@ func (l oneLane) ServeShardBatch(_ int, samples []trace.Sample, resps []core.Res
 }
 
 // elasticServer is a sharded server whose replica membership can change
-// while it serves — a Cluster backed by the fleet controller. The driver
-// needs it to run a chaos schedule: events apply through ApplyChaos, and
-// VirtualNow anchors the schedule's virtual timestamps.
+// while it serves — a Cluster. The driver needs it to run a chaos
+// schedule: events apply through ApplyChaos, and VirtualNow anchors the
+// schedule's virtual timestamps.
 type elasticServer interface {
 	sharded
 	// ApplyChaos applies one membership event (kill/replace/join/leave/

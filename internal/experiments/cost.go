@@ -169,7 +169,7 @@ func fig19(o Options) (Report, error) {
 		})
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("sync grows %.2fx from 2→16 nodes (log-like, not linear: tree AllGather)", t16/t2),
+		fmt.Sprintf("sync grows %.2fx from 2→16 nodes (log-like, not linear: recursive-doubling AllGather)", t16/t2),
 		fmt.Sprintf("worst total %.1f min — under the 10-minute freshness bound at 48 nodes (paper)", maxTotal))
 	return r, nil
 }

@@ -1,3 +1,8 @@
+// Package fleet is the chaos-script grammar for an elastic replica fleet:
+// scripted membership events (kill, replace, join, leave, scale) at virtual
+// timestamps, parsed from the -chaos flag syntax. The membership itself —
+// the replica set, catch-up, and the consistent-hash ring — lives in
+// internal/cluster, which applies each Event through Cluster.ApplyChaos.
 package fleet
 
 import (

@@ -18,10 +18,10 @@
 //     regenerated with RunExperiment.
 //
 // The heavy machinery lives in internal/ packages (tensor math, DLRM,
-// embedding tables, LoRA adapters, the replica fleet and its elastic
-// membership controller (internal/fleet), the discrete-event cluster
-// simulation, and the NUMA hardware model); this package re-exports the
-// surface a downstream user needs.
+// embedding tables, LoRA adapters, the replica fleet with its elastic
+// membership (internal/cluster) and chaos-script grammar (internal/fleet),
+// the discrete-event cluster simulation, and the NUMA hardware model); this
+// package re-exports the surface a downstream user needs.
 //
 // Quickstart — single node:
 //
@@ -168,10 +168,10 @@ type System = core.System
 // internal/cluster for details.
 type Cluster = cluster.Cluster
 
-// Router picks the replica that serves each request: RouteView chooses a
-// member of the fleet's live membership view, so routing follows joins,
-// leaves, and failures without a rebuild. WithRouter selects one of the
-// built-in policies.
+// Router picks the replica that serves each request from the fleet's live
+// membership view, so routing follows joins, leaves, and failures without a
+// rebuild. WithRouter selects one of the built-in policies, the only
+// implementations.
 type Router = cluster.Router
 
 // RouterPolicy names a built-in routing policy for WithRouter.
