@@ -407,9 +407,9 @@ func (s *System) observeServe(latency float64) {
 }
 
 // ServeBatch serves samples in order on this node — the batch-amortized fast
-// path: all forwards run first through the model's batched GEMM pass (one
-// matrix multiply per MLP layer for the whole batch, zero allocations,
-// bit-identical to per-sample forwards), then one mutex acquisition covers
+// path: all forwards run first through the model's batched pass (the whole
+// batch layer by layer, zero allocations, bit-identical to per-sample
+// forwards), then one mutex acquisition covers
 // every request's bookkeeping tail, each with its own memory charges, ring
 // push, clock advance, and training trigger at exactly the per-request
 // cadence. Virtual-time statistics are therefore identical to a loop over

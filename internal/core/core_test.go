@@ -197,6 +197,15 @@ func TestFullSyncInstallsFreshState(t *testing.T) {
 			t.Fatal("full sync must install fresh base weights")
 		}
 	}
+	// The model must serve the installed dense weights: a forward that read
+	// a stale packed transpose would not match the fresh model bit for bit.
+	src := &dlrm.BaseEmbeddings{Group: freshBase}
+	for i := 0; i < 20; i++ {
+		smp := gen.Next()
+		if got, want := s.Model.Predict(src, smp.Dense, smp.Sparse), freshModel.Predict(src, smp.Dense, smp.Sparse); got != want {
+			t.Fatalf("sample %d: synced model predicts %v, fresh model %v", i, got, want)
+		}
+	}
 }
 
 func TestMemoryOverheadBounded(t *testing.T) {

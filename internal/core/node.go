@@ -72,8 +72,8 @@ func (n *Node) Predict(s trace.Sample) float64 {
 // predictBatch scores samples in order, writing click probabilities into
 // probs (len(probs) == len(samples)). It is the batched form of Predict —
 // lock-free, zero-alloc in steady state — and routes through the model's
-// GEMM pass: one matrix multiply per MLP layer for the whole batch, with
-// results bit-identical to per-sample Predict calls.
+// batched pass, the whole batch layer by layer, with results bit-identical
+// to per-sample Predict calls.
 func (n *Node) predictBatch(samples []trace.Sample, probs []float64) {
 	t0 := n.sys.tracer.StageStart(metrics.StageForward) // one forward span per batch
 	n.sys.Model.PredictSamples(n.sys.LoRA, samples, probs)

@@ -42,11 +42,7 @@ func forwardOne(m *MLP, x ...float64) []float64 {
 }
 
 func TestLayerForwardLinear(t *testing.T) {
-	l := &Layer{
-		W:    &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}},
-		B:    []float64{1, -1},
-		ReLU: false,
-	}
+	l := layerOf(&tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}}, []float64{1, -1}, false)
 	out := forwardOne(&MLP{Layers: []*Layer{l}}, 3, 4)
 	if out[0] != 4 || out[1] != 3 {
 		t.Fatalf("out = %v", out)
@@ -54,11 +50,7 @@ func TestLayerForwardLinear(t *testing.T) {
 }
 
 func TestLayerReLU(t *testing.T) {
-	l := &Layer{
-		W:    &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{1, -1}},
-		B:    []float64{0, 0},
-		ReLU: true,
-	}
+	l := layerOf(&tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{1, -1}}, []float64{0, 0}, true)
 	out := forwardOne(&MLP{Layers: []*Layer{l}}, 2)
 	if out[0] != 2 || out[1] != 0 {
 		t.Fatalf("relu out = %v", out)
@@ -101,26 +93,29 @@ func TestGradientFiniteDifference(t *testing.T) {
 
 	const h = 1e-6
 
-	// Check several random dense weights across both MLPs.
-	check := func(name string, w *[]float64, grad []float64, idx int) {
-		orig := (*w)[idx]
-		(*w)[idx] = orig + h
+	// Check several random dense weights across both MLPs. Each write to W
+	// repacks the layer, as every weight write in the package does.
+	check := func(name string, l *Layer, idx int) {
+		w := l.W.Data
+		orig := w[idx]
+		w[idx] = orig + h
+		l.repack()
 		up := lossAt()
-		(*w)[idx] = orig - h
+		w[idx] = orig - h
+		l.repack()
 		down := lossAt()
-		(*w)[idx] = orig
+		w[idx] = orig
+		l.repack()
 		numeric := (up - down) / (2 * h)
-		if math.Abs(numeric-grad[idx]) > 1e-4*(1+math.Abs(numeric)) {
-			t.Fatalf("%s[%d]: numeric %v vs analytic %v", name, idx, numeric, grad[idx])
+		if grad := l.gradW.Data[idx]; math.Abs(numeric-grad) > 1e-4*(1+math.Abs(numeric)) {
+			t.Fatalf("%s[%d]: numeric %v vs analytic %v", name, idx, numeric, grad)
 		}
 	}
 	for trial := 0; trial < 5; trial++ {
 		bl := m.Bottom.Layers[0]
-		idx := rng.Intn(len(bl.W.Data))
-		check("bottomW", &bl.W.Data, bl.gradW.Data, idx)
+		check("bottomW", bl, rng.Intn(len(bl.W.Data)))
 		tl := m.Top.Layers[len(m.Top.Layers)-1]
-		idx = rng.Intn(len(tl.W.Data))
-		check("topW", &tl.W.Data, tl.gradW.Data, idx)
+		check("topW", tl, rng.Intn(len(tl.W.Data)))
 	}
 
 	// Check the pooled-embedding gradient for table 1 (multi-hot) by
@@ -209,10 +204,10 @@ func TestModelCloneIndependence(t *testing.T) {
 	sparse := [][]int32{{0}, {0}, {0}}
 	before := c.Predict(src, dense, sparse)
 	// Train original only.
+	tr := &Trainer{Model: m, Emb: src, Opt: SGD{LR: 0.1}} // EmbLR 0: only dense params move
+	batch := []trace.Sample{{Dense: dense, Sparse: sparse, Label: 1}}
 	for i := 0; i < 10; i++ {
-		m.TrainStepWith(src, dense, sparse, 1, 0, &ForwardCache{}) // embLR=0: only dense params move
-		SGD{LR: 0.1}.Step(m.Bottom, 1)
-		SGD{LR: 0.1}.Step(m.Top, 1)
+		tr.TrainBatch(batch)
 	}
 	after := c.Predict(src, dense, sparse)
 	if before != after {
@@ -222,6 +217,57 @@ func TestModelCloneIndependence(t *testing.T) {
 	if c.Predict(src, dense, sparse) != m.Predict(src, dense, sparse) {
 		t.Fatal("CopyWeightsFrom must make outputs identical")
 	}
+}
+
+// checkPacked fails unless every layer's wt is, bit for bit, a fresh
+// transpose of its W.
+func checkPacked(t *testing.T, what string, mlps ...*MLP) {
+	t.Helper()
+	for mi, m := range mlps {
+		for li, l := range m.Layers {
+			if l.wt.Rows != l.W.Cols || l.wt.Cols != l.W.Rows {
+				t.Fatalf("%s: mlp %d layer %d: wt is %dx%d for W %dx%d", what, mi, li,
+					l.wt.Rows, l.wt.Cols, l.W.Rows, l.W.Cols)
+			}
+			for o := 0; o < l.W.Rows; o++ {
+				for i, w := range l.W.Row(o) {
+					if got := l.wt.Data[i*l.W.Rows+o]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s: mlp %d layer %d: wt[%d][%d] = %v, W[%d][%d] = %v",
+							what, mi, li, i, o, got, o, i, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackedTransposeCoherent: every write to the dense weights leaves each
+// layer's packed transpose equal to a fresh one — a Trainer step with an
+// optimizer, CopyWeightsFrom, Clone and the f16 snapshot SetQuantization
+// publishes. (core.System.FullSync is CopyWeightsFrom; core's
+// TestFullSyncInstallsFreshState checks it serves the installed model.)
+func TestPackedTransposeCoherent(t *testing.T) {
+	m, src, samples := frozenFixture(12)
+	checkPacked(t, "NewModel", m.Bottom, m.Top)
+	tr := &Trainer{Model: m, Emb: src, Opt: SGD{LR: 0.1}, EmbLR: 0.05}
+	tr.TrainBatch(samples[:8])
+	checkPacked(t, "Trainer step", m.Bottom, m.Top)
+
+	other, _ := newSetup(13)
+	other.CopyWeightsFrom(m)
+	checkPacked(t, "CopyWeightsFrom", other.Bottom, other.Top)
+	c := m.Clone()
+	checkPacked(t, "Clone", c.Bottom, c.Top)
+
+	if err := m.SetQuantization(QuantF16); err != nil {
+		t.Fatal(err)
+	}
+	bottom, top := m.inferencers()
+	checkPacked(t, "SetQuantization(f16)", bottom.(*MLP), top.(*MLP))
+	tr.TrainBatch(samples[8:16])
+	m.CopyWeightsFrom(other) // republishes the f16 snapshot from fresh weights
+	bottom, top = m.inferencers()
+	checkPacked(t, "CopyWeightsFrom(f16)", m.Bottom, m.Top, bottom.(*MLP), top.(*MLP))
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -18,6 +18,12 @@ type Layer struct {
 	B    []float64      // out
 	ReLU bool           // apply ReLU; false = linear output layer
 
+	// wt is W's in×out transpose, the forward kernel's operand
+	// (tensor.TransMatVecInto). Every write to W is followed by a repack:
+	// construction, clone, copyWeightsFrom, truncateF16 and the Trainer's
+	// optimizer step.
+	wt *tensor.Matrix
+
 	// Gradient accumulators, applied by the optimizer per batch.
 	gradW *tensor.Matrix
 	gradB []float64
@@ -25,14 +31,25 @@ type Layer struct {
 
 // newLayer builds an in→out layer with Xavier-initialized weights.
 func newLayer(rng *tensor.RNG, in, out int, relu bool) *Layer {
-	return &Layer{
-		W:     tensor.XavierMatrix(rng, out, in),
-		B:     make([]float64, out),
-		ReLU:  relu,
-		gradW: tensor.NewMatrix(out, in),
-		gradB: make([]float64, out),
-	}
+	return layerOf(tensor.XavierMatrix(rng, out, in), make([]float64, out), relu)
 }
+
+// layerOf builds a layer around w and b with zeroed gradients and w packed.
+func layerOf(w *tensor.Matrix, b []float64, relu bool) *Layer {
+	l := &Layer{
+		W:     w,
+		B:     b,
+		ReLU:  relu,
+		wt:    tensor.NewMatrix(w.Cols, w.Rows),
+		gradW: tensor.NewMatrix(w.Rows, w.Cols),
+		gradB: make([]float64, len(b)),
+	}
+	l.repack()
+	return l
+}
+
+// repack rewrites wt from W.
+func (l *Layer) repack() { tensor.TransposeInto(l.wt, l.W) }
 
 // accumulate adds the parameter half of the backward pass — the outer
 // product dPre·inᵀ and dPre itself — to the layer's gradient accumulators.
@@ -41,10 +58,7 @@ func (l *Layer) accumulate(dPre, in []float64) {
 		if dp == 0 {
 			continue
 		}
-		row := l.gradW.Row(o)
-		for i, xi := range in {
-			row[i] += dp * xi
-		}
+		tensor.Axpy(dp, in, l.gradW.Row(o))
 		l.gradB[o] += dp
 	}
 }
@@ -109,26 +123,44 @@ func (m *MLP) newBatchScratch(maxB int) *mlpBatchScratch {
 	return s
 }
 
-// inferBatchInto runs x.Rows samples (one per row) through the stack with one
-// GEMM per layer: each layer computes X·Wᵀ + b via MatMulTransInto into its
-// scratch matrix. Per output element the GEMM accumulates columns in the same
-// order as MatVecInto (one row falls through to it), so every row is
-// bit-identical to a per-sample matvec forward. The returned matrix aliases
-// scratch storage, valid until the scratch's next use; a training step reads
-// the activations it leaves there (MLP.backward).
+// minLanes is the narrowest layer that runs the transposed kernel: below one
+// AVX2 vector of outputs (the 32→1 logit layer) the row-major scalar
+// MatVecInto is faster.
+const minLanes = 4
+
+// inferBatchInto runs x.Rows samples (one per row) through the stack, layer
+// by layer: each row's W·x goes through TransMatVecInto on the packed
+// transpose wt (MatVecInto on W for a layer narrower than minLanes), then
+// the bias and ReLU. Both kernels give every output the bits of a
+// one-accumulator matvec, so each row is bit-identical to a per-sample
+// forward. The returned matrix aliases scratch storage, valid until the
+// scratch's next use; a training step reads the activations it leaves there
+// (MLP.backward).
 func (m *MLP) inferBatchInto(x *tensor.Matrix, s *mlpBatchScratch) *tensor.Matrix {
 	checkBatch(x, s)
 	out := x
 	for i, l := range m.Layers {
 		act := &s.acts[i]
 		act.Rows = x.Rows
-		tensor.MatMulTransInto(act, out, l.W)
-		for r := 0; r < act.Rows; r++ {
-			biasAct(act.Row(r), l.B, l.ReLU)
+		for r := 0; r < x.Rows; r++ {
+			row := act.Row(r)
+			if l.out() >= minLanes {
+				tensor.TransMatVecInto(row, l.wt, out.Row(r))
+			} else {
+				tensor.MatVecInto(row, l.W, out.Row(r))
+			}
+			biasAct(row, l.B, l.ReLU)
 		}
 		out = act
 	}
 	return out
+}
+
+// repack rewrites every layer's packed transpose from its weights.
+func (m *MLP) repack() {
+	for _, l := range m.Layers {
+		l.repack()
+	}
 }
 
 // carve cuts the next n elements off *slab, capacity-capped so an append
@@ -224,14 +256,7 @@ func (m *MLP) paramCount() int {
 func (m *MLP) clone() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
-		nl := &Layer{
-			W:     l.W.Clone(),
-			B:     append([]float64(nil), l.B...),
-			ReLU:  l.ReLU,
-			gradW: tensor.NewMatrix(l.W.Rows, l.W.Cols),
-			gradB: make([]float64, len(l.B)),
-		}
-		c.Layers = append(c.Layers, nl)
+		c.Layers = append(c.Layers, layerOf(l.W.Clone(), append([]float64(nil), l.B...), l.ReLU))
 	}
 	return c
 }
@@ -244,10 +269,12 @@ func (m *MLP) copyWeightsFrom(src *MLP) {
 	for i, l := range m.Layers {
 		copy(l.W.Data, src.Layers[i].W.Data)
 		copy(l.B, src.Layers[i].B)
+		l.repack()
 	}
 }
 
-// Optimizer applies accumulated MLP gradients.
+// Optimizer applies accumulated MLP gradients. It writes only W and B; the
+// Trainer repacks each layer's transpose after every Step.
 type Optimizer interface {
 	// Step applies and clears the accumulated gradients of m, scaled by
 	// 1/batchSize.

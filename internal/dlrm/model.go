@@ -313,8 +313,8 @@ func (m *Model) acquireBatchScratch(b int) *BatchScratch {
 // PredictBatch scores len(out) examples, writing click probabilities into
 // out. dense, sparse, and out must have equal lengths. The batch runs
 // through bs — a caller-owned scratch of capacity ≥ len(out) — or, when bs
-// is nil, a pooled one: each MLP runs one GEMM over the whole batch, and the
-// results are bit-identical to calling Predict in a loop.
+// is nil, a pooled one: each MLP runs the whole batch layer by layer, and
+// the results are bit-identical to calling Predict in a loop.
 func (m *Model) PredictBatch(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
 	if len(dense) != len(out) || len(sparse) != len(out) {
 		panic(fmt.Sprintf("dlrm: PredictBatch lengths dense=%d sparse=%d out=%d",
@@ -370,11 +370,11 @@ func (m *Model) sampleLogits(src EmbeddingSource, samples []trace.Sample, out []
 }
 
 // logitsInto is the one forward: it scores len(out) ≤ bs.maxB examples
-// into out as raw logits — pack dense rows → one bottom GEMM → per-sample
-// embedding gather + interactions packed into the top-input matrix → one
-// top GEMM — through the given MLPs: the published (float or quantized)
-// snapshot for inference, the float64 MLPs for training. Zero heap
-// allocations.
+// into out as raw logits — pack dense rows → the bottom MLP's batched pass
+// → per-sample embedding gather + interactions packed into the top-input
+// matrix → the top MLP's batched pass — through the given MLPs: the
+// published (float or quantized) snapshot for inference, the float64 MLPs
+// for training. Zero heap allocations.
 func (m *Model) logitsInto(src EmbeddingSource, bottom, top inferencer, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
 	cfg := m.Cfg
 	b := len(out)

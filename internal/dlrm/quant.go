@@ -82,17 +82,11 @@ func (m *MLP) quantize() *quantizedMLP {
 func (m *MLP) truncateF16() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
-		nl := &Layer{
-			W:     tensor.TruncateF16Matrix(l.W),
-			B:     make([]float64, len(l.B)),
-			ReLU:  l.ReLU,
-			gradW: tensor.NewMatrix(l.W.Rows, l.W.Cols),
-			gradB: make([]float64, len(l.B)),
-		}
+		b := make([]float64, len(l.B))
 		for i, v := range l.B {
-			nl.B[i] = tensor.TruncateF16(v)
+			b[i] = tensor.TruncateF16(v)
 		}
-		c.Layers = append(c.Layers, nl)
+		c.Layers = append(c.Layers, layerOf(tensor.TruncateF16Matrix(l.W), b, l.ReLU))
 	}
 	return c
 }

@@ -39,6 +39,8 @@ func (tr *Trainer) TrainBatch(batch []trace.Sample) float64 {
 	if !frozen {
 		tr.Opt.Step(tr.Model.Bottom, len(batch))
 		tr.Opt.Step(tr.Model.Top, len(batch))
+		tr.Model.Bottom.repack()
+		tr.Model.Top.repack()
 	}
 	return total / float64(len(batch))
 }

@@ -49,6 +49,14 @@ func TestKernelGuards(t *testing.T) {
 			func() { MatVecInto(make([]float64, 2), a, make([]float64, 4)) }},
 		{"matvec dst aliases x", []string{"matvec", "a=4x4", "dst must not alias x"},
 			func() { buf := make([]float64, 4); MatVecInto(buf, sq, buf) }},
+		{"matvecT x wrong", []string{"matvecT", "at=4x3", "x=3", "dst=3", "len(x) must equal at.Rows"},
+			func() { TransMatVecInto(make([]float64, 3), transpose(a), make([]float64, 3)) }},
+		{"matvecT dst wrong", []string{"matvecT", "at=4x3", "x=4", "dst=4", "len(dst) must equal at.Cols"},
+			func() { TransMatVecInto(make([]float64, 4), transpose(a), make([]float64, 4)) }},
+		{"matvecT dst aliases x", []string{"matvecT", "at=4x4", "x=4", "dst=4", "dst must not alias x"},
+			func() { buf := make([]float64, 4); TransMatVecInto(buf, sq, buf) }},
+		{"transpose dst wrong", []string{"transpose", "a=3x4", "dst=3x4", "must be 4x3"},
+			func() { TransposeInto(NewMatrix(3, 4), a) }},
 		{"matmulT inner mismatch", []string{"matmulT", "a=3x4", "b=4x5", "inner dimensions"},
 			func() { MatMulTransInto(NewMatrix(3, 4), a, RandomMatrix(NewRNG(4), 4, 5, 1)) }},
 		{"matmulT dst wrong", []string{"matmulT", "a=3x4", "b=4x4", "dst=3x3", "must be 3x4"},
@@ -118,7 +126,7 @@ func TestKernelBlockedMatchesReference(t *testing.T) {
 			matVecRef(want, a, x)
 			MatVecInto(got, a, x)
 			for i := range want {
-				if want[i] != got[i] {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 					t.Fatalf("matvec %dx%d seed %d row %d: blocked %v != ref %v",
 						sh.rows, sh.cols, seed, i, got[i], want[i])
 				}
@@ -133,7 +141,7 @@ func TestKernelBlockedMatchesReference(t *testing.T) {
 			for i := 0; i < sh.rows; i++ {
 				MatVecInto(rowOut, b, a.Row(i))
 				for o, v := range rowOut {
-					if batch.Row(i)[o] != v {
+					if math.Float64bits(batch.Row(i)[o]) != math.Float64bits(v) {
 						t.Fatalf("matmulT %dx%d seed %d (%d,%d): batched %v != matvec %v",
 							sh.rows, sh.cols, seed, i, o, batch.Row(i)[o], v)
 					}
@@ -141,6 +149,151 @@ func TestKernelBlockedMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// forEachPath runs f once per kernel path this CPU can take — the scalar
+// loops, then the AVX2 kernels where hasAVX2 — and restores the detected
+// path after.
+func forEachPath(t *testing.T, f func(t *testing.T)) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	for _, avx := range []bool{false, true} {
+		if avx && !hasAVX2() {
+			t.Log("no AVX2 on this CPU: only the scalar path ran")
+			continue
+		}
+		useAVX2 = avx
+		t.Run(fmt.Sprintf("avx2=%v", avx), f)
+	}
+}
+
+// layerShape is a dense layer's W: out rows × in columns.
+type layerShape struct{ out, in int }
+
+// profileLayerShapes are the dense layers dlrm.ConfigForProfile builds for
+// the five trace profiles: bottom NumDense→64→16, top 16+C(T+1,2)→64→32→1,
+// with (NumDense, T) = (8, 6) for avazu and avazu-tb, (13, 8) for criteo and
+// criteo-tb and (16, 10) for bd-tb.
+var profileLayerShapes = []layerShape{
+	{64, 8}, {64, 13}, {64, 16}, {16, 64},
+	{64, 37}, {64, 52}, {64, 71}, {32, 64}, {1, 32},
+}
+
+// kernelDraw returns a draw of mostly normals with a share of ±0 — the
+// values whose sign a misordered lane would flip — and a few tiny and huge
+// magnitudes.
+func kernelDraw(rng *RNG) float64 {
+	switch u := rng.Float64(); {
+	case u < 0.15:
+		return 0
+	case u < 0.2:
+		return math.Copysign(0, -1)
+	case u < 0.22:
+		return 1e-300 * rng.NormFloat64()
+	case u < 0.24:
+		return 1e300 * rng.NormFloat64()
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// sameBitsAt reports the first index where got and want differ in bits, or
+// -1.
+func sameBitsAt(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestKernelTransMatVecMatchesReference: on both dispatch paths,
+// TransMatVecInto on a matrix's transpose gives matVecRef's bits on every
+// profile layer shape and on random shapes with K, O ∈ 0…70, so the
+// 16-wide, 4-wide and one-at-a-time output blocks, in = 0 and out = 1 all
+// run.
+func TestKernelTransMatVecMatchesReference(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		rng := NewRNG(41)
+		shapes := append([]layerShape{{1, 0}, {0, 7}, {70, 70}, {21, 1}}, profileLayerShapes...)
+		for i := 0; i < 300; i++ {
+			shapes = append(shapes, layerShape{rng.Intn(71), rng.Intn(71)})
+		}
+		for _, sh := range shapes {
+			w := NewMatrix(sh.out, sh.in)
+			for i := range w.Data {
+				w.Data[i] = kernelDraw(rng)
+			}
+			x := make([]float64, sh.in)
+			for i := range x {
+				x[i] = kernelDraw(rng)
+			}
+			wt := NewMatrix(sh.in, sh.out)
+			TransposeInto(wt, w)
+			want, got := make([]float64, sh.out), make([]float64, sh.out)
+			for i := range got {
+				got[i] = math.NaN() // every output must be overwritten
+			}
+			matVecRef(want, w, x)
+			TransMatVecInto(got, wt, x)
+			if i := sameBitsAt(got, want); i >= 0 {
+				t.Fatalf("%dx%d: dst[%d] = %v (%#x), reference %v (%#x)", sh.out, sh.in,
+					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
+// TestKernelAxpyMatchesScalar: on both dispatch paths, axpy1, axpy2, axpy4
+// and Axpy give the scalar loops' bits at every length 0…70.
+func TestKernelAxpyMatchesScalar(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		rng := NewRNG(43)
+		vec := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = kernelDraw(rng)
+			}
+			return v
+		}
+		for n := 0; n <= 70; n++ {
+			for trial := 0; trial < 4; trial++ {
+				dst := vec(n)
+				var c [4]float64
+				var x [4][]float64
+				for k := range c {
+					c[k], x[k] = kernelDraw(rng), vec(n)
+				}
+				for _, terms := range []int{1, 2, 4} {
+					want := append([]float64(nil), dst...)
+					for i := range want {
+						for k := 0; k < terms; k++ {
+							want[i] += c[k] * x[k][i]
+						}
+					}
+					got := append([]float64(nil), dst...)
+					switch terms {
+					case 1:
+						axpy1(got, c[0], x[0])
+					case 2:
+						axpy2(got, c[0], c[1], x[0], x[1])
+					case 4:
+						axpy4(got, c[0], c[1], c[2], c[3], x[0], x[1], x[2], x[3])
+					}
+					if i := sameBitsAt(got, want); i >= 0 {
+						t.Fatalf("axpy%d n=%d: dst[%d] = %v, scalar loop %v", terms, n, i, got[i], want[i])
+					}
+					if terms == 1 {
+						got = append(got[:0], dst...)
+						Axpy(c[0], x[0], got)
+						if i := sameBitsAt(got, want); i >= 0 {
+							t.Fatalf("Axpy n=%d: y[%d] = %v, scalar loop %v", n, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestKernelQuantizedWithinTolerance: the int8 path must track the float
@@ -258,10 +411,15 @@ func axpyRowsRef(dst []float64, alpha float64, a []float64, x *Matrix) {
 }
 
 // TestKernelAxpyRowsMatchesAxpy: the four-terms-per-pass kernel against the
-// sequential Axpy loop, bit for bit, over every length 0…67 and row count
-// 0…17, with coefficients and operands drawn from normals, zeros of both
-// signs, subnormals and infinities, at several densities and scales.
+// sequential Axpy loop, bit for bit on both dispatch paths, over every
+// length 0…67 and row count 0…17, with coefficients and operands drawn from
+// normals, zeros of both signs, subnormals and infinities, at several
+// densities and scales.
 func TestKernelAxpyRowsMatchesAxpy(t *testing.T) {
+	forEachPath(t, testAxpyRowsMatchesAxpy)
+}
+
+func testAxpyRowsMatchesAxpy(t *testing.T) {
 	rng := NewRNG(21)
 	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
 		-math.SmallestNonzeroFloat64, 0x1p-1060, 1e-300, math.Inf(1), 1, -1}
@@ -365,6 +523,25 @@ func BenchmarkMatVecBlocked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatVecInto(dst, a, x)
+	}
+}
+
+// BenchmarkTransMatVec times the forward kernel at the criteo top MLP's
+// first layer (64 outputs × 52 inputs) on the detected path.
+func BenchmarkTransMatVec(b *testing.B) {
+	rng := NewRNG(1)
+	w := RandomMatrix(rng, 64, 52, 1)
+	wt := NewMatrix(52, 64)
+	TransposeInto(wt, w)
+	x := make([]float64, 52)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	dst := make([]float64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TransMatVecInto(dst, wt, x)
 	}
 }
 

@@ -5,6 +5,14 @@
 // (Eckart–Young) low-rank approximation (a symmetric Jacobi eigen-solver),
 // and deterministic random number generation. Everything is stdlib-only and
 // deterministic.
+//
+// On amd64 with AVX2 (useAVX2), TransMatVecInto and the axpy family run Go
+// assembly kernels that give the same bits as their scalar loops, by one
+// rule: every output element is one SIMD lane, and it adds its terms in the
+// scalar loop's order, each a multiply rounded on its own and then an add
+// (VMULPD, then VADDPD; never a fused VFMADD, which rounds once and moves
+// bits). Elements past the last full vector run one at a time in the same
+// order. Elsewhere, and in race builds, the scalar loops run.
 package tensor
 
 import (
@@ -43,27 +51,39 @@ func (m *Matrix) Zero() {
 	}
 }
 
+// useAVX2 selects the AVX2 kernels; it is set once, from CPUID, and stays
+// off in race builds (raceEnabled).
+var useAVX2 = hasAVX2() && !raceEnabled
+
 // checkMatVec validates one matvec call. Every panic message carries both
 // operand shapes (a, x, dst) so a mismatch is diagnosable from the message
-// alone, whichever operand is wrong.
-func checkMatVec(op string, dst []float64, a *Matrix, x []float64) {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("tensor: %s a=%dx%d x=%d dst=%d: len(x) must equal a.Cols",
-			op, a.Rows, a.Cols, len(x), len(dst)))
+// alone, whichever operand is wrong. trans says a is the transpose of the
+// operator (TransMatVecInto): x runs along its rows and dst along its
+// columns.
+func checkMatVec(op string, dst []float64, a *Matrix, x []float64, trans bool) {
+	name, in, out, inDim, outDim := "a", a.Cols, a.Rows, "a.Cols", "a.Rows"
+	if trans {
+		name, in, out, inDim, outDim = "at", a.Rows, a.Cols, "at.Rows", "at.Cols"
 	}
-	if len(dst) != a.Rows {
-		panic(fmt.Sprintf("tensor: %s a=%dx%d x=%d dst=%d: len(dst) must equal a.Rows",
-			op, a.Rows, a.Cols, len(x), len(dst)))
+	if len(x) != in {
+		panic(fmt.Sprintf("tensor: %s %s=%dx%d x=%d dst=%d: len(x) must equal %s",
+			op, name, a.Rows, a.Cols, len(x), len(dst), inDim))
+	}
+	if len(dst) != out {
+		panic(fmt.Sprintf("tensor: %s %s=%dx%d x=%d dst=%d: len(dst) must equal %s",
+			op, name, a.Rows, a.Cols, len(x), len(dst), outDim))
 	}
 	if len(dst) > 0 && len(x) > 0 && &dst[0] == &x[0] {
-		panic(fmt.Sprintf("tensor: %s a=%dx%d x=%d dst=%d: dst must not alias x",
-			op, a.Rows, a.Cols, len(x), len(dst)))
+		panic(fmt.Sprintf("tensor: %s %s=%dx%d x=%d dst=%d: dst must not alias x",
+			op, name, a.Rows, a.Cols, len(x), len(dst)))
 	}
 }
 
-// MatVecInto computes a × x into dst (len == a.Rows), overwriting dst. It is
-// the allocation-free core of the serving fast path: callers own dst and
-// reuse it across requests. dst must not alias x.
+// MatVecInto computes a × x into dst (len == a.Rows), overwriting dst. It
+// allocates nothing: callers own dst and reuse it. dst must not alias x.
+// The dense forward runs it only for layers too narrow for
+// TransMatVecInto's lanes (the logit layer); it is also MatMulTransInto's
+// row kernel.
 //
 // The kernel is register-blocked over rows, four at a time, so each loaded
 // x[j] feeds four multiply-adds instead of one. Every output element keeps
@@ -71,7 +91,7 @@ func checkMatVec(op string, dst []float64, a *Matrix, x []float64) {
 // scalar reference, so results are bit-identical to a naive one-accumulator
 // loop (TestKernelBlockedMatchesReference).
 func MatVecInto(dst []float64, a *Matrix, x []float64) {
-	checkMatVec("matvec", dst, a, x)
+	checkMatVec("matvec", dst, a, x, false)
 	n := a.Cols
 	i := 0
 	for ; i+4 <= a.Rows; i += 4 {
@@ -101,6 +121,40 @@ func MatVecInto(dst []float64, a *Matrix, x []float64) {
 	}
 }
 
+// TransMatVecInto computes atᵀ × x into dst (len == at.Cols), overwriting
+// dst: dst[o] = Σ_j at[j][o]·x[j], j ascending — the same bits MatVecInto
+// gives for the matrix at transposes. It is the dense layers' forward
+// kernel, run on a layer's packed in×out transpose so that consecutive
+// outputs sit side by side, one SIMD lane each. dst must not alias x.
+func TransMatVecInto(dst []float64, at *Matrix, x []float64) {
+	checkMatVec("matvecT", dst, at, x, true)
+	if useAVX2 {
+		transMatVecAVX2(dst, at.Data, x)
+		return
+	}
+	clear(dst)
+	n := len(dst)
+	for j, xv := range x {
+		row := at.Data[j*n : (j+1)*n]
+		for o, w := range row {
+			dst[o] += w * xv
+		}
+	}
+}
+
+// TransposeInto writes aᵀ into dst (a.Cols × a.Rows); dst must not alias a.
+func TransposeInto(dst, a *Matrix) {
+	if dst.Rows != a.Cols || dst.Cols != a.Rows {
+		panic(fmt.Sprintf("tensor: transpose a=%dx%d dst=%dx%d: dst must be %dx%d",
+			a.Rows, a.Cols, dst.Rows, dst.Cols, a.Cols, a.Rows))
+	}
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			dst.Data[j*dst.Cols+i] = v
+		}
+	}
+}
+
 // checkMatMul validates one matmul-family call: both operand shapes appear in
 // every message, and dst must alias neither operand.
 func checkMatMul(op string, dst, a, b *Matrix, wantRows, wantCols int, innerOK bool) {
@@ -125,44 +179,12 @@ func checkMatMul(op string, dst, a, b *Matrix, wantRows, wantCols int, innerOK b
 }
 
 // MatMulTransInto computes a × bᵀ into dst (a.Rows × b.Rows): dst[i][o] is
-// the dot product of a's row i with b's row o. This is the batched-inference
-// GEMM — a batch of activation rows times a row-major weight matrix — and
-// both operands stream row-wise with no transposition. The kernel is tiled
-// 2×2 (two a rows × two b rows share four register accumulators), and each
-// output element sums columns in the same sequential order as MatVecInto, so
-// a batched forward is bit-identical to per-sample matvecs.
+// the dot product of a's row i with b's row o, so row i is exactly
+// MatVecInto(b, a's row i). Both operands stream row-wise with no
+// transposition.
 func MatMulTransInto(dst, a, b *Matrix) {
 	checkMatMul("matmulT", dst, a, b, a.Rows, b.Rows, a.Cols == b.Cols)
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		x0, x1 := a.Row(i), a.Row(i+1)
-		c0, c1 := dst.Row(i), dst.Row(i+1)
-		o := 0
-		for ; o+2 <= b.Rows; o += 2 {
-			w0, w1 := b.Row(o), b.Row(o+1)
-			var s00, s01, s10, s11 float64
-			for j, xv0 := range x0 {
-				xv1 := x1[j]
-				wv0, wv1 := w0[j], w1[j]
-				s00 += wv0 * xv0
-				s01 += wv1 * xv0
-				s10 += wv0 * xv1
-				s11 += wv1 * xv1
-			}
-			c0[o], c0[o+1] = s00, s01
-			c1[o], c1[o+1] = s10, s11
-		}
-		for ; o < b.Rows; o++ {
-			w := b.Row(o)
-			var s0, s1 float64
-			for j, wv := range w {
-				s0 += wv * x0[j]
-				s1 += wv * x1[j]
-			}
-			c0[o], c1[o] = s0, s1
-		}
-	}
-	for ; i < a.Rows; i++ {
+	for i := 0; i < a.Rows; i++ {
 		MatVecInto(dst.Row(i), b, a.Row(i))
 	}
 }
@@ -219,9 +241,7 @@ func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(x), len(y)))
 	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
+	axpy1(y, alpha, x)
 }
 
 // AxpyRows adds Σₖ (alpha·a[k])·x.Row(k) into dst, over the k with a[k] ≠ 0
@@ -275,10 +295,14 @@ func nonzero(v float64) int {
 	return 0
 }
 
-// axpy1, axpy2 and axpy4 are AxpyRows' passes over dst; every x has len(dst)
-// elements.
+// axpy1, axpy2 and axpy4 are AxpyRows' passes over dst (axpy1 is also
+// Axpy's); every x has len(dst) elements.
 func axpy1(dst []float64, c0 float64, x0 []float64) {
 	x0 = x0[:len(dst)]
+	if useAVX2 {
+		axpy1AVX2(dst, c0, x0)
+		return
+	}
 	for i := range dst {
 		dst[i] += c0 * x0[i]
 	}
@@ -286,6 +310,10 @@ func axpy1(dst []float64, c0 float64, x0 []float64) {
 
 func axpy2(dst []float64, c0, c1 float64, x0, x1 []float64) {
 	x0, x1 = x0[:len(dst)], x1[:len(dst)]
+	if useAVX2 {
+		axpy2AVX2(dst, c0, c1, x0, x1)
+		return
+	}
 	for i := range dst {
 		s := dst[i]
 		s += c0 * x0[i]
@@ -296,6 +324,10 @@ func axpy2(dst []float64, c0, c1 float64, x0, x1 []float64) {
 
 func axpy4(dst []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64) {
 	x0, x1, x2, x3 = x0[:len(dst)], x1[:len(dst)], x2[:len(dst)], x3[:len(dst)]
+	if useAVX2 {
+		axpy4AVX2(dst, c0, c1, c2, c3, x0, x1, x2, x3)
+		return
+	}
 	for i := range dst {
 		s := dst[i]
 		s += c0 * x0[i]

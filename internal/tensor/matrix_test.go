@@ -26,11 +26,7 @@ func matMul(a, b *Matrix) *Matrix {
 // transpose returns mᵀ as a new matrix.
 func transpose(m *Matrix) *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
+	TransposeInto(t, m)
 	return t
 }
 

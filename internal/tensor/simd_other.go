@@ -1,0 +1,19 @@
+//go:build !amd64
+
+package tensor
+
+// hasAVX2 is false off amd64: the scalar kernels run, and the AVX2 entry
+// points below are never reached.
+func hasAVX2() bool { return false }
+
+func transMatVecAVX2(dst, at, x []float64) { panic("tensor: AVX2 kernel off amd64") }
+
+func axpy1AVX2(dst []float64, c0 float64, x0 []float64) { panic("tensor: AVX2 kernel off amd64") }
+
+func axpy2AVX2(dst []float64, c0, c1 float64, x0, x1 []float64) {
+	panic("tensor: AVX2 kernel off amd64")
+}
+
+func axpy4AVX2(dst []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64) {
+	panic("tensor: AVX2 kernel off amd64")
+}
