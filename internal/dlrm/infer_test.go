@@ -106,3 +106,26 @@ func TestPredictBatchMatrix(t *testing.T) {
 	}()
 	m.PredictBatch(&BaseEmbeddings{}, dense[:2], sparse, make([]float64, maxB), nil)
 }
+
+// TestBatchScratchAllocs: building a batch scratch costs a fixed 13
+// allocations at any capacity — the BatchScratch, its float slab (dense
+// rows, top inputs, features and PairDotsInto's transpose all carved from
+// it) and its three view slices, and per MLP the scratch, its activation
+// headers, its slab and its int8 buffer. A pooled scratch rebuilt after a GC
+// pays exactly this, so a buffer the forward needs must come from a slab.
+func TestBatchScratchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, name := range []string{"avazu", "criteo", "bd-tb"} {
+		m, err := NewModel(ConfigForProfile(trace.Profiles()[name]), tensor.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []int{1, 16, 64} {
+			if a := testing.AllocsPerRun(20, func() { m.newBatchScratch(b) }); a != 13 {
+				t.Errorf("%s: newBatchScratch(%d) makes %v allocations, want 13", name, b, a)
+			}
+		}
+	}
+}

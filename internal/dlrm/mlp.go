@@ -129,13 +129,13 @@ func (m *MLP) newBatchScratch(maxB int) *mlpBatchScratch {
 const minLanes = 4
 
 // inferBatchInto runs x.Rows samples (one per row) through the stack, layer
-// by layer: each row's W·x goes through TransMatVecInto on the packed
-// transpose wt (MatVecInto on W for a layer narrower than minLanes), then
-// the bias and ReLU. Both kernels give every output the bits of a
-// one-accumulator matvec, so each row is bit-identical to a per-sample
-// forward. The returned matrix aliases scratch storage, valid until the
-// scratch's next use; a training step reads the activations it leaves there
-// (MLP.backward).
+// by layer: each row goes through TransMatVecInto on the packed transpose wt,
+// which adds the bias and applies the ReLU in the same pass (for a layer
+// narrower than minLanes, MatVecInto on W, then biasAct). Both give every
+// output the bits of a one-accumulator matvec followed by the bias and the
+// ReLU, so each row is bit-identical to a per-sample forward. The returned
+// matrix aliases scratch storage, valid until the scratch's next use; a
+// training step reads the activations it leaves there (MLP.backward).
 func (m *MLP) inferBatchInto(x *tensor.Matrix, s *mlpBatchScratch) *tensor.Matrix {
 	checkBatch(x, s)
 	out := x
@@ -145,11 +145,11 @@ func (m *MLP) inferBatchInto(x *tensor.Matrix, s *mlpBatchScratch) *tensor.Matri
 		for r := 0; r < x.Rows; r++ {
 			row := act.Row(r)
 			if l.out() >= minLanes {
-				tensor.TransMatVecInto(row, l.wt, out.Row(r))
+				tensor.TransMatVecInto(row, l.wt, out.Row(r), l.B, l.ReLU)
 			} else {
 				tensor.MatVecInto(row, l.W, out.Row(r))
+				biasAct(row, l.B, l.ReLU)
 			}
-			biasAct(row, l.B, l.ReLU)
 		}
 		out = act
 	}
@@ -179,7 +179,8 @@ func checkBatch(x *tensor.Matrix, s *mlpBatchScratch) {
 }
 
 // biasAct adds the bias b to one output row and applies the ReLU in place
-// when relu is set.
+// when relu is set: the epilogue of a layer TransMatVecInto does not run
+// (the logit layer, and every int8 layer).
 func biasAct(row, b []float64, relu bool) {
 	for j := range row {
 		row[j] += b[j]

@@ -222,17 +222,6 @@ func (m *Model) forward(src EmbeddingSource, dense []float64, sparse [][]int32, 
 	return logit[0]
 }
 
-// appendInteractions appends the pairwise dot products ⟨f_i, f_j⟩, i < j, of
-// the features to dst, row by row of the upper triangle.
-func appendInteractions(dst []float64, features [][]float64) []float64 {
-	for i := 0; i < len(features); i++ {
-		for j := i + 1; j < len(features); j++ {
-			dst = append(dst, tensor.Dot(features[i], features[j]))
-		}
-	}
-	return dst
-}
-
 // Predict returns the click probability for one example: a batch of one
 // through the forward pass on a pooled BatchScratch. It performs zero heap
 // allocations in steady state (TestPredictBatchMatrix; gated in CI by
@@ -265,6 +254,9 @@ type BatchScratch struct {
 	featM    tensor.Matrix
 	features [][]float64
 
+	// pairT is tensor.PairDotsInto's scratch, the features' transpose.
+	pairT []float64
+
 	// dense and sparse are maxB-long views onto the caller's samples (no
 	// feature data is copied), filled by sampleLogits.
 	dense  [][]float64
@@ -277,7 +269,7 @@ func (m *Model) newBatchScratch(maxB int) *BatchScratch {
 	cfg := m.Cfg
 	d, topW := cfg.EmbeddingDim, cfg.EmbeddingDim+cfg.interactionCount()
 	n := cfg.NumTables + 1
-	slab := make([]float64, maxB*(cfg.NumDense+topW)+n*d)
+	slab := make([]float64, maxB*(cfg.NumDense+topW)+n*d+d*(n+3))
 	bs := &BatchScratch{
 		maxB:     maxB,
 		bottom:   m.Bottom.newBatchScratch(maxB),
@@ -285,6 +277,7 @@ func (m *Model) newBatchScratch(maxB int) *BatchScratch {
 		denseM:   tensor.Matrix{Rows: maxB, Cols: cfg.NumDense, Data: carve(&slab, maxB*cfg.NumDense)},
 		topInM:   tensor.Matrix{Rows: maxB, Cols: topW, Data: carve(&slab, maxB*topW)},
 		featM:    tensor.Matrix{Rows: n, Cols: d, Data: carve(&slab, n*d)},
+		pairT:    carve(&slab, d*(n+3)), // PairDotsInto's minimum
 		features: make([][]float64, n),
 		dense:    make([][]float64, maxB),
 		sparse:   make([][][]int32, maxB),
@@ -371,10 +364,10 @@ func (m *Model) sampleLogits(src EmbeddingSource, samples []trace.Sample, out []
 
 // logitsInto is the one forward: it scores len(out) ≤ bs.maxB examples
 // into out as raw logits — pack dense rows → the bottom MLP's batched pass
-// → per-sample embedding gather + interactions packed into the top-input
-// matrix → the top MLP's batched pass — through the given MLPs: the
-// published (float or quantized) snapshot for inference, the float64 MLPs
-// for training. Zero heap allocations.
+// → per-sample embedding gather + pairwise feature dots (PairDotsInto)
+// packed into the top-input matrix → the top MLP's batched pass — through
+// the given MLPs: the published (float or quantized) snapshot for
+// inference, the float64 MLPs for training. Zero heap allocations.
 func (m *Model) logitsInto(src EmbeddingSource, bottom, top inferencer, dense [][]float64, sparse [][][]int32, out []float64, bs *BatchScratch) {
 	cfg := m.Cfg
 	b := len(out)
@@ -399,7 +392,9 @@ func (m *Model) logitsInto(src EmbeddingSource, bottom, top inferencer, dense []
 		for t := 0; t < cfg.NumTables; t++ {
 			src.Lookup(t, sparse[i][t], features[t+1])
 		}
-		appendInteractions(append(bs.topInM.Row(i)[:0], zi...), features)
+		topIn := bs.topInM.Row(i)
+		copy(topIn, zi)
+		tensor.PairDotsInto(topIn[len(zi):], &bs.featM, bs.pairT)
 	}
 	logits := top.inferBatchInto(&bs.topInM, bs.top)
 	for i := range out {

@@ -62,14 +62,20 @@ func (t *Table) Rows() int { return t.weights.Rows }
 func (t *Table) PeekRow(id int32) []float64 { return t.weights.Row(int(id)) }
 
 // Lookup mean-pools the embeddings of ids into dst (len Dim). A single id
-// copies; multiple ids average, matching the paper's multi-hot pooling.
+// copies; multiple ids average, matching the paper's multi-hot pooling. The
+// copy writes 0 + v, the bits the pooled path's +0 start gives (a −0
+// element reads as +0).
 func (t *Table) Lookup(ids []int32, dst []float64) {
 	if len(dst) != t.Dim {
 		panic(fmt.Sprintf("emt: lookup dst len %d != dim %d", len(dst), t.Dim))
 	}
-	for i := range dst {
-		dst[i] = 0
+	if len(ids) == 1 {
+		for i, v := range t.PeekRow(ids[0]) {
+			dst[i] = 0 + v
+		}
+		return
 	}
+	clear(dst)
 	if len(ids) == 0 {
 		return
 	}

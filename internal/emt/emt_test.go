@@ -51,6 +51,32 @@ func TestLookupSingleHot(t *testing.T) {
 	}
 }
 
+// TestLookupSingleIDMatchesAxpy: the one-id copy gives the bits the pooled
+// path's Axpy into a zeroed dst gives, element by element, on rows holding
+// −0, ±Inf, NaN, subnormals and normals: −0 reads as +0, the rest pass.
+func TestLookupSingleIDMatchesAxpy(t *testing.T) {
+	tab := newTestTable(4, 8)
+	copy(tab.PeekRow(1), []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Copysign(math.NaN(), -1), -math.SmallestNonzeroFloat64, -2.5})
+	copy(tab.PeekRow(2), []float64{math.Copysign(0, -1), math.Copysign(0, -1), 1, -1,
+		math.MaxFloat64, -math.MaxFloat64, 0x1p-1060, math.NaN()})
+	for id := int32(0); id < int32(tab.Rows()); id++ {
+		got := []float64{7, 7, 7, 7, 7, 7, 7, 7}
+		tab.Lookup([]int32{id}, got)
+		want := make([]float64, tab.Dim)
+		tensor.Axpy(1, tab.PeekRow(id), want)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("row %d elem %d (%v): copy %v (%#x), Axpy into zeros %v (%#x)", id, i,
+					tab.PeekRow(id)[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+		if id == 1 && math.Float64bits(got[0]) != 0 {
+			t.Fatalf("a −0 element must read as +0, got %#x", math.Float64bits(got[0]))
+		}
+	}
+}
+
 func TestLookupMeanPooling(t *testing.T) {
 	tab := newTestTable(10, 2)
 	copy(tab.PeekRow(0), []float64{2, 4})

@@ -29,12 +29,15 @@ func mustPanic(t *testing.T, name string, want []string, f func()) {
 	f()
 }
 
-// TestKernelGuards is the satellite-2 table: every shape-mismatch path of the
-// matvec/matmul kernels must panic with both operand shapes in the message,
-// and dst aliasing x must be rejected.
+// TestKernelGuards is the table of every shape-mismatch path of the
+// matvec/matmul/pair-dot kernels: each must panic with the operand shapes in
+// the message, and dst aliasing x (or TransMatVecInto's bias) must be
+// rejected.
 func TestKernelGuards(t *testing.T) {
 	a := RandomMatrix(NewRNG(1), 3, 4, 1)
 	sq := RandomMatrix(NewRNG(2), 4, 4, 1)
+	at := transpose(a)
+	vec := func(n int) []float64 { return make([]float64, n) }
 
 	cases := []struct {
 		name string
@@ -50,11 +53,23 @@ func TestKernelGuards(t *testing.T) {
 		{"matvec dst aliases x", []string{"matvec", "a=4x4", "dst must not alias x"},
 			func() { buf := make([]float64, 4); MatVecInto(buf, sq, buf) }},
 		{"matvecT x wrong", []string{"matvecT", "at=4x3", "x=3", "dst=3", "len(x) must equal at.Rows"},
-			func() { TransMatVecInto(make([]float64, 3), transpose(a), make([]float64, 3)) }},
+			func() { TransMatVecInto(vec(3), at, vec(3), vec(3), false) }},
 		{"matvecT dst wrong", []string{"matvecT", "at=4x3", "x=4", "dst=4", "len(dst) must equal at.Cols"},
-			func() { TransMatVecInto(make([]float64, 4), transpose(a), make([]float64, 4)) }},
+			func() { TransMatVecInto(vec(4), at, vec(4), vec(4), false) }},
 		{"matvecT dst aliases x", []string{"matvecT", "at=4x4", "x=4", "dst=4", "dst must not alias x"},
-			func() { buf := make([]float64, 4); TransMatVecInto(buf, sq, buf) }},
+			func() { buf := vec(4); TransMatVecInto(buf, sq, buf, vec(4), true) }},
+		{"matvecT bias short", []string{"matvecT", "at=4x3", "x=4", "dst=3", "b=2", "len(b) must equal at.Cols"},
+			func() { TransMatVecInto(vec(3), at, vec(4), vec(2), true) }},
+		{"matvecT bias long", []string{"matvecT", "at=4x3", "x=4", "dst=3", "b=4", "len(b) must equal at.Cols"},
+			func() { TransMatVecInto(vec(3), at, vec(4), vec(4), false) }},
+		{"matvecT dst aliases b", []string{"matvecT", "at=4x3", "x=4", "dst=3", "b=3", "dst must not alias b"},
+			func() { buf := vec(3); TransMatVecInto(buf, at, vec(4), buf, false) }},
+		{"pairdots dst short", []string{"pairdots", "f=3x4", "dst=2", "scratch=24", "len(dst) must equal 3"},
+			func() { PairDotsInto(vec(2), a, vec(24)) }},
+		{"pairdots dst long", []string{"pairdots", "f=4x4", "dst=7", "scratch=28", "len(dst) must equal 6"},
+			func() { PairDotsInto(vec(7), sq, vec(28)) }},
+		{"pairdots scratch short", []string{"pairdots", "f=3x4", "dst=3", "scratch=23", "len(scratch) must be at least 24"},
+			func() { PairDotsInto(vec(3), a, vec(23)) }},
 		{"transpose dst wrong", []string{"transpose", "a=3x4", "dst=3x4", "must be 4x3"},
 			func() { TransposeInto(NewMatrix(3, 4), a) }},
 		{"matmulT inner mismatch", []string{"matmulT", "a=3x4", "b=4x5", "inner dimensions"},
@@ -207,11 +222,62 @@ func sameBitsAt(got, want []float64) int {
 	return -1
 }
 
+// transMatVecRef is TransMatVecInto's scalar ground truth: matVecRef on the
+// untransposed matrix, then the bias, then ReLU by the sign-bit rule (a value
+// whose bits are not a positive int64 becomes +0).
+func transMatVecRef(dst []float64, w *Matrix, x, b []float64, relu bool) {
+	matVecRef(dst, w, x)
+	for o := range dst {
+		dst[o] += b[o]
+		if relu && int64(math.Float64bits(dst[o])) <= 0 {
+			dst[o] = 0
+		}
+	}
+}
+
+// specialDraw is kernelDraw with a share of infinities and subnormals: the
+// values that make a sum −NaN (∞ − ∞, 0·∞) or a bias add round at the
+// bottom of the range.
+func specialDraw(rng *RNG) float64 {
+	switch u := rng.Float64(); {
+	case u < 0.03:
+		return math.Inf(1)
+	case u < 0.06:
+		return math.Inf(-1)
+	case u < 0.09:
+		return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(8))
+	case u < 0.12:
+		return -0x1p-1060
+	default:
+		return kernelDraw(rng)
+	}
+}
+
+// finiteDraw is kernelDraw without the huge magnitudes, whose products can
+// overflow to ±∞, plus subnormals.
+func finiteDraw(rng *RNG) float64 {
+	if rng.Float64() < 0.05 {
+		return -math.SmallestNonzeroFloat64 * float64(1+rng.Intn(8))
+	}
+	v := kernelDraw(rng)
+	if math.Abs(v) > 1e100 {
+		return rng.NormFloat64()
+	}
+	return v
+}
+
 // TestKernelTransMatVecMatchesReference: on both dispatch paths,
-// TransMatVecInto on a matrix's transpose gives matVecRef's bits on every
-// profile layer shape and on random shapes with K, O ∈ 0…70, so the
-// 16-wide, 4-wide and one-at-a-time output blocks, in = 0 and out = 1 all
-// run.
+// TransMatVecInto on a matrix's transpose, with its bias and with and
+// without ReLU, gives transMatVecRef's bits on every profile layer shape and
+// on random shapes with K, O ∈ 0…70, so the 16-wide, 4-wide and
+// one-at-a-time output blocks, in = 0 and out = 1 all run.
+//
+// Half the draws hold ±0, ±∞ and subnormals, so sums of ∞ − ∞ reach the
+// epilogue as −NaN and ReLU must clear them. The other half hold one NaN of
+// either sign, in x or in the bias, and no infinities, so +NaN must survive
+// the ReLU. No product or sum ever meets two NaNs of different bits: which
+// one IEEE 754 arithmetic returns then is the operand order, which the Go
+// compiler is free to swap.
 func TestKernelTransMatVecMatchesReference(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
 		rng := NewRNG(41)
@@ -219,29 +285,127 @@ func TestKernelTransMatVecMatchesReference(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			shapes = append(shapes, layerShape{rng.Intn(71), rng.Intn(71)})
 		}
-		for _, sh := range shapes {
+		for c, sh := range shapes {
+			draw := specialDraw
+			withNaN := c%2 == 1
+			if withNaN {
+				draw = finiteDraw
+			}
 			w := NewMatrix(sh.out, sh.in)
 			for i := range w.Data {
-				w.Data[i] = kernelDraw(rng)
+				w.Data[i] = draw(rng)
 			}
-			x := make([]float64, sh.in)
+			x, b := make([]float64, sh.in), make([]float64, sh.out)
 			for i := range x {
-				x[i] = kernelDraw(rng)
+				x[i] = draw(rng)
+			}
+			for i := range b {
+				b[i] = draw(rng)
+			}
+			nan := math.NaN()
+			if rng.Intn(2) == 0 {
+				nan = math.Copysign(nan, -1)
+			}
+			switch {
+			case !withNaN:
+			case len(x) > 0 && rng.Intn(2) == 0:
+				x[rng.Intn(len(x))] = nan
+			case len(b) > 0:
+				b[rng.Intn(len(b))] = nan
 			}
 			wt := NewMatrix(sh.in, sh.out)
 			TransposeInto(wt, w)
-			want, got := make([]float64, sh.out), make([]float64, sh.out)
-			for i := range got {
-				got[i] = math.NaN() // every output must be overwritten
-			}
-			matVecRef(want, w, x)
-			TransMatVecInto(got, wt, x)
-			if i := sameBitsAt(got, want); i >= 0 {
-				t.Fatalf("%dx%d: dst[%d] = %v (%#x), reference %v (%#x)", sh.out, sh.in,
-					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			for _, relu := range []bool{false, true} {
+				want, got := make([]float64, sh.out), make([]float64, sh.out)
+				for i := range got {
+					got[i] = math.NaN() // every output must be overwritten
+				}
+				transMatVecRef(want, w, x, b, relu)
+				TransMatVecInto(got, wt, x, b, relu)
+				if i := sameBitsAt(got, want); i >= 0 {
+					t.Fatalf("%dx%d relu=%v: dst[%d] = %v (%#x), reference %v (%#x)", sh.out, sh.in, relu,
+						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
 		}
 	})
+}
+
+// pairDotsRef is the interaction's scalar ground truth: Dot over each pair
+// i < j of f's rows, row by row of the upper triangle.
+func pairDotsRef(f *Matrix) []float64 {
+	var out []float64
+	for i := 0; i < f.Rows; i++ {
+		for j := i + 1; j < f.Rows; j++ {
+			out = append(out, Dot(f.Row(i), f.Row(j)))
+		}
+	}
+	return out
+}
+
+// TestKernelPairDotsMatchesDot: on both dispatch paths, PairDotsInto gives
+// the Dot pair walk's bits for n ∈ 0…20 rows (n = 0 and 1 have no pairs;
+// n > 17 takes more than 16 partners in a row) and d ∈ 0…40 columns, over
+// features with ±0, ±∞ and subnormals. It writes nothing outside dst or
+// outside scratch's first d·(n+3) elements, and scratch's prior contents
+// (NaN and subnormal garbage) do not reach dst.
+func TestKernelPairDotsMatchesDot(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		rng := NewRNG(47)
+		const guard = 5
+		for n := 0; n <= 20; n++ {
+			for d := 0; d <= 40; d++ {
+				f := NewMatrix(n, d)
+				for i := range f.Data {
+					f.Data[i] = specialDraw(rng)
+				}
+				want := pairDotsRef(f)
+				pairs, need := n*(n-1)/2, d*(n+3)
+				dstBuf, scratchBuf := make([]float64, pairs+2*guard), make([]float64, need+guard)
+				for i := range dstBuf {
+					dstBuf[i] = math.NaN()
+				}
+				for i := range scratchBuf {
+					scratchBuf[i] = []float64{math.NaN(), math.SmallestNonzeroFloat64, math.Inf(-1)}[i%3]
+				}
+				sentinel := append([]float64(nil), scratchBuf[need:]...)
+				got := dstBuf[guard : guard+pairs]
+				PairDotsInto(got, f, scratchBuf[:need])
+				if i := sameBitsAt(got, want); i >= 0 {
+					t.Fatalf("n=%d d=%d: pair %d = %v (%#x), Dot walk %v (%#x)", n, d,
+						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+				for i, v := range append(dstBuf[:guard:guard], dstBuf[guard+pairs:]...) {
+					if !math.IsNaN(v) {
+						t.Fatalf("n=%d d=%d: guard %d around dst overwritten with %v", n, d, i, v)
+					}
+				}
+				if i := sameBitsAt(scratchBuf[need:], sentinel); i >= 0 {
+					t.Fatalf("n=%d d=%d: scratch written %d past its d·(n+3) = %d elements", n, d, i, need)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkPairDots times the criteo interaction (9 features of 16) on each
+// dispatch path; the scalar one is the Dot pair walk.
+func BenchmarkPairDots(b *testing.B) {
+	f := RandomMatrix(NewRNG(1), 9, 16, 1)
+	dst, scratch := make([]float64, 36), make([]float64, 16*12)
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	for _, avx := range []bool{false, true} {
+		if avx && !hasAVX2() {
+			continue
+		}
+		useAVX2 = avx
+		b.Run(fmt.Sprintf("avx2=%v", avx), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PairDotsInto(dst, f, scratch)
+			}
+		})
+	}
 }
 
 // TestKernelAxpyMatchesScalar: on both dispatch paths, axpy1, axpy2, axpy4
@@ -526,8 +690,9 @@ func BenchmarkMatVecBlocked(b *testing.B) {
 	}
 }
 
-// BenchmarkTransMatVec times the forward kernel at the criteo top MLP's
-// first layer (64 outputs × 52 inputs) on the detected path.
+// BenchmarkTransMatVec times the forward kernel, bias and ReLU included, at
+// the criteo top MLP's first layer (64 outputs × 52 inputs) on the detected
+// path.
 func BenchmarkTransMatVec(b *testing.B) {
 	rng := NewRNG(1)
 	w := RandomMatrix(rng, 64, 52, 1)
@@ -537,11 +702,11 @@ func BenchmarkTransMatVec(b *testing.B) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	dst := make([]float64, 64)
+	dst, bias := make([]float64, 64), make([]float64, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TransMatVecInto(dst, wt, x)
+		TransMatVecInto(dst, wt, x, bias, true)
 	}
 }
 

@@ -6,13 +6,18 @@
 // and deterministic random number generation. Everything is stdlib-only and
 // deterministic.
 //
-// On amd64 with AVX2 (useAVX2), TransMatVecInto and the axpy family run Go
-// assembly kernels that give the same bits as their scalar loops, by one
-// rule: every output element is one SIMD lane, and it adds its terms in the
-// scalar loop's order, each a multiply rounded on its own and then an add
-// (VMULPD, then VADDPD; never a fused VFMADD, which rounds once and moves
-// bits). Elements past the last full vector run one at a time in the same
-// order. Elsewhere, and in race builds, the scalar loops run.
+// On amd64 with AVX2 (useAVX2), TransMatVecInto, PairDotsInto and the axpy
+// family run Go assembly kernels that give the same bits as their scalar
+// loops, by one rule: every output element is one SIMD lane, and it adds its
+// terms in the scalar loop's order, each a multiply rounded on its own and
+// then an add (VMULPD, then VADDPD; never a fused VFMADD, which rounds once
+// and moves bits). Elements past the last full vector run one at a time in
+// the same order. TransMatVecInto's epilogue keeps the rule: the bias is
+// added after the sum, the accumulator first, and the ReLU tests the sign
+// bit as reluInto does (VPCMPGTQ against zero, then VPAND), so −0 and −NaN
+// become +0. PairDotsInto makes each partner row one lane over the
+// features' transpose, which it builds itself in 4×4 register tiles.
+// Elsewhere, and in race builds, the scalar loops run.
 package tensor
 
 import (
@@ -121,15 +126,25 @@ func MatVecInto(dst []float64, a *Matrix, x []float64) {
 	}
 }
 
-// TransMatVecInto computes atᵀ × x into dst (len == at.Cols), overwriting
-// dst: dst[o] = Σ_j at[j][o]·x[j], j ascending — the same bits MatVecInto
-// gives for the matrix at transposes. It is the dense layers' forward
-// kernel, run on a layer's packed in×out transpose so that consecutive
-// outputs sit side by side, one SIMD lane each. dst must not alias x.
-func TransMatVecInto(dst []float64, at *Matrix, x []float64) {
+// TransMatVecInto computes act(atᵀ × x + b) into dst (len == at.Cols),
+// overwriting dst: dst[o] = Σ_j at[j][o]·x[j], j ascending — the bits
+// MatVecInto gives for the matrix at transposes — then dst[o] += b[o], then,
+// with relu, reluInto. It is the dense layers' forward kernel, run on a
+// layer's packed in×out transpose so that consecutive outputs sit side by
+// side, one SIMD lane each. len(b) must equal len(dst); dst must alias
+// neither x nor b.
+func TransMatVecInto(dst []float64, at *Matrix, x, b []float64, relu bool) {
 	checkMatVec("matvecT", dst, at, x, true)
+	if len(b) != len(dst) {
+		panic(fmt.Sprintf("tensor: matvecT at=%dx%d x=%d dst=%d b=%d: len(b) must equal at.Cols",
+			at.Rows, at.Cols, len(x), len(dst), len(b)))
+	}
+	if len(dst) > 0 && &dst[0] == &b[0] {
+		panic(fmt.Sprintf("tensor: matvecT at=%dx%d x=%d dst=%d b=%d: dst must not alias b",
+			at.Rows, at.Cols, len(x), len(dst), len(b)))
+	}
 	if useAVX2 {
-		transMatVecAVX2(dst, at.Data, x)
+		transMatVecAVX2(dst, at.Data, x, b, relu)
 		return
 	}
 	clear(dst)
@@ -138,6 +153,42 @@ func TransMatVecInto(dst []float64, at *Matrix, x []float64) {
 		row := at.Data[j*n : (j+1)*n]
 		for o, w := range row {
 			dst[o] += w * xv
+		}
+	}
+	for o := range dst {
+		dst[o] += b[o]
+	}
+	if relu {
+		reluInto(dst, dst)
+	}
+}
+
+// PairDotsInto writes the dot products of f's rows taken in pairs into dst,
+// row by row of the upper triangle: dst[p] = Σ_k f[i][k]·f[j][k] for each
+// i < j, k ascending from +0 — the bits of Dot(f.Row(i), f.Row(j)). It is
+// the DLRM feature interaction. len(dst) must be n(n-1)/2 for n = f.Rows.
+// scratch, at least f.Cols·(f.Rows+3) elements, receives f's transpose, over
+// which the AVX2 kernel makes each partner row one lane; what it holds on
+// entry does not matter.
+func PairDotsInto(dst []float64, f *Matrix, scratch []float64) {
+	n, d := f.Rows, f.Cols
+	if len(dst) != n*(n-1)/2 {
+		panic(fmt.Sprintf("tensor: pairdots f=%dx%d dst=%d scratch=%d: len(dst) must equal %d, f.Rows choose 2",
+			n, d, len(dst), len(scratch), n*(n-1)/2))
+	}
+	if len(scratch) < d*(n+3) {
+		panic(fmt.Sprintf("tensor: pairdots f=%dx%d dst=%d scratch=%d: len(scratch) must be at least %d, f.Cols·(f.Rows+3)",
+			n, d, len(dst), len(scratch), d*(n+3)))
+	}
+	if useAVX2 {
+		pairDotsAVX2(dst, f.Data[:n*d], scratch, n, d)
+		return
+	}
+	p := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dst[p] = Dot(f.Row(i), f.Row(j))
+			p++
 		}
 	}
 }

@@ -5,11 +5,14 @@ package tensor
 func hasAVX2() bool
 
 // The AVX2 kernels below keep the lane rule in the package doc. Each takes
-// its operands' lengths from dst (and x for transMatVecAVX2); callers have
-// checked every shape.
+// its operands' lengths from dst (and x for transMatVecAVX2) or from its
+// size arguments; callers have checked every shape.
 
 //go:noescape
-func transMatVecAVX2(dst, at, x []float64)
+func transMatVecAVX2(dst, at, x, b []float64, relu bool)
+
+//go:noescape
+func pairDotsAVX2(dst, f, ft []float64, n, d int)
 
 //go:noescape
 func axpy1AVX2(dst []float64, c0 float64, x0 []float64)

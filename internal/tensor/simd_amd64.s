@@ -29,21 +29,33 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func transMatVecAVX2(dst, at, x []float64)
+// RELU zeroes every lane of acc whose bits, read as an int64, are not
+// positive (−0 and −NaN included; +NaN passes), using mask as scratch and
+// comparing against zero, a register holding +0.
+#define RELU(acc, mask, zero) \
+	VPCMPGTQ zero, acc, mask; \
+	VPAND    mask, acc, acc
+
+// func transMatVecAVX2(dst, at, x, b []float64, relu bool)
 //
-// dst[o] = Σ_j at[j][o]·x[j]: output o is one lane, its accumulator starts
-// at +0 and adds at[j][o]·x[j] (VMULPD, then VADDPD) for j ascending. Blocks
-// of 16 outputs (Y0–Y3), then of 4 (Y0), then one at a time with VMULSD and
-// VADDSD.
-TEXT ·transMatVecAVX2(SB), NOSPLIT, $0-72
+// dst[o] = act(Σ_j at[j][o]·x[j] + b[o]): output o is one lane, its
+// accumulator starts at +0 and adds at[j][o]·x[j] (VMULPD, then VADDPD) for j
+// ascending, then b[o] (VADDPD, the accumulator first). With relu set, a lane
+// whose bits are not a positive int64 becomes +0 (VPCMPGTQ against zero, then
+// VPAND): reluInto's sign-bit rule. Blocks of 16 outputs (Y0–Y3), then of 4
+// (Y0), then one at a time with VMULSD, VADDSD and the same epilogue on X
+// registers. Y15 stays zero.
+TEXT ·transMatVecAVX2(SB), NOSPLIT, $0-97
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ at_base+24(FP), SI
 	MOVQ x_base+48(FP), DX
 	MOVQ x_len+56(FP), BX
+	MOVQ b_base+72(FP), R13
 	MOVQ CX, R8
 	SHLQ $3, R8          // bytes from at[j][o] to at[j+1][o]
 	XORQ R9, R9          // o
+	VXORPD Y15, Y15, Y15
 
 block16:
 	LEAQ 16(R9), AX
@@ -75,6 +87,18 @@ loop16:
 	JNZ  loop16
 
 store16:
+	VADDPD (R13)(R9*8), Y0, Y0
+	VADDPD 32(R13)(R9*8), Y1, Y1
+	VADDPD 64(R13)(R9*8), Y2, Y2
+	VADDPD 96(R13)(R9*8), Y3, Y3
+	CMPB relu+96(FP), $0
+	JEQ  put16
+	RELU(Y0, Y5, Y15)
+	RELU(Y1, Y6, Y15)
+	RELU(Y2, Y7, Y15)
+	RELU(Y3, Y8, Y15)
+
+put16:
 	VMOVUPD Y0, (DI)(R9*8)
 	VMOVUPD Y1, 32(DI)(R9*8)
 	VMOVUPD Y2, 64(DI)(R9*8)
@@ -103,6 +127,12 @@ loop4:
 	JNZ  loop4
 
 store4:
+	VADDPD (R13)(R9*8), Y0, Y0
+	CMPB relu+96(FP), $0
+	JEQ  put4
+	RELU(Y0, Y5, Y15)
+
+put4:
 	VMOVUPD Y0, (DI)(R9*8)
 	MOVQ AX, R9
 	JMP  block4
@@ -127,6 +157,12 @@ loop1:
 	JNZ  loop1
 
 store1:
+	VADDSD (R13)(R9*8), X0, X0
+	CMPB relu+96(FP), $0
+	JEQ  put1
+	RELU(X0, X5, X15)
+
+put1:
 	VMOVSD X0, (DI)(R9*8)
 	INCQ R9
 	JMP  tail
@@ -312,6 +348,234 @@ tail:
 	VMOVSD X0, (DI)(R9*8)
 	INCQ R9
 	JMP  tail
+
+done:
+	VZEROUPPER
+	RET
+
+// func pairDotsAVX2(dst, f, ft []float64, n, d int)
+//
+// dst[p] = Σ_k f[i][k]·f[j][k] over the pairs i < j, p running row by row
+// over the upper triangle.
+//
+// First f (n×d) is transposed into ft, d rows of ld = n+3: 4×4 tiles in
+// registers (VUNPCKLPD/VUNPCKHPD, then VPERM2F128) over the first n&^3 rows
+// and d&^3 columns, one element at a time for the rest. Columns n…ld-1 of ft
+// are never written; they only feed lanes that are never stored.
+//
+// Then each partner is one lane. A group is a row i and the partners
+// j0…j0+3 (j0 > i): its lanes read ft[k][j0:j0+4], multiply by f[i][k]
+// broadcast from ft[k][i] and add for k ascending from +0 (VMULPD, then
+// VADDPD) — Dot's order. Groups run row by row, four at a time in Y0–Y3, so
+// four independent chains are in flight. A row's last group stores only its
+// v = n-j0 valid lanes, and the last chunk repeats the final group to fill
+// its slots (same lanes, same bits, stored again).
+//
+// The frame holds the chunk's four group slots, 32 bytes each (i, j0, p, v),
+// and at 128(SP) the flag that the final group has been slotted.
+TEXT ·pairDotsAVX2(SB), NOSPLIT, $136-88
+	MOVQ f_base+24(FP), SI
+	MOVQ ft_base+48(FP), DI
+	MOVQ n+72(FP), R8
+	MOVQ d+80(FP), R9
+	LEAQ 3(R8), DX
+	SHLQ $3, DX          // bytes from ft[k][c] to ft[k+1][c]
+	MOVQ R9, R10
+	SHLQ $3, R10         // bytes from f[r][k] to f[r+1][k]
+	LEAQ (R10)(R10*2), R11
+	LEAQ (DX)(DX*2), R12
+	MOVQ R8, R13
+	ANDQ $-4, R13        // rows in whole tiles
+	MOVQ R9, BX
+	ANDQ $-4, BX         // columns in whole tiles
+	XORQ AX, AX          // r0
+
+tilerows:
+	CMPQ AX, R13
+	JGE  rowtail
+	MOVQ AX, CX
+	IMULQ R10, CX
+	ADDQ SI, CX          // &f[r0][0]
+	LEAQ (DI)(AX*8), R14 // &ft[0][r0]
+	XORQ R15, R15        // k0
+
+tilecols:
+	CMPQ R15, BX
+	JGE  coltail
+	VMOVUPD (CX), Y0
+	VMOVUPD (CX)(R10*1), Y1
+	VMOVUPD (CX)(R10*2), Y2
+	VMOVUPD (CX)(R11*1), Y3
+	VUNPCKLPD Y1, Y0, Y4 // a0 b0 a2 b2
+	VUNPCKHPD Y1, Y0, Y5 // a1 b1 a3 b3
+	VUNPCKLPD Y3, Y2, Y6 // c0 d0 c2 d2
+	VUNPCKHPD Y3, Y2, Y7 // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, (R14)(DX*1)
+	VMOVUPD Y2, (R14)(DX*2)
+	VMOVUPD Y3, (R14)(R12*1)
+	ADDQ $32, CX
+	LEAQ (R14)(DX*4), R14
+	ADDQ $4, R15
+	JMP  tilecols
+
+coltail:
+	CMPQ R15, R9
+	JGE  nexttile
+	VMOVSD (CX), X0
+	VMOVSD (CX)(R10*1), X1
+	VMOVSD (CX)(R10*2), X2
+	VMOVSD (CX)(R11*1), X3
+	VMOVSD X0, (R14)
+	VMOVSD X1, 8(R14)
+	VMOVSD X2, 16(R14)
+	VMOVSD X3, 24(R14)
+	ADDQ $8, CX
+	ADDQ DX, R14
+	INCQ R15
+	JMP  coltail
+
+nexttile:
+	ADDQ $4, AX
+	JMP  tilerows
+
+rowtail:
+	CMPQ AX, R8
+	JGE  dots
+	MOVQ AX, CX
+	IMULQ R10, CX
+	ADDQ SI, CX          // &f[r][0]
+	LEAQ (DI)(AX*8), R14 // &ft[0][r]
+	MOVQ R9, R15
+	TESTQ R15, R15
+	JZ   nextrow
+
+rowk:
+	VMOVSD (CX), X0
+	VMOVSD X0, (R14)
+	ADDQ $8, CX
+	ADDQ DX, R14
+	DECQ R15
+	JNZ  rowk
+
+nextrow:
+	INCQ AX
+	JMP  rowtail
+
+dots:
+	CMPQ R8, $2
+	JLT  done
+	XORQ R14, R14        // i
+	MOVQ $1, R15         // j0
+	XORQ DI, DI          // p
+	MOVQ $0, 128(SP)
+
+chunk:
+	XORQ R8, R8          // slot offset
+
+slot:
+	MOVQ R14, 0(SP)(R8*1)
+	MOVQ R15, 8(SP)(R8*1)
+	MOVQ DI, 16(SP)(R8*1)
+	MOVQ n+72(FP), CX
+	SUBQ R15, CX
+	MOVQ $4, BX
+	CMPQ CX, BX
+	CMOVQLT CX, BX       // v = min(n-j0, 4)
+	MOVQ BX, 24(SP)(R8*1)
+	CMPQ 128(SP), $0
+	JNE  nextslot
+	LEAQ 4(R15), CX
+	CMPQ CX, n+72(FP)
+	JGE  newrow
+	MOVQ CX, R15         // the row's next group
+	ADDQ BX, DI
+	JMP  nextslot
+
+newrow:
+	LEAQ 2(R14), CX
+	CMPQ CX, n+72(FP)
+	JGE  final
+	INCQ R14             // the next row's first group
+	MOVQ CX, R15
+	ADDQ BX, DI
+	JMP  nextslot
+
+final:
+	MOVQ $1, 128(SP)
+
+nextslot:
+	ADDQ $32, R8
+	CMPQ R8, $128
+	JLT  slot
+
+	MOVQ 0(SP), R8
+	MOVQ 8(SP), R9
+	MOVQ 32(SP), R10
+	MOVQ 40(SP), R11
+	MOVQ 64(SP), R12
+	MOVQ 72(SP), R13
+	MOVQ 96(SP), AX
+	MOVQ 104(SP), SI
+	MOVQ ft_base+48(FP), BX // &ft[k][0]
+	MOVQ d+80(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	TESTQ CX, CX
+	JZ   store
+
+kloop:
+	VBROADCASTSD (BX)(R8*8), Y4
+	VMULPD (BX)(R9*8), Y4, Y4
+	VADDPD Y4, Y0, Y0
+	VBROADCASTSD (BX)(R10*8), Y5
+	VMULPD (BX)(R11*8), Y5, Y5
+	VADDPD Y5, Y1, Y1
+	VBROADCASTSD (BX)(R12*8), Y6
+	VMULPD (BX)(R13*8), Y6, Y6
+	VADDPD Y6, Y2, Y2
+	VBROADCASTSD (BX)(AX*8), Y7
+	VMULPD (BX)(SI*8), Y7, Y7
+	VADDPD Y7, Y3, Y3
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  kloop
+
+store:
+	MOVQ dst_base+0(FP), BX
+	XORQ R8, R8          // slot offset; the slot's lanes are in Y0
+
+storeslot:
+	MOVQ 16(SP)(R8*1), CX
+	CMPQ 24(SP)(R8*1), $4
+	JNE  partial
+	VMOVUPD Y0, (BX)(CX*8)
+	JMP  rotate
+
+partial:
+	VMOVSD X0, (BX)(CX*8)
+	CMPQ 24(SP)(R8*1), $2
+	JLT  rotate
+	VMOVHPD X0, 8(BX)(CX*8)
+	JEQ  rotate
+	VEXTRACTF128 $1, Y0, X4
+	VMOVSD X4, 16(BX)(CX*8)
+
+rotate:
+	VMOVAPD Y1, Y0
+	VMOVAPD Y2, Y1
+	VMOVAPD Y3, Y2
+	ADDQ $32, R8
+	CMPQ R8, $128
+	JLT  storeslot
+	CMPQ 128(SP), $0
+	JEQ  chunk
 
 done:
 	VZEROUPPER

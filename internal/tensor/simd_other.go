@@ -6,7 +6,9 @@ package tensor
 // points below are never reached.
 func hasAVX2() bool { return false }
 
-func transMatVecAVX2(dst, at, x []float64) { panic("tensor: AVX2 kernel off amd64") }
+func transMatVecAVX2(dst, at, x, b []float64, relu bool) { panic("tensor: AVX2 kernel off amd64") }
+
+func pairDotsAVX2(dst, f, ft []float64, n, d int) { panic("tensor: AVX2 kernel off amd64") }
 
 func axpy1AVX2(dst []float64, c0 float64, x0 []float64) { panic("tensor: AVX2 kernel off amd64") }
 
