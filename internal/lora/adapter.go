@@ -98,6 +98,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("lora: rank bounds [%d,%d] invalid", c.MinRank, c.MaxRank)
 	case c.MaxRank > c.Dim:
 		return fmt.Errorf("lora: MaxRank %d exceeds Dim %d", c.MaxRank, c.Dim)
+	case c.InitialRank < c.MinRank || c.InitialRank > c.MaxRank:
+		return fmt.Errorf("lora: InitialRank %d outside rank bounds [%d,%d]", c.InitialRank, c.MinRank, c.MaxRank)
 	case c.Alpha <= 0 || c.Alpha > 1:
 		return fmt.Errorf("lora: Alpha must be in (0,1]")
 	case c.AdaptInterval <= 0:
@@ -237,10 +239,14 @@ func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	}
 	da := a.daScratch[:rank]
 	coef := a.coefScratch[:rank]
-	for k := 0; k < rank; k++ {
-		da[k] = lr * invPool * tensor.Dot(grad, st.b.Row(k))
-		coef[k] = 0
+	// da[k] = (lr·invPool)·(B[k]·grad), the bits of lr*invPool*Dot(grad,
+	// B[k]): MatVecInto sums each row in Dot's order, four rows at a time.
+	tensor.MatVecInto(da, st.b, grad)
+	step := lr * invPool
+	for k := range da {
+		da[k] = step * da[k]
 	}
+	clear(coef)
 	for _, id := range ids {
 		slot := rs.find(id)
 		if slot < 0 {

@@ -54,6 +54,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MinRank = 0 },
 		func(c *Config) { c.MinRank = c.MaxRank + 1 },
 		func(c *Config) { c.MaxRank = c.Dim + 1 },
+		func(c *Config) { c.MinRank = c.InitialRank + 1 }, // InitialRank below MinRank
+		func(c *Config) { c.MaxRank = c.InitialRank - 1 }, // InitialRank above MaxRank, within Dim
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Alpha = 1.5 },
 		func(c *Config) { c.AdaptInterval = 0 },

@@ -388,11 +388,9 @@ func TestKernelPairDotsMatchesDot(t *testing.T) {
 	})
 }
 
-// BenchmarkPairDots times the criteo interaction (9 features of 16) on each
-// dispatch path; the scalar one is the Dot pair walk.
-func BenchmarkPairDots(b *testing.B) {
-	f := RandomMatrix(NewRNG(1), 9, 16, 1)
-	dst, scratch := make([]float64, 36), make([]float64, 16*12)
+// benchEachPath runs f as a sub-benchmark once per kernel path this CPU can
+// take, like forEachPath.
+func benchEachPath(b *testing.B, f func(b *testing.B)) {
 	defer func(v bool) { useAVX2 = v }(useAVX2)
 	for _, avx := range []bool{false, true} {
 		if avx && !hasAVX2() {
@@ -401,11 +399,240 @@ func BenchmarkPairDots(b *testing.B) {
 		useAVX2 = avx
 		b.Run(fmt.Sprintf("avx2=%v", avx), func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				PairDotsInto(dst, f, scratch)
-			}
+			f(b)
 		})
 	}
+}
+
+// BenchmarkPairDots times the criteo interaction (9 features of 16) on each
+// dispatch path; the scalar one is the Dot pair walk.
+func BenchmarkPairDots(b *testing.B) {
+	f := RandomMatrix(NewRNG(1), 9, 16, 1)
+	dst, scratch := make([]float64, 36), make([]float64, 16*12)
+	benchEachPath(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PairDotsInto(dst, f, scratch)
+		}
+	})
+}
+
+// momentsRef is Moments.Of's scalar ground truth: each column's mean summed
+// from +0 in row order, then divided by the row count (unless it is 0), and
+// each upper cell of the scatter summed from +0 over the rows in order, the
+// centred p factor times the centred q factor.
+func momentsRef(a *Matrix) (mean, m2 []float64) {
+	n := a.Cols
+	mean, m2 = make([]float64, n), make([]float64, n*n)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			mean[j] += v
+		}
+	}
+	if a.Rows > 0 {
+		for j := range mean {
+			mean[j] /= float64(a.Rows)
+		}
+	}
+	for p := 0; p < n; p++ {
+		for q := p; q < n; q++ {
+			s := 0.0
+			for i := 0; i < a.Rows; i++ {
+				row := a.Row(i)
+				s += (row[p] - mean[p]) * (row[q] - mean[q])
+			}
+			m2[p*n+q] = s
+		}
+	}
+	return mean, m2
+}
+
+// mergeRef is Moments.Merge's scalar ground truth for two non-empty sets,
+// folding (nb, omean, om2) into (na, mean, m2) in place on the upper
+// triangle.
+func mergeRef(na int, mean, m2 []float64, nb int, omean, om2 []float64) {
+	d := len(mean)
+	n := float64(na) + float64(nb)
+	f, g := float64(na)*float64(nb)/n, float64(nb)/n
+	for p := 0; p < d; p++ {
+		dp := (omean[p] - mean[p]) * f
+		for q := p; q < d; q++ {
+			m2[p*d+q] += om2[p*d+q] + dp*(omean[q]-mean[q])
+		}
+	}
+	for j := range mean {
+		mean[j] += (omean[j] - mean[j]) * g
+	}
+}
+
+// infinity is +∞ read at run time, so infinity − infinity is the
+// hardware's default NaN, not one the compiler folded.
+var infinity = math.Inf(1)
+
+// momentsDraw returns a rows×n matrix for the moments kernels holding one
+// NaN (when it has a cell). With special set, the draws hold ±0, ±∞,
+// subnormals and huge magnitudes, whose sums and products make ∞ − ∞ and
+// 0·∞, and the NaN has the default NaN's bits, which those give; otherwise
+// the draws are finite and the NaN is +NaN or −NaN. Either way every NaN in
+// the case has one bit pattern, so no operation meets two that differ.
+func momentsDraw(rng *RNG, rows, n int, special bool) *Matrix {
+	a := NewMatrix(rows, n)
+	draw, nan := finiteDraw, math.NaN()
+	if special {
+		draw, nan = specialDraw, infinity-infinity
+	} else if rng.Intn(2) == 0 {
+		nan = math.Copysign(nan, -1)
+	}
+	for i := range a.Data {
+		a.Data[i] = draw(rng)
+	}
+	if len(a.Data) > 0 {
+		a.Data[rng.Intn(len(a.Data))] = nan
+	}
+	return a
+}
+
+// momentsGuard is the number of sentinel cells guardedMoments puts before
+// Mean, between Mean and M2, and after M2.
+const momentsGuard = 3
+
+// guardedMoments returns d-dimensional moments whose Mean and M2 sit in buf
+// between guard cells, every cell of buf holding sentinel's bits.
+func guardedMoments(d int, sentinel float64) (m Moments, buf []float64) {
+	const g = momentsGuard
+	buf = make([]float64, 3*g+d+d*d)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	return Moments{Mean: buf[g : g+d : g+d], M2: buf[2*g+d : 2*g+d+d*d : 2*g+d+d*d]}, buf
+}
+
+// checkMoments fails t unless m holds n rows with the reference mean's bits
+// and the reference scatter's bits on the upper triangle, and buf (m's
+// guarded buffer) still holds sentinel in every guard cell and in M2's
+// strict lower triangle outside the diagonal 4×4 blocks.
+func checkMoments(t *testing.T, what string, m *Moments, n int, mean, m2, buf []float64, sentinel float64) {
+	t.Helper()
+	d, g := len(mean), momentsGuard
+	if m.N != n {
+		t.Fatalf("%s: N = %d, want %d", what, m.N, n)
+	}
+	if j := sameBitsAt(m.Mean, mean); j >= 0 {
+		t.Fatalf("%s: mean[%d] = %v (%#x), reference %v (%#x)", what, j,
+			m.Mean[j], math.Float64bits(m.Mean[j]), mean[j], math.Float64bits(mean[j]))
+	}
+	for p := 0; p < d; p++ {
+		for q := 0; q < d; q++ {
+			got, want := m.M2[p*d+q], m2[p*d+q]
+			switch {
+			case q >= p:
+			case p/4 == q/4:
+				continue
+			default:
+				want = sentinel
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: M2[%d][%d] = %v (%#x), want %v (%#x)", what, p, q,
+					got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	guards := append(append(buf[:g:g], buf[g+d:2*g+d]...), buf[2*g+d+d*d:]...)
+	for i, v := range guards {
+		if math.Float64bits(v) != math.Float64bits(sentinel) {
+			t.Fatalf("%s: guard cell %d around Mean and M2 overwritten with %v", what, i, v)
+		}
+	}
+}
+
+// TestKernelMomentsMatchesScalar: on both dispatch paths, Moments.Of gives
+// momentsRef's bits (mean, and the scatter's upper triangle) for n ∈ 0…40
+// columns, so the 16-, 4- and 1-wide column blocks and an odd last row of
+// the scatter all run, and rows ∈ 0…70; and Merge of two such sets (the rows
+// cut at a random point) gives mergeRef's bits. Of writes no strict lower
+// cell outside the diagonal 4×4 blocks, Merge none at all, and neither
+// anything outside Mean and M2. Merging into empty moments copies, and
+// merging empty ones changes nothing. Half the cases hold ±0, ±∞,
+// subnormals and huge magnitudes, the other half finite draws; each holds
+// one NaN (see momentsDraw).
+func TestKernelMomentsMatchesScalar(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		rng := NewRNG(53)
+		sentinel := math.Float64frombits(0x7ff4_0000_dead_beef)
+		for n := 0; n <= 40; n++ {
+			for rows := 0; rows <= 70; rows++ {
+				a := momentsDraw(rng, rows, n, (n+rows)%2 == 0)
+				shape := fmt.Sprintf("n=%d rows=%d", n, rows)
+				mean, m2 := momentsRef(a)
+				m, mbuf := guardedMoments(n, sentinel)
+				m.Of(a)
+				checkMoments(t, shape+": Of", &m, rows, mean, m2, mbuf, sentinel)
+
+				cut := rng.Intn(rows + 1)
+				top := &Matrix{Rows: cut, Cols: n, Data: a.Data[:cut*n]}
+				bottom := &Matrix{Rows: rows - cut, Cols: n, Data: a.Data[cut*n:]}
+				wantMean, wantM2 := momentsRef(top)
+				bMean, bM2 := momentsRef(bottom)
+				switch {
+				case cut == 0:
+					wantMean, wantM2 = bMean, bM2
+				case cut < rows:
+					mergeRef(cut, wantMean, wantM2, rows-cut, bMean, bM2)
+				}
+				mt, tbuf := guardedMoments(n, sentinel)
+				mt.Of(top)
+				mb, _ := guardedMoments(n, sentinel)
+				mb.Of(bottom)
+				lower := append([]float64(nil), mt.M2...)
+				mt.Merge(&mb)
+				what := fmt.Sprintf("%s cut=%d: Merge", shape, cut)
+				checkMoments(t, what, &mt, rows, wantMean, wantM2, tbuf, sentinel)
+				for p := 0; cut > 0 && p < n; p++ {
+					for q := 0; q < p; q++ {
+						if math.Float64bits(mt.M2[p*n+q]) != math.Float64bits(lower[p*n+q]) {
+							t.Fatalf("%s: strict lower M2[%d][%d] written", what, p, q)
+						}
+					}
+				}
+
+				if rows > 0 {
+					empty, ebuf := guardedMoments(n, sentinel)
+					empty.Merge(&m)
+					checkMoments(t, shape+": Merge into empty", &empty, rows, mean, m2, ebuf, sentinel)
+					if sameBitsAt(empty.M2, m.M2) >= 0 {
+						t.Fatalf("%s: Merge into empty: M2 is not a copy", shape)
+					}
+				}
+				none, _ := guardedMoments(n, sentinel)
+				m.Merge(&none)
+				checkMoments(t, shape+": Merge of empty", &m, rows, mean, m2, mbuf, sentinel)
+			}
+		}
+	})
+}
+
+// BenchmarkMomentsOf times one 32-row gradient block's moments at d = 16
+// on each dispatch path.
+func BenchmarkMomentsOf(b *testing.B) {
+	a := RandomMatrix(NewRNG(1), 32, 16, 1)
+	m := MakeMoments(1, 16)[0]
+	benchEachPath(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.Of(a)
+		}
+	})
+}
+
+// BenchmarkMomentsMerge times folding one 32-row block's moments into a
+// window's at d = 16 on each dispatch path.
+func BenchmarkMomentsMerge(b *testing.B) {
+	ms := MakeMoments(2, 16)
+	ms[1].Of(RandomMatrix(NewRNG(1), 32, 16, 1))
+	benchEachPath(b, func(b *testing.B) {
+		ms[0].Of(RandomMatrix(NewRNG(2), 32, 16, 1))
+		for i := 0; i < b.N; i++ {
+			ms[0].Merge(&ms[1])
+		}
+	})
 }
 
 // TestKernelAxpyMatchesScalar: on both dispatch paths, axpy1, axpy2, axpy4

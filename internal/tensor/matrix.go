@@ -6,18 +6,21 @@
 // and deterministic random number generation. Everything is stdlib-only and
 // deterministic.
 //
-// On amd64 with AVX2 (useAVX2), TransMatVecInto, PairDotsInto and the axpy
-// family run Go assembly kernels that give the same bits as their scalar
-// loops, by one rule: every output element is one SIMD lane, and it adds its
-// terms in the scalar loop's order, each a multiply rounded on its own and
-// then an add (VMULPD, then VADDPD; never a fused VFMADD, which rounds once
-// and moves bits). Elements past the last full vector run one at a time in
-// the same order. TransMatVecInto's epilogue keeps the rule: the bias is
-// added after the sum, the accumulator first, and the ReLU tests the sign
-// bit as reluInto does (VPCMPGTQ against zero, then VPAND), so −0 and −NaN
-// become +0. PairDotsInto makes each partner row one lane over the
-// features' transpose, which it builds itself in 4×4 register tiles.
-// Elsewhere, and in race builds, the scalar loops run.
+// On amd64 with AVX2 (useAVX2), TransMatVecInto, PairDotsInto, the axpy
+// family and Moments.Of and Moments.Merge run Go assembly kernels that give
+// the same bits as their scalar loops, by one rule: every output element is
+// one SIMD lane, and it adds its terms in the scalar loop's order, each a
+// multiply rounded on its own and then an add (VMULPD, then VADDPD; never a
+// fused VFMADD, which rounds once and moves bits). Elements past the last
+// full vector run one at a time in the same order. TransMatVecInto's
+// epilogue keeps the rule: the bias is added after the sum, the accumulator
+// first, and the ReLU tests the sign bit as reluInto does (VPCMPGTQ against
+// zero, then VPAND), so −0 and −NaN become +0. PairDotsInto makes each
+// partner row one lane over the features' transpose, which it builds itself
+// in 4×4 register tiles. Moments.Of makes each column mean and each scatter
+// cell one lane over the rows, centring both factors (VSUBPD) before the
+// multiply, and Moments.Merge each updated cell and mean. Elsewhere, and in
+// race builds, the scalar loops run.
 package tensor
 
 import (

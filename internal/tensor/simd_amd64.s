@@ -580,3 +580,414 @@ rotate:
 done:
 	VZEROUPPER
 	RET
+
+// func columnMeansAVX2(mean, data []float64, rows int)
+//
+// mean[j] = (Σ_r data[r][j]) / rows for the n = len(mean) columns of the
+// rows×n matrix data: column j is one lane, its accumulator starts at +0 and
+// adds data[r][j] (VADDPD, the accumulator first) for r ascending, then is
+// divided by float64(rows) (VDIVPD) unless rows is 0, which leaves +0.
+// Blocks of 16 columns (Y0–Y3), then of 4 (Y0), then one at a time.
+TEXT ·columnMeansAVX2(SB), NOSPLIT, $0-56
+	MOVQ mean_base+0(FP), DI
+	MOVQ mean_len+8(FP), CX
+	MOVQ data_base+24(FP), SI
+	MOVQ rows+48(FP), BX
+	MOVQ CX, R8
+	SHLQ $3, R8          // bytes from data[r][j] to data[r+1][j]
+	VCVTSI2SDQ BX, X14, X14
+	VBROADCASTSD X14, Y14
+	XORQ R9, R9          // j
+
+block16:
+	LEAQ 16(R9), AX
+	CMPQ AX, CX
+	JGT  block4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ (SI)(R9*8), R10
+	MOVQ BX, R12
+	TESTQ R12, R12
+	JZ   put16
+
+loop16:
+	VADDPD (R10), Y0, Y0
+	VADDPD 32(R10), Y1, Y1
+	VADDPD 64(R10), Y2, Y2
+	VADDPD 96(R10), Y3, Y3
+	ADDQ R8, R10
+	DECQ R12
+	JNZ  loop16
+	VDIVPD Y14, Y0, Y0
+	VDIVPD Y14, Y1, Y1
+	VDIVPD Y14, Y2, Y2
+	VDIVPD Y14, Y3, Y3
+
+put16:
+	VMOVUPD Y0, (DI)(R9*8)
+	VMOVUPD Y1, 32(DI)(R9*8)
+	VMOVUPD Y2, 64(DI)(R9*8)
+	VMOVUPD Y3, 96(DI)(R9*8)
+	MOVQ AX, R9
+	JMP  block16
+
+block4:
+	LEAQ 4(R9), AX
+	CMPQ AX, CX
+	JGT  tail
+	VXORPD Y0, Y0, Y0
+	LEAQ (SI)(R9*8), R10
+	MOVQ BX, R12
+	TESTQ R12, R12
+	JZ   put4
+
+loop4:
+	VADDPD (R10), Y0, Y0
+	ADDQ R8, R10
+	DECQ R12
+	JNZ  loop4
+	VDIVPD Y14, Y0, Y0
+
+put4:
+	VMOVUPD Y0, (DI)(R9*8)
+	MOVQ AX, R9
+	JMP  block4
+
+tail:
+	CMPQ R9, CX
+	JGE  done
+	VXORPD X0, X0, X0
+	LEAQ (SI)(R9*8), R10
+	MOVQ BX, R12
+	TESTQ R12, R12
+	JZ   put1
+
+loop1:
+	VADDSD (R10), X0, X0
+	ADDQ R8, R10
+	DECQ R12
+	JNZ  loop1
+	VDIVSD X14, X0, X0
+
+put1:
+	VMOVSD X0, (DI)(R9*8)
+	INCQ R9
+	JMP  tail
+
+done:
+	VZEROUPPER
+	RET
+
+// func scatterAVX2(dst, data, mean []float64, rows int)
+//
+// dst[p][q] = Σ_r (data[r][p]−mean[p])·(data[r][q]−mean[q]) over the rows×n
+// matrix data, n = len(mean): output (p, q) is one lane, its accumulator
+// starts at +0 and adds the product (VMULPD, the p factor first, then
+// VADDPD) for r ascending — gramInto's scalar order.
+//
+// Rows of dst go two at a time, p and p1 = min(p+1, n−1) for p even (an odd n
+// computes its last row twice and stores the same bits twice). A pair's
+// lanes are the columns from q0 = p &^ 3 to n: blocks of 16 (Y0–Y3 for p,
+// Y4–Y7 for p1), then of 4 (Y0, Y4), then one at a time (X0, X4), each
+// block one pass over the rows. Starting at q0 rather than p keeps every
+// load on the data's 4-column grid; the lanes left of p fall in the
+// diagonal 4×4 block's strict lower triangle, which no reader of dst uses. Per
+// row, the p factors are centred in X12/X13 and broadcast to Y12/Y13, and
+// the block's columns are centred into Y8–Y11 (VSUBPD).
+TEXT ·scatterAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ data_base+24(FP), SI
+	MOVQ mean_base+48(FP), DX
+	MOVQ mean_len+56(FP), CX
+	MOVQ rows+72(FP), BX
+	MOVQ CX, R8
+	SHLQ $3, R8          // bytes from data[r][j] to data[r+1][j], and dst's row stride
+	XORQ R9, R9          // p
+
+pairs:
+	CMPQ R9, CX
+	JGE  done
+	LEAQ 1(R9), R10
+	CMPQ R10, CX
+	JLT  rowptrs
+	MOVQ R9, R10         // p1 = p when p is the last row
+
+rowptrs:
+	MOVQ R9, R14
+	IMULQ R8, R14
+	ADDQ DI, R14         // &dst[p][0]
+	MOVQ R10, R15
+	IMULQ R8, R15
+	ADDQ DI, R15         // &dst[p1][0]
+	MOVQ R9, R11
+	ANDQ $-4, R11        // q0
+
+// CENTREP leaves data[r][p]−mean[p] and data[r][p1]−mean[p1] in X12 and
+// X13, for the row at R12.
+#define CENTREP \
+	VMOVSD (R12)(R9*8), X12; \
+	VSUBSD (DX)(R9*8), X12, X12; \
+	VMOVSD (R12)(R10*8), X13; \
+	VSUBSD (DX)(R10*8), X13, X13
+
+// PQ4 adds the products of the p and p1 factors with the centred columns in
+// y into accp and accp1, using t as scratch.
+#define PQ4(y, accp, accp1, t) \
+	VMULPD y, Y12, t; \
+	VADDPD t, accp, accp; \
+	VMULPD y, Y13, t; \
+	VADDPD t, accp1, accp1
+
+sblock16:
+	LEAQ 16(R11), AX
+	CMPQ AX, CX
+	JGT  sblock4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ SI, R12
+	MOVQ BX, R13
+	TESTQ R13, R13
+	JZ   sput16
+
+sloop16:
+	CENTREP
+	VBROADCASTSD X12, Y12
+	VBROADCASTSD X13, Y13
+	VMOVUPD (R12)(R11*8), Y8
+	VMOVUPD 32(R12)(R11*8), Y9
+	VMOVUPD 64(R12)(R11*8), Y10
+	VMOVUPD 96(R12)(R11*8), Y11
+	VSUBPD (DX)(R11*8), Y8, Y8
+	VSUBPD 32(DX)(R11*8), Y9, Y9
+	VSUBPD 64(DX)(R11*8), Y10, Y10
+	VSUBPD 96(DX)(R11*8), Y11, Y11
+	PQ4(Y8, Y0, Y4, Y14)
+	PQ4(Y9, Y1, Y5, Y15)
+	PQ4(Y10, Y2, Y6, Y14)
+	PQ4(Y11, Y3, Y7, Y15)
+	ADDQ R8, R12
+	DECQ R13
+	JNZ  sloop16
+
+sput16:
+	VMOVUPD Y4, (R15)(R11*8)
+	VMOVUPD Y5, 32(R15)(R11*8)
+	VMOVUPD Y6, 64(R15)(R11*8)
+	VMOVUPD Y7, 96(R15)(R11*8)
+	VMOVUPD Y0, (R14)(R11*8)
+	VMOVUPD Y1, 32(R14)(R11*8)
+	VMOVUPD Y2, 64(R14)(R11*8)
+	VMOVUPD Y3, 96(R14)(R11*8)
+	MOVQ AX, R11
+	JMP  sblock16
+
+sblock4:
+	LEAQ 4(R11), AX
+	CMPQ AX, CX
+	JGT  stail
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	MOVQ SI, R12
+	MOVQ BX, R13
+	TESTQ R13, R13
+	JZ   sput4
+
+sloop4:
+	CENTREP
+	VBROADCASTSD X12, Y12
+	VBROADCASTSD X13, Y13
+	VMOVUPD (R12)(R11*8), Y8
+	VSUBPD (DX)(R11*8), Y8, Y8
+	PQ4(Y8, Y0, Y4, Y14)
+	ADDQ R8, R12
+	DECQ R13
+	JNZ  sloop4
+
+sput4:
+	VMOVUPD Y4, (R15)(R11*8)
+	VMOVUPD Y0, (R14)(R11*8)
+	MOVQ AX, R11
+	JMP  sblock4
+
+stail:
+	CMPQ R11, CX
+	JGE  nextpair
+	VXORPD X0, X0, X0
+	VXORPD X4, X4, X4
+	MOVQ SI, R12
+	MOVQ BX, R13
+	TESTQ R13, R13
+	JZ   sput1
+
+sloop1:
+	CENTREP
+	VMOVSD (R12)(R11*8), X8
+	VSUBSD (DX)(R11*8), X8, X8
+	VMULSD X8, X12, X14
+	VADDSD X14, X0, X0
+	VMULSD X8, X13, X15
+	VADDSD X15, X4, X4
+	ADDQ R8, R12
+	DECQ R13
+	JNZ  sloop1
+
+sput1:
+	VMOVSD X4, (R15)(R11*8)
+	VMOVSD X0, (R14)(R11*8)
+	INCQ R11
+	JMP  stail
+
+nextpair:
+	ADDQ $2, R9
+	JMP  pairs
+
+done:
+	VZEROUPPER
+	RET
+
+// func mergeAVX2(m2, om2, mean, omean []float64, f, w float64)
+//
+// Moments.Merge's two loops, one lane per output, in its scalar order. For
+// each row p of the d×d scatter, d = len(mean), with dp = (omean[p] −
+// mean[p])·f broadcast in Y15: m2[p][q] += om2[p][q] + dp·(omean[q] −
+// mean[q]) over q ≥ p, the sum on the right formed first and added to m2
+// (the accumulator first); lanes start at q = p, so nothing left of the
+// diagonal is read or written. Then mean[j] += (omean[j] − mean[j])·w. Both
+// run blocks of 16 (Y0–Y3), then of 4 (Y0), then one at a time.
+TEXT ·mergeAVX2(SB), NOSPLIT, $0-112
+	MOVQ m2_base+0(FP), DI
+	MOVQ om2_base+24(FP), SI
+	MOVQ mean_base+48(FP), DX
+	MOVQ mean_len+56(FP), CX
+	MOVQ omean_base+72(FP), BX
+	VMOVSD f+96(FP), X14
+	MOVQ CX, R8
+	SHLQ $3, R8          // bytes per scatter row
+	XORQ R9, R9          // p
+	MOVQ DI, R14         // &m2[p][0]
+	MOVQ SI, R15         // &om2[p][0]
+
+// MTERM leaves om2[p][q+k…] + dp·(omean[q+k…] − mean[q+k…]) in y, for the
+// element offset k (in bytes, off), using t as scratch.
+#define MTERM(off, y, t) \
+	VMOVUPD off(BX)(R11*8), t; \
+	VSUBPD off(DX)(R11*8), t, t; \
+	VMULPD t, Y15, t; \
+	VMOVUPD off(R15)(R11*8), y; \
+	VADDPD t, y, y
+
+// MADD adds y into m2[p][q+k…] for the byte offset off, using t as scratch.
+#define MADD(off, y, t) \
+	VMOVUPD off(R14)(R11*8), t; \
+	VADDPD y, t, t; \
+	VMOVUPD t, off(R14)(R11*8)
+
+mrows:
+	CMPQ R9, CX
+	JGE  means
+	VMOVSD (BX)(R9*8), X15
+	VSUBSD (DX)(R9*8), X15, X15
+	VMULSD X14, X15, X15
+	VBROADCASTSD X15, Y15
+	MOVQ R9, R11         // q
+
+mblock16:
+	LEAQ 16(R11), AX
+	CMPQ AX, CX
+	JGT  mblock4
+	MTERM(0, Y0, Y4)
+	MTERM(32, Y1, Y5)
+	MTERM(64, Y2, Y6)
+	MTERM(96, Y3, Y7)
+	MADD(0, Y0, Y4)
+	MADD(32, Y1, Y5)
+	MADD(64, Y2, Y6)
+	MADD(96, Y3, Y7)
+	MOVQ AX, R11
+	JMP  mblock16
+
+mblock4:
+	LEAQ 4(R11), AX
+	CMPQ AX, CX
+	JGT  mtail
+	MTERM(0, Y0, Y4)
+	MADD(0, Y0, Y4)
+	MOVQ AX, R11
+	JMP  mblock4
+
+mtail:
+	CMPQ R11, CX
+	JGE  mnext
+	VMOVSD (BX)(R11*8), X4
+	VSUBSD (DX)(R11*8), X4, X4
+	VMULSD X4, X15, X4
+	VMOVSD (R15)(R11*8), X0
+	VADDSD X4, X0, X0
+	VMOVSD (R14)(R11*8), X4
+	VADDSD X0, X4, X4
+	VMOVSD X4, (R14)(R11*8)
+	INCQ R11
+	JMP  mtail
+
+mnext:
+	ADDQ R8, R14
+	ADDQ R8, R15
+	INCQ R9
+	JMP  mrows
+
+means:
+	VBROADCASTSD w+104(FP), Y14
+	XORQ R11, R11        // j
+
+// MMEAN adds (omean[j+k…] − mean[j+k…])·w into mean[j+k…] for the byte
+// offset off, using t and y as scratch.
+#define MMEAN(off, t, y) \
+	VMOVUPD off(BX)(R11*8), t; \
+	VSUBPD off(DX)(R11*8), t, t; \
+	VMULPD Y14, t, t; \
+	VMOVUPD off(DX)(R11*8), y; \
+	VADDPD t, y, y; \
+	VMOVUPD y, off(DX)(R11*8)
+
+jblock16:
+	LEAQ 16(R11), AX
+	CMPQ AX, CX
+	JGT  jblock4
+	MMEAN(0, Y0, Y4)
+	MMEAN(32, Y1, Y5)
+	MMEAN(64, Y2, Y6)
+	MMEAN(96, Y3, Y7)
+	MOVQ AX, R11
+	JMP  jblock16
+
+jblock4:
+	LEAQ 4(R11), AX
+	CMPQ AX, CX
+	JGT  jtail
+	MMEAN(0, Y0, Y4)
+	MOVQ AX, R11
+	JMP  jblock4
+
+jtail:
+	CMPQ R11, CX
+	JGE  done
+	VMOVSD (BX)(R11*8), X0
+	VSUBSD (DX)(R11*8), X0, X0
+	VMULSD X14, X0, X0
+	VMOVSD (DX)(R11*8), X4
+	VADDSD X0, X4, X4
+	VMOVSD X4, (DX)(R11*8)
+	INCQ R11
+	JMP  jtail
+
+done:
+	VZEROUPPER
+	RET

@@ -19,3 +19,11 @@ func axpy2AVX2(dst []float64, c0, c1 float64, x0, x1 []float64) {
 func axpy4AVX2(dst []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64) {
 	panic("tensor: AVX2 kernel off amd64")
 }
+
+func columnMeansAVX2(mean, data []float64, rows int) { panic("tensor: AVX2 kernel off amd64") }
+
+func scatterAVX2(dst, data, mean []float64, rows int) { panic("tensor: AVX2 kernel off amd64") }
+
+func mergeAVX2(m2, om2, mean, omean []float64, f, w float64) {
+	panic("tensor: AVX2 kernel off amd64")
+}

@@ -270,13 +270,19 @@ func tridiagonalEigenvalues(d, e []float64) {
 
 // gramInto writes Σ_i (a_i−mean)(a_i−mean)ᵀ over a's rows into the n×n
 // matrix g; a zero mean gives aᵀa. Only the upper triangle is meaningful on
-// return, which is all either eigen-solver and Moments.Merge read. Columns
-// are taken in 2×2 register tiles and centered on the fly, so a is never
-// copied (it is re-read once per tile, from L1 at the shapes used here); an
-// odd n pairs its last column with itself.
+// return, which is all either eigen-solver and Moments.Merge read; of the
+// strict lower triangle, only cells inside the diagonal 4×4 blocks may be
+// written. Each cell sums its products from +0 over the rows in order,
+// centring on the fly, so a is never copied: scatterAVX2 makes each cell one
+// lane, and the Go loop is its fallback (an odd n pairs its last column with
+// itself there).
 func gramInto(g []float64, a *Matrix, mean []float64) {
 	n := a.Cols
 	data := a.Data[:a.Rows*n]
+	if useAVX2 {
+		scatterAVX2(g[:n*n], data, mean[:n], a.Rows)
+		return
+	}
 	for p := 0; p < n; p += 2 {
 		p1 := min(p+1, n-1)
 		mp0, mp1 := mean[p], mean[p1]
@@ -327,19 +333,23 @@ func MakeMoments(count, d int) []Moments {
 }
 
 // Of sets m to the moments of a's rows (observations × features): the mean
-// summed in row order, then the scatter about it in 2×2 register tiles.
+// summed in row order, then the scatter about it (gramInto).
 func (m *Moments) Of(a *Matrix) {
 	m.N = a.Rows
-	mean := m.Mean
-	clear(mean)
-	for i := 0; i < a.Rows; i++ {
-		for j, v := range a.Row(i) {
-			mean[j] += v
+	mean := m.Mean[:a.Cols]
+	if useAVX2 {
+		columnMeansAVX2(mean, a.Data[:a.Rows*a.Cols], a.Rows)
+	} else {
+		clear(mean)
+		for i := 0; i < a.Rows; i++ {
+			for j, v := range a.Row(i) {
+				mean[j] += v
+			}
 		}
-	}
-	if a.Rows > 0 {
-		for j := range mean {
-			mean[j] /= float64(a.Rows)
+		if a.Rows > 0 {
+			for j := range mean {
+				mean[j] /= float64(a.Rows)
+			}
 		}
 	}
 	gramInto(m.M2, a, mean)
@@ -347,7 +357,8 @@ func (m *Moments) Of(a *Matrix) {
 
 // Merge folds o into m, leaving m the moments of both row sets together:
 // with δ = mean_o − mean_m, M2 += M2_o + δδᵀ·n_m·n_o/n and mean += δ·n_o/n.
-// Merging into empty moments copies o exactly; merging empty o is a no-op.
+// Merging into empty moments copies o exactly; merging empty o is a no-op;
+// any other merge reads and writes only M2's upper triangle.
 func (m *Moments) Merge(o *Moments) {
 	switch {
 	case o.N == 0:
@@ -362,6 +373,11 @@ func (m *Moments) Merge(o *Moments) {
 	na, nb := float64(m.N), float64(o.N)
 	n := na + nb
 	f, g := na*nb/n, nb/n
+	m.N += o.N
+	if useAVX2 {
+		mergeAVX2(m.M2[:d*d], o.M2[:d*d], m.Mean, o.Mean[:d], f, g)
+		return
+	}
 	for p := 0; p < d; p++ {
 		dp := (o.Mean[p] - m.Mean[p]) * f
 		row, orow := m.M2[p*d:(p+1)*d], o.M2[p*d:(p+1)*d]
@@ -372,7 +388,6 @@ func (m *Moments) Merge(o *Moments) {
 	for j, v := range o.Mean {
 		m.Mean[j] += (v - m.Mean[j]) * g
 	}
-	m.N += o.N
 }
 
 // Spectrum returns the eigenvalues, in descending order, of the sample
