@@ -159,7 +159,6 @@ type System struct {
 	sinceTrain int
 	trainSteps uint64
 	fullSyncs  uint64
-	scratchSeq int32 // unique block ids for the naive trainer's scratch state
 
 	// paramMu excludes lock-free forwards (read) from in-place parameter
 	// writes (write): the LoRA training step mutates the current adapter
@@ -184,7 +183,14 @@ func New(opts Options) (*System, error) {
 		return nil, err
 	}
 	clock := simnet.NewClock()
-	machine, err := numasim.NewMachine(opts.Machine, clock)
+	// Presize the L3 index to every block this node touches: the tables,
+	// plus the naive trainer's replica tables when it runs without reuse.
+	mcfg := opts.Machine
+	mcfg.Spaces, mcfg.Rows = opts.Profile.NumTables, opts.Profile.TableSize
+	if opts.EnableTraining && !opts.EnableReuse {
+		mcfg.Spaces *= 2
+	}
+	machine, err := numasim.NewMachine(mcfg, clock)
 	if err != nil {
 		return nil, err
 	}
@@ -645,8 +651,7 @@ func (s *System) trainTick() {
 					// write traffic that no L3 can retain.
 					replica := numTables + int32(t)
 					memTime += s.Machine.Access(numasim.Training, numasim.KindCached, replica, id)
-					s.scratchSeq++
-					memTime += s.Machine.Access(numasim.Training, numasim.KindCached, 2*numTables, s.scratchSeq)
+					memTime += s.Machine.Access(numasim.Training, numasim.KindStream, 2*numTables, 0)
 				}
 			}
 		}

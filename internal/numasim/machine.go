@@ -16,7 +16,7 @@ const (
 	numWorkloads
 )
 
-// AccessKind distinguishes the three memory paths of §IV-D.
+// AccessKind distinguishes the memory paths of §IV-D.
 type AccessKind int
 
 const (
@@ -28,6 +28,12 @@ const (
 	// charged no DRAM bandwidth (the vector was already fetched by
 	// inference).
 	KindReuse
+	// KindStream is a write-once block (the naive trainer's per-step
+	// optimizer/gradient scratch): a fresh block per access that no L3 can
+	// retain. It always misses, is installed as most recently used and ages
+	// out like any block, but is never looked up again. The row argument is
+	// ignored; the machine numbers the blocks itself.
+	KindStream
 )
 
 // Config sets the machine model's capacities and timing constants. The time
@@ -43,6 +49,12 @@ type Config struct {
 	DRAMBandwidth  float64 // bytes/sec shared across workloads
 	BlockBytes     int64   // bytes per row access (embedding row)
 	PrefetchHit    float64 // shadow-table served-from-cache fraction
+
+	// Spaces × Rows is the block key space (e.g. tables × rows per table)
+	// each CCD's L3 index is presized to: no access inside it allocates, and
+	// a key outside it grows the index on first touch.
+	Spaces int
+	Rows   int
 
 	// Concurrency scales DRAM traffic accounting: the simulated request
 	// stream stands in for this many concurrent streams on the node, so
@@ -83,8 +95,10 @@ func (c Config) validate() error {
 	switch {
 	case c.NumCCDs <= 0:
 		return fmt.Errorf("numasim: NumCCDs must be positive")
-	case c.L3BlocksPerCCD <= 0:
-		return fmt.Errorf("numasim: L3BlocksPerCCD must be positive")
+	case c.L3BlocksPerCCD <= 0 || c.L3BlocksPerCCD > maxBlocks:
+		return fmt.Errorf("numasim: L3BlocksPerCCD %d out of [1,%d]", c.L3BlocksPerCCD, maxBlocks)
+	case c.Spaces < 0 || c.Rows < 0:
+		return fmt.Errorf("numasim: Spaces and Rows must not be negative")
 	case c.L3HitLatency <= 0 || c.DRAMLatency <= c.L3HitLatency:
 		return fmt.Errorf("numasim: need 0 < L3HitLatency < DRAMLatency")
 	case c.DRAMBandwidth <= 0:
@@ -126,6 +140,8 @@ type Machine struct {
 
 	// Reuse path determinism.
 	prefetchSeq uint64
+	// Stream block numbering: each KindStream access is block streamSeq.
+	streamSeq uint64
 }
 
 // NewMachine builds a machine over the given virtual clock.
@@ -135,7 +151,7 @@ func NewMachine(cfg Config, clock *simnet.Clock) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, clock: clock, windowLen: 0.1}
 	for i := 0; i < cfg.NumCCDs; i++ {
-		m.ccds = append(m.ccds, newL3Cache(cfg.L3BlocksPerCCD))
+		m.ccds = append(m.ccds, newL3Cache(cfg.L3BlocksPerCCD, cfg.Spaces, cfg.Rows))
 	}
 	all := make([]int, cfg.NumCCDs)
 	for i := range all {
@@ -199,7 +215,9 @@ func (m *Machine) CCDsOf(w Workload) []int {
 }
 
 // Access performs one row access for workload w and returns its latency in
-// virtual seconds. space/row identify the block (e.g. table id, row id).
+// virtual seconds. space/row identify the block (e.g. table id, row id);
+// both must be non-negative. A KindStream access ignores row and takes the
+// next stream block in space.
 func (m *Machine) Access(w Workload, kind AccessKind, space, row int32) float64 {
 	if kind == KindReuse {
 		// Shadow-table path: mostly prefetched; no DRAM charge, no cache
@@ -216,9 +234,10 @@ func (m *Machine) Access(w Workload, kind AccessKind, space, row int32) float64 
 	}
 
 	set := m.assign[w]
-	key := blockKey{Space: space, Row: row}
-	ccd := set[int(uint32(space*31+row))%len(set)]
-	if m.ccds[ccd].access(key) {
+	if kind == KindStream {
+		m.streamSeq++
+		m.ccds[set[int(uint32(space)*31+uint32(m.streamSeq))%len(set)]].stream()
+	} else if m.ccds[set[int(uint32(space*31+row))%len(set)]].access(blockKey{Space: space, Row: row}) {
 		m.stats[w].hits++
 		return m.cfg.L3HitLatency
 	}

@@ -8,10 +8,14 @@ import (
 	"liveupdate/internal/tensor"
 )
 
-// contains reports residency without touching LRU order or counters.
+// contains reports residency without touching LRU order or counters: the
+// key's slot names a node that holds it.
 func contains(c *l3Cache, key blockKey) bool {
-	_, ok := c.index[key.packed()]
-	return ok
+	s, r := int(key.Space), int(key.Row)
+	if s >= len(c.slots) || r >= len(c.slots[s]) || c.slots[s][r] == 0 {
+		return false
+	}
+	return c.nodes[c.slots[s][r]-1].key == key
 }
 
 func mustNewController(cfg ControllerConfig, m *Machine, clock *simnet.Clock, initialInfCCDs int) *Controller {
@@ -23,7 +27,7 @@ func mustNewController(cfg ControllerConfig, m *Machine, clock *simnet.Clock, in
 }
 
 func TestL3CacheLRU(t *testing.T) {
-	c := newL3Cache(2)
+	c := newL3Cache(2, 1, 4)
 	k := func(r int32) blockKey { return blockKey{Space: 0, Row: r} }
 	if c.access(k(1)) {
 		t.Fatal("cold access must miss")
@@ -45,7 +49,7 @@ func TestL3CacheLRU(t *testing.T) {
 }
 
 func TestL3CacheHitRatio(t *testing.T) {
-	c := newL3Cache(10)
+	c := newL3Cache(10, 1, 4)
 	c.access(blockKey{0, 1}) // miss
 	c.access(blockKey{0, 1}) // hit
 	if c.hits != 1 || c.misses != 1 {
@@ -72,6 +76,9 @@ func TestMachineConfigValidation(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.NumCCDs = 0 },
 		func(c *Config) { c.L3BlocksPerCCD = 0 },
+		func(c *Config) { c.L3BlocksPerCCD = 65536 }, // a slot holds node+1 in a uint16
+		func(c *Config) { c.Spaces = -1 },
+		func(c *Config) { c.Rows = -1 },
 		func(c *Config) { c.L3HitLatency = 0 },
 		func(c *Config) { c.DRAMLatency = c.L3HitLatency },
 		func(c *Config) { c.DRAMBandwidth = 0 },
@@ -173,6 +180,38 @@ func TestReusePathHitsWithoutDRAMCharge(t *testing.T) {
 		t.Fatalf("reuse path charged %d DRAM bytes", m.DRAMBytes(Training))
 	}
 	_ = total
+}
+
+// Stream blocks never hit, however the sequence wraps an int32 or uint32,
+// yet they occupy the L3 like any block: a scan of them as long as the
+// partition's capacity evicts the hot rows.
+func TestStreamAccessNeverHits(t *testing.T) {
+	m, _ := newTestMachine()
+	if err := m.Partition(m.config().NumCCDs - 1); err != nil { // training owns one CCD
+		t.Fatal(err)
+	}
+	blocks := m.config().L3BlocksPerCCD
+	for r := int32(0); r < int32(blocks); r++ {
+		m.Access(Training, KindCached, 0, r)
+	}
+	m.ResetStats()
+	m.streamSeq = 1<<31 - 3
+	for i := 0; i < blocks; i++ {
+		if i == blocks/2 {
+			m.streamSeq = 1<<32 - 3
+		}
+		if lat := m.Access(Training, KindStream, 16, 0); lat <= m.config().L3HitLatency {
+			t.Fatalf("stream access %d (seq %d) took %v: a hit", i, m.streamSeq, lat)
+		}
+	}
+	if r := m.HitRatio(Training); r != 0 {
+		t.Fatalf("stream hit ratio %v, want 0", r)
+	}
+	for r := int32(0); r < int32(blocks); r++ {
+		if m.Access(Training, KindCached, 0, r) < m.config().DRAMLatency {
+			t.Fatalf("row %d survived a full-capacity stream scan", r)
+		}
+	}
 }
 
 func TestContentionInflatesMissLatency(t *testing.T) {

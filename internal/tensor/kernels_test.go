@@ -29,6 +29,17 @@ func mustPanic(t *testing.T, name string, want []string, f func()) {
 	f()
 }
 
+// TestKernelDispatch logs which kernels this build serves with, so a run on
+// a CPU without AVX2 (or under -race, which keeps the assembly off) shows
+// that the bit pins met only the scalar loops. It also holds the rule that
+// picks them.
+func TestKernelDispatch(t *testing.T) {
+	t.Logf("useAVX2=%v (CPU AVX2=%v, race build=%v)", useAVX2, hasAVX2(), raceEnabled)
+	if useAVX2 != (hasAVX2() && !raceEnabled) {
+		t.Fatalf("useAVX2=%v, want CPU AVX2 and not a race build", useAVX2)
+	}
+}
+
 // TestKernelGuards is the table of every shape-mismatch path of the
 // matvec/matmul/pair-dot kernels: each must panic with the operand shapes in
 // the message, and dst aliasing x (or TransMatVecInto's bias) must be
