@@ -71,6 +71,25 @@ func TestClusterReplicaConsistencyPublicAPI(t *testing.T) {
 	}
 }
 
+// driveFleet builds a 4-replica hash-routed fleet with the given periodic
+// sync interval (0 disables it) and returns it plus a fresh workload at a
+// fixed seed.
+func driveFleet(t *testing.T, syncEvery time.Duration) (*liveupdate.Cluster, *liveupdate.Workload) {
+	t.Helper()
+	p := clusterProfile(t)
+	srv, err := liveupdate.New(
+		liveupdate.WithProfile(p),
+		liveupdate.WithSeed(31),
+		liveupdate.WithReplicas(4),
+		liveupdate.WithRouter(liveupdate.HashRouter),
+		liveupdate.WithSyncEvery(syncEvery),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv.(*liveupdate.Cluster), liveupdate.NewWorkload(p, 31)
+}
+
 // TestClusterPeriodicSyncPublicAPI drives a fleet with the periodic sync
 // enabled and checks that syncs fire on the virtual-time cadence and leave
 // the fleet consistent at the end of the run.
@@ -102,25 +121,6 @@ func TestClusterPeriodicSyncPublicAPI(t *testing.T) {
 	if perReplica != st.Served {
 		t.Fatalf("replica breakdown (%d) disagrees with merged Served (%d)", perReplica, st.Served)
 	}
-}
-
-// driveFleet builds a 4-replica hash-routed fleet with the given periodic
-// sync interval (0 disables it) and returns it plus a fresh workload at a
-// fixed seed.
-func driveFleet(t *testing.T, syncEvery time.Duration) (*liveupdate.Cluster, *liveupdate.Workload) {
-	t.Helper()
-	p := clusterProfile(t)
-	srv, err := liveupdate.New(
-		liveupdate.WithProfile(p),
-		liveupdate.WithSeed(31),
-		liveupdate.WithReplicas(4),
-		liveupdate.WithRouter(liveupdate.HashRouter),
-		liveupdate.WithSyncEvery(syncEvery),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv.(*liveupdate.Cluster), liveupdate.NewWorkload(p, 31)
 }
 
 // TestDriveMatchesSequentialServe is the acceptance property of the

@@ -524,19 +524,22 @@ func runClient(addr string, cfg clientConfig) {
 	fmt.Printf("server: served=%d P99=%.3fms violations=%.4f trainSteps=%d virtTime=%.2fs\n",
 		st.Served, st.P99*1000, st.ViolationRate, st.TrainSteps, st.VirtualTime)
 	printWireTable(st.Wire)
+	fmt.Println(wireTotal(st.Wire, remote.Shed429(), remote.TransportRetries(), remote.GaveUp(), remote.RetryWait()))
+}
 
+// wireTotal is the one greppable line for scripts (CI awk-parses its shed=
+// and gaveup= fields): accepted and shed wire requests summed across
+// endpoints, plus the client's view of the sheds and faults it retried
+// through and the requests it abandoned (gaveup must be 0 for a drive that
+// returned without error).
+func wireTotal(eps []liveupdate.EndpointStats, shed429, transportRetries, gaveUp uint64, retryWait time.Duration) string {
 	var accepted, shed uint64
-	for _, ep := range st.Wire {
+	for _, ep := range eps {
 		accepted += ep.Accepted
 		shed += ep.Shed
 	}
-	// One greppable line for scripts (CI asserts on it): totals across
-	// endpoints, plus the client's view of the sheds and faults it retried
-	// through and the requests it abandoned (gaveup must be 0 for a drive
-	// that returned without error).
-	fmt.Printf("wire-total: accepted=%d shed=%d client-retries=%d transport-retries=%d gaveup=%d retry-wait=%s\n",
-		accepted, shed, remote.Shed429(), remote.TransportRetries(), remote.GaveUp(),
-		remote.RetryWait().Round(time.Millisecond))
+	return fmt.Sprintf("wire-total: accepted=%d shed=%d client-retries=%d transport-retries=%d gaveup=%d retry-wait=%s",
+		accepted, shed, shed429, transportRetries, gaveUp, retryWait.Round(time.Millisecond))
 }
 
 // printWireTable renders the per-endpoint admission ledger.

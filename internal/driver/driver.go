@@ -192,9 +192,18 @@ type WorkerStats struct {
 	P99Latency  float64       // reservoir-estimated virtual P99, seconds (NaN if idle)
 }
 
-// Report summarizes a drive. Virtual-time fields are deterministic for a
-// fixed workload seed (and, for per-worker fields, fixed driver seed and
-// concurrency); wall-clock fields are measured.
+// Report summarizes a drive; wall-clock fields are measured. For a fixed
+// workload seed every virtual-time field is the same at any worker count and
+// batch size (per-worker fields at a fixed driver seed and worker count),
+// with one exception. Under a Cluster's periodic-sync pipeline a snapshot
+// lands whenever its goroutine runs, so the sync bill and the adapter census
+// vary run to run: here SyncStallSeconds, SyncComputeSeconds,
+// SyncPublishSeconds, SyncWireBytes and SyncCompressSeconds; in Final,
+// SyncBytes, SyncSeconds and its compute/publish split, SyncWireBytes,
+// SyncDeltaSavedBytes, SyncCompressSavedBytes, SyncCompressSeconds,
+// CatchUpBytes and CatchUpSeconds, and LoRAHotRows and MemoryOverhead,
+// fleet-wide and per replica. With periodic syncs off and SyncNow called
+// between drives, those are deterministic too.
 type Report struct {
 	Requests  int    // requests asked for
 	Served    uint64 // requests actually served (== Requests unless cancelled)

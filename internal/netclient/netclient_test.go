@@ -177,7 +177,9 @@ func TestStatsRoundTripRestoresNaN(t *testing.T) {
 
 // TestDriveOverTheWire is the acceptance check: the concurrent load driver,
 // batching enabled, drives a remote fleet through the client exactly as it
-// would an in-process server.
+// would an in-process server. That every driven call rides the binary path,
+// unbatched too, is the determinism matrix's (TestDeterminismMatrix at the
+// repository root).
 func TestDriveOverTheWire(t *testing.T) {
 	addr, g := startGateway(t, netserve.Config{})
 	c, err := Dial(addr, Config{Conns: 4})
@@ -215,33 +217,6 @@ func TestDriveOverTheWire(t *testing.T) {
 	// Ample capacity: a clean drive should shed nothing.
 	if c.Shed429() != 0 {
 		t.Fatalf("client absorbed %d sheds with ample capacity", c.Shed429())
-	}
-
-	// Unbatched, every driven request is still one lane call on the binary
-	// path: JSON /serve is Serve's alone.
-	addr1, g1 := startGateway(t, netserve.Config{})
-	c1, err := Dial(addr1, Config{Conns: 2})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c1.Close()
-	rep1, err := driver.Drive(context.Background(), c1, gen.Next, driver.Config{
-		Requests: 100, Workers: 2, Seed: 21, BatchSize: 1,
-	})
-	if err != nil {
-		t.Fatalf("unbatched drive over the wire: %v", err)
-	}
-	if rep1.Batches != 100 {
-		t.Fatalf("unbatched drive issued %d lane calls for 100 requests", rep1.Batches)
-	}
-	for _, ep := range g1.WireStats() {
-		want := uint64(0)
-		if ep.Endpoint == "/serve.bin" {
-			want = rep1.Batches
-		}
-		if ep.Accepted != want {
-			t.Errorf("%s accepted %d wire requests, want %d", ep.Endpoint, ep.Accepted, want)
-		}
 	}
 }
 

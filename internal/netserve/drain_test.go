@@ -222,7 +222,7 @@ func TestBinaryEndpointSurvivesTruncatedUploads(t *testing.T) {
 	frame := AppendBatch(nil, sampleFixture())
 	okCount, failCount := 0, 0
 	for i := 0; i < 40; i++ {
-		resp, err := http.Post(base+"/serve.bin", "application/octet-stream", bytes.NewReader(frame))
+		resp, err := postFrame(http.DefaultClient, base+"/serve.bin", "application/octet-stream", frame)
 		if err != nil {
 			failCount++ // connection cut before the response: expected under truncation
 			continue

@@ -310,7 +310,7 @@ func (g *Gateway) admit(w http.ResponseWriter, ep *epMetrics) (release func(), o
 
 // handleServe is the JSON single-request endpoint.
 func (g *Gateway) handleServe(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, maxJSONBody)
+	body, ok := readBody(w, r, maxJSONBody, false)
 	if !ok {
 		return
 	}
@@ -342,7 +342,7 @@ func (g *Gateway) handleServe(w http.ResponseWriter, r *http.Request) {
 // whole batch and rides one admission ticket: the queue bounds wire
 // requests, and a remote lane's coalesced batch is one unit of work.
 func (g *Gateway) handleServeBin(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, maxBinaryBody)
+	body, ok := readBody(w, r, maxBinaryBody, true)
 	if !ok {
 		return
 	}
@@ -413,16 +413,19 @@ func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // BodyChecksumHeader carries the client's CRC-32 (IEEE, lowercase hex) of
-// the request body. When present, the gateway verifies it before decoding:
-// a mismatch — a frame damaged between the client and the serving path — is
-// rejected with 400 so the client retries with an intact copy, instead of a
-// bit-flipped body being served as a silently different sample.
+// the request body. The gateway verifies it before decoding: a mismatch — a
+// frame damaged between the client and the serving path — is rejected with
+// 400 so the client retries with an intact copy, instead of a bit-flipped
+// body being served as a silently different sample. POST /serve.bin, whose
+// client always sends it, requires it: otherwise a flipped bit in the
+// header's name would drop the check and serve the damaged frame. On JSON
+// /serve it is optional.
 const BodyChecksumHeader = "X-Liveupdate-Crc32"
 
 // readBody reads a request body bounded at cap bytes, translating the
 // over-limit error to 413 before any decoding work happens, and verifies
-// the optional end-to-end checksum.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+// the end-to-end checksum, which sumRequired makes mandatory.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, sumRequired bool) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -434,7 +437,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 		}
 		return nil, false
 	}
-	if want := r.Header.Get(BodyChecksumHeader); want != "" {
+	if want := r.Header.Get(BodyChecksumHeader); want != "" || sumRequired {
 		sum, err := strconv.ParseUint(want, 16, 32)
 		if err != nil || uint32(sum) != crc32.ChecksumIEEE(body) {
 			httpError(w, http.StatusBadRequest,

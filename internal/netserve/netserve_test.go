@@ -71,6 +71,18 @@ func newTestGateway(t *testing.T, inner Server, cfg Config) *Gateway {
 	return g
 }
 
+// postFrame posts body to url with its CRC-32 in BodyChecksumHeader, as the
+// network client does: POST /serve.bin refuses a body without one.
+func postFrame(c *http.Client, url, ctype string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", ctype)
+	req.Header.Set(BodyChecksumHeader, strconv.FormatUint(uint64(crc32.ChecksumIEEE(body)), 16))
+	return c.Do(req)
+}
+
 func TestNewValidatesArguments(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,8 +133,8 @@ func TestServeBinaryRoundTrip(t *testing.T) {
 	base := "http://" + g.Addr().String()
 
 	samples := sampleFixture()
-	resp, err := http.Post(base+"/serve.bin", "application/octet-stream",
-		bytes.NewReader(AppendBatch(nil, samples)))
+	resp, err := postFrame(http.DefaultClient, base+"/serve.bin", "application/octet-stream",
+		AppendBatch(nil, samples))
 	if err != nil {
 		t.Fatalf("POST /serve.bin: %v", err)
 	}
@@ -173,7 +185,7 @@ func TestServeRejectsBadInput(t *testing.T) {
 			if tc.name == "GET on POST endpoint" {
 				resp, err = http.Get(base + tc.path)
 			} else {
-				resp, err = http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
+				resp, err = postFrame(http.DefaultClient, base+tc.path, "application/json", []byte(tc.body))
 			}
 			if err != nil {
 				t.Fatalf("request: %v", err)
@@ -189,7 +201,7 @@ func TestServeRejectsBadInput(t *testing.T) {
 // TestBodyChecksumGuardsServe holds readBody's integrity check on both serve
 // endpoints: a body whose X-Liveupdate-Crc32 does not match, or is not hex,
 // is refused with 400 before the inner server sees it; a matching checksum
-// or none at all is served.
+// is served, and so is none at all on JSON /serve, but not on /serve.bin.
 func TestBodyChecksumGuardsServe(t *testing.T) {
 	stub := &stubServer{}
 	g := newTestGateway(t, stub, Config{})
@@ -206,7 +218,7 @@ func TestBodyChecksumGuardsServe(t *testing.T) {
 			{"mismatched", strconv.FormatUint(uint64(sum^1), 16), http.StatusBadRequest},
 			{"non-hex", "not-a-crc", http.StatusBadRequest},
 			{"correct", strconv.FormatUint(uint64(sum), 16), http.StatusOK},
-			{"absent", "", http.StatusOK},
+			{"absent", "", map[bool]int{true: http.StatusBadRequest, false: http.StatusOK}[path == "/serve.bin"]},
 		} {
 			req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
 			if err != nil {
@@ -426,7 +438,7 @@ func TestMalformedSampleIs422AndNodeStaysUsable(t *testing.T) {
 			body, _ = json.Marshal(s)
 			ctype = "application/json"
 		}
-		resp, err := hc.Post(base+path, ctype, bytes.NewReader(body))
+		resp, err := postFrame(hc, base+path, ctype, body)
 		if err != nil {
 			t.Errorf("POST %s: %v", path, err)
 			return 0

@@ -646,58 +646,6 @@ func BenchmarkMomentsMerge(b *testing.B) {
 	})
 }
 
-// TestKernelAxpyMatchesScalar: on both dispatch paths, axpy1, axpy2, axpy4
-// and Axpy give the scalar loops' bits at every length 0…70.
-func TestKernelAxpyMatchesScalar(t *testing.T) {
-	forEachPath(t, func(t *testing.T) {
-		rng := NewRNG(43)
-		vec := func(n int) []float64 {
-			v := make([]float64, n)
-			for i := range v {
-				v[i] = kernelDraw(rng)
-			}
-			return v
-		}
-		for n := 0; n <= 70; n++ {
-			for trial := 0; trial < 4; trial++ {
-				dst := vec(n)
-				var c [4]float64
-				var x [4][]float64
-				for k := range c {
-					c[k], x[k] = kernelDraw(rng), vec(n)
-				}
-				for _, terms := range []int{1, 2, 4} {
-					want := append([]float64(nil), dst...)
-					for i := range want {
-						for k := 0; k < terms; k++ {
-							want[i] += c[k] * x[k][i]
-						}
-					}
-					got := append([]float64(nil), dst...)
-					switch terms {
-					case 1:
-						axpy1(got, c[0], x[0])
-					case 2:
-						axpy2(got, c[0], c[1], x[0], x[1])
-					case 4:
-						axpy4(got, c[0], c[1], c[2], c[3], x[0], x[1], x[2], x[3])
-					}
-					if i := sameBitsAt(got, want); i >= 0 {
-						t.Fatalf("axpy%d n=%d: dst[%d] = %v, scalar loop %v", terms, n, i, got[i], want[i])
-					}
-					if terms == 1 {
-						got = append(got[:0], dst...)
-						Axpy(c[0], x[0], got)
-						if i := sameBitsAt(got, want); i >= 0 {
-							t.Fatalf("Axpy n=%d: y[%d] = %v, scalar loop %v", n, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
 // TestKernelQuantizedWithinTolerance: the int8 path must track the float
 // reference within the combined row/activation quantization error bound.
 func TestKernelQuantizedWithinTolerance(t *testing.T) {
@@ -1049,4 +997,56 @@ func TestKernelReLUMatchesBranchy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelAxpyMatchesScalar: on both dispatch paths, axpy1, axpy2, axpy4
+// and Axpy give the scalar loops' bits at every length 0…70.
+func TestKernelAxpyMatchesScalar(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		rng := NewRNG(43)
+		vec := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = kernelDraw(rng)
+			}
+			return v
+		}
+		for n := 0; n <= 70; n++ {
+			for trial := 0; trial < 4; trial++ {
+				dst := vec(n)
+				var c [4]float64
+				var x [4][]float64
+				for k := range c {
+					c[k], x[k] = kernelDraw(rng), vec(n)
+				}
+				for _, terms := range []int{1, 2, 4} {
+					want := append([]float64(nil), dst...)
+					for i := range want {
+						for k := 0; k < terms; k++ {
+							want[i] += c[k] * x[k][i]
+						}
+					}
+					got := append([]float64(nil), dst...)
+					switch terms {
+					case 1:
+						axpy1(got, c[0], x[0])
+					case 2:
+						axpy2(got, c[0], c[1], x[0], x[1])
+					case 4:
+						axpy4(got, c[0], c[1], c[2], c[3], x[0], x[1], x[2], x[3])
+					}
+					if i := sameBitsAt(got, want); i >= 0 {
+						t.Fatalf("axpy%d n=%d: dst[%d] = %v, scalar loop %v", terms, n, i, got[i], want[i])
+					}
+					if terms == 1 {
+						got = append(got[:0], dst...)
+						Axpy(c[0], x[0], got)
+						if i := sameBitsAt(got, want); i >= 0 {
+							t.Fatalf("Axpy n=%d: y[%d] = %v, scalar loop %v", n, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }

@@ -345,12 +345,17 @@ func WithRouter(p RouterPolicy) Option {
 // Periodic syncs run on a background pipeline that never blocks serving:
 // each replica is snapshotted individually, merged off the serving path, and
 // published through epoch-versioned atomic pointer swaps. Virtual-time
-// statistics (Served, Violations, sync counts, latency quantiles) are
-// deterministic for any worker count; adapter values are not, since which
+// statistics (Served, Violations, sync counts, clocks, latency quantiles,
+// hit ratios, membership) are deterministic for any worker count. Which
 // training lands before a snapshot depends on scheduling (the paper's
-// bounded-staleness window). A caller that needs adapter content as a
-// function of the request sequence sets zero and calls (*Cluster).SyncNow,
-// an explicit barrier, at the marks itself.
+// bounded-staleness window), so adapter values are not, and neither is
+// what is computed from them: the sync bill (SyncBytes, SyncSeconds and its
+// compute/publish split, SyncWireBytes, SyncDeltaSavedBytes,
+// SyncCompressSavedBytes, SyncCompressSeconds, a drive's SyncStallSeconds,
+// and after churn CatchUpBytes and CatchUpSeconds) and the adapter census
+// (LoRAHotRows, MemoryOverhead). A caller that needs these as a function of
+// the request sequence sets zero and calls (*Cluster).SyncNow, an explicit
+// barrier, at the marks itself.
 func WithSyncEvery(d time.Duration) Option {
 	return optionFunc(func(c *config) error {
 		if d < 0 {
@@ -701,7 +706,8 @@ type DriveConfig = driver.Config
 // DriveReport is Drive's result: wall-clock throughput (QPS, Elapsed),
 // virtual-time stats (VirtualTime, VirtualQPS, the final Stats snapshot in
 // Final), and a per-worker breakdown. Virtual-time fields are deterministic
-// regardless of Workers; wall-clock fields are measured.
+// regardless of Workers, except the sync bill and the adapter census under
+// the periodic pipeline (see WithSyncEvery); wall-clock fields are measured.
 type DriveReport = driver.Report
 
 // DriveWorkerStats is one worker's share of a drive.

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestWithSyncTopologyPublicAPI drives the same fleet under every topology
-// through the public surface: the serving schedule is topology-invariant,
-// only the sync bill changes, and the chosen topology plus its wire
-// accounting surface through Stats.
+// TestWithSyncTopologyPublicAPI holds the sync knobs' validation and the
+// point of the hierarchical topologies: with the same payloads, ring and
+// tree move fewer wire bytes than flat. That the serving schedule ignores
+// the topology is TestDeterminismMatrix's.
 func TestWithSyncTopologyPublicAPI(t *testing.T) {
 	p := smallProfile(t)
 	if _, err := New(WithProfile(p), WithSyncTopology("mesh")); err == nil {
@@ -59,23 +59,10 @@ func TestWithSyncTopologyPublicAPI(t *testing.T) {
 	flat := run(SyncTopologyFlat)
 	ring := run(SyncTopologyRing)
 	tree := run(SyncTopologyTree)
-
-	// The serving schedule is topology-invariant; the bill is not. (State
-	// bit-identity for identical sync inputs is pinned at the collective and
-	// cluster layers, where the inputs can be held fixed.)
-	for _, st := range []Stats{ring, tree} {
-		if st.Served != flat.Served || st.TrainSteps != flat.TrainSteps || st.Syncs != flat.Syncs {
-			t.Fatalf("topology changed the serving schedule:\n flat %+v\n got %+v", flat, st)
-		}
-	}
 	// Hierarchical collectives must undercut flat's wire bill for a 4-member
 	// fleet shipping the same payloads.
 	if tree.SyncWireBytes >= flat.SyncWireBytes || ring.SyncWireBytes >= flat.SyncWireBytes {
 		t.Fatalf("wire bills: flat=%d ring=%d tree=%d — hierarchical must undercut flat",
 			flat.SyncWireBytes, ring.SyncWireBytes, tree.SyncWireBytes)
-	}
-	// The compression knob billed cpu time on every variant.
-	if tree.SyncCompressSeconds <= 0 {
-		t.Fatalf("compression seconds missing: %+v", tree)
 	}
 }
