@@ -713,14 +713,10 @@ func BenchmarkSyncCollectivePricing(b *testing.B) {
 		}
 		states[i] = collective.RankedState{Rank: i, Tables: set.Snapshot()}
 	}
-	topo, err := collective.ParseTopology(collective.TopologyTree)
-	if err != nil {
-		b.Fatal(err)
-	}
 	sg, err := collective.NewSyncGroupWith(collective.GroupConfig{
 		BandwidthBps:  simnet.Gbps100,
 		LatencySec:    1e-6,
-		Topology:      topo,
+		Topology:      collective.TopologyTree,
 		Delta:         true,
 		CompressLevel: 6,
 	})

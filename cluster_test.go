@@ -178,10 +178,10 @@ func TestDriveMatchesSequentialServe(t *testing.T) {
 			t.Fatalf("replica %d diverged:\n  sequential: %+v\n  parallel:   %+v", i, w, g)
 		}
 	}
-	// The drive report carries the sync-stall split.
-	if rep.SyncStallSeconds <= 0 ||
-		rep.SyncStallSeconds != rep.SyncComputeSeconds+rep.SyncPublishSeconds {
+	// The drive's final snapshot carries the sync-stall split.
+	if st := rep.Final; st.SyncSeconds <= 0 ||
+		st.SyncSeconds != st.SyncComputeSeconds+st.SyncPublishSeconds {
 		t.Fatalf("sync-stall split missing from report: total=%v compute=%v publish=%v",
-			rep.SyncStallSeconds, rep.SyncComputeSeconds, rep.SyncPublishSeconds)
+			st.SyncSeconds, st.SyncComputeSeconds, st.SyncPublishSeconds)
 	}
 }

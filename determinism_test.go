@@ -193,7 +193,6 @@ func fingerprintOf(rep DriveReport) fingerprint {
 		add(fmt.Sprintf("Replicas[%d].", i), rs)
 	}
 	f["serving"]["Chaos"] = fmt.Sprintf("%+v, %d skipped", rep.Chaos, rep.ChaosSkipped)
-	f["bill"]["SyncStallSeconds"] = fmt.Sprint(rep.SyncStallSeconds)
 	for i, w := range rep.PerWorker {
 		f["per-worker"][fmt.Sprint(i)] = fmt.Sprint(w.Worker, w.Shards, w.Served, w.MeanLatency, w.P99Latency)
 	}
@@ -321,9 +320,9 @@ func (m *matrix) run(t *testing.T, c cell) drive {
 				if err != nil {
 					t.Fatalf("drive of requests [%d, %d): %v", start, end, err)
 				}
-				if rep.SyncStallSeconds != rep.SyncComputeSeconds+rep.SyncPublishSeconds+rep.SyncCompressSeconds {
+				if st := rep.Final; st.SyncSeconds != st.SyncComputeSeconds+st.SyncPublishSeconds+st.SyncCompressSeconds {
 					t.Errorf("requests [%d, %d): stall %v != compute %v + publish %v + compression %v", start, end,
-						rep.SyncStallSeconds, rep.SyncComputeSeconds, rep.SyncPublishSeconds, rep.SyncCompressSeconds)
+						st.SyncSeconds, st.SyncComputeSeconds, st.SyncPublishSeconds, st.SyncCompressSeconds)
 				}
 				for _, ev := range rep.Chaos {
 					ev.Request += start
@@ -343,7 +342,6 @@ func (m *matrix) run(t *testing.T, c cell) drive {
 	// drive's holds what GET /stats returned, which a faulted connection may
 	// have lost (a remote Stats then reads zero).
 	d.rep.Final = d.fleet.Stats()
-	d.rep.SyncStallSeconds = d.rep.Final.SyncSeconds
 	return d
 }
 

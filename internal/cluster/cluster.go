@@ -248,19 +248,16 @@ func New(cfg Config) (*Cluster, error) {
 	c.install(slots)
 	// The SyncGroup carries link pricing and cumulative accounting; the
 	// replica set it syncs over is the live member view, passed per sync.
-	topo, err := collective.ParseTopology(cfg.Topology)
-	if err != nil {
-		return nil, err // unreachable: Validate already parsed it
-	}
+	var err error
 	c.sync, err = collective.NewSyncGroupWith(collective.GroupConfig{
 		BandwidthBps:  cfg.BandwidthBps,
 		LatencySec:    cfg.LatencySec,
-		Topology:      topo,
+		Topology:      cfg.Topology,
 		Delta:         cfg.DeltaSync,
 		CompressLevel: cfg.Compression,
 	})
 	if err != nil {
-		return nil, err // unreachable: Validate already checked the level
+		return nil, err // unreachable: Validate already checked the topology and level
 	}
 	if cfg.SyncEvery > 0 {
 		c.pipe = newSyncPipeline(c)
@@ -770,7 +767,7 @@ func (c *Cluster) mergedStats() core.Stats {
 	merged.SyncDeltaSavedBytes = gs.DeltaSavedBytes
 	merged.SyncCompressSavedBytes = gs.CompressSavedBytes
 	merged.SyncCompressSeconds = gs.CompressSeconds
-	merged.SyncTopology = string(c.sync.Topology().Kind())
+	merged.SyncTopology = string(c.sync.Kind())
 	merged.SLA = c.cfg.Base.Node.SLA
 
 	merged.Members = len(v.active)

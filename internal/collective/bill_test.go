@@ -159,23 +159,15 @@ func putBits(h hash.Hash64, vs ...uint64) {
 // billOf prices one sync's two phases over kind: gather and broadcast
 // seconds, and the wire bytes of both.
 func billOf(kind Kind, n int, perRank, merged int64, bw, lat float64) (gather, broadcast float64, wire int64) {
-	topo, err := ParseTopology(kind)
-	if err != nil {
-		panic(err)
-	}
-	return topo.GatherTime(n, perRank, merged, bw, lat), topo.BroadcastTime(n, merged, bw, lat),
-		topo.GatherBytes(n, perRank, merged) + topo.BroadcastBytes(n, merged)
+	gather, broadcast = kind.Seconds(n, perRank, merged, bw, lat)
+	return gather, broadcast, kind.wireBytes(n, perRank, merged)
 }
 
 func newBillGroup(kind Kind, delta bool, z int) (*SyncGroup, error) {
-	topo, err := ParseTopology(kind)
-	if err != nil {
-		return nil, err
-	}
 	return NewSyncGroupWith(GroupConfig{
 		BandwidthBps:  simnet.Gbps100,
 		LatencySec:    1e-6,
-		Topology:      topo,
+		Topology:      kind,
 		Delta:         delta,
 		CompressLevel: z,
 	})

@@ -52,64 +52,74 @@ func PriorityMerge(states [][]lora.TableState) ([]lora.TableState, MergeStats, e
 // are chosen by comparing the contributors' Rank ids, never their slice
 // positions, and the shared B factor is adopted from the highest Rank
 // present. Rank ids must be distinct.
+//
+// Each table is one sort: every (rank, row) pair goes into one buffer,
+// ordered by id ascending then rank descending, and each id's first entry
+// wins. Merged rows come out ascending by id.
 func priorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, error) {
 	if len(states) == 0 {
 		return nil, MergeStats{}, fmt.Errorf("collective: no states to merge")
 	}
 	numTables := len(states[0].Tables)
 	top := 0 // index of the highest-rank state
-	seenRanks := make(map[int]bool, len(states))
+	stats := MergeStats{Participants: len(states)}
 	for i, st := range states {
 		if len(st.Tables) != numTables {
 			return nil, MergeStats{}, fmt.Errorf("collective: rank %d has %d tables, want %d",
 				st.Rank, len(st.Tables), numTables)
 		}
-		if seenRanks[st.Rank] {
+		if slices.ContainsFunc(states[:i], func(o RankedState) bool { return o.Rank == st.Rank }) {
 			return nil, MergeStats{}, fmt.Errorf("collective: duplicate rank id %d", st.Rank)
 		}
-		seenRanks[st.Rank] = true
 		if st.Rank > states[top].Rank {
 			top = i
 		}
-	}
-	stats := MergeStats{Participants: len(states)}
-	for _, st := range states {
 		stats.PayloadBytes += lora.PayloadBytes(st.Tables)
 	}
 
-	type contribution struct {
+	type rankedRow struct {
 		rank int
 		u    lora.RowUpdate
 	}
+	largest := 0
+	for t := 0; t < numTables; t++ {
+		n := 0
+		for _, st := range states {
+			n += len(st.Tables[t].Rows)
+		}
+		largest = max(largest, n)
+	}
+	buf := make([]rankedRow, 0, largest)
 	merged := make([]lora.TableState, numTables)
 	for t := 0; t < numTables; t++ {
-		winner := make(map[int32]contribution)
-		seen := make(map[int32]int)
+		buf = buf[:0]
 		for _, st := range states {
 			for _, u := range st.Tables[t].Rows {
-				if prev, dup := winner[u.ID]; dup {
-					if seen[u.ID] == 1 {
-						stats.Conflicts++ // count each conflicting id once
-					}
-					seen[u.ID]++
-					// k = max{r | i ∈ S_r}: keep the higher rank regardless
-					// of input ordering.
-					if st.Rank < prev.rank {
-						continue
-					}
-				} else {
-					seen[u.ID] = 1
-				}
-				winner[u.ID] = contribution{rank: st.Rank, u: u}
+				buf = append(buf, rankedRow{rank: st.Rank, u: u})
 			}
 		}
-		rows := make([]lora.RowUpdate, 0, len(winner))
-		for _, c := range winner {
-			rows = append(rows, c.u)
+		// k = max{r | i ∈ S_r}: within an id, the highest rank sorts first.
+		slices.SortFunc(buf, func(a, b rankedRow) int {
+			if c := cmp.Compare(a.u.ID, b.u.ID); c != 0 {
+				return c
+			}
+			return cmp.Compare(b.rank, a.rank)
+		})
+		first := func(i int) bool { return i == 0 || buf[i].u.ID != buf[i-1].u.ID }
+		distinct := 0
+		for i := range buf {
+			if first(i) {
+				distinct++
+			}
 		}
-		// Map drain order is random; ids are distinct per table, so sorting
-		// by id fixes the merged order.
-		slices.SortFunc(rows, func(a, b lora.RowUpdate) int { return cmp.Compare(a.ID, b.ID) })
+		rows := make([]lora.RowUpdate, 0, distinct)
+		for i, r := range buf {
+			if first(i) {
+				rows = append(rows, r.u)
+			} else if first(i - 1) {
+				stats.Conflicts++ // count each conflicting id once
+			}
+		}
 		stats.RowsMerged += len(rows)
 
 		// B: the highest participating rank's factor wins — deterministic
@@ -131,23 +141,23 @@ func priorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, e
 // hourly full sync); replicas here should either disable local rank
 // adaptation or adapt in lockstep.
 //
-// GroupStats and the cumulative counters are guarded by an internal mutex
-// so a background sync can fold results in while reporting code reads
-// totals. The delta-sync generation tracking shares that mutex and
-// additionally assumes merges are not concurrent with each other — the
-// serialization the cluster's syncMu already provides.
+// GroupStats, the cumulative counters and the delta-sync ledger are guarded
+// by one internal mutex, held by SyncRanked from pricing through commit, so
+// reporting code can read totals while a background sync runs. Calls to
+// SyncRanked must not overlap — the serialization the cluster's syncMu
+// already provides.
 type SyncGroup struct {
 	BandwidthBps float64
 	LatencySec   float64
 
-	topo     Topology
+	kind     Kind
 	delta    bool
 	compress int // flate level; 0 = off
 
 	mu    sync.Mutex
 	stats GroupStats
 
-	// Delta-sync tracking, nil unless delta is enabled. Generations are
+	// Delta-sync ledger, nil unless delta is enabled. Generations are
 	// 1-based sync counts (== stats.Syncs after each commit).
 	acked  map[int]int64           // rank → last generation it acknowledged
 	pubB   map[int]uint64          // table → fingerprint of the last published B
@@ -155,8 +165,8 @@ type SyncGroup struct {
 	rowGen map[int]map[int32]int64 // table → row id → generation it last changed
 }
 
-// Topology returns the topology pricing this group's collectives.
-func (sg *SyncGroup) Topology() Topology { return sg.topo }
+// Kind returns the topology pricing this group's collectives.
+func (sg *SyncGroup) Kind() Kind { return sg.kind }
 
 // GroupStats is a SyncGroup's cumulative accounting across syncs.
 type GroupStats struct {
@@ -166,11 +176,12 @@ type GroupStats struct {
 	// every rank's exported payload counted exactly once per sync. This is
 	// the application-level sync volume.
 	PayloadBytes int64
-	// WireBytes is the traffic the simulated collective actually moves:
-	// recursive-doubling AllGather rounds (on the largest per-rank payload,
-	// matching the cost model of Flat.GatherTime) plus the binomial-tree
-	// broadcast of the merged state. It is what the fabric bills for, and is
-	// strictly larger than PayloadBytes for more than one replica.
+	// WireBytes is the traffic the simulated collective actually moves over
+	// the group's topology: the gather (paced by the largest per-rank
+	// payload) plus the broadcast of the merged state, after delta and
+	// compression savings, plus any delta backfills — the bill of
+	// Kind.Seconds' two phases in bytes. It is what the fabric bills for,
+	// and is strictly larger than PayloadBytes for more than one replica.
 	WireBytes int64
 	// ComputeSeconds is the virtual time spent gathering and merging —
 	// the phase the cluster's sync pipeline moves off the serving critical
@@ -200,15 +211,27 @@ func (g GroupStats) Seconds() float64 {
 	return g.ComputeSeconds + g.PublishSeconds + g.CompressSeconds
 }
 
+// add folds one sync's bill into the totals.
+func (g *GroupStats) add(d GroupStats) {
+	g.Syncs += d.Syncs
+	g.PayloadBytes += d.PayloadBytes
+	g.WireBytes += d.WireBytes
+	g.ComputeSeconds += d.ComputeSeconds
+	g.PublishSeconds += d.PublishSeconds
+	g.DeltaSavedBytes += d.DeltaSavedBytes
+	g.CompressSavedBytes += d.CompressSavedBytes
+	g.CompressSeconds += d.CompressSeconds
+}
+
 // GroupConfig configures a SyncGroup: uniform link parameters plus the
 // pricing knobs.
 type GroupConfig struct {
 	BandwidthBps float64
 	LatencySec   float64
 
-	// Topology prices the gather/broadcast collectives; nil means Flat, the
-	// original recursive-doubling model.
-	Topology Topology
+	// Topology prices the gather/broadcast collectives; empty means flat,
+	// the original recursive-doubling model.
+	Topology Kind
 	// Delta bills only rows whose generation changed since each peer's last
 	// acknowledged sync and skips unchanged shared factors. It is pure cost
 	// accounting: the merge result stays bit-identical to full sync.
@@ -224,14 +247,14 @@ func NewSyncGroupWith(cfg GroupConfig) (*SyncGroup, error) {
 	if cfg.CompressLevel < 0 || cfg.CompressLevel > 9 {
 		return nil, fmt.Errorf("collective: compression level %d out of range [0,9]", cfg.CompressLevel)
 	}
-	topo := cfg.Topology
-	if topo == nil {
-		topo = Flat{}
+	kind, err := ParseTopology(cfg.Topology)
+	if err != nil {
+		return nil, err
 	}
 	sg := &SyncGroup{
 		BandwidthBps: cfg.BandwidthBps,
 		LatencySec:   cfg.LatencySec,
-		topo:         topo,
+		kind:         kind,
 		delta:        cfg.Delta,
 		compress:     cfg.CompressLevel,
 	}
@@ -244,29 +267,13 @@ func NewSyncGroupWith(cfg GroupConfig) (*SyncGroup, error) {
 	return sg, nil
 }
 
-// syncCost is one sync's wire/time bill, derived from the snapshots and the
-// merged result.
-type syncCost struct {
-	computeSeconds  float64
-	publishSeconds  float64
-	compressSeconds float64
-	wireBytes       int64
-	deltaSaved      int64
-	compressSaved   int64
-
-	// tracking stages the delta bookkeeping to apply at commit (nil when
-	// delta sync is off).
-	tracking *deltaTracking
-}
-
-// priceSync prices one sync's collective over the configured topology:
-// a gather paced by the largest per-rank payload, a broadcast of the merged
-// state, and — when enabled — delta tailoring and flate compression of both.
-// It never touches the clock or the cumulative stats (delta tracking maps
-// are read, not written, under sg.mu).
-func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) syncCost {
-	n := len(states)
-	topo := sg.topo
+// priceLocked prices one sync's collective over the group's topology and
+// returns its increment to the totals: a gather paced by the largest
+// per-rank payload, a broadcast of the merged state, and — when enabled —
+// delta tailoring and flate compression of both. With delta on it also
+// records the sync as generation gen in the ledger. Caller holds sg.mu.
+func (sg *SyncGroup) priceLocked(states []RankedState, merged []lora.TableState, gen int64) GroupStats {
+	n, k := len(states), sg.kind
 
 	// Full sizing: the pacing (largest) per-rank payload and the merged
 	// payload — the classic bill, and the baseline delta savings are
@@ -284,21 +291,18 @@ func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) s
 	}
 	mergedFull := lora.PayloadBytes(merged)
 
-	var cost syncCost
+	inc := GroupStats{Syncs: 1, PayloadBytes: sumFull}
 	perRank, mergedSize, sumRaw := maxFull, mergedFull, sumFull
-	pacingTables := states[pacing].Tables
-	pubTables := merged
-
+	pacingTables, pubTables := states[pacing].Tables, merged
+	wire := k.wireBytes(n, perRank, mergedSize)
+	var back deltaSizing
 	if sg.delta {
-		ds := sg.deltaSize(states, merged)
-		perRank, mergedSize, sumRaw = ds.perRank, ds.merged, ds.sum
-		pacingTables, pubTables = ds.pacing, ds.pub
-		cost.tracking = ds.track
-		cost.wireBytes += ds.backBytes
-		cost.publishSeconds += ds.backSecs
-		wireFull := topo.GatherBytes(n, maxFull, mergedFull) + topo.BroadcastBytes(n, mergedFull)
-		wireEff := topo.GatherBytes(n, perRank, mergedSize) + topo.BroadcastBytes(n, mergedSize) + ds.backBytes
-		cost.deltaSaved = wireFull - wireEff
+		back = sg.deltaLocked(states, merged, gen)
+		perRank, mergedSize, sumRaw = back.perRank, back.merged, back.sum
+		pacingTables, pubTables = back.pacing, back.pub
+		full := wire
+		wire = k.wireBytes(n, perRank, mergedSize)
+		inc.DeltaSavedBytes = full - (wire + back.backBytes)
 	}
 
 	if sg.compress > 0 {
@@ -307,17 +311,17 @@ func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) s
 		// each rank's contribution once, plus the merged state once.
 		zPacing := compressedPayloadBytes(pacingTables, sg.compress)
 		zMerged := compressedPayloadBytes(pubTables, sg.compress)
-		wirePlain := topo.GatherBytes(n, perRank, mergedSize) + topo.BroadcastBytes(n, mergedSize)
-		wireZ := topo.GatherBytes(n, zPacing, zMerged) + topo.BroadcastBytes(n, zMerged)
-		cost.compressSaved = wirePlain - wireZ
-		cost.compressSeconds = float64(sumRaw+mergedSize) / compressThroughputBps(sg.compress)
-		perRank, mergedSize = zPacing, zMerged
+		wireZ := k.wireBytes(n, zPacing, zMerged)
+		inc.CompressSavedBytes = wire - wireZ
+		inc.CompressSeconds = float64(sumRaw+mergedSize) / compressThroughputBps(sg.compress)
+		perRank, mergedSize, wire = zPacing, zMerged, wireZ
 	}
 
-	cost.computeSeconds += topo.GatherTime(n, perRank, mergedSize, sg.BandwidthBps, sg.LatencySec)
-	cost.publishSeconds += topo.BroadcastTime(n, mergedSize, sg.BandwidthBps, sg.LatencySec)
-	cost.wireBytes += topo.GatherBytes(n, perRank, mergedSize) + topo.BroadcastBytes(n, mergedSize)
-	return cost
+	gather, broadcast := k.Seconds(n, perRank, mergedSize, sg.BandwidthBps, sg.LatencySec)
+	inc.ComputeSeconds = gather
+	inc.PublishSeconds = back.backSecs + broadcast
+	inc.WireBytes = back.backBytes + wire
+	return inc
 }
 
 // SyncRanked runs one priority-merge sync over pre-taken ranked snapshots:
@@ -332,24 +336,14 @@ func (sg *SyncGroup) SyncRanked(c *simnet.Clock, states []RankedState) ([]lora.T
 	if err != nil {
 		return nil, stats, 0, err
 	}
-	cost := sg.priceSync(states, merged)
-	if c != nil {
-		c.Advance(cost.computeSeconds + cost.publishSeconds + cost.compressSeconds)
-	}
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
-	sg.stats.Syncs++
-	sg.stats.PayloadBytes += stats.PayloadBytes
-	sg.stats.WireBytes += cost.wireBytes
-	sg.stats.ComputeSeconds += cost.computeSeconds
-	sg.stats.PublishSeconds += cost.publishSeconds
-	sg.stats.CompressSeconds += cost.compressSeconds
-	sg.stats.DeltaSavedBytes += cost.deltaSaved
-	sg.stats.CompressSavedBytes += cost.compressSaved
-	gen := int64(sg.stats.Syncs)
-	if cost.tracking != nil {
-		sg.applyTrackingLocked(cost.tracking, gen)
+	gen := int64(sg.stats.Syncs) + 1
+	inc := sg.priceLocked(states, merged, gen)
+	if c != nil {
+		c.Advance(inc.Seconds())
 	}
+	sg.stats.add(inc)
 	return merged, stats, gen, nil
 }
 

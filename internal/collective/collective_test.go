@@ -13,7 +13,7 @@ import (
 func TestAllGatherRounds(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 8: 3, 9: 4, 16: 4, 48: 6}
 	for n, want := range cases {
-		if got := (Flat{}).Rounds(n); got != want {
+		if got := TopologyFlat.rounds(n); got != want {
 			t.Fatalf("rounds(%d) = %d, want %d", n, got, want)
 		}
 	}
@@ -23,13 +23,13 @@ func TestAllGatherTimeLogScaling(t *testing.T) {
 	// Latency-dominated regime: time grows like log2(N) (paper Fig 19).
 	const bw = 1e12
 	const lat = 0.01
-	t2 := Flat{}.GatherTime(2, 1000, 0, bw, lat)
-	t16 := Flat{}.GatherTime(16, 1000, 0, bw, lat)
+	t2, _ := TopologyFlat.Seconds(2, 1000, 0, bw, lat)
+	t16, _ := TopologyFlat.Seconds(16, 1000, 0, bw, lat)
 	ratio := t16 / t2
 	if math.Abs(ratio-4) > 0.1 { // log2(16)/log2(2) = 4
 		t.Fatalf("latency scaling ratio %v, want ~4", ratio)
 	}
-	if (Flat{}).GatherTime(1, 1000, 0, bw, lat) != 0 {
+	if g, b := TopologyFlat.Seconds(1, 1000, 0, bw, lat); g != 0 || b != 0 {
 		t.Fatal("single node needs no communication")
 	}
 }
@@ -38,7 +38,7 @@ func TestAllGatherTimeBytesScaling(t *testing.T) {
 	// Bandwidth-dominated: total bytes moved per node ≈ (n-1)·payload, so
 	// time ≈ (n-1)·payload/bw.
 	const bw = 1e6
-	got := Flat{}.GatherTime(8, 1000, 0, bw, 0)
+	got, _ := TopologyFlat.Seconds(8, 1000, 0, bw, 0)
 	want := float64(7*1000) / bw
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("bytes scaling time %v, want %v", got, want)
@@ -46,10 +46,10 @@ func TestAllGatherTimeBytesScaling(t *testing.T) {
 }
 
 func TestBroadcastTime(t *testing.T) {
-	if (Flat{}).BroadcastTime(1, 1000, 1e6, 0.01) != 0 {
+	if _, b := TopologyFlat.Seconds(1, 0, 1000, 1e6, 0.01); b != 0 {
 		t.Fatal("single-node broadcast is free")
 	}
-	got := Flat{}.BroadcastTime(8, 1000, 1e6, 0.01)
+	_, got := TopologyFlat.Seconds(8, 0, 1000, 1e6, 0.01)
 	want := 3 * (0.01 + 1000/1e6)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("broadcast time %v, want %v", got, want)
@@ -292,10 +292,11 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 	if gs.Syncs != 1 || gs.PayloadBytes != wantPayload {
 		t.Fatalf("GroupStats = (%d, %d), want (1, %d): cumulative bytes must be per-sync payload totals", gs.Syncs, gs.PayloadBytes, wantPayload)
 	}
-	wantWire := Flat{}.GatherBytes(4, maxPayload, 0) + Flat{}.BroadcastBytes(4, lora.PayloadBytes(merged))
-	if gs.WireBytes != wantWire {
+	mergedBytes := lora.PayloadBytes(merged)
+	wantGather, wantBroadcast := 4*3*maxPayload, 3*mergedBytes // two doubling rounds; n−1 sends
+	if gs.WireBytes != wantGather+wantBroadcast || TopologyFlat.wireBytes(4, maxPayload, mergedBytes) != gs.WireBytes {
 		t.Fatalf("WireBytes = %d, want %d (allgather %d + broadcast %d)",
-			gs.WireBytes, wantWire, Flat{}.GatherBytes(4, maxPayload, 0), Flat{}.BroadcastBytes(4, lora.PayloadBytes(merged)))
+			gs.WireBytes, wantGather+wantBroadcast, wantGather, wantBroadcast)
 	}
 	if gs.WireBytes <= gs.PayloadBytes {
 		t.Fatal("simulated wire traffic must exceed the application payload for 4 replicas")
@@ -316,15 +317,17 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 }
 
 func TestAllGatherAndBroadcastBytes(t *testing.T) {
-	if (Flat{}).GatherBytes(1, 1000, 0) != 0 || (Flat{}).BroadcastBytes(1, 1000) != 0 {
+	if TopologyFlat.wireBytes(1, 1000, 1000) != 0 {
 		t.Fatal("single node moves nothing")
 	}
-	// n=4: 2 rounds, per-node blocks 1000 then 2000 → 4·3000 total.
-	if got := (Flat{}).GatherBytes(4, 1000, 0); got != 12000 {
-		t.Fatalf("Flat.GatherBytes(4, 1000, 0) = %d, want 12000", got)
+	// n=4: 2 rounds, per-node blocks 1000 then 2000 → 4·3000 total; an
+	// empty merged state broadcasts nothing.
+	if got := TopologyFlat.wireBytes(4, 1000, 0); got != 12000 {
+		t.Fatalf("flat gather wireBytes(4, 1000, 0) = %d, want 12000", got)
 	}
-	if got := (Flat{}).BroadcastBytes(8, 1000); got != 7000 {
-		t.Fatalf("Flat.BroadcastBytes(8, 1000) = %d, want 7000", got)
+	// An empty per-rank payload gathers nothing: 7 sends of the merged state.
+	if got := TopologyFlat.wireBytes(8, 0, 1000); got != 7000 {
+		t.Fatalf("flat broadcast wireBytes(8, 0, 1000) = %d, want 7000", got)
 	}
 }
 
@@ -487,5 +490,43 @@ func TestSyncGroupConsistencyAfterLongRun(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPriorityMergeAllocs bounds the merge's allocations: one sort buffer
+// presized to the largest table, the merged table slice, and one row slice
+// per table — no per-row map entries.
+func TestPriorityMergeAllocs(t *testing.T) {
+	const ranks, tables, rows, rank = 4, 26, 300, 4
+	rng := tensor.NewRNG(3)
+	states := make([][]lora.TableState, ranks)
+	for r := range states {
+		states[r] = make([]lora.TableState, tables)
+		for tb := range states[r] {
+			ts := lora.TableState{Rank: rank, B: tensor.NewMatrix(rank, 8)}
+			seen := map[int32]bool{}
+			for len(ts.Rows) < rows-tb {
+				id := int32(rng.Intn(2 * rows)) // ranks overlap on about half their ids
+				if seen[id] {
+					continue
+				}
+				seen[id] = true
+				ts.Rows = append(ts.Rows, lora.RowUpdate{ID: id, Row: make([]float64, rank)})
+			}
+			states[r][tb] = ts
+		}
+	}
+	var stats MergeStats
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if _, stats, err = PriorityMerge(states); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats.Conflicts == 0 || stats.RowsMerged == 0 {
+		t.Fatalf("fixture must merge overlapping rows: %+v", stats)
+	}
+	if limit := float64(tables + 4); allocs > limit {
+		t.Fatalf("PriorityMerge allocates %v times for %d tables; want ≤ %v", allocs, tables, limit)
 	}
 }

@@ -21,17 +21,6 @@ import (
 // "ship only rows whose epoch changed since the peer's last acknowledged
 // generation" half of the protocol.
 
-// deltaTracking stages the generation bookkeeping one delta-mode sync
-// applies when SyncRanked folds it into the group totals: which rows the
-// publish touched, whether each table's published factor changed, and which
-// ranks acknowledged the generation.
-type deltaTracking struct {
-	participants []int
-	mergedIDs    [][]int32 // per table: row ids published this sync
-	bChanged     []bool    // per table: published B differs from the last publish
-	newPubB      []uint64  // per table: fingerprint of the B published this sync
-}
-
 // deltaSizing is the delta-adjusted pricing input for one sync.
 type deltaSizing struct {
 	perRank int64 // pacing (largest) per-rank delta payload
@@ -41,37 +30,15 @@ type deltaSizing struct {
 	pacing []lora.TableState // the pacing rank's payload, skipped factors nil'd
 	pub    []lora.TableState // the publish payload, skipped factors nil'd
 
-	track     *deltaTracking
 	backBytes int64   // stale-peer backfill wire volume
 	backSecs  float64 // point-to-point publish time for the backfills
 }
 
-// deltaSize computes the delta-adjusted payload sizes for one sync. It reads
-// the tracking maps under sg.mu but defers every mutation to SyncRanked via
-// the staged deltaTracking, so a failed or abandoned merge leaves no trace.
-func (sg *SyncGroup) deltaSize(states []RankedState, merged []lora.TableState) deltaSizing {
-	numTables := len(merged)
-	ds := deltaSizing{
-		track: &deltaTracking{
-			participants: make([]int, len(states)),
-			mergedIDs:    make([][]int32, numTables),
-			bChanged:     make([]bool, numTables),
-			newPubB:      make([]uint64, numTables),
-		},
-	}
-	for i, st := range states {
-		ds.track.participants[i] = st.Rank
-	}
-	for t, mt := range merged {
-		ids := make([]int32, len(mt.Rows))
-		for i, u := range mt.Rows {
-			ids[i] = u.ID
-		}
-		ds.track.mergedIDs[t] = ids
-	}
-
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
+// deltaLocked computes the delta-adjusted payload sizes for one sync and
+// records it in the ledger as generation gen, in one pass: every read of a
+// ledger entry comes before the write that moves it. Caller holds sg.mu.
+func (sg *SyncGroup) deltaLocked(states []RankedState, merged []lora.TableState, gen int64) deltaSizing {
+	var ds deltaSizing
 
 	// Per-rank gather payloads: rows always ship (exports hold only rows
 	// modified since the last snapshot), the shared factor ships only when
@@ -102,52 +69,48 @@ func (sg *SyncGroup) deltaSize(states []RankedState, merged []lora.TableState) d
 	ds.pacing = stripFactors(states[pacing].Tables, shipB[pacing])
 
 	// Publish payload: merged rows plus only the factors that changed since
-	// the last publish.
-	pubShip := make([]bool, numTables)
+	// the last publish. Every published row and changed factor moves to
+	// generation gen.
+	pubShip := make([]bool, len(merged))
 	for t, mt := range merged {
 		ds.merged += rowsPayloadBytes(mt.Rows)
 		fp := fingerprintB(mt.B)
-		ds.track.newPubB[t] = fp
-		if mt.B == nil {
-			continue
-		}
-		if last, ok := sg.pubB[t]; !ok || last != fp {
-			ds.track.bChanged[t] = true
+		if last, ok := sg.pubB[t]; mt.B != nil && (!ok || last != fp) {
 			pubShip[t] = true
 			ds.merged += int64(len(mt.B.Data)) * 8
+			sg.bGen[t] = gen
+		}
+		sg.pubB[t] = fp
+		rg := sg.rowGen[t]
+		if rg == nil {
+			rg = make(map[int32]int64, len(mt.Rows))
+			sg.rowGen[t] = rg
+		}
+		for _, u := range mt.Rows {
+			rg[u.ID] = gen
 		}
 	}
 	ds.pub = stripFactors(merged, pubShip)
 
 	// Backfill: a participant whose acknowledged generation trails the
-	// group's missed publishes; ship it the rows (and factors) that changed
-	// in between, excluding anything already in this sync's publish.
-	lastGen := int64(sg.stats.Syncs)
-	var inPub []map[int32]bool // lazily built: per table, ids published this sync
+	// group's missed publishes; ship it the rows (and factors) whose
+	// generation passed it by, excluding anything in this sync's publish
+	// (now at gen).
 	for _, st := range states {
 		ack, known := sg.acked[st.Rank]
-		if !known || ack >= lastGen {
+		sg.acked[st.Rank] = gen
+		if !known || ack >= gen-1 {
 			continue // new ranks are caught up out of band (CatchUpBytes)
-		}
-		if inPub == nil {
-			inPub = make([]map[int32]bool, numTables)
-			for t := range merged {
-				set := make(map[int32]bool, len(merged[t].Rows))
-				for _, u := range merged[t].Rows {
-					set[u.ID] = true
-				}
-				inPub[t] = set
-			}
 		}
 		var bytes int64
 		for t, mt := range merged {
 			rowBytes := 4 + 8*int64(mt.Rank)
-			for id, gen := range sg.rowGen[t] {
-				if gen > ack && !inPub[t][id] {
+			for _, g := range sg.rowGen[t] {
+				if g > ack && g < gen {
 					bytes += rowBytes
 				}
 			}
-			if mt.B != nil && sg.bGen[t] > ack && !ds.track.bChanged[t] {
+			if g := sg.bGen[t]; mt.B != nil && g > ack && g < gen {
 				bytes += int64(len(mt.B.Data)) * 8
 			}
 		}
@@ -155,28 +118,6 @@ func (sg *SyncGroup) deltaSize(states []RankedState, merged []lora.TableState) d
 		ds.backSecs += sg.LatencySec + float64(bytes)/sg.BandwidthBps
 	}
 	return ds
-}
-
-// applyTrackingLocked folds one committed delta sync's bookkeeping into the
-// tracking maps. Caller holds sg.mu; gen is the just-committed generation.
-func (sg *SyncGroup) applyTrackingLocked(t *deltaTracking, gen int64) {
-	for ti := range t.mergedIDs {
-		rg := sg.rowGen[ti]
-		if rg == nil {
-			rg = make(map[int32]int64)
-			sg.rowGen[ti] = rg
-		}
-		for _, id := range t.mergedIDs[ti] {
-			rg[id] = gen
-		}
-		sg.pubB[ti] = t.newPubB[ti]
-		if t.bChanged[ti] {
-			sg.bGen[ti] = gen
-		}
-	}
-	for _, r := range t.participants {
-		sg.acked[r] = gen
-	}
 }
 
 // stripFactors returns tables with the shared factor nil'd wherever ship is

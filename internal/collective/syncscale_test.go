@@ -74,14 +74,10 @@ func runSyncScaleCell(seed uint64, n int, cfg ssConfig) (ssCell, error) {
 		}
 		sets[i] = s
 	}
-	topo, err := ParseTopology(cfg.kind)
-	if err != nil {
-		return ssCell{}, err
-	}
 	sg, err := NewSyncGroupWith(GroupConfig{
 		BandwidthBps:  ssBw,
 		LatencySec:    ssLat,
-		Topology:      topo,
+		Topology:      cfg.kind,
 		Delta:         cfg.delta,
 		CompressLevel: cfg.compress,
 	})

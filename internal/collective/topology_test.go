@@ -12,7 +12,7 @@ import (
 
 func TestParseTopology(t *testing.T) {
 	for _, kind := range append([]Kind{""}, Topologies()...) {
-		topo, err := ParseTopology(kind)
+		got, err := ParseTopology(kind)
 		if err != nil {
 			t.Fatalf("ParseTopology(%q): %v", kind, err)
 		}
@@ -20,8 +20,8 @@ func TestParseTopology(t *testing.T) {
 		if want == "" {
 			want = TopologyFlat
 		}
-		if topo.Kind() != want {
-			t.Fatalf("ParseTopology(%q).Kind() = %q", kind, topo.Kind())
+		if got != want {
+			t.Fatalf("ParseTopology(%q) = %q", kind, got)
 		}
 	}
 	if _, err := ParseTopology("hypercube"); err == nil {
@@ -33,40 +33,38 @@ func TestParseTopology(t *testing.T) {
 // cells: tree rounds grow like ⌈log2 n⌉, ring rounds like n-1, and the
 // hierarchical wire bills are (n-1)·hop against flat's n·(2^⌈log2 n⌉-1)·hop.
 func TestTopologyCostShapes(t *testing.T) {
-	for _, topo := range []Topology{Flat{}, ringTopology{}, treeTopology{}} {
-		if topo.Rounds(1) != 0 || topo.GatherBytes(1, 1000, 1000) != 0 ||
-			topo.BroadcastBytes(1, 1000) != 0 ||
-			topo.GatherTime(1, 1000, 1000, 1e9, 1e-6) != 0 ||
-			topo.BroadcastTime(1, 1000, 1e9, 1e-6) != 0 {
-			t.Fatalf("%s: single member must be free", topo.Kind())
+	for _, kind := range Topologies() {
+		gather, broadcast := kind.Seconds(1, 1000, 1000, 1e9, 1e-6)
+		if kind.rounds(1) != 0 || kind.wireBytes(1, 1000, 1000) != 0 || gather != 0 || broadcast != 0 {
+			t.Fatalf("%s: single member must be free", kind)
 		}
 	}
-	if got := (treeTopology{}).Rounds(256); got != 8 {
-		t.Fatalf("Tree.Rounds(256) = %d, want 8", got)
+	if got := TopologyTree.rounds(256); got != 8 {
+		t.Fatalf("tree rounds(256) = %d, want 8", got)
 	}
-	if got := (ringTopology{}).Rounds(256); got != 255 {
-		t.Fatalf("Ring.Rounds(256) = %d, want 255", got)
+	if got := TopologyRing.rounds(256); got != 255 {
+		t.Fatalf("ring rounds(256) = %d, want 255", got)
 	}
 	// Hop payload is max(perRank, merged): both hierarchical gathers ship
-	// (n-1) hops of it.
+	// (n-1) hops of it, and every broadcast n-1 copies of the merged state.
 	const per, merged = 1000, 4000
-	if got := (treeTopology{}).GatherBytes(8, per, merged); got != 7*merged {
-		t.Fatalf("Tree.GatherBytes = %d, want %d", got, 7*merged)
+	if got := TopologyTree.wireBytes(8, per, merged); got != 7*merged+7*merged {
+		t.Fatalf("tree wireBytes = %d, want %d", got, 14*merged)
 	}
-	if got := (ringTopology{}).GatherBytes(8, per, merged); got != 7*merged {
-		t.Fatalf("Ring.GatherBytes = %d, want %d", got, 7*merged)
+	if got := TopologyRing.wireBytes(8, per, merged); got != 7*merged+7*merged {
+		t.Fatalf("ring wireBytes = %d, want %d", got, 14*merged)
 	}
 	// Flat's gather is oblivious to the merged size and strictly larger.
-	if flat := (Flat{}).GatherBytes(8, per, merged); flat != 8*7*per || flat <= 7*per {
-		t.Fatalf("Flat.GatherBytes = %d", flat)
+	if flat := TopologyFlat.wireBytes(8, per, merged) - 7*merged; flat != 8*7*per || flat <= 7*per {
+		t.Fatalf("flat gather bytes = %d", flat)
 	}
 	// Latency shape: tree pays rounds hops, ring pays n-1 hops.
 	const bw, lat = 1e15, 1e-3 // latency-dominated
-	if got := (treeTopology{}).GatherTime(256, per, merged, bw, lat); math.Abs(got-8*lat) > 1e-9 {
-		t.Fatalf("Tree latency %v, want ~%v", got, 8*lat)
+	if got, _ := TopologyTree.Seconds(256, per, merged, bw, lat); math.Abs(got-8*lat) > 1e-9 {
+		t.Fatalf("tree latency %v, want ~%v", got, 8*lat)
 	}
-	if got := (ringTopology{}).GatherTime(256, per, merged, bw, lat); math.Abs(got-255*lat) > 1e-9 {
-		t.Fatalf("Ring latency %v, want ~%v", got, 255*lat)
+	if got, _ := TopologyRing.Seconds(256, per, merged, bw, lat); math.Abs(got-255*lat) > 1e-9 {
+		t.Fatalf("ring latency %v, want ~%v", got, 255*lat)
 	}
 }
 
@@ -147,15 +145,11 @@ func TestTopologyMergeEquivalence(t *testing.T) {
 	var want []lora.TableState
 	for _, v := range variants {
 		for _, perm := range perms {
-			topo, err := ParseTopology(v.kind)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Fresh group per run: delta tracking is stateful.
 			sg, err := NewSyncGroupWith(GroupConfig{
 				BandwidthBps:  simnet.Gbps100,
 				LatencySec:    1e-6,
-				Topology:      topo,
+				Topology:      v.kind,
 				Delta:         v.delta,
 				CompressLevel: v.compress,
 			})
@@ -193,14 +187,10 @@ func TestTopologyByteAccounting(t *testing.T) {
 		}
 	}
 	for _, kind := range Topologies() {
-		topo, err := ParseTopology(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
 		sg, err := NewSyncGroupWith(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
-			Topology:     topo,
+			Topology:     kind,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -211,10 +201,8 @@ func TestTopologyByteAccounting(t *testing.T) {
 		}
 		mergedFull := lora.PayloadBytes(merged)
 		gs := sg.GroupStats()
-		want := topo.GatherBytes(4, maxFull, mergedFull) + topo.BroadcastBytes(4, mergedFull)
-		if gs.WireBytes != want {
-			t.Fatalf("%s: WireBytes = %d, want gather %d + broadcast %d",
-				kind, gs.WireBytes, topo.GatherBytes(4, maxFull, mergedFull), topo.BroadcastBytes(4, mergedFull))
+		if want := kind.wireBytes(4, maxFull, mergedFull); gs.WireBytes != want {
+			t.Fatalf("%s: WireBytes = %d, want gather + broadcast %d", kind, gs.WireBytes, want)
 		}
 		if gs.ComputeSeconds <= 0 || gs.PublishSeconds <= 0 {
 			t.Fatalf("%s: cost split missing: %+v", kind, gs)
@@ -235,7 +223,7 @@ func TestDeltaAccountingIdentity(t *testing.T) {
 		sg, err := NewSyncGroupWith(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
-			Topology:     treeTopology{},
+			Topology:     TopologyTree,
 			Delta:        delta,
 		})
 		if err != nil {
@@ -313,7 +301,7 @@ func TestDeltaBackfillStaleRank(t *testing.T) {
 		sg, err := NewSyncGroupWith(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
-			Topology:     treeTopology{},
+			Topology:     TopologyTree,
 			Delta:        true,
 		})
 		if err != nil {
@@ -367,7 +355,7 @@ func TestCompressionAccounting(t *testing.T) {
 		sg, err := NewSyncGroupWith(GroupConfig{
 			BandwidthBps:  simnet.Gbps100,
 			LatencySec:    1e-6,
-			Topology:      treeTopology{},
+			Topology:      TopologyTree,
 			CompressLevel: level,
 		})
 		if err != nil {
@@ -413,8 +401,11 @@ func TestNewSyncGroupWithValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sg.Topology().Kind() != TopologyFlat {
-		t.Fatalf("nil topology must default to flat, got %q", sg.Topology().Kind())
+	if sg.Kind() != TopologyFlat {
+		t.Fatalf("empty topology must default to flat, got %q", sg.Kind())
+	}
+	if _, err := NewSyncGroupWith(GroupConfig{BandwidthBps: 1e9, Topology: "torus"}); err == nil {
+		t.Fatal("unknown topology must be rejected")
 	}
 }
 
@@ -430,9 +421,9 @@ func TestTopologyGuards(t *testing.T) {
 		}()
 		f()
 	}
-	for _, topo := range []Topology{Flat{}, ringTopology{}, treeTopology{}} {
-		kind := topo.Kind()
-		mustPanic(fmt.Sprintf("%s negative payload", kind), func() { topo.GatherBytes(4, -1, 0) })
-		mustPanic(fmt.Sprintf("%s zero bandwidth", kind), func() { topo.GatherTime(4, 1000, 1000, 0, 1e-6) })
+	for _, kind := range Topologies() {
+		mustPanic(fmt.Sprintf("%s negative payload", kind), func() { kind.wireBytes(4, -1, 0) })
+		mustPanic(fmt.Sprintf("%s zero bandwidth", kind), func() { kind.Seconds(4, 1000, 1000, 0, 1e-6) })
 	}
+	mustPanic("unknown kind", func() { Kind("torus").Seconds(4, 1000, 1000, 1e9, 1e-6) })
 }

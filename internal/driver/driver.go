@@ -197,12 +197,10 @@ type WorkerStats struct {
 // batch size (per-worker fields at a fixed driver seed and worker count),
 // with one exception. Under a Cluster's periodic-sync pipeline a snapshot
 // lands whenever its goroutine runs, so the sync bill and the adapter census
-// vary run to run: here SyncStallSeconds, SyncComputeSeconds,
-// SyncPublishSeconds, SyncWireBytes and SyncCompressSeconds; in Final,
-// SyncBytes, SyncSeconds and its compute/publish split, SyncWireBytes,
-// SyncDeltaSavedBytes, SyncCompressSavedBytes, SyncCompressSeconds,
-// CatchUpBytes and CatchUpSeconds, and LoRAHotRows and MemoryOverhead,
-// fleet-wide and per replica. With periodic syncs off and SyncNow called
+// vary run to run: in Final, SyncBytes, SyncSeconds and its compute/publish
+// split, SyncWireBytes, SyncDeltaSavedBytes, SyncCompressSavedBytes,
+// SyncCompressSeconds, CatchUpBytes and CatchUpSeconds, and LoRAHotRows and
+// MemoryOverhead, fleet-wide and per replica. With periodic syncs off and SyncNow called
 // between drives, those are deterministic too.
 type Report struct {
 	Requests  int    // requests asked for
@@ -218,22 +216,6 @@ type Report struct {
 	VirtualTime float64 // server's virtual clock after the drive, seconds
 	VirtualQPS  float64 // Served / VirtualTime (simulated throughput)
 
-	// SyncStallSeconds is the virtual time the fleet spent in priority-merge
-	// syncs during the drive (zero for a single System), split into the
-	// compute phase (snapshot gather + merge — runs off the serving critical
-	// path in the periodic-sync pipeline) and the publish phase
-	// (broadcasting and installing the merged state). Serving overlaps
-	// periodic syncs; only an explicit SyncNow stalls it.
-	SyncStallSeconds   float64
-	SyncComputeSeconds float64
-	SyncPublishSeconds float64
-	// SyncWireBytes is the traffic the simulated sync collective moved during
-	// the drive (after delta/compression savings); SyncCompressSeconds is the
-	// modeled cpu time payload compression cost (also inside
-	// SyncStallSeconds). Both zero for a single System.
-	SyncWireBytes       int64
-	SyncCompressSeconds float64
-
 	Cancelled bool // context cancelled before all requests were served
 
 	// Chaos lists the schedule events applied during the drive, in
@@ -244,7 +226,10 @@ type Report struct {
 	ChaosSkipped int
 
 	PerWorker []WorkerStats // per-worker breakdown, in worker order
-	Final     core.Stats    // server stats snapshot taken after the drive
+	// Final is the server's stats snapshot taken after the drive. Its sync
+	// bill (SyncSeconds and its compute/publish/compress split,
+	// SyncWireBytes) is cumulative over the server's life, not this drive's.
+	Final core.Stats
 
 	// Stages is the sampled wall-clock stage-latency breakdown of this
 	// drive (route, queue wait, forward, commit, sync publish), present only
@@ -636,11 +621,6 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 	if rep.VirtualTime > 0 {
 		rep.VirtualQPS = float64(rep.Served) / rep.VirtualTime
 	}
-	rep.SyncStallSeconds = rep.Final.SyncSeconds
-	rep.SyncComputeSeconds = rep.Final.SyncComputeSeconds
-	rep.SyncPublishSeconds = rep.Final.SyncPublishSeconds
-	rep.SyncWireBytes = rep.Final.SyncWireBytes
-	rep.SyncCompressSeconds = rep.Final.SyncCompressSeconds
 	if driveTracer != nil {
 		after := driveTracer.StageTotals()
 		for s := 0; s < metrics.NumStages; s++ {

@@ -402,9 +402,9 @@ func TestDriveAsyncVirtualTimeInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if rep.SyncStallSeconds != rep.SyncComputeSeconds+rep.SyncPublishSeconds {
+		if st := rep.Final; st.SyncSeconds != st.SyncComputeSeconds+st.SyncPublishSeconds {
 			t.Fatalf("workers=%d: sync stall split inconsistent: %v != %v + %v",
-				workers, rep.SyncStallSeconds, rep.SyncComputeSeconds, rep.SyncPublishSeconds)
+				workers, st.SyncSeconds, st.SyncComputeSeconds, st.SyncPublishSeconds)
 		}
 		return keyOf(rep.Final)
 	}

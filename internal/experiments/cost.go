@@ -138,7 +138,8 @@ func fig19(o Options) (Report, error) {
 	projected := []int{24, 32, 48}
 	timeFor := func(n int) float64 {
 		perNode := totalLoRA / int64(n)
-		return collective.Flat{}.GatherTime(n, perNode, 0, 100e9/8, latency)
+		gather, _ := collective.TopologyFlat.Seconds(n, perNode, 0, 100e9/8, latency)
+		return gather
 	}
 	var t2, t16 float64
 	maxTotal := 0.0

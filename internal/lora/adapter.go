@@ -47,7 +47,9 @@ import (
 )
 
 // Config controls adapter behaviour. Defaults follow the paper: α = 0.8,
-// adaptation every 128 iterations, initial capacity 10% of |V|, C_min = |V|/50.
+// adaptation every 128 iterations, initial capacity 10% of |V|. The paper's
+// C_min capacity floor has no knob: pruning cannot resurrect an evicted row,
+// so it never binds.
 type Config struct {
 	Dim           int     // embedding dimension d
 	InitialRank   int     // starting k (paper observes 3-6 typical)
@@ -56,7 +58,6 @@ type Config struct {
 	Alpha         float64 // variance threshold α for Eq. 2
 	AdaptInterval int     // iterations between rank/prune passes (paper: 128)
 	PruneThresh   int     // τ_prune: min updates per window to stay active
-	CMin          int     // minimum LoRA table capacity
 	CMax          int     // maximum LoRA table capacity (≤ |V|)
 	GradWindow    int     // gradient snapshots retained for PCA
 	Seed          uint64  // RNG seed for A-row initialization
@@ -69,10 +70,6 @@ type Config struct {
 // DefaultConfig returns paper-default parameters for a table of |V| rows and
 // dimension d.
 func DefaultConfig(rows, dim int) Config {
-	cmin := rows / 50
-	if cmin < 1 {
-		cmin = 1
-	}
 	return Config{
 		Dim:           dim,
 		InitialRank:   4,
@@ -81,7 +78,6 @@ func DefaultConfig(rows, dim int) Config {
 		Alpha:         0.8,
 		AdaptInterval: 128,
 		PruneThresh:   1,
-		CMin:          cmin,
 		CMax:          rows,
 		GradWindow:    256,
 	}
@@ -104,8 +100,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("lora: Alpha must be in (0,1]")
 	case c.AdaptInterval <= 0:
 		return fmt.Errorf("lora: AdaptInterval must be positive")
-	case c.CMin <= 0 || c.CMin > c.CMax:
-		return fmt.Errorf("lora: capacity bounds [%d,%d] invalid", c.CMin, c.CMax)
+	case c.CMax <= 0:
+		return fmt.Errorf("lora: CMax must be positive, got %d", c.CMax)
 	case c.GradWindow <= 0:
 		return fmt.Errorf("lora: GradWindow must be positive")
 	}

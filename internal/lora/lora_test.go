@@ -59,8 +59,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Alpha = 1.5 },
 		func(c *Config) { c.AdaptInterval = 0 },
-		func(c *Config) { c.CMin = 0 },
-		func(c *Config) { c.CMin = c.CMax + 1 },
+		func(c *Config) { c.CMax = 0 },
 		func(c *Config) { c.GradWindow = 0 },
 	}
 	for i, mutate := range mutations {
@@ -138,7 +137,6 @@ func TestTrainEmptyAndWrongDim(t *testing.T) {
 func TestCapacityLimit(t *testing.T) {
 	cfg := testConfig()
 	cfg.CMax = 5
-	cfg.CMin = 1
 	a := mustNewAdapter(cfg)
 	grad := make([]float64, 8)
 	grad[0] = 1
@@ -259,7 +257,6 @@ func TestPruningEvictsInactive(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdaptInterval = 100
 	cfg.PruneThresh = 2
-	cfg.CMin = 1
 	a := mustNewAdapter(cfg)
 	grad := make([]float64, 8)
 	grad[0] = 0.1
@@ -600,7 +597,6 @@ func TestPropertyAdapterInvariants(t *testing.T) {
 		rng := tensor.NewRNG(seed)
 		cfg := testConfig()
 		cfg.CMax = 20
-		cfg.CMin = 2
 		cfg.AdaptInterval = 16
 		a := mustNewAdapter(cfg)
 		for i := 0; i < 120; i++ {

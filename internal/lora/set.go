@@ -40,9 +40,6 @@ func NewSet(base *emt.Group, cfg Config) (*Set, error) {
 		if c.CMax > t.Rows() {
 			c.CMax = t.Rows()
 		}
-		if c.CMin > c.CMax {
-			c.CMin = c.CMax
-		}
 		a, err := newAdapter(c)
 		if err != nil {
 			return nil, fmt.Errorf("lora: table %s: %w", t.Name, err)

@@ -351,9 +351,8 @@ func WithRouter(p RouterPolicy) Option {
 // bounded-staleness window), so adapter values are not, and neither is
 // what is computed from them: the sync bill (SyncBytes, SyncSeconds and its
 // compute/publish split, SyncWireBytes, SyncDeltaSavedBytes,
-// SyncCompressSavedBytes, SyncCompressSeconds, a drive's SyncStallSeconds,
-// and after churn CatchUpBytes and CatchUpSeconds) and the adapter census
-// (LoRAHotRows, MemoryOverhead). A caller that needs these as a function of
+// SyncCompressSavedBytes, SyncCompressSeconds, and after churn CatchUpBytes
+// and CatchUpSeconds) and the adapter census (LoRAHotRows, MemoryOverhead). A caller that needs these as a function of
 // the request sequence sets zero and calls (*Cluster).SyncNow, an explicit
 // barrier, at the marks itself.
 func WithSyncEvery(d time.Duration) Option {
