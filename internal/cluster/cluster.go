@@ -27,9 +27,10 @@
 //   - A periodic sync has no fleet-wide serialization point: a background
 //     pipeline snapshots each replica individually (holding only that
 //     replica's lock for the O(rows) export), runs the priority merge with
-//     the simulated AllGather cost charged to the sync clock, and publishes
-//     the merged state per replica through epoch-versioned atomic pointer
-//     swaps (lora.Set.Publish). ServeShard never blocks on a periodic sync.
+//     the simulated AllGather cost charged to the sync clock, and installs
+//     the merged state in place in each replica, under that replica's node
+//     and parameter locks (core.System.PublishLoRA). ServeShard never waits
+//     for a periodic merge, only for its replica's O(rows) install.
 //     Manual SyncNow and ReplicasConsistent are explicit barriers: they take
 //     the fleet-wide write lock, so nothing serves while they run.
 //   - Membership reads are lock-free: the serve path loads the current
@@ -583,8 +584,8 @@ func (p *syncPipeline) drain() error {
 //  2. merge — SyncRanked runs Algorithm 3 (member IDs are the priority
 //     ranks) and charges the simulated collective to the sync clock, not to
 //     any serving clock;
-//  3. publish — the merged state is installed per member through
-//     epoch-versioned atomic pointer swaps.
+//  3. publish — the merged state is installed in place per member, each
+//     under its node and parameter locks, and stamped with the epoch.
 //
 // Callers hold syncMu, so no membership change or other merge interleaves.
 // Pipeline epochs take nothing else and serving proceeds throughout; SyncNow
@@ -603,7 +604,7 @@ func (c *Cluster) syncOnce() (collective.MergeStats, error) {
 		return stats, fmt.Errorf("cluster: sync failed: %w", err)
 	}
 	// The publish stall is the install span: each member briefly holds its
-	// node lock while the merged state swaps in.
+	// node and parameter locks while the merged state is written in.
 	t0 := c.tracer.StageStart(metrics.StageSyncPublish)
 	for _, m := range members {
 		m.Sys.PublishLoRA(merged, epoch)

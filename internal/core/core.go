@@ -122,21 +122,21 @@ func (o Options) Validate() error {
 // two locks:
 //
 //   - The DLRM forward (Node.predictBatch) runs OUTSIDE the node
-//     mutex: it is read-only — adapter state is read through its
-//     copy-on-write atomic publishes (see internal/lora), embedding rows are
-//     only read — and allocation-free (a pooled batch scratch per in-flight
-//     call).
-//     It holds only a read lock on paramMu, the rarely-written parameter
-//     lock, so forwards never block behind another request's bookkeeping, a
-//     Stats snapshot, or an in-flight fleet merge.
+//     mutex: it only reads parameters — dense weights, embedding rows and
+//     adapter state — and is allocation-free (a pooled batch scratch per
+//     in-flight call). It holds only a read lock on paramMu, so forwards
+//     never block behind another request's bookkeeping, a Stats snapshot,
+//     an adapter snapshot, or an in-flight fleet merge.
 //   - The mutation tail (memory-model charges, ring push, latency/SLA
 //     tracking, clock advance, the train-tick trigger) serializes on the node
 //     mutex, preserving the single-server virtual-clock model: per-node tail
 //     order alone determines every virtual-time statistic, so the lock split
 //     leaves them bit-identical to the historical fully-locked path.
-//   - paramMu is held for write only by in-place parameter mutations — the
-//     co-located training tick and FullSync's base/dense overwrite. Fleet
-//     publishes (PublishLoRA) stay copy-on-write and never block forwards.
+//   - paramMu is the one rule for parameters: forwards hold it for read, and
+//     every parameter write holds it for write — the co-located training
+//     tick, a fleet publish (PublishLoRA, which installs the merged rows in
+//     place) and FullSync. A forward waits only for such a write itself
+//     (a tick, or an O(rows) install), never for the merge behind a publish.
 //
 // Lock order: mu before paramMu; the forward takes only paramMu (read).
 // The exported fields are wiring for experiments and tests; touching them
@@ -160,10 +160,10 @@ type System struct {
 	trainSteps uint64
 	fullSyncs  uint64
 
-	// paramMu excludes lock-free forwards (read) from in-place parameter
-	// writes (write): the LoRA training step mutates the current adapter
-	// state directly and FullSync overwrites base tables and dense weights.
-	// It is uncontended on the hot path — a read lock costs one atomic op.
+	// paramMu excludes forwards (read) from parameter writes (write): the
+	// LoRA training step and a publish write the current adapter state in
+	// place, and FullSync overwrites base tables and dense weights. It is
+	// uncontended on the hot path — a read lock costs one atomic op.
 	paramMu sync.RWMutex
 
 	// Telemetry instruments (nil when Options.Telemetry is nil; the nil
@@ -577,12 +577,12 @@ func (s *System) LoRARank() int {
 	return s.LoRA.Adapters[0].Rank()
 }
 
-// SnapshotLoRA freezes the replica just long enough to export its modified
+// SnapshotLoRA freezes the replica just long enough to copy out its modified
 // adapter rows (clearing the supports, so training that lands while a merge
-// is in flight feeds the next sync epoch) and returns the copy-on-write
-// snapshot. This is the per-replica gather step of the asynchronous update
-// pipeline: the node lock is held only for the O(modified rows) export,
-// never across the merge itself.
+// is in flight feeds the next sync epoch) and returns the copy. This is the
+// per-replica gather step of the asynchronous update pipeline: the node lock
+// is held only for the O(modified rows) export, never across the merge
+// itself. Forwards keep running: the export only reads the factors.
 func (s *System) SnapshotLoRA() []lora.TableState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -590,14 +590,17 @@ func (s *System) SnapshotLoRA() []lora.TableState {
 }
 
 // PublishLoRA installs a merged adapter state stamped with the publisher's
-// epoch. Each table swaps in atomically (copy-on-write), so the node lock is
-// held only for the O(rows) install — the per-replica publish step of the
-// asynchronous update pipeline. Serve calls in flight on OTHER replicas are
+// epoch — the per-replica publish step of the asynchronous update pipeline.
+// The merged rows and B are written in place into the live adapters, so it
+// holds the node mutex and paramMu for write, like a training tick, for the
+// O(rows) install only. Serve calls in flight on OTHER replicas are
 // unaffected; a concurrent Serve on this replica waits only for the install,
 // not for the merge that produced it.
 func (s *System) PublishLoRA(state []lora.TableState, epoch int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.paramMu.Lock()
+	defer s.paramMu.Unlock()
 	s.LoRA.Publish(state, epoch)
 }
 
@@ -621,7 +624,7 @@ func (s *System) TrainTick() {
 // the whole mini-batch's embedding traffic to the memory model, then runs it
 // through the node's frozen-dense Trainer under the parameter write lock: the
 // LoRA SGD step mutates adapter state in place, which must not interleave
-// with a lock-free forward. The charges read only ids and the training reads
+// with a forward. The charges read only ids and the training reads
 // neither the clock nor the machine, so this is the order-for-order
 // equivalent of charging and training sample by sample. The mini-batch
 // buffer and the trainer's buffers are reused across ticks: a warm tick
@@ -669,10 +672,9 @@ func (s *System) trainTick() {
 func (s *System) FullSync(freshBase *emt.Group, freshModel *dlrm.Model) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Overwriting base tables and dense weights in place must exclude
-	// lock-free forwards; adapter reset is copy-on-write but joins the same
-	// critical section so a forward never mixes fresh weights with stale
-	// adapters.
+	// Overwriting base tables and dense weights and resetting the adapters
+	// are parameter writes: one critical section, so a forward never mixes
+	// fresh weights with stale adapters.
 	s.paramMu.Lock()
 	defer s.paramMu.Unlock()
 	s.Base.CopyWeightsFrom(freshBase)

@@ -31,10 +31,11 @@ type NodeConfig struct {
 // source, machine, clock and tracer are the System's; the Node owns only the
 // ring, the latency tracker and the served/violation counts.
 //
-// The serving path is split in two (see System for the locking): Predict is
-// read-only and lock-free — model weights and adapter state are read through
-// their copy-on-write publishes — while Commit mutates node and machine state
-// and must be serialized by the System's mutex.
+// The serving path is split in two (see System for the locking): Predict only
+// reads parameters — model weights and adapter state — and takes no lock of
+// its own, so its caller must exclude parameter writes (System's forwards hold
+// paramMu for read); Commit mutates node and machine state and must be
+// serialized by the System's mutex.
 type Node struct {
 	sys  *System
 	ring ringBuffer
@@ -57,11 +58,12 @@ func newNode(s *System) *Node {
 }
 
 // Predict scores one request through the DLRM and the System's adapter set.
-// It is the lock-free half of the serving fast path: it touches no node
+// It is the read-only half of the serving fast path: it touches no node
 // bookkeeping (ring, clocks, counters, machine model), runs as a batch of
 // one through the model's pooled inference scratch with zero heap
-// allocations, and is safe concurrently with Commit, Stats reads, and
-// adapter publishes on the same node.
+// allocations, and is safe concurrently with Commit, Stats reads and adapter
+// snapshots on the same node — but not with a training tick, an adapter
+// publish or a FullSync, which write the parameters it reads.
 func (n *Node) Predict(s trace.Sample) float64 {
 	t0 := n.sys.tracer.StageStart(metrics.StageForward)
 	p := n.sys.Model.Predict(n.sys.LoRA, s.Dense, s.Sparse)
@@ -71,7 +73,7 @@ func (n *Node) Predict(s trace.Sample) float64 {
 
 // predictBatch scores samples in order, writing click probabilities into
 // probs (len(probs) == len(samples)). It is the batched form of Predict —
-// lock-free, zero-alloc in steady state — and routes through the model's
+// read-only, zero-alloc in steady state — and routes through the model's
 // batched pass, the whole batch layer by layer, with results bit-identical
 // to per-sample Predict calls.
 func (n *Node) predictBatch(samples []trace.Sample, probs []float64) {

@@ -6,30 +6,29 @@
 //
 // # Storage and concurrency model
 //
-// An Adapter keeps its published factors behind one atomic pointer to a state
-// record: the shared dense B and a row store for the sparse A. The store is
-// flat — one slab of slots×rank coefficients, one per-slot array of ids and
-// bookkeeping, one open-addressed id → slot index — so a lookup is one probe,
-// a new row takes the next slab slot instead of a heap object, and a copy is
-// three memmoves whatever the row count. Three classes of callers exist:
+// An Adapter keeps its factors in one state record: the shared dense B and a
+// row store for the sparse A. The store is flat — one slab of slots×rank
+// coefficients, one per-slot array of ids and bookkeeping, one open-addressed
+// id → slot index — so a lookup is one probe and a new row takes the next
+// slab slot instead of a heap object. Three classes of callers exist, and the
+// caller keeps them apart:
 //
-//   - Lock-free readers (Set.Lookup, EffectiveRow, accumulate, Rank)
-//     load the pointer once and touch only that state's index, slab and B.
-//   - The publish path — Resize, reset and Set.Publish —
-//     never writes a published store. It clones it (index, per-slot array
-//     and slab, bookkeeping included), edits the clone and swaps the pointer
-//     in one atomic store, so a concurrent reader sees the old state or the
-//     new one, never a torn mix, and never blocks on an in-flight merge.
-//     Publish-path calls must be serialized with each other and with the
-//     owner (core.System's mutex does that).
-//   - The owner (the training loop, which additionally excludes readers)
-//     may call anything. train writes the current store in place: A
-//     coefficients, new rows — which may move the slab and the index to
-//     larger arrays — and, every AdaptInterval steps, adapt's pruning. The
-//     per-slot update counts and support bits, and the Adapter's fields
-//     outside the state record, are owner-only as well (Snapshot and
-//     resetSupport clear the support bits of the current store in place;
-//     readers never look at them).
+//   - Readers (Set.Lookup, EffectiveRow, accumulate, Rank, ActiveCount)
+//     may run concurrently with each other.
+//   - Writers — train, Resize, reset and Set.Publish — run alone: serialized
+//     with each other and excluding every reader. train and Publish write the
+//     current store and B in place (new rows may move the slab and the index
+//     to larger arrays); Resize and reset build a new record and swap the
+//     Adapter's pointer to it.
+//   - Exporters (Snapshot, ExportFull) are serialized with the writers but
+//     may run beside readers: they copy the factors and write only the
+//     per-slot support bits, which no reader looks at. The update counts,
+//     the support bits and the Adapter's fields outside the state record
+//     belong to writers and exporters alone.
+//
+// core.System runs all three at once: its forwards hold paramMu for read,
+// every adapter write holds it for write inside the node mutex, and an
+// export holds the node mutex alone.
 //
 // The index has no tombstones because nothing deletes one row: rows leave
 // only inside adapt, which walks every row once per window anyway and, when
@@ -108,10 +107,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-// adapterState is the published factor state: the shared dense factor B
-// (rank×dim) and the sparse A rows of the active ids, at the same rank.
-// Publish operations replace the whole record behind the Adapter's atomic
-// pointer; readers load it once per call and see a consistent snapshot.
+// adapterState is the factor state: the shared dense factor B (rank×dim) and
+// the sparse A rows of the active ids, at the same rank. Resize and reset
+// replace the whole record behind the Adapter's pointer; train and Publish
+// write it in place.
 type adapterState struct {
 	b    *tensor.Matrix // rank×dim
 	rows *rowStore      // A rows for active ids; rows.rank is the LoRA rank
@@ -369,8 +368,8 @@ func (a *Adapter) evict(rs *rowStore, slot int32) {
 // onto the best rank-r subspace (Eckart–Young, through the d×d Gram matrix of
 // the active rows' deltas — tensor.TruncatedSVD), so learned information is
 // preserved as well as any rank-r factorization can; growing zero-pads,
-// leaving ∆W bit-identical. The resized factors are installed by
-// one atomic swap (publish-path operation).
+// leaving ∆W bit-identical. The resized factors are built beside the current
+// ones and installed by one pointer swap (a writer, like train).
 func (a *Adapter) Resize(r int) {
 	st := a.cur.Load()
 	r = min(max(r, a.cfg.MinRank), a.cfg.MaxRank)
@@ -379,7 +378,7 @@ func (a *Adapter) Resize(r int) {
 	}
 	// Either way every row keeps its slot, its update count and its support
 	// bit; only the coefficients are re-made.
-	rows := st.rows.clone(r, 0)
+	rows := st.rows.clone(r)
 	if r > st.rows.rank {
 		// Grow: zero B rows keep ∆W identical; the new A coordinates are
 		// randomly initialized so gradients flow into the added capacity.
@@ -432,18 +431,6 @@ type RowUpdate struct {
 	Row []float64 // length = sender's rank
 }
 
-// exportSupport snapshots the A rows modified since the last resetSupport —
-// supp(∆θ) in Algorithm 3 — without clearing the support set. The returned
-// rows are deep copies, so the export stays valid (and immutable) while the
-// adapter keeps training; they share one backing array. Rows pruned since
-// their modification are not exported.
-func (a *Adapter) exportSupport() []RowUpdate { return a.cur.Load().rows.export(true) }
-
-// exportAllRows snapshots every active A row — not just the modified
-// support — as deep copies in id order: the full-state payload a joining
-// replica restores during fleet catch-up. The support set is untouched.
-func (a *Adapter) exportAllRows() []RowUpdate { return a.cur.Load().rows.export(false) }
-
 // resetSupport clears the modification tracker (end of a sync cycle).
 func (a *Adapter) resetSupport() {
 	rs := a.cur.Load().rows
@@ -456,55 +443,40 @@ func (a *Adapter) resetSupport() {
 	a.ghosts.reset()
 }
 
-// rowsWithUpdates clones rs and installs updates at its rank. A new row
-// starts with no updates this window and outside the support set, unless its
-// id is a ghost.
-func (a *Adapter) rowsWithUpdates(rs *rowStore, updates []RowUpdate) *rowStore {
-	rows := rs.clone(rs.rank, len(updates))
-	for _, u := range updates {
-		slot := rows.find(u.ID)
-		if slot < 0 {
-			slot = rows.add(u.ID)
-			if a.ghosts.find(u.ID) >= 0 {
-				rows.markDirty(slot)
-			}
-		}
-		row := rows.row(slot)
-		clear(row[copy(row, u.Row):]) // copies min(len): truncates or zero-pads
-	}
-	return rows
-}
-
-// adaptedB copies b into a rank×dim matrix, truncating or zero-padding rows.
+// adaptedB copies b (whose Cols is dim) into a rank×dim matrix, truncating or
+// zero-padding rows.
 func adaptedB(rank, dim int, b *tensor.Matrix) *tensor.Matrix {
-	if b.Cols != dim {
-		panic(fmt.Sprintf("lora: B dim %d != %d", b.Cols, dim))
-	}
 	nb := tensor.NewMatrix(rank, dim)
-	n := rank
-	if b.Rows < n {
-		n = b.Rows
-	}
-	copy(nb.Data, b.Data[:n*dim])
+	copy(nb.Data, b.Data)
 	return nb
 }
 
-// applyState installs one merged TableState (rows plus shared B) in a single
-// atomic swap — the per-adapter publish step of the versioned sync pipeline.
-// Rows and B whose rank differs from the adapter's are truncated or
-// zero-padded; the rows do not enter the local support set (they are foreign
-// state) unless their id is a ghost. A nil B keeps the current factor.
+// applyState installs one merged TableState (rows plus shared B) in place in
+// the current store — the per-adapter publish step of the sync pipeline, a
+// writer. Each row lands in its id's slot, or in the next slot when the id
+// has none; rows and a B whose rank differs from the adapter's are truncated
+// or zero-padded. A new row starts with no updates this window and outside
+// the local support set (it is foreign state) unless its id is a ghost. A
+// nil B keeps the current factor. The caller has checked the state's shape
+// (Set.applyState): B has dim columns and Rows·Cols values.
 func (a *Adapter) applyState(ts TableState) {
 	st := a.cur.Load()
-	b := st.b
-	if ts.B != nil {
-		b = adaptedB(st.rows.rank, a.cfg.Dim, ts.B)
+	rs := st.rows
+	for _, u := range ts.Rows {
+		slot := rs.find(u.ID)
+		if slot < 0 {
+			slot = rs.add(u.ID)
+			if a.ghosts.find(u.ID) >= 0 {
+				rs.markDirty(slot)
+			}
+		}
+		row := rs.row(slot)
+		clear(row[copy(row, u.Row):]) // copies min(len): truncates or zero-pads
 	}
-	a.cur.Store(&adapterState{b: b, rows: a.rowsWithUpdates(st.rows, ts.Rows)})
+	if ts.B != nil {
+		clear(st.b.Data[copy(st.b.Data, ts.B.Data):])
+	}
 }
-
-// copyB returns a copy of the shared factor for synchronization.
-func (a *Adapter) copyB() *tensor.Matrix { return a.cur.Load().b.Clone() }
 
 // reset clears all LoRA state (after a full-parameter sync folds fresh base
 // weights in, the adapter starts from ∆W = 0 again — paper Fig 8's hourly

@@ -36,6 +36,23 @@ func delta(a *Adapter, id int32, dst []float64) {
 	a.accumulate(id, 1, dst)
 }
 
+// exportSupport copies one adapter's support as Snapshot does, without
+// clearing it; exportAllRows copies every row as ExportFull does.
+func (a *Adapter) exportSupport() []RowUpdate { return a.export(true) }
+func (a *Adapter) exportAllRows() []RowUpdate { return a.export(false) }
+
+func (a *Adapter) export(dirtyOnly bool) []RowUpdate {
+	rs := a.cur.Load().rows
+	n := rs.exportCount(dirtyOnly)
+	return rs.exportInto(dirtyOnly, make([]RowUpdate, n), make([]float64, n*rs.rank))
+}
+
+// copyB returns a copy of the adapter's shared factor.
+func (a *Adapter) copyB() *tensor.Matrix { return a.cur.Load().b.Clone() }
+
+// exportState is Snapshot without clearing the supports.
+func (s *Set) exportState() []TableState { return s.export(true) }
+
 func testConfig() Config {
 	cfg := DefaultConfig(100, 8)
 	cfg.AdaptInterval = 50
@@ -327,17 +344,40 @@ func TestApplyRowsRankMismatch(t *testing.T) {
 }
 
 func TestSetBRankMismatchAndDimPanic(t *testing.T) {
-	a := mustNewAdapter(testConfig())
-	a.applyState(TableState{B: tensor.NewMatrix(2, 8)}) // shorter: zero-pad
-	if a.copyB().Rows != 4 {
+	a := mustNewAdapter(testConfig()) // rank 4
+	filled := func(rows int, v float64) *tensor.Matrix {
+		m := tensor.NewMatrix(rows, 8)
+		for i := range m.Data {
+			m.Data[i] = v
+		}
+		return m
+	}
+	a.applyState(TableState{B: filled(4, 1)})
+	a.applyState(TableState{B: filled(2, 2)}) // shorter: the rows it lacks are zeroed
+	b := a.copyB()
+	if b.Rows != 4 {
 		t.Fatal("an applied B must keep local rank")
 	}
+	for i, v := range b.Data {
+		if want := float64(2 * btoi(i < 2*8)); v != want {
+			t.Fatalf("B[%d] = %v after installing a 2-row B over a 4-row one, want %v", i, v, want)
+		}
+	}
+	// The shape check is Set.applyState's, before any adapter is touched.
+	s := newTestSet(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a B with the wrong dim must panic")
 		}
 	}()
-	a.applyState(TableState{B: tensor.NewMatrix(4, 5)})
+	s.applyState([]TableState{{B: tensor.NewMatrix(4, 5)}, {}, {}})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestReset(t *testing.T) {
@@ -494,13 +534,12 @@ func TestSetStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSetStateRoundTripConcurrentLookup is the copy-on-write acceptance
-// test: an exportState/applyState (and Publish) round-trip runs in a loop
-// while reader goroutines hammer Lookup and EffectiveRow on the same Set.
-// Under `go test -race` this proves the publish path swaps state atomically
-// — readers never observe a torn mix and never block on an in-flight merge —
-// and afterwards the round-trip must still reproduce the exported deltas
-// exactly.
+// TestSetStateRoundTripConcurrentLookup runs an exportState/applyState (and
+// Publish) round-trip in a loop while reader goroutines hammer Lookup and
+// EffectiveRow on the same Set, under the discipline core.System follows:
+// readers hold a read lock, the installs hold it for write. Under `go test
+// -race` this proves the install writes nothing outside that lock, and
+// afterwards the round-trip must still reproduce the exported deltas exactly.
 func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 	src := newTestSet(t)
 	grad := make([]float64, 8)
@@ -512,6 +551,7 @@ func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 	epochs := []int64{1, 2, 3}
 
 	dst := newTestSet(t)
+	var params sync.RWMutex
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -528,19 +568,23 @@ func TestSetStateRoundTripConcurrentLookup(t *testing.T) {
 				}
 				table := (g + i) % 3
 				id := int32(i % 20)
+				params.RLock()
 				dst.Lookup(table, []int32{id}, out)
 				dst.EffectiveRow(table, id, row)
 				has(dst.Adapters[table], id)
-				_ = dst.Epoch()
+				params.RUnlock()
+				_ = dst.Epoch() // atomic: needs no lock
 			}
 		}(g)
 	}
 	// Writer: repeated apply/publish of the same immutable snapshot while
-	// the readers run. Every iteration rebuilds row maps and B matrices, so
-	// any unsynchronized reader access is a guaranteed race-detector hit.
+	// the readers run. Every iteration rewrites every installed row and B, so
+	// any reader access outside the lock is a race-detector hit.
 	for i := 0; i < 200; i++ {
+		params.Lock()
 		dst.applyState(states)
 		dst.Publish(states, epochs[i%len(epochs)])
+		params.Unlock()
 	}
 	close(stop)
 	readers.Wait()

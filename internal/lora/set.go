@@ -12,12 +12,12 @@ import (
 // implements dlrm.EmbeddingSource: lookups serve W_base + A·B, training
 // gradients flow only into the adapters (paper Fig 7).
 //
-// For synchronization the Set carries epoch-versioned, copy-on-write state:
-// Snapshot exports the modified rows for an in-flight merge, Publish installs
-// a merged state per adapter with atomic pointer swaps and stamps the epoch.
-// Readers (Lookup, EffectiveRow) never block on a merge — they are
-// safe concurrently with the whole publish path; only Train requires the
-// owner's serialization (see the package comment on Adapter).
+// For synchronization the Set carries epoch-versioned state: Snapshot copies
+// the modified rows out for an in-flight merge, and Publish installs a merged
+// state in place in every adapter and stamps the epoch. Readers (Lookup,
+// EffectiveRow) may run beside each other and beside Snapshot, but not beside
+// Publish or training, which write what they read (see the package comment
+// on Adapter); the merge itself runs on the copies, outside any of this.
 type Set struct {
 	Base     *emt.Group
 	Adapters []*Adapter
@@ -117,11 +117,31 @@ type TableState struct {
 	Rank int
 }
 
-// exportState snapshots all adapters' supports for synchronization.
-func (s *Set) exportState() []TableState {
+// export deep-copies every adapter's rows — the modified support when
+// dirtyOnly, else every active row — in id order, plus its B. All tables'
+// RowUpdates, all their coefficients with the B data, and the B headers are
+// carved from one slab each: four allocations per call, whatever the table
+// and row counts. Each carved slice is capacity-limited, so appending to one
+// cannot reach its neighbour.
+func (s *Set) export(dirtyOnly bool) []TableState {
+	rows, floats := 0, 0
+	for _, a := range s.Adapters {
+		st := a.cur.Load()
+		n := st.rows.exportCount(dirtyOnly)
+		rows += n
+		floats += n*st.rows.rank + len(st.b.Data)
+	}
 	out := make([]TableState, len(s.Adapters))
+	bs := make([]tensor.Matrix, len(s.Adapters))
+	ups, buf := make([]RowUpdate, rows), make([]float64, floats)
 	for i, a := range s.Adapters {
-		out[i] = TableState{Rows: a.exportSupport(), B: a.copyB(), Rank: a.Rank()}
+		st := a.cur.Load()
+		rs, b := st.rows, &bs[i]
+		n := rs.exportCount(dirtyOnly)
+		out[i] = TableState{Rows: rs.exportInto(dirtyOnly, ups[:n:n], buf), B: b, Rank: rs.rank}
+		ups, buf = ups[n:], buf[n*rs.rank:]
+		*b = tensor.Matrix{Rows: st.b.Rows, Cols: st.b.Cols, Data: buf[:len(st.b.Data):len(st.b.Data)]}
+		buf = buf[copy(b.Data, st.b.Data):]
 	}
 	return out
 }
@@ -132,32 +152,30 @@ func (s *Set) exportState() []TableState {
 // with Publish: unlike Snapshot it carries rows from every past sync epoch,
 // so the joiner matches a veteran's accumulated state, and it does NOT
 // clear the supports (the exporter keeps participating in its next sync
-// normally). Owner-only, like Snapshot.
-func (s *Set) ExportFull() []TableState {
-	out := make([]TableState, len(s.Adapters))
-	for i, a := range s.Adapters {
-		out[i] = TableState{Rows: a.exportAllRows(), B: a.copyB(), Rank: a.Rank()}
-	}
-	return out
-}
+// normally). An exporter, like Snapshot.
+func (s *Set) ExportFull() []TableState { return s.export(false) }
 
-// applyState installs a synced snapshot (winner of the priority merge). Each
-// adapter swaps in its new rows and B factor with one atomic store, so
-// concurrent lock-free readers see either the pre- or post-sync state of a
-// table, never a torn mix. A state that does not fit the Set — the wrong
-// number of tables, a row id outside its base table — is refused by a panic
-// before any adapter is touched: such a row would count as active, be
-// re-exported, and index out of range in EffectiveRow.
+// applyState installs a synced snapshot (winner of the priority merge) in
+// place, adapter by adapter; the caller excludes readers. A state that does
+// not fit the Set — the wrong number of tables, a row id outside its base
+// table, a B without the table's dim columns or with other than Rows·Cols
+// values — is refused by a panic before any adapter is touched: such a row
+// would count as active, be re-exported, and index out of range in
+// EffectiveRow, and such a B would be copied misaligned.
 func (s *Set) applyState(states []TableState) {
 	if len(states) != len(s.Adapters) {
 		panic(fmt.Sprintf("lora: Publish %d states for %d adapters", len(states), len(s.Adapters)))
 	}
 	for i, st := range states {
-		rows := s.Base.Tables[i].Rows()
+		t := s.Base.Tables[i]
+		rows := t.Rows()
 		for _, u := range st.Rows {
 			if u.ID < 0 || int(u.ID) >= rows {
 				panic(fmt.Sprintf("lora: Publish table %d: row id %d outside [0,%d)", i, u.ID, rows))
 			}
+		}
+		if b := st.B; b != nil && (b.Cols != t.Dim || len(b.Data) != b.Rows*b.Cols) {
+			panic(fmt.Sprintf("lora: Publish table %d: B is %d×%d with %d values, want %d columns", i, b.Rows, b.Cols, len(b.Data), t.Dim))
 		}
 	}
 	for i, st := range states {
@@ -166,21 +184,22 @@ func (s *Set) applyState(states []TableState) {
 }
 
 // Snapshot exports every adapter's modified-row support plus shared factors
-// and clears the supports — the copy-on-write payload for one epoch of the
-// asynchronous sync pipeline. Clearing at snapshot time (rather than after
-// the merge lands) means training that arrives while the merge is in flight
-// feeds the NEXT epoch instead of being silently dropped. Owner-only: callers
-// must hold the replica's serialization while snapshotting.
+// and clears the supports — the payload for one epoch of the asynchronous
+// sync pipeline, a deep copy the merge can read while the adapters move on.
+// Clearing at snapshot time (rather than after the merge lands) means
+// training that arrives while the merge is in flight feeds the NEXT epoch
+// instead of being silently dropped. An exporter: callers serialize it with
+// the writers, but readers may run beside it.
 func (s *Set) Snapshot() []TableState {
-	st := s.exportState()
+	st := s.export(true)
 	s.resetSupports()
 	return st
 }
 
-// Publish atomically installs a merged state and stamps it with the
-// publisher's epoch. The state is applied per adapter via copy-on-write
-// pointer swaps, then the epoch is recorded, so lock-free readers never
-// block on the merge that produced it. The epoch is the publisher's monotone
+// Publish installs a merged state in place and stamps it with the
+// publisher's epoch. It is a writer: the caller keeps readers out for the
+// O(rows) install (core.System holds paramMu for write), never for the merge
+// that produced the state. The epoch is the publisher's monotone
 // sync generation — the SyncGroup's cumulative sync counter, which advances
 // on every completed merge, manual SyncNow included. It orders
 // publications; it is NOT the Cluster's SyncEvery epoch index.

@@ -137,27 +137,18 @@ func (rs *rowStore) markDirty(slot int32) {
 	}
 }
 
-// clone returns an independent copy at the given rank (rows are truncated or
-// zero-padded) with room for extra more rows: three copies when the rank is
-// unchanged, whatever the row count.
-func (rs *rowStore) clone(rank, extra int) *rowStore {
-	n := len(rs.meta)
+// clone returns an independent copy at another rank: every row keeps its
+// slot, truncated or zero-padded.
+func (rs *rowStore) clone(rank int) *rowStore {
 	c := &rowStore{
-		idIndex: rs.idIndex, // aliases rs.cells until the next statement
+		idIndex: idIndex{cells: slices.Clone(rs.cells), shift: rs.shift, n: rs.n},
 		rank:    rank,
-		meta:    append(make([]slotMeta, 0, n+extra), rs.meta...),
-		a:       make([]float64, n*rank, (n+extra)*rank),
+		meta:    slices.Clone(rs.meta),
+		a:       make([]float64, len(rs.meta)*rank),
 		dirty:   rs.dirty,
 	}
-	if !c.reserve(n + extra) {
-		c.cells = slices.Clone(rs.cells)
-	}
-	if rank == rs.rank {
-		copy(c.a, rs.a)
-	} else {
-		for s := int32(0); int(s) < n; s++ {
-			copy(c.row(s), rs.row(s)) // copies min(rank) coefficients
-		}
+	for s := range int32(len(rs.meta)) {
+		copy(c.row(s), rs.row(s)) // copies min(rank) coefficients
 	}
 	return c
 }
@@ -197,22 +188,27 @@ func (rs *rowStore) slotsByID() []int32 {
 	return slots
 }
 
-// export deep-copies rows (every row, or only the dirty ones) in id order,
-// all backed by one array: each Row is a full-capacity-limited subslice, so
-// appending to one cannot reach its neighbour.
-func (rs *rowStore) export(dirtyOnly bool) []RowUpdate {
-	n := len(rs.meta)
+// exportCount is the number of rows exportInto copies: the dirty ones —
+// supp(∆θ) in Algorithm 3, rows pruned since their modification excluded —
+// or every row.
+func (rs *rowStore) exportCount(dirtyOnly bool) int {
 	if dirtyOnly {
-		n = rs.dirty
+		return rs.dirty
 	}
-	out := make([]RowUpdate, 0, n)
+	return len(rs.meta)
+}
+
+// exportInto deep-copies exportCount(dirtyOnly) rows in id order into ups,
+// which has that length, and the front of buf, and returns ups: each Row is
+// a capacity-limited subslice of buf. The support set is untouched.
+func (rs *rowStore) exportInto(dirtyOnly bool, ups []RowUpdate, buf []float64) []RowUpdate {
+	out := ups[:0]
 	for s, m := range rs.meta {
 		if m.dirty || !dirtyOnly {
 			out = append(out, RowUpdate{ID: m.id, Row: rs.row(int32(s))})
 		}
 	}
 	slices.SortFunc(out, func(x, y RowUpdate) int { return int(x.ID) - int(y.ID) })
-	buf := make([]float64, len(out)*rs.rank)
 	for i := range out {
 		row := buf[i*rs.rank : (i+1)*rs.rank : (i+1)*rs.rank]
 		copy(row, out[i].Row)

@@ -1,6 +1,7 @@
 package lora
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -222,14 +223,34 @@ func TestExportRowsAreCapacityLimited(t *testing.T) {
 	if liveRow(a, rows[1].ID)[0] == 99 {
 		t.Fatal("exported rows must be copies")
 	}
+
+	// One Snapshot carves every table from shared slabs, laid out table by
+	// table: rows, then B. Appending to a table's RowUpdates, to its last row
+	// or to its B must reach neither its own B nor the next table.
+	s := newTestSet(t)
+	g := make([]float64, 8)
+	g[1] = 1
+	for table := range s.Adapters {
+		s.ApplyGrad(table, []int32{1, 2}, g, 0.05)
+	}
+	snap := s.Snapshot()
+	b0, next0, nextB := slices.Clone(snap[0].B.Data), snap[1].Rows[0], slices.Clone(snap[1].B.Data)
+	next0.Row = slices.Clone(next0.Row)
+	snap[0].Rows = append(snap[0].Rows, RowUpdate{ID: 77})
+	snap[0].Rows[1].Row = append(snap[0].Rows[1].Row, 42)
+	snap[0].B.Data = append(snap[0].B.Data, 42)
+	if !sameBits(snap[0].B.Data[:len(b0)], b0) || !sameRows(snap[1].Rows[:1], []RowUpdate{next0}) || !sameBits(snap[1].B.Data, nextB) {
+		t.Fatal("an append to one table of a Snapshot overwrote another slice of it")
+	}
 }
 
-// Lock-free readers racing the publish path and Resize see one whole state or
-// the other. The two published states are built so that any mix — A rows of
-// one with B of the other, or a row half copied — lands far from both of
-// their deltas. (Resize re-factors the same ∆W, exactly when growing and up
-// to rounding when shrinking.) Run under -race this is also the proof that a
-// clone shares no written memory with the store readers hold.
+// Readers racing Publish and Resize see one whole state or the other, under
+// the discipline core.System follows: readers hold a read lock, every write
+// holds it for write. The two published states are built so that any mix — A
+// rows of one with B of the other, or a row half copied — lands far from both
+// of their deltas. (Resize re-factors the same ∆W, exactly when growing and
+// up to rounding when shrinking.) Run under -race this is also the proof that
+// an in-place install and a resize write nothing outside that lock.
 func TestLookupSeesOldOrNewNeverTorn(t *testing.T) {
 	const ids, dim = 64, 8
 	base := emt.NewGroup(1, ids, dim, tensor.NewRNG(3))
@@ -259,6 +280,7 @@ func TestLookupSeesOldOrNewNeverTorn(t *testing.T) {
 	}
 	set.Publish(states[0], 0)
 
+	var params sync.RWMutex
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	errs := make(chan []float64, 4)
@@ -273,7 +295,10 @@ func TestLookupSeesOldOrNewNeverTorn(t *testing.T) {
 					return
 				default:
 				}
+				params.RLock()
 				delta(a, int32(i%ids), got)
+				resident := has(a, int32(i%ids))
+				params.RUnlock()
 				ok := false
 				for _, want := range dirs {
 					near := true
@@ -282,18 +307,23 @@ func TestLookupSeesOldOrNewNeverTorn(t *testing.T) {
 					}
 					ok = ok || near
 				}
-				if !ok || !has(a, int32(i%ids)) {
+				if !ok || !resident {
 					errs <- slices.Clone(got)
 					return
 				}
 			}
 		}(g)
 	}
+	locked := func(write func()) {
+		params.Lock()
+		defer params.Unlock()
+		write()
+	}
 	for i := 1; i <= 300; i++ {
-		set.Publish(states[i%2], int64(i))
+		locked(func() { set.Publish(states[i%2], int64(i)) })
 		if i%3 == 0 {
-			a.Resize(cfg.InitialRank + 2) // grow: same ∆W bit for bit
-			a.Resize(cfg.InitialRank)     // shrink: re-factored, equal up to rounding
+			locked(func() { a.Resize(cfg.InitialRank + 2) }) // grow: same ∆W bit for bit
+			locked(func() { a.Resize(cfg.InitialRank) })     // shrink: re-factored, equal up to rounding
 		}
 	}
 	close(stop)
@@ -336,14 +366,13 @@ func TestTrainNewRowsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// Snapshot and Publish cost a fixed number of allocations per table, whatever
-// the number of rows they move.
+// A Snapshot costs a fixed number of allocations per Set, whatever the number
+// of tables and rows it copies, and a Publish whose ids all have a row installs
+// in place without allocating.
 func TestSnapshotPublishAllocsIndependentOfRows(t *testing.T) {
-	// Snapshot: the RowUpdate slice, the rows' backing array, B's header and
-	// data. Publish: the cloned store (header, index, per-slot array, slab),
-	// the state record, B's header and data. Plus the slice of tables, and
-	// the Version.
-	const perTableSnapshot, perTablePublish = 4, 7
+	// Snapshot carves everything from four slabs: the tables, the B headers,
+	// the RowUpdates, and the coefficients with the B data.
+	const perSetSnapshot = 4
 	for _, rows := range []int{10, 1000} {
 		base := emt.NewGroup(3, 2048, 8, tensor.NewRNG(1))
 		cfg := DefaultConfig(2048, 8)
@@ -369,23 +398,32 @@ func TestSnapshotPublishAllocsIndependentOfRows(t *testing.T) {
 		}
 		dst.Publish(state, 0)
 		publish := testing.AllocsPerRun(10, func() { dst.Publish(state, 1) })
-		tables := float64(len(src.Adapters))
-		if snapshot > 1+perTableSnapshot*tables || publish > 1+perTablePublish*tables {
-			t.Fatalf("%d rows per table: Snapshot %v allocs, Publish %v allocs over %v tables; want at most 1+%d and 1+%d per table",
-				rows, snapshot, publish, tables, perTableSnapshot, perTablePublish)
+		if snapshot > perSetSnapshot || publish != 0 {
+			t.Fatalf("%d rows in each of %d tables: Snapshot %v allocs, Publish %v allocs; want at most %d and 0",
+				rows, len(src.Adapters), snapshot, publish, perSetSnapshot)
 		}
 	}
 }
 
-// A merged state carrying a row id outside its base table is refused whole:
-// the panic comes before any adapter is touched. (A negative id would also
-// collide with the store's "no row" marker.)
+// A merged state carrying a row id outside its base table, or a B of the
+// wrong shape, is refused whole: the panic comes before any adapter is
+// touched. (A negative id would also collide with the store's "no row"
+// marker.)
 func TestApplyStateRefusesIDsOutsideTheTable(t *testing.T) {
+	row := func(id int32) RowUpdate { return RowUpdate{ID: id, Row: []float64{1, 2, 3, 4}} }
+	badB := map[string]*tensor.Matrix{
+		"B 4×5":                tensor.NewMatrix(4, 5),
+		"B 4×8 with 31 values": {Rows: 4, Cols: 8, Data: make([]float64, 31)},
+	}
+	cases := map[string][]TableState{}
 	for _, bad := range []int32{-1, 100, math.MaxInt32} {
-		s := newTestSet(t) // 3 tables × 100 rows
-		states := make([]TableState, 3)
-		states[0].Rows = []RowUpdate{{ID: 5, Row: []float64{1, 2, 3, 4}}}
-		states[2].Rows = []RowUpdate{{ID: 7, Row: []float64{1, 2, 3, 4}}, {ID: bad, Row: []float64{1, 2, 3, 4}}}
+		cases[fmt.Sprintf("row id %d", bad)] = []TableState{{Rows: []RowUpdate{row(5)}}, {}, {Rows: []RowUpdate{row(7), row(bad)}}}
+	}
+	for name, b := range badB {
+		cases[name] = []TableState{{Rows: []RowUpdate{row(5)}}, {B: b}, {Rows: []RowUpdate{row(7)}}}
+	}
+	for bad, states := range cases {
+		s := newTestSet(t) // 3 tables × 100 rows of dim 8
 		for name, install := range map[string]func(){
 			"applyState": func() { s.applyState(states) },
 			"Publish":    func() { s.Publish(states, 1) },
@@ -393,13 +431,13 @@ func TestApplyStateRefusesIDsOutsideTheTable(t *testing.T) {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Fatalf("%s accepted row id %d in a 100-row table", name, bad)
+						t.Fatalf("%s accepted a state with %s", name, bad)
 					}
 				}()
 				install()
 			}()
 			if has(s.Adapters[0], 5) || s.Adapters[2].ActiveCount() != 0 || s.Epoch() != -1 {
-				t.Fatalf("%s installed part of a refused state (id %d)", name, bad)
+				t.Fatalf("%s installed part of a refused state (%s)", name, bad)
 			}
 		}
 	}

@@ -344,7 +344,7 @@ func WithRouter(p RouterPolicy) Option {
 //
 // Periodic syncs run on a background pipeline that never blocks serving:
 // each replica is snapshotted individually, merged off the serving path, and
-// published through epoch-versioned atomic pointer swaps. Virtual-time
+// installed in place per replica, stamped with the sync epoch. Virtual-time
 // statistics (Served, Violations, sync counts, clocks, latency quantiles,
 // hit ratios, membership) are deterministic for any worker count. Which
 // training lands before a snapshot depends on scheduling (the paper's
