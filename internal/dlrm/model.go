@@ -15,10 +15,6 @@ import (
 // LoRA implementation (internal/lora) serves W+AB and routes gradients to the
 // adapter factors while W stays frozen (paper §IV-A).
 type EmbeddingSource interface {
-	// NumTables returns the number of embedding tables.
-	NumTables() int
-	// Dim returns the embedding dimension d.
-	Dim() int
 	// Lookup mean-pools the embeddings of ids from the given table into dst.
 	Lookup(table int, ids []int32, dst []float64)
 	// ApplyGrad consumes the gradient w.r.t. the pooled embedding of the
@@ -37,12 +33,6 @@ type BaseEmbeddings struct {
 	// (serialized with the training loop), so one buffer suffices.
 	delta []float64
 }
-
-// NumTables implements EmbeddingSource.
-func (b *BaseEmbeddings) NumTables() int { return len(b.Group.Tables) }
-
-// Dim implements EmbeddingSource.
-func (b *BaseEmbeddings) Dim() int { return b.Group.Tables[0].Dim }
 
 // Lookup implements EmbeddingSource.
 func (b *BaseEmbeddings) Lookup(table int, ids []int32, dst []float64) {

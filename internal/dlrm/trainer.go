@@ -1,6 +1,8 @@
 package dlrm
 
 import (
+	"slices"
+
 	"liveupdate/internal/metrics"
 	"liveupdate/internal/trace"
 )
@@ -72,13 +74,31 @@ const evalChunk = 64
 // logits: the ranking is sigmoid-invariant, while saturated probabilities
 // would tie.
 func EvaluateAUC(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {
-	scores := make([]float64, len(samples))
-	labels := make([]int, len(samples))
-	m.sampleLogits(src, samples, scores, evalChunk)
+	var b AUCBuffers
+	return b.EvaluateAUC(m, src, samples)
+}
+
+// AUCBuffers holds EvaluateAUC's working arrays — the logits, the labels and
+// the rank order — for a caller that evaluates window after window: once
+// they have grown to a window, an evaluation allocates nothing.
+type AUCBuffers struct {
+	scores []float64
+	labels []int
+	order  []int
+}
+
+// EvaluateAUC is the package's EvaluateAUC, run on b's arrays.
+func (b *AUCBuffers) EvaluateAUC(m *Model, src EmbeddingSource, samples []trace.Sample) float64 {
+	n := len(samples)
+	b.scores = slices.Grow(b.scores[:0], n)[:n]
+	b.labels = slices.Grow(b.labels[:0], n)[:n]
+	m.sampleLogits(src, samples, b.scores, evalChunk)
 	for i, s := range samples {
-		labels[i] = s.Label
+		b.labels[i] = s.Label
 	}
-	return metrics.AUC(scores, labels)
+	var auc float64
+	auc, b.order = metrics.AUCInto(b.scores, b.labels, b.order)
+	return auc
 }
 
 // ConfigForProfile derives a standard DLRM architecture from a trace profile:

@@ -214,8 +214,6 @@ func (g *gradRecorder) reset(p trace.Profile) {
 	}
 }
 
-func (g *gradRecorder) NumTables() int { return g.base.NumTables() }
-func (g *gradRecorder) Dim() int       { return g.base.Dim() }
 func (g *gradRecorder) Lookup(table int, ids []int32, dst []float64) {
 	g.base.Lookup(table, ids, dst)
 }

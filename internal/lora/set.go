@@ -49,12 +49,6 @@ func NewSet(base *emt.Group, cfg Config) (*Set, error) {
 	return s, nil
 }
 
-// NumTables implements dlrm.EmbeddingSource.
-func (s *Set) NumTables() int { return len(s.Base.Tables) }
-
-// Dim implements dlrm.EmbeddingSource.
-func (s *Set) Dim() int { return s.Base.Tables[0].Dim }
-
 // Lookup implements dlrm.EmbeddingSource: mean-pools W_base[i] + A[i]·B over
 // ids. Cold ids (no LoRA row) serve the base embedding unchanged.
 func (s *Set) Lookup(table int, ids []int32, dst []float64) {

@@ -23,6 +23,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -31,18 +32,36 @@ import (
 // probability for example i; labels[i] is its true 0/1 label. Tied scores
 // receive the average rank. AUC returns 0.5 when either class is absent.
 func AUC(scores []float64, labels []int) float64 {
+	auc, _ := AUCInto(scores, labels, nil)
+	return auc
+}
+
+// AUCInto is AUC through a caller-owned rank-order buffer, returned (possibly
+// regrown) for reuse, so a caller that scores window after window allocates
+// nothing once the buffer has grown to its window.
+func AUCInto(scores []float64, labels []int, idx []int) (float64, []int) {
 	if len(scores) != len(labels) {
 		panic(fmt.Sprintf("metrics: AUC length mismatch %d vs %d", len(scores), len(labels)))
 	}
 	n := len(scores)
 	if n == 0 {
-		return 0.5
+		return 0.5, idx
 	}
-	idx := make([]int, n)
+	idx = slices.Grow(idx[:0], n)[:n]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+	// Ascending by score, ties in index order: the comparator reports "less"
+	// exactly where scores[a] < scores[b] holds.
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch x, y := scores[a], scores[b]; {
+		case x < y:
+			return -1
+		case y < x:
+			return 1
+		}
+		return 0
+	})
 
 	var posRankSum float64
 	var pos, neg int
@@ -65,10 +84,10 @@ func AUC(scores []float64, labels []int) float64 {
 		i = j
 	}
 	if pos == 0 || neg == 0 {
-		return 0.5
+		return 0.5, idx
 	}
 	u := posRankSum - float64(pos)*float64(pos+1)/2
-	return u / (float64(pos) * float64(neg))
+	return u / (float64(pos) * float64(neg)), idx
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 
 	"liveupdate/internal/tensor"
@@ -228,10 +227,4 @@ func normalize(v []float64) {
 	for i := range v {
 		v[i] /= n
 	}
-}
-
-// String implements fmt.Stringer for debugging.
-func (g *Generator) String() string {
-	return fmt.Sprintf("trace.Generator{%s, t=%.0fs, emitted=%d}",
-		g.Profile.Name, g.now, g.emitted)
 }

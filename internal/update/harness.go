@@ -3,6 +3,7 @@ package update
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"liveupdate/internal/dlrm"
 	"liveupdate/internal/emt"
@@ -108,10 +109,25 @@ func (c HarnessConfig) validate() error {
 // stays continuously fresh, an inference replica receives state per the
 // strategy, and test-then-train evaluation produces the per-window AUC
 // series of Figs 3b/15.
+//
+// The two clusters share no state between syncs, so a Step runs them side
+// by side. A goroutine started by the Step (the cluster goroutine) owns the
+// training cluster — trainModel, trainEmb, trainer, share, history and head
+// — and gen, from which it generates the next window into next; the
+// caller's goroutine owns the inference replica — infModel, infGroup,
+// infBase, loraSet, liveTrainer, eval and aucSeries. Both only read Cfg and
+// the window's samples. The Step joins on wg before it counts the window and
+// runs a sync, the only code that reads one cluster and writes the other.
+// Pretrain overlaps the same way: its goroutine generates the next window
+// while the caller trains the cluster on the current one. The generator is
+// read in one order and neither side reads the other's state, so no bit
+// depends on the scheduling, GOMAXPROCS=1 included.
 type Harness struct {
 	Cfg HarnessConfig
 
-	gen *trace.Generator
+	gen  *trace.Generator
+	next []trace.Sample // the window generated ahead, taken first by takeWindow
+	wg   sync.WaitGroup // joins the goroutine a Step or a Pretrain window starts
 
 	// Training cluster: always trains on the freshest data. trainer.Opt is
 	// the dense optimizer.
@@ -124,8 +140,9 @@ type Harness struct {
 	infModel    *dlrm.Model
 	infGroup    *emt.Group
 	infBase     *dlrm.BaseEmbeddings
-	loraSet     *lora.Set    // LiveUpdate only
-	liveTrainer dlrm.Trainer // LiveUpdate's co-located trainer: no optimizer, dense layers frozen
+	loraSet     *lora.Set       // LiveUpdate only
+	liveTrainer dlrm.Trainer    // LiveUpdate's co-located trainer: no optimizer, dense layers frozen
+	eval        dlrm.AUCBuffers // the evaluation's arrays, reused every window
 
 	window        int
 	bytes         int64
@@ -135,8 +152,10 @@ type Harness struct {
 	updateMarkers []int // window indices where a sync landed
 
 	// history is the transfer-delay pipeline (SyncDelayWindows): a ring of
-	// the training cluster's last SyncDelayWindows+1 window-boundary states,
-	// newest at head. Once full, its snapshots are overwritten in place.
+	// the training cluster's states at the starts of its last
+	// SyncDelayWindows windows, newest at head. The state at the end of the
+	// current window is the live one. Once full, the ring's snapshots are
+	// overwritten in place.
 	history []clusterSnapshot
 	head    int
 
@@ -216,46 +235,91 @@ func (h *Harness) infSource() dlrm.EmbeddingSource {
 }
 
 // Pretrain warms both clusters on `windows` windows of pre-stream data so
-// evaluation starts from a trained Day-1 checkpoint (paper §V-C).
+// evaluation starts from a trained Day-1 checkpoint (paper §V-C). Each
+// window's successor is generated on a goroutine of its own while the
+// cluster trains.
 func (h *Harness) Pretrain(windows int) {
 	for w := 0; w < windows; w++ {
-		samples := h.gen.Batch(h.Cfg.SamplesPerWindow, h.Cfg.WindowSec)
+		samples := h.takeWindow()
+		h.wg.Add(1)
+		go h.prefetch()
 		h.trainer.TrainEpochs(samples, h.Cfg.Batch, 1)
+		h.wg.Wait()
 	}
-	// Checkpoint: inference starts identical to the trainer, and the
-	// transfer pipeline's history starts from this checkpoint.
+	h.checkpoint()
+}
+
+// checkpoint ends Pretrain: inference starts identical to the trainer, and
+// the transfer pipeline's history starts from this checkpoint.
+func (h *Harness) checkpoint() {
 	h.forceFullSync(false)
 	h.history = nil
-	h.pushSnapshot()
 }
 
 // Step executes one evaluation window: test-then-train on fresh samples,
 // then apply the strategy's scheduled syncs. It returns the window's AUC
 // measured *before* any model state changed (the staleness the user saw).
+// The training cluster's part of the window runs on a goroutine of its own
+// (see Harness).
 func (h *Harness) Step() float64 {
-	cfg := h.Cfg
-	samples := h.gen.Batch(cfg.SamplesPerWindow, cfg.WindowSec)
+	samples := h.takeWindow()
+	h.wg.Add(1)
+	go h.trainCluster(samples)
 
-	auc := dlrm.EvaluateAUC(h.infModel, h.infSource(), samples)
+	auc := h.eval.EvaluateAUC(h.infModel, h.infSource(), samples)
 	h.aucSeries = append(h.aucSeries, auc)
-
-	// Training cluster learns from its sampled share of the fresh window.
-	h.trainer.TrainEpochs(h.trainerShare(samples), cfg.Batch, 1)
-	h.pushSnapshot()
 
 	// LiveUpdate's co-located trainer learns locally from the same window
 	// (its ring buffer holds exactly the requests it served).
-	if cfg.Kind == LiveUpdate {
-		h.liveTrainer.TrainEpochs(samples, cfg.Batch, liveEpochs)
+	if h.Cfg.Kind == LiveUpdate {
+		h.liveTrainer.TrainEpochs(samples, h.Cfg.Batch, liveEpochs)
 	}
+	h.wg.Wait()
+	h.endWindow()
+	return auc
+}
 
+// endWindow counts a finished window and runs the syncs it schedules.
+func (h *Harness) endWindow() {
 	h.window++
-	if cfg.FullSyncEvery > 0 && h.window%cfg.FullSyncEvery == 0 {
+	if h.Cfg.FullSyncEvery > 0 && h.window%h.Cfg.FullSyncEvery == 0 {
 		h.fullSync()
-	} else if h.window%cfg.UpdateEvery == 0 {
+	} else if h.window%h.Cfg.UpdateEvery == 0 {
 		h.sync()
 	}
-	return auc
+}
+
+// trainCluster is the training cluster's part of a Step, run on the cluster
+// goroutine: it records its state for the transfer pipeline, learns from its
+// sampled share of the window and generates the next window.
+func (h *Harness) trainCluster(samples []trace.Sample) {
+	defer h.wg.Done()
+	h.pushSnapshot()
+	h.trainer.TrainEpochs(h.trainerShare(samples), h.Cfg.Batch, 1)
+	h.next = h.generate()
+}
+
+// prefetch is Pretrain's goroutine: it generates the next window.
+func (h *Harness) prefetch() {
+	defer h.wg.Done()
+	h.next = h.generate()
+}
+
+// generate draws one window from the stream.
+func (h *Harness) generate() []trace.Sample {
+	return h.gen.Batch(h.Cfg.SamplesPerWindow, h.Cfg.WindowSec)
+}
+
+// takeWindow returns the stream's next window: the one generated ahead by
+// the last Step or Pretrain window, else a fresh one. Every window passes
+// through here, so the clusters see the generator's windows in the order a
+// loop of gen.Batch calls returns them.
+func (h *Harness) takeWindow() []trace.Sample {
+	if s := h.next; s != nil {
+		h.next = nil
+		return s
+	}
+	return h.generate()
 }
 
 // Run executes n windows and returns the result summary.
@@ -310,14 +374,14 @@ func (h *Harness) pipelined() bool {
 	return h.Cfg.SyncDelayWindows > 0 && (h.Cfg.Kind == DeltaUpdate || h.Cfg.Kind == QuickUpdate)
 }
 
-// pushSnapshot records the training cluster's state for the transfer-delay
-// pipeline: a clone while the ring is still filling, afterwards a copy over
-// the oldest snapshot.
+// pushSnapshot records the training cluster's state at the start of a
+// window for the transfer-delay pipeline: a clone while the ring is still
+// filling, afterwards a copy over the oldest snapshot.
 func (h *Harness) pushSnapshot() {
 	if !h.pipelined() {
 		return
 	}
-	if len(h.history) <= h.Cfg.SyncDelayWindows {
+	if len(h.history) < h.Cfg.SyncDelayWindows {
 		h.history = append(h.history, clusterSnapshot{
 			model: h.trainModel.Clone(),
 			group: h.trainEmb.Group.Clone(),
@@ -331,10 +395,10 @@ func (h *Harness) pushSnapshot() {
 	snap.group.CopyWeightsFrom(h.trainEmb.Group)
 }
 
-// syncSource returns the training-cluster state a sync installs: the
-// snapshot from SyncDelayWindows ago (what has finished transferring by
-// now), which is the ring's oldest, also while it is filling — or the live
-// state when there is no pipeline.
+// syncSource returns the training-cluster state a sync installs: the state
+// at the end of the window SyncDelayWindows ago (what has finished
+// transferring by now), which is the ring's oldest, also while it is filling
+// — or the live state when there is no pipeline.
 func (h *Harness) syncSource() clusterSnapshot {
 	if !h.pipelined() || len(h.history) == 0 {
 		return clusterSnapshot{model: h.trainModel, group: h.trainEmb.Group}

@@ -33,7 +33,9 @@ func harnessHash(k Kind, delay int) uint64 {
 // TestHarnessBitsPinned fences update.Harness the way TestServeBitsPinned
 // fences Serve: the hashes were recorded at the commit before the slab-backed
 // sample stream and the recycled snapshot ring (PR 21), where this test passes
-// unchanged.
+// unchanged. Step runs the two clusters on two goroutines; the hashes must
+// hold with one P, where the runtime interleaves them on one thread, and with
+// two, where they run in parallel.
 func TestHarnessBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes recorded on amd64; other targets may fuse multiply-adds")
@@ -47,23 +49,29 @@ func TestHarnessBitsPinned(t *testing.T) {
 		{QuickUpdate, [3]uint64{0xe0d9c809f98ec10e, 0x1cb824715114d9a7, 0xf2087cef208987ee}},
 		{LiveUpdate, [3]uint64{0x5ba0ae70b36cd40f, 0x5ba0ae70b36cd40f, 0x5ba0ae70b36cd40f}},
 	}
-	for _, w := range want {
-		for i, delay := range []int{-1, 1, 2} {
-			// The race detector has one goroutine to watch here and slows the
-			// run tenfold: it gets the two benchmarked strategies at one ring depth.
-			if (raceEnabled || testing.Short()) && (delay != 2 || w.kind == NoUpdate || w.kind == QuickUpdate) {
-				continue
-			}
-			if got := harnessHash(w.kind, delay); got != w.hashes[i] {
-				t.Errorf("%v delay %d: %#x (pinned %#x)", w.kind, delay, got, w.hashes[i])
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, w := range want {
+			for i, delay := range []int{-1, 1, 2} {
+				// The race detector slows the run tenfold: it gets the two
+				// benchmarked strategies at one ring depth.
+				if (raceEnabled || testing.Short()) && (delay != 2 || w.kind == NoUpdate || w.kind == QuickUpdate) {
+					continue
+				}
+				if got := harnessHash(w.kind, delay); got != w.hashes[i] {
+					t.Errorf("GOMAXPROCS %d, %v delay %d: %#x (pinned %#x)", procs, w.kind, delay, got, w.hashes[i])
+				}
 			}
 		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
 // TestHarnessStepSteadyStateAllocs holds Step to what it cannot reuse once
-// the snapshot ring has filled: the window's samples (4), the AUC scores and
-// labels, and — LiveUpdate only — adapter slab growth and rank resizes.
+// the snapshot ring has filled: the window generated ahead (4: the samples
+// and their three chunks), the cluster goroutine's closure (1), and —
+// LiveUpdate only — adapter slab growth and rank resizes. The evaluation's
+// scores, labels and rank order are the harness's own, reused every window.
 func TestHarnessStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -76,15 +84,15 @@ func TestHarnessStepSteadyStateAllocs(t *testing.T) {
 		updateEvery int
 		max         float64 // allocations per 600-sample window
 	}{
-		{"DeltaUpdate, no sync", DeltaUpdate, never, 40},
-		{"DeltaUpdate, sync every window", DeltaUpdate, 1, 40 + 12*float64(p.NumTables)},
-		{"LiveUpdate", LiveUpdate, never, 0.3 * 600},
+		{"DeltaUpdate, no sync", DeltaUpdate, never, 5},
+		{"DeltaUpdate, sync every window", DeltaUpdate, 1, 5},
+		{"LiveUpdate", LiveUpdate, never, 5 + 40},
 	} {
 		cfg := DefaultHarnessConfig(p, c.kind, 7)
 		cfg.UpdateEvery, cfg.FullSyncEvery = c.updateEvery, 0
 		h := MustNewHarness(cfg)
 		h.Pretrain(2)
-		h.Run(cfg.SyncDelayWindows + 2) // the ring holds SyncDelayWindows+1 snapshots
+		h.Run(cfg.SyncDelayWindows + 1) // the ring holds SyncDelayWindows snapshots
 		if got := testing.AllocsPerRun(5, func() { h.Step() }); got > c.max {
 			t.Errorf("%s: %.0f allocations per Step, want <= %.0f", c.name, got, c.max)
 		} else {

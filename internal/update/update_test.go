@@ -1,9 +1,14 @@
 package update
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
+	"liveupdate/internal/dlrm"
+	"liveupdate/internal/emt"
 	"liveupdate/internal/trace"
 )
 
@@ -286,6 +291,81 @@ func TestHarnessFullSyncResetsLoRA(t *testing.T) {
 	if res.Bytes <= 0 {
 		t.Fatal("full sync must be charged")
 	}
+}
+
+// TestHarnessFeedsGeneratorWindowsInOrder holds the overlapped Pretrain and
+// Step to the one-goroutine loop they replace: a reference harness whose
+// clusters are fed, window by window, what a fresh generator of the same
+// seed returns through Batch must end with the same Result and the same
+// weights on both clusters, and the window Step generated ahead must be that
+// generator's next. The schedule crosses pretraining, periodic syncs with a
+// filled snapshot ring and a full sync (FullSyncEvery 8).
+func TestHarnessFeedsGeneratorWindowsInOrder(t *testing.T) {
+	const pretrain, steps = 3, 10
+	for _, k := range []Kind{DeltaUpdate, QuickUpdate, LiveUpdate} {
+		cfg := quickHarnessConfig(k)
+		h := MustNewHarness(cfg)
+		h.Pretrain(pretrain)
+		got := h.Run(steps)
+
+		ref := MustNewHarness(cfg)
+		gen, err := trace.NewGenerator(cfg.Profile, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := func() []trace.Sample { return gen.Batch(cfg.SamplesPerWindow, cfg.WindowSec) }
+		for w := 0; w < pretrain; w++ {
+			ref.trainer.TrainEpochs(window(), cfg.Batch, 1)
+		}
+		ref.checkpoint()
+		for w := 0; w < steps; w++ {
+			samples := window()
+			ref.aucSeries = append(ref.aucSeries, dlrm.EvaluateAUC(ref.infModel, ref.infSource(), samples))
+			ref.pushSnapshot()
+			ref.trainer.TrainEpochs(ref.trainerShare(samples), cfg.Batch, 1)
+			if k == LiveUpdate {
+				ref.liveTrainer.TrainEpochs(samples, cfg.Batch, liveEpochs)
+			}
+			ref.endWindow()
+		}
+
+		if want := ref.Result(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: Result %+v, want the sequential loop's %+v", k, got, want)
+		}
+		if a, b := clusterBits(h.trainModel, h.trainEmb.Group), clusterBits(ref.trainModel, ref.trainEmb.Group); a != b {
+			t.Errorf("%v: training cluster %#x, want the sequential loop's %#x", k, a, b)
+		}
+		if a, b := clusterBits(h.infModel, h.infGroup), clusterBits(ref.infModel, ref.infGroup); a != b {
+			t.Errorf("%v: inference replica %#x, want the sequential loop's %#x", k, a, b)
+		}
+		if !reflect.DeepEqual(h.next, window()) {
+			t.Errorf("%v: the window generated ahead is not the generator's next", k)
+		}
+	}
+}
+
+// clusterBits hashes a cluster's dense and embedding weights.
+func clusterBits(m *dlrm.Model, g *emt.Group) uint64 {
+	sum := fnv.New64a()
+	var b [8]byte
+	put := func(vs []float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			sum.Write(b[:])
+		}
+	}
+	for _, mlp := range []*dlrm.MLP{m.Bottom, m.Top} {
+		for _, l := range mlp.Layers {
+			put(l.W.Data)
+			put(l.B)
+		}
+	}
+	for _, t := range g.Tables {
+		for id := int32(0); int(id) < t.Rows(); id++ {
+			put(t.PeekRow(id))
+		}
+	}
+	return sum.Sum64()
 }
 
 func TestStalenessHurtsAndUpdatesHelp(t *testing.T) {
