@@ -523,12 +523,12 @@ func (s *System) Stats() Stats {
 		hot += a.ActiveCount()
 	}
 	return Stats{
-		Served:            s.Node.served.Load(),
+		Served:            s.Node.served,
 		P50:               s.Node.lat.P50(),
 		P99:               s.Node.P99(),
 		MeanLatency:       s.Node.lat.Mean(),
 		SLA:               s.Opts.Node.SLA,
-		Violations:        s.Node.violations.Load(),
+		Violations:        s.Node.violations,
 		ViolationRate:     s.Node.ViolationRate(),
 		TrainSteps:        s.trainSteps,
 		FullSyncs:         s.fullSyncs,
@@ -605,7 +605,7 @@ func (s *System) PublishLoRA(state []lora.TableState, epoch int64) {
 }
 
 // AdapterEpoch returns the epoch of the node's last published adapter state
-// (-1 before the first sync). It reads the Set's atomic version pointer, so
+// (-1 before the first sync). It reads the Set's atomic epoch counter, so
 // callers — reporting loops, freshness probes — never take the node lock and
 // never block behind an in-flight request or merge.
 func (s *System) AdapterEpoch() int64 { return s.LoRA.Epoch() }

@@ -68,8 +68,8 @@ func TestServeInterleavesTraining(t *testing.T) {
 	if active == 0 {
 		t.Fatal("co-located training must populate adapters")
 	}
-	if s.Node.served.Load() != 40 {
-		t.Fatalf("served %d", s.Node.served.Load())
+	if s.Node.served != 40 {
+		t.Fatalf("served %d", s.Node.served)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"liveupdate/internal/metrics"
 	"liveupdate/internal/numasim"
 	"liveupdate/internal/tensor"
@@ -41,11 +39,9 @@ type Node struct {
 	ring ringBuffer
 	lat  *metrics.LatencyTracker
 
-	// served and violations are atomic so fleet-level code (merged stats,
-	// progress reporting) can read them without taking the owning replica's
-	// serve lock. All other Node state is guarded by the System's mutex.
-	served     atomic.Uint64
-	violations atomic.Uint64
+	// Guarded, like ring and lat, by the System's mutex.
+	served     uint64 // requests committed
+	violations uint64 // committed requests slower than the SLA
 }
 
 func newNode(s *System) *Node {
@@ -100,9 +96,9 @@ func (n *Node) Commit(s trace.Sample) (latency float64) {
 	latency = memTime + cfg.GPUDenseTime
 	n.ring.push(s)
 	n.lat.Observe(latency)
-	n.served.Add(1)
+	n.served++
 	if latency > cfg.SLA {
-		n.violations.Add(1)
+		n.violations++
 	}
 	n.sys.Clock.Advance(latency)
 	return latency
@@ -111,13 +107,14 @@ func (n *Node) Commit(s trace.Sample) (latency float64) {
 // P99 returns the current 99th-percentile latency over the tracker window.
 func (n *Node) P99() float64 { return n.lat.P99() }
 
-// ViolationRate returns the fraction of requests exceeding the SLA.
+// ViolationRate returns the fraction of requests exceeding the SLA. Like
+// P99, it reads state Commit writes, so it is serialized with Commit (System
+// holds its mutex).
 func (n *Node) ViolationRate() float64 {
-	served := n.served.Load()
-	if served == 0 {
+	if n.served == 0 {
 		return 0
 	}
-	return float64(n.violations.Load()) / float64(served)
+	return float64(n.violations) / float64(n.served)
 }
 
 // ringBuffer caches recent inference samples (features + labels) as the

@@ -115,8 +115,8 @@ func TestServeReturnsLatencyAndAdvancesClock(t *testing.T) {
 	if sys.Clock.Now() <= before {
 		t.Fatal("serve must advance the clock")
 	}
-	if sys.Node.served.Load() != 1 {
-		t.Fatalf("served %d", sys.Node.served.Load())
+	if sys.Node.served != 1 {
+		t.Fatalf("served %d", sys.Node.served)
 	}
 	if sys.Node.ring.count != 1 {
 		t.Fatal("request must be cached in the ring buffer")
@@ -166,8 +166,8 @@ func TestServeBatch(t *testing.T) {
 			t.Fatalf("latency %d = %v", i, lat)
 		}
 	}
-	if sys.Node.served.Load() != 20 {
-		t.Fatalf("served %d", sys.Node.served.Load())
+	if sys.Node.served != 20 {
+		t.Fatalf("served %d", sys.Node.served)
 	}
 	sys.Node.predictBatch(nil, nil) // an empty batch is a no-op
 }
@@ -208,11 +208,11 @@ func TestServeBatchMatchesServeLoop(t *testing.T) {
 			t.Fatalf("req %d: one at a time (%v, %v), batched (%v, %v)", i, prob, latA, probs[i], latB)
 		}
 	}
-	if a.Node.served.Load() != b.Node.served.Load() || a.Clock.Now() != b.Clock.Now() ||
-		a.Node.violations.Load() != b.Node.violations.Load() || a.Node.P99() != b.Node.P99() ||
+	if a.Node.served != b.Node.served || a.Clock.Now() != b.Clock.Now() ||
+		a.Node.violations != b.Node.violations || a.Node.P99() != b.Node.P99() ||
 		a.Node.ring.total != b.Node.ring.total {
 		t.Fatalf("batch bookkeeping diverged: served %d/%d clock %v/%v",
-			a.Node.served.Load(), b.Node.served.Load(), a.Clock.Now(), b.Clock.Now())
+			a.Node.served, b.Node.served, a.Clock.Now(), b.Clock.Now())
 	}
 }
 

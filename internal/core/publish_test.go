@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"liveupdate/internal/dlrm"
+	"liveupdate/internal/emt"
 	"liveupdate/internal/lora"
 	"liveupdate/internal/tensor"
 	"liveupdate/internal/trace"
@@ -128,5 +130,93 @@ func TestServeSeesOnePublishedStateNeverTorn(t *testing.T) {
 	}
 	if st := s.Stats(); st.TrainSteps == 0 {
 		t.Fatal("fixture: no training tick ran")
+	}
+}
+
+// Forwards racing FullSync on an int8-quantized node serve the old weights or
+// the new ones, never a mix. FullSync overwrites the base tables and the
+// dense weights and rebuilds the quantized snapshot the forward reads, all
+// under paramMu for write; a forward that read the snapshot of one state with
+// the base rows of the other, or a half-copied table, would serve a
+// probability neither state gives. Training is off, so the adapters stay at
+// ∆W = 0 and the two states alone decide every probe. Run under -race this is
+// also the proof that refreshQuant writes the snapshot only inside paramMu.
+func TestServeSeesOneFullSyncStateNeverTorn(t *testing.T) {
+	o := testOptions()
+	o.EnableTraining = false
+	o.Quantization = "int8"
+	s := MustNew(o)
+	p := o.Profile
+	probes := trace.MustNewGenerator(p, 11).Batch(16, 1)
+
+	type state struct {
+		base  *emt.Group
+		model *dlrm.Model
+	}
+	var states [2]state
+	var ref [2][]Response
+	for st := range states {
+		rng := tensor.NewRNG(uint64(100 + st))
+		model, err := dlrm.NewModel(dlrm.ConfigForProfile(p), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[st] = state{emt.NewGroup(p.NumTables, p.TableSize, p.EmbeddingDim, rng), model}
+		s.FullSync(states[st].base, states[st].model)
+		ref[st] = make([]Response, len(probes))
+		if err := s.ServeBatch(probes, ref[st]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range probes {
+		if ref[0][i].Prob == ref[1][i].Prob {
+			t.Fatalf("fixture: probe %d serves %v under both states", i, ref[0][i].Prob)
+		}
+	}
+
+	batches := 400
+	if raceEnabled {
+		batches = 60
+	}
+	var servers sync.WaitGroup
+	torn := make(chan string, 2)
+	for g := 0; g < 2; g++ {
+		servers.Add(1)
+		go func() {
+			defer servers.Done()
+			got := make([]Response, len(probes))
+			for range batches {
+				if err := s.ServeBatch(probes, got); err != nil {
+					torn <- err.Error()
+					return
+				}
+				for i, r := range got {
+					if r.Prob != ref[0][i].Prob && r.Prob != ref[1][i].Prob {
+						torn <- "probe served a probability of neither state"
+						return
+					}
+				}
+			}
+		}()
+	}
+	served := make(chan struct{})
+	go func() { servers.Wait(); close(served) }()
+	syncs := 0
+	for syncing := true; syncing; syncs++ {
+		st := states[syncs%2]
+		s.FullSync(st.base, st.model)
+		select {
+		case <-served:
+			syncing = false
+		default:
+		}
+	}
+	select {
+	case msg := <-torn:
+		t.Fatal(msg)
+	default:
+	}
+	if got := s.Stats().FullSyncs; got != uint64(syncs+2) {
+		t.Fatalf("full syncs %d, want %d", got, syncs+2)
 	}
 }

@@ -3,7 +3,6 @@ package dlrm
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"liveupdate/internal/emt"
 	"liveupdate/internal/tensor"
@@ -104,10 +103,10 @@ type Model struct {
 	// qmode selects the published inference weight format; quant holds the
 	// current read-only snapshot (nil when qmode is QuantNone). The snapshot
 	// is rebuilt wherever the dense weights change wholesale (SetQuantization,
-	// CopyWeightsFrom) — training never mutates it in place, so readers load
-	// the pointer once per forward pass and need no lock.
+	// CopyWeightsFrom), under the same lock as those weights: a forward reads
+	// both under the caller's read lock (core's paramMu).
 	qmode QuantMode
-	quant atomic.Pointer[quantModel]
+	quant *quantModel
 }
 
 // quantModel is one published snapshot of both MLPs in the active format.
@@ -117,10 +116,10 @@ type quantModel struct {
 }
 
 // SetQuantization switches the published inference weight format and, for
-// int8/f16, builds the snapshot. Callers must hold whatever lock serializes
-// weight mutation (core holds paramMu); concurrent Predicts see either the
-// old or the new snapshot atomically. Training is unaffected: gradients
-// always flow through the float64 weights.
+// int8/f16, builds the snapshot. It is a weight write: callers exclude
+// concurrent Predicts as for any other (core calls it before the model is
+// shared). Training is unaffected: gradients always flow through the float64
+// weights.
 func (m *Model) SetQuantization(mode QuantMode) error {
 	q, err := ParseQuantMode(string(mode))
 	if err != nil {
@@ -132,22 +131,22 @@ func (m *Model) SetQuantization(mode QuantMode) error {
 }
 
 // refreshQuant rebuilds the published snapshot from the current float64
-// weights. Called under the weight-mutation lock.
+// weights. Called under the weight-write lock (core's paramMu in FullSync).
 func (m *Model) refreshQuant() {
 	switch m.qmode {
 	case QuantInt8:
-		m.quant.Store(&quantModel{bottom: m.Bottom.quantize(), top: m.Top.quantize()})
+		m.quant = &quantModel{bottom: m.Bottom.quantize(), top: m.Top.quantize()}
 	case QuantF16:
-		m.quant.Store(&quantModel{bottom: m.Bottom.truncateF16(), top: m.Top.truncateF16()})
+		m.quant = &quantModel{bottom: m.Bottom.truncateF16(), top: m.Top.truncateF16()}
 	default:
-		m.quant.Store(nil)
+		m.quant = nil
 	}
 }
 
 // inferencers returns the published (bottom, top) inference snapshot — the
 // quantized one when active, the float64 MLPs otherwise.
 func (m *Model) inferencers() (inferencer, inferencer) {
-	if qm := m.quant.Load(); qm != nil {
+	if qm := m.quant; qm != nil {
 		return qm.bottom, qm.top
 	}
 	return m.Bottom, m.Top

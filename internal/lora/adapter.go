@@ -6,29 +6,26 @@
 //
 // # Storage and concurrency model
 //
-// An Adapter keeps its factors in one state record: the shared dense B and a
+// An Adapter holds its factors as two plain fields: the shared dense B and a
 // row store for the sparse A. The store is flat — one slab of slots×rank
 // coefficients, one per-slot array of ids and bookkeeping, one open-addressed
 // id → slot index — so a lookup is one probe and a new row takes the next
-// slab slot instead of a heap object. Three classes of callers exist, and the
-// caller keeps them apart:
+// slab slot instead of a heap object. Every operation writes the factors in
+// place, and one rule, kept by the caller, separates three classes of calls:
 //
-//   - Readers (Set.Lookup, EffectiveRow, accumulate, Rank, ActiveCount)
-//     may run concurrently with each other.
-//   - Writers — train, Resize, reset and Set.Publish — run alone: serialized
-//     with each other and excluding every reader. train and Publish write the
-//     current store and B in place (new rows may move the slab and the index
-//     to larger arrays); Resize and reset build a new record and swap the
-//     Adapter's pointer to it.
-//   - Exporters (Snapshot, ExportFull) are serialized with the writers but
-//     may run beside readers: they copy the factors and write only the
-//     per-slot support bits, which no reader looks at. The update counts,
-//     the support bits and the Adapter's fields outside the state record
-//     belong to writers and exporters alone.
+//   - Writers (train, Resize, reset and Set.Publish) exclude readers,
+//     exporters and each other.
+//   - Exporters (Snapshot, ExportFull) exclude writers. They copy the factors
+//     and write only the per-slot support bits, which no reader looks at, so
+//     they may run beside readers.
+//   - Readers (Set.Lookup, EffectiveRow, accumulate, Rank, ActiveCount) run
+//     together.
 //
-// core.System runs all three at once: its forwards hold paramMu for read,
-// every adapter write holds it for write inside the node mutex, and an
-// export holds the node mutex alone.
+// The update counts, the support bits and the owner bookkeeping outside the
+// factors belong to writers and exporters alone. core.System keeps the rule
+// with two locks: its forwards hold paramMu for read, every adapter write
+// holds it for write inside the node mutex, and an export holds the node
+// mutex alone.
 //
 // The index has no tombstones because nothing deletes one row: rows leave
 // only inside adapt, which walks every row once per window anyway and, when
@@ -40,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"liveupdate/internal/tensor"
 )
@@ -107,27 +103,13 @@ func (c Config) validate() error {
 	return nil
 }
 
-// adapterState is the factor state: the shared dense factor B (rank×dim) and
-// the sparse A rows of the active ids, at the same rank. Resize and reset
-// replace the whole record behind the Adapter's pointer; train and Publish
-// write it in place.
-type adapterState struct {
-	b    *tensor.Matrix // rank×dim
-	rows *rowStore      // A rows for active ids; rows.rank is the LoRA rank
-}
-
-// accumulate adds alpha times the delta of the row in slot, A[slot]·B, into
-// dst.
-func (st *adapterState) accumulate(slot int32, alpha float64, dst []float64) {
-	tensor.AxpyRows(dst, alpha, st.rows.row(slot), st.b)
-}
-
 // Adapter is the LoRA table for one embedding table: sparse rows A[i] ∈ R^k
 // for active indices plus a shared dense factor B ∈ R^{k×d}. See the package
 // comment for which operations are safe without the owner's serialization.
 type Adapter struct {
-	cfg Config
-	cur atomic.Pointer[adapterState]
+	cfg  Config
+	b    *tensor.Matrix // rank×dim
+	rows rowStore       // A rows for active ids; rows.rank is the LoRA rank
 
 	// Owner-only bookkeeping (training statistics, adaptation windows). The
 	// per-row part — update counts, support bits — lives in the row store.
@@ -172,33 +154,30 @@ func newAdapter(cfg Config) (*Adapter, error) {
 		return nil, err
 	}
 	a := &Adapter{
-		cfg: cfg,
-		rng: tensor.NewRNG(cfg.Seed ^ 0x10ad0ada),
+		cfg:  cfg,
+		b:    tensor.NewMatrix(cfg.InitialRank, cfg.Dim),
+		rows: rowStore{rank: cfg.InitialRank},
+		rng:  tensor.NewRNG(cfg.Seed ^ 0x10ad0ada),
 	}
 	if !cfg.DisableRankAdapt {
 		a.grads = newGradWindow(cfg.GradWindow, cfg.Dim)
 	}
-	a.cur.Store(&adapterState{
-		b:    tensor.NewMatrix(cfg.InitialRank, cfg.Dim),
-		rows: newRowStore(cfg.InitialRank),
-	})
 	return a, nil
 }
 
 // Rank returns the current LoRA rank k.
-func (a *Adapter) Rank() int { return a.cur.Load().rows.rank }
+func (a *Adapter) Rank() int { return a.rows.rank }
 
 // ActiveCount returns the number of ids holding a LoRA row.
-func (a *Adapter) ActiveCount() int { return len(a.cur.Load().rows.meta) }
+func (a *Adapter) ActiveCount() int { return len(a.rows.meta) }
 
 // Adaptations returns how many rank/prune passes have run.
 func (a *Adapter) Adaptations() int { return a.adaptations }
 
 // accumulate adds the id's LoRA delta scaled by alpha into dst.
 func (a *Adapter) accumulate(id int32, alpha float64, dst []float64) {
-	st := a.cur.Load()
-	if slot := st.rows.find(id); slot >= 0 {
-		st.accumulate(slot, alpha, dst)
+	if slot := a.rows.find(id); slot >= 0 {
+		tensor.AxpyRows(dst, alpha, a.rows.row(slot), a.b)
 	}
 }
 
@@ -206,8 +185,7 @@ func (a *Adapter) accumulate(id int32, alpha float64, dst []float64) {
 // of the dlrm backward pass) and performs one SGD step at rate lr on A and B,
 // with the base weights frozen (paper §IV-A, step 1 of the update path).
 // Ids without a row are allocated one (zero-initialized) if capacity allows.
-// train mutates the current state in place and is owner-only: it must be
-// serialized with every other call on this adapter.
+// train writes the factors in place: a writer.
 func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	if len(ids) == 0 {
 		return
@@ -218,8 +196,7 @@ func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	if a.grads != nil {
 		a.grads.record(grad)
 	}
-	st := a.cur.Load()
-	rs, rank := st.rows, st.rows.rank
+	rs, rank := &a.rows, a.rows.rank
 	invPool := 1 / float64(len(ids))
 
 	// The A-row gradient dA[i] = (grad/pool)·Bᵀ does not depend on i (B only
@@ -236,7 +213,7 @@ func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	coef := a.coefScratch[:rank]
 	// da[k] = (lr·invPool)·(B[k]·grad), the bits of lr*invPool*Dot(grad,
 	// B[k]): MatVecInto sums each row in Dot's order, four rows at a time.
-	tensor.MatVecInto(da, st.b, grad)
+	tensor.MatVecInto(da, a.b, grad)
 	step := lr * invPool
 	for k := range da {
 		da[k] = step * da[k]
@@ -245,7 +222,7 @@ func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	for _, id := range ids {
 		slot := rs.find(id)
 		if slot < 0 {
-			if slot = a.newRow(rs, id); slot < 0 {
+			if slot = a.newRow(id); slot < 0 {
 				continue // table at capacity; skip cold id
 			}
 		}
@@ -260,7 +237,7 @@ func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	for k := 0; k < rank; k++ {
 		// dB[k] = coef[k] · grad/pool; apply the SGD step directly.
 		if coef[k] != 0 {
-			tensor.Axpy(-lr*coef[k]*invPool, grad, st.b.Row(k))
+			tensor.Axpy(-lr*coef[k]*invPool, grad, a.b.Row(k))
 		}
 	}
 
@@ -270,10 +247,11 @@ func (a *Adapter) train(ids []int32, grad []float64, lr float64) {
 	}
 }
 
-// newRow gives id, which has no row in rs, a randomly initialized one and
-// returns its slot, or -1 when the table is full. Random A with zero B keeps
-// ∆W = 0 until training moves B.
-func (a *Adapter) newRow(rs *rowStore, id int32) int32 {
+// newRow gives id, which has no row, a randomly initialized one and returns
+// its slot, or -1 when the table is full. Random A with zero B keeps ∆W = 0
+// until training moves B.
+func (a *Adapter) newRow(id int32) int32 {
+	rs := &a.rows
 	if len(rs.meta) >= a.cfg.CMax {
 		return -1
 	}
@@ -322,14 +300,14 @@ func (a *Adapter) adapt() {
 	// Rows updated fewer than τ_prune times this window are evicted; of the
 	// rest at most CMax stay, the most frequently updated. (The C_min floor
 	// never binds: it cannot bring an evicted row back.)
-	rs := a.cur.Load().rows
+	rs := &a.rows
 	prunedBefore := a.pruned
 	active := a.active[:0]
 	for s := range rs.meta {
 		if int(rs.meta[s].freq) >= a.cfg.PruneThresh {
 			active = append(active, int32(s))
 		} else {
-			a.evict(rs, int32(s))
+			a.evict(int32(s))
 		}
 	}
 	if len(active) > a.cfg.CMax {
@@ -341,7 +319,7 @@ func (a *Adapter) adapt() {
 			return int(mx.id) - int(my.id)
 		})
 		for _, s := range active[a.cfg.CMax:] {
-			a.evict(rs, s)
+			a.evict(s)
 		}
 	}
 	a.active = active
@@ -355,8 +333,8 @@ func (a *Adapter) adapt() {
 
 // evict marks slot for removal by the compaction that ends adapt's pass,
 // remembering the id as a ghost if it was in the support set.
-func (a *Adapter) evict(rs *rowStore, slot int32) {
-	m := &rs.meta[slot]
+func (a *Adapter) evict(slot int32) {
+	m := &a.rows.meta[slot]
 	if m.dirty && a.ghosts.find(m.id) < 0 {
 		a.ghosts.insert(m.id, 0)
 	}
@@ -368,60 +346,61 @@ func (a *Adapter) evict(rs *rowStore, slot int32) {
 // onto the best rank-r subspace (Eckart–Young, through the d×d Gram matrix of
 // the active rows' deltas — tensor.TruncatedSVD), so learned information is
 // preserved as well as any rank-r factorization can; growing zero-pads,
-// leaving ∆W bit-identical. The resized factors are built beside the current
-// ones and installed by one pointer swap (a writer, like train).
+// leaving ∆W bit-identical. A writer, like train: every row keeps its slot,
+// its update count and its support bit; only the coefficient slab and B are
+// re-made.
 func (a *Adapter) Resize(r int) {
-	st := a.cur.Load()
 	r = min(max(r, a.cfg.MinRank), a.cfg.MaxRank)
-	if r == st.rows.rank {
+	old := a.rows.rank
+	if r == old {
 		return
 	}
-	// Either way every row keeps its slot, its update count and its support
-	// bit; only the coefficients are re-made.
-	rows := st.rows.clone(r)
-	if r > st.rows.rank {
+	if r > old {
 		// Grow: zero B rows keep ∆W identical; the new A coordinates are
 		// randomly initialized so gradients flow into the added capacity.
 		// Ids are visited in sorted order: the draws come from one RNG
 		// stream, so slot order — the order rows happened to be created in —
 		// would tie the factors to the history of evictions.
+		a.rows.setRank(r)
 		scale := 1 / math.Sqrt(float64(r))
-		for _, s := range rows.slotsByID() {
-			row := rows.row(s)
-			for k := st.rows.rank; k < r; k++ {
+		for _, s := range a.rows.slotsByID() {
+			row := a.rows.row(s)
+			for k := old; k < r; k++ {
 				row[k] = a.rng.NormFloat64() * scale
 			}
 		}
-		a.cur.Store(&adapterState{b: adaptedB(r, a.cfg.Dim, st.b), rows: rows})
+		a.b = adaptedB(r, a.cfg.Dim, a.b)
 		return
 	}
-	// Shrink: factor the realized ∆W of the active rows, taken in id order so
-	// the Gram sums do not depend on slot order. TruncatedSVD returns fewer
-	// than r components when fewer than r rows are active; the factors are
-	// zero-padded to r then.
+	// Shrink: factor the realized ∆W of the active rows (old slab, old B),
+	// taken in id order so the Gram sums do not depend on slot order.
+	// TruncatedSVD returns fewer than r components when fewer than r rows are
+	// active; the factors are zero-padded to r then.
 	right := tensor.NewMatrix(0, a.cfg.Dim)
-	if len(rows.meta) > 0 {
-		slots := rows.slotsByID()
+	var slots []int32
+	var left *tensor.Matrix
+	if len(a.rows.meta) > 0 {
+		slots = a.rows.slotsByID()
 		delta := tensor.NewMatrix(len(slots), a.cfg.Dim)
 		for i, s := range slots {
-			st.accumulate(s, 1, delta.Row(i))
+			tensor.AxpyRows(delta.Row(i), 1, a.rows.row(s), a.b)
 		}
-		var left *tensor.Matrix
 		left, right = tensor.TruncatedSVD(delta, r)
-		for i, s := range slots {
-			row := rows.row(s)
-			clear(row[copy(row, left.Row(i)):])
-		}
+	}
+	a.rows.setRank(r)
+	for i, s := range slots {
+		row := a.rows.row(s)
+		clear(row[copy(row, left.Row(i)):])
 	}
 	if right.Rows != r {
 		right = adaptedB(r, a.cfg.Dim, right)
 	}
-	a.cur.Store(&adapterState{b: right, rows: rows})
+	a.b = right
 }
 
 // SizeBytes returns the adapter's parameter footprint: active A rows plus B.
 func (a *Adapter) SizeBytes() int64 {
-	rs := a.cur.Load().rows
+	rs := &a.rows
 	return int64(len(rs.meta))*int64(rs.rank)*8 + int64(rs.rank)*int64(a.cfg.Dim)*8
 }
 
@@ -433,7 +412,7 @@ type RowUpdate struct {
 
 // resetSupport clears the modification tracker (end of a sync cycle).
 func (a *Adapter) resetSupport() {
-	rs := a.cur.Load().rows
+	rs := &a.rows
 	if rs.dirty > 0 {
 		for s := range rs.meta {
 			rs.meta[s].dirty = false
@@ -451,17 +430,15 @@ func adaptedB(rank, dim int, b *tensor.Matrix) *tensor.Matrix {
 	return nb
 }
 
-// applyState installs one merged TableState (rows plus shared B) in place in
-// the current store — the per-adapter publish step of the sync pipeline, a
-// writer. Each row lands in its id's slot, or in the next slot when the id
-// has none; rows and a B whose rank differs from the adapter's are truncated
-// or zero-padded. A new row starts with no updates this window and outside
+// applyState installs one merged TableState (rows plus shared B) in place —
+// the per-adapter publish step of the sync pipeline, a writer. Each row lands
+// in its id's slot, or in the next slot when the id has none; rows and a B
+// whose rank differs from the adapter's are truncated or zero-padded. A new row starts with no updates this window and outside
 // the local support set (it is foreign state) unless its id is a ghost. A
 // nil B keeps the current factor. The caller has checked the state's shape
 // (Set.applyState): B has dim columns and Rows·Cols values.
 func (a *Adapter) applyState(ts TableState) {
-	st := a.cur.Load()
-	rs := st.rows
+	rs := &a.rows
 	for _, u := range ts.Rows {
 		slot := rs.find(u.ID)
 		if slot < 0 {
@@ -474,7 +451,7 @@ func (a *Adapter) applyState(ts TableState) {
 		clear(row[copy(row, u.Row):]) // copies min(len): truncates or zero-pads
 	}
 	if ts.B != nil {
-		clear(st.b.Data[copy(st.b.Data, ts.B.Data):])
+		clear(a.b.Data[copy(a.b.Data, ts.B.Data):])
 	}
 }
 
@@ -482,11 +459,9 @@ func (a *Adapter) applyState(ts TableState) {
 // weights in, the adapter starts from ∆W = 0 again — paper Fig 8's hourly
 // full-update starting points).
 func (a *Adapter) reset() {
-	rank := a.cur.Load().rows.rank
-	a.cur.Store(&adapterState{
-		b:    tensor.NewMatrix(rank, a.cfg.Dim),
-		rows: newRowStore(rank),
-	})
+	rank := a.rows.rank
+	a.b = tensor.NewMatrix(rank, a.cfg.Dim)
+	a.rows = rowStore{rank: rank}
 	a.ghosts.reset()
 	if a.grads != nil {
 		a.grads.reset()

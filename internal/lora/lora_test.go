@@ -27,7 +27,7 @@ func mustNewSet(base *emt.Group, cfg Config) *Set {
 }
 
 // has reports whether id holds a LoRA row: the Hot Index Filter check.
-func has(a *Adapter, id int32) bool { return a.cur.Load().rows.find(id) >= 0 }
+func has(a *Adapter, id int32) bool { return a.rows.find(id) >= 0 }
 
 // delta writes W_lora(id) - W_base(id) = A[id]·B into dst; an id without a
 // row gives zero.
@@ -42,13 +42,13 @@ func (a *Adapter) exportSupport() []RowUpdate { return a.export(true) }
 func (a *Adapter) exportAllRows() []RowUpdate { return a.export(false) }
 
 func (a *Adapter) export(dirtyOnly bool) []RowUpdate {
-	rs := a.cur.Load().rows
+	rs := &a.rows
 	n := rs.exportCount(dirtyOnly)
 	return rs.exportInto(dirtyOnly, make([]RowUpdate, n), make([]float64, n*rs.rank))
 }
 
 // copyB returns a copy of the adapter's shared factor.
-func (a *Adapter) copyB() *tensor.Matrix { return a.cur.Load().b.Clone() }
+func (a *Adapter) copyB() *tensor.Matrix { return a.b.Clone() }
 
 // exportState is Snapshot without clearing the supports.
 func (s *Set) exportState() []TableState { return s.export(true) }
@@ -303,12 +303,12 @@ func TestPruningEvictsInactive(t *testing.T) {
 func TestSupportExportApplyRoundTrip(t *testing.T) {
 	a := mustNewAdapter(testConfig())
 	seedAdapter(a, 5)
-	if a.cur.Load().rows.dirty == 0 {
+	if a.rows.dirty == 0 {
 		t.Fatal("training must record support")
 	}
 	export := a.exportSupport()
-	if len(export) != a.cur.Load().rows.dirty {
-		t.Fatalf("export %d != support %d", len(export), a.cur.Load().rows.dirty)
+	if len(export) != a.rows.dirty {
+		t.Fatalf("export %d != support %d", len(export), a.rows.dirty)
 	}
 	b := mustNewAdapter(testConfig())
 	b.applyState(TableState{B: a.copyB()})
@@ -325,11 +325,11 @@ func TestSupportExportApplyRoundTrip(t *testing.T) {
 		}
 	}
 	// Applying must not pollute receiver support.
-	if b.cur.Load().rows.dirty != 0 {
+	if b.rows.dirty != 0 {
 		t.Fatal("applied rows must not enter support")
 	}
 	a.resetSupport()
-	if a.cur.Load().rows.dirty != 0 {
+	if a.rows.dirty != 0 {
 		t.Fatal("resetSupport failed")
 	}
 }
@@ -384,7 +384,7 @@ func TestReset(t *testing.T) {
 	a := mustNewAdapter(testConfig())
 	seedAdapter(a, 5)
 	a.reset()
-	if a.ActiveCount() != 0 || a.cur.Load().rows.dirty != 0 {
+	if a.ActiveCount() != 0 || a.rows.dirty != 0 {
 		t.Fatal("reset must clear rows and support")
 	}
 	dst := make([]float64, 8)
@@ -528,7 +528,7 @@ func TestSetStateRoundTrip(t *testing.T) {
 	}
 	s1.resetSupports()
 	for _, a := range s1.Adapters {
-		if a.cur.Load().rows.dirty != 0 {
+		if a.rows.dirty != 0 {
 			t.Fatal("resetSupports failed")
 		}
 	}
@@ -622,7 +622,7 @@ func TestSetSnapshotClearsSupports(t *testing.T) {
 		t.Fatalf("snapshot missing trained row: %+v", snap[0].Rows)
 	}
 	for _, a := range s.Adapters {
-		if a.cur.Load().rows.dirty != 0 {
+		if a.rows.dirty != 0 {
 			t.Fatal("Snapshot must clear supports")
 		}
 	}
@@ -674,7 +674,7 @@ func TestPropertyAdapterInvariants(t *testing.T) {
 // liveRow returns id's A row in the current store (not a copy); id must be
 // resident.
 func liveRow(a *Adapter, id int32) []float64 {
-	rs := a.cur.Load().rows
+	rs := &a.rows
 	return rs.row(rs.find(id))
 }
 
@@ -688,7 +688,7 @@ func seedAdapter(a *Adapter, n int) {
 			row[k] = rng.NormFloat64() * 0.2
 		}
 		a.applyState(TableState{Rows: []RowUpdate{{ID: id, Row: row}}})
-		rs := a.cur.Load().rows
+		rs := &a.rows
 		rs.markDirty(rs.find(id))
 	}
 	b := tensor.NewMatrix(a.Rank(), a.cfg.Dim)

@@ -120,22 +120,20 @@ type TableState struct {
 func (s *Set) export(dirtyOnly bool) []TableState {
 	rows, floats := 0, 0
 	for _, a := range s.Adapters {
-		st := a.cur.Load()
-		n := st.rows.exportCount(dirtyOnly)
+		n := a.rows.exportCount(dirtyOnly)
 		rows += n
-		floats += n*st.rows.rank + len(st.b.Data)
+		floats += n*a.rows.rank + len(a.b.Data)
 	}
 	out := make([]TableState, len(s.Adapters))
 	bs := make([]tensor.Matrix, len(s.Adapters))
 	ups, buf := make([]RowUpdate, rows), make([]float64, floats)
 	for i, a := range s.Adapters {
-		st := a.cur.Load()
-		rs, b := st.rows, &bs[i]
+		rs, b := &a.rows, &bs[i]
 		n := rs.exportCount(dirtyOnly)
 		out[i] = TableState{Rows: rs.exportInto(dirtyOnly, ups[:n:n], buf), B: b, Rank: rs.rank}
 		ups, buf = ups[n:], buf[n*rs.rank:]
-		*b = tensor.Matrix{Rows: st.b.Rows, Cols: st.b.Cols, Data: buf[:len(st.b.Data):len(st.b.Data)]}
-		buf = buf[copy(b.Data, st.b.Data):]
+		*b = tensor.Matrix{Rows: a.b.Rows, Cols: a.b.Cols, Data: buf[:len(a.b.Data):len(a.b.Data)]}
+		buf = buf[copy(b.Data, a.b.Data):]
 	}
 	return out
 }

@@ -100,7 +100,7 @@ type slotMeta struct {
 	dirty bool  // updated since the last resetSupport (Alg. 3's support)
 }
 
-// rowStore holds one adapter state's sparse A factor: the row of the id in
+// rowStore holds an adapter's sparse A factor: the row of the id in
 // slot s is a[s*rank:(s+1)*rank], meta[s] is its id and bookkeeping, and the
 // embedded index maps id → s. Slots are dense — a new row takes slot
 // len(meta) — and rows leave only through compact.
@@ -111,8 +111,6 @@ type rowStore struct {
 	a     []float64 // len(meta)·rank coefficients in one pointer-free slab
 	dirty int       // slots with meta.dirty set
 }
-
-func newRowStore(rank int) *rowStore { return &rowStore{rank: rank} }
 
 func (rs *rowStore) row(slot int32) []float64 {
 	return rs.a[int(slot)*rs.rank : (int(slot)+1)*rs.rank]
@@ -137,20 +135,14 @@ func (rs *rowStore) markDirty(slot int32) {
 	}
 }
 
-// clone returns an independent copy at another rank: every row keeps its
-// slot, truncated or zero-padded.
-func (rs *rowStore) clone(rank int) *rowStore {
-	c := &rowStore{
-		idIndex: idIndex{cells: slices.Clone(rs.cells), shift: rs.shift, n: rs.n},
-		rank:    rank,
-		meta:    slices.Clone(rs.meta),
-		a:       make([]float64, len(rs.meta)*rank),
-		dirty:   rs.dirty,
+// setRank re-lays the slab at rank: every row keeps its slot and its first
+// min(rank, rs.rank) coefficients, zero-padded.
+func (rs *rowStore) setRank(rank int) {
+	a := make([]float64, len(rs.meta)*rank)
+	for s := range len(rs.meta) {
+		copy(a[s*rank:(s+1)*rank], rs.row(int32(s)))
 	}
-	for s := range int32(len(rs.meta)) {
-		copy(c.row(s), rs.row(s)) // copies min(rank) coefficients
-	}
-	return c
+	rs.a, rs.rank = a, rank
 }
 
 // compact drops the slots whose id was set to -1, keeping the others in

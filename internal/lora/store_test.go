@@ -133,14 +133,14 @@ func TestStoreMatchesMapReference(t *testing.T) {
 				}
 			}
 			support := flat.exportSupport()
-			if !sameRows(support, ref.export(true)) || flat.cur.Load().rows.dirty != len(support) {
+			if !sameRows(support, ref.export(true)) || flat.rows.dirty != len(support) {
 				t.Fatalf("seed %d step %d (%s): exportSupport differs (%d rows, support %d, reference %d)", seed, step, op,
-					len(support), flat.cur.Load().rows.dirty, len(ref.export(true)))
+					len(support), flat.rows.dirty, len(ref.export(true)))
 			}
 			if !sameRows(flat.exportAllRows(), ref.export(false)) {
 				t.Fatalf("seed %d step %d (%s): exportAllRows differs", seed, step, op)
 			}
-			if rs := flat.cur.Load().rows; rs.n != len(rs.meta) || len(rs.a) != len(rs.meta)*rs.rank || 2*rs.n > len(rs.cells) {
+			if rs := &flat.rows; rs.n != len(rs.meta) || len(rs.a) != len(rs.meta)*rs.rank || 2*rs.n > len(rs.cells) {
 				t.Fatalf("seed %d step %d (%s): store out of shape: %d indexed, %d slots, slab %d at rank %d, %d cells", seed, step, op,
 					rs.n, len(rs.meta), len(rs.a), rs.rank, len(rs.cells))
 			}
@@ -165,8 +165,8 @@ func TestSupportSurvivesPruneAndReinstall(t *testing.T) {
 	a.adapt() // both trained this window: kept
 	a.train([]int32{5}, g, 0.1)
 	a.adapt() // 4 idle: pruned while in the support
-	if has(a, 4) || a.cur.Load().rows.dirty != 1 {
-		t.Fatalf("fixture: id 4 resident=%v, support %d", has(a, 4), a.cur.Load().rows.dirty)
+	if has(a, 4) || a.rows.dirty != 1 {
+		t.Fatalf("fixture: id 4 resident=%v, support %d", has(a, 4), a.rows.dirty)
 	}
 	a.applyState(TableState{Rows: []RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}, {ID: 6, Row: []float64{1, 2, 3, 4}}}})
 	var got []int32
@@ -179,7 +179,7 @@ func TestSupportSurvivesPruneAndReinstall(t *testing.T) {
 	a.resetSupport()
 	a.adapt() // prunes everything
 	a.applyState(TableState{Rows: []RowUpdate{{ID: 4, Row: []float64{1, 2, 3, 4}}}})
-	if n := a.cur.Load().rows.dirty; n != 0 {
+	if n := a.rows.dirty; n != 0 {
 		t.Fatalf("resetSupport must forget ghosts: support %d", n)
 	}
 }
@@ -241,6 +241,90 @@ func TestExportRowsAreCapacityLimited(t *testing.T) {
 	snap[0].B.Data = append(snap[0].B.Data, 42)
 	if !sameBits(snap[0].B.Data[:len(b0)], b0) || !sameRows(snap[1].Rows[:1], []RowUpdate{next0}) || !sameBits(snap[1].B.Data, nextB) {
 		t.Fatal("an append to one table of a Snapshot overwrote another slice of it")
+	}
+}
+
+// ExportFull hands out copies that share no memory with either side of the
+// catch-up path it feeds: export from a donor, Resize a receiver to the
+// donor's rank, Publish. Training and resizing both sets afterwards leaves the
+// export's bits alone, and poisoning the export moves no effective row of
+// either set.
+func TestExportFullSharesNoMemory(t *testing.T) {
+	donor, recv := newTestSet(t), newTestSet(t)
+	g := make([]float64, 8)
+	for i := range g {
+		g[i] = float64(i) - 3.5
+	}
+	trainAll := func(s *Set) {
+		for table := range s.Adapters {
+			s.ApplyGrad(table, []int32{1, 2, 3}, g, 0.05)
+			s.ApplyGrad(table, []int32{3, 40}, g, 0.05)
+		}
+	}
+	trainAll(donor)
+	for _, a := range donor.Adapters {
+		a.Resize(a.Rank() + 2)
+	}
+	state := donor.ExportFull()
+	for table, ts := range state {
+		recv.Adapters[table].Resize(ts.Rank)
+	}
+	recv.Publish(state, 0)
+
+	var want []TableState
+	for _, ts := range state {
+		c := TableState{B: ts.B.Clone(), Rank: ts.Rank}
+		for _, u := range ts.Rows {
+			c.Rows = append(c.Rows, RowUpdate{ID: u.ID, Row: slices.Clone(u.Row)})
+		}
+		want = append(want, c)
+	}
+	rowsOf := func(s *Set) [][]float64 {
+		var out [][]float64
+		for table := range s.Adapters {
+			for id := int32(0); id < 50; id++ {
+				row := make([]float64, 8)
+				s.EffectiveRow(table, id, row)
+				out = append(out, row)
+			}
+		}
+		return out
+	}
+
+	for _, s := range []*Set{donor, recv} {
+		trainAll(s)
+		for _, a := range s.Adapters {
+			a.Resize(a.Rank() + 1)
+			a.Resize(a.Rank() - 2)
+		}
+		trainAll(s)
+	}
+	for table, ts := range state {
+		if ts.Rank != want[table].Rank || !sameRows(ts.Rows, want[table].Rows) || !sameBits(ts.B.Data, want[table].B.Data) {
+			t.Fatalf("table %d: the export moved when the sets trained and resized", table)
+		}
+	}
+
+	donorRows, recvRows := rowsOf(donor), rowsOf(recv)
+	for _, ts := range state {
+		for _, u := range ts.Rows {
+			for k := range u.Row {
+				u.Row[k] = 1e9
+			}
+		}
+		for i := range ts.B.Data {
+			ts.B.Data[i] = 1e9
+		}
+	}
+	for i, row := range rowsOf(donor) {
+		if !sameBits(row, donorRows[i]) {
+			t.Fatalf("poisoning the export moved the donor's effective row %d", i)
+		}
+	}
+	for i, row := range rowsOf(recv) {
+		if !sameBits(row, recvRows[i]) {
+			t.Fatalf("poisoning the export moved the receiver's effective row %d", i)
+		}
 	}
 }
 
