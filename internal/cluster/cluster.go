@@ -196,17 +196,6 @@ type Cluster struct {
 	// serving does not block behind it.
 	testSyncStall func()
 
-	// gen counts state-changing operations (serves, syncs, membership
-	// changes); the merged-stats cache is keyed on it so Stats() is O(1)
-	// between changes. It is sharded by replica slot so concurrent workers
-	// bump disjoint cache lines on the serve hot path instead of contending
-	// on one atomic.
-	gen     *metrics.ShardedCounter
-	statsMu sync.Mutex
-	stats   core.Stats
-	statsOK bool
-	statsAt uint64
-
 	// Telemetry instruments (nil without Config.Base.Telemetry). Strictly
 	// side-band: counters observe completed events, gauges read lock-free
 	// state at scrape time, spans time wall-clock stages. Nothing here feeds
@@ -235,7 +224,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		router:    cfg.Router,
 		syncClock: simnet.NewClock(),
-		gen:       metrics.NewShardedCounter(cfg.Replicas),
 		nextID:    cfg.Replicas,
 	}
 	slots := make([]*member, cfg.Replicas)
@@ -403,7 +391,6 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 	// touches neither fleetMu nor the replicas), so anyone holding the WRITE
 	// lock knows no new pipeline work can appear under them.
 	c.kickCrossedEpoch()
-	c.gen.Add(m.Slot%c.gen.Shards(), 1)
 	c.fleetMu.RUnlock()
 	return nil
 }
@@ -564,7 +551,9 @@ func (p *syncPipeline) run() {
 
 // drain blocks until the pipeline has no in-flight work (every epoch kicked
 // so far is published) and returns its sticky error, if any. It never blocks
-// serving — only the caller waits.
+// serving — only the caller waits. Callers must hold NO cluster locks: the
+// worker takes syncMu per epoch, and a membership mutation holding syncMu
+// may need the fleet write lock to commit.
 func (p *syncPipeline) drain() error {
 	if p == nil {
 		return nil
@@ -611,16 +600,8 @@ func (c *Cluster) syncOnce() (collective.MergeStats, error) {
 	}
 	c.tracer.StageEnd(metrics.StageSyncPublish, t0)
 	c.telSyncs.Inc()
-	c.gen.Add(0, 1)
 	return stats, nil
 }
-
-// quiesceSyncs waits for the pipeline (if any) to finish all epochs kicked
-// so far, so final statistics observe a settled sync count. Callers must
-// hold NO cluster locks: the pipeline worker acquires syncMu per epoch, and
-// a membership mutation holding syncMu may need the fleet write lock to
-// commit.
-func (c *Cluster) quiesceSyncs() error { return c.pipe.drain() }
 
 // SyncNow runs one LoRA priority-merge synchronization across the live
 // members (Algorithm 3 over the configured AllGather topology, flat
@@ -721,30 +702,16 @@ func (c *Cluster) ReplicasConsistent(idsPerTable int) bool {
 // retained, so after churn the quantiles cover live members only (counters
 // still cover everyone).
 //
-// Merging is O(replicas × latency window); the result is cached and
-// recomputed only after state has changed (a serve, a sync, or a membership
-// change), so polling Stats in a reporting loop is cheap.
+// Every call merges afresh under the fleet read lock, which costs
+// O(replicas × latency window): each member's Stats under its node lock, a
+// copy of its latency window, and one quantile pass over the pooled windows.
+// Nothing is cached, so a write made directly through Replica(i) shows up in
+// the next call just as a routed serve does.
 func (c *Cluster) Stats() core.Stats {
-	// Quiesce before reading the generation counter so a draining sync's
-	// publish lands inside this snapshot, not after it.
-	_ = c.quiesceSyncs()
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	gen := c.gen.Load()
-	if c.statsOK && gen == c.statsAt {
-		return cloneStats(c.stats)
-	}
-	st := c.mergedStats()
-	c.stats = st
-	c.statsAt = gen
-	c.statsOK = true
-	return cloneStats(st)
-}
-
-// cloneStats returns a copy whose Replicas slice does not alias the cache.
-func cloneStats(st core.Stats) core.Stats {
-	st.Replicas = append([]core.Stats(nil), st.Replicas...)
-	return st
+	// Drain before merging so a draining sync's publish lands inside this
+	// snapshot, not after it.
+	_ = c.pipe.drain()
+	return c.mergedStats()
 }
 
 // mergedStats recomputes the fleet snapshot from the live members plus the
@@ -778,31 +745,22 @@ func (c *Cluster) mergedStats() core.Stats {
 	merged.CatchUpBytes = c.catchUpBytes
 	merged.CatchUpSeconds = c.catchUpSeconds
 
-	merged.Served = c.retired.served
-	merged.Violations = c.retired.violations
-	merged.TrainSteps = c.retired.trainSteps
-	merged.FullSyncs = c.retired.fullSyncs
-	latencySum := c.retired.latencySum
-	hitInf, hitTrain := c.retired.hitInfSum, c.retired.hitTrainSum
-
+	// The live members add onto a copy of the departed members' tally, in
+	// slot order, so one set of formulas covers both.
+	tally := c.retired
 	members := v.active
 	var lat []float64
 	for _, m := range members {
 		rs := m.Sys.Stats()
-		merged.Served += rs.Served
-		merged.Violations += rs.Violations
-		merged.TrainSteps += rs.TrainSteps
-		merged.FullSyncs += rs.FullSyncs
+		tally.add(rs)
 		merged.LoRAHotRows += rs.LoRAHotRows
-		latencySum += rs.MeanLatency * float64(rs.Served)
-		// Weight cache hit ratios by requests served, like MeanLatency: an
-		// unweighted mean would let a nearly idle replica's ratio swamp the
-		// workload-level truth under skewed routing.
-		hitInf += rs.InferenceHitRatio * float64(rs.Served)
-		hitTrain += rs.TrainingHitRatio * float64(rs.Served)
 		lat = append(lat, m.Sys.LatencyWindow()...)
 		merged.Replicas = append(merged.Replicas, rs)
 	}
+	merged.Served = tally.served
+	merged.Violations = tally.violations
+	merged.TrainSteps = tally.trainSteps
+	merged.FullSyncs = tally.fullSyncs
 	if len(lat) == 0 {
 		// Documented sentinel: no retained samples means the quantiles are
 		// undefined, not zero.
@@ -814,9 +772,9 @@ func (c *Cluster) mergedStats() core.Stats {
 	}
 	if merged.Served > 0 {
 		merged.ViolationRate = float64(merged.Violations) / float64(merged.Served)
-		merged.MeanLatency = latencySum / float64(merged.Served)
-		merged.InferenceHitRatio = hitInf / float64(merged.Served)
-		merged.TrainingHitRatio = hitTrain / float64(merged.Served)
+		merged.MeanLatency = tally.latencySum / float64(merged.Served)
+		merged.InferenceHitRatio = tally.hitInfSum / float64(merged.Served)
+		merged.TrainingHitRatio = tally.hitTrainSum / float64(merged.Served)
 	}
 	// Adapter footprint and rank are identical across replicas by
 	// construction; report one live member's view, not the sum.

@@ -369,8 +369,9 @@ func TestStatsEmptyWindowSentinel(t *testing.T) {
 	}
 }
 
-// TestStatsCachedBetweenChanges verifies that Stats is memoized until the
-// next state change instead of re-merging the fleet on every call.
+// TestStatsCachedBetweenChanges verifies that repeated Stats calls agree,
+// that the returned Replicas breakdown does not alias anything a later call
+// returns, and that a serve or a sync shows up in the next call.
 func TestStatsCachedBetweenChanges(t *testing.T) {
 	c, err := New(testConfig(t, 3))
 	if err != nil {
@@ -405,6 +406,35 @@ func TestStatsCachedBetweenChanges(t *testing.T) {
 	}
 	if got := c.Stats().Syncs; got != after.Syncs+1 {
 		t.Fatalf("cache not invalidated by SyncNow: syncs %d, want %d", got, after.Syncs+1)
+	}
+}
+
+// TestStatsSeesWritesThroughReplica: a serve and a training tick made
+// directly on a replica, bypassing the cluster's serve path, show up in the
+// next Stats call. (Round-robin gives slot 0 its 18th request, which ends no
+// training interval, so each count rises by exactly one.)
+func TestStatsSeesWritesThroughReplica(t *testing.T) {
+	c, err := New(testConfig(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.MustNewGenerator(testProfile(t), 21)
+	for i := 0; i < 50; i++ {
+		if _, err := c.Serve(gen.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats()
+	if _, err := c.Replica(0).Serve(gen.Next()); err != nil {
+		t.Fatal(err)
+	}
+	c.Replica(1).TrainTick()
+	after := c.Stats()
+	if after.Served != before.Served+1 {
+		t.Fatalf("Served = %d after a serve through Replica(0), want %d", after.Served, before.Served+1)
+	}
+	if after.TrainSteps != before.TrainSteps+1 {
+		t.Fatalf("TrainSteps = %d after a TrainTick through Replica(1), want %d", after.TrainSteps, before.TrainSteps+1)
 	}
 }
 

@@ -91,10 +91,10 @@ func (v *View) redirect(slot int) *member {
 // retired is the folded statistical contribution of departed members, so
 // fleet-level counters (requests served, violations, training steps) survive
 // the members that produced them. Latency and hit-ratio sums are
-// request-weighted, mirroring how Stats merges live replicas; departed
-// members' latency windows are not retained, so fleet quantiles cover live
-// members only. The highest clock a departed member reached lives in
-// Cluster.retiredClock, which the serve path reads lock-free.
+// request-weighted. Departed members' latency windows are not retained, so
+// fleet quantiles cover live members only. The highest clock a departed
+// member reached lives in Cluster.retiredClock, which the serve path reads
+// lock-free.
 type retired struct {
 	served      uint64
 	violations  uint64
@@ -103,6 +103,21 @@ type retired struct {
 	latencySum  float64 // Σ MeanLatency·Served
 	hitInfSum   float64 // Σ InferenceHitRatio·Served
 	hitTrainSum float64 // Σ TrainingHitRatio·Served
+}
+
+// add tallies one member's stats into r: fold for a departing member, and
+// Stats for each live one on a copy.
+func (r *retired) add(rs core.Stats) {
+	r.served += rs.Served
+	r.violations += rs.Violations
+	r.trainSteps += rs.TrainSteps
+	r.fullSyncs += rs.FullSyncs
+	r.latencySum += rs.MeanLatency * float64(rs.Served)
+	// Weight cache hit ratios by requests served, like MeanLatency: an
+	// unweighted mean would let a nearly idle replica's ratio swamp the
+	// workload-level truth under skewed routing.
+	r.hitInfSum += rs.InferenceHitRatio * float64(rs.Served)
+	r.hitTrainSum += rs.TrainingHitRatio * float64(rs.Served)
 }
 
 // spawn builds a fresh replica from the fleet's base options (same seed, so
@@ -140,11 +155,7 @@ func (c *Cluster) install(slots []*member) {
 func (c *Cluster) membershipOp(f func() error) error {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
-	if err := f(); err != nil {
-		return err
-	}
-	c.gen.Add(0, 1) // membership changed: invalidate the stats cache
-	return nil
+	return f()
 }
 
 // FailReplica kills the replica in slot — the crash path. The member is
@@ -304,13 +315,7 @@ func (c *Cluster) remove(slot int, counter *atomic.Int64) error {
 // Callers hold fleetMu for write.
 func (c *Cluster) fold(m *member) {
 	rs := m.Sys.Stats()
-	c.retired.served += rs.Served
-	c.retired.violations += rs.Violations
-	c.retired.trainSteps += rs.TrainSteps
-	c.retired.fullSyncs += rs.FullSyncs
-	c.retired.latencySum += rs.MeanLatency * float64(rs.Served)
-	c.retired.hitInfSum += rs.InferenceHitRatio * float64(rs.Served)
-	c.retired.hitTrainSum += rs.TrainingHitRatio * float64(rs.Served)
+	c.retired.add(rs)
 	if rs.VirtualTime > math.Float64frombits(c.retiredClock.Load()) {
 		c.retiredClock.Store(math.Float64bits(rs.VirtualTime))
 	}

@@ -1,8 +1,8 @@
 // Package emt implements the embedding tables (EMTs) at the heart of DLRM
 // serving (paper §II-A): row-major storage, one/multi-hot lookup with mean
 // pooling, sparse row-wise gradient updates, dirty-row tracking for the
-// update-ratio analysis of Fig 3a, versioning, and partitioning across
-// inference nodes.
+// update-ratio analysis of Fig 3a, versioning, and the binary checkpoints
+// that seed fleet replicas and carry full-parameter syncs (checkpoint.go).
 package emt
 
 import (

@@ -4,13 +4,9 @@ import (
 	"fmt"
 
 	"liveupdate/internal/collective"
-	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 	"liveupdate/internal/update"
 )
-
-// newClock is a tiny helper shared by runners.
-func newClock() *simnet.Clock { return simnet.NewClock() }
 
 // table2 prints the dataset registry (paper Table II).
 func table2(o Options) (Report, error) {

@@ -5,6 +5,7 @@ import (
 
 	"liveupdate/internal/core"
 	"liveupdate/internal/numasim"
+	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 )
 
@@ -89,7 +90,7 @@ func fig5(o Options) (Report, error) {
 		Header: []string{"minute", "P_infer(W)", "P_colocated(W)", "overhead"},
 	}
 	mcfg := numasim.DefaultConfig()
-	clockless := numasim.MustNewMachine(mcfg, newClock())
+	clockless := numasim.MustNewMachine(mcfg, simnet.NewClock())
 	if err := clockless.Partition(10); err != nil {
 		return r, err
 	}

@@ -35,34 +35,3 @@ func TestCounterConcurrent(t *testing.T) {
 		t.Fatalf("Load = %d, want %d", got, workers*per)
 	}
 }
-
-func TestShardedCounterValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewShardedCounter(0) must panic")
-		}
-	}()
-	NewShardedCounter(0)
-}
-
-func TestShardedCounterConcurrent(t *testing.T) {
-	const workers, per = 8, 10000
-	c := NewShardedCounter(workers)
-	if c.Shards() != workers {
-		t.Fatalf("Shards = %d, want %d", c.Shards(), workers)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Add(w, 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := c.Load(); got != workers*per {
-		t.Fatalf("Load = %d, want %d", got, workers*per)
-	}
-}

@@ -69,6 +69,13 @@ type spanSlot struct {
 	dur   atomic.Int64
 }
 
+// counterSlot pads each stage sampler's word to its own cache line (64
+// bytes) so workers bumping different stages never false-share.
+type counterSlot struct {
+	v atomic.Uint64
+	_ [56]byte
+}
+
 // Tracer records sampled stage timings into a fixed-size lock-free ring.
 // The hot path (StageStart/StageEnd) performs no allocation, takes no lock,
 // and on unsampled requests is a single atomic increment. A nil *Tracer is
