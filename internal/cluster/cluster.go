@@ -78,6 +78,13 @@ import (
 	"liveupdate/internal/trace"
 )
 
+// The sync fabric's links, also billed by catch-up transfers: 100 GbE at
+// 1 ms a hop.
+const (
+	linkBandwidthBps = simnet.Gbps100
+	linkLatencySec   = 0.001
+)
+
 // Config describes a replica fleet.
 type Config struct {
 	// Base configures each replica. All replicas are built from the same
@@ -98,11 +105,6 @@ type Config struct {
 	// syncs: one sync fires for each SyncEvery epoch the fleet-max clock
 	// crosses. Zero disables periodic syncs (SyncNow remains available).
 	SyncEvery time.Duration
-
-	// BandwidthBps and LatencySec describe the sync fabric links (also used
-	// to bill catch-up transfers). Zero values default to 100 GbE / 1 ms.
-	BandwidthBps float64
-	LatencySec   float64
 
 	// Topology selects the collective pricing the sync fabric: "flat" (the
 	// default recursive-doubling AllGather), "ring", or "tree". The merged
@@ -126,9 +128,6 @@ func (c Config) validate() error {
 	}
 	if c.SyncEvery < 0 {
 		return fmt.Errorf("cluster: SyncEvery must be non-negative")
-	}
-	if c.BandwidthBps < 0 || c.LatencySec < 0 {
-		return fmt.Errorf("cluster: link parameters must be non-negative")
 	}
 	if _, err := collective.ParseTopology(c.Topology); err != nil {
 		return err
@@ -214,12 +213,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Router == nil {
 		cfg.Router = &roundRobinRouter{}
 	}
-	if cfg.BandwidthBps == 0 {
-		cfg.BandwidthBps = simnet.Gbps100
-	}
-	if cfg.LatencySec == 0 {
-		cfg.LatencySec = 0.001
-	}
 	c := &Cluster{
 		cfg:       cfg,
 		router:    cfg.Router,
@@ -239,8 +232,8 @@ func New(cfg Config) (*Cluster, error) {
 	// replica set it syncs over is the live member view, passed per sync.
 	var err error
 	c.sync, err = collective.NewSyncGroupWith(collective.GroupConfig{
-		BandwidthBps:  cfg.BandwidthBps,
-		LatencySec:    cfg.LatencySec,
+		BandwidthBps:  linkBandwidthBps,
+		LatencySec:    linkLatencySec,
 		Topology:      cfg.Topology,
 		Delta:         cfg.DeltaSync,
 		CompressLevel: cfg.Compression,

@@ -387,11 +387,11 @@ func TestStatsCachedBetweenChanges(t *testing.T) {
 	if a.Served != b.Served || a.P99 != b.P99 || a.VirtualTime != b.VirtualTime {
 		t.Fatalf("idempotent Stats calls differ: %+v vs %+v", a, b)
 	}
-	// Mutating the cached copy's breakdown must not leak into the cache.
+	// Mutating one call's breakdown must not show in a later call.
 	if len(a.Replicas) > 0 {
 		a.Replicas[0].Served = 1 << 40
 		if got := c.Stats().Replicas[0].Served; got == 1<<40 {
-			t.Fatal("Stats cache aliases the returned Replicas slice")
+			t.Fatal("a write to one Stats call's Replicas slice shows in the next call")
 		}
 	}
 	if _, err := c.Serve(gen.Next()); err != nil {
@@ -399,13 +399,13 @@ func TestStatsCachedBetweenChanges(t *testing.T) {
 	}
 	after := c.Stats()
 	if after.Served != a.Served+1 {
-		t.Fatalf("cache not invalidated by Serve: served %d, want %d", after.Served, a.Served+1)
+		t.Fatalf("Stats after one more Serve: served %d, want %d", after.Served, a.Served+1)
 	}
 	if _, err := c.SyncNow(); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Syncs; got != after.Syncs+1 {
-		t.Fatalf("cache not invalidated by SyncNow: syncs %d, want %d", got, after.Syncs+1)
+		t.Fatalf("Stats after SyncNow: syncs %d, want %d", got, after.Syncs+1)
 	}
 }
 

@@ -366,7 +366,7 @@ func (c *Cluster) catchUp(donor *member, sys *core.System) (int64, float64, erro
 	sys.LoRA.Publish(full, epoch)
 	// Point-to-point transfer: one link latency per payload leg, bytes at
 	// line rate — the same pricing model the sync collective uses.
-	secs := 2*c.cfg.LatencySec + float64(n)/c.cfg.BandwidthBps
+	secs := 2*linkLatencySec + float64(n)/linkBandwidthBps
 	c.syncClock.Advance(secs)
 	return n, secs, nil
 }

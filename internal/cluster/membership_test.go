@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -8,6 +9,8 @@ import (
 
 	"liveupdate/internal/core"
 	"liveupdate/internal/fleet"
+	"liveupdate/internal/lora"
+	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 )
 
@@ -313,5 +316,38 @@ func TestCatchUpMatchesDonor(t *testing.T) {
 	}
 	if joiner.AdapterEpoch() != donor.AdapterEpoch() {
 		t.Fatalf("joiner epoch %d != donor %d", joiner.AdapterEpoch(), donor.AdapterEpoch())
+	}
+}
+
+// TestCatchUpBillPinned fences the catch-up bill to the fleet's link
+// constants: a joiner is billed the donor's checkpoint plus its full LoRA
+// payload, at one 1 ms latency per leg and 100 GbE line rate.
+func TestCatchUpBillPinned(t *testing.T) {
+	c, err := New(testConfig(t, 2)) // SyncEvery 0: no sync moves an epoch
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.MustNewGenerator(testProfile(t), 17)
+	for i := 0; i < 120; i++ {
+		if _, err := c.Serve(gen.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both members sit at epoch -1, so the lowest ID, replica 0, donates.
+	var ckpt bytes.Buffer
+	donor := c.Replica(0)
+	if err := donor.Base.WriteCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(ckpt.Len()) + lora.PayloadBytes(donor.LoRA.ExportFull())
+	if err := c.Scale(3); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.CatchUpBytes != want {
+		t.Fatalf("catch-up bytes %d, want checkpoint + LoRA payload %d", st.CatchUpBytes, want)
+	}
+	if secs := 2*0.001 + float64(st.CatchUpBytes)/simnet.Gbps100; st.CatchUpSeconds != secs {
+		t.Fatalf("catch-up seconds %v, want %v (two 1 ms legs at 100 GbE)", st.CatchUpSeconds, secs)
 	}
 }

@@ -39,7 +39,6 @@ type Options struct {
 	TrainBatch    int     // samples per co-located training tick
 	TrainInterval int     // serve this many requests between training ticks
 	EmbLR         float64 // LoRA learning rate
-	InitialInfCCD int     // starting inference partition (scheduling on)
 
 	// Telemetry, when non-nil, receives side-band wall-clock observability:
 	// serve/violation/train-tick counters, a virtual-latency histogram, and
@@ -79,7 +78,6 @@ func DefaultOptions(p trace.Profile, seed uint64) Options {
 		TrainBatch:       16,
 		TrainInterval:    8,
 		EmbLR:            0.05,
-		InitialInfCCD:    mcfg.NumCCDs * 5 / 6,
 	}
 }
 
@@ -222,7 +220,8 @@ func New(opts Options) (*System, error) {
 	}
 	s.Node = newNode(s)
 	if opts.EnableScheduling {
-		ctl, err := numasim.NewController(opts.Controller, machine, clock, opts.InitialInfCCD)
+		// Scheduling starts with five sixths of the CCDs serving inference.
+		ctl, err := numasim.NewController(opts.Controller, machine, clock, opts.Machine.NumCCDs*5/6)
 		if err != nil {
 			return nil, err
 		}

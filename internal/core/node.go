@@ -124,7 +124,6 @@ type ringBuffer struct {
 	buf   []trace.Sample
 	next  int
 	count int
-	total uint64
 }
 
 // push appends a sample, overwriting the oldest when full.
@@ -134,7 +133,6 @@ func (r *ringBuffer) push(s trace.Sample) {
 	if r.count < len(r.buf) {
 		r.count++
 	}
-	r.total++
 }
 
 // sampleInto draws len(dst) samples uniformly (with replacement) from the

@@ -28,8 +28,8 @@ func TestRingBufferBasics(t *testing.T) {
 	if r.count != 3 {
 		t.Fatalf("len %d, want 3 (capacity)", r.count)
 	}
-	if r.total != 5 {
-		t.Fatalf("total %d", r.total)
+	if r.next != 2 {
+		t.Fatalf("next %d, want 2 (five pushes round a ring of 3)", r.next)
 	}
 	// The oldest two were overwritten: times 2, 3, 4 remain.
 	for i, s := range r.buf {
@@ -210,7 +210,7 @@ func TestServeBatchMatchesServeLoop(t *testing.T) {
 	}
 	if a.Node.served != b.Node.served || a.Clock.Now() != b.Clock.Now() ||
 		a.Node.violations != b.Node.violations || a.Node.P99() != b.Node.P99() ||
-		a.Node.ring.total != b.Node.ring.total {
+		a.Node.ring.count != b.Node.ring.count || a.Node.ring.next != b.Node.ring.next {
 		t.Fatalf("batch bookkeeping diverged: served %d/%d clock %v/%v",
 			a.Node.served, b.Node.served, a.Clock.Now(), b.Clock.Now())
 	}

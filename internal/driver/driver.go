@@ -130,6 +130,10 @@ type elasticServer interface {
 	VirtualNow() float64
 }
 
+// queueDepth bounds each worker's request queue; the sequencer blocks when a
+// queue is full (closed-loop back-pressure).
+const queueDepth = 128
+
 // Config configures a drive.
 type Config struct {
 	// Requests is the number of samples to pump (required, > 0).
@@ -140,10 +144,6 @@ type Config struct {
 	// shard count: with W workers and S shards, min(W, S) workers carry
 	// load and the rest idle (and say so in their WorkerStats).
 	Workers int
-
-	// QueueDepth bounds each worker's request queue; the sequencer blocks
-	// when a queue is full (closed-loop back-pressure). Zero defaults to 128.
-	QueueDepth int
 
 	// Seed seeds the per-worker RNG streams used for latency reservoir
 	// sampling. The workload itself carries its own seed.
@@ -330,10 +330,6 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 128
-	}
 
 	lanes, ok := srv.(sharded)
 	if !ok {
@@ -397,7 +393,7 @@ func Drive(ctx context.Context, srv Server, next func() trace.Sample, cfg Config
 
 	queues := make([]chan item, workers)
 	for w := range queues {
-		queues[w] = make(chan item, depth)
+		queues[w] = make(chan item, queueDepth)
 	}
 	// Static shard→worker ownership. It extends to shards that do not exist
 	// yet: a replica joining mid-drive (chaos) gets a lane on worker

@@ -9,10 +9,6 @@ type TelemetryConfig struct {
 	// always on.
 	SampleEvery int
 
-	// SpanRing is the span ring capacity, rounded up to a power of two.
-	// 0 means the default (4096 spans).
-	SpanRing int
-
 	// Pprof exposes net/http/pprof handlers on gateways serving this
 	// telemetry. Off by default: profiling endpoints are a debug surface.
 	Pprof bool
@@ -32,7 +28,7 @@ type Telemetry struct {
 func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 	t := &Telemetry{cfg: cfg, reg: newRegistry()}
 	if cfg.SampleEvery > 0 {
-		t.tracer = newTracer(cfg.SampleEvery, cfg.SpanRing)
+		t.tracer = newTracer(cfg.SampleEvery, spanRing)
 	}
 	return t
 }

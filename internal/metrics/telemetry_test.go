@@ -324,7 +324,7 @@ func TestPrometheusGolden(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	tel := NewTelemetry(TelemetryConfig{SampleEvery: 1, SpanRing: 64})
+	tel := NewTelemetry(TelemetryConfig{SampleEvery: 1})
 	tr := tel.Tracer()
 	for i := 0; i < 10; i++ {
 		st := Stage(i % NumStages)

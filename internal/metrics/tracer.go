@@ -93,17 +93,14 @@ type Tracer struct {
 	ring   []spanSlot
 }
 
-// defaultSpanRing is the span ring capacity when TelemetryConfig.SpanRing is 0.
-const defaultSpanRing = 4096
+// spanRing is the span ring capacity of every Telemetry's tracer.
+const spanRing = 4096
 
 // newTracer returns a tracer sampling 1 in sampleEvery stage timings into a
-// ring of the given capacity (rounded up to a power of two; 0 = default).
+// ring of the given capacity, rounded up to a power of two.
 func newTracer(sampleEvery, ringSize int) *Tracer {
 	if sampleEvery < 1 {
 		sampleEvery = 1
-	}
-	if ringSize <= 0 {
-		ringSize = defaultSpanRing
 	}
 	n := 1
 	for n < ringSize {

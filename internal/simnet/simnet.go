@@ -1,6 +1,6 @@
 // Package simnet is the virtual timeline every simulated cost runs on: a
 // deterministic, lock-free clock plus the link bandwidth the fleet's sync
-// fabric defaults to. Transfers are priced by collective.Kind (fleet
+// fabric uses. Transfers are priced by collective.Kind (fleet
 // syncs) and update.CostModel (paper-scale updates); simulated time
 // advances on a Clock and is never waited for.
 package simnet

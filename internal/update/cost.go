@@ -56,6 +56,10 @@ type CostModel struct {
 	BaseLatency float64
 }
 
+// defaultQuickAlpha is QuickUpdate's default sampling rate, the low end of
+// the paper's 5-10%, shared by the cost model and the harness.
+const defaultQuickAlpha = 0.05
+
 // DefaultCostModel returns the paper's evaluation constants for a profile:
 // 100 GbE, 5% QuickUpdate sampling, and a trainer throughput calibrated so
 // LiveUpdate's hourly training cost lands in the paper's 3-5 minute band.
@@ -63,7 +67,7 @@ func DefaultCostModel(p trace.Profile) CostModel {
 	return CostModel{
 		Profile:      p,
 		BandwidthBps: 100e9 / 8,
-		QuickAlpha:   0.05,
+		QuickAlpha:   defaultQuickAlpha,
 		CPUTrainBps:  1.6e9,
 		BaseLatency:  2.0,
 	}

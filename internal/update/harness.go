@@ -21,28 +21,9 @@ type HarnessConfig struct {
 	Kind       Kind
 	QuickAlpha float64 // QuickUpdate sampling rate (e.g. 0.05)
 
-	WindowSec        float64 // evaluation/training step (paper: 300 s)
-	UpdateEvery      int     // windows between strategy syncs (2 → 10 min)
-	FullSyncEvery    int     // windows between full syncs (12 → hourly); 0 = never
+	UpdateEvery      int // windows between strategy syncs (2 → 10 min)
+	FullSyncEvery    int // windows between full syncs (12 → hourly); 0 = never
 	SamplesPerWindow int
-
-	DenseLR float64
-	EmbLR   float64 // the co-located LoRA trainer runs at liveLRScale×EmbLR
-	Batch   int
-
-	// SyncDelayWindows models the inter-cluster transfer delay of
-	// DeltaUpdate/QuickUpdate: the state installed at a sync is the training
-	// cluster's snapshot from this many windows ago (a TB-scale delta takes
-	// minutes on 100 GbE — paper Figs 8/14). LiveUpdate has no transfer and
-	// ignores this. Negative disables the pipeline (instant sync).
-	SyncDelayWindows int
-
-	// TrainerSampleFrac is the fraction of each window's interactions the
-	// remote training cluster ingests. Production pipelines feed the data
-	// lake a *sample* of global traffic (paper Fig 2: "1% sampling"), while
-	// the inference node's ring buffer holds every request it served — a
-	// data advantage for local adaptation. 0 means 0.5.
-	TrainerSampleFrac float64
 
 	// FixedRank controls LiveUpdate variants. Rank 0 = dynamic (paper
 	// default, lora's variance threshold α); a positive FixedRank freezes the
@@ -51,7 +32,15 @@ type HarnessConfig struct {
 }
 
 const (
-	// liveLRScale scales EmbLR into the co-located LoRA trainer's learning
+	// windowSec is the evaluation/training step (paper: 5-minute windows).
+	windowSec = 300
+
+	// learningRate is both of the training cluster's rates, dense SGD and
+	// embedding rows; batch is its minibatch size.
+	learningRate = 0.05
+	batch        = 64
+
+	// liveLRScale scales learningRate into the co-located LoRA trainer's
 	// rate. LoRA's parameterized update moves ∆W slower than direct SGD near
 	// the B=0 initialization, so it wants a higher rate.
 	liveLRScale = 2
@@ -60,30 +49,26 @@ const (
 	// window's cached data (idle CPUs re-sample the ring buffer continuously;
 	// paper Fig 7's update path).
 	liveEpochs = 2
+
+	// trainerStride feeds the remote training cluster every second sample of
+	// a window. Production pipelines feed the data lake a *sample* of global
+	// traffic (paper Fig 2: "1% sampling"), while the inference node's ring
+	// buffer holds every request it served — a data advantage for local
+	// adaptation.
+	trainerStride = 2
 )
 
-// DefaultHarnessConfig returns the paper's evaluation schedule: 5-minute
-// windows, 10-minute updates, hourly full sync. The transfer-delay default
-// follows Fig 14's payload arithmetic: a full delta takes roughly two
-// windows to land, QuickUpdate's filtered delta one.
+// DefaultHarnessConfig returns the paper's evaluation schedule over its
+// 5-minute windows: 10-minute updates, hourly full sync.
 func DefaultHarnessConfig(p trace.Profile, k Kind, seed uint64) HarnessConfig {
-	delay := 1
-	if k == DeltaUpdate {
-		delay = 2
-	}
 	return HarnessConfig{
 		Profile:          p,
 		Seed:             seed,
 		Kind:             k,
-		QuickAlpha:       0.05,
-		WindowSec:        300,
+		QuickAlpha:       defaultQuickAlpha,
 		UpdateEvery:      2,
 		FullSyncEvery:    12,
 		SamplesPerWindow: 600,
-		DenseLR:          0.05,
-		EmbLR:            0.05,
-		Batch:            64,
-		SyncDelayWindows: delay,
 	}
 }
 
@@ -93,8 +78,6 @@ func (c HarnessConfig) validate() error {
 		return err
 	}
 	switch {
-	case c.WindowSec <= 0:
-		return fmt.Errorf("update: WindowSec must be positive")
 	case c.UpdateEvery <= 0:
 		return fmt.Errorf("update: UpdateEvery must be positive")
 	case c.SamplesPerWindow <= 0:
@@ -125,6 +108,15 @@ func (c HarnessConfig) validate() error {
 type Harness struct {
 	Cfg HarnessConfig
 
+	// delay models the inter-cluster transfer delay of DeltaUpdate and
+	// QuickUpdate: the state installed at a sync is the training cluster's
+	// snapshot from this many windows ago (a TB-scale delta takes minutes on
+	// 100 GbE — paper Figs 8/14). It follows Fig 14's payload arithmetic: a
+	// full delta takes about two windows to land, QuickUpdate's filtered
+	// delta one. LiveUpdate has no transfer and ignores it. Negative
+	// disables the pipeline (instant sync).
+	delay int
+
 	gen  *trace.Generator
 	next []trace.Sample // the window generated ahead, taken first by takeWindow
 	wg   sync.WaitGroup // joins the goroutine a Step or a Pretrain window starts
@@ -151,11 +143,10 @@ type Harness struct {
 	aucSeries     []float64
 	updateMarkers []int // window indices where a sync landed
 
-	// history is the transfer-delay pipeline (SyncDelayWindows): a ring of
-	// the training cluster's states at the starts of its last
-	// SyncDelayWindows windows, newest at head. The state at the end of the
-	// current window is the live one. Once full, the ring's snapshots are
-	// overwritten in place.
+	// history is the transfer-delay pipeline: a ring of the training
+	// cluster's states at the starts of its last delay windows, newest at
+	// head. The state at the end of the current window is the live one.
+	// Once full, the ring's snapshots are overwritten in place.
 	history []clusterSnapshot
 	head    int
 
@@ -189,13 +180,17 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 
 	h := &Harness{
 		Cfg:        cfg,
+		delay:      1,
 		gen:        gen,
 		trainModel: trainModel,
 		trainEmb:   &dlrm.BaseEmbeddings{Group: trainGroup},
 		infModel:   trainModel.Clone(),
 		infGroup:   trainGroup.Clone(),
 	}
-	h.trainer = dlrm.Trainer{Model: h.trainModel, Emb: h.trainEmb, Opt: dlrm.SGD{LR: cfg.DenseLR}, EmbLR: cfg.EmbLR}
+	if cfg.Kind == DeltaUpdate {
+		h.delay = 2
+	}
+	h.trainer = dlrm.Trainer{Model: h.trainModel, Emb: h.trainEmb, Opt: dlrm.SGD{LR: learningRate}, EmbLR: learningRate}
 	h.infBase = &dlrm.BaseEmbeddings{Group: h.infGroup}
 	if cfg.Kind == LiveUpdate {
 		lcfg := lora.DefaultConfig(cfg.Profile.TableSize, cfg.Profile.EmbeddingDim)
@@ -212,7 +207,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.liveTrainer = dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, EmbLR: liveLRScale * cfg.EmbLR}
+		h.liveTrainer = dlrm.Trainer{Model: h.infModel, Emb: h.loraSet, EmbLR: liveLRScale * learningRate}
 	}
 	return h, nil
 }
@@ -243,7 +238,7 @@ func (h *Harness) Pretrain(windows int) {
 		samples := h.takeWindow()
 		h.wg.Add(1)
 		go h.prefetch()
-		h.trainer.TrainEpochs(samples, h.Cfg.Batch, 1)
+		h.trainer.TrainEpochs(samples, batch, 1)
 		h.wg.Wait()
 	}
 	h.checkpoint()
@@ -272,7 +267,7 @@ func (h *Harness) Step() float64 {
 	// LiveUpdate's co-located trainer learns locally from the same window
 	// (its ring buffer holds exactly the requests it served).
 	if h.Cfg.Kind == LiveUpdate {
-		h.liveTrainer.TrainEpochs(samples, h.Cfg.Batch, liveEpochs)
+		h.liveTrainer.TrainEpochs(samples, batch, liveEpochs)
 	}
 	h.wg.Wait()
 	h.endWindow()
@@ -295,7 +290,7 @@ func (h *Harness) endWindow() {
 func (h *Harness) trainCluster(samples []trace.Sample) {
 	defer h.wg.Done()
 	h.pushSnapshot()
-	h.trainer.TrainEpochs(h.trainerShare(samples), h.Cfg.Batch, 1)
+	h.trainer.TrainEpochs(h.trainerShare(samples), batch, 1)
 	h.next = h.generate()
 }
 
@@ -307,7 +302,7 @@ func (h *Harness) prefetch() {
 
 // generate draws one window from the stream.
 func (h *Harness) generate() []trace.Sample {
-	return h.gen.Batch(h.Cfg.SamplesPerWindow, h.Cfg.WindowSec)
+	return h.gen.Batch(h.Cfg.SamplesPerWindow, windowSec)
 }
 
 // takeWindow returns the stream's next window: the one generated ahead by
@@ -347,22 +342,14 @@ func (h *Harness) sync() {
 }
 
 // trainerShare returns the subset of a window the remote training cluster
-// ingests (every k-th sample per TrainerSampleFrac). During Pretrain the
-// full window is used: the Day-1 checkpoint is trained offline on the lake.
+// ingests: every trainerStride-th sample. During Pretrain the full window is
+// used: the Day-1 checkpoint is trained offline on the lake.
 func (h *Harness) trainerShare(samples []trace.Sample) []trace.Sample {
-	frac := h.Cfg.TrainerSampleFrac
-	if frac == 0 {
-		frac = 0.5
-	}
-	if frac >= 1 || len(samples) == 0 {
+	if len(samples) == 0 {
 		return samples
 	}
-	stride := int(1 / frac)
-	if stride < 1 {
-		stride = 1
-	}
 	h.share = h.share[:0]
-	for i := 0; i < len(samples); i += stride {
+	for i := 0; i < len(samples); i += trainerStride {
 		h.share = append(h.share, samples[i])
 	}
 	return h.share
@@ -371,7 +358,7 @@ func (h *Harness) trainerShare(samples []trace.Sample) []trace.Sample {
 // pipelined reports whether syncs install a delayed snapshot rather than the
 // training cluster's live state; only then is the history kept.
 func (h *Harness) pipelined() bool {
-	return h.Cfg.SyncDelayWindows > 0 && (h.Cfg.Kind == DeltaUpdate || h.Cfg.Kind == QuickUpdate)
+	return h.delay > 0 && (h.Cfg.Kind == DeltaUpdate || h.Cfg.Kind == QuickUpdate)
 }
 
 // pushSnapshot records the training cluster's state at the start of a
@@ -381,7 +368,7 @@ func (h *Harness) pushSnapshot() {
 	if !h.pipelined() {
 		return
 	}
-	if len(h.history) < h.Cfg.SyncDelayWindows {
+	if len(h.history) < h.delay {
 		h.history = append(h.history, clusterSnapshot{
 			model: h.trainModel.Clone(),
 			group: h.trainEmb.Group.Clone(),
@@ -396,7 +383,7 @@ func (h *Harness) pushSnapshot() {
 }
 
 // syncSource returns the training-cluster state a sync installs: the state
-// at the end of the window SyncDelayWindows ago (what has finished
+// at the end of the window delay windows ago (what has finished
 // transferring by now), which is the ring's oldest, also while it is filling
 // — or the live state when there is no pipeline.
 func (h *Harness) syncSource() clusterSnapshot {
@@ -427,7 +414,7 @@ func (h *Harness) changedRows(out []emt.RowDelta, src clusterSnapshot, ti int) [
 
 // syncDelta ships every changed row plus dense weights (industry streaming
 // update, paper Fig 2). The payload reflects the delayed snapshot: by the
-// time a TB-scale delta lands, it is already SyncDelayWindows old.
+// time a TB-scale delta lands, it is already delay windows old.
 func (h *Harness) syncDelta() {
 	src := h.syncSource()
 	for ti, tt := range h.infGroup.Tables {

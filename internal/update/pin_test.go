@@ -15,9 +15,8 @@ import (
 // window 12, delta/quick syncs every second window) and hashes everything a
 // Result reports that a refactor of Step could move.
 func harnessHash(k Kind, delay int) uint64 {
-	cfg := DefaultHarnessConfig(trace.Profiles()["criteo"], k, 7)
-	cfg.SyncDelayWindows = delay
-	h := MustNewHarness(cfg)
+	h := MustNewHarness(DefaultHarnessConfig(trace.Profiles()["criteo"], k, 7))
+	h.delay = delay
 	h.Pretrain(12)
 	res := h.Run(14)
 	sum := fnv.New64a()
@@ -42,7 +41,7 @@ func TestHarnessBitsPinned(t *testing.T) {
 	}
 	want := []struct {
 		kind   Kind
-		hashes [3]uint64 // SyncDelayWindows -1, 1, 2
+		hashes [3]uint64 // delay -1, 1, 2
 	}{
 		{NoUpdate, [3]uint64{0x3e4b4a271ccd7a3d, 0x3e4b4a271ccd7a3d, 0x3e4b4a271ccd7a3d}},
 		{DeltaUpdate, [3]uint64{0x76f290759ac2014b, 0xb5a7d2cd5b6ec12e, 0x9335ce2a3f0b4735}},
@@ -94,7 +93,7 @@ func TestHarnessStepSteadyStateAllocs(t *testing.T) {
 		cfg.UpdateEvery, cfg.FullSyncEvery = c.updateEvery, 0
 		h := MustNewHarness(cfg)
 		h.Pretrain(2)
-		h.Run(cfg.SyncDelayWindows + 1) // the ring holds SyncDelayWindows snapshots
+		h.Run(h.delay + 1) // the ring holds delay snapshots
 		if got := testing.AllocsPerRun(5, func() { h.Step() }); got > c.max {
 			t.Errorf("%s: %.0f allocations per Step, want <= %.0f", c.name, got, c.max)
 		} else {

@@ -177,11 +177,6 @@ func TestHarnessValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := good
-	bad.WindowSec = 0
-	if err := bad.validate(); err == nil {
-		t.Fatal("zero window must fail")
-	}
-	bad = good
 	bad.UpdateEvery = 0
 	if err := bad.validate(); err == nil {
 		t.Fatal("zero update interval must fail")
@@ -197,9 +192,8 @@ func TestHarnessValidate(t *testing.T) {
 }
 
 func TestHarnessDeltaTracksTrainer(t *testing.T) {
-	cfg := quickHarnessConfig(DeltaUpdate)
-	cfg.SyncDelayWindows = -1 // instant sync: replica must equal the trainer
-	h := MustNewHarness(cfg)
+	h := MustNewHarness(quickHarnessConfig(DeltaUpdate))
+	h.delay = -1 // instant sync: replica must equal the trainer
 	h.Pretrain(2)
 	res := h.Run(4)
 	if len(res.AUCSeries) != 4 {
@@ -313,18 +307,18 @@ func TestHarnessFeedsGeneratorWindowsInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		window := func() []trace.Sample { return gen.Batch(cfg.SamplesPerWindow, cfg.WindowSec) }
+		window := func() []trace.Sample { return gen.Batch(cfg.SamplesPerWindow, windowSec) }
 		for w := 0; w < pretrain; w++ {
-			ref.trainer.TrainEpochs(window(), cfg.Batch, 1)
+			ref.trainer.TrainEpochs(window(), batch, 1)
 		}
 		ref.checkpoint()
 		for w := 0; w < steps; w++ {
 			samples := window()
 			ref.aucSeries = append(ref.aucSeries, dlrm.EvaluateAUC(ref.infModel, ref.infSource(), samples))
 			ref.pushSnapshot()
-			ref.trainer.TrainEpochs(ref.trainerShare(samples), cfg.Batch, 1)
+			ref.trainer.TrainEpochs(ref.trainerShare(samples), batch, 1)
 			if k == LiveUpdate {
-				ref.liveTrainer.TrainEpochs(samples, cfg.Batch, liveEpochs)
+				ref.liveTrainer.TrainEpochs(samples, batch, liveEpochs)
 			}
 			ref.endWindow()
 		}
@@ -402,9 +396,8 @@ func TestSyncDelayPipeline(t *testing.T) {
 	cfg := quickHarnessConfig(DeltaUpdate)
 	cfg.UpdateEvery = 1
 	cfg.FullSyncEvery = 0
-	cfg.SyncDelayWindows = 1
-	cfg.TrainerSampleFrac = 1
 	h := MustNewHarness(cfg)
+	h.delay = 1
 	h.Pretrain(1)
 	h.Step() // window 1: trains, snapshots, syncs (delayed source = pretrain state)
 	// After window 1's sync the replica should hold the state from *before*
@@ -425,8 +418,8 @@ func TestSyncDelayPipeline(t *testing.T) {
 		t.Fatal("delayed sync must lag the live trainer")
 	}
 	// With delay disabled the replica converges to the trainer exactly.
-	cfg.SyncDelayWindows = -1
 	h2 := MustNewHarness(cfg)
+	h2.delay = -1
 	h2.Pretrain(1)
 	h2.Step()
 	tt2 := h2.trainEmb.Group.Tables[0]
@@ -444,17 +437,8 @@ func TestSyncDelayPipeline(t *testing.T) {
 func TestTrainerSampleFraction(t *testing.T) {
 	h := MustNewHarness(quickHarnessConfig(DeltaUpdate))
 	samples := make([]trace.Sample, 100)
-	h.Cfg.TrainerSampleFrac = 0.25
-	if got := len(h.trainerShare(samples)); got != 25 {
-		t.Fatalf("quarter share %d, want 25", got)
-	}
-	h.Cfg.TrainerSampleFrac = 1
-	if got := len(h.trainerShare(samples)); got != 100 {
-		t.Fatalf("full share %d, want 100", got)
-	}
-	h.Cfg.TrainerSampleFrac = 0 // default 0.5
 	if got := len(h.trainerShare(samples)); got != 50 {
-		t.Fatalf("default share %d, want 50", got)
+		t.Fatalf("share %d, want every second sample, 50", got)
 	}
 	if h.trainerShare(nil) != nil {
 		t.Fatal("empty share must be nil")
@@ -463,10 +447,10 @@ func TestTrainerSampleFraction(t *testing.T) {
 
 func TestDefaultDelayPerStrategy(t *testing.T) {
 	p := harnessProfile()
-	if d := DefaultHarnessConfig(p, DeltaUpdate, 1).SyncDelayWindows; d != 2 {
+	if d := MustNewHarness(DefaultHarnessConfig(p, DeltaUpdate, 1)).delay; d != 2 {
 		t.Fatalf("delta delay %d, want 2 (Fig 14 payload arithmetic)", d)
 	}
-	if d := DefaultHarnessConfig(p, QuickUpdate, 1).SyncDelayWindows; d != 1 {
+	if d := MustNewHarness(DefaultHarnessConfig(p, QuickUpdate, 1)).delay; d != 1 {
 		t.Fatalf("quick delay %d, want 1", d)
 	}
 }

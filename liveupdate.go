@@ -516,9 +516,9 @@ func WithTelemetry(cfg TelemetryConfig) Option {
 }
 
 // TelemetryConfig configures WithTelemetry: SampleEvery traces 1 in N
-// requests per stage (0 disables tracing; the metrics registry is always on),
-// SpanRing sizes the span ring (default 4096), Pprof opts the gateway into
-// /debug/pprof/. See internal/metrics.TelemetryConfig for field semantics.
+// requests per stage into a 4096-span ring (0 disables tracing; the metrics
+// registry is always on), Pprof opts the gateway into /debug/pprof/. See
+// internal/metrics.TelemetryConfig for field semantics.
 type TelemetryConfig = metrics.TelemetryConfig
 
 // Telemetry is a Server's observability surface: the metrics registry, the
@@ -695,7 +695,7 @@ func New(opts ...Option) (Server, error) {
 // place a drive is configured: Requests (required), Workers (client
 // goroutines; 0 = GOMAXPROCS, effective parallelism bounded by the Server's
 // shard count — a Cluster's replicas, a RemoteServer's connections, 1 for a
-// System), QueueDepth, Seed (the per-worker latency-reservoir streams),
+// System), Seed (the per-worker latency-reservoir streams),
 // ProgressEvery/OnProgress, BatchSize (lane coalescing, identical
 // virtual-time statistics at any size) and Chaos/ChaosEvery (a membership
 // schedule for an elastic Server, applied at deterministic drain points).
@@ -747,15 +747,17 @@ func ProfileByName(name string) (Profile, error) { return trace.ProfileByName(na
 func NewWorkload(p Profile, seed uint64) *Workload { return trace.MustNewGenerator(p, seed) }
 
 // Comparison configures a strategy-comparison run (the Table III setup):
-// a continuously fresh training cluster, an inference replica updated by the
-// chosen strategy, and test-then-train AUC evaluation on a drifting stream.
+// a continuously fresh training cluster fed every second sample, an
+// inference replica updated by the chosen strategy, and test-then-train AUC
+// evaluation on a drifting stream of 5-minute windows.
 type Comparison = update.HarnessConfig
 
 // ComparisonResult summarizes one comparison run.
 type ComparisonResult = update.Result
 
-// NewComparison returns the paper's evaluation schedule (5-minute windows,
-// 10-minute updates, hourly full sync) for a profile and strategy.
+// NewComparison returns the paper's evaluation schedule (10-minute updates,
+// hourly full sync, 600 samples a window, 5% QuickUpdate sampling) for a
+// profile and strategy.
 func NewComparison(p Profile, k StrategyKind, seed uint64) Comparison {
 	return update.DefaultHarnessConfig(p, k, seed)
 }
