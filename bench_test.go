@@ -467,8 +467,6 @@ func BenchmarkLoRASnapshotPublish(b *testing.B) {
 			}
 		}
 	}
-	touch()
-	state := set.Snapshot()
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -479,7 +477,12 @@ func BenchmarkLoRASnapshotPublish(b *testing.B) {
 		}
 	})
 	b.Run("publish", func(b *testing.B) {
+		// A snapshot lives in the Set's reused slabs until its next
+		// Snapshot, so the state to publish is taken here, after the last.
+		touch()
+		state := set.Snapshot()
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			set.Publish(state, int64(i))
 		}
@@ -604,7 +607,7 @@ func BenchmarkAblationSyncProtocol(b *testing.B) {
 	grad[0] = 1
 	b.Run("priority-merge", func(b *testing.B) {
 		replicas := makeReplicas()
-		sg, err := collective.NewSyncGroupWith(collective.GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+		sg, err := collective.NewSyncGroupWith(collective.GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: simnet.LinkLatencySec})
 		if err != nil {
 			b.Fatal(err)
 		}

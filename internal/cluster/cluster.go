@@ -78,13 +78,6 @@ import (
 	"liveupdate/internal/trace"
 )
 
-// The sync fabric's links, also billed by catch-up transfers: 100 GbE at
-// 1 ms a hop.
-const (
-	linkBandwidthBps = simnet.Gbps100
-	linkLatencySec   = 0.001
-)
-
 // Config describes a replica fleet.
 type Config struct {
 	// Base configures each replica. All replicas are built from the same
@@ -190,6 +183,10 @@ type Cluster struct {
 	catchUpBytes         int64
 	catchUpSeconds       float64
 
+	// states is syncOnce's ranked view of the members' snapshots, reused
+	// from sync to sync under syncMu.
+	states []collective.RankedState
+
 	// testSyncStall, when set by tests, is invoked by every sync between the
 	// snapshot and the merge — a hook to hold a sync "in flight" and prove
 	// serving does not block behind it.
@@ -232,8 +229,8 @@ func New(cfg Config) (*Cluster, error) {
 	// replica set it syncs over is the live member view, passed per sync.
 	var err error
 	c.sync, err = collective.NewSyncGroupWith(collective.GroupConfig{
-		BandwidthBps:  linkBandwidthBps,
-		LatencySec:    linkLatencySec,
+		BandwidthBps:  simnet.Gbps100,
+		LatencySec:    simnet.LinkLatencySec,
 		Topology:      cfg.Topology,
 		Delta:         cfg.DeltaSync,
 		CompressLevel: cfg.Compression,
@@ -572,12 +569,21 @@ func (p *syncPipeline) drain() error {
 // Callers hold syncMu, so no membership change or other merge interleaves.
 // Pipeline epochs take nothing else and serving proceeds throughout; SyncNow
 // also holds the fleet write lock.
+//
+// syncMu also makes one sync at a time the owner of every buffer a sync
+// writes: each member's snapshot slabs, the SyncGroup's merged state and
+// c.states. All of them are reused by the next sync, so nothing here keeps a
+// snapshot or a merged row past the publish: the publish copies the merged
+// rows in, the delta ledger keeps ids and factor fingerprints, and catch-up
+// ships a fresh ExportFull.
 func (c *Cluster) syncOnce() (collective.MergeStats, error) {
 	members := c.view.Load().active
-	states := make([]collective.RankedState, len(members))
-	for i, m := range members {
-		states[i] = collective.RankedState{Rank: m.ID, Tables: m.Sys.SnapshotLoRA()}
+	states := c.states[:0]
+	for _, m := range members {
+		states = append(states, collective.RankedState{Rank: m.ID, Tables: m.Sys.SnapshotLoRA()})
 	}
+	clear(states[len(states):cap(states)]) // a departed member's snapshot
+	c.states = states
 	if hook := c.testSyncStall; hook != nil {
 		hook()
 	}

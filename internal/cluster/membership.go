@@ -11,6 +11,7 @@ import (
 	"liveupdate/internal/emt"
 	"liveupdate/internal/fleet"
 	"liveupdate/internal/lora"
+	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 )
 
@@ -366,7 +367,7 @@ func (c *Cluster) catchUp(donor *member, sys *core.System) (int64, float64, erro
 	sys.LoRA.Publish(full, epoch)
 	// Point-to-point transfer: one link latency per payload leg, bytes at
 	// line rate — the same pricing model the sync collective uses.
-	secs := 2*linkLatencySec + float64(n)/linkBandwidthBps
+	secs := 2*simnet.LinkLatencySec + float64(n)/simnet.Gbps100
 	c.syncClock.Advance(secs)
 	return n, secs, nil
 }

@@ -40,7 +40,7 @@ func TestSyncBillPinned(t *testing.T) {
 		for _, delta := range []bool{false, true} {
 			for _, z := range []int{0, 1, 6} {
 				fmt.Fprintf(h, "%s delta=%v z=%d\n", kind, delta, z)
-				if err := hashSyncSchedule(h, kind, delta, z); err != nil {
+				if _, err := hashSyncSchedule(h, kind, delta, z, nil); err != nil {
 					t.Fatalf("%s delta=%v z=%d: %v", kind, delta, z, err)
 				}
 			}
@@ -72,8 +72,10 @@ func costGridHash() uint64 {
 }
 
 // hashSyncSchedule runs 12 syncs of six training sets under one pricing
-// configuration and writes each sync's outcome into h.
-func hashSyncSchedule(h hash.Hash64, kind Kind, delta bool, z int) error {
+// configuration, writes each sync's outcome into h and returns the sets.
+// A non-nil after runs once each sync is published and hashed, with the
+// group and the snapshots that sync merged.
+func hashSyncSchedule(h hash.Hash64, kind Kind, delta bool, z int, after func(*SyncGroup, []RankedState)) ([]*lora.Set, error) {
 	const (
 		ranks  = 6
 		tables = 3
@@ -89,13 +91,13 @@ func hashSyncSchedule(h hash.Hash64, kind Kind, delta bool, z int) error {
 		cfg.DisableRankAdapt = true
 		s, err := lora.NewSet(base, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sets[r] = s
 	}
 	sg, err := newBillGroup(kind, delta, z)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	clock := simnet.NewClock()
 	rng := tensor.NewRNG(23)
@@ -124,7 +126,7 @@ func hashSyncSchedule(h hash.Hash64, kind Kind, delta bool, z int) error {
 		}
 		merged, ms, gen, err := sg.SyncRanked(clock, states)
 		if err != nil {
-			return fmt.Errorf("sync %d: %w", s, err)
+			return nil, fmt.Errorf("sync %d: %w", s, err)
 		}
 		for _, set := range live {
 			set.Publish(merged, gen)
@@ -144,8 +146,11 @@ func hashSyncSchedule(h hash.Hash64, kind Kind, delta bool, z int) error {
 				}
 			}
 		}
+		if after != nil {
+			after(sg, states)
+		}
 	}
-	return nil
+	return sets, nil
 }
 
 func putBits(h hash.Hash64, vs ...uint64) {

@@ -39,24 +39,45 @@ type RankedState struct {
 // states of R ranks (index = rank id), it computes the union of modified
 // rows per table, resolving conflicts deterministically in favor of the
 // highest rank id, and adopts the highest participating rank's B factor.
+// The merged tables and their row list are fresh memory, but each merged
+// row's coefficients and each adopted B are the input's, shared rather than
+// copied.
 func PriorityMerge(states [][]lora.TableState) ([]lora.TableState, MergeStats, error) {
 	ranked := make([]RankedState, len(states))
 	for r, st := range states {
 		ranked[r] = RankedState{Rank: r, Tables: st}
 	}
-	return priorityMergeRanked(ranked)
+	return new(mergeBuf).merge(ranked)
 }
 
-// priorityMergeRanked is PriorityMerge over explicitly ranked states. The
-// merged result is identical for any permutation of the input slice: winners
-// are chosen by comparing the contributors' Rank ids, never their slice
-// positions, and the shared B factor is adopted from the highest Rank
-// present. Rank ids must be distinct.
+// mergeBuf is what one priority merge writes: the sort buffer, every table's
+// merged rows in one slab, and the merged tables. A SyncGroup keeps one and
+// reuses it from sync to sync; PriorityMerge starts from an empty one.
+type mergeBuf struct {
+	sorted []rankedRow
+	rows   []lora.RowUpdate
+	tables []lora.TableState
+}
+
+// rankedRow locates one rank's row of the table being merged: the row is
+// states[src].Tables[t].Rows[row]. It holds no pointer, so the sort buffer
+// keeps no snapshot alive and costs the collector nothing.
+type rankedRow struct {
+	rank     int
+	id       int32
+	src, row int32
+}
+
+// merge is PriorityMerge over explicitly ranked states, written into m: the
+// result is valid until m's next merge. It is identical for any permutation
+// of the input slice: winners are chosen by comparing the contributors' Rank
+// ids, never their slice positions, and the shared B factor is adopted from
+// the highest Rank present. Rank ids must be distinct.
 //
 // Each table is one sort: every (rank, row) pair goes into one buffer,
 // ordered by id ascending then rank descending, and each id's first entry
 // wins. Merged rows come out ascending by id.
-func priorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, error) {
+func (m *mergeBuf) merge(states []RankedState) ([]lora.TableState, MergeStats, error) {
 	if len(states) == 0 {
 		return nil, MergeStats{}, fmt.Errorf("collective: no states to merge")
 	}
@@ -77,57 +98,52 @@ func priorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, e
 		stats.PayloadBytes += lora.PayloadBytes(st.Tables)
 	}
 
-	type rankedRow struct {
-		rank int
-		u    lora.RowUpdate
-	}
-	largest := 0
+	largest, total := 0, 0
 	for t := 0; t < numTables; t++ {
 		n := 0
 		for _, st := range states {
 			n += len(st.Tables[t].Rows)
 		}
 		largest = max(largest, n)
+		total += n
 	}
-	buf := make([]rankedRow, 0, largest)
-	merged := make([]lora.TableState, numTables)
+	m.sorted = slices.Grow(m.sorted[:0], largest)
+	m.tables = slices.Grow(m.tables[:0], numTables)[:numTables]
+	rows := slices.Grow(m.rows[:0], total)
 	for t := 0; t < numTables; t++ {
-		buf = buf[:0]
-		for _, st := range states {
-			for _, u := range st.Tables[t].Rows {
-				buf = append(buf, rankedRow{rank: st.Rank, u: u})
+		buf := m.sorted[:0]
+		for i, st := range states {
+			for j, u := range st.Tables[t].Rows {
+				buf = append(buf, rankedRow{rank: st.Rank, id: u.ID, src: int32(i), row: int32(j)})
 			}
 		}
 		// k = max{r | i ∈ S_r}: within an id, the highest rank sorts first.
 		slices.SortFunc(buf, func(a, b rankedRow) int {
-			if c := cmp.Compare(a.u.ID, b.u.ID); c != 0 {
+			if c := cmp.Compare(a.id, b.id); c != 0 {
 				return c
 			}
 			return cmp.Compare(b.rank, a.rank)
 		})
-		first := func(i int) bool { return i == 0 || buf[i].u.ID != buf[i-1].u.ID }
-		distinct := 0
-		for i := range buf {
-			if first(i) {
-				distinct++
-			}
-		}
-		rows := make([]lora.RowUpdate, 0, distinct)
+		first := func(i int) bool { return i == 0 || buf[i].id != buf[i-1].id }
+		start := len(rows)
 		for i, r := range buf {
 			if first(i) {
-				rows = append(rows, r.u)
+				rows = append(rows, states[r.src].Tables[t].Rows[r.row])
 			} else if first(i - 1) {
 				stats.Conflicts++ // count each conflicting id once
 			}
 		}
-		stats.RowsMerged += len(rows)
+		stats.RowsMerged += len(rows) - start
 
 		// B: the highest participating rank's factor wins — deterministic
 		// across replicas and across input orderings.
 		best := states[top].Tables[t]
-		merged[t] = lora.TableState{Rows: rows, B: best.B, Rank: best.Rank}
+		m.tables[t] = lora.TableState{Rows: rows[start:len(rows):len(rows)], B: best.B, Rank: best.Rank}
 	}
-	return merged, stats, nil
+	// Rows past this merge's end may point into snapshots that are gone.
+	clear(rows[len(rows):cap(rows)])
+	m.rows = rows
+	return m.tables, stats, nil
 }
 
 // SyncGroup merges, prices and accounts the priority-merge synchronizations
@@ -145,7 +161,8 @@ func priorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, e
 // by one internal mutex, held by SyncRanked from pricing through commit, so
 // reporting code can read totals while a background sync runs. Calls to
 // SyncRanked must not overlap — the serialization the cluster's syncMu
-// already provides.
+// already provides — and that makes the last caller the one owner of the
+// group's merge and delta buffers.
 type SyncGroup struct {
 	BandwidthBps float64
 	LatencySec   float64
@@ -153,6 +170,11 @@ type SyncGroup struct {
 	kind     Kind
 	delta    bool
 	compress int // flate level; 0 = off
+
+	// Reused by every SyncRanked: the merged state it returns lives in
+	// merged, and deltaLocked's flags and stripped tables in scratch.
+	merged  mergeBuf
+	scratch deltaBuf
 
 	mu    sync.Mutex
 	stats GroupStats
@@ -331,8 +353,13 @@ func (sg *SyncGroup) priceLocked(states []RankedState, merged []lora.TableState,
 // Snapshotting and publication stay with the caller — an elastic fleet
 // snapshots whatever members its live view holds — and calls must not
 // overlap.
+//
+// The merged state is written into memory the group reuses, and its rows
+// and B are the snapshots' own: it is valid until the group's next
+// SyncRanked and for as long as the snapshots are. Publish copies it in, so
+// a caller that publishes before the next snapshot and merge keeps nothing.
 func (sg *SyncGroup) SyncRanked(c *simnet.Clock, states []RankedState) ([]lora.TableState, MergeStats, int64, error) {
-	merged, stats, err := priorityMergeRanked(states)
+	merged, stats, err := sg.merged.merge(states)
 	if err != nil {
 		return nil, stats, 0, err
 	}

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -60,7 +62,7 @@ func TestBroadcastTime(t *testing.T) {
 // full payloads, and no compression.
 func testGroup(t *testing.T) *SyncGroup {
 	t.Helper()
-	sg, err := NewSyncGroupWith(GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+	sg, err := NewSyncGroupWith(GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: simnet.LinkLatencySec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,17 +185,18 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 	for r := range ranked {
 		ranked[r] = RankedState{Rank: r, Tables: replicas[r].Snapshot()}
 	}
-	ref, refStats, err := priorityMergeRanked(append([]RankedState(nil), ranked...))
+	ref, refStats, err := new(mergeBuf).merge(append([]RankedState(nil), ranked...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	var reused mergeBuf // every permutation merges into the same buffers
 	for _, perm := range perms {
 		in := make([]RankedState, len(perm))
 		for i, p := range perm {
 			in[i] = ranked[p]
 		}
-		got, stats, err := priorityMergeRanked(in)
+		got, stats, err := reused.merge(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,10 +241,10 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if idxStats != refStats || len(viaIndex) != len(ref) {
-		t.Fatalf("PriorityMerge disagrees with priorityMergeRanked: %+v vs %+v", idxStats, refStats)
+		t.Fatalf("PriorityMerge disagrees with the ranked merge: %+v vs %+v", idxStats, refStats)
 	}
 	// Duplicate rank ids are ambiguous priorities and must be rejected.
-	if _, _, err := priorityMergeRanked([]RankedState{
+	if _, _, err := new(mergeBuf).merge([]RankedState{
 		{Rank: 1, Tables: ranked[0].Tables},
 		{Rank: 1, Tables: ranked[1].Tables},
 	}); err == nil {
@@ -493,9 +496,13 @@ func TestSyncGroupConsistencyAfterLongRun(t *testing.T) {
 	}
 }
 
-// TestPriorityMergeAllocs bounds the merge's allocations: one sort buffer
-// presized to the largest table, the merged table slice, and one row slice
-// per table — no per-row map entries.
+// TestPriorityMergeAllocs bounds the merge's allocations. PriorityMerge
+// makes four, whatever the table count: the ranked view of its input, one
+// sort buffer presized to the largest table, one slab for every table's
+// merged rows, and the merged table slice — no per-row map entries. A
+// SyncGroup's merge reuses all but the first, so a warm one makes none.
+// Under the race detector the merges still run and are checked, but the
+// allocation counts, which its instrumentation inflates, are not.
 func TestPriorityMergeAllocs(t *testing.T) {
 	const ranks, tables, rows, rank = 4, 26, 300, 4
 	rng := tensor.NewRNG(3)
@@ -526,7 +533,52 @@ func TestPriorityMergeAllocs(t *testing.T) {
 	if stats.Conflicts == 0 || stats.RowsMerged == 0 {
 		t.Fatalf("fixture must merge overlapping rows: %+v", stats)
 	}
-	if limit := float64(tables + 4); allocs > limit {
-		t.Fatalf("PriorityMerge allocates %v times for %d tables; want ≤ %v", allocs, tables, limit)
+	if !raceEnabled && allocs > 4 {
+		t.Fatalf("PriorityMerge allocates %v times for %d tables; want ≤ 4", allocs, tables)
+	}
+	ranked := make([]RankedState, ranks)
+	for r := range ranked {
+		ranked[r] = RankedState{Rank: r, Tables: states[r]}
+	}
+	var m mergeBuf
+	if _, _, err := m.merge(ranked); err != nil {
+		t.Fatal(err)
+	}
+	warm := testing.AllocsPerRun(10, func() {
+		if _, warmStats, err := m.merge(ranked); err != nil || warmStats != stats {
+			t.Fatalf("a warm merge gives %+v, %v; PriorityMerge %+v", warmStats, err, stats)
+		}
+	})
+	if !raceEnabled && warm != 0 {
+		t.Fatalf("a merge into grown buffers allocates %v times; want 0", warm)
+	}
+}
+
+// fingerprintB is FNV-1a written out by hand: it must give hash/fnv's bits
+// over the same bytes — the dimensions as two little-endian uint32s, then
+// every coefficient's float64 bits.
+func TestFingerprintBMatchesFNV(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	dense := tensor.NewMatrix(4, 8)
+	for i := range dense.Data {
+		dense.Data[i] = rng.NormFloat64()
+	}
+	odd := &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), 1e-300}}
+	for _, m := range []*tensor.Matrix{tensor.NewMatrix(0, 3), dense, odd} {
+		h := fnv.New64a()
+		var buf [8]byte
+		binary.LittleEndian.PutUint32(buf[:4], uint32(m.Rows))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(m.Cols))
+		h.Write(buf[:])
+		for _, v := range m.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		if got, want := fingerprintB(m), h.Sum64(); got != want {
+			t.Fatalf("%d×%d: fingerprint %#x, hash/fnv %#x", m.Rows, m.Cols, got, want)
+		}
+	}
+	if fingerprintB(nil) != 0 {
+		t.Fatal("a nil factor must fingerprint to 0")
 	}
 }

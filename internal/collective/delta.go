@@ -1,9 +1,8 @@
 package collective
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
+	"slices"
 
 	"liveupdate/internal/lora"
 	"liveupdate/internal/tensor"
@@ -34,21 +33,31 @@ type deltaSizing struct {
 	backSecs  float64 // point-to-point publish time for the backfills
 }
 
+// deltaBuf is deltaLocked's scratch, reused from sync to sync: which factors
+// ship (rank by rank, then the publish's) and the two stripped payloads.
+type deltaBuf struct {
+	shipB, pubShip []bool
+	pacing, pub    []lora.TableState
+}
+
 // deltaLocked computes the delta-adjusted payload sizes for one sync and
 // records it in the ledger as generation gen, in one pass: every read of a
-// ledger entry comes before the write that moves it. Caller holds sg.mu.
+// ledger entry comes before the write that moves it. Caller holds sg.mu. The
+// stripped payloads it returns live in sg.scratch until the next sync.
 func (sg *SyncGroup) deltaLocked(states []RankedState, merged []lora.TableState, gen int64) deltaSizing {
 	var ds deltaSizing
+	sc, nt := &sg.scratch, len(merged)
 
 	// Per-rank gather payloads: rows always ship (exports hold only rows
 	// modified since the last snapshot), the shared factor ships only when
 	// it no longer matches the published one. The pacing rank is the
-	// largest adjusted payload, ties toward the higher rank id.
+	// largest adjusted payload, ties toward the higher rank id. Rank i's
+	// flags are shipB[i*nt:(i+1)*nt].
 	pacing, pacingSize := 0, int64(-1)
-	shipB := make([][]bool, len(states))
+	sc.shipB = slices.Grow(sc.shipB[:0], len(states)*nt)[:len(states)*nt]
+	clear(sc.shipB)
 	for i, st := range states {
 		var size int64
-		shipB[i] = make([]bool, len(st.Tables))
 		for t, ts := range st.Tables {
 			size += rowsPayloadBytes(ts.Rows)
 			if ts.B == nil {
@@ -56,7 +65,7 @@ func (sg *SyncGroup) deltaLocked(states []RankedState, merged []lora.TableState,
 			}
 			fp := fingerprintB(ts.B)
 			if last, ok := sg.pubB[t]; !ok || last != fp {
-				shipB[i][t] = true
+				sc.shipB[i*nt+t] = true
 				size += int64(len(ts.B.Data)) * 8
 			}
 		}
@@ -66,12 +75,15 @@ func (sg *SyncGroup) deltaLocked(states []RankedState, merged []lora.TableState,
 		}
 	}
 	ds.perRank = pacingSize
-	ds.pacing = stripFactors(states[pacing].Tables, shipB[pacing])
+	sc.pacing = stripFactors(sc.pacing, states[pacing].Tables, sc.shipB[pacing*nt:(pacing+1)*nt])
+	ds.pacing = sc.pacing
 
 	// Publish payload: merged rows plus only the factors that changed since
 	// the last publish. Every published row and changed factor moves to
 	// generation gen.
-	pubShip := make([]bool, len(merged))
+	sc.pubShip = slices.Grow(sc.pubShip[:0], nt)[:nt]
+	clear(sc.pubShip)
+	pubShip := sc.pubShip
 	for t, mt := range merged {
 		ds.merged += rowsPayloadBytes(mt.Rows)
 		fp := fingerprintB(mt.B)
@@ -90,7 +102,8 @@ func (sg *SyncGroup) deltaLocked(states []RankedState, merged []lora.TableState,
 			rg[u.ID] = gen
 		}
 	}
-	ds.pub = stripFactors(merged, pubShip)
+	sc.pub = stripFactors(sc.pub, merged, pubShip)
+	ds.pub = sc.pub
 
 	// Backfill: a participant whose acknowledged generation trails the
 	// group's missed publishes; ship it the rows (and factors) whose
@@ -120,11 +133,12 @@ func (sg *SyncGroup) deltaLocked(states []RankedState, merged []lora.TableState,
 	return ds
 }
 
-// stripFactors returns tables with the shared factor nil'd wherever ship is
-// false — the delta wire representation. Rows are shared, not copied; the
-// caller treats the result as read-only sizing input.
-func stripFactors(tables []lora.TableState, ship []bool) []lora.TableState {
-	out := make([]lora.TableState, len(tables))
+// stripFactors writes into dst, grown as needed, tables with the shared
+// factor nil'd wherever ship is false — the delta wire representation — and
+// returns it. Rows are shared, not copied; the caller treats the result as
+// read-only sizing input.
+func stripFactors(dst, tables []lora.TableState, ship []bool) []lora.TableState {
+	out := slices.Grow(dst[:0], len(tables))[:len(tables)]
 	for t, ts := range tables {
 		out[t] = ts
 		if t < len(ship) && !ship[t] {
@@ -145,20 +159,28 @@ func rowsPayloadBytes(rows []lora.RowUpdate) int64 {
 }
 
 // fingerprintB hashes a shared factor's dimensions and contents (FNV-1a over
-// the raw float bits). Exported factors are deep copies, so identity must be
-// established by content, never by pointer.
+// the raw float bits, little-endian, written out here so no hash.Hash is
+// allocated per factor). Exported factors are deep copies, so identity must
+// be established by content, never by pointer.
 func fingerprintB(m *tensor.Matrix) uint64 {
 	if m == nil {
 		return 0
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(m.Rows))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Cols))
-	h.Write(buf[:])
-	for _, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	mix := func(v uint64, bytes int) {
+		for i := 0; i < bytes; i++ {
+			h ^= uint64(byte(v >> (8 * i)))
+			h *= prime64
+		}
 	}
-	return h.Sum64()
+	mix(uint64(uint32(m.Rows)), 4)
+	mix(uint64(uint32(m.Cols)), 4)
+	for _, v := range m.Data {
+		mix(math.Float64bits(v), 8)
+	}
+	return h
 }

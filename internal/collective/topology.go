@@ -11,7 +11,7 @@ import (
 // back to every rank) — on uniform full-duplex links. It is the string form
 // used by cluster configuration and CLI flags; the empty Kind means flat.
 // Pricing is a pure cost model: the merge result itself is computed by
-// priorityMergeRanked and is identical under every topology; only the
+// the priority merge and is identical under every topology; only the
 // virtual time and wire bytes charged differ.
 //
 // perRank is the largest single rank's payload (the pacing payload of the

@@ -581,7 +581,9 @@ func (s *System) LoRARank() int {
 // is in flight feeds the next sync epoch) and returns the copy. This is the
 // per-replica gather step of the asynchronous update pipeline: the node lock
 // is held only for the O(modified rows) export, never across the merge
-// itself. Forwards keep running: the export only reads the factors.
+// itself. Forwards keep running: the export only reads the factors. The copy
+// is lora.Set.Snapshot's: valid until the replica's next snapshot, which
+// reuses its memory.
 func (s *System) SnapshotLoRA() []lora.TableState {
 	s.mu.Lock()
 	defer s.mu.Unlock()

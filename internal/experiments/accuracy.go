@@ -295,7 +295,7 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 		}
 		trainers[i] = dlrm.Trainer{Model: model, Emb: replicas[i], EmbLR: 0.05}
 	}
-	sg, err := collective.NewSyncGroupWith(collective.GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+	sg, err := collective.NewSyncGroupWith(collective.GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: simnet.LinkLatencySec})
 	if err != nil {
 		return 0, err
 	}

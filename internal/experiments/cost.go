@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"liveupdate/internal/collective"
+	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 	"liveupdate/internal/update"
 )
@@ -134,7 +135,7 @@ func fig19(o Options) (Report, error) {
 	projected := []int{24, 32, 48}
 	timeFor := func(n int) float64 {
 		perNode := totalLoRA / int64(n)
-		gather, _ := collective.TopologyFlat.Seconds(n, perNode, 0, 100e9/8, latency)
+		gather, _ := collective.TopologyFlat.Seconds(n, perNode, 0, simnet.Gbps100, latency)
 		return gather
 	}
 	var t2, t16 float64

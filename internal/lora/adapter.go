@@ -129,10 +129,11 @@ type Adapter struct {
 	pruned      int // total rows evicted
 
 	// adapt's reusable buffers (eigen-solve of the window covariance,
-	// candidate slots of the prune step): a pass that does not change the
-	// rank allocates nothing.
+	// candidate slots of the prune step, Resize's id order): a pass that does
+	// not change the rank allocates nothing.
 	spectrum tensor.SpectrumScratch
 	active   []int32
+	byID     []int32
 
 	// daScratch and coefScratch are Train's per-rank scratches (the hoisted
 	// A-gradient step and the summed pre-update A coefficients), reused
@@ -347,8 +348,8 @@ func (a *Adapter) evict(slot int32) {
 // the active rows' deltas — tensor.TruncatedSVD), so learned information is
 // preserved as well as any rank-r factorization can; growing zero-pads,
 // leaving ∆W bit-identical. A writer, like train: every row keeps its slot,
-// its update count and its support bit; only the coefficient slab and B are
-// re-made.
+// its update count and its support bit; only the coefficient slab (re-laid
+// in place) and B are re-made.
 func (a *Adapter) Resize(r int) {
 	r = min(max(r, a.cfg.MinRank), a.cfg.MaxRank)
 	old := a.rows.rank
@@ -363,7 +364,8 @@ func (a *Adapter) Resize(r int) {
 		// would tie the factors to the history of evictions.
 		a.rows.setRank(r)
 		scale := 1 / math.Sqrt(float64(r))
-		for _, s := range a.rows.slotsByID() {
+		a.byID = a.rows.slotsByID(a.byID)
+		for _, s := range a.byID {
 			row := a.rows.row(s)
 			for k := old; k < r; k++ {
 				row[k] = a.rng.NormFloat64() * scale
@@ -380,7 +382,8 @@ func (a *Adapter) Resize(r int) {
 	var slots []int32
 	var left *tensor.Matrix
 	if len(a.rows.meta) > 0 {
-		slots = a.rows.slotsByID()
+		a.byID = a.rows.slotsByID(a.byID)
+		slots = a.byID
 		delta := tensor.NewMatrix(len(slots), a.cfg.Dim)
 		for i, s := range slots {
 			tensor.AxpyRows(delta.Row(i), 1, a.rows.row(s), a.b)

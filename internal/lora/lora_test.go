@@ -51,7 +51,7 @@ func (a *Adapter) export(dirtyOnly bool) []RowUpdate {
 func (a *Adapter) copyB() *tensor.Matrix { return a.b.Clone() }
 
 // exportState is Snapshot without clearing the supports.
-func (s *Set) exportState() []TableState { return s.export(true) }
+func (s *Set) exportState() []TableState { return s.export(true, new(exportSlabs)) }
 
 func testConfig() Config {
 	cfg := DefaultConfig(100, 8)

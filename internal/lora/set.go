@@ -2,6 +2,7 @@ package lora
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"liveupdate/internal/emt"
@@ -25,6 +26,11 @@ type Set struct {
 	// epoch is one more than the epoch of the last Publish: zero before the
 	// first sync. Readers load it lock-free.
 	epoch atomic.Int64
+
+	// snap is what Snapshot carves its copy from, grown to the largest
+	// snapshot so far and overwritten by the next one. Exporters are
+	// serialized with each other, so it has one user at a time.
+	snap exportSlabs
 }
 
 // NewSet builds adapters (one per base table) from cfg. The cfg.Dim field is
@@ -111,24 +117,45 @@ type TableState struct {
 	Rank int
 }
 
+// exportSlabs are the four slabs an export is carved from: the tables, the B
+// headers, the RowUpdates, and the coefficients with the B data.
+type exportSlabs struct {
+	tables []TableState
+	bs     []tensor.Matrix
+	ups    []RowUpdate
+	buf    []float64
+}
+
+// grow sizes the slabs for an export of rows RowUpdates and floats
+// coefficients over n tables, reallocating only a slab that is too small.
+func (sl *exportSlabs) grow(n, rows, floats int) {
+	sl.tables = slices.Grow(sl.tables[:0], n)[:n]
+	sl.bs = slices.Grow(sl.bs[:0], n)[:n]
+	sl.ups = slices.Grow(sl.ups[:0], rows)[:rows]
+	if cap(sl.buf) < floats {
+		sl.buf = slices.Grow(sl.buf[:0], floats)
+		clear(sl.ups[:cap(sl.ups)]) // a stale RowUpdate would keep the old slab alive
+	}
+	sl.buf = sl.buf[:floats]
+}
+
 // export deep-copies every adapter's rows — the modified support when
-// dirtyOnly, else every active row — in id order, plus its B. All tables'
-// RowUpdates, all their coefficients with the B data, and the B headers are
-// carved from one slab each: four allocations per call, whatever the table
-// and row counts. Each carved slice is capacity-limited, so appending to one
-// cannot reach its neighbour.
-func (s *Set) export(dirtyOnly bool) []TableState {
+// dirtyOnly, else every active row — in id order, plus its B, into sl. All
+// tables' RowUpdates, all their coefficients with the B data, and the B
+// headers are carved from one slab each, so an export allocates nothing once
+// sl is large enough, whatever the table and row counts. Each carved slice is
+// capacity-limited, so appending to one cannot reach its neighbour.
+func (s *Set) export(dirtyOnly bool, sl *exportSlabs) []TableState {
 	rows, floats := 0, 0
 	for _, a := range s.Adapters {
 		n := a.rows.exportCount(dirtyOnly)
 		rows += n
 		floats += n*a.rows.rank + len(a.b.Data)
 	}
-	out := make([]TableState, len(s.Adapters))
-	bs := make([]tensor.Matrix, len(s.Adapters))
-	ups, buf := make([]RowUpdate, rows), make([]float64, floats)
+	sl.grow(len(s.Adapters), rows, floats)
+	out, ups, buf := sl.tables, sl.ups, sl.buf
 	for i, a := range s.Adapters {
-		rs, b := &a.rows, &bs[i]
+		rs, b := &a.rows, &sl.bs[i]
 		n := rs.exportCount(dirtyOnly)
 		out[i] = TableState{Rows: rs.exportInto(dirtyOnly, ups[:n:n], buf), B: b, Rank: rs.rank}
 		ups, buf = ups[n:], buf[n*rs.rank:]
@@ -144,8 +171,9 @@ func (s *Set) export(dirtyOnly bool) []TableState {
 // with Publish: unlike Snapshot it carries rows from every past sync epoch,
 // so the joiner matches a veteran's accumulated state, and it does NOT
 // clear the supports (the exporter keeps participating in its next sync
-// normally). An exporter, like Snapshot.
-func (s *Set) ExportFull() []TableState { return s.export(false) }
+// normally). Its copy is fresh memory the caller keeps for as long as it
+// likes. An exporter, like Snapshot.
+func (s *Set) ExportFull() []TableState { return s.export(false, new(exportSlabs)) }
 
 // applyState installs a synced snapshot (winner of the priority merge) in
 // place, adapter by adapter; the caller excludes readers. A state that does
@@ -182,8 +210,14 @@ func (s *Set) applyState(states []TableState) {
 // training that arrives while the merge is in flight feeds the NEXT epoch
 // instead of being silently dropped. An exporter: callers serialize it with
 // the writers, but readers may run beside it.
+//
+// The copy lives in memory the Set owns and reuses: it is valid until the
+// Set's next Snapshot, which overwrites it. A sync round — snapshot, merge,
+// publish — must therefore be done with it before the next round snapshots
+// again; nothing may keep it, or a merged row taken from it, past the
+// publish. Catch-up and anything else that keeps a state use ExportFull.
 func (s *Set) Snapshot() []TableState {
-	st := s.export(true)
+	st := s.export(true, &s.snap)
 	s.resetSupports()
 	return st
 }

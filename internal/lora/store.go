@@ -136,13 +136,26 @@ func (rs *rowStore) markDirty(slot int32) {
 }
 
 // setRank re-lays the slab at rank: every row keeps its slot and its first
-// min(rank, rs.rank) coefficients, zero-padded.
+// min(rank, rs.rank) coefficients, zero-padded. The re-lay is in place, the
+// slab first grown to capacity for a larger rank: a shrink walks the slots
+// upward and a grow downward, so no row is overwritten before it has moved.
 func (rs *rowStore) setRank(rank int) {
-	a := make([]float64, len(rs.meta)*rank)
-	for s := range len(rs.meta) {
-		copy(a[s*rank:(s+1)*rank], rs.row(int32(s)))
+	old, n := rs.rank, len(rs.meta)
+	if rank > old {
+		rs.a = slices.Grow(rs.a, n*rank-len(rs.a))
 	}
-	rs.a, rs.rank = a, rank
+	a := rs.a[:n*max(old, rank)]
+	if rank < old {
+		for s := range n {
+			copy(a[s*rank:(s+1)*rank], a[s*old:s*old+rank])
+		}
+	} else {
+		for s := n - 1; s >= 0; s-- {
+			row := a[s*rank : (s+1)*rank]
+			clear(row[copy(row, a[s*old:(s+1)*old]):])
+		}
+	}
+	rs.a, rs.rank = a[:n*rank], rank
 }
 
 // compact drops the slots whose id was set to -1, keeping the others in
@@ -170,9 +183,10 @@ func (rs *rowStore) compact() {
 	rs.a = rs.a[:int(n)*rs.rank]
 }
 
-// slotsByID returns every slot, ordered by ascending id.
-func (rs *rowStore) slotsByID() []int32 {
-	slots := make([]int32, len(rs.meta))
+// slotsByID fills buf with every slot, ordered by ascending id, and returns
+// it, growing it only when it is too short.
+func (rs *rowStore) slotsByID(buf []int32) []int32 {
+	slots := slices.Grow(buf[:0], len(rs.meta))[:len(rs.meta)]
 	for s := range slots {
 		slots[s] = int32(s)
 	}

@@ -11,8 +11,13 @@ import (
 	"sync/atomic"
 )
 
-// Gbps100 is a 100 GbE link's payload bandwidth in bytes per second.
-const Gbps100 = 100e9 / 8
+// The fleet's links: a 100 GbE link's payload bandwidth in bytes per second
+// and its one-hop latency in seconds. Fleet syncs and catch-up transfers are
+// billed at this pair.
+const (
+	Gbps100        = 100e9 / 8
+	LinkLatencySec = 0.001
+)
 
 // Clock is a virtual timeline measured in seconds. Reads and writes are
 // lock-free and safe for concurrent use: a replica advances its own clock

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"liveupdate/internal/simnet"
 	"liveupdate/internal/trace"
 )
 
@@ -66,7 +67,7 @@ const defaultQuickAlpha = 0.05
 func DefaultCostModel(p trace.Profile) CostModel {
 	return CostModel{
 		Profile:      p,
-		BandwidthBps: 100e9 / 8,
+		BandwidthBps: simnet.Gbps100,
 		QuickAlpha:   defaultQuickAlpha,
 		CPUTrainBps:  1.6e9,
 		BaseLatency:  2.0,
